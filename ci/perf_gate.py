@@ -7,9 +7,13 @@ tolerance:
 
 * ``steps_per_sec`` and ``cache_hit_ratio`` must not drop below
   ``baseline * (1 - tol)``;
-* ``flush_apply_ns_row``, ``cache_fill_ns_row``, ``mean_gentry_ns``, and
-  ``p95_stall_ns`` must not rise above ``baseline * (1 + tol)`` (each
-  skipped when the baseline predates the metric or recorded 0).
+* ``flush_apply_ns_row`` and ``cache_fill_ns_row`` must not rise above
+  ``baseline * (1 + tol)`` (each skipped when the baseline predates the
+  metric or recorded 0);
+* ``mean_gentry_ns`` and ``p95_stall_ns`` are on the modeled clock — a
+  pure function of the profile's seed and configuration — and must
+  **equal** the baseline exactly; a difference means the model, a price or
+  the workload changed, and the baseline is regenerated in that commit.
 
 Both files may carry several workload profiles under ``"profiles"``
 (``2gpu`` — the historical smoke workload — ``8gpu`` — the paper's
@@ -34,10 +38,7 @@ Tolerances are fractional and resolve per metric, most specific first:
 ``FRUGAL_PERF_TOL_8GPU_STEPS_PER_SEC`` — the wide profile oversubscribes
 small CI hosts heavily, so its wall-clock noise floor is higher) >
 ``FRUGAL_PERF_TOL_<METRIC>`` > ``FRUGAL_PERF_TOL`` > the per-metric
-default below. The calibrated/modeled metrics (``mean_gentry_ns``,
-``p95_stall_ns``) default much wider than the wall-clock ones: they shift
-with calibration constants and scheduler noise, so their gates catch
-collapses, not drift.
+default below. The modeled metrics take no tolerance.
 
 When both files carry the per-phase ledger (``current.phases``, written by
 ``engine_smoke`` since the critical-path profiler landed), the gate prints
@@ -84,8 +85,6 @@ import sys
 GATED = [
     ("steps_per_sec", "floor", 0.35),
     ("flush_apply_ns_row", "ceil", 0.35),
-    ("mean_gentry_ns", "ceil", 1.00),
-    ("p95_stall_ns", "ceil", 1.00),
     # Hit ratio is deterministic for a fixed seed+policy, so its floor is
     # tight: a drop means a cache/sharding logic change, not noise.
     ("cache_hit_ratio", "floor", 0.05),
@@ -93,6 +92,9 @@ GATED = [
     # run): gate collapses, not drift.
     ("cache_fill_ns_row", "ceil", 1.00),
 ]
+
+# Modeled-clock metrics: gated at exact equality with the baseline.
+EXACT = ["mean_gentry_ns", "p95_stall_ns"]
 
 # fifo_* track the arrival-order flush ablation, profiled_steps_per_sec the
 # instrumented run: recorded every run for the trajectory, never gated.
@@ -199,6 +201,14 @@ def gate_metrics(base, cur, profile=None):
             )
             if c > bound:
                 failures.append(f"{name} {c:.1f} > ceil {bound:.1f} (baseline {b:.1f}, tol {tol})")
+    for name in EXACT:
+        if name not in base:
+            lines.append(f"{name + ':':<20} baseline has none; current {cur.get(name)} (recorded, not gated)")
+            continue
+        b, c = base[name], cur.get(name)
+        lines.append(f"{name + ':':<20} baseline {b:>10}  current {c:>10}  (modeled, exact)")
+        if c != b:
+            failures.append(f"{name} {c} != baseline {b} (modeled clock: must match exactly)")
     for name in INFORMATIONAL:
         if name not in base and name not in cur:
             continue
@@ -282,7 +292,7 @@ def gate_profile(name, base_profile, cur_profile):
         # ceilings arm on the next commit, once the regenerated baseline
         # carries the profile.
         lines.append(f"profile {name}: baseline has no such profile; recorded, not gated")
-        for metric, _, _ in GATED:
+        for metric in [m for m, _, _ in GATED] + EXACT:
             lines.append(f"{metric + ':':<20} current {float(cur.get(metric, 0.0)):10.1f} (recorded)")
         hard_lines, hard_failures = gate_hard_phases(name, cur.get("phases") or {})
         metric_hard_lines, metric_hard_failures = gate_hard_metrics(name, cur)

@@ -22,9 +22,12 @@
 //!
 //! * `steps_per_sec` — wall-clock engine steps per second (best of
 //!   `FRUGAL_SMOKE_REPEATS` runs, to cut scheduler noise),
-//! * `mean_gentry_ns` — mean per-step g-entry registration time
-//!   (calibrated, the paper's Exp #4a metric),
-//! * `p95_stall_ns` — 95th-percentile modeled training stall,
+//! * `mean_gentry_ns` — mean per-step g-entry registration time (the
+//!   paper's Exp #4a metric, on the modeled clock),
+//! * `p95_stall_ns` — 95th-percentile modeled training stall (with
+//!   `mean_gentry_ns`, a pure function of the profile's seed and
+//!   configuration: `ci/perf_gate.py` requires both to equal the
+//!   baseline exactly),
 //! * `flush_apply_ns_row` — mean flush-apply cost per row (claim +
 //!   optimizer step + host-store write), the flush-path efficiency
 //!   metric (taken from the same best-throughput run),

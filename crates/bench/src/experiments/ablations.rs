@@ -3,11 +3,20 @@
 //! size, and the sample-queue lookahead `L`.
 
 use super::Scale;
-use crate::systems::{run_system, RunOptions, System};
+use crate::systems::{measured_phase, run_system, RunOptions, System};
 use crate::table::{fmt_throughput, ExpTable};
-use frugal_core::{FrugalConfig, FrugalEngine, PullToTarget};
+use frugal_core::{FrugalConfig, FrugalEngine, PullToTarget, TrainReport};
 use frugal_data::{KeyDistribution, SyntheticTrace};
 use frugal_embed::CachePolicy;
+use frugal_telemetry::{LedgerPhase, Telemetry};
+
+/// Mean measured µs per step of ledger `phase` (0 without telemetry).
+fn measured_us(r: &TrainReport, phase: LedgerPhase) -> String {
+    format!(
+        "{:.0}",
+        measured_phase(r, phase).map_or(0.0, |p| p.mean_ns / 1e3)
+    )
+}
 
 /// Cache eviction policy × key skew × cache ratio, through the full P²F
 /// engine: per-policy hit ratios for every cell of the grid. The paper
@@ -63,7 +72,10 @@ pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
 }
 
 /// Batched dequeue (§3.4: "Dequeue can be batched to remove the repeated
-/// scanning overhead"): flusher batch size vs stall and throughput.
+/// scanning overhead"): flusher batch size vs the flushers' measured
+/// dequeue cost and the trainers' measured wait. Batch size moves no
+/// operation count, so the modeled clock cannot see it — the columns are
+/// wall-clock.
 pub fn ablation_flush_batch(scale: &Scale) -> Vec<ExpTable> {
     let dim = 32usize;
     let model = PullToTarget::new(dim, 7);
@@ -76,22 +88,35 @@ pub fn ablation_flush_batch(scale: &Scale) -> Vec<ExpTable> {
     )
     .expect("valid trace");
     let mut t = ExpTable::new(
-        "Ablation: flusher dequeue batch size",
-        &["batch", "throughput", "stall us"],
+        "Ablation: flusher dequeue batch size (measured on this host)",
+        &[
+            "batch",
+            "dequeue ns/row",
+            "flush dequeue us/step",
+            "stall wait us/step",
+        ],
     );
     for flush_batch in [1usize, 8, 64, 256] {
         let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps * 2);
         cfg.flush_threads = 4;
         cfg.flush_batch = flush_batch;
+        cfg.telemetry = Telemetry::new();
         let engine = FrugalEngine::new(cfg, scale.micro_keys, dim);
         let r = engine.run(&trace, &model);
+        let dequeue_ns = r
+            .telemetry
+            .as_ref()
+            .and_then(|t| t.counter("flusher.dequeue_total_ns"))
+            .unwrap_or(0);
         t.row(vec![
             flush_batch.to_string(),
-            fmt_throughput(r.throughput()),
-            format!("{:.0}", r.mean_stall().as_micros_f64()),
+            format!("{:.0}", dequeue_ns as f64 / r.flush_rows.max(1) as f64),
+            measured_us(&r, LedgerPhase::FlushDequeue),
+            measured_us(&r, LedgerPhase::StallWait),
         ]);
     }
     t.note("paper §3.4: batching removes repeated scan overhead; batch=1 pays one scan per entry");
+    t.note("wall-clock columns (ledger + flusher counters); modeled throughput and stall are batch-independent by construction");
     vec![t]
 }
 
@@ -111,19 +136,29 @@ pub fn ablation_lookahead(scale: &Scale) -> Vec<ExpTable> {
     .expect("valid trace");
     let mut t = ExpTable::new(
         "Ablation: sample-queue lookahead L",
-        &["L", "throughput", "stall us"],
+        &[
+            "L",
+            "throughput",
+            "stall us",
+            "measured registration us/step",
+            "measured stall wait us/step",
+        ],
     );
     for lookahead in [1u64, 2, 5, 10, 20] {
         let mut opts = RunOptions::commodity(scale.gpus, scale.steps * 2);
         opts.lookahead = lookahead;
+        opts.telemetry = Telemetry::new();
         let r = run_system(System::Frugal, &opts, &trace, &model);
         t.row(vec![
             lookahead.to_string(),
             fmt_throughput(r.throughput()),
             format!("{:.0}", r.mean_stall().as_micros_f64()),
+            measured_us(&r, LedgerPhase::Registration),
+            measured_us(&r, LedgerPhase::StallWait),
         ]);
     }
     t.note("paper §3.2 sets L = 10 by default");
+    t.note("throughput/stall are modeled: blocking rows are the writes whose next-step read was already announced when they registered, so every L >= 2 prices alike and L = 1 (read announced after the write) prices none; L's real effect is the two measured columns");
     vec![t]
 }
 
@@ -220,13 +255,9 @@ mod tests {
         // The ablation's headline: on a skewed workload, arrival-order
         // flushing stalls more than read-driven priorities, because cold
         // pending rows nobody is about to read still gate the next step.
-        // A single *throttled* flusher guarantees a backlog survives
-        // between steps regardless of host speed (an unthrottled one
-        // drains the quick-scale queue completely, and with zero backlog
-        // both strategies stall near zero and scheduler noise decides the
-        // comparison). With the drain budget capped, P2F spends it on the
-        // rows the next step reads while FIFO spends it in arrival order
-        // and counts the whole backlog as stall.
+        // The modeled stall prices blocking rows, and P2F's (written now,
+        // read next) are a subset of FIFO's (written now) on the same
+        // trace — so the ordering holds step for step, on exact values.
         let scale = Scale::quick();
         let model = PullToTarget::new(32, 7);
         let trace = SyntheticTrace::new(
@@ -237,12 +268,13 @@ mod tests {
             83,
         )
         .unwrap();
-        let mut cfg = FrugalConfig::commodity(scale.gpus, 16);
-        cfg.flush_threads = 1;
-        cfg.flush_throttle_us = 200;
+        let cfg = FrugalConfig::commodity(scale.gpus, 16);
         let p2f = FrugalEngine::new(cfg.clone(), scale.micro_keys, 32).run(&trace, &model);
         let fifo = FrugalEngine::new(cfg.fifo(), scale.micro_keys, 32).run(&trace, &model);
         assert!(fifo.flush_rows > 0, "FIFO must flush in the background");
+        for (f, p) in fifo.stats.iters().iter().zip(p2f.stats.iters()) {
+            assert!(f.stall >= p.stall, "FIFO {} < P2F {}", f.stall, p.stall);
+        }
         assert!(
             fifo.mean_stall() > p2f.mean_stall(),
             "FIFO stall {:?} should exceed P2F stall {:?}",

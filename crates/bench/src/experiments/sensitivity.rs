@@ -18,9 +18,7 @@ pub fn exp10_flush_threads(scale: &Scale) -> Vec<ExpTable> {
         &["threads", "throughput", "stall us"],
     );
     for threads in [1usize, 2, 4, 8, 12, 16, 24, 30] {
-        // Longer runs than the other sweeps: this experiment compares a
-        // single system against itself, so run-to-run noise matters more.
-        let mut opts = RunOptions::commodity(scale.gpus, scale.steps * 3);
+        let mut opts = RunOptions::commodity(scale.gpus, scale.steps);
         opts.flush_threads = threads;
         let r = run_system(System::Frugal, &opts, &trace, &model);
         t.row(vec![
@@ -30,6 +28,7 @@ pub fn exp10_flush_threads(scale: &Scale) -> Vec<ExpTable> {
         ]);
     }
     t.note("paper: throughput rises to ~12 threads, then declines as flushers steal CPU");
+    t.note("modeled clock: the stall divides by the configured flushers; the decline is the configuration's oversubscription factor (trainers + flushers + 2 over the modeled 32 cores), an assumption, not a measurement");
     vec![t]
 }
 

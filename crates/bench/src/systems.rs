@@ -4,7 +4,7 @@ use frugal_baselines::{BaselineConfig, BaselineEngine, BaselineKind};
 use frugal_core::{EmbeddingModel, FrugalConfig, FrugalEngine, PqKind, TrainReport, Workload};
 use frugal_embed::CachePolicy;
 use frugal_sim::Topology;
-use frugal_telemetry::Telemetry;
+use frugal_telemetry::{LedgerPhase, LedgerPhaseSummary, Telemetry};
 
 /// A competitor system from §4.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +155,13 @@ pub fn run_system(
             engine.run(workload, model)
         }
     }
+}
+
+/// The measured (wall-clock) per-step summary of ledger `phase` in a run
+/// made with telemetry on — what experiments print next to modeled
+/// columns. `None` when the run carried no telemetry.
+pub fn measured_phase(report: &TrainReport, phase: LedgerPhase) -> Option<&LedgerPhaseSummary> {
+    report.telemetry.as_ref()?.ledger.as_ref()?.phase(phase)
 }
 
 #[cfg(test)]

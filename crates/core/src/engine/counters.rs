@@ -5,12 +5,13 @@ use std::sync::Arc;
 
 /// Registry-backed run counters.
 ///
-/// The engine's *logic* depends on several of these — the cache hit ratio
-/// and the measured flusher rates that feed the virtual stall model — so
-/// they always live on a metric registry: the run's telemetry registry
-/// when telemetry is on, a private one otherwise. Either way each is the
-/// same atomic the engine used to hold inline, now visible by name
-/// (`cache.hits`, `flusher.dequeue_total_ns`, …) in telemetry snapshots.
+/// The run report reads several of these back (the cache hit ratio, the
+/// flushed-row and flush-apply totals), so they always live on a metric
+/// registry: the run's telemetry registry when telemetry is on, a private
+/// one otherwise. Either way each is visible by name (`cache.hits`,
+/// `flusher.dequeue_total_ns`, …) in telemetry snapshots. The `*_ns`
+/// counters are wall-clock measurements for the ledger and traces; none of
+/// them feeds a modeled number.
 #[derive(Debug)]
 pub(crate) struct RunMetrics {
     /// Counter `p2f.violations`: consistency-invariant violations seen on
@@ -41,15 +42,6 @@ pub(crate) struct RunMetrics {
     pub(crate) flush_claim_ns: Arc<Counter>,
     pub(crate) flush_apply_ns: Arc<Counter>,
     pub(crate) flush_rows: Arc<Counter>,
-    /// Counter `flusher.apply_interference_ns`: the slice of apply wall
-    /// time attributable to scheduler interference rather than the apply
-    /// itself — whenever a batch's per-row cost exceeds 4× the flusher's
-    /// observed per-row floor, the excess over the floor is booked here.
-    /// On oversubscribed hosts (8 trainers + flushers on few cores) a
-    /// flusher preempted mid-batch inflates `flush_apply_ns_row` without
-    /// the kernels being any slower; this counter isolates that
-    /// inflation.
-    pub(crate) flush_apply_interference_ns: Arc<Counter>,
     /// Counter `flusher.parked_ns`: time idle flushers spent parked on the
     /// flush condvar instead of spinning (the Fig 17 "flushers divert CPU"
     /// effect, avoided).
@@ -66,8 +58,8 @@ pub(crate) struct RunMetrics {
     /// across trainers and steps.
     pub(crate) gentry_batch_ns: Arc<Counter>,
     /// Gauge `p2f.blocking_rows`: the rows whose flush gates the next wait
-    /// condition — next-step keys with pending writes under P²F, *all*
-    /// pending keys under FIFO (the strategy's `stall_rows` view).
+    /// condition — rows written this step that the next step reads under
+    /// P²F, every row written this step under FIFO.
     pub(crate) blocking_rows_next: Arc<Gauge>,
     /// Counter `stall.<strategy>.modeled_ns`: the modeled stall summed
     /// over the run, attributed to the flush strategy by name so telemetry
@@ -80,9 +72,9 @@ pub(crate) struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// `stall_counter` is the strategy's static counter name
-    /// (`FlushStrategy::stall_counter`) — the registry interns names as
-    /// `&'static str`, so the strategy supplies the literal.
+    /// `stall_counter` is the flush mode's static counter name
+    /// (`Strategy::stall_counter`) — the registry interns names as
+    /// `&'static str`, so the strategy table supplies the literal.
     pub(crate) fn new(registry: &Registry, stall_counter: &'static str) -> Self {
         RunMetrics {
             violations: registry.counter("p2f.violations"),
@@ -95,7 +87,6 @@ impl RunMetrics {
             flush_claim_ns: registry.counter("flusher.claim_total_ns"),
             flush_apply_ns: registry.counter("flusher.apply_total_ns"),
             flush_rows: registry.counter("flush.rows"),
-            flush_apply_interference_ns: registry.counter("flusher.apply_interference_ns"),
             flusher_parked_ns: registry.counter("flusher.parked_ns"),
             flush_batch_rows: registry.histogram("flush.batch_rows"),
             flush_apply_row_ns: registry.histogram("flush.apply_row_ns"),

@@ -150,9 +150,6 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
     // plus each claimed key's range into them.
     let mut writes: PendingWrites = Vec::new();
     let mut claims: Vec<FlushClaim> = Vec::with_capacity(shared.cfg.flush_batch);
-    // Cheapest per-row apply cost this flusher has observed — the
-    // interference floor (see below).
-    let mut floor_row_ns = u64::MAX;
     loop {
         out.clear();
         let t_deq = Instant::now();
@@ -213,23 +210,7 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
             shared.metrics.flush_apply_ns.add(apply_ns);
             shared.metrics.flush_rows.add(applied);
             shared.metrics.flush_batch_rows.record(applied);
-            let row_ns = apply_ns / applied;
-            shared.metrics.flush_apply_row_ns.record(row_ns);
-            // Interference isolation: per-row cost is flat when this
-            // thread runs undisturbed, so track the cheapest batch seen
-            // as the floor and attribute any ≥ 4× blow-up's excess to
-            // preemption mid-batch (wall time, not work). On a host with
-            // fewer cores than threads this is the dominant source of
-            // per-row "inflation" at high trainer counts.
-            if row_ns > 0 && row_ns < floor_row_ns {
-                floor_row_ns = row_ns;
-            }
-            if floor_row_ns < u64::MAX && row_ns > 4 * floor_row_ns {
-                shared
-                    .metrics
-                    .flush_apply_interference_ns
-                    .add(apply_ns - applied * floor_row_ns);
-            }
+            shared.metrics.flush_apply_row_ns.record(apply_ns / applied);
             lane.add_current(LedgerPhase::FlushApply, apply_ns);
             rec.record_completed(Phase::FlushApply, t_apply, SpanArgs::one("rows", applied));
             // Stall provenance: stamp this batch and emit the producing

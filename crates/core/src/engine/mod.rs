@@ -25,25 +25,26 @@
 //!
 //! The engine is split along its natural seams:
 //!
-//! * [`strategy`] — the [`FlushStrategy`] trait and its three impls: `P2f`
-//!   (the paper's system), `WriteThrough` (the Frugal-Sync baseline), and
-//!   `Fifo` (the arrival-order priority ablation).
+//! * [`strategy`] — the per-[`FlushMode`](crate::FlushMode) constant
+//!   table: `P2f` (the paper's system), `WriteThrough` (the Frugal-Sync
+//!   baseline), and `Fifo` (the arrival-order priority ablation).
 //! * [`step`] — the three-barrier step protocol (A→B: decentralized
 //!   sharded reduce + sharded apply, B→C: sharded registration,
 //!   C: bookkeeping), the sample ring, and their shared state.
 //! * [`trainer`] — the per-GPU loop and the registration phase.
 //! * [`flusher`] — the flusher pool: coordination ([`FlushCoord`]) and the
 //!   per-thread drain loop.
-//! * [`stall`] — the virtual stall model (windowed measured flusher costs).
 //! * [`counters`] — the registry-backed run counters.
 //!
-//! Everything strategy-specific is a [`FlushStrategy`] decision consulted
-//! at barrier granularity; the per-key hot paths are strategy-blind.
+//! Everything mode-specific is a [`strategy`] table entry consulted at
+//! barrier granularity; the per-key hot paths are strategy-blind. The
+//! modeled registration time and stall are priced by `frugal-sim` from the
+//! step's operation counts (see [`step::leader_finish`]); wall-clock
+//! timings feed only the ledger, the counters and the traces.
 
 mod barrier;
 mod counters;
 mod flusher;
-mod stall;
 mod step;
 mod strategy;
 mod trainer;
@@ -68,7 +69,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use strategy::FlushStrategy;
+use strategy::Strategy;
 use trainer::TrainerState;
 
 /// The published shard-map cell: the engine's single source of ownership
@@ -150,8 +151,8 @@ pub(crate) fn resolve_segments(cfg: &FrugalConfig) -> Vec<Segment> {
 /// Shared state between trainers, the leader, and flushers for one run.
 pub(crate) struct RunShared<'a> {
     pub(crate) cfg: &'a FrugalConfig,
-    /// The run's flush strategy (resolved once from `cfg.flush_mode`).
-    pub(crate) strategy: &'static dyn FlushStrategy,
+    /// The run's flush-strategy constants (the `cfg.flush_mode` row).
+    pub(crate) strategy: &'static Strategy,
     /// Sparse optimizer for the host path: applied by the flushing threads
     /// (P²F/FIFO) or the barrier leader (write-through). One rule either
     /// way, so the per-row state `state_snapshot` exposes to cache fills is
@@ -314,7 +315,7 @@ impl FrugalEngine {
         let n = cfg.n_gpus();
         assert_eq!(workload.n_gpus(), n, "workload/topology GPU count mismatch");
         assert_eq!(model.dim(), self.store.dim(), "model/store dim mismatch");
-        let strategy = strategy::for_mode(cfg.flush_mode);
+        let strategy = Strategy::of(cfg.flush_mode);
 
         let max_priority = cfg.steps + cfg.lookahead + 2;
         let mut pq: Box<dyn PriorityQueue> = match cfg.pq {
@@ -323,8 +324,8 @@ impl FrugalEngine {
         };
         pq.attach_telemetry(&cfg.telemetry);
         // Run counters live on the telemetry registry when one is attached,
-        // on a private registry otherwise (the engine's own logic reads them
-        // either way).
+        // on a private registry otherwise (the report reads them either
+        // way).
         let registry = cfg
             .telemetry
             .registry()
@@ -342,13 +343,13 @@ impl FrugalEngine {
             workload,
             model,
             store: &self.store,
-            gstore: GEntryStore::with_policy(strategy.priority_policy()),
+            gstore: GEntryStore::with_policy(strategy.priority_policy),
             pq,
             sharding: Sharding::new(n),
             smap: ShardMapCell::new(ShardMap::initial(n, GEntryStore::n_shards())),
             step: step::StepState::new(n, model.dim(), cfg.steps, cfg.lookahead),
             flush: FlushCoord::new(cfg.flush_threads),
-            metrics: RunMetrics::new(&registry, strategy.stall_counter()),
+            metrics: RunMetrics::new(&registry, strategy.stall_counter),
         };
 
         if let Some(bound) = strategy.initial_upper_bound(cfg.lookahead) {
@@ -368,7 +369,7 @@ impl FrugalEngine {
         // sized to the epoch's cohort.
         std::thread::scope(|scope| {
             let mut flushers = Vec::new();
-            if strategy.uses_flushers() {
+            if cfg.flush_mode.proactive() {
                 for i in 0..cfg.flush_threads {
                     let shared = &shared;
                     flushers.push(scope.spawn(move || flusher::flusher_loop(shared, i)));

@@ -19,8 +19,9 @@
 //!    rows its cache may hold and the rows it must register; the B-leader
 //!    then composes the iteration's phase maxima (before C, so slow
 //!    trainers cannot race slot reuse) → **C** →
-//! 4. the C-leader finalizes bookkeeping (`set_upper_bound`, stall model,
-//!    iteration record) while other trainers already enter step `s + 1` —
+//! 4. the C-leader finalizes bookkeeping (`set_upper_bound`, the modeled
+//!    registration and stall prices, iteration record) while other
+//!    trainers already enter step `s + 1` —
 //!    nothing it does gates their wait condition.
 //!
 //! # Why the reduce stays bit-identical to the serial leader merge
@@ -48,15 +49,18 @@
 //! ring, so the workload is sampled exactly once per (step, GPU) — the old
 //! leader gathered every trainer's list a second time each step.
 
-use super::stall::{self, FlushWindow};
 use super::RunShared;
+use crate::config::FlushMode;
 use crate::ShardMap;
 use frugal_data::Key;
 use frugal_embed::GradAggregator;
-use frugal_sim::{IterBreakdown, Nanos};
+use frugal_sim::{IterBreakdown, Nanos, PqCost};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// One member's reduced `(key, merged gradient)` rows for the step.
+type UpdateSlot = RwLock<Vec<(Key, Arc<[f32]>)>>;
 
 /// Per-trainer, per-step instrumentation deposited at the barrier.
 #[derive(Debug, Clone, Default)]
@@ -120,8 +124,6 @@ pub(crate) struct LeaderState {
     /// Phase maxima composed by the B-leader, finalized by the C-leader.
     pub(crate) it: IterBreakdown,
     pub(crate) loss_sum: f32,
-    /// Flusher-counter totals at the previous step (see [`FlushWindow`]).
-    pub(crate) window: FlushWindow,
 }
 
 /// The step protocol's shared state: deposit slots, the per-owner reduced
@@ -135,22 +137,20 @@ pub(crate) struct StepState {
     pub(crate) agg_slots: Vec<RwLock<GradAggregator>>,
     /// Per-owner reduced updates: slot `g` holds the merged
     /// `(key, grad)` rows trainer `g` owns this step, in canonical
-    /// arrival order. Written by the owner between A and B, read by every
-    /// trainer between B and C (and by the C-leader for the write-through
-    /// stall row count).
-    pub(crate) update_slots: Vec<RwLock<Vec<(Key, Arc<[f32]>)>>>,
+    /// arrival order. Written by the owner between A and B, read by its
+    /// owner between B and C (and by the C-leader, whose cost model prices
+    /// the members' row counts).
+    pub(crate) update_slots: Vec<UpdateSlot>,
     /// Per-GPU phase instrumentation for the current step.
     pub(crate) phase_slots: Vec<Mutex<PhaseTimes>>,
     /// The double-buffered sample pipeline (see [`SampleRing`]).
     pub(crate) ring: SampleRing,
     /// Rotating-leader state (see [`LeaderState`]).
     pub(crate) leader: Mutex<LeaderState>,
-    /// Keys of step `s + 1` with pending writes after registration, summed
-    /// across trainers (each counts only its own shards).
+    /// P²F's blocking rows: rows registered this step whose post-write
+    /// priority is `s + 1`, summed across members (each counts its own
+    /// shards, see [`crate::GEntryStore::add_writes_batch`]).
     pub(crate) blocking_next: AtomicU64,
-    /// Slowest trainer's write-registration time this step — the sharded
-    /// critical path (the Exp #4a quantity under parallel registration).
-    pub(crate) reg_ns_max: AtomicU64,
     /// Leader-composed per-iteration records.
     pub(crate) iters: Mutex<Vec<(IterBreakdown, f32)>>,
     pub(crate) gentry_times: Mutex<Vec<Nanos>>,
@@ -170,10 +170,8 @@ impl StepState {
             leader: Mutex::new(LeaderState {
                 it: IterBreakdown::default(),
                 loss_sum: 0.0,
-                window: FlushWindow::default(),
             }),
             blocking_next: AtomicU64::new(0),
-            reg_ns_max: AtomicU64::new(0),
             iters: Mutex::new(Vec::with_capacity(steps as usize)),
             gentry_times: Mutex::new(Vec::with_capacity(steps as usize)),
         }
@@ -222,10 +220,9 @@ pub(crate) fn leader_prepare(shared: &RunShared<'_>, s: u64) {
     // barrier A of step s + 1 books to step s).
     shared.cfg.telemetry.ledger_advance(s);
     shared.model.end_step(s);
-    // Safe to reset while other trainers reduce: they only touch these
-    // counters after barrier B.
+    // Safe to reset while other trainers reduce: they only touch the
+    // counter after barrier B.
     shared.step.blocking_next.store(0, Ordering::Release);
-    shared.step.reg_ns_max.store(0, Ordering::Release);
 }
 
 /// The B-leader's compose, run between barriers B and C (after its own
@@ -249,12 +246,18 @@ pub(crate) fn compose_phases(shared: &RunShared<'_>) {
 }
 
 /// The C-leader's bookkeeping after barrier C: raise the PQ scan bound,
-/// convert the measured registration maximum to reference-machine terms,
-/// model the stall, and push the iteration record. Nothing here gates the
-/// other trainers' next step — they are already past C — and the next
-/// barrier A cannot complete before this thread arrives, so the next
-/// [`leader_prepare`] (and the owners' update-slot rewrites, which happen
-/// after that barrier) never race these reads.
+/// price the step's registration and stall from its operation counts, and
+/// push the iteration record. Nothing here gates the other trainers' next
+/// step — they are already past C — and the next barrier A cannot complete
+/// before this thread arrives, so the next [`leader_prepare`] (and the
+/// owners' update-slot rewrites, which happen after that barrier) never
+/// race these reads.
+///
+/// Everything that reaches the iteration record is a pure function of
+/// `(seed, config)`: the members' row counts, the blocking-row count, the
+/// row width, the configured thread counts and the queue kind. No
+/// `Instant`-derived value does — wall-clock timings stay in the ledger,
+/// the counters and the traces.
 pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
     let cfg = shared.cfg;
     let n_streams = cfg.n_gpus();
@@ -265,66 +268,59 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
         shared.flush.notify_all();
     }
 
-    // Convert the measured registration time to reference-machine terms:
-    // divide by how much slower this host runs the canonical registration
-    // probe than the reference controller (see `calibrate`). Relative
-    // effects — tree heap vs two-level PQ, sharded vs serial registration,
-    // batch sizes — are already inside the measurement and survive intact.
-    let slowdown = crate::calibrate::host_slowdown(cfg.cost.gentry_op_reference_ns(128));
-    let gentry_time = if shared.strategy.uses_flushers() {
-        let max_ns = shared.step.reg_ns_max.load(Ordering::Acquire);
-        Nanos::from_nanos(max_ns) * (1.0 / slowdown)
+    // Rows each member reduced (and, under the proactive modes,
+    // registered) this step. Only the epoch's members wrote a slot — a
+    // non-member's slot holds a previous epoch's stale rows. The members'
+    // slots are stable until after the next barrier A, which waits on this
+    // thread.
+    let member_rows = smap
+        .members()
+        .iter()
+        .map(|&t| shared.step.update_slots[t].read().len() as u64);
+    let total_rows: u64 = member_rows.clone().sum();
+    let row_bytes = (shared.model.dim() * 4) as u64;
+    let pq_cost = if shared.pq.dequeue_serializes() {
+        PqCost::Serialized {
+            capacity: shared.store.n_keys(),
+        }
     } else {
-        // Write-through has no g-entries; its flush cost is the stall.
-        Nanos::ZERO
+        PqCost::Concurrent
+    };
+    let (gentry_time, stall) = match cfg.flush_mode {
+        // Write-through has no g-entries; its synchronous flush of the
+        // whole update list is the stall.
+        FlushMode::WriteThrough => (Nanos::ZERO, cfg.cost.sync_flush(total_rows, n_streams)),
+        mode => {
+            // Which rows gate the next wait: the ones written now that the
+            // next step reads under P²F, every written row under FIFO — so
+            // FIFO ≥ P²F holds row for row.
+            let blocking = match mode {
+                FlushMode::Fifo => total_rows,
+                _ => shared.step.blocking_next.load(Ordering::Acquire),
+            };
+            shared.metrics.blocking_rows_next.set(blocking as i64);
+            (
+                cfg.cost
+                    .gentry_registration(member_rows, row_bytes, pq_cost),
+                cfg.cost
+                    .flush_stall(blocking, row_bytes, cfg.flush_threads, pq_cost),
+            )
+        }
     };
     shared.step.gentry_times.lock().push(gentry_time);
 
-    let mut leader = shared.step.leader.lock();
+    let leader = shared.step.leader.lock();
     let mut it = leader.it;
-    let loss_sum = leader.loss_sum;
     // The controller/flushers contend with trainers for CPU cores: charge
-    // an oversubscription factor on the critical-path registration time
-    // (the Fig 17 "too many flushing threads divert CPU" effect). The
-    // trainer count is the epoch's *member* count — a shrunk cohort
-    // occupies fewer cores.
-    let cores = cfg.cost.topology().host().cpu_cores.max(1);
-    let oversub = ((smap.n_members() + cfg.flush_threads + 2) as f64 / cores as f64).max(1.0);
+    // the configuration's oversubscription factor on the critical-path
+    // registration time (the Fig 17 "too many flushing threads divert CPU"
+    // effect). The trainer count is the epoch's *member* count — a shrunk
+    // cohort occupies fewer cores.
+    let oversub = cfg
+        .cost
+        .cpu_oversubscription(smap.n_members() + cfg.flush_threads + 2);
     it.other += gentry_time * oversub + cfg.cost.framework_frugal();
-    it.stall = if shared.strategy.uses_flushers() {
-        // Advance the flusher-cost window every step so the per-row
-        // estimate tracks *current* flusher behaviour. The claim phase
-        // (sorting + g-entry extraction) counts on the dequeue side: like
-        // the PQ dequeue it is queue bookkeeping, not host-apply work, and
-        // keeping it out of the apply rate keeps the modeled per-row apply
-        // comparable across trainer counts.
-        let (deq_ns, apply_ns) = stall::windowed_per_row(
-            &mut leader.window,
-            shared.metrics.flush_dequeue_ns.get() + shared.metrics.flush_claim_ns.get(),
-            shared.metrics.flush_apply_ns.get(),
-            shared.metrics.flush_rows.get(),
-        );
-        // Which rows gate the next wait is the strategy's call: next-step
-        // readers under P²F, every pending key under FIFO.
-        let blocking = shared.strategy.stall_rows(
-            shared.step.blocking_next.load(Ordering::Acquire),
-            shared.gstore.pending_keys() as u64,
-        );
-        shared.metrics.blocking_rows_next.set(blocking as i64);
-        stall::virtual_stall(shared, s, blocking, deq_ns, apply_ns)
-    } else {
-        // Write-through: the modeled synchronous flush of this step's
-        // whole update list. Only the epoch's members wrote a slot this
-        // step — a non-member's slot holds a previous epoch's stale rows.
-        // The members' slots are stable until after the next barrier A,
-        // which waits on this thread.
-        let rows: u64 = smap
-            .members()
-            .iter()
-            .map(|&t| shared.step.update_slots[t].read().len() as u64)
-            .sum();
-        shared.strategy.sync_stall(cfg, rows)
-    };
+    it.stall = stall;
     shared.metrics.stall_modeled_ns.add(it.stall.as_nanos());
     // Loss normalizes by the *stream* count: every stream ran regardless
     // of the cohort width, so the mean matches the serial oracle's.
@@ -332,5 +328,5 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
         .step
         .iters
         .lock()
-        .push((it, loss_sum / n_streams as f32));
+        .push((it, leader.loss_sum / n_streams as f32));
 }

@@ -1,19 +1,23 @@
-//! The [`FlushStrategy`] seam: how a run moves pending updates to host
-//! memory, factored out of the training loop.
+//! The flush-strategy table: how a run moves pending updates to host
+//! memory, one row of constants per [`FlushMode`].
 //!
 //! The paper's central claim (§3.3, and the Exp ablations) is that
 //! *priority-based* proactive flushing — not proactive flushing per se —
-//! is what keeps the wait condition cheap. This trait makes that claim
-//! testable by giving every sync policy the same seams into the engine:
+//! is what keeps the wait condition cheap. The three modes run the same
+//! engine and differ only in these decisions:
 //!
-//! | decision                    | [`P2f`]                | [`WriteThrough`]  | [`Fifo`]            |
-//! |-----------------------------|------------------------|-------------------|---------------------|
-//! | background flushers         | yes                    | no                | yes                 |
-//! | lookahead read registration | yes                    | no                | no                  |
-//! | enqueue priority            | earliest future read   | —                 | write step          |
-//! | step `s` waits while        | pending floor ≤ `s`    | never             | pending floor ≤ `s−1` |
-//! | sharded synchronous apply   | —                      | owner's update slot | —                 |
-//! | modeled stall rows          | blocking next-step keys| all rows (sync)   | own written keys    |
+//! | decision                    | `P2f`                  | `WriteThrough`      | `Fifo`                |
+//! |-----------------------------|------------------------|---------------------|-----------------------|
+//! | background flushers         | yes                    | no                  | yes                   |
+//! | lookahead read registration | yes                    | no                  | no                    |
+//! | enqueue priority            | earliest future read   | —                   | write step            |
+//! | step `s` waits while        | pending floor ≤ `s`    | never               | pending floor ≤ `s−1` |
+//! | sharded synchronous apply   | —                      | owner's update slot | —                     |
+//! | modeled stall rows          | written now, read next | all rows (sync)     | all written rows      |
+//!
+//! (Background flushers are [`FlushMode::proactive`]; the synchronous
+//! apply and the stall pricing are one `match` each, in the trainer loop
+//! and in [`super::step::leader_finish`].)
 //!
 //! All three preserve synchronous consistency (bit-equality with the
 //! serial oracle): write-through flushes everything inside the barrier,
@@ -23,286 +27,92 @@
 //! before `s` starts, because priorities are write steps and the wait
 //! threshold is `s − 1`. What FIFO gives up is selectivity: cold rows
 //! nobody is about to read gate the next step anyway, which is exactly
-//! the stall the priority ablation measures.
-//!
-//! Strategies are stateless; the engine holds one `&'static dyn
-//! FlushStrategy` per run and consults it at barrier granularity (a
-//! handful of virtual calls per step — nothing on the per-key paths).
+//! the stall the priority ablation shows.
 
-use crate::config::{FlushMode, FrugalConfig};
+use crate::config::FlushMode;
 use crate::gentry::PriorityPolicy;
-use frugal_data::Key;
-use frugal_embed::{HostStore, UpdateRule};
-use frugal_sim::Nanos;
-use std::sync::Arc;
 
-/// One flush policy's decisions, consulted by the engine at the step
-/// barriers. See the module docs for the per-strategy contract table.
-pub(crate) trait FlushStrategy: Sync + std::fmt::Debug {
-    /// Short name for logs and per-strategy telemetry attribution.
-    #[allow(dead_code)] // exercised by tests; kept for log call sites
-    fn name(&self) -> &'static str;
-
-    /// The per-strategy modeled-stall counter name,
-    /// `stall.<name>.modeled_ns` (a literal — the metric registry interns
-    /// names as `&'static str`).
-    fn stall_counter(&self) -> &'static str;
-
-    /// True when the run spawns background flushing threads and registers
-    /// g-entry writes (false only for write-through, where the leader
-    /// applies everything inline).
-    fn uses_flushers(&self) -> bool;
-
+/// One flush mode's constants, consulted by the engine at the step
+/// barriers. See the module docs for the per-mode contract table.
+#[derive(Debug)]
+pub(crate) struct Strategy {
+    /// The per-mode modeled-stall counter name (a literal — the metric
+    /// registry interns names as `&'static str`).
+    pub(crate) stall_counter: &'static str,
     /// True when the sample-queue prefetch registers lookahead reads.
     /// Only P²F needs them: its priorities are read-driven. FIFO priorities
     /// are write steps, so reads would be dead weight on the hot path.
-    fn registers_reads(&self) -> bool;
-
-    /// True when the modeled stall gates on this step's own writes
-    /// (FIFO): the registration phase then counts just-written keys still
-    /// pending into `blocking_next` — the same measurement point P²F uses
-    /// for next-step readers. Counting later (after barrier C) loses the
-    /// race against the flushers and reads a drained store.
-    fn counts_written_backlog(&self) -> bool {
-        false
-    }
-
+    pub(crate) registers_reads: bool,
     /// How the g-entry store derives queue priorities from R/W sets.
-    fn priority_policy(&self) -> PriorityPolicy;
+    pub(crate) priority_policy: PriorityPolicy,
+    /// Step `s` blocks while any pending flush (queued or in flight) has
+    /// priority ≤ `s − wait_lag`; `None` never waits.
+    wait_lag: Option<u64>,
+}
+
+/// The table, in [`FlushMode`] declaration order.
+const TABLE: [Strategy; 3] = [
+    // P2f — §3.3: start step s only when PQ.top() > s (strictly).
+    Strategy {
+        stall_counter: "stall.p2f.modeled_ns",
+        registers_reads: true,
+        priority_policy: PriorityPolicy::EarliestRead,
+        wait_lag: Some(0),
+    },
+    // WriteThrough — nothing is ever registered, so the policy is unused.
+    Strategy {
+        stall_counter: "stall.write_through.modeled_ns",
+        registers_reads: false,
+        priority_policy: PriorityPolicy::EarliestRead,
+        wait_lag: None,
+    },
+    // Fifo — priorities are write steps: step s is safe once every write
+    // from steps < s has been flushed.
+    Strategy {
+        stall_counter: "stall.fifo.modeled_ns",
+        registers_reads: false,
+        priority_policy: PriorityPolicy::ArrivalOrder,
+        wait_lag: Some(1),
+    },
+];
+
+impl Strategy {
+    /// The table row of `mode`.
+    pub(crate) fn of(mode: FlushMode) -> &'static Strategy {
+        &TABLE[mode as usize]
+    }
 
     /// The wait-condition threshold for step `s`: block while any pending
-    /// flush (queued or in-flight) has priority ≤ the threshold. `None`
-    /// means step `s` never waits.
-    fn wait_threshold(&self, s: u64) -> Option<u64>;
+    /// flush has priority ≤ the threshold. `None` means step `s` never
+    /// waits (write-through always; FIFO at step 0, which nothing
+    /// precedes).
+    pub(crate) fn wait_threshold(&self, s: u64) -> Option<u64> {
+        self.wait_lag.and_then(|lag| s.checked_sub(lag))
+    }
 
     /// The queue's initial scan upper bound (largest finite priority that
-    /// can exist before step 0 completes), if the strategy bounds scans.
-    fn initial_upper_bound(&self, lookahead: u64) -> Option<u64>;
+    /// can exist before step 0 completes), if the mode queues anything:
+    /// under P²F the prefetched reads of steps `0..L` plus step-0 writes
+    /// read at ≤ `L + 1` by the time the bound next rises, under FIFO
+    /// step-0 writes alone.
+    pub(crate) fn initial_upper_bound(&self, lookahead: u64) -> Option<u64> {
+        self.wait_lag.map(|_| {
+            if self.registers_reads {
+                lookahead + 1
+            } else {
+                0
+            }
+        })
+    }
 
     /// The scan upper bound to publish after step `s`'s registration, if
-    /// any. The engine also wakes parked flushers when this returns `Some`
-    /// (a raised bound can unblock their scan range).
-    fn upper_bound_after(&self, s: u64, lookahead: u64) -> Option<u64>;
-
-    /// The synchronous apply between barriers A and B, run by *every*
-    /// trainer over the update slot it owns (the sharded successor of the
-    /// old whole-list leader apply). Ownership partitions the key space,
-    /// so the write-through applies touch disjoint host rows and need no
-    /// coordination — the same discipline the background flushers already
-    /// rely on. A no-op for strategies that defer to flushers.
-    fn shard_apply(
-        &self,
-        store: &HostStore,
-        rule: &dyn UpdateRule,
-        own_updates: &[(Key, Arc<[f32]>)],
-    );
-
-    /// The modeled stall of this step's synchronous flush of `rows` rows
-    /// ([`Nanos::ZERO`] for strategies that defer to background
-    /// flushers). Consulted by the C-leader, which sums the owners'
-    /// update-slot sizes — the modeled cost covers the *whole* step's
-    /// list, exactly as the serial leader apply did.
-    fn sync_stall(&self, cfg: &FrugalConfig, rows: u64) -> Nanos;
-
-    /// How many rows the modeled stall must cover after step `s`:
-    /// `blocking_next` is the registration-time count of gating keys with
-    /// pending writes (P²F — next-step readers; FIFO — this step's own
-    /// writes), `pending_keys` a post-barrier snapshot of *all* keys with
-    /// pending writes (kept for strategies whose gate is not measurable
-    /// at registration). The P²F/FIFO asymmetry in what gates the wait is
-    /// the priority ablation's result.
-    fn stall_rows(&self, blocking_next: u64, pending_keys: u64) -> u64;
-}
-
-/// Resolves the strategy singleton for `mode`.
-pub(crate) fn for_mode(mode: FlushMode) -> &'static dyn FlushStrategy {
-    match mode {
-        FlushMode::P2f => &P2f,
-        FlushMode::WriteThrough => &WriteThrough,
-        FlushMode::Fifo => &Fifo,
-    }
-}
-
-/// The full Frugal system: priority-based proactive flushing (§3.3).
-#[derive(Debug)]
-struct P2f;
-
-impl FlushStrategy for P2f {
-    fn name(&self) -> &'static str {
-        "p2f"
-    }
-
-    fn stall_counter(&self) -> &'static str {
-        "stall.p2f.modeled_ns"
-    }
-
-    fn uses_flushers(&self) -> bool {
-        true
-    }
-
-    fn registers_reads(&self) -> bool {
-        true
-    }
-
-    fn priority_policy(&self) -> PriorityPolicy {
-        PriorityPolicy::EarliestRead
-    }
-
-    fn wait_threshold(&self, s: u64) -> Option<u64> {
-        // §3.3: start step s only when PQ.top() > s (strictly).
-        Some(s)
-    }
-
-    fn initial_upper_bound(&self, lookahead: u64) -> Option<u64> {
-        // Before step 0 finishes registration, the finite priorities are
-        // the prefetched reads of steps 0..L plus step-0 writes read at
-        // ≤ L + 1 by the time the bound next rises.
-        Some(lookahead + 1)
-    }
-
-    fn upper_bound_after(&self, s: u64, lookahead: u64) -> Option<u64> {
-        // Scan-range compression (§3.4): no finite priority can exceed
-        // the prefetch horizon.
-        Some(s + 1 + lookahead)
-    }
-
-    fn shard_apply(&self, _store: &HostStore, _rule: &dyn UpdateRule, _own: &[(Key, Arc<[f32]>)]) {}
-
-    fn sync_stall(&self, _cfg: &FrugalConfig, _rows: u64) -> Nanos {
-        Nanos::ZERO
-    }
-
-    fn stall_rows(&self, blocking_next: u64, _pending_keys: u64) -> u64 {
-        blocking_next
-    }
-}
-
-/// The Frugal-Sync baseline: every trainer applies the updates it owns
-/// inside the barrier; the time the whole list would take on real
-/// hardware is the stall (§3.1).
-#[derive(Debug)]
-struct WriteThrough;
-
-impl FlushStrategy for WriteThrough {
-    fn name(&self) -> &'static str {
-        "write_through"
-    }
-
-    fn stall_counter(&self) -> &'static str {
-        "stall.write_through.modeled_ns"
-    }
-
-    fn uses_flushers(&self) -> bool {
-        false
-    }
-
-    fn registers_reads(&self) -> bool {
-        false
-    }
-
-    fn priority_policy(&self) -> PriorityPolicy {
-        // Unused: nothing is ever registered.
-        PriorityPolicy::EarliestRead
-    }
-
-    fn wait_threshold(&self, _s: u64) -> Option<u64> {
-        None
-    }
-
-    fn initial_upper_bound(&self, _lookahead: u64) -> Option<u64> {
-        None
-    }
-
-    fn upper_bound_after(&self, _s: u64, _lookahead: u64) -> Option<u64> {
-        None
-    }
-
-    fn shard_apply(&self, store: &HostStore, rule: &dyn UpdateRule, own: &[(Key, Arc<[f32]>)]) {
-        // The write-through flush the paper describes, sharded by key
-        // ownership: each trainer pushes its owned rows to host memory
-        // inside the barrier (the real apply runs at host-memcpy speed
-        // and is not representative; the cost model supplies the stall).
-        // Applied through the shared rule — the same host-path state the
-        // flushers would use — so stateful optimizers expose correct
-        // `state_snapshot`s to cache fills in this mode too. Owners touch
-        // disjoint rows, so the concurrent applies are race-free.
-        frugal_embed::apply_updates(store, rule, own);
-    }
-
-    fn sync_stall(&self, cfg: &FrugalConfig, rows: u64) -> Nanos {
-        // Every update crosses PCIe synchronously with no background
-        // overlap; the modeled stall covers the full step list.
-        cfg.cost.sync_flush(rows, cfg.n_gpus())
-    }
-
-    fn stall_rows(&self, _blocking_next: u64, _pending_keys: u64) -> u64 {
-        0
-    }
-}
-
-/// The priority ablation: proactive background flushing in arrival order.
-/// Synchronously consistent (step `s` starts only after *all* writes of
-/// steps `< s` are flushed) but unselective — see the module docs.
-#[derive(Debug)]
-struct Fifo;
-
-impl FlushStrategy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn stall_counter(&self) -> &'static str {
-        "stall.fifo.modeled_ns"
-    }
-
-    fn uses_flushers(&self) -> bool {
-        true
-    }
-
-    fn registers_reads(&self) -> bool {
-        false
-    }
-
-    fn counts_written_backlog(&self) -> bool {
-        true
-    }
-
-    fn priority_policy(&self) -> PriorityPolicy {
-        PriorityPolicy::ArrivalOrder
-    }
-
-    fn wait_threshold(&self, s: u64) -> Option<u64> {
-        // Priorities are write steps: step s is safe once every write from
-        // steps < s has been flushed, i.e. while the pending floor ≤ s − 1
-        // the trainer must wait. Step 0 has nothing before it.
-        s.checked_sub(1)
-    }
-
-    fn initial_upper_bound(&self, _lookahead: u64) -> Option<u64> {
-        // The only finite priorities before the first bound update are
-        // step-0 writes.
-        Some(0)
-    }
-
-    fn upper_bound_after(&self, s: u64, _lookahead: u64) -> Option<u64> {
-        // Write priorities never exceed the next step.
-        Some(s + 1)
-    }
-
-    fn shard_apply(&self, _store: &HostStore, _rule: &dyn UpdateRule, _own: &[(Key, Arc<[f32]>)]) {}
-
-    fn sync_stall(&self, _cfg: &FrugalConfig, _rows: u64) -> Nanos {
-        Nanos::ZERO
-    }
-
-    fn stall_rows(&self, blocking_next: u64, _pending_keys: u64) -> u64 {
-        // Every write of this step gates the next — the stall P²F's
-        // read-driven priorities avoid. The count comes from
-        // `blocking_next`, filled at registration time (see
-        // `counts_written_backlog`); the post-barrier `pending_keys`
-        // snapshot is taken after the flushers have already drained the
-        // backlog and would report ~0.
-        blocking_next
+    /// any (scan-range compression, §3.4): read-driven priorities reach the
+    /// prefetch horizon, write-step priorities never exceed the next step.
+    /// The engine also wakes parked flushers when this returns `Some` (a
+    /// raised bound can unblock their scan range).
+    pub(crate) fn upper_bound_after(&self, s: u64, lookahead: u64) -> Option<u64> {
+        let ahead = if self.registers_reads { lookahead } else { 0 };
+        self.wait_lag.map(|_| s + 1 + ahead)
     }
 }
 
@@ -311,55 +121,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_resolution_and_names() {
-        assert_eq!(for_mode(FlushMode::P2f).name(), "p2f");
-        assert_eq!(for_mode(FlushMode::WriteThrough).name(), "write_through");
-        assert_eq!(for_mode(FlushMode::Fifo).name(), "fifo");
-    }
-
-    #[test]
     fn p2f_contract() {
-        let s = for_mode(FlushMode::P2f);
-        assert!(s.uses_flushers() && s.registers_reads());
-        assert_eq!(s.priority_policy(), PriorityPolicy::EarliestRead);
+        let s = Strategy::of(FlushMode::P2f);
+        assert_eq!(s.stall_counter, "stall.p2f.modeled_ns");
+        assert!(s.registers_reads);
+        assert_eq!(s.priority_policy, PriorityPolicy::EarliestRead);
         assert_eq!(s.wait_threshold(0), Some(0));
         assert_eq!(s.wait_threshold(7), Some(7));
         assert_eq!(s.initial_upper_bound(10), Some(11));
         assert_eq!(s.upper_bound_after(4, 10), Some(15));
-        assert_eq!(s.stall_rows(3, 100), 3, "only next-step readers gate");
     }
 
     #[test]
     fn write_through_contract() {
-        let s = for_mode(FlushMode::WriteThrough);
-        assert!(!s.uses_flushers() && !s.registers_reads());
+        let s = Strategy::of(FlushMode::WriteThrough);
+        assert_eq!(s.stall_counter, "stall.write_through.modeled_ns");
+        assert!(!s.registers_reads);
         assert_eq!(s.wait_threshold(5), None, "never waits");
+        assert_eq!(s.initial_upper_bound(10), None);
         assert_eq!(s.upper_bound_after(5, 10), None);
     }
 
     #[test]
-    fn sync_stall_charges_only_write_through() {
-        let cfg = FrugalConfig::commodity(2, 10);
-        assert_eq!(for_mode(FlushMode::P2f).sync_stall(&cfg, 100), Nanos::ZERO);
-        assert_eq!(for_mode(FlushMode::Fifo).sync_stall(&cfg, 100), Nanos::ZERO);
-        let wt = for_mode(FlushMode::WriteThrough).sync_stall(&cfg, 100);
-        assert!(wt > Nanos::ZERO, "write-through models the sync flush");
-    }
-
-    #[test]
     fn fifo_contract() {
-        let s = for_mode(FlushMode::Fifo);
-        assert!(s.uses_flushers() && !s.registers_reads());
-        assert_eq!(s.priority_policy(), PriorityPolicy::ArrivalOrder);
+        let s = Strategy::of(FlushMode::Fifo);
+        assert_eq!(s.stall_counter, "stall.fifo.modeled_ns");
+        assert!(!s.registers_reads);
+        assert_eq!(s.priority_policy, PriorityPolicy::ArrivalOrder);
         assert_eq!(s.wait_threshold(0), None, "nothing precedes step 0");
         assert_eq!(s.wait_threshold(5), Some(4), "all writes < 5 must land");
         assert_eq!(s.initial_upper_bound(10), Some(0));
         assert_eq!(s.upper_bound_after(4, 10), Some(5));
-        assert!(s.counts_written_backlog(), "gate counted at registration");
-        assert_eq!(
-            s.stall_rows(30, 1),
-            30,
-            "registration-time backlog gates, not the drained snapshot"
-        );
     }
 }

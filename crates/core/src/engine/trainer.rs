@@ -11,6 +11,7 @@
 
 use super::step::{self, PhaseTimes};
 use super::{RunShared, Segment};
+use crate::config::FlushMode;
 use crate::gentry::{GEntryStore, PqOpScratch};
 use crate::wait;
 use crate::ShardMap;
@@ -85,10 +86,6 @@ pub(crate) struct StepScratch {
     read_seen: KeyHashSet,
     /// Staged PQ operations for the g-entry batch calls.
     pq_ops: PqOpScratch,
-    /// Own-shard deduped lookahead key lists by `step % ring len`, written
-    /// at registration time and read back for the blocking-rows count —
-    /// the cache that replaces the old re-query of `workload.keys(s + 1, g)`.
-    ring: Vec<Vec<Key>>,
     /// Owned keys of the lookahead step across this member's streams, fed
     /// to the cache policy. Since the cache partition *is* the ownership
     /// partition (one [`ShardMap`]), this is the lookahead ring's content
@@ -101,7 +98,7 @@ pub(crate) struct StepScratch {
 }
 
 impl StepScratch {
-    pub(crate) fn new(dim: usize, lookahead: u64, smap: &ShardMap, t: usize) -> Self {
+    pub(crate) fn new(dim: usize, smap: &ShardMap, t: usize) -> Self {
         let owned = smap.owned_shards(t);
         StepScratch {
             index_of: KeyHashMap::default(),
@@ -115,9 +112,6 @@ impl StepScratch {
             read_bufs: (0..owned).map(|_| Vec::new()).collect(),
             read_seen: KeyHashSet::default(),
             pq_ops: PqOpScratch::default(),
-            // Slots for steps s..=s+L plus one of slack so a slot is never
-            // rewritten before the blocking count for its step has run.
-            ring: (0..lookahead + 2).map(|_| Vec::new()).collect(),
             cache_ahead: Vec::new(),
             prefetch: Vec::new(),
             flusher_idle: Vec::new(),
@@ -128,9 +122,8 @@ impl StepScratch {
 /// Registers member `t`'s owned-shard reads of step `read_step`, drawing
 /// every stream's key list of that step from the sample ring (published at
 /// the top of step `read_step - L`, ordered before these reads by barrier
-/// A): filters to owned shards, dedups into the shard buckets, registers
-/// each bucket with one batch call, and files the deduped (shard-grouped)
-/// keys in the lookahead ring for the later blocking-rows count.
+/// A): filters to owned shards, dedups into the shard buckets, and
+/// registers each bucket with one batch call.
 ///
 /// Re-registering a read another epoch's owner already registered is
 /// idempotent: the g-entry R set is a per-step bitset, so a segment
@@ -156,14 +149,11 @@ pub(crate) fn register_own_reads(
             }
         }
     }
-    let slot = (read_step % scratch.ring.len() as u64) as usize;
-    scratch.ring[slot].clear();
     for buf in &scratch.read_bufs {
         if !buf.is_empty() {
             shared
                 .gstore
                 .add_reads_batch(read_step, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
-            scratch.ring[slot].extend_from_slice(buf);
         }
     }
 }
@@ -198,9 +188,9 @@ pub(crate) fn feed_cache_lookahead(
 
 /// Every member's work between barriers B and C: apply the owned cache
 /// updates, register own-shard g-entry writes (batch), register the
-/// own-shard reads of step `s + L` (batch, read-driven strategies only),
-/// and count the own-shard keys of step `s + 1` whose pending writes will
-/// gate the next wait condition.
+/// own-shard reads of step `s + L` (batch, read-driven strategies only).
+/// Write registration also yields this member's share of the step's
+/// blocking rows (the ones step `s + 1` reads).
 ///
 /// Shard ownership is the [`ShardMap`]'s single partition: member `t` owns
 /// every [`GEntryStore`] shard the current epoch assigns it, and — because
@@ -222,7 +212,7 @@ pub(crate) fn register_phase(
     cache_opt: &mut dyn frugal_tensor::RowOptimizer,
 ) {
     let cfg = shared.cfg;
-    let proactive = shared.strategy.uses_flushers();
+    let proactive = cfg.flush_mode.proactive();
     let t0 = Instant::now();
 
     // Single pass over this member's reduced slot: fold the owned rows
@@ -249,25 +239,28 @@ pub(crate) fn register_phase(
         lane.add(s, LedgerPhase::CacheApply, t0.elapsed().as_nanos() as u64);
     }
     if proactive {
-        // Write registration — the sharded critical path. The slowest
-        // member's time here is the step's g-entry registration time
-        // (what a serial leader used to spend on *all* keys).
+        // Write registration — the sharded critical path (what a serial
+        // leader used to spend on *all* keys).
         let t_writes = Instant::now();
         let mut own_rows = 0u64;
+        let mut read_next = 0u64;
         for buf in &scratch.write_bufs {
             if !buf.is_empty() {
                 own_rows += buf.len() as u64;
-                shared
-                    .gstore
-                    .add_writes_batch(s, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
+                read_next +=
+                    shared
+                        .gstore
+                        .add_writes_batch(s, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
             }
         }
-        shared
-            .step
-            .reg_ns_max
-            .fetch_max(t_writes.elapsed().as_nanos() as u64, Ordering::AcqRel);
+        if read_next > 0 {
+            shared
+                .step
+                .blocking_next
+                .fetch_add(read_next, Ordering::AcqRel);
+        }
 
-        if shared.strategy.registers_reads() {
+        if shared.strategy.registers_reads {
             // Sample-queue prefetch: the reads of step s + L, own shards
             // only, drawn from the sample ring (published at the top of
             // this step by each stream's current member).
@@ -283,36 +276,6 @@ pub(crate) fn register_phase(
         // scan ranges; wake any parked ones.
         shared.flush.notify_all();
 
-        if shared.strategy.registers_reads() && s + 1 < cfg.steps {
-            // Blocking rows for step s + 1: reuse the deduped lookahead
-            // keys registration filed in the ring — no workload re-query,
-            // no fresh dedup set.
-            let slot = ((s + 1) % scratch.ring.len() as u64) as usize;
-            let blocked = shared.gstore.count_pending(&scratch.ring[slot]);
-            if blocked > 0 {
-                shared
-                    .step
-                    .blocking_next
-                    .fetch_add(blocked, Ordering::AcqRel);
-            }
-        }
-        if shared.strategy.counts_written_backlog() && s + 1 < cfg.steps {
-            // Arrival-order (FIFO) gate for step s + 1: every just-written
-            // key still pending blocks the next wait. Counting here — at
-            // registration, before the backlog drains — is the same
-            // measurement point the read-driven branch above uses; the
-            // C-leader runs after the drain and would always read ~0.
-            let mut blocked = 0u64;
-            for buf in &scratch.write_bufs {
-                blocked += shared.gstore.count_pending_writes(buf);
-            }
-            if blocked > 0 {
-                shared
-                    .step
-                    .blocking_next
-                    .fetch_add(blocked, Ordering::AcqRel);
-            }
-        }
         shared
             .metrics
             .gentry_batch_ns
@@ -450,10 +413,8 @@ pub(crate) fn trainer_loop(
     let mut fill_ns = 0u64;
     let mut prefetch_fills = 0u64;
     let batch_per_gpu = shared.workload.samples_per_step() / n_streams as u64;
-    let mut scratch = StepScratch::new(dim, cfg.lookahead, &smap, t);
-    // Strategy decisions hoisted out of the hot loop: one virtual call
-    // each, here, instead of per step.
-    let registers_reads = shared.strategy.registers_reads();
+    let mut scratch = StepScratch::new(dim, &smap, t);
+    let registers_reads = shared.strategy.registers_reads;
 
     // Bootstrap the sample ring: each member publishes its *streams'*
     // batches for the segment's lookahead window — the in-loop publish
@@ -474,9 +435,8 @@ pub(crate) fn trainer_loop(
     // shards' reads of the segment's first L steps before its first step.
     // At run start no writes exist yet, so this issues no queue
     // operations; at a continuation segment the R-bitset registration is
-    // idempotent against the previous owner's, while refilling this
-    // member's blocking-count ring and re-seeding its (rebuilt) cache
-    // policy plan.
+    // idempotent against the previous owner's, while re-seeding this
+    // member's (rebuilt) cache policy plan.
     if registers_reads {
         let feed_cache = cache.uses_lookahead();
         for s0 in seg.start..boot_end {
@@ -506,8 +466,10 @@ pub(crate) fn trainer_loop(
         lane.add(s, LedgerPhase::Sample, sample_span.finish());
         // The strategy's wait condition — P²F's `PQ.top() > s` (§3.3), or
         // FIFO's "all writes < s flushed". The physical wait enforces
-        // consistency; the *reported* stall is modeled by
-        // [`super::stall::virtual_stall`] (see its docs for why).
+        // consistency and is what the ledger's `stall_wait` measures; the
+        // *reported* stall is priced from blocking-row counts in
+        // [`step::leader_finish`], because a host with fewer cores than
+        // threads cannot exhibit the overlap a multi-core controller has.
         if !cfg.skip_wait {
             if let Some(th) = shared.strategy.wait_threshold(s) {
                 let blocked = |shared: &RunShared<'_>| {
@@ -693,7 +655,7 @@ pub(crate) fn trainer_loop(
             drop(keys);
             // The non-critical-path flush writes are *not* charged — that
             // is precisely Frugal's point. Frugal-Sync charges them as
-            // stall via the strategy's `sync_stall`.
+            // stall (`CostModel::sync_flush`, in `leader_finish`).
             {
                 let mut slot = shared.step.agg_slots[g].write();
                 std::mem::swap(&mut *slot, &mut scratch.agg);
@@ -717,15 +679,26 @@ pub(crate) fn trainer_loop(
         }
         // Decentralized reduce: fold this member's owned keys across all
         // deposit slots (stream index order — canonical), publish them in
-        // this member's update slot, and run the strategy's sharded
-        // synchronous apply (write-through) on the owned rows.
+        // this member's update slot.
         let t_red = lane.start();
         step::reduce_own_shard(shared, &smap, t, &mut scratch.merged);
-        {
-            let own = shared.step.update_slots[t].read();
-            shared
-                .strategy
-                .shard_apply(shared.store, shared.rule.as_ref(), &own);
+        match cfg.flush_mode {
+            // The write-through flush the paper describes, sharded by key
+            // ownership: each member pushes its owned rows to host memory
+            // inside the barrier (the real apply runs at host-memcpy speed
+            // and is not representative; the cost model supplies the
+            // stall). Applied through the shared rule — the same host-path
+            // state the flushers would use — so stateful optimizers expose
+            // correct `state_snapshot`s to cache fills in this mode too.
+            // Ownership partitions the key space, so the concurrent applies
+            // touch disjoint rows and need no coordination.
+            FlushMode::WriteThrough => frugal_embed::apply_updates(
+                shared.store,
+                shared.rule.as_ref(),
+                &shared.step.update_slots[t].read(),
+            ),
+            // The flushers apply what registration queues.
+            FlushMode::P2f | FlushMode::Fifo => {}
         }
         lane.add_since(s, LedgerPhase::Reduce, t_red);
         // Barrier B: every member's update slot is published. Everyone

@@ -592,13 +592,22 @@ impl GEntryStore {
     /// would let a concurrent mutator of the same key observe a queued
     /// entry (`W ≠ ∅`) not yet physically present and emit an `adjust`
     /// whose old position does not exist.
+    ///
+    /// Returns how many of the items left registration with priority
+    /// `step + 1`: the rows written now that the very next step reads —
+    /// the P²F blocking rows of paper Fig 6. The count depends only on the
+    /// R sets (filled by lookahead registration in earlier steps), never on
+    /// how far the flushers have drained, so it is a pure function of the
+    /// batch stream. Always 0 under [`PriorityPolicy::ArrivalOrder`], whose
+    /// priorities are write steps.
     pub fn add_writes_batch(
         &self,
         step: u64,
         items: &[(Key, Arc<[f32]>)],
         pq: &dyn PriorityQueue,
         scratch: &mut PqOpScratch,
-    ) {
+    ) -> u64 {
+        let mut read_next = 0u64;
         let mut i = 0;
         while i < items.len() {
             let sid = Self::shard_of(items[i].0);
@@ -617,16 +626,13 @@ impl GEntryStore {
                 };
                 shard.r_remove(slot, step);
                 shard.w_push(slot, step, Arc::clone(grad));
+                let new_p = shard.priority(slot, self.policy);
+                read_next += u64::from(new_p == step + 1);
                 if !had_writes {
                     newly_pending += 1;
-                    scratch
-                        .enqueues
-                        .push((*key, shard.priority(slot, self.policy)));
-                } else {
-                    let new_p = shard.priority(slot, self.policy);
-                    if new_p != old_p {
-                        scratch.moves.push((*key, old_p, new_p));
-                    }
+                    scratch.enqueues.push((*key, new_p));
+                } else if new_p != old_p {
+                    scratch.moves.push((*key, old_p, new_p));
                 }
                 i += 1;
             }
@@ -661,6 +667,7 @@ impl GEntryStore {
                 }
             }
         }
+        read_next
     }
 
     /// Batch form of [`GEntryStore::add_read`]: registers that every key in
@@ -697,56 +704,6 @@ impl GEntryStore {
             sched_point!("gentry.reads_batch.publish");
             pq.adjust_batch(&scratch.moves);
         }
-    }
-
-    /// [`GEntryStore::count_pending`] over a write batch: counts how many
-    /// of the just-registered `(key, grad)` pairs still have pending
-    /// writes. One lock per shard — callers pass a single shard's bucket
-    /// (the registration write buffers are already shard-grouped), so in
-    /// practice this locks once. Used by arrival-order strategies, whose
-    /// wait gate is the step's own write backlog.
-    pub fn count_pending_writes(&self, items: &[(Key, Arc<[f32]>)]) -> u64 {
-        let mut blocked = 0u64;
-        let mut i = 0;
-        while i < items.len() {
-            let sid = Self::shard_of(items[i].0);
-            let shard = self.shards[sid].lock();
-            while i < items.len() && Self::shard_of(items[i].0) == sid {
-                if shard
-                    .find(items[i].0)
-                    .is_some_and(|slot| shard.has_writes(slot))
-                {
-                    blocked += 1;
-                }
-                i += 1;
-            }
-        }
-        blocked
-    }
-
-    /// Counts how many of `keys` currently have pending (unflushed)
-    /// writes, locking each shard once per contiguous same-shard run.
-    /// This is the blocking-rows probe of the next step's wait condition;
-    /// callers pass the already-deduped, shard-grouped lookahead key list
-    /// that registration produced, so no workload re-query or re-dedup
-    /// happens on the critical path.
-    pub fn count_pending(&self, keys: &[Key]) -> u64 {
-        let mut blocked = 0u64;
-        let mut i = 0;
-        while i < keys.len() {
-            let sid = Self::shard_of(keys[i]);
-            let shard = self.shards[sid].lock();
-            while i < keys.len() && Self::shard_of(keys[i]) == sid {
-                if shard
-                    .find(keys[i])
-                    .is_some_and(|slot| shard.has_writes(slot))
-                {
-                    blocked += 1;
-                }
-                i += 1;
-            }
-        }
-        blocked
     }
 
     /// Claims the pending writes of `key` for flushing, if the dequeued
@@ -1154,23 +1111,33 @@ mod tests {
     }
 
     #[test]
-    fn count_pending_sees_only_unflushed() {
+    fn batch_write_counts_rows_the_next_step_reads() {
+        // Fig 6: of the rows written at step 0, only those with a read
+        // registered for step 1 block — wherever the flushers stand.
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
         let mut scratch = PqOpScratch::default();
+        store.add_reads_batch(1, &[3, 67], &pq, &mut scratch);
+        store.add_reads_batch(2, &[5], &pq, &mut scratch);
         let items: Vec<(Key, Arc<[f32]>)> = vec![
             (3, vec![1.0].into()),
             (67, vec![1.0].into()),
             (5, vec![1.0].into()),
+            (9, vec![1.0].into()),
         ];
-        store.add_writes_batch(0, &items, &pq, &mut scratch);
-        // Key 9 has only a read; key 99 does not exist.
-        store.add_reads_batch(4, &[9], &pq, &mut scratch);
-        assert_eq!(store.count_pending(&[3, 67, 5, 9, 99]), 3);
+        assert_eq!(store.add_writes_batch(0, &items, &pq, &mut scratch), 2);
+        // A second write to an already-pending row counts again at its own
+        // step; draining in between changes nothing.
         let mut out = Vec::new();
-        pq.dequeue_batch(1, &mut out);
-        store.take_writes(out[0].0, out[0].1).unwrap();
-        assert_eq!(store.count_pending(&[3, 67, 5, 9, 99]), 2);
+        pq.dequeue_batch(usize::MAX, &mut out);
+        for &(k, p) in &out {
+            let _ = store.take_writes(k, p);
+        }
+        let again: Vec<(Key, Arc<[f32]>)> = vec![(5, vec![1.0].into()), (9, vec![1.0].into())];
+        assert_eq!(store.add_writes_batch(1, &again, &pq, &mut scratch), 1);
+        // Arrival-order priorities are write steps: never `step + 1`.
+        let fifo = GEntryStore::with_policy(PriorityPolicy::ArrivalOrder);
+        assert_eq!(fifo.add_writes_batch(0, &items, &pq, &mut scratch), 0);
     }
 
     #[test]

@@ -34,7 +34,6 @@ macro_rules! sched_point {
     }};
 }
 
-mod calibrate;
 mod config;
 mod engine;
 mod gentry;
@@ -46,7 +45,6 @@ mod shardmap;
 mod wait;
 mod workload;
 
-pub use calibrate::{host_gentry_ns, host_slowdown};
 pub use config::{
     ConfigError, FlushMode, FrugalConfig, MembershipChange, MembershipPlan, OptimizerKind, PqKind,
 };

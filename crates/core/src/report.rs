@@ -7,7 +7,11 @@ use frugal_telemetry::TelemetrySummary;
 /// evaluation plots.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
-    /// Per-iteration time breakdowns (modeled hardware + measured stall).
+    /// Per-iteration time breakdowns, every field on the **modeled**
+    /// clock: hardware phases priced by `frugal-sim` from the step's key
+    /// and row counts, the stall from its blocking-row count. A pure
+    /// function of `(seed, config)` — the measured wait is the telemetry
+    /// ledger's `stall_wait` phase.
     pub stats: RunStats,
     /// Aggregate GPU-cache hit ratio over all trainers. Its denominator is
     /// the `cache.hits` + `cache.misses` telemetry counters.
@@ -24,8 +28,13 @@ pub struct TrainReport {
     /// prefetch.
     pub cache_prefetch_fills: u64,
     /// Mean per-step time to register a batch's g-entry updates — the
-    /// paper's Exp #4a metric, the mean of the `leader.gentry_update_ns`
-    /// telemetry histogram. Zero for engines without g-entries.
+    /// paper's Exp #4a metric, on the **modeled** clock: the rows the
+    /// slowest member registers (all members' rows under a serializing
+    /// queue) × `frugal-sim`'s per-row price, a pure function of
+    /// `(seed, config)`. The *measured* counterpart is the wall time of the
+    /// `GEntryUpdate` span (the `leader.gentry_update_ns` telemetry
+    /// histogram) and the ledger's `registration` phase. Zero for engines
+    /// without g-entries.
     pub mean_gentry_update: Nanos,
     /// Consistency-invariant violations observed on host reads — the
     /// `p2f.violations` telemetry counter. Only collected in checked mode

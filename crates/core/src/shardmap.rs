@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 /// Fixed seed for the rendezvous hash: the map must be a pure function of
 /// the member set, identical across processes and runs.
-const HRW_SEED: u64 = 0x5EED_5EED_0_F00D;
+const HRW_SEED: u64 = 0x0005_EED5_EED0_F00D;
 
 /// SplitMix64-style finalizer mixing `(shard, member)` into a rank weight.
 fn hrw_hash(sid: usize, member: usize) -> u64 {

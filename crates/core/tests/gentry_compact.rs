@@ -10,7 +10,7 @@
 //! including step patterns whose read span exceeds the 64-step window
 //! (forcing window slides and overflow spills the engine never triggers).
 
-use frugal_core::{GEntryStore, PriorityPolicy};
+use frugal_core::{GEntryStore, PqOpScratch, PriorityPolicy};
 use frugal_pq::{TwoLevelPq, INFINITE};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -189,38 +189,39 @@ proptest! {
     }
 
     #[test]
-    fn count_pending_matches_model(
-        ops in proptest::collection::vec((0u64..2, 0u64..8, 0u64..MAX_STEP), 0..100)
+    fn batch_write_count_matches_model(
+        ops in proptest::collection::vec((0u64..2, 0u64..8, 0u64..20), 0..100),
+        step in 0u64..20,
     ) {
+        // `add_writes_batch` reports how many rows left registration at
+        // priority `step + 1`; the model recomputes that from scratch.
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(MAX_STEP);
+        let mut scratch = PqOpScratch::default();
         let mut model = Model::new(PriorityPolicy::EarliestRead);
         let keys: [u64; 8] = [0, 1, 2, 64, 65, 7, 128, 500];
         let grad: Arc<[f32]> = vec![1.0].into();
-        for &(kind, key_idx, step) in &ops {
+        for &(kind, key_idx, at) in &ops {
             let key = keys[(key_idx % 8) as usize];
             if kind == 0 {
-                store.add_read(key, step, &pq);
-                model.add_read(key, step);
+                store.add_read(key, at, &pq);
+                model.add_read(key, at);
             } else {
-                store.add_write(key, step, Arc::clone(&grad), &pq);
-                model.add_write(key, step);
+                store.add_write(key, at, Arc::clone(&grad), &pq);
+                model.add_write(key, at);
             }
         }
-        let probe: Vec<u64> = {
-            // Shard-grouped, as the engine's lookahead list is.
-            let mut v = keys.to_vec();
-            v.push(9_999); // absent key
-            v.sort_by_key(|&k| GEntryStore::shard_of(k));
-            v
-        };
-        let want = probe
-            .iter()
-            .filter(|k| model.entries.get(k).is_some_and(|e| !e.w.is_empty()))
-            .count() as u64;
-        prop_assert_eq!(store.count_pending(&probe), want);
+        // Shard-grouped, as the engine's registration buckets are.
+        let mut batch = keys.to_vec();
+        batch.sort_by_key(|&k| GEntryStore::shard_of(k));
         let items: Vec<(u64, Arc<[f32]>)> =
-            probe.iter().map(|&k| (k, Arc::clone(&grad))).collect();
-        prop_assert_eq!(store.count_pending_writes(&items), want);
+            batch.iter().map(|&k| (k, Arc::clone(&grad))).collect();
+        let got = store.add_writes_batch(step, &items, &pq, &mut scratch);
+        let mut want = 0u64;
+        for &k in &batch {
+            model.add_write(k, step);
+            want += u64::from(model.priority(k) == Some(step + 1));
+        }
+        prop_assert_eq!(got, want);
     }
 }

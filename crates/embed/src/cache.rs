@@ -4,7 +4,7 @@
 //! by caching hot entries to reduce host memory fetching" (§1). Each GPU
 //! owns one cache instance holding rows of its shard.
 //!
-//! The cache is split along the engine's `FlushStrategy` seam: this module
+//! The cache is split into mechanism and strategy: this module
 //! owns the *mechanism* — a flat arena of `slots × dim` floats plus the
 //! key→slot map — while all *strategy* lives behind the
 //! [`EvictionPolicy`](crate::EvictionPolicy) trait in [`crate::policy`].

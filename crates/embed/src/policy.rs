@@ -3,9 +3,8 @@
 //! [`GpuCache`](crate::GpuCache) owns the row arena and the key→slot map;
 //! everything *strategic* — recency bookkeeping, admission decisions,
 //! victim selection, and future-knowledge tracking — lives behind the
-//! [`EvictionPolicy`] trait, mirroring how the engine factors flush
-//! behavior behind `FlushStrategy`. The cache drives the policy through
-//! narrow callbacks; the policy never touches rows.
+//! [`EvictionPolicy`] trait. The cache drives the policy through narrow
+//! callbacks; the policy never touches rows.
 //!
 //! Four implementations (one per [`CachePolicy`](crate::CachePolicy)
 //! variant):

@@ -39,6 +39,18 @@ pub const INFINITE: Priority = u64::MAX;
 /// it; only idleness observers do.
 pub const DEFERRED_CLAIM: Priority = INFINITE - 1;
 
+/// The value a guarded dequeue settles its guard at for the extracted
+/// `batch`: the batch's minimum priority clamped to [`DEFERRED_CLAIM`] (so
+/// an all-∞ batch still reads as busy), or [`INFINITE`] — idle — when
+/// nothing was extracted.
+pub(crate) fn settled_guard(batch: &[(u64, Priority)]) -> Priority {
+    batch
+        .iter()
+        .map(|&(_, p)| p.min(DEFERRED_CLAIM))
+        .min()
+        .unwrap_or(INFINITE)
+}
+
 /// Latency probes for the PQ operations on the g-entry critical path
 /// (the ops Exp #4a measures). Disabled probes cost one branch per op.
 #[derive(Debug, Clone, Default)]
@@ -165,12 +177,7 @@ pub trait PriorityQueue: Send + Sync + Debug {
         let before = out.len();
         guard.store(0, Ordering::SeqCst);
         self.dequeue_batch(max, out);
-        let min = out[before..]
-            .iter()
-            .map(|&(_, p)| p.min(DEFERRED_CLAIM))
-            .min()
-            .unwrap_or(INFINITE);
-        guard.store(min, Ordering::SeqCst);
+        guard.store(settled_guard(&out[before..]), Ordering::SeqCst);
     }
 
     /// A conservative lower bound on the smallest priority present:
@@ -214,5 +221,21 @@ pub trait PriorityQueue: Send + Sync + Debug {
     /// True if the queue is (approximately) empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn settled_guard_clamps_deferred_and_reads_empty_as_idle() {
+        assert_eq!(settled_guard(&[]), INFINITE, "nothing extracted: idle");
+        assert_eq!(
+            settled_guard(&[(1, INFINITE), (2, INFINITE)]),
+            DEFERRED_CLAIM,
+            "an all-∞ batch must still read as busy"
+        );
+        assert_eq!(settled_guard(&[(1, INFINITE), (2, 4), (3, 9)]), 4);
     }
 }

@@ -11,7 +11,7 @@
 //! A single lock models the serialization that near-root contention imposes
 //! on lock-per-node heaps: every operation still passes through the root.
 
-use crate::queue::{PqProbes, Priority, PriorityQueue, DEFERRED_CLAIM, INFINITE};
+use crate::queue::{settled_guard, PqProbes, Priority, PriorityQueue, INFINITE};
 use frugal_telemetry::Telemetry;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -165,13 +165,9 @@ impl PriorityQueue for TreeHeap {
         // The min-heap pops in ascending order, so the first peek is the
         // whole batch's minimum; publishing it before any pop (still under
         // the lock) leaves no instant at which an extracted entry is
-        // covered by neither `top_priority` nor the guard. An all-∞ batch
-        // clamps to the deferred sentinel so the claim does not read as
-        // idle.
-        match heap.peek() {
-            Some(Reverse((p, _))) => guard.store((*p).min(DEFERRED_CLAIM), Ordering::SeqCst),
-            None => guard.store(INFINITE, Ordering::SeqCst),
-        }
+        // covered by neither `top_priority` nor the guard.
+        let top = heap.peek().map(|&Reverse((p, k))| (k, p));
+        guard.store(settled_guard(top.as_slice()), Ordering::SeqCst);
         let mut pops = 0;
         let len = heap.len();
         for _ in 0..max {
@@ -229,6 +225,7 @@ impl PriorityQueue for TreeHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::DEFERRED_CLAIM;
     use std::sync::Arc;
 
     #[test]

@@ -14,7 +14,7 @@
 //! `L` steps ahead.
 
 use crate::lockfree_set::LockFreeSet;
-use crate::queue::{PqProbes, Priority, PriorityQueue, DEFERRED_CLAIM, INFINITE};
+use crate::queue::{settled_guard, PqProbes, Priority, PriorityQueue, DEFERRED_CLAIM, INFINITE};
 use frugal_telemetry::Telemetry;
 #[cfg(feature = "sched")]
 use std::sync::atomic::AtomicBool;
@@ -431,14 +431,8 @@ impl PriorityQueue for TwoLevelPq {
         // Settle the guard at the batch's exact minimum (it is currently ≤
         // that: scanned-but-drained buckets may have pushed it lower).
         // Every extracted entry is already in `out`, so raising back up to
-        // the true minimum cannot uncover anything. ∞ entries clamp to the
-        // deferred sentinel: a claimed batch must not read as idle.
-        let min = out[before..]
-            .iter()
-            .map(|&(_, p)| p.min(DEFERRED_CLAIM))
-            .min()
-            .unwrap_or(INFINITE);
-        guard.store(min, Ordering::SeqCst);
+        // the true minimum cannot uncover anything.
+        guard.store(settled_guard(&out[before..]), Ordering::SeqCst);
     }
 
     fn top_priority(&self) -> Priority {

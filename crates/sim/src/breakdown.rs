@@ -31,7 +31,7 @@ pub struct IterBreakdown {
     /// Everything else: DNN compute, sampling, optimizer — "other".
     pub other: Nanos,
     /// Foreground stall waiting for flushing (write-through drain or the
-    /// P²F wait condition). Measured wall time in the real engines.
+    /// P²F wait condition), priced from the rows that block.
     pub stall: Nanos,
 }
 

@@ -175,6 +175,52 @@ pub enum HostPath {
     Uvm,
 }
 
+/// How the flush priority queue's operations are priced — the Exp #4
+/// contrast, stated as complexity and serialization (paper §3.4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PqCost {
+    /// O(1) operations that proceed concurrently on every thread (the
+    /// two-level PQ).
+    Concurrent,
+    /// O(log `capacity`) operations funnelled through one lock (the tree
+    /// heap). `capacity` is the most entries the queue can hold — one per
+    /// key of the table, a property of the configuration, never an
+    /// observed queue length.
+    Serialized {
+        /// Upper bound on queued entries.
+        capacity: u64,
+    },
+}
+
+impl PqCost {
+    /// Price of one operation's sift, nanoseconds: nothing for O(1)
+    /// queues, ⌈log₂ capacity⌉ levels for a heap. The depth is integer
+    /// arithmetic, so the price is identical on every host.
+    fn sift_ns(self) -> f64 {
+        match self {
+            PqCost::Concurrent => 0.0,
+            PqCost::Serialized { capacity } => {
+                HEAP_LEVEL_NS * f64::from((capacity.max(2) - 1).ilog2() + 1)
+            }
+        }
+    }
+}
+
+/// Reference prices of one flushed row on one flushing thread,
+/// nanoseconds: dequeue + claim (queue pop, g-entry W-set extraction),
+/// the optimizer step + host-store write, and that write's per-byte part.
+/// Committed once from this repository's measured flusher costs (dequeue +
+/// claim ≈ 215 ns/row, apply ≈ 90–170 ns/row for dim-32 rows on a host
+/// that registers a g-entry ≈ 3× slower than the reference controller):
+/// ≈ 0.1 µs per dim-32 row, the scale the deleted per-process
+/// normalisation of those measurements used to land on.
+const FLUSH_DEQUEUE_ROW_NS: f64 = 60.0;
+const FLUSH_APPLY_ROW_NS: f64 = 30.0;
+const FLUSH_APPLY_BYTE_NS: f64 = 0.1;
+/// Reference price of one level of a tree-heap sift (lock hand-over plus
+/// the compare-and-swap of a node), nanoseconds.
+const HEAP_LEVEL_NS: f64 = 25.0;
+
 /// The calibrated cost model for one server [`Topology`].
 ///
 /// # Examples
@@ -323,16 +369,6 @@ impl CostModel {
         self.host_read(path, rows, row_bytes, concurrent)
     }
 
-    /// Time for the host CPU itself to apply `rows` optimizer updates of
-    /// `row_bytes` each onto the parameter store in DRAM (read-modify-write).
-    /// This is the per-row cost of a flush operation.
-    pub fn host_apply_update(&self, rows: u64, row_bytes: u64) -> Nanos {
-        let p = &self.params;
-        let rmw = Nanos::from_secs_f64(rows as f64 * 2.0 * p.cpu_row_ns * 1e-9);
-        let dram = Self::bulk(2 * rows * row_bytes, self.topo.host().dram_bw_gbps);
-        rmw + dram
-    }
-
     /// Time for a GPU-cache kernel that queries `rows` keys.
     pub fn cache_query(&self, rows: u64) -> Nanos {
         let p = &self.params;
@@ -373,17 +409,72 @@ impl CostModel {
     }
 
     /// Reference-machine cost of registering one g-entry update whose
-    /// gradient is `row_bytes` wide, in nanoseconds. Engines divide their
-    /// *measured* registration time by the host-calibration ratio against
-    /// this reference, so runs on any machine report reference-machine
-    /// numbers while preserving measured relative effects (e.g. tree-heap
-    /// vs two-level PQ).
+    /// gradient is `row_bytes` wide through an O(1) queue, in nanoseconds.
     pub fn gentry_op_reference_ns(&self, row_bytes: u64) -> f64 {
         self.params.gentry_base_ns + self.params.gentry_byte_ns * row_bytes as f64
     }
 
+    /// Modeled time of one step's g-entry registration (the Exp #4a
+    /// quantity), priced from operation counts: `member_rows` holds the
+    /// rows each cohort member registers this step. Members register their
+    /// own shards in parallel, so the slowest member sets the time; a
+    /// [`PqCost::Serialized`] queue takes every member's rows one after
+    /// another and pays a heap sift per row on top.
+    pub fn gentry_registration(
+        &self,
+        member_rows: impl IntoIterator<Item = u64>,
+        row_bytes: u64,
+        pq: PqCost,
+    ) -> Nanos {
+        let (max, sum) = member_rows
+            .into_iter()
+            .fold((0u64, 0u64), |(max, sum), r| (max.max(r), sum + r));
+        let rows = match pq {
+            PqCost::Concurrent => max,
+            PqCost::Serialized { .. } => sum,
+        };
+        let row_ns = self.gentry_op_reference_ns(row_bytes) + pq.sift_ns();
+        Nanos::from_secs_f64(rows as f64 * row_ns * 1e-9)
+    }
+
+    /// Modeled stall of the wait condition: the flushing threads must push
+    /// `blocking_rows` rows of `row_bytes` each to host memory before the
+    /// next step may start (paper §3.3 / Fig 6). Each row costs a dequeue
+    /// and a host apply, spread over `flush_threads`; under a
+    /// [`PqCost::Serialized`] queue the dequeues (each an O(log capacity)
+    /// sift) do not parallelize — only the applies do. `flush_threads` is
+    /// the configured count, not the host's parallelism, so the result is
+    /// the same on every machine; core competition is
+    /// [`Self::cpu_oversubscription`]'s job, and clamping the divisor by
+    /// the modeled core count as well would count that pressure twice.
+    pub fn flush_stall(
+        &self,
+        blocking_rows: u64,
+        row_bytes: u64,
+        flush_threads: usize,
+        pq: PqCost,
+    ) -> Nanos {
+        let threads = flush_threads.max(1) as f64;
+        let dequeue_ns = FLUSH_DEQUEUE_ROW_NS + pq.sift_ns();
+        let apply_ns = FLUSH_APPLY_ROW_NS + FLUSH_APPLY_BYTE_NS * row_bytes as f64;
+        let row_ns = match pq {
+            PqCost::Concurrent => (dequeue_ns + apply_ns) / threads,
+            PqCost::Serialized { .. } => dequeue_ns + apply_ns / threads,
+        };
+        Nanos::from_secs_f64(blocking_rows as f64 * row_ns * 1e-9)
+    }
+
+    /// How far `threads` runnable CPU threads (trainers, flushers,
+    /// controller) oversubscribe the modeled host's cores, as a factor
+    /// ≥ 1 on CPU-side critical-path time — the "too many flushing threads
+    /// divert CPU" effect of Fig 17. A modeling assumption derived from the
+    /// configuration alone, not a measurement.
+    pub fn cpu_oversubscription(&self, threads: usize) -> f64 {
+        (threads as f64 / self.topo.host().cpu_cores.max(1) as f64).max(1.0)
+    }
+
     /// Per-iteration fixed overhead of Frugal's runtime (its per-row work —
-    /// g-entry registration — is real code and is measured, not modeled).
+    /// g-entry registration — is priced by [`Self::gentry_registration`]).
     pub fn framework_frugal(&self) -> Nanos {
         Nanos::from_micros_f64(self.params.fw_fixed_frugal_us)
     }
@@ -525,20 +616,74 @@ mod tests {
     }
 
     #[test]
-    fn host_apply_update_scales_linearly() {
-        let m = commodity4();
-        let one = m.host_apply_update(1_000, 128);
-        let ten = m.host_apply_update(10_000, 128);
-        let ratio = ten.as_secs_f64() / one.as_secs_f64();
-        assert!((9.0..11.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
     fn write_mirrors_read() {
         let m = commodity4();
         assert_eq!(
             m.host_write(HostPath::Uva, 512, 128, 2),
             m.host_read(HostPath::Uva, 512, 128, 2)
         );
+    }
+
+    #[test]
+    fn registration_is_the_slowest_member_unless_the_queue_serializes() {
+        let m = commodity4();
+        // 138.4 ns per dim-32 row (100 + 0.3 × 128) on the slowest member.
+        let par = m.gentry_registration([100, 400, 250], 128, PqCost::Concurrent);
+        assert_eq!(par, Nanos::from_nanos(55_360));
+        // A serializing heap takes all 750 rows in turn, each with a
+        // ⌈log₂ 1M⌉ = 20-level sift on top: 750 × (138.4 + 25 × 20).
+        let ser = m.gentry_registration(
+            [100, 400, 250],
+            128,
+            PqCost::Serialized {
+                capacity: 1_000_000,
+            },
+        );
+        assert_eq!(ser, Nanos::from_nanos(478_800));
+        assert_eq!(
+            m.gentry_registration([], 128, PqCost::Concurrent),
+            Nanos::ZERO
+        );
+    }
+
+    #[test]
+    fn flush_stall_divides_by_the_configured_threads() {
+        // The model must price the flushers that run, whatever the modeled
+        // core count: a clamp to `cores − n_gpus − 1` once priced 4 real
+        // flushers as 1 at 8 GPUs on 8 cores and quadrupled the stall.
+        let host = crate::HostSpec {
+            cpu_cores: 8,
+            ..crate::HostSpec::default()
+        };
+        let m = CostModel::new(Topology::commodity(8).with_host(host));
+        let one = m.flush_stall(1_000, 128, 1, PqCost::Concurrent);
+        let four = m.flush_stall(1_000, 128, 4, PqCost::Concurrent);
+        // 1000 × (60 + 30 + 0.1 × 128) ns on one thread.
+        assert_eq!(one, Nanos::from_nanos(102_800));
+        assert_eq!(four, Nanos::from_nanos(25_700));
+        // Degenerate zero-flusher configs still divide by 1.
+        assert_eq!(m.flush_stall(1_000, 128, 0, PqCost::Concurrent), one);
+        assert_eq!(m.flush_stall(0, 128, 4, PqCost::Concurrent), Nanos::ZERO);
+    }
+
+    #[test]
+    fn serialized_dequeues_do_not_parallelize() {
+        let m = commodity4();
+        let heap = PqCost::Serialized { capacity: 1 << 16 };
+        // Only the apply share shrinks with threads: the dequeue share,
+        // 60 + 25 × 16 ns per row, stays.
+        let one = m.flush_stall(100, 128, 1, heap);
+        let many = m.flush_stall(100, 128, 1_000, heap);
+        assert_eq!(one, Nanos::from_nanos(50_280));
+        assert_eq!(many, Nanos::from_nanos(46_004));
+        assert!(one > m.flush_stall(100, 128, 1, PqCost::Concurrent));
+    }
+
+    #[test]
+    fn oversubscription_starts_past_the_core_count() {
+        let m = commodity4(); // 32 modeled cores
+        assert_eq!(m.cpu_oversubscription(14), 1.0);
+        assert_eq!(m.cpu_oversubscription(32), 1.0);
+        assert_eq!(m.cpu_oversubscription(48), 1.5);
     }
 }

@@ -39,7 +39,7 @@ mod time;
 mod topology;
 
 pub use breakdown::{IterBreakdown, RunStats};
-pub use cost::{CostModel, CostParams, HostPath};
+pub use cost::{CostModel, CostParams, HostPath, PqCost};
 pub use gpu::{GpuClass, GpuSpec};
 pub use time::Nanos;
 pub use topology::{HostSpec, Topology, TopologyError};

@@ -2,7 +2,7 @@
 //! ledger must cover every step of a multi-GPU run with balanced,
 //! contiguous records; stall provenance must pair each trainer unblock to
 //! exactly one flusher apply via Chrome-trace flow events; and the FIFO
-//! ablation must actually measure its stalls (the regression the profiler
+//! ablation must actually report its stalls (the regression the profiler
 //! was built to catch).
 
 use frugal::core::{FrugalConfig, FrugalEngine, PullToTarget, TrainReport};
@@ -144,15 +144,20 @@ fn flow_events_pair_each_unblock_to_one_apply() {
 
 #[test]
 fn fifo_ablation_measures_nonzero_stalls() {
-    // The FIFO strategy counts its own written-key backlog at registration
-    // time (not the post-drain pending set, which the flushers usually
-    // empty before the C-leader reads it — the bug that froze
-    // `fifo_p95_stall_ns` at 0). A throttled run must therefore model
-    // nonzero stalls.
+    // FIFO's modeled stall prices every row written in a step — a count
+    // taken at registration, so a flusher pool that drains the backlog
+    // before the step ends cannot zero it. P²F's prices only the subset
+    // the next step reads, so FIFO ≥ P²F holds step for step on the same
+    // trace, with no flusher throttling to force it.
     let telemetry = Telemetry::off();
-    let report = profiled_run(&telemetry, 100, true);
+    let fifo = profiled_run(&telemetry, 0, true);
+    let p2f = profiled_run(&telemetry, 0, false);
     assert!(
-        report.stats.stall_percentile(0.95).as_nanos() > 0,
-        "throttled FIFO run must record nonzero modeled stalls"
+        fifo.stats.stall_percentile(0.95).as_nanos() > 0,
+        "FIFO run must record nonzero modeled stalls"
     );
+    for (f, p) in fifo.stats.iters().iter().zip(p2f.stats.iters()) {
+        assert!(f.stall >= p.stall, "FIFO {} < P2F {}", f.stall, p.stall);
+    }
+    assert!(fifo.mean_stall() > p2f.mean_stall());
 }
