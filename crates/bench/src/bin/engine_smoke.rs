@@ -538,7 +538,13 @@ fn measure_profile(p: &Profile, repeats: u64, baseline_json: Option<&str>) -> St
     let cur_phases = phases_json(&phase_rows, "        ");
     s.push_str(&format!(
         "      \"current\": {}\n    }}",
-        block(&current, profiled_sps, Some(&cur_phases), p.elastic, "      ")
+        block(
+            &current,
+            profiled_sps,
+            Some(&cur_phases),
+            p.elastic,
+            "      "
+        )
     ));
     if p.elastic {
         println!(

@@ -318,8 +318,18 @@ impl FrugalEngine {
         let strategy = Strategy::of(cfg.flush_mode);
 
         let max_priority = cfg.steps + cfg.lookahead + 2;
+        // The step-`s` wait proves every priority `≤ s` flushed before
+        // registration inserts into `[s + 1, s + L]` (FIFO: `{s}` after
+        // `≤ s − 1`), so `L + 2` recycled buckets hold every live finite
+        // priority. Skipping the wait (failure injection) voids that proof;
+        // such a run keeps one bucket per step.
+        let window = if cfg.skip_wait {
+            max_priority + 1
+        } else {
+            cfg.lookahead + 2
+        };
         let mut pq: Box<dyn PriorityQueue> = match cfg.pq {
-            PqKind::TwoLevel => Box::new(TwoLevelPq::new(max_priority)),
+            PqKind::TwoLevel => Box::new(TwoLevelPq::with_window(max_priority, window)),
             PqKind::TreeHeap => Box::new(TreeHeap::new()),
         };
         pq.attach_telemetry(&cfg.telemetry);
@@ -359,8 +369,7 @@ impl FrugalEngine {
         // Per-member persistent state (cache + cache-side optimizer),
         // indexed by trainer id. Slots fill lazily on first membership and
         // survive across segments; transitions drop leavers' slots.
-        let states: Vec<Mutex<Option<TrainerState>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let states: Vec<Mutex<Option<TrainerState>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let segments = resolve_segments(cfg);
 
         // Flushers are spawned once for the whole run and live across

@@ -460,7 +460,10 @@ pub(crate) fn trainer_loop(
         let ahead = s + cfg.lookahead;
         if ahead < cfg.steps {
             for &g in &streams {
-                shared.step.ring.publish(g, ahead, shared.workload.keys(ahead, g));
+                shared
+                    .step
+                    .ring
+                    .publish(g, ahead, shared.workload.keys(ahead, g));
             }
         }
         lane.add(s, LedgerPhase::Sample, sample_span.finish());
@@ -620,7 +623,9 @@ pub(crate) fn trainer_loop(
             }
 
             let compute_span = rec.span(Phase::Compute);
-            let grads = shared.model.forward_backward(g, s, keys.as_slice(), &scratch.rows);
+            let grads = shared
+                .model
+                .forward_backward(g, s, keys.as_slice(), &scratch.rows);
 
             // Aggregate this stream's gradients per key in arrival order
             // (the aggregator arena is reused: swapped into the stream's

@@ -22,7 +22,7 @@
 //! three parallel arrays per shard, 24 bytes per slot:
 //!
 //! * `keys: [u64]` — open-addressing slots (linear probing, Fibonacci
-//!   multiply-shift reduction, tombstone deletion);
+//!   multiply-shift reduction, backward-shift deletion);
 //! * `r_bits: [u64]` + `r_base: [u32]` — the R set as a 64-step bitset
 //!   window anchored at `r_base`. Lookahead reads span at most `L + 1`
 //!   consecutive steps (`L` defaults to 10), so the window almost never
@@ -39,7 +39,10 @@
 //! enqueue happens on the ∅→W transition, dequeue claims drain W whole).
 //! Growth keeps the table load factor in `[25/32, 7/8]`, bounding resident
 //! metadata below 31 bytes per live key at any size — measured by
-//! [`GEntryStore::resident_bytes`] and recorded in DESIGN.md §14.
+//! [`GEntryStore::resident_bytes`] and recorded in DESIGN.md §14. Deletion
+//! closes its hole by backward shift, so the table holds live keys and
+//! `EMPTY` slots only: it rehashes when the *live* count outgrows it and
+//! never otherwise, and capacity tracks the peak live count.
 
 use frugal_data::Key;
 use frugal_pq::{Priority, PriorityQueue, INFINITE};
@@ -75,9 +78,7 @@ const SHARDS: usize = 64;
 
 /// Slot sentinel: never a real key.
 const EMPTY: u64 = u64::MAX;
-/// Slot sentinel: a deleted entry (probe chains walk past it).
-const TOMBSTONE: u64 = u64::MAX - 1;
-/// Grow when `(live + tombstones) * 8 >= capacity * 7`.
+/// Grow when `(live + 1) * 8 >= capacity * 7`.
 const GROW_NUM: usize = 7;
 const GROW_DEN: usize = 8;
 
@@ -126,7 +127,8 @@ impl WriteSlab {
 /// overflow side map. All access is under the shard's mutex.
 #[derive(Debug)]
 struct Shard {
-    /// Open-addressing slots; `EMPTY` / `TOMBSTONE` sentinels.
+    /// Open-addressing slots; `EMPTY` marks a free one. Every live key is
+    /// reachable from its home slot without crossing an `EMPTY`.
     keys: Box<[u64]>,
     /// R-set bitset window: bit `i` = read at step `r_base + i`.
     r_bits: Box<[u64]>,
@@ -136,7 +138,6 @@ struct Shard {
     w_idx: Box<[u32]>,
     /// Live entries.
     len: usize,
-    tombstones: usize,
     slab: WriteSlab,
     /// Read steps the 64-step window cannot hold (span > 64). Empty in
     /// engine use; exists so arbitrary register/drain sequences (property
@@ -159,7 +160,6 @@ impl Shard {
             r_base: vec![0; 16].into_boxed_slice(),
             w_idx: vec![0; 16].into_boxed_slice(),
             len: 0,
-            tombstones: 0,
             slab: WriteSlab::default(),
             overflow: HashMap::new(),
         }
@@ -176,7 +176,7 @@ impl Shard {
 
     #[inline]
     fn find(&self, key: Key) -> Option<usize> {
-        debug_assert!(key < TOMBSTONE, "key collides with slot sentinel");
+        debug_assert!(key != EMPTY, "key collides with slot sentinel");
         let cap = self.keys.len();
         let mut i = Self::home(key, cap);
         loop {
@@ -195,31 +195,22 @@ impl Shard {
     /// Slot of `key`, inserting a fresh (empty R/W) entry if absent. May
     /// rehash, so previously returned slot indices are invalidated.
     fn ensure(&mut self, key: Key) -> usize {
-        debug_assert!(key < TOMBSTONE, "key collides with slot sentinel");
-        if (self.len + self.tombstones + 1) * GROW_DEN >= self.keys.len() * GROW_NUM {
+        debug_assert!(key != EMPTY, "key collides with slot sentinel");
+        if (self.len + 1) * GROW_DEN >= self.keys.len() * GROW_NUM {
             self.grow();
         }
         let cap = self.keys.len();
         let mut i = Self::home(key, cap);
-        let mut first_tomb = None;
         loop {
             match self.keys[i] {
                 EMPTY => {
-                    let slot = match first_tomb {
-                        Some(t) => {
-                            self.tombstones -= 1;
-                            t
-                        }
-                        None => i,
-                    };
-                    self.keys[slot] = key;
-                    self.r_bits[slot] = 0;
-                    self.r_base[slot] = 0;
-                    self.w_idx[slot] = 0;
+                    self.keys[i] = key;
+                    self.r_bits[i] = 0;
+                    self.r_base[i] = 0;
+                    self.w_idx[i] = 0;
                     self.len += 1;
-                    return slot;
+                    return i;
                 }
-                TOMBSTONE if first_tomb.is_none() => first_tomb = Some(i),
                 k if k == key => return i,
                 _ => {}
             }
@@ -231,20 +222,22 @@ impl Shard {
     }
 
     /// Rehashes to a capacity targeting load factor 25/32 for the current
-    /// live count (tombstones are dropped). Together with the 7/8 grow
-    /// threshold this keeps the live load in `[25/32, 7/8]` during pure
-    /// growth — 24 bytes/slot lands between 27.4 and 30.7 bytes per key,
-    /// independent of where the key count falls relative to a power of two.
+    /// live count. Together with the 7/8 grow threshold this keeps the live
+    /// load in `[25/32, 7/8]` during pure growth — 24 bytes/slot lands
+    /// between 27.4 and 30.7 bytes per key, independent of where the key
+    /// count falls relative to a power of two. Only a live count at the
+    /// threshold gets here, so the new capacity is always larger.
     fn grow(&mut self) {
         let target = (self.len + 1).max(8) * 32 / 25;
         let new_cap = target.max(16);
+        debug_assert!(new_cap > self.keys.len(), "rehash without growth");
         let mut keys = vec![EMPTY; new_cap].into_boxed_slice();
         let mut r_bits = vec![0u64; new_cap].into_boxed_slice();
         let mut r_base = vec![0u32; new_cap].into_boxed_slice();
         let mut w_idx = vec![0u32; new_cap].into_boxed_slice();
         for old in 0..self.keys.len() {
             let k = self.keys[old];
-            if k == EMPTY || k == TOMBSTONE {
+            if k == EMPTY {
                 continue;
             }
             let mut i = Self::home(k, new_cap);
@@ -263,15 +256,45 @@ impl Shard {
         self.r_bits = r_bits;
         self.r_base = r_base;
         self.w_idx = w_idx;
-        self.tombstones = 0;
     }
 
-    /// Deletes the entry at `slot` (must be dead: R and W both empty).
+    /// Deletes the entry at `slot` (must be dead: R and W both empty) and
+    /// closes the hole by backward shift: each later entry of the probe run
+    /// moves into the hole unless its home slot lies cyclically in
+    /// `(hole, entry]` — moving that one would put it before its home, out
+    /// of reach of its own probe. The run's end (an `EMPTY`, which the 7/8
+    /// load ceiling guarantees exists) becomes the new hole's terminator, so
+    /// no probe run is ever cut and none grows with deletion traffic.
     fn remove(&mut self, slot: usize) {
         debug_assert!(self.r_is_empty(slot) && self.w_idx[slot] == 0);
-        self.keys[slot] = TOMBSTONE;
+        let cap = self.keys.len();
+        let mut hole = slot;
+        let mut i = slot;
+        loop {
+            i += 1;
+            if i == cap {
+                i = 0;
+            }
+            let k = self.keys[i];
+            if k == EMPTY {
+                break;
+            }
+            let home = Self::home(k, cap);
+            let reachable_past_hole = if hole <= i {
+                hole < home && home <= i
+            } else {
+                hole < home || home <= i
+            };
+            if !reachable_past_hole {
+                self.keys[hole] = k;
+                self.r_bits[hole] = self.r_bits[i];
+                self.r_base[hole] = self.r_base[i];
+                self.w_idx[hole] = self.w_idx[i];
+                hole = i;
+            }
+        }
+        self.keys[hole] = EMPTY;
         self.len -= 1;
-        self.tombstones += 1;
     }
 
     // --- R set ---------------------------------------------------------
@@ -1197,6 +1220,96 @@ mod tests {
         let idle = 63 * (16 * 24);
         let per_key = (store.resident_bytes() - idle) as f64 / n as f64;
         assert!(per_key < 32.0, "resident {per_key:.1} bytes/key");
+    }
+
+    impl Shard {
+        /// Every live key is reachable from its home slot without crossing
+        /// an `EMPTY` — what `find` relies on and `remove` must preserve.
+        fn assert_probe_runs_intact(&self) {
+            let cap = self.keys.len();
+            let mut live = 0;
+            for (slot, &k) in self.keys.iter().enumerate() {
+                if k == EMPTY {
+                    continue;
+                }
+                live += 1;
+                let mut i = Self::home(k, cap);
+                while i != slot {
+                    assert_ne!(self.keys[i], EMPTY, "key {k}: probe run cut at slot {i}");
+                    i = (i + 1) % cap;
+                }
+            }
+            assert_eq!(live, self.len);
+        }
+    }
+
+    #[test]
+    fn backward_shift_keeps_probe_runs_intact_and_payloads_attached() {
+        // One shard, a few hundred keys, deletions in an order unrelated to
+        // insertion: after every single removal each survivor must still be
+        // reachable from its home slot and still carry its own R set.
+        let mut shard = Shard::new();
+        let keys: Vec<Key> = (0..300u64).map(|i| i * 7919 % 10_007).collect();
+        for &k in &keys {
+            let slot = shard.ensure(k);
+            shard.r_insert(slot, k % 50);
+        }
+        shard.assert_probe_runs_intact();
+        let mut live: Vec<Key> = keys.clone();
+        let mut x = 12345u64;
+        while !live.is_empty() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = live.swap_remove((x >> 33) as usize % live.len());
+            let slot = shard.find(k).expect("live key findable");
+            shard.r_remove(slot, k % 50);
+            shard.remove(slot);
+            assert_eq!(shard.find(k), None);
+            shard.assert_probe_runs_intact();
+            for &other in &live {
+                let s = shard.find(other).expect("survivor findable");
+                assert_eq!(
+                    shard.r_min(s),
+                    Some(other % 50),
+                    "key {other} lost its R set"
+                );
+            }
+        }
+        assert!(shard.keys.iter().all(|&k| k == EMPTY));
+    }
+
+    #[test]
+    fn churn_at_constant_live_count_never_rehashes() {
+        // The engine's steady state: every step registers fresh keys and the
+        // flusher claims (deletes) as many old ones. Once the table fits the
+        // peak live count it must never be rebuilt — tombstones used to
+        // force a same-size rehash every other step.
+        let store = GEntryStore::new();
+        let pq = TwoLevelPq::new(10);
+        let key_of = |i: u64| i * SHARDS as u64; // all shard 0
+        let live = 500u64;
+        let churn = |from: u64, rounds: u64| {
+            for i in from..from + rounds {
+                store.add_write(key_of(i + live), 0, vec![1.0].into(), &pq);
+                assert!(store.take_writes(key_of(i), INFINITE).is_some());
+            }
+        };
+        for i in 0..live {
+            store.add_write(key_of(i), 0, vec![1.0].into(), &pq);
+        }
+        churn(0, 2 * live);
+        let table = |store: &GEntryStore| {
+            let shard = store.shards[0].lock();
+            shard.assert_probe_runs_intact();
+            (shard.keys.as_ptr(), shard.keys.len())
+        };
+        let warm = table(&store);
+        churn(2 * live, 20_000);
+        // `grow` allocates its new slices before dropping the old ones, so
+        // an unchanged address means no rehash happened at all.
+        assert_eq!(table(&store), warm, "steady-state churn rebuilt the table");
+        assert_eq!(store.len(), live as usize);
     }
 
     #[test]

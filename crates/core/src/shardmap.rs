@@ -309,7 +309,11 @@ mod tests {
 
     #[test]
     fn streams_partition_across_members() {
-        for members in [vec![0, 1, 2, 3, 4, 5, 6, 7], vec![0, 2, 4, 5, 6, 7], vec![3]] {
+        for members in [
+            vec![0, 1, 2, 3, 4, 5, 6, 7],
+            vec![0, 2, 4, 5, 6, 7],
+            vec![3],
+        ] {
             let map = map_for(&members);
             let mut covered = vec![0usize; 8];
             for &t in &members {

@@ -9,6 +9,11 @@
 //! counts, invariant checks, claim outcomes, and drained step sequences —
 //! including step patterns whose read span exceeds the 64-step window
 //! (forcing window slides and overflow spills the engine never triggers).
+//!
+//! A second, delete-heavy property crowds one shard's table and claims
+//! entries away in arbitrary order: deletion closes its hole by backward
+//! shift, and after every claim each surviving key must still be findable
+//! (no probe run cut by the hole) with its own R/W state attached.
 
 use frugal_core::{GEntryStore, PqOpScratch, PriorityPolicy};
 use frugal_pq::{TwoLevelPq, INFINITE};
@@ -92,6 +97,21 @@ impl Model {
 /// (reused indices) and a wide step range maximize collisions of both.
 type Op = (u64, u64, u64);
 
+/// Claims `key` at bucket priority `at` on both sides: they must agree on
+/// acceptance (a stale claim is refused) and on the drained write steps.
+fn claim_both(store: &GEntryStore, model: &mut Model, key: u64, at: u64) -> Result<(), String> {
+    let got = store
+        .take_writes(key, at)
+        .map(|w| w.iter().map(|&(s, _)| s).collect::<Vec<_>>());
+    let want = model.take_writes(key, at);
+    if got != want {
+        return Err(format!(
+            "take_writes({key}, {at}) diverged: store {got:?}, model {want:?}"
+        ));
+    }
+    Ok(())
+}
+
 fn check_agreement(policy: PriorityPolicy, ops: &[Op]) -> Result<(), String> {
     let store = GEntryStore::with_policy(policy);
     let pq = TwoLevelPq::new(MAX_STEP);
@@ -120,14 +140,7 @@ fn check_agreement(policy: PriorityPolicy, ops: &[Op]) -> Result<(), String> {
                     Some(p) if !step.is_multiple_of(3) => p,
                     _ => step,
                 };
-                let got = store.take_writes(key, at);
-                let want = model.take_writes(key, at);
-                let got_steps = got.map(|w| w.iter().map(|&(s, _)| s).collect::<Vec<_>>());
-                if got_steps != want {
-                    return Err(format!(
-                        "take_writes({key}, {at}) diverged: store {got_steps:?}, model {want:?}"
-                    ));
-                }
+                claim_both(&store, &mut model, key, at)?;
             }
             _ => {
                 if store.invariant_holds(key, step) != model.invariant_holds(key, step) {
@@ -167,6 +180,67 @@ fn check_agreement(policy: PriorityPolicy, ops: &[Op]) -> Result<(), String> {
     Ok(())
 }
 
+/// Crowds shard 0 (every key ≡ 0 mod 64, so all collide in one small
+/// table) and deletes by claim in arbitrary order. `kind`: 0 = write with
+/// no read (a claim then deletes the entry), 1 = read + write (a claim
+/// leaves the entry alive, out of the queue), 2–4 = claim.
+fn check_delete_heavy(ops: &[Op]) -> Result<(), String> {
+    let policy = PriorityPolicy::EarliestRead;
+    let store = GEntryStore::with_policy(policy);
+    let pq = TwoLevelPq::new(MAX_STEP);
+    let mut model = Model::new(policy);
+    let grad: Arc<[f32]> = vec![1.0].into();
+    for &(kind, key_idx, step) in ops {
+        let key = key_idx * 64;
+        match kind {
+            0 => {
+                store.add_write(key, step, Arc::clone(&grad), &pq);
+                model.add_write(key, step);
+            }
+            1 => {
+                store.add_read(key, step + 1, &pq);
+                model.add_read(key, step + 1);
+                store.add_write(key, step, Arc::clone(&grad), &pq);
+                model.add_write(key, step);
+            }
+            _ => {
+                let Some(at) = model.priority(key) else {
+                    continue;
+                };
+                claim_both(&store, &mut model, key, at)?;
+                // The claim may have deleted `key` and shifted its probe
+                // run: every survivor is still found, with its own state.
+                for (&k, e) in &model.entries {
+                    if store.priority_of(k) != model.priority(k) {
+                        return Err(format!(
+                            "after claiming {key}: priority_of({k}) is {:?}, model {:?}",
+                            store.priority_of(k),
+                            model.priority(k)
+                        ));
+                    }
+                    if store.has_pending_writes(k) == e.w.is_empty() {
+                        return Err(format!("after claiming {key}: W set of {k} diverged"));
+                    }
+                }
+                if store.priority_of(key).is_some() != model.entries.contains_key(&key) {
+                    return Err(format!("claimed key {key}: liveness diverged"));
+                }
+            }
+        }
+        if store.len() != model.entries.len() {
+            return Err(format!(
+                "len diverged: store {}, model {}",
+                store.len(),
+                model.entries.len()
+            ));
+        }
+    }
+    if store.pending_keys() != model.pending_keys() {
+        return Err("pending_keys diverged".to_owned());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -184,6 +258,15 @@ proptest! {
         ops in proptest::collection::vec((0u64..4, 0u64..8, 0u64..MAX_STEP), 0..200)
     ) {
         if let Err(msg) = check_agreement(PriorityPolicy::ArrivalOrder, &ops) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+
+    #[test]
+    fn delete_heavy_churn_keeps_every_survivor_findable(
+        ops in proptest::collection::vec((0u64..5, 0u64..48, 0u64..40), 0..400)
+    ) {
+        if let Err(msg) = check_delete_heavy(&ops) {
             prop_assert!(false, "{}", msg);
         }
     }

@@ -776,11 +776,7 @@ fn reduce_handoff(barriered: bool) -> impl FnMut(&mut SimBuilder) {
                         }
                         yield_point("reduce.barrier_wait");
                     }
-                    assert_eq!(
-                        arrived.load(Ordering::SeqCst),
-                        REDUCE_N,
-                        "barrier starved"
-                    );
+                    assert_eq!(arrived.load(Ordering::SeqCst), REDUCE_N, "barrier starved");
                 }
                 // Own-shard reduce across every slot, trainer-index order —
                 // the canonical per-key summation order.

@@ -111,9 +111,7 @@ impl SyntheticTrace {
 
     /// The keys each GPU accesses at `step` (outer index: GPU).
     pub fn step_keys(&self, step: u64) -> Vec<Vec<Key>> {
-        (0..self.n_gpus)
-            .map(|g| self.gpu_keys(step, g))
-            .collect()
+        (0..self.n_gpus).map(|g| self.gpu_keys(step, g)).collect()
     }
 
     /// The keys one GPU accesses at `step`, in sample order. Each GPU's

@@ -504,7 +504,10 @@ mod tests {
 
     #[test]
     fn alias_rejects_bad_params() {
-        assert_eq!(ZipfAlias::new(0, 0.9).unwrap_err(), DistError::EmptyKeySpace);
+        assert_eq!(
+            ZipfAlias::new(0, 0.9).unwrap_err(),
+            DistError::EmptyKeySpace
+        );
         assert!(matches!(
             ZipfAlias::new(10, f64::INFINITY).unwrap_err(),
             DistError::BadExponent(_)

@@ -11,16 +11,29 @@
 
 use frugal_embed::{CachePolicy, GpuCache, InsertOutcome};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// A pass-through allocator that counts allocations.
+/// A pass-through allocator that counts allocations per thread: the test
+/// runner executes sibling tests (and its own bookkeeping) on other threads
+/// of this process, and their allocations are not the measured loop's.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Const-initialised and `Drop`-free, so touching it from inside the
+    /// allocator neither allocates nor registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the allocator still runs while a thread's locals are
+        // being torn down.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -84,9 +97,9 @@ fn steady_state_fill_loop_never_allocates() {
             let _ = cache.get(&(UNIVERSE + k));
         }
         churn(&mut cache, &row, 4);
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let filled = churn(&mut cache, &row, 16);
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         std::hint::black_box(filled);
         assert_eq!(
             after - before,
@@ -118,13 +131,13 @@ fn oracle_fill_loop_never_allocates_once_plans_are_fed() {
         cache.begin_step(s);
         churn_step(&mut cache, &feeds[s as usize], &row);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut filled = 0u64;
     for s in warm..steps {
         cache.begin_step(s);
         filled += churn_step(&mut cache, &feeds[s as usize], &row);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     std::hint::black_box(filled);
     assert_eq!(
         after - before,

@@ -6,9 +6,9 @@
 //! the controller adjusting priorities, so the queue's scalability decides
 //! the training stall (Exp #4).
 //!
-//! * [`TwoLevelPq`] — the paper's design: a priority-index array over
-//!   lock-free key sets, O(1) enqueue/dequeue/adjust, with scan-range
-//!   compression.
+//! * [`TwoLevelPq`] — the paper's design: a priority index (a ring of
+//!   buckets recycled as the lookahead window advances) over lock-free key
+//!   sets, O(1) enqueue/dequeue/adjust, with scan-range compression.
 //! * [`TreeHeap`] — the classic binary-heap baseline with O(log N)
 //!   operations and lock serialization.
 //! * [`PriorityQueue`] — the trait both implement, letting the training

@@ -11,7 +11,10 @@
 //! segment is full, a new segment is appended with a single CAS on the
 //! chain — the set grows dynamically without ever taking a lock. Removal
 //! tombstones the slot; tombstones are reusable, which bounds memory by the
-//! peak population rather than total traffic.
+//! peak population rather than total traffic. A drained set can be
+//! [`reset`](LockFreeSet::reset) to all-`EMPTY` slots in place, which is how
+//! the ring-indexed priority index recycles a bucket for a new priority
+//! without freeing or allocating a segment.
 
 #[cfg(feature = "sched")]
 use std::sync::atomic::AtomicBool;
@@ -68,8 +71,7 @@ impl Segment {
 /// A lock-free, dynamically growing set of `u64` keys.
 ///
 /// The head segment is allocated lazily, so an empty set costs only a few
-/// words — important because the priority index holds one set per training
-/// step.
+/// words — a full-window priority index holds one set per training step.
 ///
 /// # Counter discipline
 ///
@@ -304,6 +306,12 @@ impl LockFreeSet {
 
     /// Atomically removes and returns up to `max` keys, appending them to
     /// `out`. Returns how many were taken.
+    ///
+    /// The counters are settled once per segment (`occupied`) and once per
+    /// call (`len`), after the tombstone CASes: the conservative rule only
+    /// forbids decrementing *before* a key stops being visible, so batching
+    /// the decrements is the safe direction and saves two atomic
+    /// read-modify-writes per dequeued key.
     pub fn take_any(&self, max: usize, out: &mut Vec<u64>) -> usize {
         if max == 0 || self.is_empty() {
             return 0;
@@ -314,6 +322,7 @@ impl LockFreeSet {
             // SAFETY: segments are never freed while the set is alive.
             let seg = unsafe { &*seg_ptr };
             if seg.occupied.load(Ordering::Acquire) > 0 {
+                let before = taken;
                 for slot in seg.slots.iter() {
                     if taken >= max {
                         break;
@@ -326,14 +335,18 @@ impl LockFreeSet {
                             .is_ok()
                     {
                         sched_point!("lfs.take.tombstoned");
-                        seg.occupied.fetch_sub(1, Ordering::AcqRel);
-                        self.len.fetch_sub(1, Ordering::AcqRel);
                         out.push(decode(cur));
                         taken += 1;
                     }
                 }
+                if taken > before {
+                    seg.occupied.fetch_sub(taken - before, Ordering::AcqRel);
+                }
             }
             seg_ptr = seg.next.load(Ordering::Acquire);
+        }
+        if taken > 0 {
+            self.len.fetch_sub(taken, Ordering::AcqRel);
         }
         taken
     }
@@ -385,6 +398,46 @@ impl LockFreeSet {
             seg_ptr = seg.next.load(Ordering::Acquire);
         }
         false
+    }
+
+    /// Returns every slot of a *drained* set to `EMPTY`, keeping the segment
+    /// chain, so probe runs are short again instead of saturating with
+    /// tombstones after a few fill/drain rounds.
+    ///
+    /// The caller must guarantee the set is empty and that no other thread
+    /// mutates it for the duration (the priority index's re-tag fence does).
+    /// Readers ([`Self::contains`], [`Self::peek_any`], [`Self::is_empty`])
+    /// may run concurrently: they only ever see `EMPTY` or a tombstone.
+    pub(crate) fn reset(&self) {
+        debug_assert_eq!(self.len.load(Ordering::Acquire), 0, "reset of a live set");
+        let mut seg_ptr = self.head.load(Ordering::Acquire);
+        while !seg_ptr.is_null() {
+            // SAFETY: segments are never freed while the set is alive.
+            let seg = unsafe { &*seg_ptr };
+            debug_assert_eq!(seg.occupied.load(Ordering::Acquire), 0);
+            for slot in seg.slots.iter() {
+                // Untouched slots stay clean: no store, no dirtied line.
+                if slot.load(Ordering::Relaxed) != EMPTY {
+                    slot.store(EMPTY, Ordering::Release);
+                }
+            }
+            seg_ptr = seg.next.load(Ordering::Acquire);
+        }
+    }
+
+    /// Heap bytes this set holds: every segment of its chain (the header
+    /// lives wherever the owner put the set).
+    pub fn heap_bytes(&self) -> usize {
+        let mut bytes = 0;
+        let mut seg_ptr = self.head.load(Ordering::Acquire);
+        while !seg_ptr.is_null() {
+            // SAFETY: segments are never freed while the set is alive.
+            let seg = unsafe { &*seg_ptr };
+            bytes +=
+                std::mem::size_of::<Segment>() + seg.capacity() * std::mem::size_of::<AtomicU64>();
+            seg_ptr = seg.next.load(Ordering::Acquire);
+        }
+        bytes
     }
 }
 
@@ -492,6 +545,34 @@ mod tests {
             s.insert(k);
             assert!(s.remove(k));
         }
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn reset_returns_a_drained_chain_to_empty_slots() {
+        let s = LockFreeSet::new();
+        let mut out = Vec::new();
+        for round in 0..4u64 {
+            for k in 0..1_000 {
+                s.insert(round * 1_000 + k);
+            }
+            assert_eq!(s.take_any(usize::MAX, &mut out), 1_000);
+        }
+        let chain = s.heap_bytes();
+        assert!(chain > 1_000 * 8);
+        s.reset();
+        assert_eq!(s.heap_bytes(), chain, "the chain is kept, not freed");
+        let mut seg_ptr = s.head.load(Ordering::Acquire);
+        while !seg_ptr.is_null() {
+            // SAFETY: the set is alive and owns its chain.
+            let seg = unsafe { &*seg_ptr };
+            assert!(seg.slots.iter().all(|x| x.load(Ordering::Relaxed) == EMPTY));
+            seg_ptr = seg.next.load(Ordering::Acquire);
+        }
+        // And it is a working set again.
+        s.insert(7);
+        assert!(s.contains(7) && !s.contains(8));
+        assert!(s.remove(7));
         assert!(s.is_empty());
     }
 

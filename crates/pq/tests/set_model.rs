@@ -1,9 +1,18 @@
 //! Model-based property tests: the lock-free set against a `HashSet`, and
-//! the two-level PQ against a sorted reference, over random op sequences.
+//! the two-level PQ against a sorted reference, over random op sequences —
+//! including a windowed queue driven across many wraps of its bucket ring.
 
 use frugal_pq::{LockFreeSet, PriorityQueue, TwoLevelPq, INFINITE};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+
+/// Lookahead of the windowed-queue model; its ring has 8 buckets.
+const L: u64 = 5;
+
+/// The smallest finite priority in the model, or ∞.
+fn model_top(model: &BTreeMap<u64, u64>) -> u64 {
+    model.values().copied().min().unwrap_or(INFINITE)
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -71,5 +80,67 @@ proptest! {
             }
         }
         prop_assert!(pq.top_priority() <= min_live);
+    }
+
+    #[test]
+    fn windowed_pq_matches_btreemap_model_across_wraps(
+        steps in proptest::collection::vec(
+            proptest::collection::vec((0u64..3, 0u64..24, 0u64..L + 1), 0..6),
+            170..200,
+        ),
+    ) {
+        // Engine-shaped traffic over a ring of 8 buckets for ≥ 170 steps:
+        // more than 20 wraps. Step `s` enqueues into `[s + 1, s + L]` ∪ ∞
+        // and moves entries within that span, then everything due by
+        // `s + 1` is flushed — so the live span never exceeds the ring.
+        let pq = TwoLevelPq::with_window(10_000, L + 2);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut out = Vec::new();
+        for (s, ops) in steps.iter().enumerate() {
+            let s = s as u64;
+            let in_window = |off: u64| if off == L { INFINITE } else { s + 1 + off };
+            for &(kind, key, off) in ops {
+                match (kind, model.get(&key).copied()) {
+                    (0 | 1, None) => {
+                        pq.enqueue(key, in_window(off));
+                        model.insert(key, in_window(off));
+                    }
+                    (0 | 1, Some(old)) => {
+                        pq.adjust(key, old, in_window(off));
+                        model.insert(key, in_window(off));
+                    }
+                    _ => {
+                        out.clear();
+                        pq.dequeue_batch(1, &mut out);
+                        match out.first() {
+                            None => prop_assert!(model.is_empty()),
+                            Some(&(k, p)) => {
+                                // Ascending order: the entry dequeued is a
+                                // minimum of the model.
+                                prop_assert_eq!(model.remove(&k), Some(p));
+                                prop_assert!(p <= model_top(&model));
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(pq.len(), model.len());
+                prop_assert_eq!(pq.top_priority(), model_top(&model));
+            }
+            pq.set_upper_bound(s + 1 + L);
+            // The wait condition of step s + 1: flush everything due.
+            while pq.top_priority() <= s + 1 {
+                out.clear();
+                pq.dequeue_batch(4, &mut out);
+                for &(k, p) in &out {
+                    prop_assert_eq!(model.remove(&k), Some(p), "step {}: key {}", s, k);
+                }
+            }
+            prop_assert!(model_top(&model) > s + 1);
+        }
+        out.clear();
+        pq.dequeue_batch(usize::MAX, &mut out);
+        out.sort_unstable();
+        prop_assert_eq!(out, model.into_iter().collect::<Vec<_>>());
+        prop_assert!(pq.resident_bytes() < 16 * 1024, "8 buckets, recycled");
     }
 }

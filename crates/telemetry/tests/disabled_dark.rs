@@ -7,17 +7,30 @@
 
 use frugal_telemetry::{LaneKind, LedgerPhase, Phase, SpanArgs, StallRecord, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
-/// A pass-through allocator that counts allocations.
+/// A pass-through allocator that counts allocations per thread: the test
+/// runner executes sibling tests (and its own bookkeeping) on other threads
+/// of this process, and their allocations are not the measured loop's.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Const-initialised and `Drop`-free, so touching it from inside the
+    /// allocator neither allocates nor registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the allocator still runs while a thread's locals are
+        // being torn down.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -67,13 +80,13 @@ fn disabled_hot_path_never_allocates() {
     let rec = telemetry.recorder("dark");
     assert!(!lane.is_enabled());
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut sink = 0u64;
     for i in 0..ITERS {
         sink = sink.wrapping_add(hot_ops(&telemetry, &lane, &rec, i));
     }
     std::hint::black_box(sink);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -113,11 +126,11 @@ fn disabled_hot_path_is_cheap() {
 fn disabled_span_recording_is_inert() {
     let telemetry = Telemetry::off();
     let rec = telemetry.recorder("dark");
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let t = Instant::now();
     // record_completed returns the elapsed time it recorded; disabled
     // recorders return 0 without touching the clock or any buffer.
     let ns = rec.record_completed(Phase::Compute, t, SpanArgs::one("rows", 3));
     assert_eq!(ns, 0);
-    assert_eq!(ALLOCS.load(Ordering::Relaxed) - before, 0);
+    assert_eq!(allocs() - before, 0);
 }

@@ -79,7 +79,9 @@ fn elastic_8_6_8_matches_serial_bitwise() {
     ));
     runs.push((
         "elastic-checked".into(),
-        frugal_cfg(8).checked().with_membership(shrink_regrow_plan()),
+        frugal_cfg(8)
+            .checked()
+            .with_membership(shrink_regrow_plan()),
     ));
     for (name, cfg) in runs {
         let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
