@@ -34,6 +34,16 @@ macro_rules! sched_point {
     }};
 }
 
+/// [`sched_point!`] for the back-edge of a spin-wait: also tells the
+/// scheduler that the caller waits on another thread (see
+/// `frugal_sched::spin_point`).
+macro_rules! sched_spin {
+    ($label:expr) => {{
+        #[cfg(feature = "sched")]
+        frugal_sched::spin_point($label);
+    }};
+}
+
 mod lockfree_set;
 mod queue;
 mod treeheap;

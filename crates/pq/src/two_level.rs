@@ -13,12 +13,13 @@
 //! `≤ s` flushed before registration inserts into `[s + 1, s + L]`, so
 //! `R ≥ L + 2` suffices. Priorities `p` and `p + R` share a bucket; each
 //! bucket carries the priority it currently holds (its *tag*), and the
-//! first insert of a new priority *re-tags* it: checks that the old
-//! priority's entries are gone (the invariant, enforced, not assumed),
-//! waits out any dequeuer still inside, and returns the bucket's slots to
-//! `EMPTY` — recycling the segment chain instead of allocating one per
-//! step. [`TwoLevelPq::new`] is the full-window case of the same code: one
-//! bucket per step, so no priority is ever re-tagged.
+//! first insert of a new priority *re-tags* it: waits out any dequeuer
+//! still inside, claims the bucket against its fellow registrants, checks
+//! that the old priority's entries are gone (the invariant, enforced, not
+//! assumed), and returns the bucket's slots to `EMPTY` — recycling the
+//! segment chain instead of allocating one per step. [`TwoLevelPq::new`]
+//! is the full-window case of the same code: one bucket per step, indexed
+//! by the priority itself, so no priority is ever re-tagged.
 //!
 //! *Scan-range compression* (the paper's dequeue optimization) maintains
 //! global lower/upper bounds on live finite priorities: the lower bound is
@@ -86,7 +87,8 @@ impl Bucket {
     /// True if the bucket currently holds priority `p` and (conservatively)
     /// at least one entry. Read-only: safe against a concurrent re-tag,
     /// which can only make the answer a stale "yes" — the conservative
-    /// direction for every caller.
+    /// direction for the scans that call it (a bound kept lower, a guard
+    /// published lower, an `enter` that then backs out).
     fn holds(&self, p: Priority) -> bool {
         self.tag() == p && !self.set.is_empty()
     }
@@ -102,10 +104,12 @@ impl Bucket {
         (prev >> 32 == p).then_some(visit)
     }
 
-    /// Hands the bucket over to priority `q`: waits until no visitor is
-    /// inside (unless `fenced` is off — test-only), returns every slot to
-    /// `EMPTY` and publishes the new tag. Concurrent registrants of the same
-    /// `q` elect one re-tagger; the others wait for its tag.
+    /// Hands the bucket over to priority `q`: claims it with one CAS that
+    /// fails while a visitor is inside (unless `fenced` is off — test-only),
+    /// checks that the old priority left nothing behind, returns every slot
+    /// to `EMPTY` and publishes the new tag. Concurrent registrants of the
+    /// same `q` elect one re-tagger by that CAS; the others wait for its tag
+    /// and look at nothing else.
     ///
     /// # Panics
     ///
@@ -114,20 +118,17 @@ impl Bucket {
     /// the ring apart), and re-tagging would mislabel or drop them.
     #[cold]
     fn retag(&self, q: Priority, fenced: bool) {
-        loop {
+        let old = loop {
             let cur = self.state.load(Ordering::Acquire);
             let tag = cur >> 32;
             if tag == q {
                 return;
             }
+            sched_point!("pq.retag.loaded");
             if tag != RETAGGING {
-                assert!(
-                    self.set.is_empty(),
-                    "window invariant violated: priority {q} lands in the bucket \
-                     still holding live entries of priority {tag}"
-                );
                 // The fence: with a visitor inside, `cur != tag << 32` and
-                // the CAS fails.
+                // the CAS fails. So does a CAS from a stale `cur` — a peer
+                // got there first.
                 let expected = if fenced { tag << 32 } else { cur };
                 let claimed = (RETAGGING << 32) | (expected & VISITORS);
                 if self
@@ -135,22 +136,39 @@ impl Bucket {
                     .compare_exchange(expected, claimed, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
-                    break;
+                    break tag;
                 }
             }
             // A visitor is still inside, or a peer is mid-reset.
-            sched_point!("pq.retag.wait");
+            sched_spin!("pq.retag.wait");
             std::hint::spin_loop();
-        }
+        };
         sched_point!("pq.retag.claimed");
+        // Checked only by the elected re-tagger, behind the claim: nobody is
+        // inside and no peer can insert under `q` yet, so the count is the
+        // old priority's alone — and exact, every visitor's decrements
+        // having happened-before the CAS that saw them gone.
+        if !self.set.is_empty() {
+            // Peers waiting on `RETAGGING` fail the same check instead of
+            // spinning behind a re-tagger that is gone.
+            self.publish(old);
+            panic!(
+                "window invariant violated: priority {q} lands in the bucket \
+                 still holding live entries of priority {old}"
+            );
+        }
         self.set.reset();
-        // Visitors bouncing off `RETAGGING` may be mid-bounce: keep their
-        // count, replace only the tag. Release publishes the reset slots to
-        // every inserter that reads the new tag.
+        self.publish(q);
+    }
+
+    /// Ends a re-tag: replaces `RETAGGING` by `tag`. Visitors bouncing off
+    /// `RETAGGING` may be mid-bounce, so their count is kept. Release
+    /// publishes the reset slots to every inserter that reads the new tag.
+    fn publish(&self, tag: u64) {
         let _ = self
             .state
             .fetch_update(Ordering::Release, Ordering::Relaxed, |cur| {
-                Some((q << 32) | (cur & VISITORS))
+                Some((tag << 32) | (cur & VISITORS))
             });
     }
 }
@@ -174,6 +192,8 @@ pub struct TwoLevelPq {
     /// Finite priorities: priority `p` lives in `ring[p & mask]` while that
     /// bucket is tagged `p`.
     ring: Box<[Bucket]>,
+    /// `ring.len() - 1` for a power-of-two ring; all ones for the full
+    /// window, whose `max_step + 1` buckets every priority indexes directly.
     mask: u64,
     /// The ∞ bucket. Never re-tagged, so it has no tag and no fence.
     infinite: LockFreeSet,
@@ -236,9 +256,10 @@ impl TwoLevelPq {
 
     /// Creates a queue accepting priorities `0..=max_step` and ∞ whose live
     /// finite priorities always lie within `window` consecutive values. The
-    /// index is a ring of `window` buckets (rounded up to a power of two, at
-    /// most one per step) that are recycled as the window advances, so the
-    /// queue's memory is O(`window` + peak entries), not O(`max_step`).
+    /// index is a ring of `window` buckets rounded up to a power of two —
+    /// or one bucket per step, if that is fewer — that are recycled as the
+    /// window advances, so the queue's memory is O(`window` + peak
+    /// entries), not O(`max_step`).
     ///
     /// The caller keeps [`PriorityQueue::set_upper_bound`] current: every
     /// live finite priority must lie in `(upper - ring, upper]`, where
@@ -265,10 +286,16 @@ impl TwoLevelPq {
     pub fn with_window(max_step: u64, window: u64) -> Self {
         assert!(max_step < u32::MAX as u64 - 1, "max_step too large");
         assert!(window > 0, "window must hold at least one priority");
-        let ring = window.min(max_step + 1).next_power_of_two();
+        // A ring that would cover every priority is the full window: one
+        // bucket per step, indexed by the priority itself (all-ones mask),
+        // not rounded up.
+        let (ring, mask) = match window.next_power_of_two() {
+            pow2 if pow2 > max_step => (max_step + 1, u64::MAX),
+            pow2 => (pow2, pow2 - 1),
+        };
         TwoLevelPq {
             ring: (0..ring).map(Bucket::new).collect(),
-            mask: ring - 1,
+            mask,
             infinite: LockFreeSet::new(),
             max_step,
             lower: AtomicU64::new(0),
@@ -700,8 +727,12 @@ impl PriorityQueue for TwoLevelPq {
         for p in self.scan_start(seen, end)..=end {
             let bucket = self.bucket(p);
             if bucket.tag() == p {
+                // Not a visit, so the bucket may be re-tagged mid-peek: a
+                // key is only `p`'s if the tag still says so afterwards.
                 if let Some(key) = bucket.set.peek_any() {
-                    return Some((key, p));
+                    if bucket.tag() == p {
+                        return Some((key, p));
+                    }
                 }
             }
         }
@@ -1094,7 +1125,10 @@ mod tests {
         // `new` is `with_window` with one bucket per step: every priority
         // keeps the bucket it was born with.
         let pq = TwoLevelPq::new(100);
-        assert!(pq.ring.len() > 100);
+        assert_eq!(pq.ring.len(), 101, "one per step, not rounded up");
+        // So is any window whose power of two would cover every priority.
+        assert_eq!(TwoLevelPq::with_window(100, 65).ring.len(), 101);
+        assert_eq!(TwoLevelPq::with_window(100, 64).ring.len(), 64);
         for p in 0..=100u64 {
             pq.enqueue(p, p);
             assert_eq!(pq.bucket(p).tag(), p);
@@ -1110,6 +1144,24 @@ mod tests {
         // 2 is still live, so 6 is outside the window: re-tagging would
         // hand key 1 out labelled 6, or drop it.
         pq.enqueue(2, 6);
+    }
+
+    #[test]
+    fn a_refused_insert_leaves_the_bucket_with_its_old_priority() {
+        // The refusing re-tagger puts the tag back before it panics, so the
+        // live entry stays reachable and a peer registrant is refused on the
+        // same grounds instead of waiting for a tag that never comes.
+        let pq = TwoLevelPq::with_window(1_000, 4);
+        pq.enqueue(1, 2);
+        for key in [2, 3] {
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pq.enqueue(key, 6);
+            }));
+            assert!(refused.is_err());
+            assert_eq!(pq.bucket(2).tag(), 2);
+        }
+        assert_eq!(pq.top_priority(), 2);
+        assert_eq!(pq.peek_top(), Some((1, 2)));
     }
 
     #[test]

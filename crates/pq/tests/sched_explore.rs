@@ -11,7 +11,9 @@
 #![cfg(feature = "sched")]
 
 use frugal_pq::{LockFreeSet, PriorityQueue, TwoLevelPq, INFINITE};
-use frugal_sched::{explore, replay, yield_point, ExploreConfig, Policy, SimBuilder, SimConfig};
+use frugal_sched::{
+    explore, replay, spin_point, yield_point, ExploreConfig, Policy, SimBuilder, SimConfig,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -238,6 +240,11 @@ fn guarded_dequeue_survives_sweep() {
 // labelled `p`, the g-entry claim would reject them as stale, and the
 // update would never be flushed. Fix: the tag moves in one CAS over
 // `tag | visitors`, which fails while any dequeuer is inside.
+//
+// The scenario is the engine's step boundary in miniature: every trainer
+// leaves the barrier together and registers into the same fresh bucket, so
+// the registrants also race *each other* — one is elected to re-tag, the
+// rest wait on its tag and then insert under it.
 
 fn wrap_retag_scenario(buggy: bool) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
@@ -261,25 +268,18 @@ fn wrap_retag_scenario(buggy: bool) -> impl FnMut(&mut SimBuilder) {
                 flushed.lock().extend(out);
             });
         }
-        let registered = Arc::new(AtomicBool::new(false));
-        {
+        // Two registrants, released by the same step wait: once priority 1
+        // is flushed the window moves to [2, 5] and both insert at
+        // priority 5, which takes over bucket 1.
+        for (name, key) in [("registrant-a", 8u64), ("registrant-b", 9)] {
             let pq = Arc::clone(&pq);
-            let registered = Arc::clone(&registered);
-            sim.thread("registrant", move || {
-                // The step wait, as far as the queue alone can tell it:
-                // once priority 1 has left the queue the window may move to
-                // [2, 5] and priority 5 may take over bucket 1. Polled a
-                // bounded number of times — a waiter that outranks the
-                // flushers under PCT would otherwise spin out the budget.
-                for _ in 0..4 {
-                    if pq.is_empty() {
-                        pq.set_upper_bound(5);
-                        pq.enqueue(8, 5);
-                        registered.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    yield_point("registrant.wait");
+            let flushed = Arc::clone(&flushed);
+            sim.thread(name, move || {
+                while !flushed.lock().contains(&(7, 1)) {
+                    spin_point("registrant.wait");
                 }
+                pq.set_upper_bound(5);
+                pq.enqueue(key, 5);
             });
         }
         let pq = Arc::clone(&pq);
@@ -287,26 +287,27 @@ fn wrap_retag_scenario(buggy: bool) -> impl FnMut(&mut SimBuilder) {
             let mut all = flushed.lock().clone();
             pq.dequeue_batch(8, &mut all);
             all.sort_unstable();
-            let mut want = vec![(7, 1)];
-            if registered.load(Ordering::SeqCst) {
-                want.push((8, 5));
-            }
-            assert_eq!(all, want, "wrap re-tag lost or mislabeled an entry");
+            assert_eq!(
+                all,
+                vec![(7, 1), (8, 5), (9, 5)],
+                "wrap re-tag lost or mislabeled an entry"
+            );
         });
     }
 }
 
 /// The wrap race is three ordering constraints deep (dequeuer suspended
-/// inside the bucket → the entry flushed by its peer → the registrant
-/// through its re-tag, all before the dequeuer moves again), which a uniform
-/// random walk over ~40 yield points all but never produces. PCT with three
-/// priority change points does: one parks the dequeuer inside the bucket,
-/// and — with the fence in place — a later one demotes the registrant
-/// spinning at it, so the dequeuer it waits for can leave and the schedule
-/// runs to its check. (Measured over these 1024 seeds: 18 schedules reach
-/// the race; fenced, 16 of them complete and 2 spin out the step budget,
-/// which counts as a livelocked schedule, not as a violation — hence the
-/// small budget.)
+/// inside the bucket → the entry flushed by its peer → a registrant through
+/// its re-tag, all before the dequeuer moves again), which a uniform random
+/// walk over ~60 yield points rarely produces; PCT does. Every wait in the
+/// scenario — the registrants' step wait, the re-tagger at its fence, its
+/// peers at the `RETAGGING` tag — is a `spin_point`, so a waiter that
+/// outranks the thread it waits on steps aside instead of burning the
+/// budget, and a schedule that does run out of steps is a hand-off that
+/// never happened. (Measured over these 1024 seeds: unfenced, 47 schedules
+/// mislabel an entry; fenced, 55 have the re-tagger wait out a dequeuer and
+/// 149 a registrant wait out its peer's re-tag — 821 under the uniform
+/// walk — and the longest runs 54 of the 400 steps.)
 fn pct(seeds: std::ops::Range<u64>) -> ExploreConfig {
     ExploreConfig {
         seeds,
@@ -314,7 +315,7 @@ fn pct(seeds: std::ops::Range<u64>) -> ExploreConfig {
             max_steps: 400,
             policy: Policy::Pct {
                 depth: 4,
-                steps: 48,
+                steps: 64,
             },
         },
         announce_failure: false,
@@ -340,7 +341,9 @@ fn wrap_retag_race_is_found_and_replays() {
 
 #[test]
 fn fenced_wrap_retag_survives_sweep() {
-    // The schedules that find the race, and a uniform walk besides.
+    // The schedules that find the race, and a uniform walk besides. No
+    // schedule may panic (a registrant tripping over its peer's re-tag would)
+    // and none may livelock (a waiter its re-tagger never releases would).
     for cfg in [pct(0..1024), quiet(0..1024)] {
         let outcome = explore(&cfg, wrap_retag_scenario(false));
         assert!(
@@ -349,13 +352,10 @@ fn fenced_wrap_retag_survives_sweep() {
             outcome.failure
         );
         assert_eq!(outcome.runs, 1024);
-        eprintln!(
-            "wrap re-tag sweep ({:?}): {} of 1024 schedules livelocked",
-            cfg.sim.policy, outcome.budget_exceeded_runs
-        );
-        assert!(
-            outcome.budget_exceeded_runs < 64,
-            "sweep livelocks too often"
+        assert_eq!(
+            outcome.budget_exceeded_runs, 0,
+            "{:?}: a re-tag hand-off never completed",
+            cfg.sim.policy
         );
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! The harness is a "loom-lite": no dependencies, no replacement atomics.
 //! Code under test is instrumented with explicit yield points
-//! ([`yield_point`], cfg-gated behind each crate's `sched` feature), and a
+//! ([`yield_point`], and [`spin_point`] on the back-edge of a spin-wait;
+//! cfg-gated behind each crate's `sched` feature), and a
 //! scenario's threads run as *virtual threads* — real OS threads of which
 //! exactly **one** is runnable at any instant. Every scheduling decision
 //! comes from a seeded deterministic policy, so
@@ -61,5 +62,6 @@ mod sim;
 pub use explore::{explore, replay, ExploreConfig, ExploreOutcome};
 pub use rng::SplitMix64;
 pub use sim::{
-    run_schedule, yield_point, Policy, RunOutcome, SimBuilder, SimConfig, ThreadFailure, TraceEvent,
+    run_schedule, spin_point, yield_point, Policy, RunOutcome, SimBuilder, SimConfig,
+    ThreadFailure, TraceEvent,
 };

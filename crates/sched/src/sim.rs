@@ -166,6 +166,9 @@ struct SimState {
     /// When set, yield points stop blocking and all threads run freely to
     /// completion (budget exhaustion or early-stop teardown).
     free_run: bool,
+    /// The thread that ceded the token at a [`spin_point`], until the
+    /// controller has told the policy about it.
+    spinner: Option<usize>,
 }
 
 struct SimShared {
@@ -228,18 +231,36 @@ fn install_quiet_panic_hook() {
 pub fn yield_point(label: &'static str) {
     let handle = CURRENT_VTHREAD.with(|c| c.borrow().clone());
     if let Some(h) = handle {
-        h.yield_at(label);
+        h.yield_at(label, false);
+    }
+}
+
+/// A [`yield_point`] on the back-edge of a spin-wait: the caller cannot make
+/// progress until some *other* thread does.
+///
+/// The random walk treats it as any other yield point. PCT demotes the
+/// caller below every other thread (the usual treatment of yields in
+/// priority-based schedulers): otherwise a top-priority spinner runs alone
+/// until a change point happens to land on it, and most schedules that reach
+/// the wait burn their step budget there instead of exploring what follows.
+pub fn spin_point(label: &'static str) {
+    let handle = CURRENT_VTHREAD.with(|c| c.borrow().clone());
+    if let Some(h) = handle {
+        h.yield_at(label, true);
     }
 }
 
 impl VthreadHandle {
-    fn yield_at(&self, label: &'static str) {
+    fn yield_at(&self, label: &'static str, spinning: bool) {
         let mut st = self.shared.lock();
         if st.free_run {
             drop(st);
             std::panic::panic_any(BudgetAbort);
         }
         st.steps += 1;
+        if spinning {
+            st.spinner = Some(self.id);
+        }
         st.trace.push(TraceEvent {
             thread: self.id,
             thread_name: self.shared.names[self.id],
@@ -300,6 +321,10 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
 // ---------------------------------------------------------------------------
 // Policies.
 
+/// Initial PCT priorities start here; demotions count down from it. Far
+/// above any step budget, so spin demotions never run out of room.
+const PCT_PRIORITY_FLOOR: u64 = 1 << 32;
+
 enum PolicyState {
     Random,
     Pct {
@@ -319,9 +344,9 @@ impl PolicyState {
             Policy::Random => PolicyState::Random,
             Policy::Pct { depth, steps } => {
                 // Distinct random priorities via a seeded shuffle of
-                // n..2n, leaving 0..n for demotions.
+                // FLOOR..FLOOR + n, leaving everything below for demotions.
                 let mut prio: Vec<u64> = (0..n_threads as u64)
-                    .map(|i| n_threads as u64 + i)
+                    .map(|i| PCT_PRIORITY_FLOOR + i)
                     .collect();
                 for i in (1..prio.len()).rev() {
                     prio.swap(i, rng.next_below(i + 1));
@@ -333,9 +358,18 @@ impl PolicyState {
                 PolicyState::Pct {
                     prio,
                     change_points,
-                    next_low: n_threads as u64,
+                    next_low: PCT_PRIORITY_FLOOR,
                 }
             }
+        }
+    }
+
+    /// Thread `t` yielded at a [`spin_point`]: under PCT it drops strictly
+    /// below every priority handed out so far.
+    fn note_spin(&mut self, t: usize) {
+        if let PolicyState::Pct { prio, next_low, .. } = self {
+            *next_low = next_low.saturating_sub(1);
+            prio[t] = *next_low;
         }
     }
 
@@ -387,6 +421,7 @@ pub fn run_schedule(seed: u64, cfg: &SimConfig, build: impl FnOnce(&mut SimBuild
             trace: Vec::new(),
             failures: Vec::new(),
             free_run: false,
+            spinner: None,
         }),
         cv: Condvar::new(),
         names,
@@ -436,6 +471,9 @@ pub fn run_schedule(seed: u64, cfg: &SimConfig, build: impl FnOnce(&mut SimBuild
                 st.free_run = true;
                 shared.cv.notify_all();
                 break;
+            }
+            if let Some(t) = st.spinner.take() {
+                policy.note_spin(t);
             }
             let runnable: Vec<usize> = (0..n).filter(|&t| st.alive[t]).collect();
             if runnable.is_empty() {
@@ -582,6 +620,34 @@ mod tests {
         let log_b = Arc::new(Mutex::new(Vec::new()));
         let b = run_schedule(9, &cfg, |sim| two_step_scenario(&log_b, sim));
         assert_eq!(a.trace, b.trace);
+    }
+
+    #[test]
+    fn pct_spinner_steps_aside_for_the_thread_it_waits_on() {
+        // Whatever priorities the seed deals, a thread spinning at a
+        // `spin_point` must not starve the one that releases it.
+        let cfg = SimConfig {
+            max_steps: 64,
+            policy: Policy::Pct { depth: 1, steps: 8 },
+        };
+        for seed in 0..32 {
+            let flag = Arc::new(AtomicU64::new(0));
+            let out = run_schedule(seed, &cfg, |sim| {
+                let f = Arc::clone(&flag);
+                sim.thread("waiter", move || {
+                    while f.load(Ordering::SeqCst) == 0 {
+                        spin_point("wait");
+                    }
+                });
+                let f = Arc::clone(&flag);
+                sim.thread("setter", move || {
+                    yield_point("before set");
+                    f.store(1, Ordering::SeqCst);
+                });
+            });
+            assert!(!out.budget_exceeded, "seed {seed} livelocked");
+            assert!(out.steps <= 6, "seed {seed}: {} steps", out.steps);
+        }
     }
 
     #[test]
