@@ -61,7 +61,7 @@ use crate::ShardMap;
 use barrier::SpinBarrier;
 use counters::RunMetrics;
 use flusher::FlushCoord;
-use frugal_embed::{HostStore, Sharding, UpdateRule};
+use frugal_embed::{GpuCache, HostStore, Sharding, UpdateRule};
 use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq};
 use frugal_sim::{Nanos, RunStats};
 use frugal_telemetry::{LaneKind, LedgerPhase, Registry};
@@ -70,7 +70,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use strategy::Strategy;
-use trainer::TrainerState;
 
 /// The published shard-map cell: the engine's single source of ownership
 /// truth. Trainers snapshot the `Arc` once per segment ([`Self::current`]);
@@ -155,7 +154,7 @@ pub(crate) struct RunShared<'a> {
     pub(crate) strategy: &'static Strategy,
     /// Sparse optimizer for the host path: applied by the flushing threads
     /// (P²F/FIFO) or the barrier leader (write-through). One rule either
-    /// way, so the per-row state `state_snapshot` exposes to cache fills is
+    /// way, so the per-row state `copy_state` hands to cache fills is
     /// the host path's state in every mode.
     pub(crate) rule: Arc<dyn UpdateRule>,
     pub(crate) workload: &'a dyn Workload,
@@ -197,7 +196,7 @@ pub(crate) struct RunShared<'a> {
 /// consistency tests must catch.
 fn membership_transition(
     shared: &RunShared<'_>,
-    states: &[Mutex<Option<TrainerState>>],
+    caches: &[Mutex<Option<GpuCache>>],
     next: Arc<ShardMap>,
     resume_step: u64,
 ) {
@@ -219,18 +218,18 @@ fn membership_transition(
             std::thread::yield_now();
         }
     }
-    for (t, slot) in states.iter().enumerate() {
+    for (t, slot) in caches.iter().enumerate() {
         let mut guard = slot.lock();
         if !next.is_member(t) {
-            // Leavers always drop their state — even under failure
+            // Leavers always drop their cache — even under failure
             // injection, a killed trainer's cache is gone.
             *guard = None;
         } else if !shared.cfg.skip_quiesce {
-            if let Some(state) = guard.as_mut() {
+            if let Some(cache) = guard.as_mut() {
                 // Survivors evict the shards the new epoch takes away;
                 // a future epoch may hand them back, and serving the
                 // then-stale copy would miss the interim updates.
-                state.cache.retain(|k| next.owns_key(t, k));
+                cache.retain(|k| next.owns_key(t, k));
             }
         }
     }
@@ -366,10 +365,10 @@ impl FrugalEngine {
             shared.pq.set_upper_bound(bound);
         }
 
-        // Per-member persistent state (cache + cache-side optimizer),
+        // Per-member persistent caches (rows + their optimizer state),
         // indexed by trainer id. Slots fill lazily on first membership and
         // survive across segments; transitions drop leavers' slots.
-        let states: Vec<Mutex<Option<TrainerState>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let caches: Vec<Mutex<Option<GpuCache>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let segments = resolve_segments(cfg);
 
         // Flushers are spawned once for the whole run and live across
@@ -387,7 +386,7 @@ impl FrugalEngine {
             for (i, seg) in segments.iter().enumerate() {
                 if i > 0 {
                     let next = shared.smap.current().with_members(&seg.members);
-                    membership_transition(&shared, &states, next, seg.start);
+                    membership_transition(&shared, &caches, next, seg.start);
                 }
                 // Lock-free: three crossings per step make the barrier
                 // hot-path state at 8–16 trainers (see `barrier` docs).
@@ -396,9 +395,9 @@ impl FrugalEngine {
                     for &t in &seg.members {
                         let barrier = &barrier;
                         let shared = &shared;
-                        let state = &states[t];
+                        let cache = &caches[t];
                         seg_scope
-                            .spawn(move || trainer::trainer_loop(shared, barrier, t, seg, state));
+                            .spawn(move || trainer::trainer_loop(shared, barrier, t, seg, cache));
                     }
                     // The inner scope joins every member before the next
                     // transition (or shutdown) can touch shared state.

@@ -28,31 +28,25 @@ use std::time::Instant;
 
 use super::barrier::SpinBarrier;
 
-/// A member's persistent state: its GPU cache and the cache-side optimizer
-/// mirror. Created lazily on first membership and carried *across*
-/// segments while the member stays in the cohort; a leaver's state is
-/// dropped at the transition (the host store is authoritative, so a rejoin
-/// simply starts cold and refills from host reads).
-pub(crate) struct TrainerState {
-    pub(crate) cache: GpuCache,
-    pub(crate) cache_opt: Box<dyn frugal_tensor::RowOptimizer>,
-}
-
-impl TrainerState {
-    pub(crate) fn new(shared: &RunShared<'_>) -> Self {
-        let cfg = shared.cfg;
-        let n_keys = shared.workload.n_keys();
-        // Cache copies evolve with their own optimizer state: they see
-        // exactly the same per-key gradient sequence as the host path, so
-        // both states (and both values) stay bit-identical.
-        let cap = shared.sharding.cache_capacity(n_keys, cfg.cache_ratio);
-        let mut cache = GpuCache::new(cap, shared.model.dim(), cfg.cache_policy);
-        cache.set_hot_threshold(shared.sharding.hot_threshold(n_keys, cfg.cache_ratio));
-        TrainerState {
-            cache,
-            cache_opt: cfg.optimizer.build_local(cfg.lr),
-        }
-    }
+/// Builds a member's persistent state: its GPU cache, each slot holding a
+/// row and the row's optimizer state. Created lazily on first membership
+/// and carried *across* segments while the member stays in the cohort; a
+/// leaver's cache is dropped at the transition (the host store is
+/// authoritative, so a rejoin simply starts cold and refills from host
+/// reads).
+pub(crate) fn member_cache(shared: &RunShared<'_>) -> GpuCache {
+    let cfg = shared.cfg;
+    let n_keys = shared.workload.n_keys();
+    let dim = shared.model.dim();
+    // Cached rows evolve with their own copy of the optimizer state,
+    // seeded from the host path's at fill time: both copies then see the
+    // same per-key gradient sequence through the same kernel
+    // (`shared.rule.step`), so states and values stay bit-identical.
+    let cap = shared.sharding.cache_capacity(n_keys, cfg.cache_ratio);
+    let mut cache =
+        GpuCache::new(cap, dim, cfg.cache_policy).with_state_width(shared.rule.state_width(dim));
+    cache.set_hot_threshold(shared.sharding.hot_threshold(n_keys, cfg.cache_ratio));
+    cache
 }
 
 /// A trainer's reusable hot-loop buffers: batch dedup, row staging, the
@@ -209,7 +203,6 @@ pub(crate) fn register_phase(
     streams: &[usize],
     scratch: &mut StepScratch,
     cache: &mut GpuCache,
-    cache_opt: &mut dyn frugal_tensor::RowOptimizer,
 ) {
     let cfg = shared.cfg;
     let proactive = cfg.flush_mode.proactive();
@@ -226,8 +219,8 @@ pub(crate) fn register_phase(
     {
         let updates = shared.step.update_slots[t].read();
         for (key, grad) in updates.iter() {
-            if let Some(row) = cache.get_mut(key) {
-                cache_opt.update_row(*key, row, grad);
+            if let Some((row, state)) = cache.get_with_state(key) {
+                shared.rule.step(row, state, grad);
             }
             if proactive {
                 let sid = GEntryStore::shard_of(*key);
@@ -321,7 +314,6 @@ fn prefetch_during_stall(
     s: u64,
     th: u64,
     cache: &mut GpuCache,
-    cache_opt: &mut dyn frugal_tensor::RowOptimizer,
     scratch: &mut StepScratch,
     prefetch_fills: &mut u64,
 ) {
@@ -370,12 +362,11 @@ fn prefetch_during_stall(
         if !still_blocked() {
             break;
         }
-        let store = shared.store;
-        let outcome = cache.fill_into(key, |dst| store.read_row(key, dst));
+        let outcome = cache.fill_with_state(key, |row, state| {
+            shared.store.read_row(key, row);
+            shared.rule.copy_state(key, state);
+        });
         if !matches!(outcome, frugal_embed::InsertOutcome::Rejected) {
-            if let Some(state) = shared.rule.state_snapshot(key) {
-                cache_opt.seed_state(key, state);
-            }
             *prefetch_fills += 1;
         }
     }
@@ -388,7 +379,7 @@ pub(crate) fn trainer_loop(
     barrier: &SpinBarrier,
     t: usize,
     seg: &Segment,
-    state_slot: &Mutex<Option<TrainerState>>,
+    cache_slot: &Mutex<Option<GpuCache>>,
 ) {
     let cfg = shared.cfg;
     let rec = cfg.telemetry.recorder(format!("trainer-{t}"));
@@ -404,9 +395,8 @@ pub(crate) fn trainer_loop(
     // The member's persistent cache, created on first membership. The
     // slot lock is uncontended within a segment — transitions (the only
     // other toucher) run strictly between segments.
-    let mut state_guard = state_slot.lock();
-    let state = state_guard.get_or_insert_with(|| TrainerState::new(shared));
-    let TrainerState { cache, cache_opt } = state;
+    let mut cache_guard = cache_slot.lock();
+    let cache = cache_guard.get_or_insert_with(|| member_cache(shared));
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut total_fills = 0u64;
@@ -504,7 +494,6 @@ pub(crate) fn trainer_loop(
                             s,
                             th,
                             cache,
-                            cache_opt.as_mut(),
                             &mut scratch,
                             &mut prefetch_fills,
                         );
@@ -594,16 +583,16 @@ pub(crate) fn trainer_loop(
                 // entirely.
                 if smap.owns_key(t, key) && cache.admits(key) {
                     let t_fill = Instant::now();
-                    let outcome = cache.insert_from_slice(key, slot);
+                    // The slot takes the row just read and the host
+                    // path's optimizer state for it (safe: the wait
+                    // condition guarantees this key has no in-flight
+                    // updates while it is being read).
+                    let outcome = cache.fill_with_state(key, |row, state| {
+                        row.copy_from_slice(slot);
+                        shared.rule.copy_state(key, state);
+                    });
                     fill_ns += t_fill.elapsed().as_nanos() as u64;
                     if !matches!(outcome, frugal_embed::InsertOutcome::Rejected) {
-                        // Synchronize the cache-side optimizer with the
-                        // host path's per-row state (safe: the wait
-                        // condition guarantees this key has no in-flight
-                        // updates while it is being read).
-                        if let Some(state) = shared.rule.state_snapshot(key) {
-                            cache_opt.seed_state(key, state);
-                        }
                         fills += 1;
                     }
                 }
@@ -694,7 +683,7 @@ pub(crate) fn trainer_loop(
             // and is not representative; the cost model supplies the
             // stall). Applied through the shared rule — the same host-path
             // state the flushers would use — so stateful optimizers expose
-            // correct `state_snapshot`s to cache fills in this mode too.
+            // correct `copy_state`s to cache fills in this mode too.
             // Ownership partitions the key space, so the concurrent applies
             // touch disjoint rows and need no coordination.
             FlushMode::WriteThrough => frugal_embed::apply_updates(
@@ -719,7 +708,6 @@ pub(crate) fn trainer_loop(
             &streams,
             &mut scratch,
             cache,
-            cache_opt.as_mut(),
         );
         if b.is_leader() {
             step::compose_phases(shared);

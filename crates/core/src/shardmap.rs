@@ -286,8 +286,8 @@ mod tests {
             assert_eq!(map.bucket_of(sid), next[t], "shard {sid}");
             next[t] += 1;
         }
-        for t in 0..8 {
-            assert_eq!(next[t], map.owned_shards(t));
+        for (t, &n) in next.iter().enumerate() {
+            assert_eq!(n, map.owned_shards(t));
         }
     }
 
@@ -376,14 +376,14 @@ mod tests {
         fn every_shard_has_exactly_one_member_owner(mask in 1u32..256) {
             let members = members_of_mask(mask);
             let map = map_for(&members);
-            let mut per_member = vec![0usize; 8];
+            let mut per_member = [0usize; 8];
             for sid in 0..SHARDS {
                 per_member[map.owner_of_shard(sid)] += 1;
             }
-            for t in 0..8 {
-                prop_assert_eq!(per_member[t], map.owned_shards(t));
+            for (t, &n) in per_member.iter().enumerate() {
+                prop_assert_eq!(n, map.owned_shards(t));
                 if !members.contains(&t) {
-                    prop_assert_eq!(per_member[t], 0);
+                    prop_assert_eq!(n, 0);
                 }
             }
             prop_assert_eq!(per_member.iter().sum::<usize>(), SHARDS);

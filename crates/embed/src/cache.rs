@@ -21,12 +21,22 @@
 //!
 //! Rows live in one contiguous `Vec<f32>` arena indexed by slot — no
 //! per-slot `Vec`, no pointer chase, and **no allocation on the
-//! fill/evict/replace paths**: [`GpuCache::fill_into`] and
-//! [`GpuCache::insert_from_slice`] copy straight into the arena (the arena
-//! itself grows amortized until the cache first reaches capacity, then
-//! never again). Caches are owned by a single trainer thread (one per
+//! fill/evict/replace paths**: [`GpuCache::fill_with_state`] (and its
+//! stateless forms [`GpuCache::fill_into`] /
+//! [`GpuCache::insert_from_slice`]) write straight into the arena (the
+//! arena itself grows amortized until the cache first reaches capacity,
+//! then never again). Caches are owned by a single trainer thread (one per
 //! GPU), so they are plain `&mut` structures — no locking on the fast
 //! path, like a real GPU cache kernel operating on device-local memory.
+//!
+//! A slot is the row **and** its optimizer state: a second arena of
+//! `slots × state_width` floats ([`GpuCache::with_state_width`]; width 0 —
+//! the default, what stateless rules use — allocates nothing) is indexed
+//! by the same slot, handed out with the row by the same probe
+//! ([`GpuCache::get_with_state`]) and overwritten by the same fill. So
+//! everything the cache holds for a key lives and dies with its slot:
+//! cache-side optimizer memory is `capacity × state_width` floats however
+//! many keys pass through the cache.
 
 use crate::policy::{
     EvictionPolicy, FrequencyAwarePolicy, LruPolicy, OracleBeladyPolicy, StaticHotPolicy,
@@ -122,11 +132,20 @@ pub struct GpuCache {
     kind: CachePolicy,
     policy: Box<dyn EvictionPolicy>,
     map: KeyHashMap<usize>,
+    /// `map.capacity()` as built. The live value dips while evict/insert
+    /// churn leaves tombstones behind although the table's allocation is
+    /// unchanged, so [`GpuCache::resident_bytes`] counts this instead.
+    map_reserved: usize,
     /// Occupying key per slot; `keys.len() <= capacity` always (slots are
     /// only created while below capacity, evictions reuse the victim slot).
     keys: Vec<Key>,
     /// The row arena: `keys.len() × dim` floats, slot-indexed.
     rows: Vec<f32>,
+    /// Floats of optimizer state per slot (0 = stateless).
+    state_width: usize,
+    /// The state arena: `keys.len() × state_width` floats, indexed by the
+    /// same slot as `rows`.
+    state: Vec<f32>,
     /// Last threshold passed to [`GpuCache::set_hot_threshold`], replayed
     /// onto the rebuilt policy by [`GpuCache::retain`] (the threshold
     /// otherwise lives only inside the policy box).
@@ -150,27 +169,58 @@ impl GpuCache {
         // Reserve a bounded prefix of the arena upfront; beyond it the
         // arena doubles amortized until capacity, then never grows again.
         let reserve = capacity.min(1 << 16);
+        // 2× so a full map stays at or below half the table's usable
+        // capacity: hashbrown then resolves evict/insert tombstone
+        // pressure by rehashing in place instead of deferring a single
+        // seed-timed resize into the steady-state fill loop (the
+        // zero-alloc guarantee cache_alloc.rs pins). Cost is 16 B per
+        // extra slot, noise next to the `dim`-float rows.
+        let map = KeyHashMap::with_capacity_and_hasher(
+            capacity.saturating_mul(2).min(1 << 21),
+            KeyBuildHasher::default(),
+        );
         GpuCache {
             capacity,
             dim,
             kind: policy,
             policy: policy.build(capacity),
-            // 2× so a full map stays at or below half the table's usable
-            // capacity: hashbrown then resolves evict/insert tombstone
-            // pressure by rehashing in place instead of deferring a single
-            // seed-timed resize into the steady-state fill loop (the
-            // zero-alloc guarantee cache_alloc.rs pins). Cost is 16 B per
-            // extra slot, noise next to the `dim`-float rows.
-            map: KeyHashMap::with_capacity_and_hasher(
-                capacity.saturating_mul(2).min(1 << 21),
-                KeyBuildHasher::default(),
-            ),
+            map_reserved: map.capacity(),
+            map,
             keys: Vec::with_capacity(reserve),
             rows: Vec::with_capacity(reserve * dim),
+            state_width: 0,
+            state: Vec::new(),
             hot_threshold: None,
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// Gives every slot `width` floats of optimizer state next to its row
+    /// (see [`GpuCache::get_with_state`] / [`GpuCache::fill_with_state`]).
+    /// The width is a property of the update rule, fixed for the cache's
+    /// lifetime.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache already holds rows.
+    pub fn with_state_width(mut self, width: usize) -> Self {
+        assert!(self.keys.is_empty(), "state width is fixed before use");
+        self.state_width = width;
+        // Same upfront slot reserve as the row arena.
+        self.state = Vec::with_capacity(self.keys.capacity() * width);
+        self
+    }
+
+    /// Heap bytes held by the slot storage: row arena, state arena,
+    /// per-slot keys and the key→slot map (policy side structures
+    /// excluded). Constant once the cache has reached capacity.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.rows.capacity() + self.state.capacity()) * size_of::<f32>()
+            + self.keys.capacity() * size_of::<Key>()
+            // hashbrown: one (key, slot) bucket + one control byte each.
+            + self.map.capacity().max(self.map_reserved) * (size_of::<(Key, usize)>() + 1)
     }
 
     /// Sets the StaticHot admission threshold: keys `< threshold` are
@@ -181,7 +231,7 @@ impl GpuCache {
     }
 
     /// Drops every row whose key fails `keep`, compacting survivors into
-    /// the low slots (rows keep their exact bit contents).
+    /// the low slots (rows and their state keep their exact bit contents).
     ///
     /// This is the elastic-membership eviction hook: when a shard-map
     /// epoch moves shards away from this GPU, the rows of those shards
@@ -194,6 +244,7 @@ impl GpuCache {
     pub fn retain<F: FnMut(Key) -> bool>(&mut self, mut keep: F) {
         let old_keys = std::mem::take(&mut self.keys);
         let old_rows = std::mem::take(&mut self.rows);
+        let old_state = std::mem::take(&mut self.state);
         self.map.clear();
         self.policy = self.kind.build(self.capacity);
         if let Some(t) = self.hot_threshold {
@@ -201,12 +252,16 @@ impl GpuCache {
         }
         self.keys.reserve(old_keys.len());
         self.rows.reserve(old_rows.len());
+        self.state.reserve(old_state.len());
+        let (dim, sw) = (self.dim, self.state_width);
         for (slot, &key) in old_keys.iter().enumerate() {
             if !keep(key) {
                 continue;
             }
-            let row = &old_rows[slot * self.dim..(slot + 1) * self.dim];
-            self.fill_into(key, |dst| dst.copy_from_slice(row));
+            self.fill_with_state(key, |row, state| {
+                row.copy_from_slice(&old_rows[slot * dim..(slot + 1) * dim]);
+                state.copy_from_slice(&old_state[slot * sw..(slot + 1) * sw]);
+            });
         }
     }
 
@@ -247,13 +302,14 @@ impl GpuCache {
         }
     }
 
-    /// Looks up `key`, refreshing policy state. Returns the cached row.
-    pub fn get(&mut self, key: &Key) -> Option<&[f32]> {
+    /// The one lookup: resolves `key` to its slot, refreshing policy state
+    /// and counting the hit or miss.
+    fn lookup(&mut self, key: &Key) -> Option<usize> {
         match self.map.get(key).copied() {
             Some(slot) => {
                 self.policy.on_hit(*key, slot);
                 self.hits += 1;
-                Some(&self.rows[slot * self.dim..(slot + 1) * self.dim])
+                Some(slot)
             }
             None => {
                 self.policy.on_miss(*key);
@@ -263,21 +319,32 @@ impl GpuCache {
         }
     }
 
+    /// The `(row, state)` storage of `slot`.
+    fn slot_mut(&mut self, slot: usize) -> (&mut [f32], &mut [f32]) {
+        let (dim, sw) = (self.dim, self.state_width);
+        (
+            &mut self.rows[slot * dim..(slot + 1) * dim],
+            &mut self.state[slot * sw..(slot + 1) * sw],
+        )
+    }
+
+    /// Looks up `key`, refreshing policy state. Returns the cached row.
+    pub fn get(&mut self, key: &Key) -> Option<&[f32]> {
+        let slot = self.lookup(key)?;
+        Some(&self.rows[slot * self.dim..(slot + 1) * self.dim])
+    }
+
     /// Looks up `key` mutably (for in-cache updates), refreshing policy
     /// state. Counts toward [`Self::stats`] exactly like [`Self::get`].
     pub fn get_mut(&mut self, key: &Key) -> Option<&mut [f32]> {
-        match self.map.get(key).copied() {
-            Some(slot) => {
-                self.policy.on_hit(*key, slot);
-                self.hits += 1;
-                Some(&mut self.rows[slot * self.dim..(slot + 1) * self.dim])
-            }
-            None => {
-                self.policy.on_miss(*key);
-                self.misses += 1;
-                None
-            }
-        }
+        self.get_with_state(key).map(|(row, _)| row)
+    }
+
+    /// [`Self::get_mut`] returning the slot's optimizer state next to its
+    /// row — one probe for both (the state slice is empty at width 0).
+    pub fn get_with_state(&mut self, key: &Key) -> Option<(&mut [f32], &mut [f32])> {
+        let slot = self.lookup(key)?;
+        Some(self.slot_mut(slot))
     }
 
     /// True if `key` is cached (does not affect policy state or stats).
@@ -290,16 +357,22 @@ impl GpuCache {
         self.policy.admits(key)
     }
 
-    /// Fills `key`'s row in place: allocates/steals a slot per the policy,
-    /// then hands the slot's arena storage to `fill`. The closure is *not*
-    /// called when the insert is rejected, and nothing on this path
-    /// allocates once the cache has reached capacity.
-    pub fn fill_into<F: FnOnce(&mut [f32])>(&mut self, key: Key, fill: F) -> InsertOutcome {
+    /// Fills `key`'s slot in place: allocates/steals a slot per the policy,
+    /// then hands the slot's `(row, state)` arena storage to `fill`, which
+    /// must write both in full — a stolen slot still holds its victim's
+    /// row and state. The closure is *not* called when the insert is
+    /// rejected, and nothing on this path allocates once the cache has
+    /// reached capacity.
+    pub fn fill_with_state<F>(&mut self, key: Key, fill: F) -> InsertOutcome
+    where
+        F: FnOnce(&mut [f32], &mut [f32]),
+    {
         if !self.policy.admits(key) {
             return InsertOutcome::Rejected;
         }
         if let Some(&slot) = self.map.get(&key) {
-            fill(&mut self.rows[slot * self.dim..(slot + 1) * self.dim]);
+            let (row, state) = self.slot_mut(slot);
+            fill(row, state);
             self.policy.on_replace(key, slot);
             return InsertOutcome::Replaced;
         }
@@ -317,15 +390,26 @@ impl GpuCache {
             let slot = self.keys.len();
             self.keys.push(key);
             self.rows.resize((slot + 1) * self.dim, 0.0);
+            self.state.resize((slot + 1) * self.state_width, 0.0);
             (slot, None)
         };
-        fill(&mut self.rows[slot * self.dim..(slot + 1) * self.dim]);
+        let (row, state) = self.slot_mut(slot);
+        fill(row, state);
         self.map.insert(key, slot);
         self.policy.on_insert(key, slot);
         match evicted {
             Some(k) => InsertOutcome::Evicted(k),
             None => InsertOutcome::Inserted,
         }
+    }
+
+    /// [`Self::fill_with_state`] for callers with no state to carry: `fill`
+    /// writes the row, the slot's state (if any) restarts from zero.
+    pub fn fill_into<F: FnOnce(&mut [f32])>(&mut self, key: Key, fill: F) -> InsertOutcome {
+        self.fill_with_state(key, |row, state| {
+            fill(row);
+            state.fill(0.0);
+        })
     }
 
     /// Inserts `row` for `key` by copying it into the arena (no
@@ -337,16 +421,6 @@ impl GpuCache {
     pub fn insert_from_slice(&mut self, key: Key, row: &[f32]) -> InsertOutcome {
         assert_eq!(row.len(), self.dim, "row length != dim");
         self.fill_into(key, |dst| dst.copy_from_slice(row))
-    }
-
-    /// Legacy owned-row insert; prefer [`GpuCache::insert_from_slice`]
-    /// (this simply borrows and copies, the `Vec` is dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != dim`.
-    pub fn insert(&mut self, key: Key, row: Vec<f32>) -> InsertOutcome {
-        self.insert_from_slice(key, &row)
     }
 
     /// Announces the training clock to the policy (oracle next-use
@@ -660,6 +734,112 @@ mod tests {
         for k in 0..4u64 {
             assert_eq!(c.get(&k).unwrap(), &[k as f32 + 0.5]);
         }
+    }
+
+    /// A stateful fill writing `v` into the row and `-v` into the state.
+    fn fill_both(c: &mut GpuCache, key: Key, v: f32) -> InsertOutcome {
+        c.fill_with_state(key, |row, state| {
+            row.fill(v);
+            state.fill(-v);
+        })
+    }
+
+    #[test]
+    fn one_probe_hands_out_row_and_state() {
+        let mut c = GpuCache::new(2, 2, CachePolicy::Lru).with_state_width(3);
+        assert_eq!(fill_both(&mut c, 1, 1.0), InsertOutcome::Inserted);
+        let (row, state) = c.get_with_state(&1).expect("cached");
+        assert_eq!((row.len(), state.len()), (2, 3));
+        row[0] = 5.0;
+        state[2] = 7.0;
+        assert!(c.get_with_state(&9).is_none());
+        // Same side effects as get/get_mut: one hit, one miss on record.
+        assert_eq!(c.stats(), (1, 1));
+        assert_eq!(c.get(&1).unwrap(), &[5.0, 1.0]);
+        assert_eq!(c.get_with_state(&1).unwrap().1, &[-1.0, -1.0, 7.0]);
+        // A stateless cache hands out empty state, not a panic.
+        let mut plain = GpuCache::new(2, 2, CachePolicy::Lru);
+        plain.insert_from_slice(1, &[1.0, 2.0]);
+        assert!(plain.get_with_state(&1).unwrap().1.is_empty());
+    }
+
+    #[test]
+    fn evicting_fill_overwrites_the_victims_state() {
+        let mut c = GpuCache::new(2, 1, CachePolicy::Lru).with_state_width(2);
+        fill_both(&mut c, 1, 1.0);
+        fill_both(&mut c, 2, 2.0);
+        c.get_with_state(&1).unwrap().1.fill(99.0); // 1 accumulates; 2 is LRU
+        assert_eq!(fill_both(&mut c, 3, 3.0), InsertOutcome::Evicted(2));
+        assert_eq!(c.get_with_state(&3).unwrap().1, &[-3.0, -3.0]);
+        // Evict 1 with a *stateless* fill: its accumulator must not leak
+        // into the new occupant either — the slot restarts from zero.
+        let _ = c.get(&3);
+        assert_eq!(c.insert_from_slice(4, &[4.0]), InsertOutcome::Evicted(1));
+        assert_eq!(c.get_with_state(&4).unwrap().1, &[0.0, 0.0]);
+        // The surviving neighbour is untouched.
+        assert_eq!(c.get_with_state(&3).unwrap().1, &[-3.0, -3.0]);
+    }
+
+    #[test]
+    fn replacing_fill_overwrites_state() {
+        let mut c = GpuCache::new(2, 1, CachePolicy::Lru).with_state_width(1);
+        fill_both(&mut c, 1, 1.0);
+        c.get_with_state(&1).unwrap().1[0] = 42.0;
+        assert_eq!(fill_both(&mut c, 1, 6.0), InsertOutcome::Replaced);
+        let (row, state) = c.get_with_state(&1).unwrap();
+        assert_eq!((row[0], state[0]), (6.0, -6.0));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn retain_carries_survivor_state_and_drops_leavers() {
+        let mut c = GpuCache::new(8, 2, CachePolicy::Lru).with_state_width(2);
+        for k in 0..6u64 {
+            c.fill_with_state(k, |row, state| {
+                row.copy_from_slice(&[k as f32, 0.1]);
+                state.copy_from_slice(&[k as f32 * 0.3, f32::MIN_POSITIVE]);
+            });
+        }
+        c.retain(|k| k % 2 == 1);
+        assert_eq!(c.len(), 3);
+        for k in [1u64, 3, 5] {
+            let (row, state) = c.get_with_state(&k).expect("survivor");
+            assert_eq!(row, &[k as f32, 0.1]);
+            assert_eq!(state, &[k as f32 * 0.3, f32::MIN_POSITIVE]);
+        }
+        // A leaver that comes back starts from whatever its fill writes,
+        // not from its pre-transition accumulator.
+        assert!(!c.contains(&2));
+        fill_both(&mut c, 2, 8.0);
+        assert_eq!(c.get_with_state(&2).unwrap().1, &[-8.0, -8.0]);
+    }
+
+    #[test]
+    fn resident_bytes_counts_state_and_is_flat_at_capacity() {
+        let plain = GpuCache::new(16, 4, CachePolicy::Lru);
+        let mut c = GpuCache::new(16, 4, CachePolicy::Lru).with_state_width(4);
+        assert_eq!(
+            c.resident_bytes(),
+            plain.resident_bytes() + 16 * 4 * 4,
+            "the state arena is capacity × width floats, nothing else"
+        );
+        for k in 0..16u64 {
+            fill_both(&mut c, k, k as f32);
+        }
+        let at_capacity = c.resident_bytes();
+        for k in 16..2_000u64 {
+            fill_both(&mut c, k, k as f32);
+        }
+        assert_eq!(c.resident_bytes(), at_capacity);
+        assert_eq!(c.len(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "state width is fixed before use")]
+    fn state_width_cannot_change_under_rows() {
+        let mut c = GpuCache::new(2, 1, CachePolicy::Lru);
+        c.insert_from_slice(1, &[1.0]);
+        let _ = c.with_state_width(1);
     }
 
     #[test]

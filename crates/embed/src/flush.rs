@@ -44,7 +44,7 @@ pub fn apply_claims(
 /// Applies a step's merged update list synchronously, one row per `(key,
 /// Δ)`, in the order given (canonical arrival order) — the write-through
 /// leader's path. Routing it through the same `rule` as the background
-/// flushers keeps stateful optimizers' `state_snapshot` correct in every
+/// flushers keeps stateful optimizers' `copy_state` correct in every
 /// mode.
 pub fn apply_updates(store: &HostStore, rule: &dyn UpdateRule, updates: &[(Key, Arc<[f32]>)]) {
     for (key, grad) in updates {

@@ -6,14 +6,16 @@
 //! * [`HostStore`] — the complete parameter set in host memory, shared by
 //!   all training processes and the flushing threads, with an optional
 //!   seqlock *checked mode* that detects consistency violations.
-//! * [`GpuCache`] — a per-GPU hot-row cache: a flat row arena with the
-//!   admission/eviction strategy behind the [`EvictionPolicy`] trait
-//!   (StaticHot, LRU, frequency-aware, and a lookahead-fed Belady oracle).
+//! * [`GpuCache`] — a per-GPU hot-row cache: flat slot arenas (a row and
+//!   its optimizer state per slot) with the admission/eviction strategy
+//!   behind the [`EvictionPolicy`] trait (StaticHot, LRU, frequency-aware,
+//!   and a lookahead-fed Belady oracle).
 //! * [`Sharding`] — cohort-wide cache-capacity and admission-threshold
 //!   math (key → owner routing lives in `frugal-core`'s `ShardMap`).
 //! * [`UpdateRule`] ([`SgdRule`], [`AdagradRule`]) — thread-safe optimizer
-//!   rules the flushing threads apply to the host store, with dense
-//!   lock-free per-row state in a [`DenseStateTable`].
+//!   rules: one update kernel the flushing threads apply to the host store
+//!   (dense lock-free per-row state in a [`DenseStateTable`]) and the
+//!   trainers apply to their cached rows (state in the cache slot).
 //! * [`kernels`] — auto-vectorizable elementwise row kernels every hot
 //!   per-row loop (optimizer steps, gradient accumulation, row copies)
 //!   routes through.

@@ -13,8 +13,31 @@ use crate::state::DenseStateTable;
 use frugal_data::Key;
 
 /// A thread-safe per-row update rule.
+///
+/// The rule is one kernel, [`UpdateRule::step`], run on a row and *a* state
+/// row: the host path ([`UpdateRule::apply`]) runs it on the rule's own
+/// per-key state, an owner cache runs it on the state slot it keeps next to
+/// the cached row (seeded by [`UpdateRule::copy_state`] at fill time). Both
+/// copies see the same per-key gradient sequence through the same kernel,
+/// so they stay bit-identical by construction.
 pub trait UpdateRule: Send + Sync + std::fmt::Debug {
-    /// Applies `grad` to `row` in place.
+    /// Floats of per-row optimizer state for rows of `dim` floats (0 for
+    /// stateless rules, which then take empty state slices everywhere).
+    fn state_width(&self, _dim: usize) -> usize {
+        0
+    }
+
+    /// The update kernel: applies `grad` to `row` in place, advancing
+    /// `state` (`state_width(row.len())` floats). Pure — touches nothing
+    /// but its arguments.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if lengths differ.
+    fn step(&self, row: &mut [f32], state: &mut [f32], grad: &[f32]);
+
+    /// Applies `grad` to the host copy of `key`'s row in place:
+    /// [`UpdateRule::step`] on the rule's own state row for `key`.
     ///
     /// # Panics
     ///
@@ -24,9 +47,16 @@ pub trait UpdateRule: Send + Sync + std::fmt::Debug {
     /// The base learning rate.
     fn learning_rate(&self) -> f32;
 
-    /// A copy of the per-row optimizer state for `key`, if any. Engines use
-    /// this to seed a cache-side optimizer when a row is (re)filled, so the
-    /// cached copy keeps evolving exactly like the host copy.
+    /// Copies the host path's state row for `key` into `dst`
+    /// (`state_width` floats) without allocating; a key the host path never
+    /// updated yields zeros. Engines seed a cached row's state slot with
+    /// this when the row is (re)filled, so the cached copy keeps evolving
+    /// exactly like the host copy.
+    fn copy_state(&self, _key: Key, _dst: &mut [f32]) {}
+
+    /// An owned copy of the per-row optimizer state for `key`, if any —
+    /// the allocating form of [`UpdateRule::copy_state`], for seeding a
+    /// `frugal_tensor::RowOptimizer` replica.
     fn state_snapshot(&self, _key: Key) -> Option<Vec<f32>> {
         None
     }
@@ -59,8 +89,12 @@ impl SgdRule {
 }
 
 impl UpdateRule for SgdRule {
-    fn apply(&self, _key: Key, row: &mut [f32], grad: &[f32]) {
+    fn step(&self, row: &mut [f32], _state: &mut [f32], grad: &[f32]) {
         kernels::sgd_step(row, grad, self.lr);
+    }
+
+    fn apply(&self, _key: Key, row: &mut [f32], grad: &[f32]) {
+        self.step(row, &mut [], grad);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -114,14 +148,24 @@ impl AdagradRule {
 }
 
 impl UpdateRule for AdagradRule {
-    fn state_snapshot(&self, key: Key) -> Option<Vec<f32>> {
-        self.state.snapshot(key)
+    fn state_width(&self, dim: usize) -> usize {
+        dim
+    }
+
+    fn step(&self, row: &mut [f32], state: &mut [f32], grad: &[f32]) {
+        kernels::adagrad_step(row, state, grad, self.lr, self.eps);
     }
 
     fn apply(&self, key: Key, row: &mut [f32], grad: &[f32]) {
-        self.state.update(key, |acc| {
-            kernels::adagrad_step(row, acc, grad, self.lr, self.eps)
-        });
+        self.state.update(key, |acc| self.step(row, acc, grad));
+    }
+
+    fn copy_state(&self, key: Key, dst: &mut [f32]) {
+        self.state.snapshot_into(key, dst);
+    }
+
+    fn state_snapshot(&self, key: Key) -> Option<Vec<f32>> {
+        self.state.snapshot(key)
     }
 
     fn learning_rate(&self) -> f32 {
@@ -194,6 +238,41 @@ mod tests {
         rule.apply(1, &mut row, &[0.1, 0.1, -0.4, 0.2]);
         serial.update_row(1, &mut row_b, &[0.1, 0.1, -0.4, 0.2]);
         assert_eq!(row, row_b);
+    }
+
+    #[test]
+    fn adagrad_step_on_copied_state_tracks_apply_bitwise() {
+        // What an owner cache does: copy the host state at fill time, then
+        // run the same kernel on its own (row, state) pair while the host
+        // path applies the same gradients to its copy.
+        let rule = AdagradRule::new(0.5, 4, 4);
+        assert_eq!(rule.state_width(4), 4);
+        let mut host = vec![0.2f32, -0.1, 0.4, 0.0];
+        rule.apply(1, &mut host, &[0.3, -0.2, 0.1, 0.5]);
+        let mut cached = host.clone();
+        let mut state = vec![9.0f32; 4];
+        rule.copy_state(1, &mut state);
+        assert_eq!(Some(state.clone()), rule.state_snapshot(1));
+        for g in [[0.1f32, 0.1, -0.4, 0.2], [0.0, -0.3, 0.2, 0.7]] {
+            rule.apply(1, &mut host, &g);
+            rule.step(&mut cached, &mut state, &g);
+            assert_eq!(host, cached);
+        }
+        assert_eq!(Some(state), rule.state_snapshot(1));
+        // A never-updated key copies as zeros.
+        let mut fresh = vec![9.0f32; 4];
+        rule.copy_state(3, &mut fresh);
+        assert_eq!(fresh, vec![0.0; 4]);
+    }
+
+    #[test]
+    fn sgd_is_stateless() {
+        let rule = SgdRule::new(0.1);
+        assert_eq!(rule.state_width(8), 0);
+        let mut row = vec![1.0f32, -1.0];
+        rule.copy_state(0, &mut []);
+        rule.step(&mut row, &mut [], &[2.0, 2.0]);
+        assert_eq!(row, vec![0.8, -1.2]);
     }
 
     #[test]

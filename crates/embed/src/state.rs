@@ -166,38 +166,52 @@ impl DenseStateTable {
         }
     }
 
-    /// A copy of the state row of `key`, or `None` if it was never updated.
+    /// Copies the state row of `key` into `dst` without allocating and
+    /// returns whether the row was ever updated; an untouched row leaves
+    /// `dst` zero-filled (its state *is* all zeros) and returns `false`.
     ///
     /// Races with a concurrent [`Self::update`] of the same row are
     /// detected in checked mode, matching the host store's read path.
     ///
     /// # Panics
     ///
-    /// Panics if `key` is out of range.
-    pub fn snapshot(&self, key: Key) -> Option<Vec<f32>> {
+    /// Panics if `key` is out of range or `dst.len() != dim`.
+    pub fn snapshot_into(&self, key: Key, dst: &mut [f32]) -> bool {
         let ptr = self.row_ptr(key);
+        assert_eq!(dst.len(), self.dim, "state row length != dim");
         if self.touched[key as usize].load(Ordering::Acquire) == 0 {
-            return None;
+            dst.fill(0.0);
+            return false;
         }
-        let mut out = vec![0.0; self.dim];
         match &self.versions {
             None => {
                 // SAFETY: P²F guarantees no concurrent updater to this row.
-                unsafe { std::ptr::copy_nonoverlapping(ptr, out.as_mut_ptr(), self.dim) };
+                unsafe { std::ptr::copy_nonoverlapping(ptr, dst.as_mut_ptr(), self.dim) };
             }
             Some(vers) => {
                 let ver = &vers[key as usize];
                 let v1 = ver.load(Ordering::Acquire);
                 // SAFETY: the copy may race; we detect it below and the
                 // data is plain f32 (no invalid bit patterns exist).
-                unsafe { std::ptr::copy_nonoverlapping(ptr, out.as_mut_ptr(), self.dim) };
+                unsafe { std::ptr::copy_nonoverlapping(ptr, dst.as_mut_ptr(), self.dim) };
                 let v2 = ver.load(Ordering::Acquire);
                 if v1 % 2 == 1 || v1 != v2 {
                     self.races.fetch_add(1, Ordering::AcqRel);
                 }
             }
         }
-        Some(out)
+        true
+    }
+
+    /// A copy of the state row of `key`, or `None` if it was never updated
+    /// (the allocating form of [`Self::snapshot_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is out of range.
+    pub fn snapshot(&self, key: Key) -> Option<Vec<f32>> {
+        let mut out = vec![0.0; self.dim];
+        self.snapshot_into(key, &mut out).then_some(out)
     }
 }
 
@@ -231,6 +245,37 @@ mod tests {
         let t = DenseStateTable::new(4, 2);
         t.update(1, |_| {});
         assert_eq!(t.snapshot(1), Some(vec![0.0, 0.0]));
+    }
+
+    #[test]
+    fn snapshot_into_zeroes_untouched_and_copies_touched() {
+        let t = DenseStateTable::new(4, 2);
+        let mut dst = [7.0f32, 7.0];
+        assert!(!t.snapshot_into(0, &mut dst), "untouched row");
+        assert_eq!(dst, [0.0, 0.0], "untouched row must zero dst");
+        // Touched but all-zero: still reported as touched.
+        t.update(1, |_| {});
+        dst = [7.0, 7.0];
+        assert!(t.snapshot_into(1, &mut dst));
+        assert_eq!(dst, [0.0, 0.0]);
+        t.update(2, |acc| acc.copy_from_slice(&[1.5, -2.0]));
+        assert!(t.snapshot_into(2, &mut dst));
+        assert_eq!(dst, [1.5, -2.0]);
+    }
+
+    #[test]
+    fn checked_snapshot_into_counts_a_read_under_an_open_update() {
+        // Deterministic overlap: read the row while its update is still
+        // open (version odd) — exactly what a fill racing a flush would see.
+        let t = DenseStateTable::new_checked(4, 2);
+        let mut dst = [0.0f32; 2];
+        t.update(1, |_| {
+            t.snapshot_into(1, &mut dst);
+        });
+        assert_eq!(t.race_count(), 1, "seqlock missed the overlapping read");
+        // A quiescent read is clean.
+        assert!(t.snapshot_into(1, &mut dst));
+        assert_eq!(t.race_count(), 1);
     }
 
     #[test]

@@ -158,3 +158,46 @@ fn churn_step(cache: &mut GpuCache, keys: &[u64], row: &[f32]) -> u64 {
     }
     filled
 }
+
+#[test]
+fn stateful_fills_and_updates_allocate_nothing_and_memory_is_capacity_bound() {
+    // A slot is the row *and* its optimizer state: filling a (stolen) slot
+    // writes both in place, updating a cached row reaches both with one
+    // probe, and neither path owns any per-key storage outside the arenas
+    // — so 10 000 evicting fills over 10 000 distinct keys cost zero
+    // allocations and leave the cache's footprint exactly where it was.
+    let host_row = vec![1.0f32; DIM];
+    let host_state = vec![0.25f32; DIM];
+    let grad = vec![0.5f32; DIM];
+    let mut cache = GpuCache::new(CAP, DIM, CachePolicy::Lru).with_state_width(DIM);
+    let fill = |cache: &mut GpuCache, key: u64| {
+        cache.fill_with_state(key, |row, state| {
+            row.copy_from_slice(&host_row);
+            state.copy_from_slice(&host_state);
+        })
+    };
+    // Warm-up: reach capacity, then churn enough that the key→slot map's
+    // deferred tombstone rehash (see the churn test) is behind us.
+    for key in 0..16 * CAP as u64 {
+        fill(&mut cache, key);
+    }
+    let resident = cache.resident_bytes();
+    assert!(resident >= CAP * 2 * DIM * 4, "rows + state are counted");
+    let before = allocs();
+    let mut evictions = 0u64;
+    for key in 100_000..110_000u64 {
+        if matches!(fill(&mut cache, key), InsertOutcome::Evicted(_)) {
+            evictions += 1;
+        }
+        let (row, state) = cache.get_with_state(&key).expect("just filled");
+        for ((p, a), g) in row.iter_mut().zip(state.iter_mut()).zip(&grad) {
+            *a += g * g;
+            *p -= g / a.sqrt();
+        }
+    }
+    let after = allocs();
+    assert_eq!(evictions, 10_000, "every fill must steal a slot");
+    assert_eq!(after - before, 0, "stateful fill/update path allocated");
+    assert_eq!(cache.resident_bytes(), resident, "footprint moved");
+    assert_eq!(cache.len(), CAP);
+}

@@ -123,7 +123,7 @@ impl FreqModel {
         let c = self.freq.entry(key).or_insert(0);
         *c = c.saturating_add(1);
         self.accesses += 1;
-        if self.accesses % self.decay_every == 0 {
+        if self.accesses.is_multiple_of(self.decay_every) {
             self.freq.retain(|_, c| {
                 *c >>= 1;
                 *c > 0

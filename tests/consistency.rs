@@ -258,24 +258,41 @@ fn every_cache_policy_agrees_with_serial_bitwise() {
 }
 
 /// Adagrad keeps per-row state on both the host path (flushing threads) and
-/// the owner-cache path; both see the same per-key gradient sequence, so
-/// the concurrent engine must still match the serial reference bitwise.
+/// the owner-cache path (the slot's state, seeded from the host's at fill
+/// time); both see the same per-key gradient sequence through the same
+/// kernel, so the concurrent engine must still match the serial reference
+/// bitwise. The `OracleBelady` variant throttles the flushers so trainers
+/// stall and the stall-prefetch fill path seeds slots too.
 #[test]
 fn adagrad_matches_serial_reference() {
     use frugal::core::{train_serial_with, OptimizerKind};
+    use frugal::embed::CachePolicy;
     let t = trace(2);
     let model = PullToTarget::new(DIM, 5);
-    let mut cfg = frugal_cfg(2);
-    cfg.optimizer = OptimizerKind::Adagrad;
-    cfg.lr = 0.5;
-    let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
-    engine.run(&t, &model);
     let serial = train_serial_with(&t, &model, STEPS, 0.5, 42, OptimizerKind::Adagrad);
-    for k in 0..N_KEYS {
-        assert_eq!(
-            engine.store().row_vec(k),
-            serial.store.row_vec(k),
-            "Adagrad diverged at key {k}"
+    for (policy, throttle_us) in [
+        (CachePolicy::StaticHot, 0),
+        (CachePolicy::OracleBelady, 200),
+    ] {
+        let mut cfg = frugal_cfg(2).with_cache_policy(policy);
+        cfg.optimizer = OptimizerKind::Adagrad;
+        cfg.lr = 0.5;
+        cfg.flush_throttle_us = throttle_us;
+        let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
+        let report = engine.run(&t, &model);
+        eprintln!(
+            "{}: {} fills, {} of them stall prefetches",
+            policy.label(),
+            report.cache_fills + report.cache_prefetch_fills,
+            report.cache_prefetch_fills
         );
+        for k in 0..N_KEYS {
+            assert_eq!(
+                engine.store().row_vec(k),
+                serial.store.row_vec(k),
+                "Adagrad/{} diverged at key {k}",
+                policy.label()
+            );
+        }
     }
 }

@@ -137,6 +137,34 @@ fn elastic_adagrad_matches_serial_bitwise() {
     }
 }
 
+/// Cache-side optimizer state across epochs: with LRU and half the table
+/// cached, survivors carry hot rows — and, in the same slots, their Adagrad
+/// accumulators — through both transitions (`GpuCache::retain`), while the
+/// rows of moved shards are dropped and later refilled with the host path's
+/// state. A slot that kept a stale accumulator, or lost a survivor's, would
+/// take a different step than the host copy and diverge from the oracle.
+#[test]
+fn elastic_adagrad_lru_survivors_keep_state_bitwise() {
+    use frugal::embed::CachePolicy;
+    let t = trace(8);
+    let model = PullToTarget::new(DIM, 5);
+    let mut cfg = frugal_cfg(8)
+        .with_membership(shrink_regrow_plan())
+        .with_cache_policy(CachePolicy::Lru);
+    cfg.optimizer = OptimizerKind::Adagrad;
+    cfg.lr = 0.5;
+    cfg.cache_ratio = 0.5;
+    cfg.checked = true;
+    let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
+    let report = engine.run(&t, &model);
+    assert!(report.membership_transition_ns > 0);
+    assert_eq!(report.violations, 0);
+    assert_eq!(report.races, 0);
+    assert!(report.hit_ratio > 0.0, "the cache must be live");
+    let serial = train_serial_with(&t, &model, STEPS, 0.5, 42, OptimizerKind::Adagrad);
+    assert_matches_serial(&engine, &serial, "adagrad-lru-8-6-8");
+}
+
 /// The transition shows up in telemetry: the `membership.transition_ns`
 /// counter and the critical-path ledger's `epoch_transition` phase must
 /// both record the two epoch changes.
