@@ -159,12 +159,16 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         // (Publishing after `dequeue_batch` returned — the engine's old
         // order — left exactly that window; the schedule explorer found a
         // trainer slipping through it. See DESIGN.md §8 race 3.)
+        // Before that, the read horizon: a deferred entry claimed now may
+        // have its next read registered while it is still in flight.
+        shared.flush.inflight.open(slot);
         shared.pq.dequeue_batch_guarded(
             shared.cfg.flush_batch,
             &mut out,
             shared.flush.inflight.guard(slot),
         );
         if out.is_empty() {
+            shared.flush.inflight.clear(slot);
             if shared.flush.is_shutdown() && shared.gstore.pending_keys() == 0 {
                 return;
             }
@@ -189,7 +193,6 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         // trainers when it was really lock/queue bookkeeping.
         let t_claim = Instant::now();
         out.sort_unstable();
-        writes.clear();
         claims.clear();
         for &(key, bucket_p) in &out {
             let start = writes.len();
@@ -205,6 +208,10 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         let t_apply = Instant::now();
         let applied =
             frugal_embed::apply_claims(shared.store, shared.rule.as_ref(), &claims, &writes);
+        // Let go of the applied rows now, not at the next batch (which may
+        // be a park away): the owner's next reduce overwrites in place
+        // every row it finds unshared (`GradAggregator::drain_arcs`).
+        writes.clear();
         if applied > 0 {
             let apply_ns = t_apply.elapsed().as_nanos() as u64;
             shared.metrics.flush_apply_ns.add(apply_ns);

@@ -28,9 +28,9 @@
 //! * [`strategy`] — the per-[`FlushMode`](crate::FlushMode) constant
 //!   table: `P2f` (the paper's system), `WriteThrough` (the Frugal-Sync
 //!   baseline), and `Fifo` (the arrival-order priority ablation).
-//! * [`step`] — the three-barrier step protocol (A→B: decentralized
-//!   sharded reduce + sharded apply, B→C: sharded registration,
-//!   C: bookkeeping), the sample ring, and their shared state.
+//! * [`step`] — the two-barrier step protocol (A→C: decentralized sharded
+//!   reduce, sharded apply and sharded registration as one member-local
+//!   pass; after C: bookkeeping), the sample ring, and their shared state.
 //! * [`trainer`] — the per-GPU loop and the registration phase.
 //! * [`flusher`] — the flusher pool: coordination ([`FlushCoord`]) and the
 //!   per-thread drain loop.
@@ -364,6 +364,11 @@ impl FrugalEngine {
         if let Some(bound) = strategy.initial_upper_bound(cfg.lookahead) {
             shared.pq.set_upper_bound(bound);
         }
+        if strategy.registers_reads {
+            // The bootstrap registers the reads of steps 0..L before any
+            // write exists; step 0's registration adds those of step L.
+            shared.flush.inflight.set_read_horizon(cfg.lookahead);
+        }
 
         // Per-member persistent caches (rows + their optimizer state),
         // indexed by trainer id. Slots fill lazily on first membership and
@@ -388,9 +393,12 @@ impl FrugalEngine {
                     let next = shared.smap.current().with_members(&seg.members);
                     membership_transition(&shared, &caches, next, seg.start);
                 }
-                // Lock-free: three crossings per step make the barrier
-                // hot-path state at 8–16 trainers (see `barrier` docs).
-                let barrier = SpinBarrier::new(seg.members.len());
+                // Lock-free: two crossings per step make the barrier
+                // hot-path state at 8–16 trainers. Its waiters spin for as
+                // long as the engine's threads — this cohort plus the
+                // flushers — have a core each (see `barrier` docs).
+                let barrier =
+                    SpinBarrier::new(seg.members.len(), seg.members.len() + flushers.len());
                 std::thread::scope(|seg_scope| {
                     for &t in &seg.members {
                         let barrier = &barrier;

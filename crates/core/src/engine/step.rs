@@ -1,28 +1,34 @@
-//! The three-barrier step protocol: the decentralized reduce between
-//! barriers A and B, and the shared state that carries a step across them.
+//! The two-barrier step protocol: the decentralized reduce behind barrier
+//! A, and the shared state that carries a step across its barriers.
 //!
-//! Each step crosses three barriers. The thread the barrier elects can
-//! differ at each crossing, so leader state lives in [`StepState`], not
+//! Each step crosses two barriers. The thread the barrier elects can differ
+//! at each crossing, so leader state lives in [`StepState`], not
 //! thread-locals:
 //!
 //! 1. trainers deposit per-GPU aggregates and phase times → **A** →
-//! 2. *every* trainer reduces the key shards it owns across all per-GPU
-//!    aggregator slots in GPU index order ([`reduce_own_shard`]) and
-//!    publishes the result in its own update slot; under write-through it
-//!    then applies its slot to the host store (the sharded form of the old
-//!    leader apply). The A-leader only advances the ledger cursor, ends
-//!    the model step, and resets the per-step atomics → **B** →
-//! 3. every trainer runs its registration phase (see
-//!    [`super::trainer::register_phase`]) over its *own* update slot —
-//!    the cache partition and the g-entry partition are the same
-//!    [`crate::ShardMap`], so the rows a member reduced are exactly the
-//!    rows its cache may hold and the rows it must register; the B-leader
-//!    then composes the iteration's phase maxima (before C, so slow
-//!    trainers cannot race slot reuse) → **C** →
-//! 4. the C-leader finalizes bookkeeping (`set_upper_bound`, the modeled
-//!    registration and stall prices, iteration record) while other
-//!    trainers already enter step `s + 1` —
-//!    nothing it does gates their wait condition.
+//! 2. *every* trainer runs one uninterrupted member-local pass: it reduces
+//!    the key shards it owns across all per-GPU aggregator slots in GPU
+//!    index order ([`reduce_own_shard`]) into its own update slot; under
+//!    write-through applies that slot to the host store (the sharded form
+//!    of the old leader apply); then runs its registration phase (see
+//!    [`super::trainer::register_phase`]) over the same slot — the cache
+//!    partition and the g-entry partition are the same [`crate::ShardMap`],
+//!    so the rows a member reduced are exactly the rows its cache may hold
+//!    and the rows it must register, and no member ever reads a sibling's
+//!    update slot: nothing between A and C waits on anyone. Meanwhile the
+//!    A-leader ([`leader_prepare`]) advances the ledger cursor, ends the
+//!    model step and composes the iteration's phase maxima from the
+//!    deposits (before C, so slow trainers cannot race slot reuse) → **C** →
+//! 3. the C-leader ([`leader_finish`]) finalizes bookkeeping
+//!    (`set_upper_bound`, the modeled registration and stall prices, the
+//!    iteration record, the per-step counter reset) while other trainers
+//!    already enter step `s + 1` — nothing it does gates their wait
+//!    condition, and barrier A of `s + 1` orders all of it before that
+//!    step's reduce and registration.
+//!
+//! (The barriers keep their historical names: a barrier B used to separate
+//! the reduce from registration, and has guarded nothing since both read
+//! only the member's own slot.)
 //!
 //! # Why the reduce stays bit-identical to the serial leader merge
 //!
@@ -79,8 +85,8 @@ pub(crate) struct PhaseTimes {
 /// `0..lookahead` before the loop). Readers are trainer `g` itself (its
 /// own batch at step `s`) and, under read-registering strategies, every
 /// trainer's registration phase (the `s + lookahead` lists of all GPUs,
-/// after barrier B of step `s` — barrier A orders the publish before
-/// those reads).
+/// after barrier A of step `s`, which orders the publish before those
+/// reads).
 ///
 /// The ring holds `lookahead + 2` slots: values `s..=s+L` must stay live
 /// while step `s` runs, plus one slot of slack so publishing `s + L` at
@@ -117,11 +123,11 @@ impl SampleRing {
 }
 
 /// Rotating-leader state: the barrier can elect a different thread at each
-/// of the step's three crossings, so everything a "leader" produces for a
-/// later crossing lives here.
+/// of the step's two crossings, so what the A-leader produces for the
+/// C-leader lives here.
 #[derive(Debug)]
 pub(crate) struct LeaderState {
-    /// Phase maxima composed by the B-leader, finalized by the C-leader.
+    /// Phase maxima composed by the A-leader, finalized by the C-leader.
     pub(crate) it: IterBreakdown,
     pub(crate) loss_sum: f32,
 }
@@ -137,9 +143,10 @@ pub(crate) struct StepState {
     pub(crate) agg_slots: Vec<RwLock<GradAggregator>>,
     /// Per-owner reduced updates: slot `g` holds the merged
     /// `(key, grad)` rows trainer `g` owns this step, in canonical
-    /// arrival order. Written by the owner between A and B, read by its
-    /// owner between B and C (and by the C-leader, whose cost model prices
-    /// the members' row counts).
+    /// arrival order. Written and then read by its owner between A and C
+    /// (and read by the C-leader, whose cost model prices the members' row
+    /// counts). The rows stay in the slot for the next step's reduce to
+    /// recycle (see [`GradAggregator::drain_arcs`]).
     pub(crate) update_slots: Vec<UpdateSlot>,
     /// Per-GPU phase instrumentation for the current step.
     pub(crate) phase_slots: Vec<Mutex<PhaseTimes>>,
@@ -149,7 +156,8 @@ pub(crate) struct StepState {
     pub(crate) leader: Mutex<LeaderState>,
     /// P²F's blocking rows: rows registered this step whose post-write
     /// priority is `s + 1`, summed across members (each counts its own
-    /// shards, see [`crate::GEntryStore::add_writes_batch`]).
+    /// shards, see [`crate::GEntryStore::add_writes_batch`]). Read and
+    /// then zeroed by the C-leader.
     pub(crate) blocking_next: AtomicU64,
     /// Leader-composed per-iteration records.
     pub(crate) iters: Mutex<Vec<(IterBreakdown, f32)>>,
@@ -178,16 +186,17 @@ impl StepState {
     }
 }
 
-/// The decentralized reduce, run by *every* member between barriers A
-/// and B: fold the keys the epoch assigns member `t` across all per-stream
+/// The decentralized reduce, run by *every* member right after barrier A:
+/// fold the keys the epoch assigns member `t` across all per-stream
 /// aggregator slots in stream index order into `merged` (a per-member
-/// scratch arena), then publish the drained rows in `update_slots[t]`.
+/// scratch arena), then drain the rows into `update_slots[t]` — over the
+/// previous step's rows, which the drain recycles wherever the flushers
+/// have let go of them (always, under write-through).
 ///
 /// See the module docs for the bit-equality argument. Visibility: the
 /// deposits into `agg_slots` happen before barrier A; the slots are next
-/// written before barrier A of step `s + 1`, which cannot complete until
-/// every reducer is long past B — the read locks here never observe a
-/// mid-swap aggregator.
+/// written after barrier C, which cannot complete until every reducer is
+/// done — the read locks here never observe a mid-swap aggregator.
 pub(crate) fn reduce_own_shard(
     shared: &RunShared<'_>,
     smap: &ShardMap,
@@ -203,34 +212,24 @@ pub(crate) fn reduce_own_shard(
             }
         }
     }
-    let mut out = shared.step.update_slots[t].write();
-    out.clear();
-    merged.drain_arcs(&mut out);
+    merged.drain_arcs(&mut shared.step.update_slots[t].write());
 }
 
-/// The A-leader's (now O(1)) work between barriers A and B: route flusher
-/// ledger attribution to this step, end the model's step, and reset the
-/// per-step atomics. The heavy lifting the A-leader used to do — merge,
-/// publish, synchronous apply, lookahead re-sampling — is decentralized
-/// into [`reduce_own_shard`], the per-owner write-through apply, and the
-/// [`SampleRing`].
+/// The A-leader's work between barriers A and C, next to its own reduce
+/// and registration: route flusher ledger attribution to this step, end the
+/// model's step, and fold the per-GPU phase times into the iteration's
+/// maxima. The compose must finish before C — once trainers pass C they may
+/// deposit step `s + 1` times into the same slots. The heavy lifting a
+/// leader used to do — merge, publish, synchronous apply, lookahead
+/// re-sampling — is decentralized into [`reduce_own_shard`], the per-owner
+/// write-through apply, and the [`SampleRing`].
 pub(crate) fn leader_prepare(shared: &RunShared<'_>, s: u64) {
     // Route flusher-lane ledger attribution to this step (±1-step
     // approximation: background work between barrier A of step s and
     // barrier A of step s + 1 books to step s).
     shared.cfg.telemetry.ledger_advance(s);
     shared.model.end_step(s);
-    // Safe to reset while other trainers reduce: they only touch the
-    // counter after barrier B.
-    shared.step.blocking_next.store(0, Ordering::Release);
-}
 
-/// The B-leader's compose, run between barriers B and C (after its own
-/// registration phase): fold the per-GPU phase times into the iteration's
-/// maxima. This must finish before C — once trainers pass C they may
-/// deposit step `s + 1` times into the same slots.
-pub(crate) fn compose_phases(shared: &RunShared<'_>) {
-    let mut leader = shared.step.leader.lock();
     let mut it = IterBreakdown::default();
     let mut loss_sum = 0.0f32;
     for slot in &shared.step.phase_slots {
@@ -241,17 +240,19 @@ pub(crate) fn compose_phases(shared: &RunShared<'_>) {
         it.other = it.other.max(p.other);
         loss_sum += p.loss;
     }
+    let mut leader = shared.step.leader.lock();
     leader.it = it;
     leader.loss_sum = loss_sum;
 }
 
 /// The C-leader's bookkeeping after barrier C: raise the PQ scan bound,
-/// price the step's registration and stall from its operation counts, and
-/// push the iteration record. Nothing here gates the other trainers' next
-/// step — they are already past C — and the next barrier A cannot complete
-/// before this thread arrives, so the next [`leader_prepare`] (and the
-/// owners' update-slot rewrites, which happen after that barrier) never
-/// race these reads.
+/// price the step's registration and stall from its operation counts (the
+/// blocking-row counter is read and zeroed here), and push the iteration
+/// record. Nothing here gates the other trainers' next step — they are
+/// already past C — and the next barrier A cannot complete before this
+/// thread arrives, so the next [`leader_prepare`], the owners' update-slot
+/// rewrites and their `blocking_next` contributions (all behind that
+/// barrier) never race these reads or the reset.
 ///
 /// Everything that reaches the iteration record is a pure function of
 /// `(seed, config)`: the members' row counts, the blocking-row count, the
@@ -267,6 +268,14 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
         shared.pq.set_upper_bound(bound);
         shared.flush.notify_all();
     }
+    if shared.strategy.registers_reads {
+        // Registration of step s is complete: the next reads to appear are
+        // those of step s + 1 + L (see `crate::wait`).
+        shared
+            .flush
+            .inflight
+            .set_read_horizon(s + 1 + cfg.lookahead);
+    }
 
     // Rows each member reduced (and, under the proactive modes,
     // registered) this step. Only the epoch's members wrote a slot — a
@@ -278,6 +287,9 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
         .iter()
         .map(|&t| shared.step.update_slots[t].read().len() as u64);
     let total_rows: u64 = member_rows.clone().sum();
+    // Read and zeroed in one, whatever the mode: a reset left to the arm
+    // that consumes the count is a reset that arm's siblings never run.
+    let read_next = shared.step.blocking_next.swap(0, Ordering::AcqRel);
     let row_bytes = (shared.model.dim() * 4) as u64;
     let pq_cost = if shared.pq.dequeue_serializes() {
         PqCost::Serialized {
@@ -296,7 +308,7 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
             // FIFO ≥ P²F holds row for row.
             let blocking = match mode {
                 FlushMode::Fifo => total_rows,
-                _ => shared.step.blocking_next.load(Ordering::Acquire),
+                _ => read_next,
             };
             shared.metrics.blocking_rows_next.set(blocking as i64);
             (

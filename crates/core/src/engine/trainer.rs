@@ -8,6 +8,13 @@
 //! ([`ShardMap::streams_of`]), so every batch is still sampled, reduced,
 //! and applied exactly once — the run stays bit-identical to the serial
 //! oracle while membership changes only move work between threads.
+//!
+//! A step is: sample ahead, wait for the flush condition, run each stream's
+//! forward/backward (one dedup pass per batch — its dense instance → unique
+//! index serves the row scatter and the gradient aggregation alike),
+//! deposit → barrier A → reduce the owned shards, apply them (write-through)
+//! and register them, with no barrier in between → barrier C. See
+//! [`super::step`] for the protocol and what the two leaders do.
 
 use super::step::{self, PhaseTimes};
 use super::{RunShared, Segment};
@@ -52,17 +59,24 @@ pub(crate) fn member_cache(shared: &RunShared<'_>) -> GpuCache {
 /// A trainer's reusable hot-loop buffers: batch dedup, row staging, the
 /// gradient aggregator, and the registration-side shard buckets. Everything
 /// here is cleared (capacity kept) instead of re-allocated, so after
-/// warm-up the per-step loop allocates only what is semantically shared
-/// (the per-row `Arc` gradients and the workload's sampled key lists).
-/// Rebuilt at each segment boundary — bucket shapes depend on the epoch's
-/// shard assignment.
+/// warm-up the per-step loop allocates only what it hands to someone else:
+/// the workload's sampled key lists, the model's `BatchGrads`, and an `Arc`
+/// gradient row only where last step's row in the same position is still
+/// held by an unflushed g-entry (never, under write-through — see
+/// [`GradAggregator::drain_arcs`]). Rebuilt at each segment boundary —
+/// bucket shapes depend on the epoch's shard assignment.
 pub(crate) struct StepScratch {
-    /// Batch dedup: key → slot in `unique`.
+    /// Batch dedup: key → slot in `unique`. The only hashing of the batch:
+    /// its result is kept in `unique_of`.
     index_of: KeyHashMap<usize>,
     unique: Vec<Key>,
-    /// Unique rows, `unique.len() × dim`.
+    /// Instance `i` of the batch is `unique[unique_of[i]]`.
+    unique_of: Vec<usize>,
+    /// Unique rows, `unique.len() × dim`; every row is overwritten by the
+    /// cache copy or the host read, so shrinking and regrowing never
+    /// zero-fills more than the growth.
     urows: Vec<f32>,
-    /// Per-sample rows, `keys.len() × dim`.
+    /// Per-sample rows, `keys.len() × dim`, overwritten by the scatter.
     rows: Vec<f32>,
     /// Cache misses: `(unique index, key)`.
     missing: Vec<(usize, Key)>,
@@ -97,6 +111,7 @@ impl StepScratch {
         StepScratch {
             index_of: KeyHashMap::default(),
             unique: Vec::new(),
+            unique_of: Vec::new(),
             urows: Vec::new(),
             rows: Vec::new(),
             missing: Vec::new(),
@@ -180,9 +195,10 @@ pub(crate) fn feed_cache_lookahead(
     cache.prepare_step(read_step, &scratch.cache_ahead);
 }
 
-/// Every member's work between barriers B and C: apply the owned cache
-/// updates, register own-shard g-entry writes (batch), register the
-/// own-shard reads of step `s + L` (batch, read-driven strategies only).
+/// The tail of every member's pass between barriers A and C, straight
+/// after its reduce: apply the owned cache updates, register own-shard
+/// g-entry writes (batch), register the own-shard reads of step `s + L`
+/// (batch, read-driven strategies only).
 /// Write registration also yields this member's share of the step's
 /// blocking rows (the ones step `s + 1` reads).
 ///
@@ -211,11 +227,8 @@ pub(crate) fn register_phase(
     // Single pass over this member's reduced slot: fold the owned rows
     // into the local cache (the cache sees the same per-key gradient
     // sequence as the host path, keeping both bit-identical) and bucket
-    // them for batch registration. The slot was written by this member
-    // between A and B; barrier B ordered that write before every reader.
-    for buf in &mut scratch.write_bufs {
-        buf.clear();
-    }
+    // them for batch registration. The slot was written by this member's
+    // own reduce a moment ago; nobody else reads it before barrier C.
     {
         let updates = shared.step.update_slots[t].read();
         for (key, grad) in updates.iter() {
@@ -237,13 +250,17 @@ pub(crate) fn register_phase(
         let t_writes = Instant::now();
         let mut own_rows = 0u64;
         let mut read_next = 0u64;
-        for buf in &scratch.write_bufs {
+        for buf in &mut scratch.write_bufs {
             if !buf.is_empty() {
                 own_rows += buf.len() as u64;
                 read_next +=
                     shared
                         .gstore
                         .add_writes_batch(s, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
+                // The W sets hold the rows now. Letting go here leaves the
+                // update slot and the pending flush as a row's only
+                // holders, so the next reduce recycles it once it landed.
+                buf.clear();
             }
         }
         if read_next > 0 {
@@ -540,15 +557,17 @@ pub(crate) fn trainer_loop(
             let cq_span = rec.span(Phase::CacheQuery);
             scratch.index_of.clear();
             scratch.unique.clear();
+            scratch.unique_of.clear();
             scratch.missing.clear();
             for &key in keys.iter() {
-                if let std::collections::hash_map::Entry::Vacant(e) = scratch.index_of.entry(key) {
-                    e.insert(scratch.unique.len());
+                let next = scratch.unique.len();
+                let u = *scratch.index_of.entry(key).or_insert(next);
+                if u == next {
                     scratch.unique.push(key);
                 }
+                scratch.unique_of.push(u);
             }
             let unique_n = scratch.unique.len();
-            scratch.urows.clear();
             scratch.urows.resize(unique_n * dim, 0.0);
             for (i, &key) in scratch.unique.iter().enumerate() {
                 let slot = &mut scratch.urows[i * dim..(i + 1) * dim];
@@ -601,14 +620,9 @@ pub(crate) fn trainer_loop(
             lane.add(s, LedgerPhase::HostRead, hr_span.finish());
 
             // Scatter unique rows to per-instance rows for the model.
-            scratch.rows.clear();
             scratch.rows.resize(keys.len() * dim, 0.0);
-            for (i, &key) in keys.iter().enumerate() {
-                let u = scratch.index_of[&key];
-                frugal_embed::kernels::copy(
-                    &mut scratch.rows[i * dim..(i + 1) * dim],
-                    &scratch.urows[u * dim..(u + 1) * dim],
-                );
+            for (row, &u) in scratch.rows.chunks_exact_mut(dim).zip(&scratch.unique_of) {
+                frugal_embed::kernels::copy(row, &scratch.urows[u * dim..(u + 1) * dim]);
             }
 
             let compute_span = rec.span(Phase::Compute);
@@ -616,14 +630,18 @@ pub(crate) fn trainer_loop(
                 .model
                 .forward_backward(g, s, keys.as_slice(), &scratch.rows);
 
-            // Aggregate this stream's gradients per key in arrival order
-            // (the aggregator arena is reused: swapped into the stream's
-            // deposit slot below, read by the reducers, swapped back and
-            // cleared for the next stream/step).
-            for (i, &key) in keys.iter().enumerate() {
-                scratch
-                    .agg
-                    .add(key, &grads.emb_grads[i * dim..(i + 1) * dim]);
+            // Aggregate this stream's gradients per key in arrival order,
+            // addressed by the dedup pass's index — no second hashing (the
+            // aggregator arena is reused: swapped into the stream's deposit
+            // slot below, read by the reducers, swapped back for the next
+            // stream/step).
+            scratch.agg.seed_slots(&scratch.unique);
+            for (&u, grad) in scratch
+                .unique_of
+                .iter()
+                .zip(grads.emb_grads.chunks_exact(dim))
+            {
+                scratch.agg.add_to_slot(u, grad);
             }
             lane.add(s, LedgerPhase::Compute, compute_span.finish());
 
@@ -656,9 +674,8 @@ pub(crate) fn trainer_loop(
             }
             // The swapped-out arena still holds step s - 1's aggregates
             // (the reduce only *reads* the deposit slots); its readers all
-            // finished before barrier B of step s - 1, so clearing here is
-            // safe.
-            scratch.agg.clear();
+            // finished before barrier C of step s - 1, so the next seeding
+            // may overwrite it.
             *shared.step.phase_slots[g].lock() = phase.clone();
         }
 
@@ -671,9 +688,9 @@ pub(crate) fn trainer_loop(
             step::leader_prepare(shared, s);
             lane.add_since(s, LedgerPhase::LeaderApply, t_lead);
         }
-        // Decentralized reduce: fold this member's owned keys across all
-        // deposit slots (stream index order — canonical), publish them in
-        // this member's update slot.
+        // One member-local pass to barrier C. Decentralized reduce: fold
+        // this member's owned keys across all deposit slots (stream index
+        // order — canonical) into this member's update slot.
         let t_red = lane.start();
         step::reduce_own_shard(shared, &smap, t, &mut scratch.merged);
         match cfg.flush_mode {
@@ -695,9 +712,8 @@ pub(crate) fn trainer_loop(
             FlushMode::P2f | FlushMode::Fifo => {}
         }
         lane.add_since(s, LedgerPhase::Reduce, t_red);
-        // Barrier B: every member's update slot is published. Everyone
-        // registers their shards.
-        let b = barrier.wait();
+        // Registration reads only the slot this member just wrote, so it
+        // needs no barrier behind the reduce.
         register_phase(
             shared,
             &smap,
@@ -709,9 +725,6 @@ pub(crate) fn trainer_loop(
             &mut scratch,
             cache,
         );
-        if b.is_leader() {
-            step::compose_phases(shared);
-        }
         // Barrier C: registration complete — the step's entries are all
         // queued before any member can evaluate step s + 1's wait
         // condition. The C-leader finalizes bookkeeping concurrently.

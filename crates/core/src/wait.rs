@@ -16,6 +16,26 @@
 //! *before* entries leave the queue ([`frugal_pq::PriorityQueue::dequeue_batch_guarded`]),
 //! or there is an instant where an extracted entry is covered by neither
 //! check — the dequeue-to-publish race the schedule explorer found.
+//!
+//! # Deferred claims and the read horizon
+//!
+//! A *deferred* entry (priority ∞: no registered read) is flushed whenever
+//! a flusher has nothing better to do, and its marker
+//! ([`frugal_pq::DEFERRED_CLAIM`]) blocks no step — rightly so at the
+//! moment of the claim. But registration keeps running: a read of the
+//! claimed key can be registered *while the claim is in flight*, finds the
+//! W set empty, and moves nothing in the queue. If the flusher is then held
+//! up for `L` steps (one, at lookahead 1 — a preempted flusher on a busy
+//! host is enough), the step that reads the key is admitted over an
+//! unapplied row. Source 2 therefore has a second half: before a flusher
+//! dequeues anything it publishes the table's **read horizon** — the first
+//! step whose reads are not all registered yet
+//! ([`InflightTable::set_read_horizon`], advanced by the engine after each
+//! step's registration) — and keeps it up until its batch is applied.
+//! Reads registered after the claim are for the horizon step or later, so
+//! exactly the steps that could read a row of the batch wait for it; a
+//! batch applied within `L` steps of its claim — every batch, in practice —
+//! delays nobody.
 
 use frugal_pq::{PriorityQueue, INFINITE};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,14 +45,41 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct InflightTable {
     slots: Vec<AtomicU64>,
+    /// Per flusher: the read horizon it published before its current
+    /// dequeue ([`Self::open`]), [`INFINITE`] between batches.
+    horizons: Vec<AtomicU64>,
+    /// The first step whose reads are not all registered yet; [`INFINITE`]
+    /// (deferred claims block nothing) until the engine says otherwise.
+    read_horizon: AtomicU64,
 }
 
 impl InflightTable {
     /// Creates a table with `n` idle slots (one per flushing thread).
     pub fn new(n: usize) -> Self {
+        let idle = || (0..n).map(|_| AtomicU64::new(INFINITE)).collect();
         InflightTable {
-            slots: (0..n).map(|_| AtomicU64::new(INFINITE)).collect(),
+            slots: idle(),
+            horizons: idle(),
+            read_horizon: AtomicU64::new(INFINITE),
         }
+    }
+
+    /// Declares that every read of a step below `step` is registered, and
+    /// that reads of `step` and later may still arrive. Monotone in the
+    /// engine: `L` before step 0's registration, `s + 1 + L` once step
+    /// `s`'s is complete. A stale (lower) value is merely conservative.
+    pub fn set_read_horizon(&self, step: u64) {
+        self.read_horizon.store(step, Ordering::SeqCst);
+    }
+
+    /// Flusher `slot` is about to dequeue: until [`Self::clear`], steps at
+    /// or past the current read horizon wait for it (see the module docs).
+    /// Must precede the dequeue — the claim it covers happens under the
+    /// key's shard lock, which every later read registration of that key
+    /// takes, so whoever could read the row observes this store.
+    pub fn open(&self, slot: usize) {
+        let horizon = self.read_horizon.load(Ordering::SeqCst);
+        self.horizons[slot].store(horizon, Ordering::SeqCst);
     }
 
     /// The raw marker slot for flusher `slot`, to be passed as the guard of
@@ -42,14 +89,17 @@ impl InflightTable {
     }
 
     /// Marks flusher `slot` idle again — call only after every row of its
-    /// batch is durably in host memory.
+    /// batch is durably in host memory (or when its dequeue came back
+    /// empty).
     pub fn clear(&self, slot: usize) {
         self.slots[slot].store(INFINITE, Ordering::Release);
+        self.horizons[slot].store(INFINITE, Ordering::Release);
     }
 
-    /// True if any flusher is applying a batch containing priority ≤ `step`.
+    /// True if any flusher is applying a batch containing priority ≤ `step`,
+    /// or one it opened when reads of `step` could still be registered.
     pub fn any_at_or_below(&self, step: u64) -> bool {
-        self.slots.iter().any(|p| {
+        self.slots.iter().chain(&self.horizons).any(|p| {
             sched_point!("wait.inflight.slot");
             p.load(Ordering::Acquire) <= step
         })
@@ -69,11 +119,12 @@ impl InflightTable {
         self.slots[slot].load(Ordering::Acquire) == INFINITE
     }
 
-    /// The smallest in-flight priority across all flushers ([`INFINITE`]
-    /// when all idle).
+    /// The smallest in-flight priority or open horizon across all flushers
+    /// ([`INFINITE`] when all idle).
     pub fn min(&self) -> u64 {
         self.slots
             .iter()
+            .chain(&self.horizons)
             .map(|p| p.load(Ordering::Acquire))
             .min()
             .unwrap_or(INFINITE)
@@ -158,6 +209,37 @@ mod tests {
         assert!(blocked_at(&pq, &table, 2), "claimed but unapplied blocks");
         table.clear(0);
         assert!(!blocked_at(&pq, &table, 2));
+    }
+
+    #[test]
+    fn open_batch_blocks_from_the_read_horizon_on() {
+        let pq = TwoLevelPq::new(10);
+        pq.enqueue(9, INFINITE);
+        let table = InflightTable::new(2);
+        // No horizon declared: a deferred claim blocks nothing.
+        table.open(1);
+        assert!(admits(&pq, &table, 7));
+        table.clear(1);
+        // Reads of steps < 5 are all registered; those of 5.. may follow.
+        table.set_read_horizon(5);
+        table.open(1);
+        let mut out = Vec::new();
+        pq.dequeue_batch_guarded(8, &mut out, table.guard(1));
+        assert_eq!(out, vec![(9, INFINITE)]);
+        assert!(admits(&pq, &table, 4), "no read of step 4 can still appear");
+        assert!(
+            blocked(&pq, &table, 5),
+            "a read of step 5 may hit the batch"
+        );
+        assert!(blocked(&pq, &table, 8));
+        assert_eq!(table.min(), 5);
+        // The horizon that counts is the one at open time.
+        table.set_read_horizon(6);
+        assert!(blocked(&pq, &table, 5));
+        table.clear(1);
+        assert!(admits(&pq, &table, 8));
+        assert!(table.is_idle(1));
+        assert_eq!(table.min(), INFINITE);
     }
 
     #[test]

@@ -26,8 +26,10 @@ use frugal_core::{
 };
 use frugal_embed::GradAggregator;
 use frugal_pq::{PriorityQueue, TwoLevelPq, INFINITE};
-use frugal_sched::{explore, replay, yield_point, ExploreConfig, SimBuilder};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use frugal_sched::{
+    explore, replay, spin_point, yield_point, ExploreConfig, Policy, SimBuilder, SimConfig,
+};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How the model flusher hands off dequeued entries to the wait condition.
@@ -724,21 +726,67 @@ fn reduce_oracle() -> Vec<Vec<(u64, Vec<u32>)>> {
     per_owner
 }
 
+/// What follows the deposit in [`reduce_handoff`].
+#[derive(Clone, Copy, PartialEq)]
+enum Handoff {
+    /// The broken hand-off: no barrier A between deposit and reduce.
+    Unbarriered,
+    /// Deposit → barrier A → reduce.
+    Barriered,
+    /// Deposit → barrier A → reduce → registration with nothing in between
+    /// (the engine's step: there is no barrier B), a flusher claiming what
+    /// the early members register while their siblings still fold the
+    /// deposit slots. `reset_after_a` puts the per-step `blocking_next`
+    /// reset back where it sat while a barrier B still held registrants
+    /// off — with the A-leader, behind barrier A.
+    Registering { reset_after_a: bool },
+}
+
+/// The step the registering hand-off registers its writes at. Keys 1 and 65
+/// are read at `REDUCE_STEP + 1` (registered before the threads start, as
+/// the lookahead registration of an earlier step would have), so exactly
+/// those two rows leave registration as blocking rows.
+const REDUCE_STEP: u64 = 5;
+const REDUCE_BLOCKING_ROWS: u64 = 2;
+
+/// State of the registration half of [`Handoff::Registering`].
+struct Registration {
+    pq: TwoLevelPq,
+    gstore: GEntryStore,
+    /// Member `g`'s `add_writes_batch` has returned.
+    registered: [AtomicBool; REDUCE_N],
+    /// The engine's `StepState::blocking_next`.
+    blocking_next: AtomicU64,
+    /// `(key, f32 bits)` of every row the flusher applied, read *after* it
+    /// held the row across a yield.
+    applied: Mutex<Vec<(u64, Vec<u32>)>>,
+}
+
 /// The decentralized-reduce hand-off (DESIGN.md §16): every trainer
 /// deposits its per-GPU aggregator into its slot, and — after barrier A —
 /// reduces the keys it owns across *all* slots in trainer-index order.
 ///
-/// * `barriered = false` models the broken hand-off: a trainer starts its
-///   cross-slot shard read right after its own deposit. The explorer must
-///   find an interleaving where a sibling's slot is still empty and the
-///   merge loses that trainer's contribution.
-/// * `barriered = true` models the engine's protocol (deposit → barrier →
-///   reduce); the sweep must be bitwise-clean against the serial oracle.
+/// * [`Handoff::Unbarriered`] models the broken hand-off: a trainer starts
+///   its cross-slot shard read right after its own deposit. The explorer
+///   must find an interleaving where a sibling's slot is still empty and
+///   the merge loses that trainer's contribution.
+/// * [`Handoff::Barriered`] models the engine's protocol up to the reduce
+///   (deposit → barrier → reduce); the sweep must be bitwise-clean against
+///   the serial oracle.
+/// * [`Handoff::Registering`] runs on into the rest of the member-local
+///   pass: drain the reduced rows into the member's update slot, register
+///   them (real [`GEntryStore::add_writes_batch`] into a real
+///   [`TwoLevelPq`]), add the blocking rows to the shared counter, then
+///   drain a *next* step's rows over the same slot the way the next reduce
+///   recycles it — while a flusher claims, holds and applies. Every row
+///   must be applied exactly once with the oracle's bits (a recycled row
+///   never overwrites one the flusher still holds) and the blocking-row
+///   total must be exact.
 ///
 /// Slot mutexes are locked only across yield-free critical sections, so a
 /// scheduler-suspended vthread can never be holding one (the harness
 /// counts only yield points).
-fn reduce_handoff(barriered: bool) -> impl FnMut(&mut SimBuilder) {
+fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
         let slots: Arc<Vec<Mutex<GradAggregator>>> = Arc::new(
             (0..REDUCE_N)
@@ -747,14 +795,25 @@ fn reduce_handoff(barriered: bool) -> impl FnMut(&mut SimBuilder) {
         );
         let arrived = Arc::new(AtomicUsize::new(0));
         let oracle = Arc::new(reduce_oracle());
-
         let smap = reduce_map();
+        let reg = Arc::new(Registration {
+            pq: TwoLevelPq::new(16),
+            gstore: GEntryStore::with_policy(PriorityPolicy::EarliestRead),
+            registered: Default::default(),
+            blocking_next: AtomicU64::new(0),
+            applied: Mutex::new(Vec::new()),
+        });
+        for key in [1, 65] {
+            reg.gstore.add_read(key, REDUCE_STEP + 1, &reg.pq);
+        }
+        let total_rows: usize = oracle.iter().map(Vec::len).sum();
 
         for g in 0..REDUCE_N {
             let slots = Arc::clone(&slots);
             let arrived = Arc::clone(&arrived);
             let oracle = Arc::clone(&oracle);
             let smap = Arc::clone(&smap);
+            let reg = Arc::clone(&reg);
             let name: &'static str = ["trainer-0", "trainer-1", "trainer-2"][g];
             sim.thread(name, move || {
                 // Local accumulation (the step's backward pass).
@@ -766,17 +825,29 @@ fn reduce_handoff(barriered: bool) -> impl FnMut(&mut SimBuilder) {
                 // Deposit: swap the aggregator into this trainer's slot
                 // (no yield inside the critical section).
                 std::mem::swap(&mut *slots[g].lock().unwrap(), &mut agg);
-                arrived.fetch_add(1, Ordering::SeqCst);
+                // Barrier A modeled as an arrival counter; its last arriver
+                // is the A-leader.
+                let a_leader = arrived.fetch_add(1, Ordering::SeqCst) + 1 == REDUCE_N;
                 yield_point("reduce.deposited");
-                if barriered {
-                    // Barrier A modeled as an arrival counter.
+                if handoff != Handoff::Unbarriered {
                     for _ in 0..64 {
                         if arrived.load(Ordering::SeqCst) == REDUCE_N {
                             break;
                         }
-                        yield_point("reduce.barrier_wait");
+                        spin_point("reduce.barrier_wait");
                     }
                     assert_eq!(arrived.load(Ordering::SeqCst), REDUCE_N, "barrier starved");
+                }
+                if a_leader
+                    && handoff
+                        == (Handoff::Registering {
+                            reset_after_a: true,
+                        })
+                {
+                    // `leader_prepare` as it was: sound only while a second
+                    // barrier kept every registrant behind it.
+                    yield_point("leader.prepare");
+                    reg.blocking_next.store(0, Ordering::SeqCst);
                 }
                 // Own-shard reduce across every slot, trainer-index order —
                 // the canonical per-key summation order.
@@ -795,24 +866,113 @@ fn reduce_handoff(barriered: bool) -> impl FnMut(&mut SimBuilder) {
                     }
                     yield_point("reduce.slot_read");
                 }
-                let got: Vec<(u64, Vec<u32>)> = merged
-                    .into_sorted()
-                    .into_iter()
+                let mut got: Vec<(u64, Vec<u32>)> = merged
+                    .entries()
                     .map(|(k, v)| (k, v.iter().map(|x| x.to_bits()).collect()))
                     .collect();
+                got.sort();
                 assert_eq!(
                     got, oracle[g],
                     "owner {g}'s reduce diverged bitwise from the serial oracle"
                 );
+                if !matches!(handoff, Handoff::Registering { .. }) {
+                    return;
+                }
+
+                // Straight on into registration: siblings may still be
+                // folding. The update slot keeps its rows; the bucketed
+                // copies go as soon as the W sets hold the rows.
+                let mut update_slot = Vec::new();
+                merged.drain_arcs(&mut update_slot);
+                let mut bucketed = update_slot.clone();
+                bucketed.sort_by_key(|&(key, _)| GEntryStore::shard_of(key));
+                let read_next = reg.gstore.add_writes_batch(
+                    REDUCE_STEP,
+                    &bucketed,
+                    &reg.pq,
+                    &mut PqOpScratch::default(),
+                );
+                drop(bucketed);
+                reg.registered[g].store(true, Ordering::SeqCst);
+                reg.blocking_next.fetch_add(read_next, Ordering::SeqCst);
+                yield_point("register.done");
+                // The next step's reduce drains over the same slot: rows the
+                // flusher has landed are overwritten in place, rows it still
+                // holds must be replaced.
+                for (key, _) in &got {
+                    merged.add(*key, &[f32::NAN, f32::NAN]);
+                }
+                merged.drain_arcs(&mut update_slot);
             });
         }
+        if !matches!(handoff, Handoff::Registering { .. }) {
+            return;
+        }
+
+        {
+            let reg = Arc::clone(&reg);
+            let smap = Arc::clone(&smap);
+            sim.thread("flusher", move || {
+                // Dequeued `(key, bucket priority)` pairs not yet claimed.
+                let mut pending = Vec::new();
+                let mut writes = Vec::new();
+                let mut n_applied = 0;
+                while n_applied < total_rows {
+                    reg.pq.dequeue_batch(2, &mut pending);
+                    // Dequeue any time, but claim only from a member whose
+                    // registration has returned: a registrant suspended
+                    // inside `add_writes_batch` holds its shard's mutex, and
+                    // OS-blocking on it would wedge the harness. Members
+                    // own whole shards, so a finished one's are free.
+                    let ready = pending.iter().position(|&(key, _)| {
+                        reg.registered[smap.owner_of(key)].load(Ordering::SeqCst)
+                    });
+                    let Some(i) = ready else {
+                        spin_point("flusher.idle");
+                        continue;
+                    };
+                    let (key, bucket_p) = pending.swap_remove(i);
+                    let n = reg.gstore.take_writes_into(key, bucket_p, &mut writes);
+                    // Claimed, not yet applied: the owner may be recycling
+                    // its update slot right now.
+                    yield_point("flusher.holding");
+                    let mut applied = reg.applied.lock().unwrap();
+                    for (step, grad) in writes.drain(..) {
+                        assert_eq!(step, REDUCE_STEP);
+                        applied.push((key, grad.iter().map(|x| x.to_bits()).collect()));
+                    }
+                    n_applied += n;
+                }
+            });
+        }
+        sim.check("every row applied once, blocking rows exact", move || {
+            let mut applied = std::mem::take(&mut *reg.applied.lock().unwrap());
+            applied.sort();
+            let mut want: Vec<(u64, Vec<u32>)> = oracle.iter().flatten().cloned().collect();
+            want.sort();
+            assert_eq!(
+                applied, want,
+                "flushed rows diverged from the serial oracle (lost, doubled, or overwritten \
+                 while held)"
+            );
+            assert_eq!(
+                reg.gstore.pending_keys(),
+                0,
+                "pending key survived the drain"
+            );
+            assert_eq!(
+                reg.blocking_next.load(Ordering::SeqCst),
+                REDUCE_BLOCKING_ROWS,
+                "blocking-row total is not exact"
+            );
+        });
     }
 }
 
 #[test]
 fn unbarriered_reduce_handoff_is_found_and_replays() {
     let cfg = quiet(0..1024);
-    let outcome = explore(&cfg, reduce_handoff(false));
+    let outcome = explore(&cfg, reduce_handoff(Handoff::Unbarriered));
     let failure = outcome
         .failure
         .expect("reduce without the deposit barrier must lose a sibling's contribution");
@@ -820,14 +980,14 @@ fn unbarriered_reduce_handoff_is_found_and_replays() {
         .message
         .contains("diverged bitwise from the serial oracle"));
     eprintln!("unbarriered reduce hand-off: replay seed {}", failure.seed);
-    let replayed = replay(failure.seed, &cfg.sim, reduce_handoff(false));
+    let replayed = replay(failure.seed, &cfg.sim, reduce_handoff(Handoff::Unbarriered));
     assert!(replayed.failed());
     assert_eq!(replayed.trace, failure.trace);
 }
 
 #[test]
 fn barriered_reduce_handoff_survives_sweep() {
-    let outcome = explore(&quiet(0..1024), reduce_handoff(true));
+    let outcome = explore(&quiet(0..1024), reduce_handoff(Handoff::Barriered));
     assert!(
         !outcome.found_violation(),
         "deposit → barrier → own-shard reduce must stay bitwise-identical \
@@ -835,4 +995,163 @@ fn barriered_reduce_handoff_survives_sweep() {
         outcome.failure
     );
     assert_eq!(outcome.runs, 1024);
+}
+
+/// A deferred claim against a late read registration (DESIGN.md §8 race 6).
+///
+/// Key 9 has one pending write and no registered read: priority ∞. The
+/// flusher claims it — rightly blocking no step at that moment — and is
+/// then held up before the row lands. Meanwhile registration learns that
+/// step 4 reads key 9; the W set is already empty, so nothing moves in the
+/// queue, and the claim's marker (`DEFERRED_CLAIM`) is above every step.
+/// With `opened`, the flusher first publishes the read horizon (4: reads of
+/// step 4 were still to come when it dequeued), and step 4 waits for it.
+///
+/// The registration runs only after the claim returned: that is the order
+/// under test (the other one re-activates the queued entry, see
+/// [`reactivation_vs_take`]), and a registrant contending the shard mutex of
+/// a suspended claimant would wedge the harness.
+fn deferred_claim_vs_late_read(opened: bool) -> impl FnMut(&mut SimBuilder) {
+    move |sim: &mut SimBuilder| {
+        let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
+        let gstore = Arc::new(GEntryStore::new());
+        gstore.add_write(9, 2, Arc::from(vec![1.0f32].as_slice()), pq.as_ref());
+        let inflight = Arc::new(InflightTable::new(1));
+        inflight.set_read_horizon(4);
+        let claimed = Arc::new(AtomicBool::new(false));
+        let applied = Arc::new(AtomicBool::new(false));
+
+        {
+            let (pq, gstore, inflight) =
+                (Arc::clone(&pq), Arc::clone(&gstore), Arc::clone(&inflight));
+            let (claimed, applied) = (Arc::clone(&claimed), Arc::clone(&applied));
+            sim.thread("flusher", move || {
+                if opened {
+                    inflight.open(0);
+                }
+                let mut out = Vec::new();
+                pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
+                assert_eq!(out, vec![(9, INFINITE)]);
+                let mut writes = Vec::new();
+                assert_eq!(gstore.take_writes_into(9, INFINITE, &mut writes), 1);
+                claimed.store(true, Ordering::SeqCst);
+                yield_point("flusher.apply");
+                applied.store(true, Ordering::SeqCst);
+                inflight.clear(0);
+            });
+        }
+        sim.thread("trainer", move || {
+            while !claimed.load(Ordering::SeqCst) {
+                spin_point("trainer.await_claim");
+            }
+            // Step 3's registration (lookahead 1): step 4 reads key 9.
+            gstore.add_read(9, 4, pq.as_ref());
+            yield_point("trainer.barrier_c");
+            for _ in 0..4 {
+                let ok = admits(pq.as_ref(), &inflight, 4);
+                // `applied` only goes false→true: still false after the
+                // probe means the row was in flight throughout it.
+                if !applied.load(Ordering::SeqCst) {
+                    assert!(!ok, "step 4 admitted over an unapplied row it reads");
+                }
+                yield_point("trainer.probe");
+            }
+        });
+    }
+}
+
+#[test]
+fn deferred_claim_without_horizon_is_found_and_replays() {
+    let cfg = quiet(0..1024);
+    let outcome = explore(&cfg, deferred_claim_vs_late_read(false));
+    let failure = outcome
+        .failure
+        .expect("a deferred claim with no read horizon must admit a stale read");
+    assert!(failure.failures[0]
+        .message
+        .contains("admitted over an unapplied row"));
+    eprintln!("deferred claim vs late read: replay seed {}", failure.seed);
+    let replayed = replay(failure.seed, &cfg.sim, deferred_claim_vs_late_read(false));
+    assert!(replayed.failed());
+    assert_eq!(replayed.trace, failure.trace);
+}
+
+#[test]
+fn deferred_claim_behind_the_read_horizon_survives_sweep() {
+    let outcome = explore(&quiet(0..1024), deferred_claim_vs_late_read(true));
+    assert!(
+        !outcome.found_violation(),
+        "an opened batch must hold back the steps whose reads may hit it: {:?}",
+        outcome.failure
+    );
+    assert_eq!(outcome.runs, 1024);
+    assert_eq!(outcome.budget_exceeded_runs, 0);
+}
+
+/// PCT over the registering hand-off: ~90 yield points a schedule, three
+/// ordering constraints to lose a count (a registrant's add, the leader's
+/// late reset, the read) or to recycle under a holder.
+fn pct(seeds: std::ops::Range<u64>) -> ExploreConfig {
+    ExploreConfig {
+        seeds,
+        sim: SimConfig {
+            max_steps: 4_000,
+            policy: Policy::Pct {
+                depth: 4,
+                steps: 96,
+            },
+        },
+        announce_failure: false,
+    }
+}
+
+#[test]
+fn reset_behind_barrier_a_loses_an_early_registrants_rows() {
+    // The teeth of the sweep below: with barrier B gone, a `blocking_next`
+    // reset left with the A-leader wipes what a faster sibling has already
+    // registered.
+    let cfg = pct(0..1024);
+    let scenario = || {
+        reduce_handoff(Handoff::Registering {
+            reset_after_a: true,
+        })
+    };
+    let failure = explore(&cfg, scenario())
+        .failure
+        .expect("a reset racing the early registrants must lose blocking rows");
+    assert!(failure.failures[0]
+        .message
+        .contains("blocking-row total is not exact"));
+    eprintln!("reset behind barrier A: replay seed {}", failure.seed);
+    let replayed = replay(failure.seed, &cfg.sim, scenario());
+    assert!(replayed.failed());
+    assert_eq!(replayed.trace, failure.trace);
+}
+
+#[test]
+fn early_registrant_handoff_survives_sweep() {
+    // No barrier between reduce and registration: one member registers its
+    // shards' writes (and the flusher claims them) while its siblings are
+    // still folding the deposit slots.
+    for cfg in [pct(0..1024), quiet(0..1024)] {
+        let outcome = explore(
+            &cfg,
+            reduce_handoff(Handoff::Registering {
+                reset_after_a: false,
+            }),
+        );
+        assert!(
+            outcome.failure.is_none(),
+            "{:?}: reduce → registration without barrier B must keep reduced rows, flushed \
+             rows and the blocking-row total exact: {:?}",
+            cfg.sim.policy,
+            outcome.failure
+        );
+        assert_eq!(outcome.runs, 1024);
+        assert_eq!(
+            outcome.budget_exceeded_runs, 0,
+            "{:?}: the flusher never drained",
+            cfg.sim.policy
+        );
+    }
 }

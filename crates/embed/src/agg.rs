@@ -10,10 +10,13 @@
 //! Accumulators live in one flat arena (`data`) indexed by a key → slot
 //! map, so an aggregator can be [`cleared`](GradAggregator::clear) and
 //! reused step after step without re-allocating — the engine keeps one per
-//! trainer on its hot loop.
+//! trainer on its hot loop. A caller that already holds the batch's dense
+//! instance → unique index skips the map altogether
+//! ([`GradAggregator::seed_slots`] / [`GradAggregator::add_to_slot`]).
 
 use crate::kernels;
 use frugal_data::{Key, KeyHashMap};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Accumulates per-key gradients in arrival order.
@@ -69,15 +72,21 @@ impl GradAggregator {
         self.data.clear();
     }
 
-    fn slot(&mut self, key: Key) -> (usize, bool) {
-        match self.index.get(&key) {
-            Some(&i) => (i, false),
-            None => {
-                let i = self.order.len();
-                self.index.insert(key, i);
+    /// `key`'s slot, minted on first touch — one hash probe either way.
+    fn slot(&mut self, key: Key) -> usize {
+        debug_assert_eq!(
+            self.index.len(),
+            self.order.len(),
+            "key-addressed add on a slot-seeded aggregator"
+        );
+        let next = self.order.len();
+        match self.index.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                e.insert(next);
                 self.order.push(key);
                 self.data.resize(self.data.len() + self.dim, 0.0);
-                (i, true)
+                next
             }
         }
     }
@@ -88,9 +97,31 @@ impl GradAggregator {
     ///
     /// Panics if `grad.len() != dim`.
     pub fn add(&mut self, key: Key, grad: &[f32]) {
+        let i = self.slot(key);
+        self.add_to_slot(i, grad);
+    }
+
+    /// Replaces the contents with one zeroed accumulator per key of
+    /// `unique` (distinct keys, in first-arrival order), slot `i` belonging
+    /// to `unique[i]`. The caller has already deduplicated the batch, so no
+    /// key map is built: fill with [`GradAggregator::add_to_slot`] and read
+    /// with [`GradAggregator::entries`]; the key-addressed adds and merges
+    /// are off limits until the next [`GradAggregator::clear`].
+    pub fn seed_slots(&mut self, unique: &[Key]) {
+        self.clear();
+        self.order.extend_from_slice(unique);
+        self.data.resize(unique.len() * self.dim, 0.0);
+    }
+
+    /// Adds `grad` to the accumulator in `slot` — [`GradAggregator::add`]
+    /// for a key whose slot the caller already knows, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != dim` or `slot` is out of range.
+    pub fn add_to_slot(&mut self, slot: usize, grad: &[f32]) {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        let (i, _) = self.slot(key);
-        kernels::add(&mut self.data[i * self.dim..(i + 1) * self.dim], grad);
+        kernels::add(&mut self.data[slot * self.dim..(slot + 1) * self.dim], grad);
     }
 
     /// Adds `grad` scaled by `scale` to the accumulator of `key`.
@@ -100,7 +131,7 @@ impl GradAggregator {
     /// Panics if `grad.len() != dim`.
     pub fn add_scaled(&mut self, key: Key, grad: &[f32], scale: f32) {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        let (i, _) = self.slot(key);
+        let i = self.slot(key);
         kernels::add_scaled(
             &mut self.data[i * self.dim..(i + 1) * self.dim],
             grad,
@@ -149,15 +180,29 @@ impl GradAggregator {
         v
     }
 
-    /// Drains the accumulated gradients into shared rows, appending
-    /// `(key, Arc(grad))` to `out` in first-arrival order, and clears the
-    /// aggregator for reuse. The `Arc` per row is the only allocation: the
-    /// same shared gradient travels to the g-entry W set and the owner
-    /// GPU's cache update, so nothing is cloned downstream.
+    /// Drains the accumulated gradients into shared rows: `out` becomes
+    /// the `(key, Arc(grad))` pairs in first-arrival order, and the
+    /// aggregator is cleared for reuse. The same shared gradient travels to
+    /// the g-entry W set and the owner GPU's cache update, so nothing is
+    /// cloned downstream.
+    ///
+    /// What `out` held is replaced, and its rows are recycled: a row nobody
+    /// else holds any more (`Arc::get_mut`) is overwritten in place, so a
+    /// caller that hands back last step's rows allocates only for the rows
+    /// a consumer still shares and for growth past the old length. An empty
+    /// `out` allocates one `Arc` per row.
     pub fn drain_arcs(&mut self, out: &mut Vec<(Key, Arc<[f32]>)>) {
-        for (i, &k) in self.order.iter().enumerate() {
-            out.push((k, Arc::from(&self.data[i * self.dim..(i + 1) * self.dim])));
+        let dim = self.dim;
+        out.truncate(self.order.len());
+        let mut fresh = self.order.iter().zip(self.data.chunks_exact(dim));
+        for (dst, (&key, grad)) in out.iter_mut().zip(&mut fresh) {
+            dst.0 = key;
+            match Arc::get_mut(&mut dst.1) {
+                Some(row) if row.len() == dim => row.copy_from_slice(grad),
+                _ => dst.1 = Arc::from(grad),
+            }
         }
+        out.extend(fresh.map(|(&key, grad)| (key, Arc::from(grad))));
         self.clear();
     }
 
@@ -171,19 +216,9 @@ impl GradAggregator {
     /// Panics if dimensions differ.
     pub fn merge_from(&mut self, other: &mut GradAggregator) {
         assert_eq!(self.dim, other.dim, "dim mismatch");
-        for (i, &k) in other.order.iter().enumerate() {
-            let grad = &other.data[i * self.dim..(i + 1) * self.dim];
-            let j = match self.index.get(&k) {
-                Some(&j) => j,
-                None => {
-                    let j = self.order.len();
-                    self.index.insert(k, j);
-                    self.order.push(k);
-                    self.data.resize(self.data.len() + self.dim, 0.0);
-                    j
-                }
-            };
-            kernels::add(&mut self.data[j * self.dim..(j + 1) * self.dim], grad);
+        for (&k, grad) in other.order.iter().zip(other.data.chunks_exact(self.dim)) {
+            let j = self.slot(k);
+            self.add_to_slot(j, grad);
         }
         other.clear();
     }
@@ -279,6 +314,134 @@ mod tests {
         // Cleared aggregator accumulates from zero again.
         agg.add(9, &[4.0]);
         assert_eq!(agg.into_sorted(), vec![(9, vec![4.0])]);
+    }
+
+    /// A two-row aggregator over keys `a`, `b` whose values carry `tag`.
+    fn two_rows(a: Key, b: Key, tag: f32) -> GradAggregator {
+        let mut agg = GradAggregator::new(2);
+        agg.add(a, &[tag, 1.0]);
+        agg.add(b, &[tag, 2.0]);
+        agg
+    }
+
+    #[test]
+    fn drain_arcs_overwrites_unique_rows_in_place() {
+        let mut out = Vec::new();
+        two_rows(9, 3, 1.0).drain_arcs(&mut out);
+        let rows: Vec<*const f32> = out.iter().map(|(_, r)| r.as_ptr()).collect();
+        // Nobody else holds the rows: the next drain reuses both.
+        two_rows(4, 9, 2.0).drain_arcs(&mut out);
+        assert_eq!(out.len(), 2);
+        assert_eq!((out[0].0, &out[0].1[..]), (4, &[2.0f32, 1.0][..]));
+        assert_eq!((out[1].0, &out[1].1[..]), (9, &[2.0f32, 2.0][..]));
+        let reused: Vec<*const f32> = out.iter().map(|(_, r)| r.as_ptr()).collect();
+        assert_eq!(reused, rows, "unique rows must be recycled, not replaced");
+    }
+
+    #[test]
+    fn drain_arcs_replaces_shared_rows_and_leaves_the_holder_its_values() {
+        let mut out = Vec::new();
+        two_rows(9, 3, 1.0).drain_arcs(&mut out);
+        // A consumer (the W set, a flusher's claim) still holds row 0.
+        let held = Arc::clone(&out[0].1);
+        let free_row = out[1].1.as_ptr();
+        two_rows(9, 3, 2.0).drain_arcs(&mut out);
+        assert_eq!(&held[..], &[1.0, 1.0], "the holder's row was overwritten");
+        assert_eq!(&out[0].1[..], &[2.0, 1.0]);
+        assert!(
+            !Arc::ptr_eq(&held, &out[0].1),
+            "a shared row must be replaced"
+        );
+        assert_eq!(out[1].1.as_ptr(), free_row, "its unshared neighbour is not");
+        // Once the holder lets go, the replacement is recycled like any row.
+        drop(held);
+        let replacement = out[0].1.as_ptr();
+        two_rows(9, 3, 3.0).drain_arcs(&mut out);
+        assert_eq!(out[0].1.as_ptr(), replacement);
+    }
+
+    #[test]
+    fn drain_arcs_fits_the_destination_to_the_drained_rows() {
+        let three = |tag: f32| {
+            let mut agg = two_rows(1, 2, tag);
+            agg.add(7, &[tag, 3.0]);
+            agg
+        };
+        let keys = |out: &[(Key, Arc<[f32]>)]| out.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+        // Shorter destination: the first rows are recycled, the tail grows.
+        let mut out = Vec::new();
+        two_rows(5, 6, 1.0).drain_arcs(&mut out);
+        let first = out[0].1.as_ptr();
+        three(2.0).drain_arcs(&mut out);
+        assert_eq!(keys(&out), vec![1, 2, 7]);
+        assert_eq!(out[0].1.as_ptr(), first);
+        assert_eq!(&out[2].1[..], &[2.0, 3.0]);
+        // Longer destination: truncated to the drained rows, nothing stale.
+        two_rows(8, 9, 3.0).drain_arcs(&mut out);
+        assert_eq!(keys(&out), vec![8, 9]);
+        assert_eq!(out[0].1.as_ptr(), first);
+        assert_eq!(&out[1].1[..], &[3.0, 2.0]);
+        // Draining nothing empties it.
+        GradAggregator::new(2).drain_arcs(&mut out);
+        assert!(out.is_empty());
+        // A row of another width is never written through.
+        let mut narrow: Vec<(Key, Arc<[f32]>)> = vec![(0, Arc::from(&[0.0f32][..]))];
+        two_rows(1, 2, 4.0).drain_arcs(&mut narrow);
+        assert_eq!(&narrow[0].1[..], &[4.0, 1.0]);
+    }
+
+    /// A batch with many repeats of few keys, values spread so that the f32
+    /// summation order within a key is observable.
+    fn duplicate_heavy_batch() -> (Vec<Key>, Vec<[f32; 2]>) {
+        let keys: Vec<Key> = (0..200u64).map(|i| (i * i + 3 * i) % 13).collect();
+        let grads = (0..200)
+            .map(|i| {
+                let v = 10f32.powi(i % 7 - 3) * (1.0 + i as f32 * 1e-3);
+                [v, -1.0 / v]
+            })
+            .collect();
+        (keys, grads)
+    }
+
+    #[test]
+    fn slot_filled_matches_key_filled_bitwise() {
+        let (keys, grads) = duplicate_heavy_batch();
+        let mut keyed = GradAggregator::new(2);
+        for (&key, grad) in keys.iter().zip(&grads) {
+            keyed.add(key, grad);
+        }
+        // The caller's dedup pass: unique keys in first-arrival order and
+        // each instance's index into them.
+        let mut unique: Vec<Key> = Vec::new();
+        let slot_of: Vec<usize> = keys
+            .iter()
+            .map(|key| {
+                unique.iter().position(|u| u == key).unwrap_or_else(|| {
+                    unique.push(*key);
+                    unique.len() - 1
+                })
+            })
+            .collect();
+        assert!(
+            unique.len() < keys.len() / 10,
+            "batch must be duplicate-heavy"
+        );
+        let mut slotted = two_rows(77, 78, 9.0); // stale contents are replaced
+        slotted.seed_slots(&unique);
+        for (&slot, grad) in slot_of.iter().zip(&grads) {
+            slotted.add_to_slot(slot, grad);
+        }
+        let bits = |agg: &GradAggregator| -> Vec<(Key, Vec<u32>)> {
+            agg.entries()
+                .map(|(k, g)| (k, g.iter().map(|x| x.to_bits()).collect()))
+                .collect()
+        };
+        assert_eq!(bits(&slotted), bits(&keyed));
+        assert_eq!(slotted.len(), keyed.len());
+        // Cleared, it is an ordinary key-addressed aggregator again.
+        slotted.clear();
+        slotted.add(5, &[1.0, 1.0]);
+        assert_eq!(slotted.into_sorted(), vec![(5, vec![1.0, 1.0])]);
     }
 
     #[test]

@@ -225,9 +225,18 @@ impl GpuCache {
 
     /// Sets the StaticHot admission threshold: keys `< threshold` are
     /// cacheable. No-op for the other policies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a resident key falls outside the new threshold: lookups
+    /// rely on "not admitted ⇒ not resident" (see [`Self::fill_with_state`]).
     pub fn set_hot_threshold(&mut self, threshold: u64) {
         self.hot_threshold = Some(threshold);
         self.policy.set_hot_threshold(threshold);
+        assert!(
+            self.keys.iter().all(|&k| self.policy.admits(k)),
+            "hot threshold {threshold} strands resident rows"
+        );
     }
 
     /// Drops every row whose key fails `keep`, compacting survivors into
@@ -303,9 +312,17 @@ impl GpuCache {
     }
 
     /// The one lookup: resolves `key` to its slot, refreshing policy state
-    /// and counting the hit or miss.
+    /// and counting the hit or miss. A key the policy never admits cannot
+    /// be resident ([`Self::fill_with_state`] refuses it), so its miss is
+    /// counted without probing the map — under `static-hot` that is the
+    /// whole cold tail of every batch.
     fn lookup(&mut self, key: &Key) -> Option<usize> {
-        match self.map.get(key).copied() {
+        let slot = if self.policy.admits(*key) {
+            self.map.get(key).copied()
+        } else {
+            None
+        };
+        match slot {
             Some(slot) => {
                 self.policy.on_hit(*key, slot);
                 self.hits += 1;
@@ -367,6 +384,8 @@ impl GpuCache {
     where
         F: FnOnce(&mut [f32], &mut [f32]),
     {
+        // The only way into `map`, and it is shut to keys the policy does
+        // not admit: what lets `lookup` skip the probe for them.
         if !self.policy.admits(key) {
             return InsertOutcome::Rejected;
         }
@@ -395,6 +414,10 @@ impl GpuCache {
         };
         let (row, state) = self.slot_mut(slot);
         fill(row, state);
+        debug_assert!(
+            self.policy.admits(key),
+            "a key the policy does not admit must never become resident"
+        );
         self.map.insert(key, slot);
         self.policy.on_insert(key, slot);
         match evicted {
@@ -572,6 +595,92 @@ mod tests {
         assert!(c.get_mut(&1).is_some());
         assert_eq!(c.stats(), (2, 1), "get_mut must feed the same counters");
         assert!((c.hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn lookup_agrees_with_an_always_probing_one_for_every_policy() {
+        // `contains` probes the map for every key and touches nothing; the
+        // counted lookups must tell the same hits from the same misses —
+        // including the keys static-hot never admits (≥ 20), whose probe
+        // they skip.
+        for policy in CachePolicy::ALL {
+            let mut c = GpuCache::new(8, 1, policy);
+            c.set_hot_threshold(20);
+            let key_at = |i: u64| (i * 7919 + i / 3) % 40;
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for i in 0..4_000u64 {
+                if i % 40 == 0 {
+                    // The oracle evicts only for keys with a known future.
+                    let step = i / 40;
+                    let ahead: Vec<Key> = (i + 40..i + 80).map(key_at).collect();
+                    c.begin_step(step);
+                    c.prepare_step(step + 1, &ahead);
+                }
+                let key = key_at(i);
+                let resident = c.contains(&key);
+                let got = if i % 3 == 0 {
+                    c.get_with_state(&key).is_some()
+                } else {
+                    c.get(&key).is_some()
+                };
+                assert_eq!(got, resident, "{policy:?}: key {key} at access {i}");
+                if resident {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                    c.insert_from_slice(key, &[key as f32]);
+                }
+            }
+            assert!(hits > 0 && misses > 0, "{policy:?}: stream must be mixed");
+            assert_eq!(c.stats(), (hits, misses), "{policy:?}");
+            let ratio = hits as f64 / (hits + misses) as f64;
+            assert_eq!(c.hit_ratio().to_bits(), ratio.to_bits(), "{policy:?}");
+        }
+    }
+
+    /// Admits keys below 10, evicts slot 0, counts `on_miss` calls.
+    #[derive(Debug)]
+    struct CountsMisses(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+    impl EvictionPolicy for CountsMisses {
+        fn on_hit(&mut self, _key: Key, _slot: usize) {}
+        fn on_miss(&mut self, _key: Key) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        fn on_insert(&mut self, _key: Key, _slot: usize) {}
+        fn on_replace(&mut self, _key: Key, _slot: usize) {}
+        fn on_evict(&mut self, _key: Key, _slot: usize) {}
+        fn admits(&self, key: Key) -> bool {
+            key < 10
+        }
+        fn evict_candidate(&mut self, _key: Key, _residents: &[Key]) -> Option<usize> {
+            Some(0)
+        }
+    }
+
+    #[test]
+    fn unprobed_misses_still_reach_the_policy() {
+        let on_miss = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut c = GpuCache::new(2, 1, CachePolicy::Lru);
+        c.policy = Box::new(CountsMisses(std::sync::Arc::clone(&on_miss)));
+        c.insert_from_slice(1, &[1.0]);
+        assert_eq!(c.insert_from_slice(50, &[5.0]), InsertOutcome::Rejected);
+        // One hit, one probed miss, two misses on keys never admitted.
+        assert!(c.get(&1).is_some());
+        assert!(c.get(&2).is_none());
+        assert!(c.get(&50).is_none());
+        assert!(c.get_mut(&51).is_none());
+        assert_eq!(c.stats(), (1, 3));
+        assert_eq!(on_miss.load(std::sync::atomic::Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "strands resident rows")]
+    fn hot_threshold_cannot_strand_residents() {
+        let mut c = GpuCache::new(4, 1, CachePolicy::StaticHot);
+        c.set_hot_threshold(100);
+        c.insert_from_slice(50, &[1.0]);
+        c.set_hot_threshold(10);
     }
 
     #[test]

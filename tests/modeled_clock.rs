@@ -13,9 +13,13 @@ const STEPS: u64 = 24;
 const N_GPUS: usize = 3;
 
 fn run(mode: FlushMode, pq: PqKind, throttle_us: u64) -> TrainReport {
-    let trace = SyntheticTrace::new(N_KEYS, KeyDistribution::Zipf(0.9), 64, N_GPUS, 17).unwrap();
+    run_wide(N_GPUS, mode, pq, throttle_us)
+}
+
+fn run_wide(n_gpus: usize, mode: FlushMode, pq: PqKind, throttle_us: u64) -> TrainReport {
+    let trace = SyntheticTrace::new(N_KEYS, KeyDistribution::Zipf(0.9), 64, n_gpus, 17).unwrap();
     let model = PullToTarget::new(8, 3);
-    let mut cfg = FrugalConfig::commodity(N_GPUS, STEPS);
+    let mut cfg = FrugalConfig::commodity(n_gpus, STEPS);
     cfg.flush_mode = mode;
     cfg.pq = pq;
     cfg.flush_threads = 2;
@@ -50,6 +54,28 @@ fn modeled_numbers_are_bit_identical_under_flusher_throttling() {
                 "{mode:?}: g-entry time exactly when there are g-entries"
             );
         }
+    }
+}
+
+/// Eight members reach registration at visibly different times — nothing
+/// holds an early reducer back while its siblings still fold the deposit
+/// slots — and the C-leader zeroes the blocking-row counter for the *next*
+/// step's registrants. A count that leaked across a step boundary, or lost a
+/// member's share, would move the stall bits with the interleaving; a slow
+/// flusher pool changes the interleaving.
+#[test]
+fn eight_wide_modeled_numbers_are_bit_identical_under_flusher_throttling() {
+    for mode in [FlushMode::P2f, FlushMode::Fifo, FlushMode::WriteThrough] {
+        let fast = run_wide(8, mode, PqKind::TwoLevel, 0);
+        let slow = run_wide(8, mode, PqKind::TwoLevel, 300);
+        assert_eq!(fast.stats.len() as u64, STEPS);
+        assert_eq!(
+            fast.stats.iters(),
+            slow.stats.iters(),
+            "{mode:?}: per-iteration breakdowns moved with flusher speed at width 8"
+        );
+        assert_eq!(fast.mean_gentry_update, slow.mean_gentry_update);
+        assert!(fast.mean_stall() > Nanos::ZERO, "{mode:?} models a stall");
     }
 }
 
