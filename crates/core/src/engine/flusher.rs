@@ -1,8 +1,16 @@
 //! The background flushing pool: coordination primitives and the per-thread
 //! drain loop (paper §3.2, component 4).
+//!
+//! A flusher works a batch at a time and pays its synchronisation per batch,
+//! not per row: one guarded dequeue (the queue settles its counters once per
+//! bucket), one claim in which each g-entry shard's lock is taken once for
+//! all of the batch's keys in that shard
+//! ([`GEntryStore::take_writes_batch`](crate::GEntryStore::take_writes_batch)),
+//! one apply that walks the host table in address order with the rows a few
+//! places ahead already requested from memory, one marker clear, one wake.
 
 use super::RunShared;
-use crate::gentry::PendingWrites;
+use crate::gentry::{GEntryStore, PendingWrites};
 use crate::wait::InflightTable;
 use frugal_embed::FlushClaim;
 use frugal_telemetry::{LaneKind, LedgerPhase, Phase, SpanArgs};
@@ -130,11 +138,12 @@ impl FlushCoord {
 ///
 /// The apply path is allocation-free after warm-up: claims drain into a
 /// per-flusher reusable scratch (`writes` + `claims`) via
-/// [`crate::gentry::GEntryStore::take_writes_into`], and the batch is
-/// key-sorted before claiming so both the g-entry shards and the dense
-/// host/state tables are walked in address order. The claimed ranges then
-/// replay through [`frugal_embed::apply_claims`] — the same optimizer/store
-/// path the write-through trainers' sharded apply uses.
+/// [`crate::gentry::GEntryStore::take_writes_batch`]. The batch is ordered
+/// by g-entry shard for the claim (one lock acquisition per shard it
+/// touches) and the claims by key for the apply, so the dense host/state
+/// tables are walked in address order. The claimed ranges then replay
+/// through [`frugal_embed::apply_claims`] — the same optimizer/store path
+/// the write-through trainers' sharded apply uses.
 ///
 /// Claim-all-then-apply-all is safe under the in-flight marker: the guarded
 /// dequeue publishes the batch's minimum priority *before* extraction and
@@ -192,15 +201,12 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         // `flush_apply_ns_row` look like the kernels slowed down at 8
         // trainers when it was really lock/queue bookkeeping.
         let t_claim = Instant::now();
-        out.sort_unstable();
+        out.sort_unstable_by_key(|&(key, bucket_p)| (GEntryStore::shard_of(key), key, bucket_p));
         claims.clear();
-        for &(key, bucket_p) in &out {
-            let start = writes.len();
-            let n = shared.gstore.take_writes_into(key, bucket_p, &mut writes);
-            if n > 0 {
-                claims.push((key, start, start + n));
-            }
-        }
+        shared
+            .gstore
+            .take_writes_batch(&out, &mut writes, &mut claims);
+        claims.sort_unstable_by_key(|&(key, ..)| key);
         let claim_ns = t_claim.elapsed().as_nanos() as u64;
         shared.metrics.flush_claim_ns.add(claim_ns);
         // Pure apply: optimizer step + host-store write, walking the

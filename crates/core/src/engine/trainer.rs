@@ -253,14 +253,13 @@ pub(crate) fn register_phase(
         for buf in &mut scratch.write_bufs {
             if !buf.is_empty() {
                 own_rows += buf.len() as u64;
+                // The rows move into the W sets, which leaves the update
+                // slot and the pending flush as a row's only holders: the
+                // next reduce recycles it once it has landed.
                 read_next +=
                     shared
                         .gstore
-                        .add_writes_batch(s, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
-                // The W sets hold the rows now. Letting go here leaves the
-                // update slot and the pending flush as a row's only
-                // holders, so the next reduce recycles it once it landed.
-                buf.clear();
+                        .add_writes_moved(s, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
             }
         }
         if read_next > 0 {
@@ -589,7 +588,11 @@ pub(crate) fn trainer_loop(
             let host_reads = scratch.missing.len() as u64;
             let mut fills = 0u64;
             let hr_span = rec.span_with(Phase::HostRead, SpanArgs::one("rows", host_reads));
-            for &(i, key) in &scratch.missing {
+            for (m, &(i, key)) in scratch.missing.iter().enumerate() {
+                // The misses are all known: overlap their DRAM latencies.
+                shared
+                    .store
+                    .prefetch_ahead(&scratch.missing, m, |&(_, key)| key);
                 let slot = &mut scratch.urows[i * dim..(i + 1) * dim];
                 // Verify the consistency invariant first when checking is on.
                 if cfg.checked && !shared.gstore.invariant_holds(key, s) {

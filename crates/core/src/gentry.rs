@@ -45,6 +45,7 @@
 //! never otherwise, and capacity tracks the peak live count.
 
 use frugal_data::Key;
+use frugal_embed::FlushClaim;
 use frugal_pq::{Priority, PriorityQueue, INFINITE};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -623,6 +624,10 @@ impl GEntryStore {
     /// how far the flushers have drained, so it is a pure function of the
     /// batch stream. Always 0 under [`PriorityPolicy::ArrivalOrder`], whose
     /// priorities are write steps.
+    ///
+    /// This slice form shares each row with the caller (one `Arc` clone per
+    /// item); a caller that is done with its rows uses
+    /// [`GEntryStore::add_writes_moved`].
     pub fn add_writes_batch(
         &self,
         step: u64,
@@ -630,17 +635,42 @@ impl GEntryStore {
         pq: &dyn PriorityQueue,
         scratch: &mut PqOpScratch,
     ) -> u64 {
+        let shared = items.iter().map(|(key, grad)| (*key, Arc::clone(grad)));
+        self.register_writes(step, shared, pq, scratch)
+    }
+
+    /// [`GEntryStore::add_writes_batch`] that *moves* the rows out of
+    /// `items` into the W sets, leaving it empty with its capacity: no
+    /// reference count is touched on the way, and the caller's bucket no
+    /// longer keeps the rows from being recycled once they are flushed.
+    pub fn add_writes_moved(
+        &self,
+        step: u64,
+        items: &mut Vec<(Key, Arc<[f32]>)>,
+        pq: &dyn PriorityQueue,
+        scratch: &mut PqOpScratch,
+    ) -> u64 {
+        self.register_writes(step, items.drain(..), pq, scratch)
+    }
+
+    /// The one write-registration routine behind both public forms.
+    fn register_writes(
+        &self,
+        step: u64,
+        items: impl Iterator<Item = (Key, Arc<[f32]>)>,
+        pq: &dyn PriorityQueue,
+        scratch: &mut PqOpScratch,
+    ) -> u64 {
         let mut read_next = 0u64;
-        let mut i = 0;
-        while i < items.len() {
-            let sid = Self::shard_of(items[i].0);
+        let mut items = items.peekable();
+        while let Some(&(first, _)) = items.peek() {
+            let sid = Self::shard_of(first);
             let mut shard = self.shards[sid].lock();
             scratch.enqueues.clear();
             scratch.moves.clear();
             let mut newly_pending = 0usize;
-            while i < items.len() && Self::shard_of(items[i].0) == sid {
-                let (key, grad) = &items[i];
-                let slot = shard.ensure(*key);
+            while let Some((key, grad)) = items.next_if(|&(key, _)| Self::shard_of(key) == sid) {
+                let slot = shard.ensure(key);
                 let had_writes = shard.has_writes(slot);
                 let old_p = if had_writes {
                     shard.priority(slot, self.policy)
@@ -648,22 +678,21 @@ impl GEntryStore {
                     INFINITE
                 };
                 shard.r_remove(slot, step);
-                shard.w_push(slot, step, Arc::clone(grad));
+                shard.w_push(slot, step, grad);
                 let new_p = shard.priority(slot, self.policy);
                 read_next += u64::from(new_p == step + 1);
                 if !had_writes {
                     newly_pending += 1;
-                    scratch.enqueues.push((*key, new_p));
+                    scratch.enqueues.push((key, new_p));
                 } else if new_p != old_p {
-                    scratch.moves.push((*key, old_p, new_p));
+                    scratch.moves.push((key, old_p, new_p));
                 }
-                i += 1;
             }
             // Count before the entries become findable (the drain check
             // `shutdown && pending_keys() == 0` must never observe a queued
-            // entry it thinks is already flushed). `take_writes` of these
-            // keys blocks on the shard lock until after this, so the
-            // matching decrement cannot run first.
+            // entry it thinks is already flushed). A claim of these keys
+            // blocks on the shard lock until after this, so the matching
+            // decrement cannot run first.
             if newly_pending > 0 {
                 self.pending_keys.fetch_add(newly_pending, Ordering::AcqRel);
             }
@@ -749,51 +778,96 @@ impl GEntryStore {
 
     /// Allocation-free form of [`GEntryStore::take_writes`]: appends the
     /// claimed `(step, Δ)` pairs to `out` (step order preserved) and
-    /// returns how many were claimed — 0 for a stale dequeue. Flushers
-    /// keep one `out` scratch per thread and reuse it batch after batch,
-    /// so the claim path allocates nothing after warm-up; the entry's
-    /// W-list capacity stays in the shard slab for reuse.
+    /// returns how many were claimed — 0 for a stale dequeue. The batch of
+    /// one of [`GEntryStore::take_writes_batch`].
     pub fn take_writes_into(
         &self,
         key: Key,
         bucket_priority: Priority,
         out: &mut PendingWrites,
     ) -> usize {
-        // Explorer hook for the claim window: a concurrent registrant may
-        // reposition the entry between the dequeue that produced
-        // `bucket_priority` and this validation. Both hooks sit outside the
-        // shard lock — a suspended lock-holder would wedge any runnable
-        // vthread that OS-blocks on the same shard.
-        sched_point!("gentry.take_writes.enter");
-        let claimed = {
-            let mut shard = self.shard(key).lock();
-            match shard.find(key) {
-                None => 0,
-                Some(slot) => {
+        let start = out.len();
+        self.claim_runs(&[(key, bucket_priority)], out, |_| {});
+        out.len() - start
+    }
+
+    /// Claims a whole dequeued batch: every `(key, bucket priority)` pair
+    /// of `batch` goes through the stale-dequeue check of
+    /// [`GEntryStore::take_writes`], in order, and each one that passes
+    /// appends its `(step, Δ)` pairs to `writes` and its `(key, start, end)`
+    /// range into them to `claims`. Each contiguous same-shard run of
+    /// `batch` takes its shard's lock once and settles `pending_keys` once,
+    /// so a flusher that orders its batch by [`GEntryStore::shard_of`] pays
+    /// both per shard, not per key. Both outputs are appended to, never
+    /// cleared: flushers reuse them batch after batch, so the claim path
+    /// allocates nothing after warm-up, and the entries' W-list capacity
+    /// stays in the shard slabs for reuse.
+    pub fn take_writes_batch(
+        &self,
+        batch: &[(Key, Priority)],
+        writes: &mut PendingWrites,
+        claims: &mut Vec<FlushClaim>,
+    ) {
+        self.claim_runs(batch, writes, |claim| claims.push(claim));
+    }
+
+    /// The one claim routine behind [`GEntryStore::take_writes_into`] and
+    /// [`GEntryStore::take_writes_batch`].
+    ///
+    /// Each pair is validated under its shard's lock against the entry's
+    /// authoritative priority at that moment — a registrant that
+    /// re-positions a key while the run's earlier keys are being claimed
+    /// either did so before the lock was taken (the pair is stale and
+    /// refused) or waits for the whole run. `pending_keys` drops once per
+    /// run, after the lock: later than per key is the conservative
+    /// direction (its readers only ever wait for zero), and the run's
+    /// in-flight marker is still up.
+    fn claim_runs(
+        &self,
+        batch: &[(Key, Priority)],
+        out: &mut PendingWrites,
+        mut claimed: impl FnMut(FlushClaim),
+    ) {
+        for run in batch.chunk_by(|a, b| Self::shard_of(a.0) == Self::shard_of(b.0)) {
+            // Explorer hook for the claim window: a concurrent registrant
+            // may reposition an entry between the dequeue that produced its
+            // bucket priority and this validation. Both hooks sit outside
+            // the shard lock — a suspended lock-holder would wedge any
+            // runnable vthread that OS-blocks on the same shard.
+            sched_point!("gentry.take_writes.enter");
+            let mut keys_claimed = 0usize;
+            {
+                let mut shard = self.shards[Self::shard_of(run[0].0)].lock();
+                for &(key, bucket_priority) in run {
+                    let Some(slot) = shard.find(key) else {
+                        continue;
+                    };
+                    // Stale dequeue (the paper's inconsistent-g-entry
+                    // check): repositioned and live elsewhere in the queue,
+                    // or already claimed.
                     if !shard.has_writes(slot)
                         || shard.priority(slot, self.policy) != bucket_priority
                     {
-                        // Stale dequeue (the paper's inconsistent-g-entry
-                        // check): repositioned and live elsewhere in the
-                        // queue, or already claimed.
-                        0
-                    } else {
-                        let n = shard.w_take(slot, out);
-                        self.pending_keys.fetch_sub(1, Ordering::AcqRel);
-                        if shard.r_is_empty(slot) {
-                            shard.remove(slot);
-                        }
-                        n
+                        continue;
                     }
+                    let start = out.len();
+                    let n = shard.w_take(slot, out);
+                    if shard.r_is_empty(slot) {
+                        shard.remove(slot);
+                    }
+                    keys_claimed += 1;
+                    claimed((key, start, start + n));
                 }
             }
-        };
-        sched_point!(if claimed == 0 {
-            "gentry.take_writes.stale"
-        } else {
-            "gentry.take_writes.claimed"
-        });
-        claimed
+            if keys_claimed > 0 {
+                self.pending_keys.fetch_sub(keys_claimed, Ordering::AcqRel);
+            }
+            sched_point!(if keys_claimed == 0 {
+                "gentry.take_writes.stale"
+            } else {
+                "gentry.take_writes.claimed"
+            });
+        }
     }
 
     /// The current priority of `key`'s entry, if it exists (tests only).

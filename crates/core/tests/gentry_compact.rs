@@ -14,6 +14,11 @@
 //! entries away in arbitrary order: deletion closes its hole by backward
 //! shift, and after every claim each surviving key must still be findable
 //! (no probe run cut by the hole) with its own R/W state attached.
+//!
+//! A third drives twin stores through one random sequence of registrations
+//! and claims — one through the batch-native forms (moving registration,
+//! whole-batch claim), one through the slice and one-key forms — and
+//! requires the same claims, priorities and counts from both.
 
 use frugal_core::{GEntryStore, PqOpScratch, PriorityPolicy};
 use frugal_pq::{TwoLevelPq, INFINITE};
@@ -241,8 +246,132 @@ fn check_delete_heavy(ops: &[Op]) -> Result<(), String> {
     Ok(())
 }
 
+/// A random step of the twin-store property: `kind` 0 registers the
+/// writes of step `at` for the keys picked by `mask`, 1 its reads, 2–3
+/// claims the picked keys (each at its current priority, or at `at` — a
+/// stale pair — where `stale` has the key's bit set).
+type TwinOp = (u64, u64, u64, u64);
+
+/// Twin stores, one random sequence: `batched` registers by
+/// `add_writes_moved` and claims by `take_writes_batch`; `keyed` registers
+/// by the slice form and claims one key at a time with `take_writes_into`.
+/// Both are wrappers of one routine each, so they must agree on every claim
+/// (which pairs are refused as stale, the drained steps, their order), on
+/// every priority and `read_next` count, and on `pending_keys`.
+fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(), String> {
+    // Shards 0 (0, 64, 128, 192), 1 (1, 65, 129) and five loners.
+    let keys: [u64; 12] = [0, 64, 128, 192, 1, 65, 129, 2, 7, 500, 63, 1000];
+    let picked = |mask: u64| {
+        keys.iter()
+            .enumerate()
+            .filter(move |(i, _)| mask >> i & 1 == 1)
+    };
+    let (batched, keyed) = (
+        GEntryStore::with_policy(policy),
+        GEntryStore::with_policy(policy),
+    );
+    let (pq_b, pq_k) = (TwoLevelPq::new(MAX_STEP), TwoLevelPq::new(MAX_STEP));
+    let mut scratch = PqOpScratch::default();
+    // Step order, as the engine registers: arrival-order priorities assume it.
+    let mut step = 0u64;
+    for &(kind, mask, stale, at) in ops {
+        match kind {
+            0 => {
+                let grad: Arc<[f32]> = vec![step as f32].into();
+                let mut items: Vec<(u64, Arc<[f32]>)> =
+                    picked(mask).map(|(_, &k)| (k, Arc::clone(&grad))).collect();
+                items.sort_by_key(|&(k, _)| GEntryStore::shard_of(k));
+                let rn_k = keyed.add_writes_batch(step, &items, &pq_k, &mut scratch);
+                // One more holder per row now; the moving form adds none.
+                let holders = Arc::strong_count(&grad);
+                let rn_b = batched.add_writes_moved(step, &mut items, &pq_b, &mut scratch);
+                if !items.is_empty() || Arc::strong_count(&grad) != holders {
+                    return Err("the moving form must move the rows, not share them".to_owned());
+                }
+                if rn_b != rn_k {
+                    return Err(format!(
+                        "read_next diverged at step {step}: {rn_b} vs {rn_k}"
+                    ));
+                }
+                step += 1;
+            }
+            1 => {
+                let read_step = step + at % 12;
+                let mut reads: Vec<u64> = picked(mask).map(|(_, &k)| k).collect();
+                reads.sort_by_key(|&k| GEntryStore::shard_of(k));
+                batched.add_reads_batch(read_step, &reads, &pq_b, &mut scratch);
+                keyed.add_reads_batch(read_step, &reads, &pq_k, &mut scratch);
+            }
+            _ => {
+                // The flusher's order: by shard, then key.
+                let mut batch: Vec<(u64, u64)> = picked(mask)
+                    .map(|(i, &k)| match keyed.priority_of(k) {
+                        Some(p) if stale >> i & 1 == 0 => (k, p),
+                        _ => (k, at % 12),
+                    })
+                    .collect();
+                batch.sort_by_key(|&(k, p)| (GEntryStore::shard_of(k), k, p));
+                let (mut writes_b, mut claims_b) = (Vec::new(), Vec::new());
+                batched.take_writes_batch(&batch, &mut writes_b, &mut claims_b);
+                let (mut writes_k, mut claims_k) = (Vec::new(), Vec::new());
+                for &(key, p) in &batch {
+                    let start = writes_k.len();
+                    let n = keyed.take_writes_into(key, p, &mut writes_k);
+                    if n > 0 {
+                        claims_k.push((key, start, start + n));
+                    }
+                }
+                let steps = |w: &[(u64, Arc<[f32]>)]| w.iter().map(|&(s, _)| s).collect::<Vec<_>>();
+                if claims_b != claims_k || steps(&writes_b) != steps(&writes_k) {
+                    return Err(format!(
+                        "claim of {batch:?} diverged: batched {claims_b:?} {:?}, keyed {claims_k:?} {:?}",
+                        steps(&writes_b),
+                        steps(&writes_k)
+                    ));
+                }
+            }
+        }
+        for &k in &keys {
+            if batched.priority_of(k) != keyed.priority_of(k) {
+                return Err(format!("priority_of({k}) diverged after {kind}"));
+            }
+        }
+        // Single-threaded, so quiescent after every call: the counts are exact.
+        let pending = keys
+            .iter()
+            .filter(|&&k| keyed.has_pending_writes(k))
+            .count();
+        if batched.pending_keys() != pending || keyed.pending_keys() != pending {
+            return Err(format!(
+                "pending_keys: batched {}, keyed {}, entries with writes {pending}",
+                batched.pending_keys(),
+                keyed.pending_keys()
+            ));
+        }
+        if batched.len() != keyed.len() {
+            return Err("live g-entry counts diverged".to_owned());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn batched_claim_and_moving_registration_match_the_keyed_forms(
+        ops in proptest::collection::vec((0u64..4, 0u64..4096, 0u64..4096, 0u64..MAX_STEP), 0..120),
+        arrival in any::<bool>(),
+    ) {
+        let policy = if arrival {
+            PriorityPolicy::ArrivalOrder
+        } else {
+            PriorityPolicy::EarliestRead
+        };
+        if let Err(msg) = check_batched_forms_agree(policy, &ops) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
 
     #[test]
     fn compact_store_matches_btreeset_semantics_earliest_read(

@@ -334,6 +334,133 @@ fn take_writes_vs_infinite_reactivation_survives_sweep() {
     assert_eq!(outcome.runs, 1024);
 }
 
+/// A batched claim against a registrant that re-positions one key of the
+/// claimed shard run.
+///
+/// Keys 7 and 71 share g-entry shard 7, each with one pending write at
+/// priority 3. While the flusher dequeues, the registrant tightens key 7 to
+/// priority 2 and then registers its step-2 write (back to 3, two pending
+/// writes); key 71 is never touched. The flusher collects whatever
+/// `(key, priority)` pairs the racing dequeues produced — for key 7 any of
+/// `(7, 3)` from before the move, `(7, 2)` from during it, `(7, 3)` from
+/// after it — orders them as the engine's flusher does and claims them with
+/// **one** [`GEntryStore::take_writes_batch`]: one lock acquisition for the
+/// whole run, every pair still validated against the entry's priority at
+/// that moment. A pair the registrant has moved away from is refused (the
+/// batch's in-flight marker was published for the priority the pair names,
+/// not for where the entry went), its neighbour in the run is claimed all
+/// the same, and exactly 3 rows are applied, none twice.
+///
+/// As in [`reactivation_vs_take`], claims wait for `reg_done`: a registrant
+/// suspended inside the store holds the shard mutex.
+fn batched_claim_vs_reposition() -> impl FnMut(&mut SimBuilder) {
+    move |sim: &mut SimBuilder| {
+        let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
+        let gstore = Arc::new(GEntryStore::new());
+        let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
+        for key in [7u64, 71] {
+            gstore.add_read(key, 3, pq.as_ref() as &dyn PriorityQueue);
+            gstore.add_write(key, 0, Arc::clone(&grad), pq.as_ref());
+        }
+        let inflight = Arc::new(InflightTable::new(1));
+        let reg_done = Arc::new(AtomicBool::new(false));
+        let applied = Arc::new(Mutex::new(Vec::new()));
+
+        {
+            let (pq, gstore) = (Arc::clone(&pq), Arc::clone(&gstore));
+            let reg_done = Arc::clone(&reg_done);
+            sim.thread("registrant", move || {
+                gstore.add_read(7, 2, pq.as_ref());
+                gstore.add_write(7, 2, Arc::clone(&grad), pq.as_ref());
+                reg_done.store(true, Ordering::SeqCst);
+            });
+        }
+        {
+            let (pq, gstore) = (Arc::clone(&pq), Arc::clone(&gstore));
+            let (inflight, applied) = (Arc::clone(&inflight), Arc::clone(&applied));
+            sim.thread("flusher", move || {
+                let mut batch: Vec<(u64, u64)> = Vec::new();
+                let mut out = Vec::new();
+                // Dequeues racing the registrant (queue only — no g-entry
+                // lock is touched while the registrant may hold one).
+                for _ in 0..3 {
+                    out.clear();
+                    pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
+                    inflight.clear(0);
+                    batch.extend(out.iter().copied());
+                    yield_point("flusher.collect");
+                }
+                while !reg_done.load(Ordering::SeqCst) {
+                    spin_point("flusher.await_registration");
+                }
+                let (mut writes, mut claims) = (Vec::new(), Vec::new());
+                for _ in 0..8 {
+                    // One shard run, possibly holding a stale pair of key 7
+                    // next to the valid pair of key 71.
+                    batch.sort_unstable_by_key(|&(k, p)| (GEntryStore::shard_of(k), k, p));
+                    // Registration has settled, so each entry's priority is
+                    // what it will be under the claim's lock: exactly the
+                    // pairs that name it may be claimed (once per key).
+                    let mut valid: Vec<u64> = batch
+                        .iter()
+                        .filter(|&&(k, p)| {
+                            gstore.has_pending_writes(k) && gstore.priority_of(k) == Some(p)
+                        })
+                        .map(|&(k, _)| k)
+                        .collect();
+                    valid.dedup();
+                    gstore.take_writes_batch(&batch, &mut writes, &mut claims);
+                    let claimed: Vec<u64> = claims.iter().map(|&(k, ..)| k).collect();
+                    assert_eq!(
+                        claimed, valid,
+                        "batch {batch:?}: a stale pair was claimed or a valid one refused"
+                    );
+                    let mut applied = applied.lock().unwrap();
+                    for &(key, start, end) in &claims {
+                        applied.extend(writes[start..end].iter().map(|&(step, _)| (key, step)));
+                    }
+                    if gstore.pending_keys() == 0 {
+                        return;
+                    }
+                    drop(applied);
+                    // Whatever the collect phase missed.
+                    batch.clear();
+                    writes.clear();
+                    claims.clear();
+                    pq.dequeue_batch_guarded(8, &mut batch, inflight.guard(0));
+                    inflight.clear(0);
+                    yield_point("flusher.drain");
+                }
+            });
+        }
+        sim.check("every write applied exactly once", move || {
+            let mut applied = applied.lock().unwrap().clone();
+            applied.sort_unstable();
+            assert_eq!(
+                applied,
+                vec![(7, 0), (7, 2), (71, 0)],
+                "a write was applied twice, or the drain starved"
+            );
+            assert_eq!(gstore.pending_keys(), 0, "pending key survived the drain");
+        });
+    }
+}
+
+#[test]
+fn batched_claim_vs_repositioned_run_member_survives_sweep() {
+    for cfg in [pct(0..1024), quiet(0..1024)] {
+        let outcome = explore(&cfg, batched_claim_vs_reposition());
+        assert!(
+            outcome.failure.is_none(),
+            "{:?}: a batched claim must refuse exactly the stale pairs of its run: {:?}",
+            cfg.sim.policy,
+            outcome.failure
+        );
+        assert_eq!(outcome.runs, 1024);
+        assert_eq!(outcome.budget_exceeded_runs, 0);
+    }
+}
+
 #[test]
 fn sharded_batch_registration_survives_sweep() {
     // The parallel-registration path end to end: a trainer registers one

@@ -7,6 +7,11 @@
 //! updates in the order given, and callers guarantee that order is the
 //! serial schedule's (step order for claims, canonical arrival order for a
 //! step's merged list).
+//!
+//! Both know their whole batch of keys before they touch the first row, and
+//! the rows are scattered over a table far larger than any cache — so both
+//! ask for each row a few places ahead of writing it
+//! ([`HostStore::prefetch_ahead`]) and the batch's misses overlap.
 
 use crate::rule::UpdateRule;
 use crate::store::HostStore;
@@ -31,7 +36,8 @@ pub fn apply_claims(
     claims: &[FlushClaim],
     writes: &[(u64, Arc<[f32]>)],
 ) -> u64 {
-    for &(key, start, end) in claims {
+    for (i, &(key, start, end)) in claims.iter().enumerate() {
+        store.prefetch_ahead(claims, i, |&(key, ..)| key);
         store.write_row(key, |row| {
             for (_step, grad) in &writes[start..end] {
                 rule.apply(key, row, grad);
@@ -47,7 +53,8 @@ pub fn apply_claims(
 /// flushers keeps stateful optimizers' `copy_state` correct in every
 /// mode.
 pub fn apply_updates(store: &HostStore, rule: &dyn UpdateRule, updates: &[(Key, Arc<[f32]>)]) {
-    for (key, grad) in updates {
+    for (i, (key, grad)) in updates.iter().enumerate() {
+        store.prefetch_ahead(updates, i, |&(key, _)| key);
         store.write_row(*key, |row| rule.apply(*key, row, grad));
     }
 }

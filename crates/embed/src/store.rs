@@ -38,6 +38,12 @@ pub fn initial_value(seed: u64, key: Key, d: usize) -> f32 {
     ((h as f64 / u64::MAX as f64) as f32 - 0.5) * 0.1
 }
 
+/// How many rows ahead of the one being read or written a batch loop asks
+/// for ([`HostStore::prefetch_ahead`]): far enough to cover a DRAM miss with
+/// a few rows' worth of copy or optimizer arithmetic, near enough that the
+/// lines are still in L1/L2 when their turn comes.
+const PREFETCH_ROWS_AHEAD: usize = 8;
+
 /// The complete parameter set in host memory.
 ///
 /// # Examples
@@ -161,6 +167,45 @@ impl HostStore {
         self.data[key as usize * self.dim].get()
     }
 
+    /// For a loop over `items`, a batch whose keys are all known up front,
+    /// about to work on `items[i]`: asks the memory system for the row of
+    /// the item a fixed number of places further on, so the batch's DRAM
+    /// misses overlap instead of each one waiting out the one before — the
+    /// table is hundreds of megabytes and a batch's rows are scattered all
+    /// over it.
+    #[inline]
+    pub fn prefetch_ahead<T>(&self, items: &[T], i: usize, key_of: impl Fn(&T) -> Key) {
+        if let Some(item) = items.get(i + PREFETCH_ROWS_AHEAD) {
+            self.prefetch_row(key_of(item));
+        }
+    }
+
+    /// Asks the memory system for row `key` ahead of its use; does nothing
+    /// for a key out of range.
+    ///
+    /// A hint with no architectural effect: it reads and writes nothing, so
+    /// it needs none of the protocol's guarantees about the row.
+    #[inline]
+    pub fn prefetch_row(&self, key: Key) {
+        if key >= self.n_keys {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            /// `f32`s per 64-byte cache line.
+            const LINE: usize = 16;
+            let row = self.data[key as usize * self.dim].get() as *const i8;
+            for line in 0..self.dim.div_ceil(LINE) {
+                // SAFETY: `row` points at the first element of an in-range
+                // row and `line * LINE < dim`, so the address lies inside
+                // `data`; a prefetch does not dereference it and cannot
+                // fault. SSE is part of the x86-64 baseline.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(row.add(line * LINE * 4)) };
+            }
+        }
+    }
+
     /// Copies row `key` into `out` (the UVA zero-copy read path).
     ///
     /// In checked mode, a read that races a concurrent [`Self::write_row`]
@@ -238,6 +283,22 @@ impl HostStore {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn prefetch_is_a_hint_for_any_key_and_any_row_width() {
+        // Widths below, at and across a cache line; first, last and
+        // out-of-range keys: nothing faults, nothing changes.
+        for dim in [1, 16, 17, 32, 100] {
+            let store = HostStore::new_checked(10, dim, 3);
+            let before: Vec<_> = (0..10).map(|k| store.row_vec(k)).collect();
+            for key in [0, 9, 10, u64::MAX] {
+                store.prefetch_row(key);
+            }
+            let after: Vec<_> = (0..10).map(|k| store.row_vec(k)).collect();
+            assert_eq!(before, after);
+            assert_eq!(store.race_count(), 0);
+        }
+    }
 
     #[test]
     fn deterministic_initialization() {

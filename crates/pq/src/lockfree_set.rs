@@ -15,6 +15,17 @@
 //! [`reset`](LockFreeSet::reset) to all-`EMPTY` slots in place, which is how
 //! the ring-indexed priority index recycles a bucket for a new priority
 //! without freeing or allocating a segment.
+//!
+//! Insertion is *run-native*: [`LockFreeSet::insert_run`] places a whole
+//! slice of keys for the price of one `len` update, one occupancy
+//! reservation per segment it lands in, and one slot CAS per key — the
+//! registration path hands the set a shard's worth of same-priority keys at
+//! a time, and the counters are lines the registering trainers and the
+//! dequeuing flusher all write. [`LockFreeSet::insert`] is the run of one.
+//! Extraction is batch-native the same way ([`LockFreeSet::take_any`]
+//! settles each counter once per call) and resumes where the previous call
+//! stopped, so draining a large, mostly-tombstoned set does not rescan its
+//! dead prefix on every call.
 
 #[cfg(feature = "sched")]
 use std::sync::atomic::AtomicBool;
@@ -24,6 +35,8 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 const FIRST_SEGMENT_SLOTS: usize = 64;
 /// Cap on individual segment size (beyond this, append same-size segments).
 const MAX_SEGMENT_SLOTS: usize = 64 * 1024;
+// Every capacity is a power of two: probe sequences wrap with a mask.
+const _: () = assert!(FIRST_SEGMENT_SLOTS.is_power_of_two() && MAX_SEGMENT_SLOTS.is_power_of_two());
 
 const EMPTY: u64 = 0;
 const TOMBSTONE: u64 = u64::MAX;
@@ -49,6 +62,10 @@ struct Segment {
     slots: Box<[AtomicU64]>,
     /// Occupied (non-empty, non-tombstone) slots; heuristic for skip-full.
     occupied: AtomicUsize,
+    /// Slot at which the next [`LockFreeSet::take_any`] starts its lap of
+    /// this segment. A hint only (relaxed, racy between takers): every lap
+    /// visits every slot once wherever it starts.
+    take_cursor: AtomicUsize,
     next: AtomicPtr<Segment>,
 }
 
@@ -59,12 +76,43 @@ impl Segment {
         Box::new(Segment {
             slots: slots.into_boxed_slice(),
             occupied: AtomicUsize::new(0),
+            take_cursor: AtomicUsize::new(0),
             next: AtomicPtr::new(std::ptr::null_mut()),
         })
     }
 
     fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The `i`-th slot of the probe sequence of a key hashing to `home`.
+    /// Capacities are powers of two, so the wrap is a mask, not a division
+    /// per probe.
+    fn probe(&self, home: u64, i: usize) -> &AtomicU64 {
+        &self.slots[(home as usize).wrapping_add(i) & (self.capacity() - 1)]
+    }
+
+    /// Occupancy at which the segment stops admitting keys: a little slack
+    /// is left so probes stay short near fullness.
+    fn admit_limit(&self) -> usize {
+        self.capacity() - self.capacity() / 16
+    }
+
+    /// CASes `enc` into the first free (empty or tombstoned) slot of
+    /// `key`'s probe sequence; false if a whole lap found none.
+    fn claim_slot(&self, enc: u64, key: u64) -> bool {
+        let home = hash(key);
+        for i in 0..self.capacity() {
+            let slot = self.probe(home, i);
+            let mut cur = slot.load(Ordering::Acquire);
+            while cur == EMPTY || cur == TOMBSTONE {
+                match slot.compare_exchange_weak(cur, enc, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => return true,
+                    Err(now) => cur = now,
+                }
+            }
+        }
+        false
     }
 }
 
@@ -82,6 +130,15 @@ impl Segment {
 /// that can find a key via [`Self::contains`] is guaranteed
 /// `!is_empty()`, which the P²F wait condition relies on when it treats an
 /// empty bucket as "no pending flush at this priority".
+///
+/// The rule says nothing about *how many* keys one update covers, so both
+/// directions batch: a run of `n` keys adds `n` to `len` once, before its
+/// first slot CAS, and reserves in `occupied` the part of the run a
+/// segment will take before the first CAS into that segment (a reservation
+/// the segment cannot honour is returned before any CAS, one a lost slot
+/// race leaves unused right after — over-counted in between, never
+/// under); a `take_any` subtracts what it tombstoned once per segment and
+/// once per call, afterwards.
 pub struct LockFreeSet {
     head: AtomicPtr<Segment>,
     len: AtomicUsize,
@@ -170,79 +227,119 @@ impl LockFreeSet {
         head
     }
 
-    /// Tries to claim a free (empty or tombstoned) slot in `seg` for `enc`.
+    /// Places a prefix of `items` into `seg` and returns its length.
     ///
-    /// Occupancy is *reserved* (incremented) before the slot CAS and rolled
-    /// back if no slot is claimed, per the conservative counter rule: a
-    /// visible key must already be counted, or [`Self::take_any`]'s
-    /// skip-full heuristic could skip a segment that holds it.
-    fn try_insert_segment(&self, seg: &Segment, enc: u64, key: u64) -> bool {
+    /// A segment that reads full is passed by on a plain load — no write to
+    /// a line every inserter and the dequeuer share. Otherwise the segment's
+    /// share of the run is *reserved* in `occupied` with one `fetch_add`
+    /// before any slot CAS, and whatever exceeds the admit limit is handed
+    /// straight back, per the conservative counter rule: a visible key must
+    /// already be counted, or [`Self::take_any`] could pass over a segment
+    /// that holds it.
+    fn insert_run_segment<T>(
+        &self,
+        seg: &Segment,
+        items: &[T],
+        key_of: &impl Fn(&T) -> u64,
+    ) -> usize {
         let buggy = self.bug_publish_window();
-        let cap = seg.capacity();
-        if !buggy {
-            let prev = seg.occupied.fetch_add(1, Ordering::AcqRel);
-            // Leave a little slack so probes stay short near fullness.
-            if prev + cap / 16 >= cap {
-                seg.occupied.fetch_sub(1, Ordering::AcqRel);
-                return false;
+        let limit = seg.admit_limit();
+        let seen = seg.occupied.load(Ordering::Acquire);
+        if seen >= limit {
+            return 0;
+        }
+        let granted = if buggy {
+            (limit - seen).min(items.len())
+        } else {
+            let prev = seg.occupied.fetch_add(items.len(), Ordering::AcqRel);
+            let granted = limit.saturating_sub(prev).min(items.len());
+            if granted < items.len() {
+                seg.occupied
+                    .fetch_sub(items.len() - granted, Ordering::AcqRel);
+            }
+            if granted == 0 {
+                return 0;
             }
             sched_point!("lfs.insert.occupied_reserved");
-        } else if seg.occupied.load(Ordering::Acquire) + cap / 16 >= cap {
-            return false;
-        }
-        let start = (hash(key) as usize) % cap;
-        for i in 0..cap {
-            let slot = &seg.slots[(start + i) % cap];
-            let mut cur = slot.load(Ordering::Acquire);
-            while cur == EMPTY || cur == TOMBSTONE {
-                match slot.compare_exchange_weak(cur, enc, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        sched_point!("lfs.insert.slot_cas");
-                        if buggy {
-                            // Historical order: count after publishing.
-                            seg.occupied.fetch_add(1, Ordering::AcqRel);
-                        }
-                        return true;
-                    }
-                    Err(now) => cur = now,
-                }
+            granted
+        };
+        let mut placed = 0;
+        for item in &items[..granted] {
+            let key = key_of(item);
+            if !seg.claim_slot(encode(key), key) {
+                break;
             }
+            sched_point!("lfs.insert.slot_cas");
+            if buggy {
+                // Historical order: count after publishing.
+                seg.occupied.fetch_add(1, Ordering::AcqRel);
+            }
+            placed += 1;
         }
-        if !buggy {
-            seg.occupied.fetch_sub(1, Ordering::AcqRel);
+        if !buggy && placed < granted {
+            // Racing inserters took every free slot of a lap: the unused
+            // reservation goes back and the rest of the run moves on.
+            seg.occupied.fetch_sub(granted - placed, Ordering::AcqRel);
         }
-        false
+        placed
     }
 
-    /// Inserts `key`. The caller guarantees `key` is not already present
-    /// (the priority-queue layer keeps each g-entry in one slot per bucket).
+    /// Inserts `key`: [`Self::insert_run`] of one key. The caller
+    /// guarantees `key` is not already present (the priority-queue layer
+    /// keeps each g-entry in one slot per bucket).
     ///
     /// # Panics
     ///
     /// Panics if `key >= u64::MAX - 1` (reserved encodings).
     pub fn insert(&self, key: u64) {
-        assert!(key < u64::MAX - 1, "key too large (reserved encoding)");
-        let enc = encode(key);
+        self.insert_run(std::slice::from_ref(&key));
+    }
+
+    /// Inserts every key of `keys`, none of which may be present already or
+    /// repeat within the run. `len` is counted once for the whole run before
+    /// any key is visible, each segment the run lands in is charged one
+    /// reservation, and each key one slot CAS — see the counter discipline
+    /// on [`LockFreeSet`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any key is `>= u64::MAX - 1` (reserved encodings); nothing
+    /// has been inserted or counted by then.
+    pub fn insert_run(&self, keys: &[u64]) {
+        self.insert_run_by(keys, |&key| key);
+    }
+
+    /// [`Self::insert_run`] over any slice that carries its keys: the queue
+    /// layer's `(key, priority)` and `(key, old, new)` items go in without
+    /// being copied out first.
+    pub(crate) fn insert_run_by<T>(&self, items: &[T], key_of: impl Fn(&T) -> u64) {
+        if items.is_empty() {
+            return;
+        }
+        for item in items {
+            assert!(
+                key_of(item) < u64::MAX - 1,
+                "key too large (reserved encoding)"
+            );
+        }
         let buggy = self.bug_publish_window();
         if !buggy {
-            // Count before the key can become visible (insert cannot fail,
+            // Count before any key can become visible (insert cannot fail,
             // so this never rolls back). The historical order — slot CAS
             // first, count after — left a window where `contains(key)` was
             // true while `is_empty()` reported empty, which the P²F wait
             // condition reads as "nothing pending at this priority".
-            self.len.fetch_add(1, Ordering::AcqRel);
+            self.len.fetch_add(items.len(), Ordering::AcqRel);
             sched_point!("lfs.insert.len_published");
         }
+        let mut rest = items;
         let mut seg_ptr = self.head_or_install();
         loop {
             // SAFETY: segments are never freed while the set is alive.
             let seg = unsafe { &*seg_ptr };
-            if self.try_insert_segment(seg, enc, key) {
-                if buggy {
-                    sched_point!("lfs.insert.bug_window");
-                    self.len.fetch_add(1, Ordering::AcqRel);
-                }
-                return;
+            rest = &rest[self.insert_run_segment(seg, rest, &key_of)..];
+            if rest.is_empty() {
+                break;
             }
             // Segment (effectively) full: walk or append the chain with a
             // doubled capacity, so chains stay O(log n).
@@ -267,19 +364,22 @@ impl LockFreeSet {
                 seg_ptr = next;
             }
         }
+        if buggy {
+            sched_point!("lfs.insert.bug_window");
+            self.len.fetch_add(items.len(), Ordering::AcqRel);
+        }
     }
 
     /// Removes `key` if present; returns whether it was found.
     pub fn remove(&self, key: u64) -> bool {
         let enc = encode(key);
+        let home = hash(key);
         let mut seg_ptr = self.head.load(Ordering::Acquire);
         while !seg_ptr.is_null() {
             // SAFETY: segments are never freed while the set is alive.
             let seg = unsafe { &*seg_ptr };
-            let cap = seg.capacity();
-            let start = (hash(key) as usize) % cap;
-            for i in 0..cap {
-                let slot = &seg.slots[(start + i) % cap];
+            for i in 0..seg.capacity() {
+                let slot = seg.probe(home, i);
                 let cur = slot.load(Ordering::Acquire);
                 if cur == enc
                     && slot
@@ -304,15 +404,26 @@ impl LockFreeSet {
         false
     }
 
-    /// Atomically removes and returns up to `max` keys, appending them to
-    /// `out`. Returns how many were taken.
+    /// Atomically removes up to `max` keys, appending them to `out`.
+    /// Returns how many were taken.
+    pub fn take_any(&self, max: usize, out: &mut Vec<u64>) -> usize {
+        self.take_any_with(max, |key| out.push(key))
+    }
+
+    /// Atomically removes up to `max` keys, handing each to `sink`. Returns
+    /// how many were taken.
     ///
     /// The counters are settled once per segment (`occupied`) and once per
     /// call (`len`), after the tombstone CASes: the conservative rule only
     /// forbids decrementing *before* a key stops being visible, so batching
     /// the decrements is the safe direction and saves two atomic
     /// read-modify-writes per dequeued key.
-    pub fn take_any(&self, max: usize, out: &mut Vec<u64>) -> usize {
+    ///
+    /// Each segment is scanned for one lap starting where the last taker
+    /// stopped: a set that is drained a batch at a time and never reset
+    /// (the ∞ bucket) keeps its live keys ahead of the cursor, not behind a
+    /// prefix of tombstones every call would cross again.
+    pub(crate) fn take_any_with(&self, max: usize, mut sink: impl FnMut(u64)) -> usize {
         if max == 0 || self.is_empty() {
             return 0;
         }
@@ -323,10 +434,13 @@ impl LockFreeSet {
             let seg = unsafe { &*seg_ptr };
             if seg.occupied.load(Ordering::Acquire) > 0 {
                 let before = taken;
-                for slot in seg.slots.iter() {
+                let cap = seg.capacity();
+                let mut i = seg.take_cursor.load(Ordering::Relaxed) & (cap - 1);
+                for _ in 0..cap {
                     if taken >= max {
                         break;
                     }
+                    let slot = &seg.slots[i];
                     let cur = slot.load(Ordering::Acquire);
                     if cur != EMPTY
                         && cur != TOMBSTONE
@@ -335,11 +449,16 @@ impl LockFreeSet {
                             .is_ok()
                     {
                         sched_point!("lfs.take.tombstoned");
-                        out.push(decode(cur));
+                        sink(decode(cur));
                         taken += 1;
+                    }
+                    i += 1;
+                    if i == cap {
+                        i = 0;
                     }
                 }
                 if taken > before {
+                    seg.take_cursor.store(i, Ordering::Relaxed);
                     seg.occupied.fetch_sub(taken - before, Ordering::AcqRel);
                 }
             }
@@ -380,14 +499,13 @@ impl LockFreeSet {
     pub fn contains(&self, key: u64) -> bool {
         sched_point!("lfs.contains.scan");
         let enc = encode(key);
+        let home = hash(key);
         let mut seg_ptr = self.head.load(Ordering::Acquire);
         while !seg_ptr.is_null() {
             // SAFETY: segments are never freed while the set is alive.
             let seg = unsafe { &*seg_ptr };
-            let cap = seg.capacity();
-            let start = (hash(key) as usize) % cap;
-            for i in 0..cap {
-                let cur = seg.slots[(start + i) % cap].load(Ordering::Acquire);
+            for i in 0..seg.capacity() {
+                let cur = seg.probe(home, i).load(Ordering::Acquire);
                 if cur == enc {
                     return true;
                 }
@@ -573,6 +691,82 @@ mod tests {
         s.insert(7);
         assert!(s.contains(7) && !s.contains(8));
         assert!(s.remove(7));
+        assert!(s.is_empty());
+    }
+
+    /// `occupied` of every segment of the chain, head first.
+    fn occupancies(s: &LockFreeSet) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut seg_ptr = s.head.load(Ordering::Acquire);
+        while !seg_ptr.is_null() {
+            // SAFETY: the set is alive and owns its chain.
+            let seg = unsafe { &*seg_ptr };
+            out.push(seg.occupied.load(Ordering::Acquire));
+            seg_ptr = seg.next.load(Ordering::Acquire);
+        }
+        out
+    }
+
+    #[test]
+    fn a_run_fills_segments_to_their_slack_and_hands_back_the_rest() {
+        // 100 keys into a fresh chain: the head admits 60 of its 64 slots
+        // (1/16 slack), so the run straddles into the 128-slot segment. The
+        // head was asked for all 100; the 40 it could not take must be back
+        // off its count, or it reads fuller than it is forever.
+        let run: Vec<u64> = (0..100).collect();
+        let s = LockFreeSet::new();
+        s.insert_run(&run);
+        assert_eq!(s.len(), 100);
+        assert_eq!(occupancies(&s), vec![60, 40]);
+        assert!(run.iter().all(|&k| s.contains(k)));
+        // The same keys one at a time land the same way.
+        let one_by_one = LockFreeSet::new();
+        for &k in &run {
+            one_by_one.insert(k);
+        }
+        assert_eq!(occupancies(&one_by_one), vec![60, 40]);
+        // A full head is passed by without touching its count; freed room
+        // is found again.
+        s.insert_run(&[100, 101]);
+        assert_eq!(occupancies(&s), vec![60, 42]);
+        let mut out = Vec::new();
+        assert_eq!(s.take_any(10, &mut out), 10);
+        assert_eq!(occupancies(&s), vec![50, 42]);
+        s.insert_run(&(200..230).collect::<Vec<_>>());
+        assert_eq!(occupancies(&s), vec![60, 62]);
+        assert_eq!(s.len(), 122);
+        s.insert_run(&[]);
+        assert_eq!(s.len(), 122);
+    }
+
+    #[test]
+    #[should_panic(expected = "key too large")]
+    fn a_run_with_a_reserved_key_inserts_nothing() {
+        let s = LockFreeSet::new();
+        let caught = std::panic::catch_unwind(|| s.insert_run(&[1, 2, u64::MAX - 1]));
+        assert!(s.is_empty() && !s.contains(1), "counted or published early");
+        std::panic::resume_unwind(caught.unwrap_err());
+    }
+
+    #[test]
+    fn take_any_resumes_where_the_last_call_stopped() {
+        // Drained two keys at a time while three keep arriving: each call
+        // carries on from the last call's slot instead of from slot 0, and
+        // still nothing is taken twice, nothing is skipped for good, and a
+        // lap that starts mid-segment wraps.
+        let s = LockFreeSet::new();
+        let mut out = Vec::new();
+        let mut next = 0u64;
+        for _ in 0..200 {
+            s.insert_run(&[next, next + 1, next + 2]);
+            next += 3;
+            assert_eq!(s.take_any(2, &mut out), 2);
+        }
+        assert_eq!(s.len(), 200);
+        assert_eq!(occupancies(&s).iter().sum::<usize>(), 200);
+        assert_eq!(s.take_any(usize::MAX, &mut out), 200);
+        out.sort_unstable();
+        assert_eq!(out, (0..next).collect::<Vec<_>>());
         assert!(s.is_empty());
     }
 

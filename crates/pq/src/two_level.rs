@@ -507,7 +507,6 @@ impl TwoLevelPq {
         }
         let _t = self.probes.dequeue.timer();
         let mut taken = 0;
-        let mut keys = Vec::new();
         let seen = self.lower.load(Ordering::Acquire);
         let end = self.scan_end();
         let mut first_live: Option<u64> = None;
@@ -524,13 +523,9 @@ impl TwoLevelPq {
                 // check above — priority `p` has no entries left.
                 if let Some(set) = bucket.enter(p) {
                     sched_point!("pq.dequeue.entered");
-                    keys.clear();
-                    let got = set.take_any(max - taken, &mut keys);
+                    let got = set.take_any_with(max - taken, |k| out.push((k, p)));
                     if got > 0 && first_live.is_none() {
                         first_live = Some(p);
-                    }
-                    for &k in &keys {
-                        out.push((k, p));
                     }
                     taken += got;
                     // The bucket may still hold entries we could not take
@@ -559,12 +554,9 @@ impl TwoLevelPq {
                 g.fetch_min(DEFERRED_CLAIM, Ordering::AcqRel);
                 sched_point!("pq.dequeue.guard_published");
             }
-            keys.clear();
-            let got = self.infinite.take_any(max - taken, &mut keys);
-            for &k in &keys {
-                out.push((k, INFINITE));
-            }
-            taken += got;
+            taken += self
+                .infinite
+                .take_any_with(max - taken, |k| out.push((k, INFINITE)));
         }
         if taken > 0 {
             self.len.fetch_sub(taken, Ordering::AcqRel);
@@ -617,8 +609,13 @@ impl PriorityQueue for TwoLevelPq {
             sched_point!("pq.enqueue_batch.len");
             self.len.fetch_add(items.len(), Ordering::AcqRel);
             let mut min = INFINITE;
-            for &(key, priority) in items {
-                self.insert_set(priority).insert(key);
+            // One set insert per run of equal priorities: a shard's batch
+            // is mostly one priority (∞, or the step a lookahead read
+            // names), so the bucket's counters are paid per run.
+            for run in items.chunk_by(|a, b| a.1 == b.1) {
+                let priority = run[0].1;
+                self.insert_set(priority)
+                    .insert_run_by(run, |&(key, _)| key);
                 sched_point!("pq.enqueue_batch.inserted");
                 min = min.min(priority);
             }
@@ -640,11 +637,8 @@ impl PriorityQueue for TwoLevelPq {
             // whole batch before any entry becomes visible.
             sched_point!("pq.enqueue_batch.len");
             self.len.fetch_add(keys.len(), Ordering::AcqRel);
-            let bucket = self.insert_set(priority);
-            for &key in keys {
-                bucket.insert(key);
-                sched_point!("pq.enqueue_batch.inserted");
-            }
+            self.insert_set(priority).insert_run(keys);
+            sched_point!("pq.enqueue_batch.inserted");
             // One bucket, so one bound update covers the batch exactly.
             self.note_insert(priority);
         })
@@ -661,14 +655,16 @@ impl PriorityQueue for TwoLevelPq {
             // inserts, which only widens the stale-copy window dequeuers
             // already tolerate via caller-side validation.
             let mut min = INFINITE;
-            for &(key, old, new) in moves {
+            // Runs of moves into one bucket go in as one set insert.
+            for run in moves.chunk_by(|a, b| a.2 == b.2 && (a.1 == a.2) == (b.1 == b.2)) {
+                let (_, old, new) = run[0];
                 if old == new {
-                    // No-op move, matching `adjust`: inserting and then
+                    // No-op moves, matching `adjust`: inserting and then
                     // removing in the same bucket would *drop* the entry
                     // (buckets are sets — the insert would not duplicate).
                     continue;
                 }
-                self.insert_set(new).insert(key);
+                self.insert_set(new).insert_run_by(run, |&(key, _, _)| key);
                 sched_point!("pq.adjust_batch.inserted");
                 min = min.min(new);
             }

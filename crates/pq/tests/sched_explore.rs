@@ -467,6 +467,126 @@ fn adjust_batch_loses_no_entries_under_concurrent_drain() {
 }
 
 // ---------------------------------------------------------------------------
+// Run insertion. `insert_run` counts a whole run in `len` once and reserves
+// in each segment's `occupied` the part of the run that segment takes — with
+// the excess over the segment's room handed back — before the slot CASes.
+// The conservative-counter rule must hold for every key of the run at every
+// instant: a key `contains` can find is counted in `len` (`is_empty` is
+// false) and in its segment's `occupied` (`take_any`, which passes by a
+// segment reading 0, hands it out).
+//
+// The head segment admits 60 keys; 58 are in it before the threads start, so
+// the run of four asks the head for 4, is granted 2, hands 2 back, and takes
+// the other two to a segment it appends.
+
+fn insert_run_scenario(buggy: bool) -> impl FnMut(&mut SimBuilder) {
+    const RUN: [u64; 4] = [1_000, 1_001, 1_002, 1_003];
+    move |sim: &mut SimBuilder| {
+        let set = Arc::new(LockFreeSet::new());
+        set.set_bug_publish_window(buggy);
+        set.insert_run(&(0..58).collect::<Vec<_>>());
+        {
+            let set = Arc::clone(&set);
+            sim.thread("registrant", move || set.insert_run(&RUN));
+        }
+        let taken = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        {
+            let set = Arc::clone(&set);
+            let taken = Arc::clone(&taken);
+            sim.thread("observer", move || {
+                for _ in 0..4 {
+                    // Last key first: those are the ones in the new segment,
+                    // whose count starts from zero.
+                    let Some(&found) = RUN.iter().rev().find(|&&k| set.contains(k)) else {
+                        yield_point("observer.probe");
+                        continue;
+                    };
+                    assert!(!set.is_empty(), "key visible but set reports empty");
+                    // Nobody else removes, so a key that was found is still
+                    // there: a take of everything must come back with it.
+                    let mut out = Vec::new();
+                    set.take_any(usize::MAX, &mut out);
+                    assert!(
+                        out.contains(&found),
+                        "key {found} visible but its segment reads unoccupied"
+                    );
+                    taken.lock().extend(out);
+                    return;
+                }
+            });
+        }
+        sim.check("counters settle exactly", move || {
+            let mut all = taken.lock().clone();
+            let left = set.len();
+            set.take_any(usize::MAX, &mut all);
+            assert_eq!(all.len() - taken.lock().len(), left, "len is exact at rest");
+            all.sort_unstable();
+            let want: Vec<u64> = (0..58).chain(RUN).collect();
+            assert_eq!(all, want, "keys lost or duplicated");
+            assert!(set.is_empty());
+            // Every segment's count is back at zero: a later run finds the
+            // head's 60 places again instead of appending.
+            let chain = set.heap_bytes();
+            set.insert_run(&(0..60).collect::<Vec<_>>());
+            assert_eq!(
+                set.heap_bytes(),
+                chain,
+                "a reservation was never handed back"
+            );
+        });
+    }
+}
+
+/// ~90 yield points a schedule, the observer's drain included: PCT places
+/// its priority changes within `steps`, and with [`pct`]'s 64 the window
+/// between a slot CAS and its count is never hit in 1024 seeds.
+fn pct_run(seeds: std::ops::Range<u64>) -> ExploreConfig {
+    ExploreConfig {
+        seeds,
+        sim: SimConfig {
+            max_steps: 400,
+            policy: Policy::Pct {
+                depth: 4,
+                steps: 96,
+            },
+        },
+        announce_failure: false,
+    }
+}
+
+#[test]
+fn insert_run_publishing_before_counting_is_found_and_replays() {
+    // The teeth of the sweep below: the historical publish-then-count order,
+    // run-wide, is caught by the same assertions.
+    let cfg = pct_run(0..1024);
+    let failure = explore(&cfg, insert_run_scenario(true))
+        .failure
+        .expect("a run published before it is counted must be caught");
+    assert!(failure.failures[0]
+        .message
+        .contains("visible but its segment reads unoccupied"));
+    eprintln!("insert_run publish window: replay seed {}", failure.seed);
+    let replayed = replay(failure.seed, &cfg.sim, insert_run_scenario(true));
+    assert!(replayed.failed(), "seed {} must replay", failure.seed);
+    assert_eq!(replayed.trace, failure.trace);
+}
+
+#[test]
+fn insert_run_keeps_counters_conservative_under_sweep() {
+    for cfg in [pct_run(0..1024), quiet(0..1024)] {
+        let outcome = explore(&cfg, insert_run_scenario(false));
+        assert!(
+            outcome.failure.is_none(),
+            "{:?}: a run must count every key before publishing it: {:?}",
+            cfg.sim.policy,
+            outcome.failure
+        );
+        assert_eq!(outcome.runs, 1024);
+        assert_eq!(outcome.budget_exceeded_runs, 0);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Model check: concurrent set traffic must lose and duplicate nothing.
 
 #[test]

@@ -1,10 +1,12 @@
-//! Model-based property tests: the lock-free set against a `HashSet`, and
-//! the two-level PQ against a sorted reference, over random op sequences —
+//! Model-based property tests: the lock-free set against a `HashSet` — with
+//! a twin set that takes every run of keys one key at a time — and the
+//! two-level PQ against a sorted reference, over random op sequences,
 //! including a windowed queue driven across many wraps of its bucket ring.
 
 use frugal_pq::{LockFreeSet, PriorityQueue, TwoLevelPq, INFINITE};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lookahead of the windowed-queue model; its ring has 8 buckets.
 const L: u64 = 5;
@@ -17,15 +19,20 @@ fn model_top(model: &BTreeMap<u64, u64>) -> u64 {
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64),
+    /// `len` consecutive keys from `first`: up to 100 of them, so a run
+    /// into a fresh chain (64 slots, 60 admitted) fills the head segment to
+    /// its 1/16 slack and carries on into the next one.
+    InsertRun(u64, u64),
     Remove(u64),
     TakeAny(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u64..128).prop_map(Op::Insert),
-        (0u64..128).prop_map(Op::Remove),
-        (0usize..8).prop_map(Op::TakeAny),
+        (0u64..256).prop_map(Op::Insert),
+        (0u64..256, 0u64..100).prop_map(|(first, len)| Op::InsertRun(first, len)),
+        (0u64..256).prop_map(Op::Remove),
+        (0usize..80).prop_map(Op::TakeAny),
     ]
 }
 
@@ -34,33 +41,58 @@ proptest! {
 
     #[test]
     fn lockfree_set_matches_hashset_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+        // `set` takes runs whole; `twin` takes the same keys one by one.
+        // A run is the same inserts with fewer counter updates, so the two
+        // must agree on everything observable — membership, `len`, the
+        // order `take_any` hands keys out in (same slots, same cursors),
+        // and the chain they grew (a reservation that overshot a segment's
+        // room and was not handed back would push keys into a segment the
+        // twin never needed).
         let set = LockFreeSet::new();
+        let twin = LockFreeSet::new();
         let mut model: HashSet<u64> = HashSet::new();
         for op in ops {
             match op {
                 Op::Insert(k) => {
-                    if !model.contains(&k) {
+                    if model.insert(k) {
                         set.insert(k);
-                        model.insert(k);
+                        twin.insert(k);
+                    }
+                }
+                Op::InsertRun(first, len) => {
+                    let run: Vec<u64> = (first..first + len).filter(|&k| model.insert(k)).collect();
+                    set.insert_run(&run);
+                    for &k in &run {
+                        twin.insert(k);
                     }
                 }
                 Op::Remove(k) => {
                     prop_assert_eq!(set.remove(k), model.remove(&k));
+                    twin.remove(k);
                 }
                 Op::TakeAny(max) => {
-                    let mut out = Vec::new();
+                    let (mut out, mut twin_out) = (Vec::new(), Vec::new());
                     let got = set.take_any(max, &mut out);
+                    twin.take_any(max, &mut twin_out);
                     prop_assert!(got <= max);
+                    prop_assert_eq!(got, max.min(model.len()), "a lap misses no live key");
+                    prop_assert_eq!(&out, &twin_out);
                     for k in out {
                         prop_assert!(model.remove(&k), "took absent key {}", k);
                     }
                 }
             }
             prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(twin.len(), model.len());
+            prop_assert_eq!(set.heap_bytes(), twin.heap_bytes());
         }
         for &k in &model {
-            prop_assert!(set.contains(k), "model key {} missing", k);
+            prop_assert!(set.contains(k) && twin.contains(k), "model key {} missing", k);
         }
+        let mut rest = Vec::new();
+        set.take_any(usize::MAX, &mut rest);
+        prop_assert_eq!(rest.len(), model.len());
+        prop_assert!(set.is_empty());
     }
 
     #[test]
@@ -143,4 +175,63 @@ proptest! {
         prop_assert_eq!(out, model.into_iter().collect::<Vec<_>>());
         prop_assert!(pq.resident_bytes() < 16 * 1024, "8 buckets, recycled");
     }
+}
+
+/// Registrants inserting runs while dequeuers take: every key comes out
+/// exactly once, and the counters land on zero. (The interleavings that
+/// matter are enumerated under the schedule explorer, `sched_explore.rs`;
+/// this is the same traffic at full speed and real sizes — runs that span
+/// several segments of a chain other threads are growing and draining.)
+#[test]
+fn concurrent_runs_and_takers_lose_nothing() {
+    const WRITERS: u64 = 3;
+    const PER_WRITER: u64 = 6_000;
+    let set = LockFreeSet::new();
+    let writers_left = AtomicU64::new(WRITERS);
+    let mut taken: Vec<u64> = std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (set, writers_left) = (&set, &writers_left);
+            scope.spawn(move || {
+                let keys: Vec<u64> = (w * PER_WRITER..(w + 1) * PER_WRITER).collect();
+                // Run lengths 1, 2, … 97, 1, …: ones and segment-straddlers.
+                let mut rest = &keys[..];
+                let mut len = 1;
+                while !rest.is_empty() {
+                    let (run, tail) = rest.split_at(len.min(rest.len()));
+                    set.insert_run(run);
+                    rest = tail;
+                    len = len % 97 + 1;
+                }
+                writers_left.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        let takers: Vec<_> = (0..2)
+            .map(|_| {
+                let (set, writers_left) = (&set, &writers_left);
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        // Read "writers done" *before* the take that finds
+                        // nothing: then nothing can arrive after it.
+                        let done = writers_left.load(Ordering::SeqCst) == 0;
+                        if set.take_any(64, &mut out) == 0 && done {
+                            return out;
+                        }
+                    }
+                })
+            })
+            .collect();
+        takers
+            .into_iter()
+            .flat_map(|t| t.join().expect("taker panicked"))
+            .collect()
+    });
+    taken.sort_unstable();
+    assert_eq!(
+        taken,
+        (0..WRITERS * PER_WRITER).collect::<Vec<_>>(),
+        "keys lost or handed out twice"
+    );
+    assert!(set.is_empty(), "len must settle at zero: {}", set.len());
+    assert!(!set.contains(0) && !set.contains(WRITERS * PER_WRITER - 1));
 }

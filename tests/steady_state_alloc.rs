@@ -8,12 +8,14 @@
 //! * under write-through, where nothing outlives the step, the count is the
 //!   constant — the updated rows are not in the budget at all;
 //! * under P²F it is the constant plus the rows the flusher has not landed
-//!   yet, at most one `Arc` per updated row, and it does not grow.
+//!   yet — one `Arc` each, a few per cent of the updated rows — and it does
+//!   not grow.
 //!
 //! The P²F metadata path — priority-queue buckets, g-entry tables, the
-//! flusher's claim scratch — allocates nothing once warm: the queue's
-//! bucket ring is recycled as the lookahead window advances, and the
-//! g-entry tables rehash only when their *live* count outgrows them.
+//! flusher's dequeue and claim scratch — allocates nothing once warm: the
+//! queue's bucket ring is recycled as the lookahead window advances, a
+//! dequeue writes straight into the caller's batch, and the g-entry tables
+//! rehash only when their *live* count outgrows them.
 //!
 //! The cache is part of that path: a fill seeds the slot's row and its
 //! optimizer state in place, so a stateful optimizer under an evicting
@@ -85,12 +87,23 @@ impl EmbeddingModel for Stamping {
 
 /// The per-step constant: two key lists, two `BatchGrads` and the sample
 /// ring's bookkeeping — not a segment per priority or a rebuilt table.
-const PER_STEP: u64 = 64;
+/// Measured: 17.5–17.7.
+const PER_STEP: u64 = 32;
+
+/// The share of a step's updated rows a P²F step may allocate anew on top
+/// of [`PER_STEP`]: rows whose predecessor in the update slot the flusher
+/// has not landed by the next reduce. Measured: 0.1–0.4 % (18–20
+/// allocations a step in all, the same with three busy loops competing
+/// for the two cores); the budget leaves room for a flusher that loses the
+/// CPU for a couple of dozen steps of the last third, and none for a
+/// per-call scratch anywhere on the dequeue → claim → apply path (when each
+/// dequeue grew a fresh `Vec`, these runs made 35–36 a step).
+const UNFLUSHED_ROW_SHARE: u64 = 16;
 
 /// Runs `cfg` for [`STEPS`] steps and checks the allocation budget over the
 /// run's last third, and that it did not grow since the middle third.
-/// `rows_in_budget`: whether the step may allocate an `Arc` per updated row
-/// on top of [`PER_STEP`].
+/// `rows_in_budget`: whether the step may allocate an `Arc` for one in
+/// [`UNFLUSHED_ROW_SHARE`] of its updated rows on top of [`PER_STEP`].
 fn assert_steady_state(name: &str, mut cfg: FrugalConfig, rows_in_budget: bool) {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Uniform keys over a space 40× the step's footprint: most rows are
@@ -138,20 +151,25 @@ fn assert_steady_state(name: &str, mut cfg: FrugalConfig, rows_in_budget: bool) 
         report.cache_fills as f64 / STEPS as f64,
         100.0 * (1.0 - a_last.min(r_last) as f64 / r_last as f64),
     );
-    let budget = PER_STEP * last.count() as u64 + if rows_in_budget { r_last } else { 0 };
+    let unflushed = if rows_in_budget {
+        r_last / UNFLUSHED_ROW_SHARE
+    } else {
+        0
+    };
+    let budget = PER_STEP * last.count() as u64 + unflushed;
     assert!(
         a_last <= budget,
         "{name}: last third allocated {a_last} times; the budget allows {budget}"
     );
-    // No trend. One-sided, and measured against the budget: how many rows
+    // No trend. One-sided, and measured against the rows: how many of them
     // are recycled moves with how far the flusher has drained, so the count
     // may well fall, and what is left of it is small next to its own noise.
     let growth = a_last as f64 - a_mid as f64;
     assert!(
-        growth < 0.02 * budget as f64,
-        "{name}: allocations grew by {growth} ({:.1} % of the budget) from the middle to the \
+        growth < 0.02 * r_last as f64,
+        "{name}: allocations grew by {growth} ({:.1} % of the rows) from the middle to the \
          last third",
-        100.0 * growth / budget as f64
+        100.0 * growth / r_last as f64
     );
 }
 
