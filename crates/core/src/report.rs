@@ -84,9 +84,8 @@ impl TrainReport {
         self.stats.mean_stall()
     }
 
-    /// Mean flush-apply cost per row in nanoseconds — the flush-path
-    /// efficiency metric the perf-smoke gate tracks. Zero when nothing was
-    /// flushed (e.g. write-through runs).
+    /// Mean flush-apply cost per row in nanoseconds, on the measured clock.
+    /// Zero when nothing was flushed (e.g. write-through runs).
     pub fn mean_flush_apply_ns_row(&self) -> f64 {
         if self.flush_rows == 0 {
             0.0
@@ -95,9 +94,8 @@ impl TrainReport {
         }
     }
 
-    /// Mean host→cache fill cost per row in nanoseconds — the arena-copy
-    /// efficiency metric the perf-smoke gate tracks. Zero when nothing was
-    /// filled.
+    /// Mean host→cache fill cost per row in nanoseconds, on the measured
+    /// clock. Zero when nothing was filled.
     pub fn mean_cache_fill_ns_row(&self) -> f64 {
         if self.cache_fills == 0 {
             0.0

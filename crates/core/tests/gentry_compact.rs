@@ -355,6 +355,31 @@ fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(
     Ok(())
 }
 
+/// The store's footprint at CriteoTB scale is argued from this shape: a
+/// mid-training lookahead window over a million keys, every key carrying a
+/// registered read inside an 11-step window and one in 64 also a pending
+/// write (all sharing one gradient allocation, so only store metadata is
+/// counted). `resident_bytes` is analytic — table capacities, the write slab
+/// and the overflow map — so the figure is exact; a layout change that moves
+/// it edits the constant here and DESIGN §14.1 with it.
+#[test]
+fn a_million_key_window_stays_under_32_bytes_a_key() {
+    const KEYS: u64 = 1_000_000;
+    let store = GEntryStore::new();
+    let pq = TwoLevelPq::new(1024);
+    let grad: Arc<[f32]> = vec![0.0f32; 32].into();
+    for k in 0..KEYS {
+        store.add_read(k, k % 11, &pq);
+        if k % 64 == 0 {
+            store.add_write(k, k % 11, Arc::clone(&grad), &pq);
+        }
+    }
+    assert_eq!(store.len(), KEYS as usize);
+    assert_eq!(store.resident_bytes(), 31_362_264);
+    // The budget binds whoever edits the figure above.
+    assert!(store.resident_bytes() < 32 * KEYS as usize);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -82,9 +82,9 @@ impl CachePolicy {
         }
     }
 
-    fn build(&self, capacity: usize) -> Box<dyn EvictionPolicy> {
+    fn build(&self, capacity: usize, hot_threshold: u64) -> Box<dyn EvictionPolicy> {
         match self {
-            CachePolicy::StaticHot => Box::new(StaticHotPolicy::new(capacity)),
+            CachePolicy::StaticHot => Box::new(StaticHotPolicy::new(hot_threshold)),
             CachePolicy::Lru => Box::new(LruPolicy::new(capacity)),
             CachePolicy::FrequencyAware => Box::new(FrequencyAwarePolicy::new(capacity)),
             CachePolicy::OracleBelady => Box::new(OracleBeladyPolicy::new(capacity)),
@@ -146,10 +146,9 @@ pub struct GpuCache {
     /// The state arena: `keys.len() × state_width` floats, indexed by the
     /// same slot as `rows`.
     state: Vec<f32>,
-    /// Last threshold passed to [`GpuCache::set_hot_threshold`], replayed
-    /// onto the rebuilt policy by [`GpuCache::retain`] (the threshold
-    /// otherwise lives only inside the policy box).
-    hot_threshold: Option<u64>,
+    /// The StaticHot admission threshold every build of the policy takes:
+    /// `capacity` until [`GpuCache::set_hot_threshold`] says otherwise.
+    hot_threshold: u64,
     hits: u64,
     misses: u64,
 }
@@ -179,18 +178,19 @@ impl GpuCache {
             capacity.saturating_mul(2).min(1 << 21),
             KeyBuildHasher::default(),
         );
+        let hot_threshold = capacity as u64;
         GpuCache {
             capacity,
             dim,
             kind: policy,
-            policy: policy.build(capacity),
+            policy: policy.build(capacity, hot_threshold),
             map_reserved: map.capacity(),
             map,
             keys: Vec::with_capacity(reserve),
             rows: Vec::with_capacity(reserve * dim),
             state_width: 0,
             state: Vec::new(),
-            hot_threshold: None,
+            hot_threshold,
             hits: 0,
             misses: 0,
         }
@@ -231,8 +231,12 @@ impl GpuCache {
     /// Panics if a resident key falls outside the new threshold: lookups
     /// rely on "not admitted ⇒ not resident" (see [`Self::fill_with_state`]).
     pub fn set_hot_threshold(&mut self, threshold: u64) {
-        self.hot_threshold = Some(threshold);
-        self.policy.set_hot_threshold(threshold);
+        self.hot_threshold = threshold;
+        // The threshold is all the state a static-hot policy has; the other
+        // policies carry history a rebuild would lose, and no threshold.
+        if self.kind == CachePolicy::StaticHot {
+            self.policy = self.kind.build(self.capacity, threshold);
+        }
         assert!(
             self.keys.iter().all(|&k| self.policy.admits(k)),
             "hot threshold {threshold} strands resident rows"
@@ -248,17 +252,14 @@ impl GpuCache {
     /// that moves the shard *back* would serve stale copies. It rebuilds
     /// the eviction policy from scratch (history-driven recency/frequency
     /// state and oracle feeds are forgotten — a performance detail at a
-    /// rare transition, never a semantic one), replaying the stored
-    /// StaticHot threshold. Hit/miss stats are preserved.
+    /// rare transition, never a semantic one) with the stored StaticHot
+    /// threshold. Hit/miss stats are preserved.
     pub fn retain<F: FnMut(Key) -> bool>(&mut self, mut keep: F) {
         let old_keys = std::mem::take(&mut self.keys);
         let old_rows = std::mem::take(&mut self.rows);
         let old_state = std::mem::take(&mut self.state);
         self.map.clear();
-        self.policy = self.kind.build(self.capacity);
-        if let Some(t) = self.hot_threshold {
-            self.policy.set_hot_threshold(t);
-        }
+        self.policy = self.kind.build(self.capacity, self.hot_threshold);
         self.keys.reserve(old_keys.len());
         self.rows.reserve(old_rows.len());
         self.state.reserve(old_state.len());
@@ -449,31 +450,38 @@ impl GpuCache {
     /// Announces the training clock to the policy (oracle next-use
     /// bookkeeping; no-op for history-driven policies).
     pub fn begin_step(&mut self, step: u64) {
-        self.policy.begin_step(step);
+        if let Some(feed) = self.policy.lookahead() {
+            feed.begin_step(step);
+        }
     }
 
     /// Feeds a future step's (owner-local) batch keys to the policy.
     /// Callers can skip building the feed when
     /// [`GpuCache::uses_lookahead`] is false.
     pub fn prepare_step(&mut self, step: u64, keys: &[Key]) {
-        self.policy.prepare_step(step, keys);
+        if let Some(feed) = self.policy.lookahead() {
+            feed.prepare_step(step, keys);
+        }
     }
 
     /// Whether the policy consumes [`GpuCache::prepare_step`] feeds.
     pub fn uses_lookahead(&self) -> bool {
-        self.policy.uses_lookahead()
+        matches!(self.kind, CachePolicy::OracleBelady)
     }
 
-    /// Whether the policy nominates stall-overlap prefetch fills.
+    /// Whether the policy nominates stall-overlap prefetch fills: the
+    /// nominations come out of the feed, so exactly when it consumes one.
     pub fn wants_prefetch(&self) -> bool {
-        self.policy.wants_prefetch()
+        self.uses_lookahead()
     }
 
     /// Appends the policy's prefetch nominations for `step` that are not
     /// already cached. Each step's nominations are handed out once.
     pub fn prefetch_plan(&mut self, step: u64, out: &mut Vec<Key>) {
         let start = out.len();
-        self.policy.prefetch_into(step, out);
+        if let Some(feed) = self.policy.lookahead() {
+            feed.prefetch_into(step, out);
+        }
         let map = &self.map;
         let mut keep = start;
         for i in start..out.len() {

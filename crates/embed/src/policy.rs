@@ -19,7 +19,7 @@
 //!   spirit of TinyLFU admission).
 //! * [`OracleBeladyPolicy`] — Belady's MIN fed real future knowledge: the
 //!   engine's s+L lookahead registration doubles as a next-use feed
-//!   ([`EvictionPolicy::prepare_step`]), so the policy can evict the slot
+//!   ([`Lookahead::prepare_step`]), so the policy can evict the slot
 //!   whose next use is farthest (or absent), bypass inserts that would be
 //!   the farthest themselves, and nominate next-step keys for prefetch
 //!   during the P²F stall wait.
@@ -51,9 +51,8 @@ const NEVER: u64 = u64::MAX;
 ///   `None` rejects the insert (admission bypass).
 /// * `on_evict(key, slot)` fires after `evict_candidate` chose `slot`,
 ///   before the new key is installed there.
-/// * `prepare_step(step, keys)`/`begin_step(step)` are the engine-side
-///   future feed: ignored by history-driven policies
-///   (`uses_lookahead() == false`).
+/// * [`EvictionPolicy::lookahead`] hands out the engine-side future feed
+///   of a policy that consumes one; history-driven policies have none.
 pub trait EvictionPolicy: fmt::Debug + Send {
     /// A lookup for `key` resolved to `slot`.
     fn on_hit(&mut self, key: Key, slot: usize);
@@ -72,26 +71,23 @@ pub trait EvictionPolicy: fmt::Debug + Send {
     /// Full cache: pick the victim slot for incoming `key`, or `None` to
     /// reject it. `residents[slot]` is the key occupying `slot`.
     fn evict_candidate(&mut self, key: Key, residents: &[Key]) -> Option<usize>;
-    /// StaticHot's admission threshold (no-op elsewhere).
-    fn set_hot_threshold(&mut self, _threshold: u64) {}
-    /// Future knowledge: the (owner-local) batch keys of `step`, fed as
-    /// soon as the engine materializes them (s+L lookahead registration).
-    fn prepare_step(&mut self, _step: u64, _keys: &[Key]) {}
+    /// The policy's future feed, if it consumes one.
+    fn lookahead(&mut self) -> Option<&mut dyn Lookahead> {
+        None
+    }
+}
+
+/// The future-knowledge half of a lookahead-driven policy.
+pub trait Lookahead {
+    /// The (owner-local) batch keys of `step`, fed as soon as the engine
+    /// materializes them (s+L lookahead registration).
+    fn prepare_step(&mut self, step: u64, keys: &[Key]);
     /// The training loop advanced to `step`.
-    fn begin_step(&mut self, _step: u64) {}
-    /// Whether `prepare_step` feeds are consumed (lets callers skip
-    /// building the feed).
-    fn uses_lookahead(&self) -> bool {
-        false
-    }
-    /// Whether the policy nominates prefetch fills ([`Self::prefetch_into`]).
-    fn wants_prefetch(&self) -> bool {
-        false
-    }
+    fn begin_step(&mut self, step: u64);
     /// Appends the keys the policy wants prefetched for `step` (fills to
     /// run while the trainer would otherwise stall). Each step's feed is
     /// handed out once.
-    fn prefetch_into(&mut self, _step: u64, _out: &mut Vec<Key>) {}
+    fn prefetch_into(&mut self, step: u64, out: &mut Vec<Key>);
 }
 
 /// Intrusive doubly-linked recency list over cache slots (head = most
@@ -170,12 +166,9 @@ pub struct StaticHotPolicy {
 }
 
 impl StaticHotPolicy {
-    /// The threshold defaults to `capacity`; sharded callers override it
-    /// via `set_hot_threshold`.
-    pub fn new(capacity: usize) -> Self {
-        StaticHotPolicy {
-            hot_threshold: capacity as u64,
-        }
+    /// Admits the keys below `hot_threshold`.
+    pub fn new(hot_threshold: u64) -> Self {
+        StaticHotPolicy { hot_threshold }
     }
 }
 
@@ -193,10 +186,6 @@ impl EvictionPolicy for StaticHotPolicy {
         // Static caches never exceed their admission set; if the threshold
         // admits more keys than capacity, reject.
         None
-    }
-
-    fn set_hot_threshold(&mut self, threshold: u64) {
-        self.hot_threshold = threshold;
     }
 }
 
@@ -338,14 +327,14 @@ impl EvictionPolicy for FrequencyAwarePolicy {
 ///
 /// The engine registers every step's reads `L` steps ahead; the same
 /// materialized key lists, filtered to this cache's owner shard, arrive
-/// through [`EvictionPolicy::prepare_step`] as per-key next-use queues.
+/// through [`Lookahead::prepare_step`] as per-key next-use queues.
 /// Under pressure the policy evicts the resident whose next use is
 /// farthest in the future (absent = infinitely far) — and rejects the
 /// *incoming* key instead when its own next use is farther than every
 /// resident's, which plain evict-only Belady misses.
 ///
 /// The same feed makes the policy prefetch-capable: each step's key list
-/// is kept until [`EvictionPolicy::prefetch_into`] hands it out, letting
+/// is kept until [`Lookahead::prefetch_into`] hands it out, letting
 /// the trainer convert its P²F stall wait into fills for step `s + 1`.
 ///
 /// Next-use queues are consumed lazily: `begin_step(s)` only advances the
@@ -468,6 +457,12 @@ impl EvictionPolicy for OracleBeladyPolicy {
         }
     }
 
+    fn lookahead(&mut self) -> Option<&mut dyn Lookahead> {
+        Some(self)
+    }
+}
+
+impl Lookahead for OracleBeladyPolicy {
     fn prepare_step(&mut self, step: u64, keys: &[Key]) {
         if step < self.now || keys.is_empty() {
             return;
@@ -493,14 +488,6 @@ impl EvictionPolicy for OracleBeladyPolicy {
                 break;
             }
         }
-    }
-
-    fn uses_lookahead(&self) -> bool {
-        true
-    }
-
-    fn wants_prefetch(&self) -> bool {
-        true
     }
 
     fn prefetch_into(&mut self, step: u64, out: &mut Vec<Key>) {

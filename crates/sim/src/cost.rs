@@ -251,11 +251,6 @@ impl CostModel {
         }
     }
 
-    /// Builds a cost model with explicit parameters.
-    pub fn with_params(topo: Topology, params: CostParams) -> Self {
-        CostModel { topo, params }
-    }
-
     /// The topology this model describes.
     pub fn topology(&self) -> &Topology {
         &self.topo

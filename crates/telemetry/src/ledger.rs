@@ -95,8 +95,8 @@ impl LedgerPhase {
         self as usize
     }
 
-    /// Stable snake_case name (JSON keys in `BENCH_engine.json`, table
-    /// rows in `perf_gate.py`).
+    /// Stable snake_case name (the telemetry table's rows and the JSON
+    /// summary's keys).
     pub fn name(self) -> &'static str {
         match self {
             LedgerPhase::Sample => "sample",
@@ -113,12 +113,6 @@ impl LedgerPhase {
             LedgerPhase::FlushDequeue => "flush_dequeue",
             LedgerPhase::FlushApply => "flush_apply",
         }
-    }
-
-    /// Whether the phase is recorded by flusher lanes (summed across
-    /// lanes per step) rather than trainer lanes (maxed across lanes).
-    pub fn is_flusher(self) -> bool {
-        matches!(self, LedgerPhase::FlushDequeue | LedgerPhase::FlushApply)
     }
 }
 

@@ -232,15 +232,6 @@ impl Registry {
         self.counters.lock().unwrap().get(name).map(|c| c.get())
     }
 
-    /// Summary of a histogram, if registered.
-    pub fn histogram_summary(&self, name: &str) -> Option<HistogramSummary> {
-        self.histograms
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|h| h.summary())
-    }
-
     /// Snapshot of every metric, sorted by name within each kind.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {

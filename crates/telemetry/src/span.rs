@@ -361,14 +361,6 @@ impl Probe {
         }
     }
 
-    /// Records an externally measured duration.
-    #[inline]
-    pub fn record_ns(&self, ns: u64) {
-        if let Some(h) = &self.0 {
-            h.record(ns);
-        }
-    }
-
     /// RAII variant of [`Probe::time`]: starts the clock now and records
     /// when the returned guard drops. Useful where the timed region has
     /// multiple exits.

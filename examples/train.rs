@@ -26,7 +26,7 @@ use frugal::data::{
 };
 use frugal::embed::CachePolicy;
 use frugal::models::{Dlrm, KgModel, KgScorer};
-use frugal::sim::Topology;
+use frugal::sim::{GpuSpec, Topology};
 use frugal::telemetry::Telemetry;
 
 #[derive(Debug)]
@@ -44,7 +44,7 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Result<Args, String> {
+    fn parse(argv: &[String]) -> Result<Args, String> {
         let mut args = Args {
             workload: "micro".into(),
             system: "frugal".into(),
@@ -57,7 +57,6 @@ impl Args {
             keys: 1_000_000,
             datacenter: false,
         };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         let take = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
             argv.get(i + 1)
@@ -66,40 +65,40 @@ impl Args {
         };
         while i < argv.len() {
             match argv[i].as_str() {
-                "--workload" => args.workload = take(&argv, i, "--workload")?,
-                "--system" => args.system = take(&argv, i, "--system")?,
+                "--workload" => args.workload = take(argv, i, "--workload")?,
+                "--system" => args.system = take(argv, i, "--system")?,
                 "--gpus" => {
-                    args.gpus = take(&argv, i, "--gpus")?
+                    args.gpus = take(argv, i, "--gpus")?
                         .parse()
                         .map_err(|e| format!("--gpus: {e}"))?
                 }
                 "--batch" => {
-                    args.batch = take(&argv, i, "--batch")?
+                    args.batch = take(argv, i, "--batch")?
                         .parse()
                         .map_err(|e| format!("--batch: {e}"))?
                 }
                 "--steps" => {
-                    args.steps = take(&argv, i, "--steps")?
+                    args.steps = take(argv, i, "--steps")?
                         .parse()
                         .map_err(|e| format!("--steps: {e}"))?
                 }
                 "--cache-ratio" => {
-                    args.cache_ratio = take(&argv, i, "--cache-ratio")?
+                    args.cache_ratio = take(argv, i, "--cache-ratio")?
                         .parse()
                         .map_err(|e| format!("--cache-ratio: {e}"))?
                 }
                 "--cache-policy" => {
-                    args.cache_policy = take(&argv, i, "--cache-policy")?
+                    args.cache_policy = take(argv, i, "--cache-policy")?
                         .parse()
                         .map_err(|e| format!("--cache-policy: {e}"))?
                 }
                 "--flush-threads" => {
-                    args.flush_threads = take(&argv, i, "--flush-threads")?
+                    args.flush_threads = take(argv, i, "--flush-threads")?
                         .parse()
                         .map_err(|e| format!("--flush-threads: {e}"))?
                 }
                 "--keys" => {
-                    args.keys = take(&argv, i, "--keys")?
+                    args.keys = take(argv, i, "--keys")?
                         .parse()
                         .map_err(|e| format!("--keys: {e}"))?
                 }
@@ -121,21 +120,30 @@ impl Args {
             }
             i += 2;
         }
+        if args.batch == 0 {
+            return Err("--batch must be at least 1".into());
+        }
         Ok(args)
+    }
+
+    /// The server the run is priced on.
+    fn topology(&self) -> Result<Topology, String> {
+        let gpu = if self.datacenter {
+            GpuSpec::a30()
+        } else {
+            GpuSpec::rtx3090()
+        };
+        Topology::homogeneous(gpu, self.gpus).map_err(|e| e.to_string())
     }
 }
 
 fn run(
     args: &Args,
+    topology: Topology,
     workload: &dyn Workload,
     model: &dyn EmbeddingModel,
     telemetry: &Telemetry,
 ) -> Result<TrainReport, String> {
-    let topology = if args.datacenter {
-        Topology::datacenter(args.gpus)
-    } else {
-        Topology::commodity(args.gpus)
-    };
     match args.system.as_str() {
         "frugal" | "frugal-sync" | "frugal-fifo" => {
             let mut cfg = FrugalConfig::commodity(args.gpus, args.steps);
@@ -173,7 +181,9 @@ fn run(
 }
 
 fn main() -> Result<(), String> {
-    let args = Args::parse()?;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv)?;
+    let topology = args.topology()?;
     println!("{args:?}\n");
 
     let trace_path = std::env::var("FRUGAL_TRACE").ok();
@@ -194,7 +204,7 @@ fn main() -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             let model = PullToTarget::new(32, 7);
-            run(&args, &trace, &model, &telemetry)?
+            run(&args, topology, &trace, &model, &telemetry)?
         }
         "rec" => {
             let spec = RecDatasetSpec::avazu().scaled_to_ids(args.keys);
@@ -202,14 +212,14 @@ fn main() -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
             let dim = spec.embedding_dim as usize;
             let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 7, false);
-            run(&args, &trace, &model, &telemetry)?
+            run(&args, topology, &trace, &model, &telemetry)?
         }
         "kg" => {
             let spec = KgDatasetSpec::freebase().scaled_to_entities(args.keys.min(200_000));
             let trace =
                 KgTrace::new(spec.clone(), args.batch, args.gpus, 42).map_err(|e| e.to_string())?;
             let model = KgModel::new(KgScorer::TransE, trace.clone(), 7, false);
-            run(&args, &trace, &model, &telemetry)?
+            run(&args, topology, &trace, &model, &telemetry)?
         }
         other => return Err(format!("unknown workload {other}")),
     };
@@ -252,4 +262,29 @@ fn main() -> Result<(), String> {
         println!("Chrome trace written to {path} (open in chrome://tracing)");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        Args::parse(&argv)
+    }
+
+    #[test]
+    fn zero_gpus_is_an_error_not_a_panic() {
+        let args = parse(&["--gpus", "0"]).expect("the flag itself parses");
+        let err = args.topology().unwrap_err();
+        assert!(err.contains("at least one GPU"), "{err}");
+        assert!(parse(&["--gpus", "2"]).unwrap().topology().is_ok());
+    }
+
+    #[test]
+    fn zero_batch_is_rejected() {
+        let err = parse(&["--batch", "0"]).unwrap_err();
+        assert!(err.contains("--batch"), "{err}");
+        assert_eq!(parse(&["--batch", "1"]).unwrap().batch, 1);
+    }
 }
