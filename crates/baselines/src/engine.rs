@@ -23,7 +23,7 @@ use frugal_core::{EmbeddingModel, GEntryStore, ShardMap, TrainReport, Workload};
 use frugal_data::Key;
 use frugal_embed::{CachePolicy, GpuCache, GradAggregator, HostStore, Sharding};
 use frugal_sim::{CostModel, HostPath, IterBreakdown, Nanos, RunStats, Topology};
-use frugal_telemetry::{Phase, SpanArgs, Telemetry};
+use frugal_telemetry::{LaneKind, LedgerPhase, Telemetry};
 use std::collections::HashMap;
 
 /// Which baseline architecture to run.
@@ -192,13 +192,12 @@ impl BaselineEngine {
             })
             .collect();
 
-        let rec = cfg.telemetry.recorder("baseline");
+        let mut rec = cfg.telemetry.recorder("baseline", LaneKind::Trainer);
         let mut stats = RunStats::new(workload.samples_per_step());
         let mut iters = Vec::with_capacity(cfg.steps as usize);
         let mut total_hits = 0u64;
         let mut total_misses = 0u64;
         let mut total_fills = 0u64;
-        let mut total_fill_ns = 0u64;
         let mut first_loss = 0.0f32;
         let mut final_loss = 0.0f32;
         let cost = &cfg.cost;
@@ -211,7 +210,7 @@ impl BaselineEngine {
 
             // ---- Per-owner query routing (Cached only): every GPU's keys
             // are resolved at the owner's cache, as in Fig 2b.
-            let sample_span = rec.span(Phase::Sample);
+            let sample_span = rec.span(s, LedgerPhase::Sample);
             let mut per_gpu_unique: Vec<Vec<Key>> = Vec::with_capacity(n);
             for g in 0..n {
                 let keys = workload.keys(s, g);
@@ -230,7 +229,7 @@ impl BaselineEngine {
             let mut owner_misses = vec![0u64; n];
             let mut owner_queries = vec![0u64; n];
             if cfg.kind == BaselineKind::Cached {
-                let _span = rec.span(Phase::CacheQuery);
+                let _span = rec.span(s, LedgerPhase::CacheQuery);
                 let mut routed: Vec<Vec<Key>> = (0..n).map(|_| Vec::new()).collect();
                 let mut routed_seen: Vec<std::collections::HashSet<Key>> =
                     (0..n).map(|_| std::collections::HashSet::new()).collect();
@@ -250,10 +249,8 @@ impl BaselineEngine {
                         } else {
                             owner_misses[o] += 1;
                             if caches[o].admits(k) {
-                                let t_fill = std::time::Instant::now();
                                 let outcome =
                                     caches[o].fill_into(k, |dst| self.store.read_row(k, dst));
-                                total_fill_ns += t_fill.elapsed().as_nanos() as u64;
                                 if !matches!(outcome, frugal_embed::InsertOutcome::Rejected) {
                                     total_fills += 1;
                                 }
@@ -271,12 +268,12 @@ impl BaselineEngine {
                 let u = unique.len() as u64;
                 let mut rows = vec![0.0f32; keys.len() * dim];
                 let hr_span =
-                    rec.span_with(Phase::HostRead, SpanArgs::one("rows", keys.len() as u64));
+                    rec.span_with(s, LedgerPhase::HostRead, &[("rows", keys.len() as u64)]);
                 for (i, &key) in keys.iter().enumerate() {
                     self.store.read_row(key, &mut rows[i * dim..(i + 1) * dim]);
                 }
                 drop(hr_span);
-                let compute_span = rec.span(Phase::Compute);
+                let compute_span = rec.span(s, LedgerPhase::Compute);
                 let grads = model.forward_backward(g, s, &keys, &rows);
                 loss_sum += grads.loss;
                 let mut agg = GradAggregator::new(dim);
@@ -347,8 +344,9 @@ impl BaselineEngine {
             // write-through "flush" every baseline pays on the critical path.
             let updates = merged.into_arrival_order();
             let apply_span = rec.span_with(
-                Phase::FlushApply,
-                SpanArgs::one("rows", updates.len() as u64),
+                s,
+                LedgerPhase::FlushApply,
+                &[("rows", updates.len() as u64)],
             );
             for (key, grad) in updates {
                 self.store.write_row(key, |row| {
@@ -389,13 +387,11 @@ impl BaselineEngine {
             reg.counter("cache.hits").add(total_hits);
             reg.counter("cache.misses").add(total_misses);
             reg.counter("cache.fills").add(total_fills);
-            reg.counter("cache.fill_ns").add(total_fill_ns);
         }
         TrainReport {
             stats,
             hit_ratio,
             cache_fills: total_fills,
-            cache_fill_ns: total_fill_ns,
             // Baselines have no stall to overlap; prefetch is a P²F-only
             // mechanism.
             cache_prefetch_fills: 0,

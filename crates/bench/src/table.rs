@@ -96,23 +96,23 @@ impl fmt::Display for ExpTable {
     }
 }
 
-/// Renders a [`TelemetrySummary`] as an [`ExpTable`]: one row per phase
-/// histogram (count + p50/p95/p99/mean in microseconds), counters and the
-/// stall-attribution line as notes.
+/// Renders a [`TelemetrySummary`] as an [`ExpTable`]: one row per ledger
+/// phase (per-step p50/p95/p99/mean in microseconds over the retained
+/// steps), counters and the stall-attribution line as notes.
 pub fn telemetry_table(title: impl Into<String>, summary: &TelemetrySummary) -> ExpTable {
     let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
     let mut t = ExpTable::new(
         title,
-        &["phase", "count", "p50 us", "p95 us", "p99 us", "mean us"],
+        &["phase", "steps", "p50 us", "p95 us", "p99 us", "mean us"],
     );
-    for (name, h) in &summary.metrics.histograms {
+    for p in summary.ledger.iter().flat_map(|l| &l.phases) {
         t.row(vec![
-            name.clone(),
-            h.count.to_string(),
-            us(h.p50),
-            us(h.p95),
-            us(h.p99),
-            format!("{:.1}", h.mean() / 1e3),
+            p.phase.name().to_owned(),
+            p.steps.to_string(),
+            us(p.p50_ns),
+            us(p.p95_ns),
+            us(p.p99_ns),
+            format!("{:.1}", p.mean_ns / 1e3),
         ]);
     }
     for (name, v) in &summary.metrics.counters {

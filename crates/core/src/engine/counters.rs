@@ -24,9 +24,6 @@ pub(crate) struct RunMetrics {
     /// Counter `cache.fills`: rows copied host→cache on the miss path
     /// (accepted inserts only — admission rejects don't count).
     pub(crate) cache_fills: Arc<Counter>,
-    /// Counter `cache.fill_ns`: wall time trainers spent copying miss rows
-    /// into the cache arena (the fill-cost side of the hit-ratio coin).
-    pub(crate) cache_fill_ns: Arc<Counter>,
     /// Counter `cache.prefetch_fills`: fills performed during the P²F
     /// stall wait from the oracle policy's next-step plan — stall time
     /// converted into fill time, charged to neither the modeled cache
@@ -50,13 +47,6 @@ pub(crate) struct RunMetrics {
     /// batch — how much locality the key-sorted batch apply gets to
     /// exploit.
     pub(crate) flush_batch_rows: Arc<Histogram>,
-    /// Histogram `flush.apply_row_ns`: each batch's mean per-row apply
-    /// cost (claim + optimizer step + host-store write).
-    pub(crate) flush_apply_row_ns: Arc<Histogram>,
-    /// Counter `gentry.batch_ns`: total wall time trainers spent inside
-    /// the sharded batch-registration phase (writes + reads), summed
-    /// across trainers and steps.
-    pub(crate) gentry_batch_ns: Arc<Counter>,
     /// Gauge `p2f.blocking_rows`: the rows whose flush gates the next wait
     /// condition — rows written this step that the next step reads under
     /// P²F, every row written this step under FIFO.
@@ -81,7 +71,6 @@ impl RunMetrics {
             hits: registry.counter("cache.hits"),
             misses: registry.counter("cache.misses"),
             cache_fills: registry.counter("cache.fills"),
-            cache_fill_ns: registry.counter("cache.fill_ns"),
             cache_prefetch_fills: registry.counter("cache.prefetch_fills"),
             flush_dequeue_ns: registry.counter("flusher.dequeue_total_ns"),
             flush_claim_ns: registry.counter("flusher.claim_total_ns"),
@@ -89,8 +78,6 @@ impl RunMetrics {
             flush_rows: registry.counter("flush.rows"),
             flusher_parked_ns: registry.counter("flusher.parked_ns"),
             flush_batch_rows: registry.histogram("flush.batch_rows"),
-            flush_apply_row_ns: registry.histogram("flush.apply_row_ns"),
-            gentry_batch_ns: registry.counter("gentry.batch_ns"),
             blocking_rows_next: registry.gauge("p2f.blocking_rows"),
             stall_modeled_ns: registry.counter(stall_counter),
             membership_transition_ns: registry.counter("membership.transition_ns"),

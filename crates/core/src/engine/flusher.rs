@@ -13,7 +13,7 @@ use super::RunShared;
 use crate::gentry::{GEntryStore, PendingWrites};
 use crate::wait::InflightTable;
 use frugal_embed::FlushClaim;
-use frugal_telemetry::{LaneKind, LedgerPhase, Phase, SpanArgs};
+use frugal_telemetry::{LaneKind, LedgerPhase};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -152,8 +152,10 @@ impl FlushCoord {
 /// step under P²F, its write step under FIFO) — step `s` reads none of the
 /// claimed-but-unapplied rows.
 pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
-    let rec = shared.cfg.telemetry.recorder(format!("flusher-{slot}"));
-    let lane = shared.cfg.telemetry.ledger_lane(LaneKind::Flusher);
+    let rec = shared
+        .cfg
+        .telemetry
+        .recorder(format!("flusher-{slot}"), LaneKind::Flusher);
     let mut out = Vec::with_capacity(shared.cfg.flush_batch);
     // Reusable claim scratch: the batch's claimed (step, Δ) pairs, flat,
     // plus each claimed key's range into them.
@@ -186,14 +188,16 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
             continue;
         }
         // Only non-empty dequeues are recorded: thousands of idle polls
-        // would swamp both the histogram and the trace ring.
+        // would swamp the trace ring. Flushers do not track the trainer
+        // step; they book to the ledger's cursor.
         let deq_ns = t_deq.elapsed().as_nanos() as u64;
         shared.metrics.flush_dequeue_ns.add(deq_ns);
-        lane.add_current(LedgerPhase::FlushDequeue, deq_ns);
-        rec.record_completed(
-            Phase::FlushDequeue,
+        rec.record(
+            rec.current_step(),
+            LedgerPhase::FlushDequeue,
             t_deq,
-            SpanArgs::one("batch", out.len() as u64),
+            deq_ns,
+            &[("batch", out.len() as u64)],
         );
         // Claim phase, timed apart from the apply: the batch sort and the
         // g-entry extraction contend with registering trainers on the
@@ -223,9 +227,13 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
             shared.metrics.flush_apply_ns.add(apply_ns);
             shared.metrics.flush_rows.add(applied);
             shared.metrics.flush_batch_rows.record(applied);
-            shared.metrics.flush_apply_row_ns.record(apply_ns / applied);
-            lane.add_current(LedgerPhase::FlushApply, apply_ns);
-            rec.record_completed(Phase::FlushApply, t_apply, SpanArgs::one("rows", applied));
+            rec.record(
+                rec.current_step(),
+                LedgerPhase::FlushApply,
+                t_apply,
+                apply_ns,
+                &[("rows", applied)],
+            );
             // Stall provenance: stamp this batch and emit the producing
             // half of the flow arrow *before* the marker clear below, so
             // a trainer that wakes on the clear reads an id whose flow

@@ -64,7 +64,7 @@ use flusher::FlushCoord;
 use frugal_embed::{GpuCache, HostStore, Sharding, UpdateRule};
 use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq};
 use frugal_sim::{Nanos, RunStats};
-use frugal_telemetry::{LaneKind, LedgerPhase, Registry};
+use frugal_telemetry::{LaneKind, LedgerPhase, Registry, ThreadRecorder};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -194,11 +194,16 @@ pub(crate) struct RunShared<'a> {
 /// drain or the evictions: stale survivor cache rows and unflushed
 /// pre-epoch writes then race the new owners — the divergence the elastic
 /// consistency tests must catch.
+///
+/// `rec` is the run thread's recorder: the transition gates the first step
+/// of the new segment, so it is booked there (its own phase, not
+/// `StallWait` — it is membership cost, not flush-wait cost).
 fn membership_transition(
     shared: &RunShared<'_>,
     caches: &[Mutex<Option<GpuCache>>],
     next: Arc<ShardMap>,
     resume_step: u64,
+    rec: &ThreadRecorder,
 ) {
     let t0 = Instant::now();
     if !shared.cfg.skip_quiesce {
@@ -239,11 +244,7 @@ fn membership_transition(
     shared.smap.publish(next);
     let ns = t0.elapsed().as_nanos() as u64;
     shared.metrics.membership_transition_ns.add(ns);
-    // Ledger attribution: the transition gates the first step of the new
-    // segment, so book it there (its own phase, not StallWait — it is
-    // membership cost, not flush-wait cost).
-    let lane = shared.cfg.telemetry.ledger_lane(LaneKind::Trainer);
-    lane.add(resume_step, LedgerPhase::EpochTransition, ns);
+    rec.record(resume_step, LedgerPhase::EpochTransition, t0, ns, &[]);
 }
 
 /// The Frugal / Frugal-Sync training engine.
@@ -374,6 +375,16 @@ impl FrugalEngine {
         // indexed by trainer id. Slots fill lazily on first membership and
         // survive across segments; transitions drop leavers' slots.
         let caches: Vec<Mutex<Option<GpuCache>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // One recorder (ledger lane + trace track) per trainer index for the
+        // whole run — kept across segments, leaves and rejoins — and one for
+        // the transitions this thread runs.
+        let mut recorders: Vec<ThreadRecorder> = (0..n)
+            .map(|t| {
+                cfg.telemetry
+                    .recorder(format!("trainer-{t}"), LaneKind::Trainer)
+            })
+            .collect();
+        let run_rec = cfg.telemetry.recorder("run", LaneKind::Trainer);
         let segments = resolve_segments(cfg);
 
         // Flushers are spawned once for the whole run and live across
@@ -391,7 +402,7 @@ impl FrugalEngine {
             for (i, seg) in segments.iter().enumerate() {
                 if i > 0 {
                     let next = shared.smap.current().with_members(&seg.members);
-                    membership_transition(&shared, &caches, next, seg.start);
+                    membership_transition(&shared, &caches, next, seg.start, &run_rec);
                 }
                 // Lock-free: two crossings per step make the barrier
                 // hot-path state at 8–16 trainers. Its waiters spin for as
@@ -400,12 +411,17 @@ impl FrugalEngine {
                 let barrier =
                     SpinBarrier::new(seg.members.len(), seg.members.len() + flushers.len());
                 std::thread::scope(|seg_scope| {
-                    for &t in &seg.members {
+                    let members = recorders
+                        .iter_mut()
+                        .enumerate()
+                        .filter(|(t, _)| seg.members.contains(t));
+                    for (t, rec) in members {
                         let barrier = &barrier;
                         let shared = &shared;
                         let cache = &caches[t];
-                        seg_scope
-                            .spawn(move || trainer::trainer_loop(shared, barrier, t, seg, cache));
+                        seg_scope.spawn(move || {
+                            trainer::trainer_loop(shared, barrier, t, seg, cache, rec)
+                        });
                     }
                     // The inner scope joins every member before the next
                     // transition (or shutdown) can touch shared state.
@@ -448,7 +464,6 @@ impl FrugalEngine {
             stats,
             hit_ratio,
             cache_fills: shared.metrics.cache_fills.get(),
-            cache_fill_ns: shared.metrics.cache_fill_ns.get(),
             cache_prefetch_fills: shared.metrics.cache_prefetch_fills.get(),
             mean_gentry_update: mean_gentry,
             violations: shared.metrics.violations.get() as usize,

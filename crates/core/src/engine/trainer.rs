@@ -25,13 +25,10 @@ use crate::ShardMap;
 use frugal_data::{Key, KeyHashMap, KeyHashSet};
 use frugal_embed::{GpuCache, GradAggregator};
 use frugal_sim::{HostPath, Nanos};
-use frugal_telemetry::{
-    LaneKind, LedgerLane, LedgerPhase, Phase, SpanArgs, StallRecord, ThreadRecorder,
-};
+use frugal_telemetry::{LedgerPhase, StallRecord, ThreadRecorder};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use super::barrier::SpinBarrier;
 
@@ -212,8 +209,7 @@ pub(crate) fn feed_cache_lookahead(
 pub(crate) fn register_phase(
     shared: &RunShared<'_>,
     smap: &ShardMap,
-    rec: &ThreadRecorder,
-    lane: &LedgerLane,
+    rec: &mut ThreadRecorder,
     s: u64,
     t: usize,
     streams: &[usize],
@@ -222,7 +218,6 @@ pub(crate) fn register_phase(
 ) {
     let cfg = shared.cfg;
     let proactive = cfg.flush_mode.proactive();
-    let t0 = Instant::now();
 
     // Single pass over this member's reduced slot: fold the owned rows
     // into the local cache (the cache sees the same per-key gradient
@@ -230,6 +225,7 @@ pub(crate) fn register_phase(
     // them for batch registration. The slot was written by this member's
     // own reduce a moment ago; nobody else reads it before barrier C.
     {
+        let _span = rec.span(s, LedgerPhase::CacheApply);
         let updates = shared.step.update_slots[t].read();
         for (key, grad) in updates.iter() {
             if let Some((row, state)) = cache.get_with_state(key) {
@@ -241,18 +237,14 @@ pub(crate) fn register_phase(
             }
         }
     }
-    if lane.is_enabled() {
-        lane.add(s, LedgerPhase::CacheApply, t0.elapsed().as_nanos() as u64);
-    }
     if proactive {
         // Write registration — the sharded critical path (what a serial
         // leader used to spend on *all* keys).
-        let t_writes = Instant::now();
-        let mut own_rows = 0u64;
+        let own_rows = scratch.write_bufs.iter().map(|b| b.len() as u64).sum();
+        let _span = rec.span_with(s, LedgerPhase::Registration, &[("rows", own_rows)]);
         let mut read_next = 0u64;
         for buf in &mut scratch.write_bufs {
             if !buf.is_empty() {
-                own_rows += buf.len() as u64;
                 // The rows move into the W sets, which leaves the update
                 // slot and the pending flush as a row's only holders: the
                 // next reduce recycles it once it has landed.
@@ -284,19 +276,6 @@ pub(crate) fn register_phase(
         // Fresh entries (and tightened priorities) may unblock flushers'
         // scan ranges; wake any parked ones.
         shared.flush.notify_all();
-
-        shared
-            .metrics
-            .gentry_batch_ns
-            .add(t0.elapsed().as_nanos() as u64);
-        rec.record_completed(Phase::GEntryUpdate, t0, SpanArgs::one("rows", own_rows));
-        if lane.is_enabled() {
-            lane.add(
-                s,
-                LedgerPhase::Registration,
-                t_writes.elapsed().as_nanos() as u64,
-            );
-        }
     }
 }
 
@@ -390,16 +369,16 @@ fn prefetch_during_stall(
 
 /// One member's run of one segment: steps `seg.start..seg.end` under the
 /// segment's shard-map epoch, processing every stream the epoch deals it.
+/// `rec` is the member's recorder for the whole run, across segments.
 pub(crate) fn trainer_loop(
     shared: &RunShared<'_>,
     barrier: &SpinBarrier,
     t: usize,
     seg: &Segment,
     cache_slot: &Mutex<Option<GpuCache>>,
+    rec: &mut ThreadRecorder,
 ) {
     let cfg = shared.cfg;
-    let rec = cfg.telemetry.recorder(format!("trainer-{t}"));
-    let lane = cfg.telemetry.ledger_lane(LaneKind::Trainer);
     let dim = shared.model.dim();
     let n_streams = cfg.n_gpus();
     // Segment snapshot: the map is immutable for the segment's lifetime,
@@ -416,7 +395,6 @@ pub(crate) fn trainer_loop(
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut total_fills = 0u64;
-    let mut fill_ns = 0u64;
     let mut prefetch_fills = 0u64;
     let batch_per_gpu = shared.workload.samples_per_step() / n_streams as u64;
     let mut scratch = StepScratch::new(dim, &smap, t);
@@ -462,7 +440,7 @@ pub(crate) fn trainer_loop(
         // generation overlaps the stall window instead of sitting on the
         // critical path; the batches consumed below were published L
         // steps ago.
-        let sample_span = rec.span(Phase::Sample);
+        let sample_span = rec.span(s, LedgerPhase::Sample);
         let ahead = s + cfg.lookahead;
         if ahead < cfg.steps {
             for &g in &streams {
@@ -472,7 +450,7 @@ pub(crate) fn trainer_loop(
                     .publish(g, ahead, shared.workload.keys(ahead, g));
             }
         }
-        lane.add(s, LedgerPhase::Sample, sample_span.finish());
+        drop(sample_span);
         // The strategy's wait condition — P²F's `PQ.top() > s` (§3.3), or
         // FIFO's "all writes < s flushed". The physical wait enforces
         // consistency and is what the ledger's `stall_wait` measures; the
@@ -498,8 +476,9 @@ pub(crate) fn trainer_loop(
                         (0, None)
                     };
                     let span = rec.span_with(
-                        Phase::P2fWait,
-                        SpanArgs::two("blocking_priority", floor, "pending_keys", pending),
+                        s,
+                        LedgerPhase::StallWait,
+                        &[("blocking_priority", floor), ("pending_keys", pending)],
                     );
                     if cache.wants_prefetch() {
                         // Convert stall time into next-step fills (oracle
@@ -531,7 +510,6 @@ pub(crate) fn trainer_loop(
                             blocking_key,
                             cleared_by,
                         });
-                        lane.add(s, LedgerPhase::StallWait, wait_ns);
                     }
                 }
             }
@@ -553,7 +531,7 @@ pub(crate) fn trainer_loop(
             // unique keys against the local cache, collecting the ones it
             // missed. All staging buffers are per-member scratch —
             // cleared, never re-allocated.
-            let cq_span = rec.span(Phase::CacheQuery);
+            let cq_span = rec.span(s, LedgerPhase::CacheQuery);
             scratch.index_of.clear();
             scratch.unique.clear();
             scratch.unique_of.clear();
@@ -579,7 +557,7 @@ pub(crate) fn trainer_loop(
                 }
                 scratch.missing.push((i, key));
             }
-            lane.add(s, LedgerPhase::CacheQuery, cq_span.finish());
+            drop(cq_span);
 
             // Forward pass 2 — host reads (UVA zero-copy) for the cache
             // misses. Safe to split from pass 1: keys are unique within a
@@ -587,7 +565,7 @@ pub(crate) fn trainer_loop(
             // again before the barrier.
             let host_reads = scratch.missing.len() as u64;
             let mut fills = 0u64;
-            let hr_span = rec.span_with(Phase::HostRead, SpanArgs::one("rows", host_reads));
+            let hr_span = rec.span_with(s, LedgerPhase::HostRead, &[("rows", host_reads)]);
             for (m, &(i, key)) in scratch.missing.iter().enumerate() {
                 // The misses are all known: overlap their DRAM latencies.
                 shared
@@ -601,10 +579,8 @@ pub(crate) fn trainer_loop(
                 shared.store.read_row(key, slot);
                 misses += 1;
                 // `admits` pre-gate keeps statically-rejected keys
-                // (static-hot policy, cold tail) out of the fill timing
-                // entirely.
+                // (static-hot policy, cold tail) away from the slot search.
                 if smap.owns_key(t, key) && cache.admits(key) {
-                    let t_fill = Instant::now();
                     // The slot takes the row just read and the host
                     // path's optimizer state for it (safe: the wait
                     // condition guarantees this key has no in-flight
@@ -613,22 +589,23 @@ pub(crate) fn trainer_loop(
                         row.copy_from_slice(slot);
                         shared.rule.copy_state(key, state);
                     });
-                    fill_ns += t_fill.elapsed().as_nanos() as u64;
                     if !matches!(outcome, frugal_embed::InsertOutcome::Rejected) {
                         fills += 1;
                     }
                 }
             }
             total_fills += fills;
-            lane.add(s, LedgerPhase::HostRead, hr_span.finish());
+            drop(hr_span);
 
             // Scatter unique rows to per-instance rows for the model.
+            let scatter_span = rec.span(s, LedgerPhase::Scatter);
             scratch.rows.resize(keys.len() * dim, 0.0);
             for (row, &u) in scratch.rows.chunks_exact_mut(dim).zip(&scratch.unique_of) {
                 frugal_embed::kernels::copy(row, &scratch.urows[u * dim..(u + 1) * dim]);
             }
+            drop(scatter_span);
 
-            let compute_span = rec.span(Phase::Compute);
+            let compute_span = rec.span(s, LedgerPhase::Compute);
             let grads = shared
                 .model
                 .forward_backward(g, s, keys.as_slice(), &scratch.rows);
@@ -646,9 +623,11 @@ pub(crate) fn trainer_loop(
             {
                 scratch.agg.add_to_slot(u, grad);
             }
-            lane.add(s, LedgerPhase::Compute, compute_span.finish());
+            drop(compute_span);
 
-            // Modeled hardware times for this stream's iteration.
+            // Deposit: price this stream's modeled hardware times, then
+            // hand them and its aggregates to the reducers.
+            let _deposit = rec.span(s, LedgerPhase::Deposit);
             let cost = &cfg.cost;
             let row_bytes = (dim * 4) as u64;
             let phase = PhaseTimes {
@@ -683,18 +662,18 @@ pub(crate) fn trainer_loop(
         }
 
         // Barrier A: every stream's aggregates deposited.
-        let t_bar = lane.start();
-        let a = barrier.wait();
-        lane.add_since(s, LedgerPhase::BarrierA, t_bar);
+        let a = {
+            let _span = rec.span(s, LedgerPhase::BarrierA);
+            barrier.wait()
+        };
         if a.is_leader() {
-            let t_lead = lane.start();
+            let _span = rec.span(s, LedgerPhase::LeaderApply);
             step::leader_prepare(shared, s);
-            lane.add_since(s, LedgerPhase::LeaderApply, t_lead);
         }
         // One member-local pass to barrier C. Decentralized reduce: fold
         // this member's owned keys across all deposit slots (stream index
         // order — canonical) into this member's update slot.
-        let t_red = lane.start();
+        let reduce_span = rec.span(s, LedgerPhase::Reduce);
         step::reduce_own_shard(shared, &smap, t, &mut scratch.merged);
         match cfg.flush_mode {
             // The write-through flush the paper describes, sharded by key
@@ -714,33 +693,25 @@ pub(crate) fn trainer_loop(
             // The flushers apply what registration queues.
             FlushMode::P2f | FlushMode::Fifo => {}
         }
-        lane.add_since(s, LedgerPhase::Reduce, t_red);
+        drop(reduce_span);
         // Registration reads only the slot this member just wrote, so it
         // needs no barrier behind the reduce.
-        register_phase(
-            shared,
-            &smap,
-            &rec,
-            &lane,
-            s,
-            t,
-            &streams,
-            &mut scratch,
-            cache,
-        );
+        register_phase(shared, &smap, rec, s, t, &streams, &mut scratch, cache);
         // Barrier C: registration complete — the step's entries are all
         // queued before any member can evaluate step s + 1's wait
         // condition. The C-leader finalizes bookkeeping concurrently.
-        if barrier.wait().is_leader() {
-            let t_lead = lane.start();
+        let c = {
+            let _span = rec.span(s, LedgerPhase::BarrierC);
+            barrier.wait()
+        };
+        if c.is_leader() {
+            let _span = rec.span(s, LedgerPhase::LeaderApply);
             step::leader_finish(shared, &smap, s);
-            lane.add_since(s, LedgerPhase::LeaderApply, t_lead);
         }
     }
 
     shared.metrics.hits.add(hits);
     shared.metrics.misses.add(misses);
     shared.metrics.cache_fills.add(total_fills);
-    shared.metrics.cache_fill_ns.add(fill_ns);
     shared.metrics.cache_prefetch_fills.add(prefetch_fills);
 }

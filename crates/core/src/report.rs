@@ -19,9 +19,6 @@ pub struct TrainReport {
     /// Rows copied host→cache on the miss path (accepted inserts only) —
     /// the `cache.fills` telemetry counter.
     pub cache_fills: u64,
-    /// Total nanoseconds trainers spent copying miss rows into the cache
-    /// arena — the `cache.fill_ns` telemetry counter.
-    pub cache_fill_ns: u64,
     /// Fills performed during the P²F stall wait from the oracle policy's
     /// next-step plan (stall time converted into fill time) — the
     /// `cache.prefetch_fills` telemetry counter. Zero for policies without
@@ -31,10 +28,9 @@ pub struct TrainReport {
     /// paper's Exp #4a metric, on the **modeled** clock: the rows the
     /// slowest member registers (all members' rows under a serializing
     /// queue) × `frugal-sim`'s per-row price, a pure function of
-    /// `(seed, config)`. The *measured* counterpart is the wall time of the
-    /// `GEntryUpdate` span (the `leader.gentry_update_ns` telemetry
-    /// histogram) and the ledger's `registration` phase. Zero for engines
-    /// without g-entries.
+    /// `(seed, config)`. The *measured* counterpart is the telemetry
+    /// ledger's `registration` phase (and the trace's `registration`
+    /// spans). Zero for engines without g-entries.
     pub mean_gentry_update: Nanos,
     /// Consistency-invariant violations observed on host reads — the
     /// `p2f.violations` telemetry counter. Only collected in checked mode
@@ -61,8 +57,8 @@ pub struct TrainReport {
     pub first_loss: f32,
     /// Mean loss over the last recorded step.
     pub final_loss: f32,
-    /// Metrics, span percentiles, and stall attribution collected during
-    /// the run; `None` when the run's
+    /// Metrics, the per-step phase ledger, and stall attribution collected
+    /// during the run; `None` when the run's
     /// [`Telemetry`](frugal_telemetry::Telemetry) handle was off.
     pub telemetry: Option<TelemetrySummary>,
 }
@@ -91,16 +87,6 @@ impl TrainReport {
             0.0
         } else {
             self.flush_apply_ns as f64 / self.flush_rows as f64
-        }
-    }
-
-    /// Mean host→cache fill cost per row in nanoseconds, on the measured
-    /// clock. Zero when nothing was filled.
-    pub fn mean_cache_fill_ns_row(&self) -> f64 {
-        if self.cache_fills == 0 {
-            0.0
-        } else {
-            self.cache_fill_ns as f64 / self.cache_fills as f64
         }
     }
 }

@@ -130,7 +130,7 @@ impl RunStats {
     }
 
     /// Nearest-rank percentile (`0 < q <= 1`) of per-iteration stall time
-    /// (the Exp #2/#4 metric, `trainer.p2f_wait_ns` in telemetry terms).
+    /// (the Exp #2/#4 metric; measured: the ledger's `stall_wait` phase).
     /// Returns zero if nothing was recorded.
     pub fn stall_percentile(&self, q: f64) -> Nanos {
         Self::percentile(self.iters.iter().map(|it| it.stall).collect(), q)

@@ -5,10 +5,13 @@
 //! whole run" but cannot say *which step* regressed or give exact
 //! percentiles. The ledger keeps, per engine thread (lane), a ring of
 //! `capacity` step slots; each slot holds one accumulated duration cell
-//! per [`LedgerPhase`]. Writes are wait-free single-writer stores:
+//! per [`LedgerPhase`]. A lane is written only through its
+//! [`ThreadRecorder`](crate::ThreadRecorder), whose spans add their
+//! duration to the lane's cell as they finish. Writes are wait-free
+//! single-writer stores:
 //!
-//! * every lane is owned by exactly one thread (its trainer or flusher),
-//!   so slot maintenance needs no CAS loops;
+//! * every lane is owned by exactly one recorder, and a recorder is used by
+//!   one thread at a time, so slot maintenance needs no CAS loops;
 //! * a slot is tagged with `step + 1` (`0` = never written). When the
 //!   owner writes a step whose slot still carries an older step's tag, it
 //!   zeroes the slot's cells and retags — so wrap-around never needs a
@@ -26,7 +29,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Default number of step slots retained per lane.
 pub const DEFAULT_LEDGER_STEPS: usize = 4096;
@@ -43,8 +45,13 @@ pub enum LedgerPhase {
     CacheQuery,
     /// Reading cache-missed rows from host DRAM.
     HostRead,
+    /// Copying unique rows out to the batch's per-sample rows.
+    Scatter,
     /// Forward/backward plus gradient aggregation.
     Compute,
+    /// Pricing a stream's modeled phase times and handing its aggregates
+    /// and times to the reducers.
+    Deposit,
     /// Waiting on barrier A (slowest-trainer sync before the reduce).
     BarrierA,
     /// Decentralized reduce: folding this trainer's key shard across all
@@ -54,6 +61,8 @@ pub enum LedgerPhase {
     CacheApply,
     /// Registering write/read intents in the g-entry store and PQ.
     Registration,
+    /// Waiting on barrier C (registration complete before the next step).
+    BarrierC,
     /// Blocked in the flush-wait condition (P²F / FIFO gate).
     StallWait,
     /// Leader-only work: merge, publish, bookkeeping (barriers A and C).
@@ -70,18 +79,21 @@ pub enum LedgerPhase {
 
 impl LedgerPhase {
     /// Number of phases (cells per step slot).
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 16;
 
     /// Every phase, in a fixed order matching `as usize` indices.
     pub const ALL: [LedgerPhase; LedgerPhase::COUNT] = [
         LedgerPhase::Sample,
         LedgerPhase::CacheQuery,
         LedgerPhase::HostRead,
+        LedgerPhase::Scatter,
         LedgerPhase::Compute,
+        LedgerPhase::Deposit,
         LedgerPhase::BarrierA,
         LedgerPhase::Reduce,
         LedgerPhase::CacheApply,
         LedgerPhase::Registration,
+        LedgerPhase::BarrierC,
         LedgerPhase::StallWait,
         LedgerPhase::LeaderApply,
         LedgerPhase::EpochTransition,
@@ -95,18 +107,21 @@ impl LedgerPhase {
         self as usize
     }
 
-    /// Stable snake_case name (the telemetry table's rows and the JSON
-    /// summary's keys).
+    /// Stable snake_case name (the telemetry table's rows, the JSON
+    /// summary's keys and the Chrome trace's span names).
     pub fn name(self) -> &'static str {
         match self {
             LedgerPhase::Sample => "sample",
             LedgerPhase::CacheQuery => "cache_query",
             LedgerPhase::HostRead => "host_read",
+            LedgerPhase::Scatter => "scatter",
             LedgerPhase::Compute => "compute",
+            LedgerPhase::Deposit => "deposit",
             LedgerPhase::BarrierA => "barrier_a",
             LedgerPhase::Reduce => "reduce",
             LedgerPhase::CacheApply => "cache_apply",
             LedgerPhase::Registration => "registration",
+            LedgerPhase::BarrierC => "barrier_c",
             LedgerPhase::StallWait => "stall_wait",
             LedgerPhase::LeaderApply => "leader_apply",
             LedgerPhase::EpochTransition => "epoch_transition",
@@ -129,12 +144,33 @@ pub enum LaneKind {
 
 /// One thread's ring of tagged step slots.
 #[derive(Debug)]
-struct LaneShared {
+pub(crate) struct Lane {
     kind: LaneKind,
     /// `step + 1` of the step occupying each slot; 0 = never written.
     tags: Box<[AtomicU64]>,
     /// `capacity * LedgerPhase::COUNT` duration cells, slot-major.
     cells: Box<[AtomicU64]>,
+}
+
+impl Lane {
+    /// Accumulates `ns` into `phase` for `step`.
+    #[inline]
+    pub(crate) fn add(&self, step: u64, phase: LedgerPhase, ns: u64) {
+        let slot = (step % self.tags.len() as u64) as usize;
+        let tag = step + 1;
+        let cells = &self.cells[slot * LedgerPhase::COUNT..(slot + 1) * LedgerPhase::COUNT];
+        if self.tags[slot].load(Ordering::Relaxed) != tag {
+            // The slot still holds an older (wrapped) step: zero its
+            // cells and retag. Single-writer ownership makes this safe;
+            // a concurrent summary read may see a torn slot, which only
+            // perturbs one step of a 4096-step window.
+            for c in cells {
+                c.store(0, Ordering::Relaxed);
+            }
+            self.tags[slot].store(tag, Ordering::Release);
+        }
+        cells[phase.index()].fetch_add(ns, Ordering::Relaxed);
+    }
 }
 
 /// The ledger core owned by a `Telemetry` instance.
@@ -143,15 +179,15 @@ pub(crate) struct LedgerCore {
     capacity: usize,
     /// Current step, advanced by the barrier-A leader; flusher lanes
     /// attribute their work to this step.
-    cursor: Arc<AtomicU64>,
-    lanes: Mutex<Vec<Arc<LaneShared>>>,
+    cursor: AtomicU64,
+    lanes: Mutex<Vec<Arc<Lane>>>,
 }
 
 impl LedgerCore {
     pub fn new(capacity: usize) -> Self {
         LedgerCore {
             capacity: capacity.max(1),
-            cursor: Arc::new(AtomicU64::new(0)),
+            cursor: AtomicU64::new(0),
             lanes: Mutex::new(Vec::new()),
         }
     }
@@ -160,21 +196,22 @@ impl LedgerCore {
         self.cursor.store(step, Ordering::Release);
     }
 
-    pub fn lane(&self, kind: LaneKind) -> LedgerLane {
-        let shared = Arc::new(LaneShared {
+    /// The step the barrier-A leader last advanced the cursor to.
+    pub fn current_step(&self) -> u64 {
+        self.cursor.load(Ordering::Acquire)
+    }
+
+    /// Registers a new lane; the caller must be its only writer.
+    pub fn lane(&self, kind: LaneKind) -> Arc<Lane> {
+        let lane = Arc::new(Lane {
             kind,
             tags: (0..self.capacity).map(|_| AtomicU64::new(0)).collect(),
             cells: (0..self.capacity * LedgerPhase::COUNT)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
         });
-        self.lanes.lock().unwrap().push(Arc::clone(&shared));
-        LedgerLane {
-            inner: Some(LaneHandle {
-                lane: shared,
-                cursor: Arc::clone(&self.cursor),
-            }),
-        }
+        self.lanes.lock().unwrap().push(Arc::clone(&lane));
+        lane
     }
 
     /// Folds every lane into per-step, per-phase totals and computes
@@ -236,91 +273,6 @@ impl LedgerCore {
             last_step,
             phases,
         }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct LaneHandle {
-    lane: Arc<LaneShared>,
-    cursor: Arc<AtomicU64>,
-}
-
-/// A single thread's handle into the ledger. Disabled handles (telemetry
-/// off) are inert: no allocation, no clock reads, no atomics.
-///
-/// A lane must only be written by the thread that obtained it — slot
-/// retagging relies on single-writer ownership.
-#[derive(Debug, Clone, Default)]
-pub struct LedgerLane {
-    inner: Option<LaneHandle>,
-}
-
-impl LedgerLane {
-    /// A lane that records nothing.
-    pub fn disabled() -> Self {
-        LedgerLane { inner: None }
-    }
-
-    /// Whether this lane records.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Reads the clock when enabled; `None` when disabled (so disabled
-    /// call sites skip the syscall entirely).
-    #[inline]
-    pub fn start(&self) -> Option<Instant> {
-        self.inner.as_ref().map(|_| Instant::now())
-    }
-
-    /// Accumulates the elapsed time since a [`LedgerLane::start`] stamp
-    /// into `phase` for `step`.
-    #[inline]
-    pub fn add_since(&self, step: u64, phase: LedgerPhase, start: Option<Instant>) {
-        if let (Some(_), Some(t0)) = (&self.inner, start) {
-            self.add(step, phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Accumulates `ns` into `phase` for `step`.
-    #[inline]
-    pub fn add(&self, step: u64, phase: LedgerPhase, ns: u64) {
-        let Some(h) = &self.inner else { return };
-        let cap = h.lane.tags.len();
-        let slot = (step % cap as u64) as usize;
-        let tag = step + 1;
-        if h.lane.tags[slot].load(Ordering::Relaxed) != tag {
-            // The slot still holds an older (wrapped) step: zero its
-            // cells and retag. Single-writer ownership makes this safe;
-            // a concurrent summary read may see a torn slot, which only
-            // perturbs one step of a 4096-step window.
-            for p in 0..LedgerPhase::COUNT {
-                h.lane.cells[slot * LedgerPhase::COUNT + p].store(0, Ordering::Relaxed);
-            }
-            h.lane.tags[slot].store(tag, Ordering::Release);
-        }
-        h.lane.cells[slot * LedgerPhase::COUNT + phase.index()].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Accumulates `ns` into `phase` for the ledger's current step (set
-    /// by the barrier-A leader) — used by flusher lanes, which do not
-    /// track the trainer step themselves.
-    #[inline]
-    pub fn add_current(&self, phase: LedgerPhase, ns: u64) {
-        if let Some(h) = &self.inner {
-            let step = h.cursor.load(Ordering::Acquire);
-            self.add(step, phase, ns);
-        }
-    }
-
-    /// The ledger's current step cursor (0 when disabled).
-    #[inline]
-    pub fn current_step(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|h| h.cursor.load(Ordering::Acquire))
-            .unwrap_or(0)
     }
 }
 
@@ -401,16 +353,6 @@ impl LedgerSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_lane_is_inert() {
-        let lane = LedgerLane::disabled();
-        assert!(!lane.is_enabled());
-        assert!(lane.start().is_none());
-        lane.add(3, LedgerPhase::Compute, 100);
-        lane.add_current(LedgerPhase::FlushApply, 100);
-        assert_eq!(lane.current_step(), 0);
-    }
 
     #[test]
     fn trainer_lanes_max_and_flusher_lanes_sum() {
@@ -497,8 +439,8 @@ mod tests {
         let core = LedgerCore::new(8);
         let f = core.lane(LaneKind::Flusher);
         core.advance(5);
-        assert_eq!(f.current_step(), 5);
-        f.add_current(LedgerPhase::FlushDequeue, 77);
+        assert_eq!(core.current_step(), 5);
+        f.add(core.current_step(), LedgerPhase::FlushDequeue, 77);
         let s = core.summary();
         assert_eq!((s.first_step, s.last_step), (5, 5));
         assert_eq!(s.phase(LedgerPhase::FlushDequeue).unwrap().total_ns, 77);

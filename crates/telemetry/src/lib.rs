@@ -6,12 +6,15 @@
 //!
 //! * a [`Registry`] of named atomic [`Counter`]s, [`Gauge`]s, and
 //!   log2-bucketed nanosecond [`Histogram`]s with p50/p95/p99 summaries;
-//! * per-thread [`Span`] timers over the engine [`Phase`]s (plus
-//!   histogram-only [`Probe`]s for shared hot paths like PQ ops), with
-//!   near-zero cost when telemetry is off;
-//! * a bounded per-thread ring of completed spans exported as Chrome
-//!   trace-event JSON (`chrome://tracing` / Perfetto) and a JSONL
-//!   metrics snapshot — serialized by the crate's own [`json`] module;
+//! * one per-thread timer, the [`ThreadRecorder`]: each [`Span`] over a
+//!   [`LedgerPhase`] adds its duration to the thread's lane of the
+//!   per-step ledger (exact windowed percentiles, [`LedgerSummary`]) and
+//!   pushes the same interval into a bounded per-thread ring exported as
+//!   Chrome trace-event JSON (`chrome://tracing` / Perfetto) — near-zero
+//!   cost when telemetry is off. Histogram-only [`Probe`]s time shared
+//!   hot paths like PQ ops;
+//! * a JSONL metrics snapshot — serialized, like the trace, by the
+//!   crate's own [`json`] module;
 //! * stall attribution: every P²F wait can file a [`StallRecord`] naming
 //!   the blocking priority and pending-key count.
 //!
@@ -34,11 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub use ledger::{
-    LaneKind, LedgerLane, LedgerPhase, LedgerPhaseSummary, LedgerSummary, DEFAULT_LEDGER_STEPS,
-};
+pub use ledger::{LaneKind, LedgerPhase, LedgerPhaseSummary, LedgerSummary, DEFAULT_LEDGER_STEPS};
 pub use registry::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use span::{Phase, Probe, Span, SpanArgs, ThreadRecorder};
+pub use span::{Probe, Span, ThreadRecorder};
 pub use trace::DEFAULT_SPANS_PER_THREAD;
 
 use json::JsonWriter;
@@ -171,26 +172,17 @@ impl Telemetry {
         self.inner.as_ref().map(|i| Arc::clone(&i.registry))
     }
 
-    /// Creates a span recorder for the calling engine thread. `name`
-    /// becomes the thread's label in exported traces.
-    pub fn recorder(&self, name: impl Into<String>) -> ThreadRecorder {
+    /// Creates the phase recorder of one engine thread: a ledger lane of
+    /// `kind` and a trace track labelled `name` (a disabled recorder when
+    /// telemetry is off). One thread at a time may use a recorder.
+    pub fn recorder(&self, name: impl Into<String>, kind: LaneKind) -> ThreadRecorder {
         match &self.inner {
             None => ThreadRecorder::disabled(),
-            Some(i) => {
-                let (buf, flows) = i.trace.register_thread(name.into());
-                let hists = Phase::ALL.map(|p| i.registry.histogram(p.metric_name()));
-                ThreadRecorder::enabled(buf, flows, i.epoch, hists)
-            }
-        }
-    }
-
-    /// Registers a step-ledger lane for the calling engine thread (a
-    /// disabled lane when telemetry is off). Each lane must be written
-    /// by exactly one thread.
-    pub fn ledger_lane(&self, kind: LaneKind) -> LedgerLane {
-        match &self.inner {
-            None => LedgerLane::disabled(),
-            Some(i) => i.ledger.lane(kind),
+            Some(i) => ThreadRecorder::enabled(
+                Arc::clone(i),
+                i.trace.register_thread(name.into()),
+                i.ledger.lane(kind),
+            ),
         }
     }
 
@@ -349,7 +341,7 @@ impl TelemetrySummary {
             let _ = writeln!(
                 out,
                 "  {:<28} {:>9} {:>11} {:>11} {:>11} {:>11}",
-                "phase/latency (ns)", "count", "p50", "p95", "p99", "mean"
+                "histogram", "count", "p50", "p95", "p99", "mean"
             );
             for (name, s) in &self.metrics.histograms {
                 let _ = writeln!(
@@ -499,9 +491,17 @@ mod tests {
         assert!(tel.registry().is_none());
         assert!(tel.summary().is_none());
         assert!(tel.chrome_trace_json().is_none());
-        let rec = tel.recorder("t");
+        let mut rec = tel.recorder("t", LaneKind::Flusher);
         assert!(!rec.is_enabled());
-        assert_eq!(rec.span(Phase::Compute).finish(), 0);
+        assert_eq!(rec.span(3, LedgerPhase::Compute).finish(), 0);
+        rec.record(
+            rec.current_step(),
+            LedgerPhase::FlushApply,
+            Instant::now(),
+            100,
+            &[],
+        );
+        assert_eq!(rec.current_step(), 0);
         tel.probe("pq.enqueue_ns").time(|| ());
         tel.record_stall(StallRecord {
             step: 0,
@@ -512,8 +512,6 @@ mod tests {
             blocking_key: None,
             cleared_by: 0,
         });
-        let lane = tel.ledger_lane(LaneKind::Trainer);
-        assert!(!lane.is_enabled());
         tel.ledger_advance(9);
         assert!(tel.ledger_summary().is_none());
     }
@@ -525,9 +523,9 @@ mod tests {
         // panic). The constructor clamps to one slot and the trim
         // saturates, so the degenerate config just keeps the newest step.
         let tel = Telemetry::with_ledger_capacity(16, 16, 0);
-        let lane = tel.ledger_lane(LaneKind::Trainer);
+        let rec = tel.recorder("t", LaneKind::Trainer);
         for step in 0..5u64 {
-            lane.add(step, LedgerPhase::Compute, 100 + step);
+            rec.record(step, LedgerPhase::Compute, Instant::now(), 100 + step, &[]);
         }
         let s = tel.ledger_summary().expect("enabled telemetry summarizes");
         assert_eq!(s.window, 1);
@@ -535,18 +533,21 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_histograms_and_trace() {
+    fn spans_feed_ledger_and_trace() {
         let tel = Telemetry::new();
-        let rec = tel.recorder("trainer-0");
+        let mut rec = tel.recorder("trainer-0", LaneKind::Trainer);
+        let host_read = rec.span_with(7, LedgerPhase::HostRead, &[("rows", 4)]);
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        let host_read_ns = host_read.finish();
         {
-            let _outer = rec.span(Phase::Compute);
-            let _inner = rec.span_with(Phase::HostRead, SpanArgs::one("rows", 4));
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            let _compute = rec.span(7, LedgerPhase::Compute);
         }
-        let summary = tel.summary().unwrap();
-        assert_eq!(summary.histogram("trainer.compute_ns").unwrap().count, 1);
-        assert_eq!(summary.histogram("trainer.host_read_ns").unwrap().count, 1);
-        assert!(summary.histogram("trainer.compute_ns").unwrap().max >= 200_000);
+        let ledger = tel.ledger_summary().unwrap();
+        assert_eq!((ledger.first_step, ledger.last_step), (7, 7));
+        assert!(host_read_ns >= 200_000);
+        let booked = ledger.phase(LedgerPhase::HostRead).unwrap().total_ns;
+        assert_eq!(booked, host_read_ns);
+        assert!(tel.summary().unwrap().metrics.histograms.is_empty());
 
         let doc = json::parse(&tel.chrome_trace_json().unwrap()).unwrap();
         let events = doc
@@ -598,8 +599,8 @@ mod tests {
     #[test]
     fn jsonl_lines_each_parse() {
         let tel = Telemetry::new();
-        let rec = tel.recorder("t");
-        rec.span(Phase::Sample).finish();
+        let mut rec = tel.recorder("t", LaneKind::Trainer);
+        rec.span(3, LedgerPhase::Sample).finish();
         tel.registry().unwrap().counter("cache.hits").add(9);
         tel.registry().unwrap().gauge("flush.inflight").set(-2);
         tel.record_stall(StallRecord {
@@ -611,8 +612,7 @@ mod tests {
             blocking_key: Some(17),
             cleared_by: 2,
         });
-        tel.ledger_lane(LaneKind::Trainer)
-            .add(3, LedgerPhase::StallWait, 42);
+        rec.record(3, LedgerPhase::StallWait, Instant::now(), 42, &[]);
         let jsonl = tel.metrics_jsonl().unwrap();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert!(lines.len() >= 4);

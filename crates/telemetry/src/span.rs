@@ -1,156 +1,65 @@
-//! Phase definitions, per-thread span recorders, and RAII span timers.
+//! Per-thread phase recorders and RAII span timers.
 //!
-//! A [`ThreadRecorder`] is created once per trainer/flusher thread from a
-//! [`Telemetry`](crate::Telemetry) handle. Opening a [`Span`] on it stamps
-//! the current time; dropping the span records the duration both into the
-//! phase's histogram (for percentiles) and into the thread's bounded ring
-//! (for Chrome trace export). When telemetry is disabled the recorder is
-//! empty and a span is a no-op that never reads the clock.
+//! A [`ThreadRecorder`] is created once per engine thread (trainer,
+//! flusher, or the run thread's membership transitions) from a
+//! [`Telemetry`](crate::Telemetry) handle. It is the thread's one timer:
+//! opening a [`Span`] stamps the current time, and finishing it adds the
+//! duration to the thread's ledger cell for the span's step and
+//! [`LedgerPhase`], and pushes the same interval into the thread's bounded
+//! trace ring (for Chrome trace export). When telemetry is disabled the
+//! recorder is empty and a span is a no-op that never reads the clock.
 
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::ledger::{Lane, LedgerPhase};
 use crate::registry::Histogram;
-use crate::trace::{FlowRecord, FlowSink, SpanEvent, ThreadBuf, TraceCollector};
+use crate::trace::{FlowRecord, SpanEvent, ThreadBuf};
+use crate::Inner;
 
-/// The engine phases that get span timing.
-///
-/// Trainer-side phases decompose one training iteration the way the
-/// paper's Fig. 3c / Fig. 12 decompose iteration time; flusher-side
-/// phases decompose background flushing (P²F or write-through).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Drawing the iteration's sample keys from the workload.
-    Sample,
-    /// Resolving unique keys against the GPU embedding caches.
-    CacheQuery,
-    /// Reading rows missed by every cache from host DRAM.
-    HostRead,
-    /// Model forward/backward plus gradient aggregation.
-    Compute,
-    /// Leader-side g-entry registration and PQ updates for one step.
-    GEntryUpdate,
-    /// Blocking in the P²F wait condition (`PQ.top() > s` violated).
-    P2fWait,
-    /// Flusher thread pulling a batch out of the priority queue.
-    FlushDequeue,
-    /// Flusher thread applying dequeued rows to host DRAM.
-    FlushApply,
-}
-
-impl Phase {
-    /// Number of phases (size for per-phase lookup tables).
-    pub const COUNT: usize = 8;
-
-    /// Every phase, in a fixed order matching `as usize` indices.
-    pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Sample,
-        Phase::CacheQuery,
-        Phase::HostRead,
-        Phase::Compute,
-        Phase::GEntryUpdate,
-        Phase::P2fWait,
-        Phase::FlushDequeue,
-        Phase::FlushApply,
-    ];
-
-    /// Index into per-phase tables.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// The histogram name this phase records into.
-    pub fn metric_name(self) -> &'static str {
-        match self {
-            Phase::Sample => "trainer.sample_ns",
-            Phase::CacheQuery => "trainer.cache_query_ns",
-            Phase::HostRead => "trainer.host_read_ns",
-            Phase::Compute => "trainer.compute_ns",
-            Phase::GEntryUpdate => "leader.gentry_update_ns",
-            Phase::P2fWait => "trainer.p2f_wait_ns",
-            Phase::FlushDequeue => "flusher.dequeue_ns",
-            Phase::FlushApply => "flusher.apply_ns",
-        }
-    }
-
-    /// Short name used for trace events.
-    pub fn trace_name(self) -> &'static str {
-        match self {
-            Phase::Sample => "sample",
-            Phase::CacheQuery => "cache_query",
-            Phase::HostRead => "host_read",
-            Phase::Compute => "compute",
-            Phase::GEntryUpdate => "gentry_update",
-            Phase::P2fWait => "p2f_wait",
-            Phase::FlushDequeue => "flush_dequeue",
-            Phase::FlushApply => "flush_apply",
-        }
-    }
-
-    /// Trace event category (`cat` field in Chrome traces).
-    pub fn category(self) -> &'static str {
-        match self {
-            Phase::Sample
-            | Phase::CacheQuery
-            | Phase::HostRead
-            | Phase::Compute
-            | Phase::P2fWait => "trainer",
-            Phase::GEntryUpdate => "leader",
-            Phase::FlushDequeue | Phase::FlushApply => "flusher",
-        }
-    }
-}
-
-/// Up to two numeric key/value annotations attached to a span
-/// (e.g. stall attribution on a P²F wait).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpanArgs {
+/// A span's stored annotations: the first two of the `(key, value)` pairs
+/// it was opened with (e.g. stall attribution on a P²F wait).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpanArgs {
     pairs: [(&'static str, u64); 2],
     len: u8,
 }
 
 impl SpanArgs {
-    /// No annotations.
-    pub const EMPTY: SpanArgs = SpanArgs {
+    pub(crate) const EMPTY: SpanArgs = SpanArgs {
         pairs: [("", 0); 2],
         len: 0,
     };
 
-    /// One annotation.
-    pub fn one(k: &'static str, v: u64) -> Self {
-        SpanArgs {
-            pairs: [(k, v), ("", 0)],
-            len: 1,
+    fn new(args: &[(&'static str, u64)]) -> Self {
+        debug_assert!(args.len() <= 2, "a span keeps at most two annotations");
+        let mut out = SpanArgs::EMPTY;
+        for (slot, &pair) in out.pairs.iter_mut().zip(args) {
+            *slot = pair;
+            out.len += 1;
         }
-    }
-
-    /// Two annotations.
-    pub fn two(k1: &'static str, v1: u64, k2: &'static str, v2: u64) -> Self {
-        SpanArgs {
-            pairs: [(k1, v1), (k2, v2)],
-            len: 2,
-        }
+        out
     }
 
     /// The annotations, in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.pairs.iter().take(self.len as usize).copied()
     }
 
-    /// Whether there are no annotations.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 }
 
-/// Per-thread span recorder handed out by
-/// [`Telemetry::recorder`](crate::Telemetry::recorder).
+/// Per-thread phase recorder handed out by
+/// [`Telemetry::recorder`](crate::Telemetry::recorder): one ledger lane plus
+/// one trace track.
 ///
-/// Not `Sync` on purpose: each engine thread owns its recorder, so the
-/// sequence counter is a plain [`Cell`] and opening a span costs one
-/// clock read plus a cell bump.
+/// A thread is in one phase at a time: a [`Span`] borrows its recorder
+/// mutably, so phases cannot nest, the open span's state lives here, and a
+/// span is one pointer (a disabled one costs a branch, not a copy). A
+/// recorder may move between threads (a trainer keeps its recorder across
+/// membership segments).
 #[derive(Debug)]
 pub struct ThreadRecorder {
     inner: Option<RecorderInner>,
@@ -158,11 +67,32 @@ pub struct ThreadRecorder {
 
 #[derive(Debug)]
 pub(crate) struct RecorderInner {
+    tel: Arc<Inner>,
     buf: Arc<ThreadBuf>,
-    flows: Arc<FlowSink>,
-    epoch: Instant,
-    seq: Cell<u64>,
-    hists: [Arc<Histogram>; Phase::COUNT],
+    lane: Arc<Lane>,
+    /// The open span's step, phase, start and annotations.
+    open: (u64, LedgerPhase, Instant, SpanArgs),
+}
+
+impl RecorderInner {
+    /// Books one finished interval: the ledger cell and the trace ring.
+    fn book(&self, step: u64, phase: LedgerPhase, start: Instant, dur_ns: u64, args: SpanArgs) {
+        self.lane.add(step, phase, dur_ns);
+        self.buf.push(SpanEvent {
+            phase,
+            begin_ns: start.duration_since(self.tel.epoch).as_nanos() as u64,
+            dur_ns,
+            args,
+        });
+    }
+
+    /// Ends the open span now; returns its duration.
+    fn close(&mut self) -> u64 {
+        let (step, phase, start, args) = self.open;
+        let dur_ns = start.elapsed().as_nanos() as u64;
+        self.book(step, phase, start, dur_ns, args);
+        dur_ns
+    }
 }
 
 impl ThreadRecorder {
@@ -171,19 +101,14 @@ impl ThreadRecorder {
         ThreadRecorder { inner: None }
     }
 
-    pub(crate) fn enabled(
-        buf: Arc<ThreadBuf>,
-        flows: Arc<FlowSink>,
-        epoch: Instant,
-        hists: [Arc<Histogram>; Phase::COUNT],
-    ) -> Self {
+    pub(crate) fn enabled(tel: Arc<Inner>, buf: Arc<ThreadBuf>, lane: Arc<Lane>) -> Self {
+        let open = (0, LedgerPhase::Sample, tel.epoch, SpanArgs::EMPTY);
         ThreadRecorder {
             inner: Some(RecorderInner {
+                tel,
                 buf,
-                flows,
-                epoch,
-                seq: Cell::new(0),
-                hists,
+                lane,
+                open,
             }),
         }
     }
@@ -191,6 +116,17 @@ impl ThreadRecorder {
     /// Whether spans opened on this recorder actually record.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// The ledger's step cursor, which the barrier-A leader advances at the
+    /// top of each step (0 when disabled). Flusher threads do not track the
+    /// trainer step, so they book their spans here.
+    #[inline]
+    pub fn current_step(&self) -> u64 {
+        match &self.inner {
+            None => 0,
+            Some(r) => r.tel.ledger.current_step(),
+        }
     }
 
     /// Emits the producing half of a cross-thread flow arrow (Chrome
@@ -213,113 +149,86 @@ impl ThreadRecorder {
         if id == 0 {
             return;
         }
-        rec.flows.push(FlowRecord {
+        rec.tel.trace.flows.push(FlowRecord {
             id,
-            tid: TraceCollector::tid_of(&rec.buf),
-            ts_ns: rec.epoch.elapsed().as_nanos() as u64,
+            tid: rec.buf.tid(),
+            ts_ns: rec.tel.epoch.elapsed().as_nanos() as u64,
             start,
         });
     }
 
-    /// Opens an unannotated span for `phase`; it records when dropped.
+    /// Opens an unannotated span of `phase` booked to `step`; it records
+    /// when finished or dropped.
     #[inline]
-    pub fn span(&self, phase: Phase) -> Span<'_> {
-        self.span_with(phase, SpanArgs::EMPTY)
+    pub fn span(&mut self, step: u64, phase: LedgerPhase) -> Span<'_> {
+        self.span_with(step, phase, &[])
     }
 
-    /// Records a span retroactively: it began at `start` and ends now.
+    /// Opens a span annotated with up to two `(key, value)` pairs, e.g.
+    /// `&[("rows", 64)]` (the trace shows them on the span's begin event).
+    #[inline]
+    pub fn span_with(
+        &mut self,
+        step: u64,
+        phase: LedgerPhase,
+        args: &[(&'static str, u64)],
+    ) -> Span<'_> {
+        match &mut self.inner {
+            None => Span(None),
+            Some(rec) => {
+                rec.open = (step, phase, Instant::now(), SpanArgs::new(args));
+                Span(Some(rec))
+            }
+        }
+    }
+
+    /// Records a span retroactively: it began at `start` and lasted
+    /// `dur_ns` (a duration the caller has already measured for a counter
+    /// of its own, so that both read the same nanoseconds).
     ///
     /// For call sites that only decide after the fact whether an interval
     /// is worth recording (e.g. a flusher dequeue poll that found work,
-    /// as opposed to thousands of idle polls). Returns the duration in
-    /// nanoseconds (0 when disabled). Both sequence numbers are taken at
-    /// completion, so ordering versus RAII spans on the same thread stays
-    /// consistent as long as the retro span does not overlap one — which
-    /// single-threaded phase structure guarantees.
-    pub fn record_completed(&self, phase: Phase, start: Instant, args: SpanArgs) -> u64 {
-        let Some(rec) = &self.inner else { return 0 };
-        let dur_ns = start.elapsed().as_nanos() as u64;
-        let begin_seq = rec.seq.get();
-        rec.seq.set(begin_seq + 2);
-        rec.hists[phase.index()].record(dur_ns);
-        rec.buf.push(SpanEvent {
-            phase,
-            begin_ns: start.duration_since(rec.epoch).as_nanos() as u64,
-            dur_ns,
-            begin_seq,
-            end_seq: begin_seq + 1,
-            args,
-        });
-        dur_ns
-    }
-
-    /// Opens a span carrying `args` annotations.
+    /// as opposed to thousands of idle polls). The interval must not
+    /// overlap the thread's other spans.
     #[inline]
-    pub fn span_with(&self, phase: Phase, args: SpanArgs) -> Span<'_> {
-        match &self.inner {
-            None => Span(None),
-            Some(rec) => {
-                let start = Instant::now();
-                let seq = rec.seq.get();
-                rec.seq.set(seq + 1);
-                Span(Some(ActiveSpan {
-                    rec,
-                    phase,
-                    start,
-                    begin_ns: start.duration_since(rec.epoch).as_nanos() as u64,
-                    begin_seq: seq,
-                    args,
-                }))
-            }
+    pub fn record(
+        &self,
+        step: u64,
+        phase: LedgerPhase,
+        start: Instant,
+        dur_ns: u64,
+        args: &[(&'static str, u64)],
+    ) {
+        if let Some(rec) = &self.inner {
+            rec.book(step, phase, start, dur_ns, SpanArgs::new(args));
         }
     }
 }
 
-/// An in-flight phase timing; completes (histogram + trace ring) on drop.
+/// An in-flight phase timing; completes (ledger cell + trace ring) on
+/// finish or drop.
 #[must_use = "a span records its phase duration when dropped"]
 #[derive(Debug)]
-pub struct Span<'a>(Option<ActiveSpan<'a>>);
-
-#[derive(Debug)]
-struct ActiveSpan<'a> {
-    rec: &'a RecorderInner,
-    phase: Phase,
-    start: Instant,
-    begin_ns: u64,
-    begin_seq: u64,
-    args: SpanArgs,
-}
+pub struct Span<'a>(Option<&'a mut RecorderInner>);
 
 impl Span<'_> {
     /// Ends the span now and returns its duration in nanoseconds
     /// (0 when telemetry is disabled).
     pub fn finish(mut self) -> u64 {
-        self.close()
-    }
-
-    fn close(&mut self) -> u64 {
-        let Some(a) = self.0.take() else {
-            return 0;
+        let ns = match &mut self.0 {
+            None => 0,
+            Some(rec) => rec.close(),
         };
-        let dur_ns = a.start.elapsed().as_nanos() as u64;
-        let end_seq = a.rec.seq.get();
-        a.rec.seq.set(end_seq + 1);
-        a.rec.hists[a.phase.index()].record(dur_ns);
-        a.rec.buf.push(SpanEvent {
-            phase: a.phase,
-            begin_ns: a.begin_ns,
-            dur_ns,
-            begin_seq: a.begin_seq,
-            end_seq,
-            args: a.args,
-        });
-        dur_ns
+        self.0 = None; // booked: nothing left for the drop
+        ns
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        self.close();
+        if let Some(rec) = &mut self.0 {
+            rec.close();
+        }
     }
 }
 

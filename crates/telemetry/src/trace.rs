@@ -1,7 +1,7 @@
 //! Bounded per-thread event rings and Chrome trace-event export.
 //!
-//! Each recorder thread owns a ring of *completed* spans (begin time,
-//! duration, begin/end sequence numbers). Storing completed spans — not
+//! Each recorder thread owns a ring of *completed* spans (begin time and
+//! duration). Storing completed spans — not
 //! raw begin/end events — means ring eviction always drops a span's `B`
 //! and `E` together, so exported traces stay balanced no matter how much
 //! history was overwritten. The export emits the Chrome trace-event JSON
@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::JsonWriter;
-use crate::span::{Phase, SpanArgs};
+use crate::ledger::LedgerPhase;
+use crate::span::SpanArgs;
 
 /// Default per-thread ring capacity (completed spans).
 pub const DEFAULT_SPANS_PER_THREAD: usize = 16 * 1024;
@@ -73,11 +74,9 @@ impl FlowSink {
 /// One completed span, as stored in a thread ring.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SpanEvent {
-    pub phase: Phase,
+    pub phase: LedgerPhase,
     pub begin_ns: u64,
     pub dur_ns: u64,
-    pub begin_seq: u64,
-    pub end_seq: u64,
     pub args: SpanArgs,
 }
 
@@ -92,6 +91,11 @@ pub(crate) struct ThreadBuf {
 }
 
 impl ThreadBuf {
+    /// The thread id this ring was registered with.
+    pub fn tid(&self) -> u64 {
+        self.tid
+    }
+
     /// Appends a completed span, evicting the oldest at capacity.
     pub fn push(&self, ev: SpanEvent) {
         let mut ring = self.ring.lock().unwrap();
@@ -109,7 +113,8 @@ pub(crate) struct TraceCollector {
     capacity: usize,
     next_tid: AtomicU64,
     threads: Mutex<Vec<Arc<ThreadBuf>>>,
-    flows: Arc<FlowSink>,
+    /// Cross-thread flow arrows; each record carries its ring's `tid`.
+    pub flows: FlowSink,
 }
 
 impl TraceCollector {
@@ -118,13 +123,12 @@ impl TraceCollector {
             capacity: spans_per_thread.max(1),
             next_tid: AtomicU64::new(1),
             threads: Mutex::new(Vec::new()),
-            flows: Arc::new(FlowSink::new(DEFAULT_FLOW_EVENTS)),
+            flows: FlowSink::new(DEFAULT_FLOW_EVENTS),
         }
     }
 
-    /// Creates and registers a ring for a new recorder thread. Returns
-    /// the ring and the shared flow sink (flows carry the ring's `tid`).
-    pub fn register_thread(&self, name: String) -> (Arc<ThreadBuf>, Arc<FlowSink>) {
+    /// Creates and registers a ring for a new recorder thread.
+    pub fn register_thread(&self, name: String) -> Arc<ThreadBuf> {
         let buf = Arc::new(ThreadBuf {
             tid: self.next_tid.fetch_add(1, Ordering::Relaxed),
             name,
@@ -133,12 +137,7 @@ impl TraceCollector {
             ring: Mutex::new(VecDeque::new()),
         });
         self.threads.lock().unwrap().push(Arc::clone(&buf));
-        (buf, Arc::clone(&self.flows))
-    }
-
-    /// The thread id a [`ThreadBuf`] was registered with.
-    pub fn tid_of(buf: &ThreadBuf) -> u64 {
-        buf.tid
+        buf
     }
 
     /// Spans evicted across all rings so far.
@@ -153,10 +152,9 @@ impl TraceCollector {
 
     /// Writes the full Chrome trace-event document.
     ///
-    /// Per thread, a `thread_name` metadata event is followed by the
-    /// span `B`/`E` duration events ordered by the thread's sequence
-    /// numbers — which is also timestamp order, since each sequence
-    /// number was taken at the moment its event's timestamp was read.
+    /// Per thread, a `thread_name` metadata event is followed by each
+    /// span's `B`/`E` pair in ring order — which is time order, since a
+    /// thread is in one phase at a time.
     pub fn write_chrome_trace(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("displayTimeUnit").string("ms");
@@ -173,34 +171,23 @@ impl TraceCollector {
             w.end_object();
             w.end_object();
 
-            let ring = buf.ring.lock().unwrap();
-            let mut events: Vec<(u64, bool, &SpanEvent)> = Vec::with_capacity(ring.len() * 2);
-            for ev in ring.iter() {
-                events.push((ev.begin_seq, true, ev));
-                events.push((ev.end_seq, false, ev));
-            }
-            events.sort_unstable_by_key(|(seq, _, _)| *seq);
-            for (_, is_begin, ev) in events {
-                w.begin_object();
-                w.key("ph").string(if is_begin { "B" } else { "E" });
-                w.key("name").string(ev.phase.trace_name());
-                w.key("cat").string(ev.phase.category());
-                w.key("pid").number_u64(1);
-                w.key("tid").number_u64(buf.tid);
-                let ts_ns = if is_begin {
-                    ev.begin_ns
-                } else {
-                    ev.begin_ns + ev.dur_ns
-                };
-                w.key("ts").number_f64(ts_ns as f64 / 1_000.0);
-                if is_begin && !ev.args.is_empty() {
-                    w.key("args").begin_object();
-                    for (k, v) in ev.args.iter() {
-                        w.key(k).number_u64(v);
+            for ev in buf.ring.lock().unwrap().iter() {
+                for (ph, ts_ns) in [("B", ev.begin_ns), ("E", ev.begin_ns + ev.dur_ns)] {
+                    w.begin_object();
+                    w.key("ph").string(ph);
+                    w.key("name").string(ev.phase.name());
+                    w.key("pid").number_u64(1);
+                    w.key("tid").number_u64(buf.tid);
+                    w.key("ts").number_f64(ts_ns as f64 / 1_000.0);
+                    if ph == "B" && !ev.args.is_empty() {
+                        w.key("args").begin_object();
+                        for (k, v) in ev.args.iter() {
+                            w.key(k).number_u64(v);
+                        }
+                        w.end_object();
                     }
                     w.end_object();
                 }
-                w.end_object();
             }
         }
         // Cross-thread flow arrows: flusher batch (`s`) → unblocked
@@ -228,13 +215,11 @@ impl TraceCollector {
 mod tests {
     use super::*;
 
-    fn event(begin_seq: u64, end_seq: u64, begin_ns: u64, dur_ns: u64) -> SpanEvent {
+    fn event(begin_ns: u64, dur_ns: u64) -> SpanEvent {
         SpanEvent {
-            phase: Phase::Compute,
+            phase: LedgerPhase::Compute,
             begin_ns,
             dur_ns,
-            begin_seq,
-            end_seq,
             args: SpanArgs::EMPTY,
         }
     }
@@ -242,22 +227,22 @@ mod tests {
     #[test]
     fn ring_evicts_whole_spans_and_counts_drops() {
         let tc = TraceCollector::new(2);
-        let (buf, _) = tc.register_thread("t".into());
-        buf.push(event(0, 1, 0, 10));
-        buf.push(event(2, 3, 20, 10));
-        buf.push(event(4, 5, 40, 10));
+        let buf = tc.register_thread("t".into());
+        buf.push(event(0, 10));
+        buf.push(event(20, 10));
+        buf.push(event(40, 10));
         assert_eq!(tc.dropped_spans(), 1);
         assert_eq!(buf.ring.lock().unwrap().len(), 2);
-        assert_eq!(buf.ring.lock().unwrap()[0].begin_seq, 2);
+        assert_eq!(buf.ring.lock().unwrap()[0].begin_ns, 20);
     }
 
     #[test]
     fn chrome_export_is_balanced_and_ordered() {
         let tc = TraceCollector::new(8);
-        let (buf, _) = tc.register_thread("trainer-0".into());
-        // Nested spans: outer (seq 0..3) around inner (seq 1..2).
-        buf.push(event(1, 2, 5, 10));
-        buf.push(event(0, 3, 0, 30));
+        let buf = tc.register_thread("trainer-0".into());
+        // Back-to-back spans: 0..30 ns, then 30..40 ns.
+        buf.push(event(0, 30));
+        buf.push(event(30, 10));
         let mut w = JsonWriter::new();
         tc.write_chrome_trace(&mut w);
         let doc = crate::json::parse(&w.finish()).expect("trace must be valid JSON");
@@ -269,7 +254,7 @@ mod tests {
             .iter()
             .filter_map(|e| e.get("ph").and_then(crate::json::Json::as_str))
             .collect();
-        assert_eq!(phs, ["M", "B", "B", "E", "E"]);
+        assert_eq!(phs, ["M", "B", "E", "B", "E"]);
         let ts: Vec<f64> = events
             .iter()
             .filter(|e| e.get("ph").and_then(crate::json::Json::as_str) != Some("M"))
@@ -284,17 +269,17 @@ mod tests {
     #[test]
     fn flow_events_export_as_s_f_pairs() {
         let tc = TraceCollector::new(8);
-        let (fbuf, flows) = tc.register_thread("flusher-0".into());
-        let (tbuf, _) = tc.register_thread("trainer-0".into());
-        flows.push(FlowRecord {
+        let fbuf = tc.register_thread("flusher-0".into());
+        let tbuf = tc.register_thread("trainer-0".into());
+        tc.flows.push(FlowRecord {
             id: 7,
-            tid: TraceCollector::tid_of(&fbuf),
+            tid: fbuf.tid(),
             ts_ns: 1_000,
             start: true,
         });
-        flows.push(FlowRecord {
+        tc.flows.push(FlowRecord {
             id: 7,
-            tid: TraceCollector::tid_of(&tbuf),
+            tid: tbuf.tid(),
             ts_ns: 2_000,
             start: false,
         });

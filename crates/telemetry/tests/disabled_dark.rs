@@ -1,11 +1,11 @@
 //! The disabled telemetry path must be *dark*: a `Telemetry::off()`
-//! handle's hot-path operations — ledger adds, span recording, flow
+//! handle's hot-path operations — phase spans, retroactive records, flow
 //! events, stall filing — may allocate nothing and must cost at most a
 //! few branches each. The engine calls these on every step of every
 //! trainer and flusher, so any hidden cost here taxes un-instrumented
 //! runs.
 
-use frugal_telemetry::{LaneKind, LedgerPhase, Phase, SpanArgs, StallRecord, Telemetry};
+use frugal_telemetry::{LaneKind, LedgerPhase, StallRecord, Telemetry, ThreadRecorder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Instant;
@@ -46,16 +46,13 @@ const ITERS: u64 = 100_000;
 
 /// One round of every disabled hot-path operation the engine performs
 /// per step. Returns a value the optimizer cannot discard.
-fn hot_ops(
-    telemetry: &Telemetry,
-    lane: &frugal_telemetry::LedgerLane,
-    rec: &frugal_telemetry::ThreadRecorder,
-    i: u64,
-) -> u64 {
-    let t = lane.start(); // None when disabled: no clock read
-    lane.add(i, LedgerPhase::Compute, 42);
-    lane.add_since(i, LedgerPhase::BarrierA, t);
-    lane.add_current(LedgerPhase::FlushApply, 7);
+fn hot_ops(telemetry: &Telemetry, rec: &mut ThreadRecorder, start: Instant, i: u64) -> u64 {
+    let barrier = rec.span(i, LedgerPhase::BarrierA); // disabled: no clock read
+    drop(barrier);
+    let compute = rec
+        .span_with(i, LedgerPhase::Compute, &[("rows", i)])
+        .finish();
+    rec.record(rec.current_step(), LedgerPhase::FlushApply, start, 7, &[]);
     telemetry.ledger_advance(i);
     rec.flow_start(i + 1);
     rec.flow_finish(i + 1);
@@ -68,7 +65,7 @@ fn hot_ops(
         blocking_key: Some(9),
         cleared_by: 2,
     });
-    lane.current_step() + t.map(|_| 1).unwrap_or(0)
+    rec.current_step() + compute
 }
 
 #[test]
@@ -76,14 +73,14 @@ fn disabled_hot_path_never_allocates() {
     let telemetry = Telemetry::off();
     // Setup outside the measured region (the disabled constructors are
     // allocation-free too, but that is not what this test pins down).
-    let lane = telemetry.ledger_lane(LaneKind::Trainer);
-    let rec = telemetry.recorder("dark");
-    assert!(!lane.is_enabled());
+    let mut rec = telemetry.recorder("dark", LaneKind::Trainer);
+    assert!(!rec.is_enabled());
+    let start = Instant::now();
 
     let before = allocs();
     let mut sink = 0u64;
     for i in 0..ITERS {
-        sink = sink.wrapping_add(hot_ops(&telemetry, &lane, &rec, i));
+        sink = sink.wrapping_add(hot_ops(&telemetry, &mut rec, start, i));
     }
     std::hint::black_box(sink);
     let after = allocs();
@@ -97,22 +94,22 @@ fn disabled_hot_path_never_allocates() {
 #[test]
 fn disabled_hot_path_is_cheap() {
     let telemetry = Telemetry::off();
-    let lane = telemetry.ledger_lane(LaneKind::Trainer);
-    let rec = telemetry.recorder("dark");
+    let mut rec = telemetry.recorder("dark", LaneKind::Trainer);
+    let start = Instant::now();
 
     // Warm up, then time. The bound is deliberately loose (100 ns per
-    // full round of ~8 disabled calls, i.e. far under 1% of a ~500 µs
+    // full round of ~9 disabled calls, i.e. far under 1% of a ~500 µs
     // engine step even if every call sat on the critical path) so the
     // assertion survives noisy CI boxes while still catching an
     // accidental clock read or lock acquisition sneaking into the
     // disabled path.
     let mut sink = 0u64;
     for i in 0..1_000 {
-        sink = sink.wrapping_add(hot_ops(&telemetry, &lane, &rec, i));
+        sink = sink.wrapping_add(hot_ops(&telemetry, &mut rec, start, i));
     }
     let t0 = Instant::now();
     for i in 0..ITERS {
-        sink = sink.wrapping_add(hot_ops(&telemetry, &lane, &rec, i));
+        sink = sink.wrapping_add(hot_ops(&telemetry, &mut rec, start, i));
     }
     let per_round = t0.elapsed().as_nanos() as u64 / ITERS;
     std::hint::black_box(sink);
@@ -125,12 +122,21 @@ fn disabled_hot_path_is_cheap() {
 #[test]
 fn disabled_span_recording_is_inert() {
     let telemetry = Telemetry::off();
-    let rec = telemetry.recorder("dark");
-    let before = allocs();
+    let mut rec = telemetry.recorder("dark", LaneKind::Flusher);
     let t = Instant::now();
-    // record_completed returns the elapsed time it recorded; disabled
-    // recorders return 0 without touching the clock or any buffer.
-    let ns = rec.record_completed(Phase::Compute, t, SpanArgs::one("rows", 3));
-    assert_eq!(ns, 0);
+    let before = allocs();
+    // A finished span returns the elapsed time it recorded; a disabled
+    // recorder returns 0 without touching the clock, the ledger or any
+    // buffer, and a retroactive record is dropped the same way.
+    let span = rec.span_with(3, LedgerPhase::Compute, &[("rows", 3)]);
+    assert_eq!(span.finish(), 0);
+    rec.record(
+        rec.current_step(),
+        LedgerPhase::FlushApply,
+        t,
+        5,
+        &[("rows", 3)],
+    );
+    assert_eq!(rec.current_step(), 0);
     assert_eq!(allocs() - before, 0);
 }

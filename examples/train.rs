@@ -228,11 +228,7 @@ fn main() -> Result<(), String> {
     println!("throughput       {:>12.0} samples/s", report.throughput());
     println!("cache hit ratio  {:>11.1}%", report.hit_ratio * 100.0);
     if report.cache_fills > 0 {
-        println!(
-            "cache fills      {:>12} rows ({:.0} ns/row)",
-            report.cache_fills,
-            report.mean_cache_fill_ns_row()
-        );
+        println!("cache fills      {:>12} rows", report.cache_fills);
     }
     if report.cache_prefetch_fills > 0 {
         println!(

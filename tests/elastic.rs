@@ -13,6 +13,7 @@ use frugal::core::{
     OptimizerKind, PqKind, PullToTarget, ShardMap,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
+use frugal::telemetry::json::{self, Json};
 use frugal::telemetry::{LedgerPhase, Telemetry};
 
 const N_KEYS: u64 = 600;
@@ -167,7 +168,9 @@ fn elastic_adagrad_lru_survivors_keep_state_bitwise() {
 
 /// The transition shows up in telemetry: the `membership.transition_ns`
 /// counter and the critical-path ledger's `epoch_transition` phase must
-/// both record the two epoch changes.
+/// both record the two epoch changes, on the trace's one `run` track. Each
+/// trainer keeps one track (and ledger lane) for the whole run, across its
+/// leave and rejoin.
 #[test]
 fn transitions_are_attributed_in_telemetry() {
     let telemetry = Telemetry::new();
@@ -192,6 +195,26 @@ fn transitions_are_attributed_in_telemetry() {
         phase.total_ns, counter,
         "ledger attributes the same nanoseconds the counter records"
     );
+    let doc = json::parse(&telemetry.chrome_trace_json().unwrap()).unwrap();
+    let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+    let field = |ev: &Json, k: &str| ev.get(k).and_then(Json::as_str).unwrap_or("").to_owned();
+    let tracks: Vec<(f64, String)> = events
+        .iter()
+        .filter(|ev| field(ev, "ph") == "M")
+        .map(|ev| {
+            let tid = ev.get("tid").and_then(Json::as_f64).unwrap();
+            (tid, field(ev.get("args").unwrap(), "name"))
+        })
+        .collect();
+    let named = |prefix: &str| tracks.iter().filter(|(_, n)| n.starts_with(prefix)).count();
+    assert_eq!((named("trainer-"), named("run")), (8, 1), "{tracks:?}");
+    let run_tid = tracks.iter().find(|(_, n)| n == "run").unwrap().0;
+    let transitions = events
+        .iter()
+        .filter(|ev| field(ev, "ph") == "B" && field(ev, "name") == "epoch_transition")
+        .map(|ev| ev.get("tid").and_then(Json::as_f64).unwrap())
+        .collect::<Vec<_>>();
+    assert_eq!(transitions, [run_tid, run_tid]);
     // Static runs must not pay (or report) any transition cost.
     let quiet = FrugalEngine::new(frugal_cfg(8), N_KEYS, DIM);
     let quiet_report = quiet.run(&t, &model);

@@ -64,9 +64,12 @@ fn ledger_covers_every_step_balanced_and_contiguous() {
     for phase in [
         LedgerPhase::Sample,
         LedgerPhase::CacheQuery,
+        LedgerPhase::Scatter,
         LedgerPhase::Compute,
+        LedgerPhase::Deposit,
         LedgerPhase::BarrierA,
         LedgerPhase::Registration,
+        LedgerPhase::BarrierC,
         LedgerPhase::LeaderApply,
     ] {
         let s = ledger.phase(phase).expect("phase present");

@@ -1,17 +1,20 @@
 //! Integration tests for the telemetry pipeline: registry counters must
-//! agree with the engine's own report, and the exported Chrome trace must
-//! be well-formed without any external JSON library.
+//! agree with the engine's own report, the exported Chrome trace must be
+//! well-formed without any external JSON library, and the trace and the
+//! per-step ledger must be one timer's two views of the same intervals.
+
+use std::collections::HashMap;
 
 use frugal::core::{FrugalConfig, FrugalEngine, PullToTarget};
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::telemetry::json::{self, Json};
 use frugal::telemetry::Telemetry;
 
-/// One checked-mode 2-GPU run with telemetry attached.
-fn instrumented_run(telemetry: &Telemetry) -> frugal::core::TrainReport {
-    let trace = SyntheticTrace::new(5_000, KeyDistribution::Zipf(0.9), 64, 2, 31).unwrap();
+/// One checked-mode run on `n_gpus` trainers with telemetry attached.
+fn instrumented_run(telemetry: &Telemetry, n_gpus: usize) -> frugal::core::TrainReport {
+    let trace = SyntheticTrace::new(5_000, KeyDistribution::Zipf(0.9), 64, n_gpus, 31).unwrap();
     let model = PullToTarget::new(8, 3);
-    let mut cfg = FrugalConfig::commodity(2, 25)
+    let mut cfg = FrugalConfig::commodity(n_gpus, 25)
         .checked()
         .with_telemetry(telemetry.clone());
     cfg.flush_threads = 2;
@@ -20,10 +23,44 @@ fn instrumented_run(telemetry: &Telemetry) -> frugal::core::TrainReport {
     engine.run(&trace, &model)
 }
 
+/// Every completed span of a Chrome trace as `(track name, span name,
+/// duration in ns)`: `B`/`E` pairs matched per track, durations recovered
+/// from the exported µs timestamps (three decimals, i.e. exact ns).
+fn trace_spans(doc: &str) -> Vec<(String, String, u64)> {
+    let root = json::parse(doc).expect("trace must be valid JSON");
+    let events = root
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array");
+    let mut tracks: HashMap<i64, String> = HashMap::new();
+    let mut open: HashMap<i64, Vec<(String, f64)>> = HashMap::new();
+    let mut spans = Vec::new();
+    for ev in events {
+        let tid = ev.get("tid").and_then(Json::as_f64).expect("tid") as i64;
+        let name = ev.get("name").and_then(Json::as_str).expect("name");
+        let ts = ev.get("ts").and_then(Json::as_f64).unwrap_or(0.0);
+        match ev.get("ph").and_then(Json::as_str).expect("ph") {
+            "M" => {
+                let track = ev.get("args").and_then(|a| a.get("name"));
+                tracks.insert(tid, track.and_then(Json::as_str).unwrap().to_owned());
+            }
+            "B" => open.entry(tid).or_default().push((name.to_owned(), ts)),
+            "E" => {
+                let (begun, begin_ts) = open.get_mut(&tid).and_then(Vec::pop).expect("E after B");
+                assert_eq!(begun, name, "track {tid}: E closes another span");
+                let dur_ns = ((ts - begin_ts) * 1e3).round() as u64;
+                spans.push((tracks[&tid].clone(), begun, dur_ns));
+            }
+            _ => {} // flow arrows
+        }
+    }
+    spans
+}
+
 #[test]
 fn registry_counters_match_the_report() {
     let telemetry = Telemetry::new();
-    let report = instrumented_run(&telemetry);
+    let report = instrumented_run(&telemetry, 2);
     let summary = report.telemetry.as_ref().expect("telemetry was on");
 
     let hits = summary.counter("cache.hits").expect("cache.hits");
@@ -46,14 +83,47 @@ fn registry_counters_match_the_report() {
     assert_eq!(summary.counter("store.row_reads"), Some(misses));
 
     // Each of the 2 trainers timed every phase of every step.
-    let compute = summary.histogram("trainer.compute_ns").expect("compute");
-    assert_eq!(compute.count, 2 * 25);
+    let spans = trace_spans(&telemetry.chrome_trace_json().unwrap());
+    for track in ["trainer-0", "trainer-1"] {
+        let compute = spans
+            .iter()
+            .filter(|(t, name, _)| t == track && name == "compute")
+            .count();
+        assert_eq!(compute, 25, "{track}");
+    }
+}
+
+/// One timer, two views: on a one-trainer run (where the ledger's
+/// per-step maximum over trainer lanes is that trainer's own value, and
+/// flusher lanes sum), every phase's trace spans add up to exactly the
+/// nanoseconds its ledger booked, and every booked phase has spans.
+#[test]
+fn trace_spans_sum_to_the_ledger_per_phase() {
+    let telemetry = Telemetry::new();
+    let report = instrumented_run(&telemetry, 1);
+    let summary = report.telemetry.expect("telemetry was on");
+    assert_eq!(summary.dropped_spans, 0, "the rings kept every span");
+    let ledger = summary.ledger.expect("ledger on");
+    assert_eq!(ledger.window, 25, "the ledger kept every step");
+    let spans = trace_spans(&telemetry.chrome_trace_json().unwrap());
+    for p in &ledger.phases {
+        let name = p.phase.name();
+        let traced: u64 = spans
+            .iter()
+            .filter(|(_, n, _)| n == name)
+            .map(|(_, _, ns)| ns)
+            .sum();
+        assert_eq!(traced, p.total_ns, "phase {name}: trace vs ledger");
+    }
+    for name in ["barrier_a", "cache_apply", "registration", "leader_apply"] {
+        assert!(spans.iter().any(|(_, n, _)| n == name), "no {name} span");
+    }
 }
 
 #[test]
 fn chrome_trace_is_valid_balanced_and_monotonic() {
     let telemetry = Telemetry::new();
-    instrumented_run(&telemetry);
+    instrumented_run(&telemetry, 2);
     let doc = telemetry.chrome_trace_json().expect("telemetry was on");
 
     let root = json::parse(&doc).expect("trace must be valid JSON");
@@ -128,7 +198,7 @@ fn chrome_trace_is_valid_balanced_and_monotonic() {
 #[test]
 fn disabled_telemetry_stays_dark() {
     let telemetry = Telemetry::off();
-    let report = instrumented_run(&telemetry);
+    let report = instrumented_run(&telemetry, 2);
     assert!(report.telemetry.is_none());
     assert!(telemetry.chrome_trace_json().is_none());
     assert!(telemetry.metrics_jsonl().is_none());
