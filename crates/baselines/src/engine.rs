@@ -21,7 +21,7 @@
 
 use frugal_core::{EmbeddingModel, GEntryStore, ShardMap, TrainReport, Workload};
 use frugal_data::Key;
-use frugal_embed::{CachePolicy, GpuCache, GradAggregator, HostStore, Sharding};
+use frugal_embed::{kernels, CachePolicy, GpuCache, GradAggregator, HostStore, Sharding};
 use frugal_sim::{CostModel, HostPath, IterBreakdown, Nanos, RunStats, Topology};
 use frugal_telemetry::{LaneKind, LedgerPhase, Telemetry};
 use std::collections::HashMap;
@@ -349,17 +349,12 @@ impl BaselineEngine {
                 &[("rows", updates.len() as u64)],
             );
             for (key, grad) in updates {
-                self.store.write_row(key, |row| {
-                    for (p, &g) in row.iter_mut().zip(&grad) {
-                        *p -= cfg.lr * g;
-                    }
-                });
+                self.store
+                    .write_row(key, |row| kernels::sgd_step(row, &grad, cfg.lr));
                 if cfg.kind == BaselineKind::Cached {
                     let o = smap.owner_of(key);
                     if let Some(row) = caches[o].get_mut(&key) {
-                        for (p, &g) in row.iter_mut().zip(&grad) {
-                            *p -= cfg.lr * g;
-                        }
+                        kernels::sgd_step(row, &grad, cfg.lr);
                     }
                 }
             }
@@ -392,9 +387,6 @@ impl BaselineEngine {
             stats,
             hit_ratio,
             cache_fills: total_fills,
-            // Baselines have no stall to overlap; prefetch is a P²F-only
-            // mechanism.
-            cache_prefetch_fills: 0,
             mean_gentry_update: Nanos::ZERO,
             violations: 0,
             races: self.store.race_count(),

@@ -24,11 +24,6 @@ pub(crate) struct RunMetrics {
     /// Counter `cache.fills`: rows copied host→cache on the miss path
     /// (accepted inserts only — admission rejects don't count).
     pub(crate) cache_fills: Arc<Counter>,
-    /// Counter `cache.prefetch_fills`: fills performed during the P²F
-    /// stall wait from the oracle policy's next-step plan — stall time
-    /// converted into fill time, charged to neither the modeled cache
-    /// phase nor `cache.fills`.
-    pub(crate) cache_prefetch_fills: Arc<Counter>,
     /// Counters `flusher.dequeue_total_ns` / `flusher.claim_total_ns` /
     /// `flusher.apply_total_ns` / `flush.rows`: measured flusher costs,
     /// split into the PQ-dequeue part (which serializes on a tree heap),
@@ -71,7 +66,6 @@ impl RunMetrics {
             hits: registry.counter("cache.hits"),
             misses: registry.counter("cache.misses"),
             cache_fills: registry.counter("cache.fills"),
-            cache_prefetch_fills: registry.counter("cache.prefetch_fills"),
             flush_dequeue_ns: registry.counter("flusher.dequeue_total_ns"),
             flush_claim_ns: registry.counter("flusher.claim_total_ns"),
             flush_apply_ns: registry.counter("flusher.apply_total_ns"),

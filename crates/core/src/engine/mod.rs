@@ -62,8 +62,7 @@ use barrier::SpinBarrier;
 use counters::RunMetrics;
 use flusher::FlushCoord;
 use frugal_embed::{GpuCache, HostStore, Sharding, UpdateRule};
-use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq};
-use frugal_sim::{Nanos, RunStats};
+use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq, INFINITE};
 use frugal_telemetry::{LaneKind, LedgerPhase, Registry, ThreadRecorder};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -215,8 +214,8 @@ fn membership_transition(
         // in-flight check closes the claimed-but-unapplied window.
         loop {
             shared.flush.notify_all();
-            let drained = shared.gstore.pending_keys() == 0
-                && (0..shared.flush.inflight.n_slots()).all(|i| shared.flush.inflight.is_idle(i));
+            let drained =
+                shared.gstore.pending_keys() == 0 && shared.flush.inflight.min() == INFINITE;
             if drained {
                 break;
             }
@@ -357,7 +356,7 @@ impl FrugalEngine {
             pq,
             sharding: Sharding::new(n),
             smap: ShardMapCell::new(ShardMap::initial(n, GEntryStore::n_shards())),
-            step: step::StepState::new(n, model.dim(), cfg.steps, cfg.lookahead),
+            step: step::StepState::new(n, model.dim(), workload.samples_per_step(), cfg.lookahead),
             flush: FlushCoord::new(cfg.flush_threads),
             metrics: RunMetrics::new(&registry, strategy.stall_counter),
         };
@@ -436,23 +435,8 @@ impl FrugalEngine {
         });
 
         // Compose the report.
-        let iters = shared.step.iters.into_inner();
-        let mut stats = RunStats::new(workload.samples_per_step());
-        let mut first_loss = 0.0;
-        let mut final_loss = 0.0;
-        for (i, (it, loss)) in iters.iter().enumerate() {
-            stats.push(*it);
-            if i == 0 {
-                first_loss = *loss;
-            }
-            final_loss = *loss;
-        }
-        let gentry_times = shared.step.gentry_times.into_inner();
-        let mean_gentry = if gentry_times.is_empty() {
-            Nanos::ZERO
-        } else {
-            gentry_times.iter().copied().sum::<Nanos>() / gentry_times.len() as u64
-        };
+        let record = shared.step.record.into_inner();
+        let mean_gentry_update = record.mean_gentry();
         let hits = shared.metrics.hits.get();
         let misses = shared.metrics.misses.get();
         let hit_ratio = if hits + misses == 0 {
@@ -461,18 +445,17 @@ impl FrugalEngine {
             hits as f64 / (hits + misses) as f64
         };
         TrainReport {
-            stats,
+            stats: record.stats,
             hit_ratio,
             cache_fills: shared.metrics.cache_fills.get(),
-            cache_prefetch_fills: shared.metrics.cache_prefetch_fills.get(),
-            mean_gentry_update: mean_gentry,
+            mean_gentry_update,
             violations: shared.metrics.violations.get() as usize,
             races: self.store.race_count() + shared.rule.race_count(),
             flush_rows: shared.metrics.flush_rows.get(),
             flush_apply_ns: shared.metrics.flush_apply_ns.get(),
             membership_transition_ns: shared.metrics.membership_transition_ns.get(),
-            first_loss,
-            final_loss,
+            first_loss: record.first_loss,
+            final_loss: record.final_loss,
             telemetry: cfg.telemetry.summary(),
         }
     }

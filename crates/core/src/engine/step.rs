@@ -60,7 +60,7 @@ use crate::config::FlushMode;
 use crate::ShardMap;
 use frugal_data::Key;
 use frugal_embed::GradAggregator;
-use frugal_sim::{IterBreakdown, Nanos, PqCost};
+use frugal_sim::{IterBreakdown, Nanos, PqCost, RunStats};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,9 +132,40 @@ pub(crate) struct LeaderState {
     pub(crate) loss_sum: f32,
 }
 
+/// What the run reports on the modeled clock, kept by the C-leader as steps
+/// finish: every iteration's breakdown, the first and the latest step's
+/// mean loss, and the running sum of the modeled g-entry registration
+/// times (the report reads only their mean).
+#[derive(Debug)]
+pub(crate) struct RunRecord {
+    pub(crate) stats: RunStats,
+    pub(crate) first_loss: f32,
+    pub(crate) final_loss: f32,
+    gentry_sum: Nanos,
+}
+
+impl RunRecord {
+    fn push(&mut self, it: IterBreakdown, loss: f32, gentry_time: Nanos) {
+        if self.stats.is_empty() {
+            self.first_loss = loss;
+        }
+        self.final_loss = loss;
+        self.gentry_sum += gentry_time;
+        self.stats.push(it);
+    }
+
+    /// Mean modeled g-entry registration time per recorded step.
+    pub(crate) fn mean_gentry(&self) -> Nanos {
+        match self.stats.len() as u64 {
+            0 => Nanos::ZERO,
+            n => self.gentry_sum / n,
+        }
+    }
+}
+
 /// The step protocol's shared state: deposit slots, the per-owner reduced
-/// update slots, the sample ring, rotating-leader state, and the per-run
-/// iteration records.
+/// update slots, the sample ring, rotating-leader state, and the run's
+/// modeled record.
 #[derive(Debug)]
 pub(crate) struct StepState {
     /// Per-GPU aggregators: trainers swap their full scratch aggregator in
@@ -159,13 +190,12 @@ pub(crate) struct StepState {
     /// shards, see [`crate::GEntryStore::add_writes_batch`]). Read and
     /// then zeroed by the C-leader.
     pub(crate) blocking_next: AtomicU64,
-    /// Leader-composed per-iteration records.
-    pub(crate) iters: Mutex<Vec<(IterBreakdown, f32)>>,
-    pub(crate) gentry_times: Mutex<Vec<Nanos>>,
+    /// The C-leader's per-step record (see [`RunRecord`]).
+    pub(crate) record: Mutex<RunRecord>,
 }
 
 impl StepState {
-    pub(crate) fn new(n_gpus: usize, dim: usize, steps: u64, lookahead: u64) -> Self {
+    pub(crate) fn new(n_gpus: usize, dim: usize, samples_per_step: u64, lookahead: u64) -> Self {
         StepState {
             agg_slots: (0..n_gpus)
                 .map(|_| RwLock::new(GradAggregator::new(dim)))
@@ -180,8 +210,12 @@ impl StepState {
                 loss_sum: 0.0,
             }),
             blocking_next: AtomicU64::new(0),
-            iters: Mutex::new(Vec::with_capacity(steps as usize)),
-            gentry_times: Mutex::new(Vec::with_capacity(steps as usize)),
+            record: Mutex::new(RunRecord {
+                stats: RunStats::new(samples_per_step),
+                first_loss: 0.0,
+                final_loss: 0.0,
+                gentry_sum: Nanos::ZERO,
+            }),
         }
     }
 }
@@ -319,8 +353,6 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
             )
         }
     };
-    shared.step.gentry_times.lock().push(gentry_time);
-
     let leader = shared.step.leader.lock();
     let mut it = leader.it;
     // The controller/flushers contend with trainers for CPU cores: charge
@@ -338,7 +370,7 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
     // of the cohort width, so the mean matches the serial oracle's.
     shared
         .step
-        .iters
+        .record
         .lock()
-        .push((it, leader.loss_sum / n_streams as f32));
+        .push(it, leader.loss_sum / n_streams as f32, gentry_time);
 }

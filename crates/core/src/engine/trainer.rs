@@ -96,10 +96,6 @@ pub(crate) struct StepScratch {
     /// partition (one [`ShardMap`]), this is the lookahead ring's content
     /// re-grouped per step rather than per shard.
     cache_ahead: Vec<Key>,
-    /// Prefetch candidates for the stall-overlap fill loop.
-    prefetch: Vec<Key>,
-    /// Per-flusher "observed idle" flags for the prefetch safety protocol.
-    flusher_idle: Vec<bool>,
 }
 
 impl StepScratch {
@@ -119,8 +115,6 @@ impl StepScratch {
             read_seen: KeyHashSet::default(),
             pq_ops: PqOpScratch::default(),
             cache_ahead: Vec::new(),
-            prefetch: Vec::new(),
-            flusher_idle: Vec::new(),
         }
     }
 }
@@ -169,8 +163,8 @@ pub(crate) fn register_own_reads(
 /// (skipped when the policy ignores it). The forward pass queries the
 /// local cache for exactly these keys (each stream's batch filtered to
 /// owned), so this is the access stream the oracle must predict; the feed
-/// makes one `prepare_step` call per step so plan bookkeeping sees each
-/// step once.
+/// makes one `prepare_step` call per step so next-use bookkeeping sees
+/// each step once.
 pub(crate) fn feed_cache_lookahead(
     shared: &RunShared<'_>,
     smap: &ShardMap,
@@ -279,94 +273,6 @@ pub(crate) fn register_phase(
     }
 }
 
-/// Converts P²F stall time into fill time (prefetch-capable policies
-/// only): while the step-`s` wait condition holds, fill the cache with the
-/// policy's step-`s+1` nominations, read *safely* from the host store.
-///
-/// Safety protocol — a host row may be read while flushers are applying
-/// other rows, but never while any flusher could still write *this* row:
-///
-/// 1. **Per-key clean check.** `priority_of(key)` must show no pending
-///    writes (`None` or `INFINITE`). During the wait no trainer is in its
-///    registration phase (every trainer sits between barrier C of `s-1`
-///    and barrier A of `s`), so no *new* writes for any key can appear
-///    until this trainer leaves the wait — the check cannot go stale.
-/// 2. **Flusher drain point.** A claim of the key's former writes
-///    published its in-flight marker before extracting them from the
-///    queue and holds it until the batch is durably applied; such claims
-///    all started before check 1 passed. Observing every flusher slot
-///    idle *at least once after* check 1 therefore proves those claims
-///    finished, and batches claimed after the observation cannot contain
-///    the key (check 1 + no new registration).
-///
-/// After both checks the key's host row — and its optimizer state, which
-/// is only updated inside the same flush apply — is stable until
-/// registration resumes, so the fill seeds the cache copy exactly like a
-/// miss-path fill would, and bit-equality with the serial oracle is
-/// preserved.
-fn prefetch_during_stall(
-    shared: &RunShared<'_>,
-    s: u64,
-    th: u64,
-    cache: &mut GpuCache,
-    scratch: &mut StepScratch,
-    prefetch_fills: &mut u64,
-) {
-    use frugal_pq::INFINITE;
-    let still_blocked = || wait::blocked_at(shared.pq.as_ref(), &shared.flush.inflight, th);
-    // Nominations for the next step, minus already-cached keys (the feed
-    // is owned-keys-only by construction — see `feed_cache_lookahead`).
-    scratch.prefetch.clear();
-    cache.prefetch_plan(s + 1, &mut scratch.prefetch);
-    let gstore = &shared.gstore;
-    scratch
-        .prefetch
-        .retain(|&k| gstore.priority_of(k).is_none_or(|p| p == INFINITE));
-    if scratch.prefetch.is_empty() {
-        return;
-    }
-    // Check 2: observe every flusher idle at least once. Flushers pass
-    // through idle between batches, so this resolves within a few batch
-    // applies; bounded so a pathological schedule cannot pin us here.
-    let inflight = &shared.flush.inflight;
-    scratch.flusher_idle.clear();
-    scratch.flusher_idle.resize(inflight.n_slots(), false);
-    let mut remaining = inflight.n_slots();
-    let mut polls = 0u32;
-    loop {
-        for (slot, seen) in scratch.flusher_idle.iter_mut().enumerate() {
-            if !*seen && inflight.is_idle(slot) {
-                *seen = true;
-                remaining -= 1;
-            }
-        }
-        if remaining == 0 {
-            break;
-        }
-        polls += 1;
-        if polls > 100_000 || !still_blocked() {
-            // Stall over (or flushers mid-batch implausibly long):
-            // abandon — prefetch is purely opportunistic.
-            return;
-        }
-        std::hint::spin_loop();
-    }
-    // Both checks passed for every surviving key: fill until the wait
-    // would end, then hand the CPU back to the real step.
-    for &key in &scratch.prefetch {
-        if !still_blocked() {
-            break;
-        }
-        let outcome = cache.fill_with_state(key, |row, state| {
-            shared.store.read_row(key, row);
-            shared.rule.copy_state(key, state);
-        });
-        if !matches!(outcome, frugal_embed::InsertOutcome::Rejected) {
-            *prefetch_fills += 1;
-        }
-    }
-}
-
 /// One member's run of one segment: steps `seg.start..seg.end` under the
 /// segment's shard-map epoch, processing every stream the epoch deals it.
 /// `rec` is the member's recorder for the whole run, across segments.
@@ -395,7 +301,6 @@ pub(crate) fn trainer_loop(
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut total_fills = 0u64;
-    let mut prefetch_fills = 0u64;
     let batch_per_gpu = shared.workload.samples_per_step() / n_streams as u64;
     let mut scratch = StepScratch::new(dim, &smap, t);
     let registers_reads = shared.strategy.registers_reads;
@@ -420,7 +325,7 @@ pub(crate) fn trainer_loop(
     // At run start no writes exist yet, so this issues no queue
     // operations; at a continuation segment the R-bitset registration is
     // idempotent against the previous owner's, while re-seeding this
-    // member's (rebuilt) cache policy plan.
+    // member's (rebuilt) cache policy feed.
     if registers_reads {
         let feed_cache = cache.uses_lookahead();
         for s0 in seg.start..boot_end {
@@ -433,7 +338,7 @@ pub(crate) fn trainer_loop(
 
     for s in seg.start..seg.end {
         // Advance the cache policy's clock before anything observes step
-        // `s` (the oracle prunes spent plan entries here).
+        // `s` (the oracle's next-use distances are relative to it).
         cache.begin_step(s);
         // Double-buffered sampling: draw step `s + L`'s batches for this
         // member's streams *now*, before the wait condition, so sample
@@ -480,19 +385,6 @@ pub(crate) fn trainer_loop(
                         LedgerPhase::StallWait,
                         &[("blocking_priority", floor), ("pending_keys", pending)],
                     );
-                    if cache.wants_prefetch() {
-                        // Convert stall time into next-step fills (oracle
-                        // policy); falls through to the parked wait for
-                        // whatever stall remains.
-                        prefetch_during_stall(
-                            shared,
-                            s,
-                            th,
-                            cache,
-                            &mut scratch,
-                            &mut prefetch_fills,
-                        );
-                    }
                     shared.flush.wait_until(|| !blocked(shared));
                     let wait_ns = span.finish();
                     if wait_ns > 0 {
@@ -713,5 +605,4 @@ pub(crate) fn trainer_loop(
     shared.metrics.hits.add(hits);
     shared.metrics.misses.add(misses);
     shared.metrics.cache_fills.add(total_fills);
-    shared.metrics.cache_prefetch_fills.add(prefetch_fills);
 }

@@ -19,11 +19,6 @@ pub struct TrainReport {
     /// Rows copied host→cache on the miss path (accepted inserts only) —
     /// the `cache.fills` telemetry counter.
     pub cache_fills: u64,
-    /// Fills performed during the P²F stall wait from the oracle policy's
-    /// next-step plan (stall time converted into fill time) — the
-    /// `cache.prefetch_fills` telemetry counter. Zero for policies without
-    /// prefetch.
-    pub cache_prefetch_fills: u64,
     /// Mean per-step time to register a batch's g-entry updates — the
     /// paper's Exp #4a metric, on the **modeled** clock: the rows the
     /// slowest member registers (all members' rows under a serializing

@@ -105,20 +105,6 @@ impl InflightTable {
         })
     }
 
-    /// Number of marker slots (= flushing threads).
-    pub fn n_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if flusher `slot` is not currently applying a batch.
-    ///
-    /// A single observation, not a fence: used by the prefetch safety
-    /// protocol, which needs each slot observed idle *at least once* after
-    /// a key's pending-write check (see `trainer::prefetch_during_stall`).
-    pub fn is_idle(&self, slot: usize) -> bool {
-        self.slots[slot].load(Ordering::Acquire) == INFINITE
-    }
-
     /// The smallest in-flight priority or open horizon across all flushers
     /// ([`INFINITE`] when all idle).
     pub fn min(&self) -> u64 {
@@ -238,7 +224,6 @@ mod tests {
         assert!(blocked(&pq, &table, 5));
         table.clear(1);
         assert!(admits(&pq, &table, 8));
-        assert!(table.is_idle(1));
         assert_eq!(table.min(), INFINITE);
     }
 

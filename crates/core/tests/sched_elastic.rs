@@ -22,7 +22,7 @@
 #![cfg(feature = "sched")]
 
 use frugal_core::{GEntryStore, InflightTable, ShardMap};
-use frugal_pq::{PriorityQueue, TwoLevelPq};
+use frugal_pq::{PriorityQueue, TwoLevelPq, INFINITE};
 use frugal_sched::{explore, replay, yield_point, ExploreConfig, SimBuilder};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,8 +110,7 @@ fn transition_handoff(mode: Quiesce) -> impl FnMut(&mut SimBuilder) {
                 match mode {
                     Quiesce::Full => {
                         for _ in 0..128 {
-                            let drained = gstore.pending_keys() == 0
-                                && (0..inflight.n_slots()).all(|i| inflight.is_idle(i));
+                            let drained = gstore.pending_keys() == 0 && inflight.min() == INFINITE;
                             if drained {
                                 break;
                             }

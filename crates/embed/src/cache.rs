@@ -17,7 +17,7 @@
 //!   frequencies; admission under pressure requires beating the victim's
 //!   frequency (Fang et al.).
 //! * [`CachePolicy::OracleBelady`] — Belady's MIN driven by the engine's
-//!   s+L lookahead feed, with admission bypass and prefetch nomination.
+//!   s+L lookahead feed, with admission bypass.
 //!
 //! Rows live in one contiguous `Vec<f32>` arena indexed by slot — no
 //! per-slot `Vec`, no pointer chase, and **no allocation on the
@@ -58,8 +58,7 @@ pub enum CachePolicy {
     /// often.
     FrequencyAware,
     /// Belady's MIN over the engine's lookahead window: evict the
-    /// farthest-next-use resident, bypass farthest-next-use inserts, and
-    /// nominate next-step keys for stall-overlap prefetch.
+    /// farthest-next-use resident and bypass farthest-next-use inserts.
     OracleBelady,
 }
 
@@ -468,31 +467,6 @@ impl GpuCache {
     pub fn uses_lookahead(&self) -> bool {
         matches!(self.kind, CachePolicy::OracleBelady)
     }
-
-    /// Whether the policy nominates stall-overlap prefetch fills: the
-    /// nominations come out of the feed, so exactly when it consumes one.
-    pub fn wants_prefetch(&self) -> bool {
-        self.uses_lookahead()
-    }
-
-    /// Appends the policy's prefetch nominations for `step` that are not
-    /// already cached. Each step's nominations are handed out once.
-    pub fn prefetch_plan(&mut self, step: u64, out: &mut Vec<Key>) {
-        let start = out.len();
-        if let Some(feed) = self.policy.lookahead() {
-            feed.prefetch_into(step, out);
-        }
-        let map = &self.map;
-        let mut keep = start;
-        for i in start..out.len() {
-            let key = out[i];
-            if !map.contains_key(&key) {
-                out[keep] = key;
-                keep += 1;
-            }
-        }
-        out.truncate(keep);
-    }
 }
 
 /// Result of a cache insertion. No variant carries row payloads: rows live
@@ -780,6 +754,11 @@ mod tests {
 
     #[test]
     fn oracle_belady_follows_the_feed() {
+        // Only the oracle takes a feed; history-driven policies have none.
+        for policy in CachePolicy::ALL {
+            let fed = GpuCache::new(2, 1, policy).uses_lookahead();
+            assert_eq!(fed, policy == CachePolicy::OracleBelady, "{policy:?}");
+        }
         let mut c = GpuCache::new(2, 1, CachePolicy::OracleBelady);
         // Future: 1 used at steps 1 and 3; 2 at 2; 4 at 4; 9 never.
         c.prepare_step(1, &[1]);
@@ -800,20 +779,6 @@ mod tests {
                            // Now 4 displaces 2 (no future), not 1 (next use 3).
         assert_eq!(c.insert_from_slice(4, &[4.0]), InsertOutcome::Evicted(2));
         assert!(c.contains(&1) && c.contains(&4));
-    }
-
-    #[test]
-    fn prefetch_plan_filters_cached_keys() {
-        let mut c = GpuCache::new(4, 1, CachePolicy::OracleBelady);
-        assert!(c.uses_lookahead() && c.wants_prefetch());
-        c.prepare_step(5, &[1, 2, 3]);
-        c.insert_from_slice(2, &[2.0]);
-        let mut out = Vec::new();
-        c.prefetch_plan(5, &mut out);
-        assert_eq!(out, vec![1, 3], "cached key 2 must be filtered out");
-        // History-driven policies neither feed nor prefetch.
-        let l = GpuCache::new(4, 1, CachePolicy::Lru);
-        assert!(!l.uses_lookahead() && !l.wants_prefetch());
     }
 
     #[test]

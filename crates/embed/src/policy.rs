@@ -20,15 +20,14 @@
 //! * [`OracleBeladyPolicy`] — Belady's MIN fed real future knowledge: the
 //!   engine's s+L lookahead registration doubles as a next-use feed
 //!   ([`Lookahead::prepare_step`]), so the policy can evict the slot
-//!   whose next use is farthest (or absent), bypass inserts that would be
-//!   the farthest themselves, and nominate next-step keys for prefetch
-//!   during the P²F stall wait.
+//!   whose next use is farthest (or absent) and bypass inserts that would
+//!   be the farthest themselves.
 //!
 //! Caches are single-owner structures (one per trainer thread), so
 //! policies are plain `&mut` state: no locks, no atomics.
 
 use frugal_data::{Key, KeyHashMap};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// "No slot" sentinel for the intrusive recency list.
@@ -84,10 +83,6 @@ pub trait Lookahead {
     fn prepare_step(&mut self, step: u64, keys: &[Key]);
     /// The training loop advanced to `step`.
     fn begin_step(&mut self, step: u64);
-    /// Appends the keys the policy wants prefetched for `step` (fills to
-    /// run while the trainer would otherwise stall). Each step's feed is
-    /// handed out once.
-    fn prefetch_into(&mut self, step: u64, out: &mut Vec<Key>);
 }
 
 /// Intrusive doubly-linked recency list over cache slots (head = most
@@ -333,22 +328,18 @@ impl EvictionPolicy for FrequencyAwarePolicy {
 /// *incoming* key instead when its own next use is farther than every
 /// resident's, which plain evict-only Belady misses.
 ///
-/// The same feed makes the policy prefetch-capable: each step's key list
-/// is kept until [`Lookahead::prefetch_into`] hands it out, letting
-/// the trainer convert its P²F stall wait into fills for step `s + 1`.
-///
 /// Next-use queues are consumed lazily: `begin_step(s)` only advances the
 /// clock, and entries `< now` are dropped at inspection time. A resident's
-/// distance is its first use `≥ now` (its step-`s` use is still ahead of a
-/// prefetch decision made during the step-`s` wait); an *incoming* key's
-/// distance is its first use `> now`, because the fill consuming it **is**
-/// the `now` use. Hits pop their `≤ now` entries eagerly.
+/// distance is its first use `≥ now` (a step-`s` use not yet popped by a
+/// hit is still ahead of a fill decided during step `s`: a later stream of
+/// the same member queries the cache after this stream's fills); an
+/// *incoming* key's distance is its first use `> now`, because the fill
+/// consuming it **is** the `now` use. Hits pop their `≤ now` entries
+/// eagerly.
 #[derive(Debug)]
 pub struct OracleBeladyPolicy {
     /// Per-key future use steps, non-decreasing, deduped per step.
     future: KeyHashMap<VecDeque<u64>>,
-    /// Per-step feed retained for prefetch nomination.
-    plans: BTreeMap<u64, Vec<Key>>,
     now: u64,
     capacity: usize,
 }
@@ -358,7 +349,6 @@ impl OracleBeladyPolicy {
     pub fn new(capacity: usize) -> Self {
         OracleBeladyPolicy {
             future: KeyHashMap::default(),
-            plans: BTreeMap::new(),
             now: 0,
             capacity,
         }
@@ -464,36 +454,19 @@ impl EvictionPolicy for OracleBeladyPolicy {
 
 impl Lookahead for OracleBeladyPolicy {
     fn prepare_step(&mut self, step: u64, keys: &[Key]) {
-        if step < self.now || keys.is_empty() {
+        if step < self.now {
             return;
         }
-        let plan = self.plans.entry(step).or_default();
         for &key in keys {
             let q = self.future.entry(key).or_default();
             if q.back() != Some(&step) {
                 q.push_back(step);
-                plan.push(key);
             }
         }
     }
 
     fn begin_step(&mut self, step: u64) {
         self.now = step;
-        // Drop plans for steps already behind the clock (their prefetch
-        // window is gone).
-        while let Some((&first, _)) = self.plans.first_key_value() {
-            if first < step {
-                self.plans.remove(&first);
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn prefetch_into(&mut self, step: u64, out: &mut Vec<Key>) {
-        if let Some(keys) = self.plans.remove(&step) {
-            out.extend(keys);
-        }
     }
 }
 
@@ -568,8 +541,9 @@ mod tests {
 
     #[test]
     fn oracle_resident_use_at_now_is_still_ahead() {
-        // During the step-s wait, a resident used *at* s must not look
-        // dead, while an incoming key's s-use counts as consumed.
+        // During step s, a resident used *at* s must not look dead (a
+        // later stream may still query it), while an incoming key's s-use
+        // counts as consumed.
         let mut p = OracleBeladyPolicy::new(2);
         p.prepare_step(3, &[10]);
         p.prepare_step(3, &[30]);
@@ -577,22 +551,5 @@ mod tests {
         p.begin_step(3);
         assert_eq!(p.next_use_resident(10), 3);
         assert_eq!(p.next_use_incoming(30), NEVER);
-    }
-
-    #[test]
-    fn oracle_hands_out_each_prefetch_plan_once() {
-        let mut p = OracleBeladyPolicy::new(4);
-        p.prepare_step(2, &[7, 8, 7]); // duplicate key deduped
-        let mut out = Vec::new();
-        p.prefetch_into(2, &mut out);
-        assert_eq!(out, vec![7, 8]);
-        out.clear();
-        p.prefetch_into(2, &mut out);
-        assert!(out.is_empty());
-        // Plans behind the clock are discarded.
-        p.prepare_step(5, &[9]);
-        p.begin_step(6);
-        p.prefetch_into(5, &mut out);
-        assert!(out.is_empty());
     }
 }

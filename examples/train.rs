@@ -230,12 +230,6 @@ fn main() -> Result<(), String> {
     if report.cache_fills > 0 {
         println!("cache fills      {:>12} rows", report.cache_fills);
     }
-    if report.cache_prefetch_fills > 0 {
-        println!(
-            "prefetch fills   {:>12} rows (overlapped with stall)",
-            report.cache_prefetch_fills
-        );
-    }
     println!("per-iteration breakdown:");
     println!("  comm      {}", m.comm);
     println!("  host DRAM {}", m.host_dram);

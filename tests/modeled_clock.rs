@@ -1,13 +1,15 @@
 //! The modeled clock is a pure function of `(seed, config)`: everything in
 //! `TrainReport::stats` and `mean_gentry_update` is priced from operation
-//! counts, so a run whose flushers are throttled — different wall-clock
-//! timings, different queue lengths, different interleavings — must report
-//! the *same bits* as an unthrottled one.
+//! counts, and what the caches hold follows from the keys alone, so a run
+//! whose flushers are throttled — different wall-clock timings, different
+//! queue lengths, different interleavings — must report the *same bits* as
+//! an unthrottled one.
 
 use frugal::core::{
     FlushMode, FrugalConfig, FrugalEngine, MembershipPlan, PqKind, PullToTarget, TrainReport,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
+use frugal::embed::CachePolicy;
 use frugal::sim::Nanos;
 use frugal::telemetry::{LedgerPhase, Telemetry};
 
@@ -16,10 +18,17 @@ const STEPS: u64 = 24;
 const N_GPUS: usize = 3;
 
 fn run(mode: FlushMode, pq: PqKind, throttle_us: u64) -> TrainReport {
-    run_wide(N_GPUS, mode, pq, throttle_us)
+    run_wide(N_GPUS, mode, pq, None, throttle_us)
 }
 
-fn run_wide(n_gpus: usize, mode: FlushMode, pq: PqKind, throttle_us: u64) -> TrainReport {
+/// `policy`: the cache policy, or `None` for the configuration's default.
+fn run_wide(
+    n_gpus: usize,
+    mode: FlushMode,
+    pq: PqKind,
+    policy: Option<CachePolicy>,
+    throttle_us: u64,
+) -> TrainReport {
     let trace = SyntheticTrace::new(N_KEYS, KeyDistribution::Zipf(0.9), 64, n_gpus, 17).unwrap();
     let model = PullToTarget::new(8, 3);
     let mut cfg = FrugalConfig::commodity(n_gpus, STEPS);
@@ -28,33 +37,56 @@ fn run_wide(n_gpus: usize, mode: FlushMode, pq: PqKind, throttle_us: u64) -> Tra
     cfg.flush_threads = 2;
     cfg.cache_ratio = 0.02;
     cfg.flush_throttle_us = throttle_us;
+    if let Some(policy) = policy {
+        cfg.cache_policy = policy;
+    }
     FrugalEngine::new(cfg, trace.n_keys(), 8).run(&trace, &model)
 }
 
+/// The cache is one more input: the Belady oracle decides from the
+/// lookahead feed, and a trainer that stalls longer behind a slow flusher
+/// pool must not fill (or hit) differently for it.
 #[test]
 fn modeled_numbers_are_bit_identical_under_flusher_throttling() {
-    for mode in [FlushMode::P2f, FlushMode::Fifo, FlushMode::WriteThrough] {
+    for (mode, policy) in [
+        (FlushMode::P2f, None),
+        (FlushMode::Fifo, None),
+        (FlushMode::WriteThrough, None),
+        (FlushMode::P2f, Some(CachePolicy::OracleBelady)),
+    ] {
         for pq in [PqKind::TwoLevel, PqKind::TreeHeap] {
-            let fast = run(mode, pq, 0);
-            let slow = run(mode, pq, 300);
+            let case = format!(
+                "{mode:?}/{pq:?}/{}",
+                policy.map_or("default", |p| p.label())
+            );
+            let fast = run_wide(N_GPUS, mode, pq, policy, 0);
+            let slow = run_wide(N_GPUS, mode, pq, policy, 300);
             assert_eq!(fast.stats.len() as u64, STEPS);
             assert_eq!(
                 fast.stats.iters(),
                 slow.stats.iters(),
-                "{mode:?}/{pq:?}: per-iteration breakdowns moved with flusher speed"
+                "{case}: per-iteration breakdowns moved with flusher speed"
             );
             assert_eq!(
                 fast.mean_gentry_update, slow.mean_gentry_update,
-                "{mode:?}/{pq:?}: modeled registration time moved with flusher speed"
+                "{case}: modeled registration time moved with flusher speed"
             );
-            assert!(
-                fast.mean_stall() > Nanos::ZERO,
-                "{mode:?}/{pq:?} models a stall"
+            assert_eq!(
+                fast.hit_ratio.to_bits(),
+                slow.hit_ratio.to_bits(),
+                "{case}: hit ratio {} vs {} moved with flusher speed",
+                fast.hit_ratio,
+                slow.hit_ratio
             );
+            assert_eq!(
+                fast.cache_fills, slow.cache_fills,
+                "{case}: cache fills moved with flusher speed"
+            );
+            assert!(fast.mean_stall() > Nanos::ZERO, "{case} models a stall");
             assert_eq!(
                 fast.mean_gentry_update > Nanos::ZERO,
                 mode.proactive(),
-                "{mode:?}: g-entry time exactly when there are g-entries"
+                "{case}: g-entry time exactly when there are g-entries"
             );
         }
     }
@@ -69,8 +101,8 @@ fn modeled_numbers_are_bit_identical_under_flusher_throttling() {
 #[test]
 fn eight_wide_modeled_numbers_are_bit_identical_under_flusher_throttling() {
     for mode in [FlushMode::P2f, FlushMode::Fifo, FlushMode::WriteThrough] {
-        let fast = run_wide(8, mode, PqKind::TwoLevel, 0);
-        let slow = run_wide(8, mode, PqKind::TwoLevel, 300);
+        let fast = run_wide(8, mode, PqKind::TwoLevel, None, 0);
+        let slow = run_wide(8, mode, PqKind::TwoLevel, None, 300);
         assert_eq!(fast.stats.len() as u64, STEPS);
         assert_eq!(
             fast.stats.iters(),
