@@ -137,7 +137,7 @@ impl BaselineEngine {
     /// Creates an engine with a fresh host store of `n_keys × dim`.
     pub fn new(cfg: BaselineConfig, n_keys: u64, dim: usize) -> Self {
         let mut store = HostStore::new(n_keys, dim, cfg.seed);
-        store.attach_telemetry(&cfg.telemetry);
+        store.attach_row_counters(&cfg.telemetry);
         BaselineEngine { cfg, store }
     }
 

@@ -118,9 +118,6 @@ pub fn telemetry_table(title: impl Into<String>, summary: &TelemetrySummary) -> 
     for (name, v) in &summary.metrics.counters {
         t.note(format!("{name} = {v}"));
     }
-    for (name, v) in &summary.metrics.gauges {
-        t.note(format!("{name} = {v} (gauge)"));
-    }
     if !summary.stalls.is_empty() {
         let mut note = format!(
             "{} P2F stalls, total wait {:.3} ms",

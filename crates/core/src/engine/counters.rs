@@ -1,6 +1,6 @@
 //! Registry-backed run counters.
 
-use frugal_telemetry::{Counter, Gauge, Histogram, Registry};
+use frugal_telemetry::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
 /// Registry-backed run counters.
@@ -42,14 +42,6 @@ pub(crate) struct RunMetrics {
     /// batch — how much locality the key-sorted batch apply gets to
     /// exploit.
     pub(crate) flush_batch_rows: Arc<Histogram>,
-    /// Gauge `p2f.blocking_rows`: the rows whose flush gates the next wait
-    /// condition — rows written this step that the next step reads under
-    /// P²F, every row written this step under FIFO.
-    pub(crate) blocking_rows_next: Arc<Gauge>,
-    /// Counter `stall.<strategy>.modeled_ns`: the modeled stall summed
-    /// over the run, attributed to the flush strategy by name so telemetry
-    /// snapshots from different modes stay comparable side by side.
-    pub(crate) stall_modeled_ns: Arc<Counter>,
     /// Counter `membership.transition_ns`: wall time spent in elastic
     /// membership transitions (drain to quiescence + cache eviction +
     /// shard-map republication), summed over the run's epoch changes.
@@ -57,10 +49,7 @@ pub(crate) struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// `stall_counter` is the flush mode's static counter name
-    /// (`Strategy::stall_counter`) — the registry interns names as
-    /// `&'static str`, so the strategy table supplies the literal.
-    pub(crate) fn new(registry: &Registry, stall_counter: &'static str) -> Self {
+    pub(crate) fn new(registry: &Registry) -> Self {
         RunMetrics {
             violations: registry.counter("p2f.violations"),
             hits: registry.counter("cache.hits"),
@@ -72,8 +61,6 @@ impl RunMetrics {
             flush_rows: registry.counter("flush.rows"),
             flusher_parked_ns: registry.counter("flusher.parked_ns"),
             flush_batch_rows: registry.histogram("flush.batch_rows"),
-            blocking_rows_next: registry.gauge("p2f.blocking_rows"),
-            stall_modeled_ns: registry.counter(stall_counter),
             membership_transition_ns: registry.counter("membership.transition_ns"),
         }
     }

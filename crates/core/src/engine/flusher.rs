@@ -15,7 +15,7 @@ use crate::wait::InflightTable;
 use frugal_embed::FlushClaim;
 use frugal_telemetry::{LaneKind, LedgerPhase};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// How long an idle flusher parks on the flush condvar before re-polling.
@@ -48,12 +48,6 @@ pub(crate) struct FlushCoord {
     /// its row write completes, so the queue's `top_priority` alone cannot
     /// cover it.
     pub(crate) inflight: InflightTable,
-    /// Monotonic id source for applied flush batches (stall provenance).
-    batch_seq: AtomicU64,
-    /// Id of the most recent batch whose in-flight marker was cleared —
-    /// what an unblocking trainer reads to name the batch that (most
-    /// plausibly) woke it. 0 = no batch applied yet.
-    last_clear: AtomicU64,
 }
 
 impl FlushCoord {
@@ -63,28 +57,7 @@ impl FlushCoord {
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             inflight: InflightTable::new(n_flushers),
-            batch_seq: AtomicU64::new(0),
-            last_clear: AtomicU64::new(0),
         }
-    }
-
-    /// A fresh nonzero batch id for an applied flush batch.
-    pub(crate) fn next_batch_id(&self) -> u64 {
-        self.batch_seq.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Publishes `id` as the most recently cleared batch. Called just
-    /// before the in-flight clear, so a trainer that wakes on the clear
-    /// already sees the id; a trainer racing two near-simultaneous
-    /// batches may attribute to the slightly later one — provenance is
-    /// "most plausible waker", not an exact happens-before edge.
-    pub(crate) fn note_clear(&self, id: u64) {
-        self.last_clear.store(id, Ordering::Release);
-    }
-
-    /// The most recently cleared batch id (0 before any batch applied).
-    pub(crate) fn last_clear(&self) -> u64 {
-        self.last_clear.load(Ordering::Acquire)
     }
 
     /// Wakes every parked flusher and every blocked trainer.
@@ -222,6 +195,8 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         // be a park away): the owner's next reduce overwrites in place
         // every row it finds unshared (`GradAggregator::drain_arcs`).
         writes.clear();
+        // Booked before the marker clear below, so in the trace this
+        // batch's span ends before any wait it releases does.
         if applied > 0 {
             let apply_ns = t_apply.elapsed().as_nanos() as u64;
             shared.metrics.flush_apply_ns.add(apply_ns);
@@ -234,14 +209,6 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
                 apply_ns,
                 &[("rows", applied)],
             );
-            // Stall provenance: stamp this batch and emit the producing
-            // half of the flow arrow *before* the marker clear below, so
-            // a trainer that wakes on the clear reads an id whose flow
-            // start is already in the ring (and timestamped earlier than
-            // the trainer's finish).
-            let batch_id = shared.flush.next_batch_id();
-            shared.flush.note_clear(batch_id);
-            rec.flow_start(batch_id);
         }
         shared.flush.inflight.clear(slot);
         if applied > 0 {

@@ -286,7 +286,7 @@ impl FrugalEngine {
         } else {
             HostStore::new(n_keys, dim, cfg.seed)
         };
-        store.attach_telemetry(&cfg.telemetry);
+        store.attach_row_counters(&cfg.telemetry);
         FrugalEngine {
             cfg,
             store: Arc::new(store),
@@ -327,11 +327,10 @@ impl FrugalEngine {
         } else {
             cfg.lookahead + 2
         };
-        let mut pq: Box<dyn PriorityQueue> = match cfg.pq {
+        let pq: Box<dyn PriorityQueue> = match cfg.pq {
             PqKind::TwoLevel => Box::new(TwoLevelPq::with_window(max_priority, window)),
             PqKind::TreeHeap => Box::new(TreeHeap::new()),
         };
-        pq.attach_telemetry(&cfg.telemetry);
         // Run counters live on the telemetry registry when one is attached,
         // on a private registry otherwise (the report reads them either
         // way).
@@ -358,7 +357,7 @@ impl FrugalEngine {
             smap: ShardMapCell::new(ShardMap::initial(n, GEntryStore::n_shards())),
             step: step::StepState::new(n, model.dim(), workload.samples_per_step(), cfg.lookahead),
             flush: FlushCoord::new(cfg.flush_threads),
-            metrics: RunMetrics::new(&registry, strategy.stall_counter),
+            metrics: RunMetrics::new(&registry),
         };
 
         if let Some(bound) = strategy.initial_upper_bound(cfg.lookahead) {

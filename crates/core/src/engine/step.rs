@@ -344,7 +344,6 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
                 FlushMode::Fifo => total_rows,
                 _ => read_next,
             };
-            shared.metrics.blocking_rows_next.set(blocking as i64);
             (
                 cfg.cost
                     .gentry_registration(member_rows, row_bytes, pq_cost),
@@ -365,7 +364,6 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
         .cpu_oversubscription(smap.n_members() + cfg.flush_threads + 2);
     it.other += gentry_time * oversub + cfg.cost.framework_frugal();
     it.stall = stall;
-    shared.metrics.stall_modeled_ns.add(it.stall.as_nanos());
     // Loss normalizes by the *stream* count: every stream ran regardless
     // of the cohort width, so the mean matches the serial oracle's.
     shared

@@ -36,9 +36,6 @@ use crate::gentry::PriorityPolicy;
 /// barriers. See the module docs for the per-mode contract table.
 #[derive(Debug)]
 pub(crate) struct Strategy {
-    /// The per-mode modeled-stall counter name (a literal — the metric
-    /// registry interns names as `&'static str`).
-    pub(crate) stall_counter: &'static str,
     /// True when the sample-queue prefetch registers lookahead reads.
     /// Only P²F needs them: its priorities are read-driven. FIFO priorities
     /// are write steps, so reads would be dead weight on the hot path.
@@ -54,14 +51,12 @@ pub(crate) struct Strategy {
 const TABLE: [Strategy; 3] = [
     // P2f — §3.3: start step s only when PQ.top() > s (strictly).
     Strategy {
-        stall_counter: "stall.p2f.modeled_ns",
         registers_reads: true,
         priority_policy: PriorityPolicy::EarliestRead,
         wait_lag: Some(0),
     },
     // WriteThrough — nothing is ever registered, so the policy is unused.
     Strategy {
-        stall_counter: "stall.write_through.modeled_ns",
         registers_reads: false,
         priority_policy: PriorityPolicy::EarliestRead,
         wait_lag: None,
@@ -69,7 +64,6 @@ const TABLE: [Strategy; 3] = [
     // Fifo — priorities are write steps: step s is safe once every write
     // from steps < s has been flushed.
     Strategy {
-        stall_counter: "stall.fifo.modeled_ns",
         registers_reads: false,
         priority_policy: PriorityPolicy::ArrivalOrder,
         wait_lag: Some(1),
@@ -123,7 +117,6 @@ mod tests {
     #[test]
     fn p2f_contract() {
         let s = Strategy::of(FlushMode::P2f);
-        assert_eq!(s.stall_counter, "stall.p2f.modeled_ns");
         assert!(s.registers_reads);
         assert_eq!(s.priority_policy, PriorityPolicy::EarliestRead);
         assert_eq!(s.wait_threshold(0), Some(0));
@@ -135,7 +128,6 @@ mod tests {
     #[test]
     fn write_through_contract() {
         let s = Strategy::of(FlushMode::WriteThrough);
-        assert_eq!(s.stall_counter, "stall.write_through.modeled_ns");
         assert!(!s.registers_reads);
         assert_eq!(s.wait_threshold(5), None, "never waits");
         assert_eq!(s.initial_upper_bound(10), None);
@@ -145,7 +137,6 @@ mod tests {
     #[test]
     fn fifo_contract() {
         let s = Strategy::of(FlushMode::Fifo);
-        assert_eq!(s.stall_counter, "stall.fifo.modeled_ns");
         assert!(!s.registers_reads);
         assert_eq!(s.priority_policy, PriorityPolicy::ArrivalOrder);
         assert_eq!(s.wait_threshold(0), None, "nothing precedes step 0");

@@ -268,31 +268,6 @@ fn parked_flushers_still_drain() {
 }
 
 #[test]
-fn per_strategy_stall_counters_attribute_by_name() {
-    // Each mode's modeled stall lands on its own registry counter, so
-    // telemetry snapshots from different strategies stay comparable.
-    for (cfg, name) in [
-        (small_cfg(2, 8), "stall.p2f.modeled_ns"),
-        (small_cfg(2, 8).fifo(), "stall.fifo.modeled_ns"),
-        (
-            small_cfg(2, 8).write_through(),
-            "stall.write_through.modeled_ns",
-        ),
-    ] {
-        let telemetry = frugal_telemetry::Telemetry::new();
-        let t = trace(120, 16, 2);
-        let model = PullToTarget::new(4, 6);
-        let engine = FrugalEngine::new(cfg.with_telemetry(telemetry.clone()), 120, 4);
-        let report = engine.run(&t, &model);
-        let summary = report.telemetry.expect("telemetry on");
-        assert!(
-            summary.metrics.counters.iter().any(|(n, _)| n == name),
-            "{name} missing from registry"
-        );
-    }
-}
-
-#[test]
 fn resolve_segments_splits_at_membership_change_points() {
     let cfg = small_cfg(4, 20).with_membership(
         MembershipPlan::default()

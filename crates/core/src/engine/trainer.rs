@@ -388,11 +388,6 @@ pub(crate) fn trainer_loop(
                     shared.flush.wait_until(|| !blocked(shared));
                     let wait_ns = span.finish();
                     if wait_ns > 0 {
-                        // Provenance: the flusher batch whose in-flight
-                        // clear we (most plausibly) woke on — the other
-                        // half of the Chrome-trace flow arrow.
-                        let cleared_by = shared.flush.last_clear();
-                        rec.flow_finish(cleared_by);
                         cfg.telemetry.record_stall(StallRecord {
                             step: s,
                             wait_ns,
@@ -400,7 +395,6 @@ pub(crate) fn trainer_loop(
                             pending_keys: pending,
                             queue_depth,
                             blocking_key,
-                            cleared_by,
                         });
                     }
                 }

@@ -92,8 +92,6 @@ const GROW_DEN: usize = 8;
 pub struct PqOpScratch {
     enqueues: Vec<(Key, Priority)>,
     moves: Vec<(Key, Priority, Priority)>,
-    /// Arrival-order staging: bare keys for the uniform-priority enqueue.
-    uniform: Vec<Key>,
 }
 
 /// Pending-write lists, slab-allocated per shard so `w_idx` fits in 32
@@ -697,27 +695,12 @@ impl GEntryStore {
                 self.pending_keys.fetch_add(newly_pending, Ordering::AcqRel);
             }
             sched_point!("gentry.writes_batch.publish");
-            match self.policy {
-                PriorityPolicy::EarliestRead => {
-                    pq.enqueue_batch(&scratch.enqueues);
-                    pq.adjust_batch(&scratch.moves);
-                }
-                PriorityPolicy::ArrivalOrder => {
-                    // Every fresh enqueue shares one priority — this step.
-                    // (A claimed key re-entering the queue has an empty W
-                    // set before this write, so its first pending write is
-                    // `step` too.) In-queue priorities never move under
-                    // arrival order, so the whole shard batch is a single
-                    // uniform enqueue.
-                    debug_assert!(scratch.moves.is_empty());
-                    debug_assert!(scratch.enqueues.iter().all(|&(_, p)| p == step));
-                    scratch.uniform.clear();
-                    scratch
-                        .uniform
-                        .extend(scratch.enqueues.iter().map(|&(k, _)| k));
-                    pq.enqueue_batch_uniform(&scratch.uniform, step);
-                }
-            }
+            // Under arrival order every fresh enqueue has priority `step`
+            // (a claimed key re-entering the queue had an empty W set) and
+            // nothing moves, so the shard's batch is one run of one
+            // priority.
+            pq.enqueue_batch(&scratch.enqueues);
+            pq.adjust_batch(&scratch.moves);
         }
         read_next
     }

@@ -39,9 +39,10 @@ pub struct TrainReport {
     /// Rows flushed to the host store by the flushing threads — the
     /// `flush.rows` telemetry counter. Zero for write-through engines.
     pub flush_rows: u64,
-    /// Total nanoseconds the flushing threads spent applying rows (claim +
-    /// optimizer step + host-store write) — the `flusher.apply_total_ns`
-    /// telemetry counter.
+    /// Total nanoseconds the flushing threads spent applying rows (optimizer
+    /// step + host-store write; the claim before it is timed apart, into
+    /// `flusher.claim_total_ns`) — the `flusher.apply_total_ns` telemetry
+    /// counter.
     pub flush_apply_ns: u64,
     /// Total nanoseconds spent in elastic membership transitions (drain to
     /// quiescence + survivor cache eviction + shard-map republication),

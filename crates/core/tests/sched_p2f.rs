@@ -582,7 +582,7 @@ fn fifo_wait_condition_survives_sweep() {
     // anything), and a step-`s` trainer evaluates
     // `blocked_at(pq, inflight, s - 1)` — all writes issued before step
     // `s` must be durably applied first. Keys 1 and 65 (shard 1) register
-    // at step 0 through the uniform batch path; key 2 (shard 2) follows at
+    // at step 0 as one single-priority batch; key 2 (shard 2) follows at
     // step 1 and must NOT gate step 1. Until both step-0 rows are applied,
     // `blocked_at(_, _, 0)` must hold in every reachable interleaving.
     let outcome = explore(&quiet(0..1024), |sim| {

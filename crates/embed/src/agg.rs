@@ -124,21 +124,6 @@ impl GradAggregator {
         kernels::add(&mut self.data[slot * self.dim..(slot + 1) * self.dim], grad);
     }
 
-    /// Adds `grad` scaled by `scale` to the accumulator of `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad.len() != dim`.
-    pub fn add_scaled(&mut self, key: Key, grad: &[f32], scale: f32) {
-        assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        let i = self.slot(key);
-        kernels::add_scaled(
-            &mut self.data[i * self.dim..(i + 1) * self.dim],
-            grad,
-            scale,
-        );
-    }
-
     /// Number of distinct keys accumulated.
     pub fn len(&self) -> usize {
         self.order.len()
@@ -262,14 +247,6 @@ mod tests {
             .map(|(k, _)| k)
             .collect();
         assert_eq!(keys, vec![9, 3]);
-    }
-
-    #[test]
-    fn add_scaled_scales() {
-        let mut agg = GradAggregator::new(1);
-        agg.add_scaled(1, &[2.0], 0.5);
-        agg.add_scaled(1, &[2.0], 0.25);
-        assert_eq!(agg.into_sorted(), vec![(1, vec![1.5])]);
     }
 
     #[test]

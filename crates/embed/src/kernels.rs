@@ -184,25 +184,6 @@ fn add_narrow(acc: &mut [f32], grad: &[f32]) {
     }
 }
 
-/// Scaled accumulate (axpy): `acc[i] += scale * grad[i]`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[inline]
-pub fn add_scaled(acc: &mut [f32], grad: &[f32], scale: f32) {
-    assert_eq!(acc.len(), grad.len(), "gradient length != dim");
-    let (ah, gh, at, gt) = split2(acc, grad);
-    for (ac, gc) in ah.chunks_exact_mut(LANES).zip(gh.chunks_exact(LANES)) {
-        for i in 0..LANES {
-            ac[i] += scale * gc[i];
-        }
-    }
-    for (a, &g) in at.iter_mut().zip(gt) {
-        *a += scale * g;
-    }
-}
-
 /// Row copy: `dst[i] = src[i]` — the cache-fill / row-staging path.
 ///
 /// # Panics
@@ -264,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn add_and_add_scaled_match_scalar_bitwise() {
+    fn add_matches_scalar_bitwise() {
         for &n in LENS {
             let grad: Vec<f32> = (0..n).map(|i| val(i, 6)).collect();
             let mut a: Vec<f32> = (0..n).map(|i| val(i, 7)).collect();
@@ -274,11 +255,6 @@ mod tests {
                 *x += g;
             }
             assert_eq!(a, b, "add len {n}");
-            add_scaled(&mut a, &grad, 0.25);
-            for (x, &g) in b.iter_mut().zip(&grad) {
-                *x += 0.25 * g;
-            }
-            assert_eq!(a, b, "add_scaled len {n}");
         }
     }
 

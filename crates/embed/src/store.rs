@@ -65,7 +65,7 @@ pub struct HostStore {
     races: AtomicUsize,
     seed: u64,
     /// Telemetry counters `store.row_reads` / `store.row_writes`
-    /// (None unless [`HostStore::attach_telemetry`] was called).
+    /// (None unless [`HostStore::attach_row_counters`] was called).
     row_reads: Option<Arc<Counter>>,
     row_writes: Option<Arc<Counter>>,
 }
@@ -134,7 +134,7 @@ impl HostStore {
     /// `store.row_writes`) resolved on `telemetry`. Must be called before
     /// the store is shared across threads; a disabled telemetry handle
     /// leaves the counters off (one branch per row access).
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+    pub fn attach_row_counters(&mut self, telemetry: &Telemetry) {
         if let Some(reg) = telemetry.registry() {
             self.row_reads = Some(reg.counter("store.row_reads"));
             self.row_writes = Some(reg.counter("store.row_writes"));

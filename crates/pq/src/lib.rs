@@ -50,6 +50,6 @@ mod treeheap;
 mod two_level;
 
 pub use lockfree_set::LockFreeSet;
-pub use queue::{PqProbes, Priority, PriorityQueue, DEFERRED_CLAIM, INFINITE};
+pub use queue::{Priority, PriorityQueue, DEFERRED_CLAIM, INFINITE};
 pub use treeheap::TreeHeap;
 pub use two_level::TwoLevelPq;

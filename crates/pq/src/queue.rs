@@ -14,10 +14,8 @@
 //! inconsistent g-entry by comparing its priority with the priority of the
 //! hash table in which it resides").
 
-use frugal_telemetry::{Gauge, Probe, Telemetry};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A training-step priority. Smaller = flushed sooner.
 pub type Priority = u64;
@@ -51,43 +49,6 @@ pub(crate) fn settled_guard(batch: &[(u64, Priority)]) -> Priority {
         .unwrap_or(INFINITE)
 }
 
-/// Latency probes for the PQ operations on the g-entry critical path
-/// (the ops Exp #4a measures). Disabled probes cost one branch per op.
-#[derive(Debug, Clone, Default)]
-pub struct PqProbes {
-    /// Histogram `pq.enqueue_ns`: one [`PriorityQueue::enqueue`] call.
-    pub enqueue: Probe,
-    /// Histogram `pq.adjust_ns`: one [`PriorityQueue::adjust`] call.
-    pub adjust: Probe,
-    /// Histogram `pq.dequeue_ns`: one [`PriorityQueue::dequeue_batch`]
-    /// call (a whole batch, not per entry).
-    pub dequeue: Probe,
-    /// Gauge `flush.queue_depth`: the queue's approximate length,
-    /// sampled after each dequeue batch (one atomic store per batch).
-    pub depth: Option<Arc<Gauge>>,
-}
-
-impl PqProbes {
-    /// Resolves the probes on `telemetry` (all disabled when telemetry
-    /// is off).
-    pub fn from_telemetry(telemetry: &Telemetry) -> Self {
-        PqProbes {
-            enqueue: telemetry.probe("pq.enqueue_ns"),
-            adjust: telemetry.probe("pq.adjust_ns"),
-            dequeue: telemetry.probe("pq.dequeue_ns"),
-            depth: telemetry.registry().map(|r| r.gauge("flush.queue_depth")),
-        }
-    }
-
-    /// Records the current queue length on the depth gauge, if attached.
-    #[inline]
-    pub fn sample_depth(&self, len: usize) {
-        if let Some(g) = &self.depth {
-            g.set(len as i64);
-        }
-    }
-}
-
 /// A concurrent priority queue of g-entry keys.
 pub trait PriorityQueue: Send + Sync + Debug {
     /// Inserts `key` with `priority`.
@@ -112,20 +73,6 @@ pub trait PriorityQueue: Send + Sync + Debug {
     /// updates (one bound CAS per batch instead of per key).
     fn enqueue_batch(&self, items: &[(u64, Priority)]) {
         for &(key, priority) in items {
-            self.enqueue(key, priority);
-        }
-    }
-
-    /// Inserts every key in `keys` at the same `priority` — the
-    /// arrival-order registration path of the FIFO flush ablation, where a
-    /// whole step's writes enqueue at priority = the step number.
-    ///
-    /// Semantically identical to calling [`Self::enqueue`] per key (same
-    /// visibility contract as [`Self::enqueue_batch`]); implementations
-    /// override it to exploit the shared priority — one bucket group and
-    /// one bound update for the entire batch.
-    fn enqueue_batch_uniform(&self, keys: &[u64], priority: Priority) {
-        for &key in keys {
             self.enqueue(key, priority);
         }
     }
@@ -200,11 +147,6 @@ pub trait PriorityQueue: Send + Sync + Debug {
     /// (`current_step + L` — the scan-range compression of §3.4).
     /// Implementations may ignore it.
     fn set_upper_bound(&self, upper: Priority);
-
-    /// Attaches per-operation latency probes resolved on `telemetry`
-    /// (see [`PqProbes`]). Engines call this once, before sharing the
-    /// queue across threads. The default implementation ignores it.
-    fn attach_telemetry(&mut self, _telemetry: &Telemetry) {}
 
     /// True if concurrent dequeues serialize on shared state (a global or
     /// near-root lock). A tree heap funnels every dequeue through the root;

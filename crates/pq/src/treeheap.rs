@@ -11,8 +11,7 @@
 //! A single lock models the serialization that near-root contention imposes
 //! on lock-per-node heaps: every operation still passes through the root.
 
-use crate::queue::{settled_guard, PqProbes, Priority, PriorityQueue, INFINITE};
-use frugal_telemetry::Telemetry;
+use crate::queue::{settled_guard, Priority, PriorityQueue, INFINITE};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -42,7 +41,6 @@ pub struct TreeHeap {
     /// reproduce the lock *traffic* of the paper's baseline, which is where
     /// its O(log N) software cost lives.
     level_locks: Vec<AtomicBool>,
-    probes: PqProbes,
 }
 
 impl Default for TreeHeap {
@@ -50,7 +48,6 @@ impl Default for TreeHeap {
         TreeHeap {
             heap: Mutex::new(BinaryHeap::new()),
             level_locks: (0..MAX_LEVELS).map(|_| AtomicBool::new(false)).collect(),
-            probes: PqProbes::default(),
         }
     }
 }
@@ -79,7 +76,6 @@ impl TreeHeap {
 
 impl PriorityQueue for TreeHeap {
     fn enqueue(&self, key: u64, priority: Priority) {
-        let _t = self.probes.enqueue.timer();
         let mut heap = self.heap.lock();
         heap.push(Reverse((priority, key)));
         let len = heap.len();
@@ -90,7 +86,6 @@ impl PriorityQueue for TreeHeap {
     fn adjust(&self, key: u64, _old: Priority, new: Priority) {
         // Lazy invalidation: the copy at the old priority becomes stale and
         // is discarded by the caller's validation on dequeue.
-        let _t = self.probes.adjust.timer();
         let mut heap = self.heap.lock();
         heap.push(Reverse((new, key)));
         let len = heap.len();
@@ -102,7 +97,6 @@ impl PriorityQueue for TreeHeap {
         if items.is_empty() {
             return;
         }
-        let _t = self.probes.enqueue.timer();
         let mut heap = self.heap.lock();
         let mut lens = Vec::with_capacity(items.len());
         for &(key, priority) in items {
@@ -122,7 +116,6 @@ impl PriorityQueue for TreeHeap {
         if moves.is_empty() {
             return;
         }
-        let _t = self.probes.adjust.timer();
         let mut heap = self.heap.lock();
         let mut lens = Vec::with_capacity(moves.len());
         for &(key, _, new) in moves {
@@ -138,7 +131,6 @@ impl PriorityQueue for TreeHeap {
     }
 
     fn dequeue_batch(&self, max: usize, out: &mut Vec<(u64, Priority)>) {
-        let _t = self.probes.dequeue.timer();
         let mut heap = self.heap.lock();
         let mut pops = 0;
         let len = heap.len();
@@ -151,16 +143,13 @@ impl PriorityQueue for TreeHeap {
                 None => break,
             }
         }
-        let remaining = heap.len();
         drop(heap);
-        self.probes.sample_depth(remaining);
         for _ in 0..pops {
             self.sift_lock_traffic(len);
         }
     }
 
     fn dequeue_batch_guarded(&self, max: usize, out: &mut Vec<(u64, Priority)>, guard: &AtomicU64) {
-        let _t = self.probes.dequeue.timer();
         let mut heap = self.heap.lock();
         // The min-heap pops in ascending order, so the first peek is the
         // whole batch's minimum; publishing it before any pop (still under
@@ -179,9 +168,7 @@ impl PriorityQueue for TreeHeap {
                 None => break,
             }
         }
-        let remaining = heap.len();
         drop(heap);
-        self.probes.sample_depth(remaining);
         for _ in 0..pops {
             self.sift_lock_traffic(len);
         }
@@ -207,10 +194,6 @@ impl PriorityQueue for TreeHeap {
 
     fn set_upper_bound(&self, _upper: Priority) {
         // Scan-range compression is a two-level-PQ concept; nothing to do.
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.probes = PqProbes::from_telemetry(telemetry);
     }
 
     fn dequeue_serializes(&self) -> bool {

@@ -29,8 +29,7 @@
 //! `L` steps ahead. Scans cover `[max(lower, upper + 1 - R), upper]`.
 
 use crate::lockfree_set::LockFreeSet;
-use crate::queue::{settled_guard, PqProbes, Priority, PriorityQueue, DEFERRED_CLAIM, INFINITE};
-use frugal_telemetry::Telemetry;
+use crate::queue::{settled_guard, Priority, PriorityQueue, DEFERRED_CLAIM, INFINITE};
 #[cfg(feature = "sched")]
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
@@ -214,7 +213,6 @@ pub struct TwoLevelPq {
     /// Upper bound of live finite priorities (`current_step + L`).
     upper: AtomicU64,
     len: AtomicUsize,
-    probes: PqProbes,
     /// Test-only: reverts the scan-raise fix (the verification rescan,
     /// DESIGN.md §8 race 1) so the schedule explorer can replay the
     /// historical race.
@@ -301,7 +299,6 @@ impl TwoLevelPq {
             lower: AtomicU64::new(0),
             upper: AtomicU64::new(max_step.min(ring - 1)),
             len: AtomicUsize::new(0),
-            probes: PqProbes::default(),
             #[cfg(feature = "sched")]
             bug_scan_raise: AtomicBool::new(false),
             #[cfg(feature = "sched")]
@@ -505,7 +502,6 @@ impl TwoLevelPq {
         if max == 0 {
             return;
         }
-        let _t = self.probes.dequeue.timer();
         let mut taken = 0;
         let seen = self.lower.load(Ordering::Acquire);
         let end = self.scan_end();
@@ -561,126 +557,102 @@ impl TwoLevelPq {
         if taken > 0 {
             self.len.fetch_sub(taken, Ordering::AcqRel);
         }
-        self.probes.sample_depth(self.len());
     }
 }
 
 impl PriorityQueue for TwoLevelPq {
     fn enqueue(&self, key: u64, priority: Priority) {
-        self.probes.enqueue.time(|| {
-            // Conservative counter rule (see LockFreeSet): count the entry
-            // before it becomes visible, so `len` never under-reports a
-            // findable entry.
-            sched_point!("pq.enqueue.len");
-            self.len.fetch_add(1, Ordering::AcqRel);
-            self.insert_set(priority).insert(key);
-            sched_point!("pq.enqueue.inserted");
-            self.note_insert(priority);
-        })
+        // Conservative counter rule (see LockFreeSet): count the entry
+        // before it becomes visible, so `len` never under-reports a
+        // findable entry.
+        sched_point!("pq.enqueue.len");
+        self.len.fetch_add(1, Ordering::AcqRel);
+        self.insert_set(priority).insert(key);
+        sched_point!("pq.enqueue.inserted");
+        self.note_insert(priority);
     }
 
     fn adjust(&self, key: u64, old: Priority, new: Priority) {
         if old == new {
             return;
         }
-        self.probes.adjust.time(|| {
-            // Paper ordering: insert into the new bucket first so dequeuers
-            // can never miss the entry, then delete from the old bucket. A
-            // dequeuer that grabbed the old copy will fail caller-side
-            // validation.
-            self.insert_set(new).insert(key);
-            self.note_insert(new);
-            if !self.remove_at(key, old) {
-                // A dequeuer already took the old copy (and decremented len
-                // for it); our insert added a live copy, so account for it.
-                self.len.fetch_add(1, Ordering::AcqRel);
-            }
-        })
+        // Paper ordering: insert into the new bucket first so dequeuers
+        // can never miss the entry, then delete from the old bucket. A
+        // dequeuer that grabbed the old copy will fail caller-side
+        // validation.
+        self.insert_set(new).insert(key);
+        self.note_insert(new);
+        if !self.remove_at(key, old) {
+            // A dequeuer already took the old copy (and decremented len
+            // for it); our insert added a live copy, so account for it.
+            self.len.fetch_add(1, Ordering::AcqRel);
+        }
     }
 
     fn enqueue_batch(&self, items: &[(u64, Priority)]) {
         if items.is_empty() {
             return;
         }
-        self.probes.enqueue.time(|| {
-            // Conservative counter rule, batched: count the whole batch
-            // before any entry becomes visible (over-reporting is the safe
-            // direction; `len` must never miss a findable entry).
-            sched_point!("pq.enqueue_batch.len");
-            self.len.fetch_add(items.len(), Ordering::AcqRel);
-            let mut min = INFINITE;
-            // One set insert per run of equal priorities: a shard's batch
-            // is mostly one priority (∞, or the step a lookahead read
-            // names), so the bucket's counters are paid per run.
-            for run in items.chunk_by(|a, b| a.1 == b.1) {
-                let priority = run[0].1;
-                self.insert_set(priority)
-                    .insert_run_by(run, |&(key, _)| key);
-                sched_point!("pq.enqueue_batch.inserted");
-                min = min.min(priority);
-            }
-            // One bound update for the whole batch: lowering to the batch
-            // minimum covers every inserted priority (bound ≤ min ≤ p).
-            // A scan-raise racing the inserts is corrected either by its
-            // own verification rescan (which sees the published buckets)
-            // or by this call's fenced bound check — see `note_insert`.
-            self.note_insert(min);
-        })
-    }
-
-    fn enqueue_batch_uniform(&self, keys: &[u64], priority: Priority) {
-        if keys.is_empty() {
-            return;
-        }
-        self.probes.enqueue.time(|| {
-            // Same conservative counter rule as `enqueue_batch`: count the
-            // whole batch before any entry becomes visible.
-            sched_point!("pq.enqueue_batch.len");
-            self.len.fetch_add(keys.len(), Ordering::AcqRel);
-            self.insert_set(priority).insert_run(keys);
+        // Conservative counter rule, batched: count the whole batch
+        // before any entry becomes visible (over-reporting is the safe
+        // direction; `len` must never miss a findable entry).
+        sched_point!("pq.enqueue_batch.len");
+        self.len.fetch_add(items.len(), Ordering::AcqRel);
+        let mut min = INFINITE;
+        // One set insert per run of equal priorities: a shard's batch
+        // is mostly one priority (∞, or the step a lookahead read
+        // names) and under FIFO all of it is (the write step), so the
+        // bucket's counters are paid per run.
+        for run in items.chunk_by(|a, b| a.1 == b.1) {
+            let priority = run[0].1;
+            self.insert_set(priority)
+                .insert_run_by(run, |&(key, _)| key);
             sched_point!("pq.enqueue_batch.inserted");
-            // One bucket, so one bound update covers the batch exactly.
-            self.note_insert(priority);
-        })
+            min = min.min(priority);
+        }
+        // One bound update for the whole batch: lowering to the batch
+        // minimum covers every inserted priority (bound ≤ min ≤ p).
+        // A scan-raise racing the inserts is corrected either by its
+        // own verification rescan (which sees the published buckets)
+        // or by this call's fenced bound check — see `note_insert`.
+        self.note_insert(min);
     }
 
     fn adjust_batch(&self, moves: &[(u64, Priority, Priority)]) {
         if moves.is_empty() {
             return;
         }
-        self.probes.adjust.time(|| {
-            // Paper ordering per key: the new copy is published before the
-            // old one is removed. Batching hoists the shared-bound update
-            // out of the loop (one CAS per batch); removals run after all
-            // inserts, which only widens the stale-copy window dequeuers
-            // already tolerate via caller-side validation.
-            let mut min = INFINITE;
-            // Runs of moves into one bucket go in as one set insert.
-            for run in moves.chunk_by(|a, b| a.2 == b.2 && (a.1 == a.2) == (b.1 == b.2)) {
-                let (_, old, new) = run[0];
-                if old == new {
-                    // No-op moves, matching `adjust`: inserting and then
-                    // removing in the same bucket would *drop* the entry
-                    // (buckets are sets — the insert would not duplicate).
-                    continue;
-                }
-                self.insert_set(new).insert_run_by(run, |&(key, _, _)| key);
-                sched_point!("pq.adjust_batch.inserted");
-                min = min.min(new);
+        // Paper ordering per key: the new copy is published before the
+        // old one is removed. Batching hoists the shared-bound update
+        // out of the loop (one CAS per batch); removals run after all
+        // inserts, which only widens the stale-copy window dequeuers
+        // already tolerate via caller-side validation.
+        let mut min = INFINITE;
+        // Runs of moves into one bucket go in as one set insert.
+        for run in moves.chunk_by(|a, b| a.2 == b.2 && (a.1 == a.2) == (b.1 == b.2)) {
+            let (_, old, new) = run[0];
+            if old == new {
+                // No-op moves, matching `adjust`: inserting and then
+                // removing in the same bucket would *drop* the entry
+                // (buckets are sets — the insert would not duplicate).
+                continue;
             }
-            self.note_insert(min);
-            for &(key, old, new) in moves {
-                if old == new {
-                    continue;
-                }
-                sched_point!("pq.adjust_batch.remove");
-                if !self.remove_at(key, old) {
-                    // A dequeuer already took the old copy (and decremented
-                    // len for it); our insert added a live copy.
-                    self.len.fetch_add(1, Ordering::AcqRel);
-                }
+            self.insert_set(new).insert_run_by(run, |&(key, _, _)| key);
+            sched_point!("pq.adjust_batch.inserted");
+            min = min.min(new);
+        }
+        self.note_insert(min);
+        for &(key, old, new) in moves {
+            if old == new {
+                continue;
             }
-        })
+            sched_point!("pq.adjust_batch.remove");
+            if !self.remove_at(key, old) {
+                // A dequeuer already took the old copy (and decremented
+                // len for it); our insert added a live copy.
+                self.len.fetch_add(1, Ordering::AcqRel);
+            }
+        }
     }
 
     fn dequeue_batch(&self, max: usize, out: &mut Vec<(u64, Priority)>) {
@@ -740,10 +712,6 @@ impl PriorityQueue for TwoLevelPq {
     fn set_upper_bound(&self, upper: Priority) {
         self.upper
             .store(upper.min(self.max_step), Ordering::Release);
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.probes = PqProbes::from_telemetry(telemetry);
     }
 
     fn len(&self) -> usize {

@@ -106,13 +106,6 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a signed integer value.
-    pub fn number_i64(&mut self, v: i64) -> &mut Self {
-        self.before_value();
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
     /// Writes a finite float with three decimals (the Chrome trace `ts`
     /// microsecond convention); non-finite values become `0`.
     pub fn number_f64(&mut self, v: f64) -> &mut Self {
@@ -468,12 +461,12 @@ mod tests {
         w.end_object();
         w.number_u64(7);
         w.end_array();
-        w.key("neg").number_i64(-3);
+        w.key("neg").number_f64(-3.0);
         w.end_object();
         let text = w.finish();
         assert_eq!(
             text,
-            r#"{"name":"p2f \"wait\"\n","events":[{"ts":12.346,"ok":true},7],"neg":-3}"#
+            r#"{"name":"p2f \"wait\"\n","events":[{"ts":12.346,"ok":true},7],"neg":-3.000}"#
         );
     }
 

@@ -65,7 +65,9 @@ pub enum LedgerPhase {
     BarrierC,
     /// Blocked in the flush-wait condition (P²F / FIFO gate).
     StallWait,
-    /// Leader-only work: merge, publish, bookkeeping (barriers A and C).
+    /// Leader-only bookkeeping after barriers A and C: the A-leader's
+    /// ledger advance, model step end and phase-time fold; the C-leader's
+    /// scan-bound raise and modeled-step pricing.
     LeaderApply,
     /// Elastic membership transition: drain to quiescence, evict moved
     /// shards from survivor caches, publish the next shard-map epoch.

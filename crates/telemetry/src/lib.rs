@@ -1,28 +1,26 @@
 //! `frugal-telemetry`: dependency-free observability for the Frugal
 //! engine stack.
 //!
-//! The crate provides four things, all behind one cheap-to-clone
-//! [`Telemetry`] handle:
+//! The crate records each event once, in one of three places, all behind
+//! one cheap-to-clone [`Telemetry`] handle:
 //!
-//! * a [`Registry`] of named atomic [`Counter`]s, [`Gauge`]s, and
-//!   log2-bucketed nanosecond [`Histogram`]s with p50/p95/p99 summaries;
-//! * one per-thread timer, the [`ThreadRecorder`]: each [`Span`] over a
-//!   [`LedgerPhase`] adds its duration to the thread's lane of the
-//!   per-step ledger (exact windowed percentiles, [`LedgerSummary`]) and
-//!   pushes the same interval into a bounded per-thread ring exported as
-//!   Chrome trace-event JSON (`chrome://tracing` / Perfetto) — near-zero
-//!   cost when telemetry is off. Histogram-only [`Probe`]s time shared
-//!   hot paths like PQ ops;
-//! * a JSONL metrics snapshot — serialized, like the trace, by the
-//!   crate's own [`json`] module;
-//! * stall attribution: every P²F wait can file a [`StallRecord`] naming
-//!   the blocking priority and pending-key count.
+//! * the span ledger and its trace: one per-thread timer, the
+//!   [`ThreadRecorder`], whose every [`Span`] over a [`LedgerPhase`] adds
+//!   its duration to the thread's lane of the per-step ledger (exact
+//!   windowed percentiles, [`LedgerSummary`]) and pushes the same interval
+//!   into a bounded per-thread ring exported as Chrome trace-event JSON
+//!   (`chrome://tracing` / Perfetto) — near-zero cost when telemetry is off;
+//! * the run counters: a [`Registry`] of named atomic [`Counter`]s and
+//!   log2-bucketed [`Histogram`]s with p50/p95/p99 summaries, snapshotted
+//!   as JSONL by the crate's own [`json`] module;
+//! * the stall log: every P²F wait that blocked files a [`StallRecord`]
+//!   naming the blocking priority, the pending-key count and a blocking key.
 //!
 //! `Telemetry::off()` (the default) carries no allocation and makes every
 //! operation a no-op, so engine code wires spans unconditionally. The
-//! [`Registry`] is also usable standalone: the engine keeps counters its
-//! *logic* depends on (cache hit ratios, flush-rate estimates) on a
-//! registry even when telemetry is disabled.
+//! [`Registry`] is also usable standalone: the engine keeps the counters
+//! its report reads (cache hits and misses, flushed rows) on a registry
+//! even when telemetry is disabled.
 
 #![warn(missing_docs)]
 
@@ -38,8 +36,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub use ledger::{LaneKind, LedgerPhase, LedgerPhaseSummary, LedgerSummary, DEFAULT_LEDGER_STEPS};
-pub use registry::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
-pub use span::{Probe, Span, ThreadRecorder};
+pub use registry::{Counter, Histogram, HistogramSummary, MetricsSnapshot, Registry};
+pub use span::{Span, ThreadRecorder};
 pub use trace::DEFAULT_SPANS_PER_THREAD;
 
 use json::JsonWriter;
@@ -49,7 +47,7 @@ use trace::TraceCollector;
 /// Default cap on retained [`StallRecord`]s.
 pub const DEFAULT_MAX_STALLS: usize = 4 * 1024;
 
-/// One P²F wait that actually blocked, with attribution and provenance.
+/// One P²F wait that actually blocked, with its attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallRecord {
     /// The training step that stalled.
@@ -66,11 +64,6 @@ pub struct StallRecord {
     /// A key sitting at the blocking priority at wait entry, when the
     /// queue could name one (best effort, non-destructive peek).
     pub blocking_key: Option<u64>,
-    /// Id of the flusher batch whose in-flight clear the trainer
-    /// observed on wake-up — the other end of the Chrome-trace flow
-    /// arrow. `0` when no batch had completed yet (e.g. a spurious or
-    /// shutdown wake).
-    pub cleared_by: u64,
 }
 
 /// The retained stall records plus how many were dropped at the cap.
@@ -202,15 +195,6 @@ impl Telemetry {
         self.inner.as_ref().map(|i| i.ledger.summary())
     }
 
-    /// A histogram-only latency probe named `name` (disabled probe when
-    /// telemetry is off).
-    pub fn probe(&self, name: &'static str) -> Probe {
-        match &self.inner {
-            None => Probe::disabled(),
-            Some(i) => Probe::enabled(i.registry.histogram(name)),
-        }
-    }
-
     /// Files a stall record (kept up to the configured cap) and bumps
     /// the `p2f.stalls` counter.
     pub fn record_stall(&self, rec: StallRecord) {
@@ -269,7 +253,7 @@ impl Telemetry {
 /// `TrainReport` by the engines).
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySummary {
-    /// Counter/gauge/histogram snapshot, sorted by name.
+    /// Counter and histogram snapshot, sorted by name.
     pub metrics: MetricsSnapshot,
     /// P²F stall attribution records.
     pub stalls: StallSummary,
@@ -285,15 +269,6 @@ impl TelemetrySummary {
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.metrics
             .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Value of a gauge, if present.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.metrics
-            .gauges
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
@@ -362,9 +337,6 @@ impl TelemetrySummary {
                 let _ = writeln!(out, "  {name:<28} {v:>9}");
             }
         }
-        for (name, v) in &self.metrics.gauges {
-            let _ = writeln!(out, "  {name:<28} {v:>9} (gauge)");
-        }
         if self.stalls.is_empty() {
             let _ = writeln!(out, "  no P2F stalls recorded");
         } else {
@@ -380,13 +352,12 @@ impl TelemetrySummary {
                 let _ = write!(
                     out,
                     "; longest {:.3} ms at step {} (blocking priority {}, {} pending keys, \
-                     queue depth {}, cleared by batch {})",
+                     queue depth {})",
                     l.wait_ns as f64 / 1e6,
                     l.step,
                     l.blocking_priority,
                     l.pending_keys,
-                    l.queue_depth,
-                    l.cleared_by
+                    l.queue_depth
                 );
             }
             let _ = writeln!(out);
@@ -411,16 +382,6 @@ impl TelemetrySummary {
             w.key("kind").string("counter");
             w.key("name").string(name);
             w.key("value").number_u64(*v);
-            w.end_object();
-            out.push_str(&w.finish());
-            out.push('\n');
-        }
-        for (name, v) in &self.metrics.gauges {
-            let mut w = JsonWriter::new();
-            w.begin_object();
-            w.key("kind").string("gauge");
-            w.key("name").string(name);
-            w.key("value").number_i64(*v);
             w.end_object();
             out.push_str(&w.finish());
             out.push('\n');
@@ -471,7 +432,6 @@ impl TelemetrySummary {
             if let Some(k) = r.blocking_key {
                 w.key("blocking_key").number_u64(k);
             }
-            w.key("cleared_by").number_u64(r.cleared_by);
             w.end_object();
             out.push_str(&w.finish());
             out.push('\n');
@@ -502,7 +462,6 @@ mod tests {
             &[],
         );
         assert_eq!(rec.current_step(), 0);
-        tel.probe("pq.enqueue_ns").time(|| ());
         tel.record_stall(StallRecord {
             step: 0,
             wait_ns: 1,
@@ -510,7 +469,6 @@ mod tests {
             pending_keys: 0,
             queue_depth: 0,
             blocking_key: None,
-            cleared_by: 0,
         });
         tel.ledger_advance(9);
         assert!(tel.ledger_summary().is_none());
@@ -585,7 +543,6 @@ mod tests {
                 pending_keys: 7,
                 queue_depth: 11,
                 blocking_key: Some(42),
-                cleared_by: step + 1,
             });
         }
         let s = tel.summary().unwrap();
@@ -602,7 +559,6 @@ mod tests {
         let mut rec = tel.recorder("t", LaneKind::Trainer);
         rec.span(3, LedgerPhase::Sample).finish();
         tel.registry().unwrap().counter("cache.hits").add(9);
-        tel.registry().unwrap().gauge("flush.inflight").set(-2);
         tel.record_stall(StallRecord {
             step: 3,
             wait_ns: 42,
@@ -610,7 +566,6 @@ mod tests {
             pending_keys: 2,
             queue_depth: 5,
             blocking_key: Some(17),
-            cleared_by: 2,
         });
         rec.record(3, LedgerPhase::StallWait, Instant::now(), 42, &[]);
         let jsonl = tel.metrics_jsonl().unwrap();

@@ -1,5 +1,5 @@
-//! Named metric registry: atomic counters, gauges, and log2-bucketed
-//! nanosecond histograms with percentile summaries.
+//! Named metric registry: atomic counters and log2-bucketed nanosecond
+//! histograms with percentile summaries.
 //!
 //! Handles returned by the registry are `Arc`s, so hot paths resolve a
 //! metric once and then touch a single atomic per update. The registry
@@ -8,7 +8,7 @@
 //! on a registry even when tracing is disabled.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing atomic counter.
@@ -31,30 +31,6 @@ impl Counter {
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed instantaneous value (queue depths, inflight rows).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -202,7 +178,6 @@ impl HistogramSummary {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<&'static str, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
 }
 
@@ -215,11 +190,6 @@ impl Registry {
     /// Returns the counter named `name`, registering it first if needed.
     pub fn counter(&self, name: &'static str) -> Arc<Counter> {
         Arc::clone(self.counters.lock().unwrap().entry(name).or_default())
-    }
-
-    /// Returns the gauge named `name`, registering it first if needed.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        Arc::clone(self.gauges.lock().unwrap().entry(name).or_default())
     }
 
     /// Returns the histogram named `name`, registering it first if needed.
@@ -242,13 +212,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
-                .collect(),
             histograms: self
                 .histograms
                 .lock()
@@ -265,8 +228,6 @@ impl Registry {
 pub struct MetricsSnapshot {
     /// `(name, value)` for every counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge.
-    pub gauges: Vec<(String, i64)>,
     /// `(name, summary)` for every histogram.
     pub histograms: Vec<(String, HistogramSummary)>,
 }
@@ -285,15 +246,6 @@ mod tests {
         assert_eq!(r.counter_value("cache.hits"), Some(4));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(r.counter_value("unknown"), None);
-    }
-
-    #[test]
-    fn gauge_tracks_signed_values() {
-        let r = Registry::new();
-        let g = r.gauge("queue.depth");
-        g.set(10);
-        g.add(-4);
-        assert_eq!(g.get(), 6);
     }
 
     #[test]

@@ -13,8 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ledger::{Lane, LedgerPhase};
-use crate::registry::Histogram;
-use crate::trace::{FlowRecord, SpanEvent, ThreadBuf};
+use crate::trace::{SpanEvent, ThreadBuf};
 use crate::Inner;
 
 /// A span's stored annotations: the first two of the `(key, value)` pairs
@@ -129,34 +128,6 @@ impl ThreadRecorder {
         }
     }
 
-    /// Emits the producing half of a cross-thread flow arrow (Chrome
-    /// `ph:"s"`), e.g. a flusher batch that just cleared its in-flight
-    /// marker. `id == 0` means "no batch" and is ignored, as is a
-    /// disabled recorder.
-    pub fn flow_start(&self, id: u64) {
-        self.flow(id, true);
-    }
-
-    /// Emits the consuming half of a flow arrow (Chrome `ph:"f"`,
-    /// binding to the enclosing slice end), e.g. a trainer observing the
-    /// stall-clearing batch. `id == 0` is ignored.
-    pub fn flow_finish(&self, id: u64) {
-        self.flow(id, false);
-    }
-
-    fn flow(&self, id: u64, start: bool) {
-        let Some(rec) = &self.inner else { return };
-        if id == 0 {
-            return;
-        }
-        rec.tel.trace.flows.push(FlowRecord {
-            id,
-            tid: rec.buf.tid(),
-            ts_ns: rec.tel.epoch.elapsed().as_nanos() as u64,
-            start,
-        });
-    }
-
     /// Opens an unannotated span of `phase` booked to `step`; it records
     /// when finished or dropped.
     #[inline]
@@ -228,65 +199,6 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(rec) = &mut self.0 {
             rec.close();
-        }
-    }
-}
-
-/// A histogram-only latency probe for hot call sites shared across
-/// threads (priority-queue operations, host-store row traffic).
-///
-/// Unlike [`Span`], a probe emits no trace events — per-op events would
-/// flood the ring — and a disabled probe's [`Probe::time`] compiles down
-/// to calling the closure.
-#[derive(Debug, Clone, Default)]
-pub struct Probe(Option<Arc<Histogram>>);
-
-impl Probe {
-    /// A probe that does nothing.
-    pub fn disabled() -> Self {
-        Probe(None)
-    }
-
-    pub(crate) fn enabled(h: Arc<Histogram>) -> Self {
-        Probe(Some(h))
-    }
-
-    /// Whether this probe records.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Runs `f`, recording its wall time when enabled.
-    #[inline]
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.0 {
-            None => f(),
-            Some(h) => {
-                let t0 = Instant::now();
-                let out = f();
-                h.record(t0.elapsed().as_nanos() as u64);
-                out
-            }
-        }
-    }
-
-    /// RAII variant of [`Probe::time`]: starts the clock now and records
-    /// when the returned guard drops. Useful where the timed region has
-    /// multiple exits.
-    #[inline]
-    pub fn timer(&self) -> ProbeTimer<'_> {
-        ProbeTimer(self.0.as_deref().map(|h| (h, Instant::now())))
-    }
-}
-
-/// Guard returned by [`Probe::timer`]; records its lifetime on drop.
-#[derive(Debug)]
-pub struct ProbeTimer<'a>(Option<(&'a Histogram, Instant)>);
-
-impl Drop for ProbeTimer<'_> {
-    fn drop(&mut self) {
-        if let Some((h, t0)) = self.0.take() {
-            h.record(t0.elapsed().as_nanos() as u64);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The disabled telemetry path must be *dark*: a `Telemetry::off()`
-//! handle's hot-path operations — phase spans, retroactive records, flow
-//! events, stall filing — may allocate nothing and must cost at most a
+//! handle's hot-path operations — phase spans, retroactive records, stall
+//! filing — may allocate nothing and must cost at most a
 //! few branches each. The engine calls these on every step of every
 //! trainer and flusher, so any hidden cost here taxes un-instrumented
 //! runs.
@@ -54,8 +54,6 @@ fn hot_ops(telemetry: &Telemetry, rec: &mut ThreadRecorder, start: Instant, i: u
         .finish();
     rec.record(rec.current_step(), LedgerPhase::FlushApply, start, 7, &[]);
     telemetry.ledger_advance(i);
-    rec.flow_start(i + 1);
-    rec.flow_finish(i + 1);
     telemetry.record_stall(StallRecord {
         step: i,
         wait_ns: 1,
@@ -63,7 +61,6 @@ fn hot_ops(telemetry: &Telemetry, rec: &mut ThreadRecorder, start: Instant, i: u
         pending_keys: 1,
         queue_depth: 3,
         blocking_key: Some(9),
-        cleared_by: 2,
     });
     rec.current_step() + compute
 }
@@ -98,7 +95,7 @@ fn disabled_hot_path_is_cheap() {
     let start = Instant::now();
 
     // Warm up, then time. The bound is deliberately loose (100 ns per
-    // full round of ~9 disabled calls, i.e. far under 1% of a ~500 µs
+    // full round of ~7 disabled calls, i.e. far under 1% of a ~500 µs
     // engine step even if every call sat on the critical path) so the
     // assertion survives noisy CI boxes while still catching an
     // accidental clock read or lock acquisition sneaking into the

@@ -1,13 +1,11 @@
 //! Integration tests for the critical-path profiler: the per-step phase
 //! ledger must cover every step of a multi-GPU run with balanced,
-//! contiguous records; stall provenance must pair each trainer unblock to
-//! exactly one flusher apply via Chrome-trace flow events; and the FIFO
-//! ablation must actually report its stalls (the regression the profiler
-//! was built to catch).
+//! contiguous records; the stall log must name every blocked wait of a
+//! throttled run once; and the FIFO ablation must actually report its
+//! stalls (the regression the profiler was built to catch).
 
 use frugal::core::{FrugalConfig, FrugalEngine, PullToTarget, TrainReport};
 use frugal::data::{KeyDistribution, SyntheticTrace};
-use frugal::telemetry::json::{self, Json};
 use frugal::telemetry::{LedgerPhase, Telemetry};
 
 const N_KEYS: u64 = 5_000;
@@ -86,63 +84,29 @@ fn ledger_covers_every_step_balanced_and_contiguous() {
 
 #[test]
 fn flow_events_pair_each_unblock_to_one_apply() {
+    // Throttled flushers force a backlog, so trainers really block. The
+    // stall log names every blocked wait once: a positive wait, blocked on
+    // a priority the step had to wait for (P²F blocks step `s` only while
+    // something at priority ≤ `s` is pending), and as many records (kept
+    // or dropped at the cap) as the `p2f.stalls` counter counts.
     let telemetry = Telemetry::new();
     profiled_run(&telemetry, 200, false);
-
-    // Throttled flushers force a backlog: the stall log must carry
-    // provenance (the batch that cleared the wait, and the queue state
-    // seen when blocking).
     let summary = telemetry.summary().expect("telemetry was on");
-    let with_provenance: Vec<_> = summary
-        .stalls
-        .records
-        .iter()
-        .filter(|r| r.cleared_by > 0)
-        .collect();
-    assert!(
-        !with_provenance.is_empty(),
-        "throttled run must produce stalls attributed to a flush batch"
-    );
-
-    // Every trainer-side flow finish ("f") pairs with exactly one
-    // flusher-side start ("s") of the same batch id, and the finish is
-    // timestamped at or after its start (the flusher stamps the batch
-    // before clearing the marker the trainer waits on).
-    let doc = telemetry.chrome_trace_json().expect("telemetry was on");
-    let root = json::parse(&doc).expect("valid trace JSON");
-    let events = root
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .expect("traceEvents");
-    let mut starts: Vec<(u64, f64)> = Vec::new();
-    let mut finishes: Vec<(u64, f64)> = Vec::new();
-    for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).unwrap_or("");
-        if ph != "s" && ph != "f" {
-            continue;
-        }
-        let id = ev.get("id").and_then(Json::as_f64).expect("flow id") as u64;
-        let ts = ev.get("ts").and_then(Json::as_f64).expect("flow ts");
-        if ph == "s" {
-            starts.push((id, ts));
-        } else {
-            finishes.push((id, ts));
-        }
-    }
-    assert!(!finishes.is_empty(), "stalled run must emit unblock arrows");
-    for (id, ts_f) in &finishes {
-        let matching: Vec<_> = starts.iter().filter(|(sid, _)| sid == id).collect();
-        assert_eq!(
-            matching.len(),
-            1,
-            "finish id {id} must pair with exactly one apply"
-        );
+    let stalls = &summary.stalls;
+    assert!(!stalls.is_empty(), "a throttled run must stall");
+    for r in &stalls.records {
+        assert!(r.wait_ns > 0, "step {}: a filed stall waited", r.step);
         assert!(
-            *ts_f >= matching[0].1,
-            "unblock at {ts_f} precedes its apply at {}",
-            matching[0].1
+            r.blocking_priority <= r.step,
+            "step {} blocked on priority {}",
+            r.step,
+            r.blocking_priority
         );
     }
+    assert_eq!(
+        summary.counter("p2f.stalls"),
+        Some(stalls.len() as u64 + stalls.dropped)
+    );
 }
 
 #[test]

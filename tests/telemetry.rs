@@ -51,7 +51,7 @@ fn trace_spans(doc: &str) -> Vec<(String, String, u64)> {
                 let dur_ns = ((ts - begin_ts) * 1e3).round() as u64;
                 spans.push((tracks[&tid].clone(), begun, dur_ns));
             }
-            _ => {} // flow arrows
+            other => panic!("unexpected trace event {other:?}"),
         }
     }
     spans
@@ -81,6 +81,19 @@ fn registry_counters_match_the_report() {
 
     // Every cache miss reads one host row.
     assert_eq!(summary.counter("store.row_reads"), Some(misses));
+
+    // The registry holds measured numbers only, each recorded once: no
+    // modeled-clock counter, and no histogram but the flush batch sizes.
+    let histograms: Vec<&str> = summary
+        .metrics
+        .histograms
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(histograms, ["flush.batch_rows"]);
+    for (name, _) in &summary.metrics.counters {
+        assert!(!name.ends_with("modeled_ns"), "modeled counter {name}");
+    }
 
     // Each of the 2 trainers timed every phase of every step.
     let spans = trace_spans(&telemetry.chrome_trace_json().unwrap());
@@ -133,31 +146,14 @@ fn chrome_trace_is_valid_balanced_and_monotonic() {
         .expect("traceEvents array");
     assert!(!events.is_empty());
 
-    // Count B/E per thread and check per-thread ts never goes backwards.
-    // Flow events ("s"/"f" — cross-thread unblock arrows) are exported
-    // after the duration events and checked separately for pairing.
+    // The trace is plain `M`/`B`/`E` events. Count B/E per thread and
+    // check per-thread ts never goes backwards.
     let mut open: Vec<(f64, i64, i64)> = Vec::new(); // (last_ts, depth, tid)
-    let mut flow_starts: Vec<f64> = Vec::new();
-    let mut flow_finishes: Vec<f64> = Vec::new();
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
+        assert!(matches!(ph, "M" | "B" | "E"), "unexpected event {ph:?}");
         if ph == "M" {
             continue; // thread_name metadata carries no ts
-        }
-        if ph == "s" || ph == "f" {
-            assert_eq!(
-                ev.get("cat").and_then(Json::as_str),
-                Some("p2f_unblock"),
-                "flow events carry the unblock category"
-            );
-            let id = ev.get("id").and_then(Json::as_f64).expect("flow id");
-            assert!(id > 0.0, "flow ids are nonzero batch ids");
-            if ph == "s" {
-                flow_starts.push(id);
-            } else {
-                flow_finishes.push(id);
-            }
-            continue;
         }
         let tid = ev.get("tid").and_then(Json::as_f64).expect("tid") as i64;
         let ts = ev.get("ts").and_then(Json::as_f64).expect("ts");
@@ -174,24 +170,12 @@ fn chrome_trace_is_valid_balanced_and_monotonic() {
             slot.0
         );
         slot.0 = ts;
-        match ph {
-            "B" => slot.1 += 1,
-            "E" => slot.1 -= 1,
-            other => panic!("unexpected phase {other}"),
-        }
+        slot.1 += if ph == "B" { 1 } else { -1 };
         assert!(slot.1 >= 0, "thread {tid}: E without matching B");
     }
     assert!(open.len() >= 2, "at least the two trainer threads traced");
     for (_, depth, tid) in &open {
         assert_eq!(*depth, 0, "thread {tid}: unbalanced B/E events");
-    }
-    // Every trainer-side flow finish refers to a flusher batch that
-    // emitted a start (the rings are large enough that nothing evicted).
-    for id in &flow_finishes {
-        assert!(
-            flow_starts.contains(id),
-            "flow finish id {id} has no matching start"
-        );
     }
 }
 
