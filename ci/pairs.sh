@@ -10,7 +10,8 @@
 # BENCHMARK.json's five end-to-end metrics the per-pair ratio change/parent,
 # wins and ties, and both sides' median and quartiles (choosing-metrics §8:
 # claim a gain only with ≥ 9/10 of the pairs won and medians further apart
-# than the parent's quartiles). For traced and replay runs — where a claim's
+# than the parent's quartiles), then both sides' busy cores
+# (keys_per_s × cpu_ns_per_key × 1e-9). For traced and replay runs — where a claim's
 # attribution comes from — it prints both sides' median and quartiles of
 # every value the rep reports, one row each.
 # Exact values (counts, loss bits) that differ between the sides are listed.
@@ -81,6 +82,14 @@ for name, higher in METRICS if mode == "untraced" else []:
     print(f"  change median {cm:.6g}  quartiles {cq1:.6g} .. {cq3:.6g}"
           f"  median ratio {cm / pm:.4f}  median distance {abs(cm - pm):.3g}")
     print("  per pair: " + " ".join(f"{y / x:.3f}" for x, y in zip(p, c)))
+
+if mode == "untraced":
+    # Cores the run kept busy: CPU time per key over wall time per key.
+    print("\nbusy cores (keys_per_s x cpu_ns_per_key x 1e-9):")
+    for side, runs in (("parent", parent), ("change", change)):
+        q1, med, q3 = quartiles([r["values"]["keys_per_s"] * r["values"]["cpu_ns_per_key"] * 1e-9
+                                 for r in runs])
+        print(f"  {side} median {med:.3f}  quartiles {q1:.3f} .. {q3:.3f}")
 
 if mode != "untraced":
     # Every value either side reports; a layer that is not live on the

@@ -143,6 +143,15 @@ impl SpinBarrier {
     /// Blocks until all `n` threads have called `wait`; the last arriver
     /// is the leader and releases the cohort.
     pub fn wait(&self) -> WaitOutcome {
+        self.wait_then(|| {})
+    }
+
+    /// [`Self::wait`], running `about_to_wait` in every arriver that will
+    /// wait for a sibling — all but the leader — right after it is counted
+    /// and before it spins. The engine wakes the flushers from here, so
+    /// the kernel hands them the core a waiter is about to give up rather
+    /// than one a sibling is still working on.
+    pub(crate) fn wait_then(&self, about_to_wait: impl FnOnce()) -> WaitOutcome {
         // The generation read must precede the arrival increment: once we
         // are counted, the leader may release (and start the next
         // crossing) at any moment, and we must be comparing against the
@@ -169,6 +178,7 @@ impl SpinBarrier {
             }
             return WaitOutcome { leader: true };
         }
+        about_to_wait();
         let mut spins = 0u32;
         let mut yields = 0u32;
         // A timed budget's end, fixed at the first clock read.
@@ -294,6 +304,38 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(leaders.load(Ordering::Relaxed), rounds);
+    }
+
+    #[test]
+    fn wait_hook_runs_in_every_arriver_but_the_leader() {
+        let rounds = 1_000;
+        for n in 1..=3 {
+            let barrier = Arc::new(parks_early(n));
+            let hooks: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..rounds).map(|_| AtomicUsize::new(0)).collect());
+            let handles: Vec<_> = (0..n)
+                .map(|_| {
+                    let barrier = Arc::clone(&barrier);
+                    let hooks = Arc::clone(&hooks);
+                    std::thread::spawn(move || {
+                        for hook in hooks.iter() {
+                            let mut ran = false;
+                            let leader = barrier.wait_then(|| ran = true).is_leader();
+                            assert!(!(leader && ran), "the hook ran in the leader");
+                            if ran {
+                                hook.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            for (r, hook) in hooks.iter().enumerate() {
+                assert_eq!(hook.load(Ordering::Relaxed), n - 1, "n = {n}, crossing {r}");
+            }
+        }
     }
 
     #[test]

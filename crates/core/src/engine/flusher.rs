@@ -7,7 +7,8 @@
 //! all of the batch's keys in that shard
 //! ([`GEntryStore::take_writes_batch`](crate::GEntryStore::take_writes_batch)),
 //! one apply that walks the host table in address order with the rows a few
-//! places ahead already requested from memory, one marker clear, one wake.
+//! places ahead already requested from memory, one marker clear, at most
+//! one wake.
 
 use super::RunShared;
 use crate::gentry::{GEntryStore, PendingWrites};
@@ -15,17 +16,17 @@ use crate::wait::InflightTable;
 use frugal_embed::FlushClaim;
 use frugal_telemetry::{LaneKind, LedgerPhase};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// How long an idle flusher parks on the flush condvar before re-polling.
 /// Bounded so shutdown and missed notifications (a registration that lands
 /// between the empty dequeue and the park) cannot stall the drain. Wakes
-/// are notify-driven (registration and raised scan bounds both signal the
-/// condvar), so this timeout is a safety net, not the drain cadence — at
-/// 100 µs the idle re-poll churn of a several-flusher pool was itself a
-/// measurable CPU tax on oversubscribed hosts (hundreds of wake-poll
-/// cycles per step), so the net is deliberately loose.
+/// are notify-driven (a trainer about to give up its core signals the
+/// condvar, see [`FlushCoord`]), so this timeout is a safety net, not the
+/// drain cadence — at 100 µs the idle re-poll churn of a several-flusher
+/// pool was itself a measurable CPU tax on oversubscribed hosts (hundreds
+/// of wake-poll cycles per step), so the net is deliberately loose.
 const FLUSHER_PARK: Duration = Duration::from_millis(1);
 
 /// How long a blocked trainer parks between wait-condition re-checks.
@@ -36,12 +37,26 @@ const TRAINER_PARK: Duration = Duration::from_micros(50);
 /// in-flight markers the wait condition scans.
 ///
 /// The condvar is shared deliberately — flushers wake on fresh
-/// registrations (and raised scan bounds), trainers wake on applied rows,
-/// and both events funnel through [`FlushCoord::notify_all`].
+/// registrations, trainers (and the transition drain) on applied rows, and
+/// both events funnel through [`FlushCoord::notify_all`].
+///
+/// # Who wakes the flushers
+///
+/// Only a thread about to stop running: a member that arrives at barrier C
+/// and will wait for a sibling (the barrier's `wait_then` hook), a member
+/// about to block in the stall wait, and the drain and shutdown paths; a
+/// cohort of one, which never waits at C, at the end of its registration.
+/// A woken flusher tends to run on its waker's core; woken by a member that
+/// keeps working, it would take that member's core while the sibling idles
+/// at C. Raising the scan bound wakes nobody: it makes no queued entry
+/// visible (see [`super::strategy::Strategy::upper_bound_after`]).
 #[derive(Debug)]
 pub(crate) struct FlushCoord {
     mutex: Mutex<()>,
     cv: Condvar,
+    /// Threads parked (or committing to park) on `cv`: a notify with none
+    /// skips the condvar and its futex syscall.
+    sleepers: AtomicUsize,
     shutdown: AtomicBool,
     /// Per-flusher in-flight markers checked by the wait condition (see
     /// [`InflightTable`]): dequeuing removes an entry from the queue before
@@ -55,23 +70,35 @@ impl FlushCoord {
         FlushCoord {
             mutex: Mutex::new(()),
             cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             inflight: InflightTable::new(n_flushers),
         }
     }
 
-    /// Wakes every parked flusher and every blocked trainer.
-    pub(crate) fn notify_all(&self) {
+    /// Wakes every parked flusher and every blocked waiter; returns whether
+    /// anyone was asleep to wake. The caller has already made its change
+    /// (rows queued or applied, the shutdown latch raised) visible.
+    pub(crate) fn notify_all(&self) -> bool {
+        // Pairs with the fence in `sleep`: either this load sees the
+        // sleeper counted, or the sleeper's re-check sees the caller's
+        // change and it never waits.
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        // Taking the mutex orders the notify after any sleeper that is
+        // past its re-check but not yet inside `cv.wait_for`.
+        drop(self.mutex.lock());
         self.cv.notify_all();
+        true
     }
 
     /// Raises the shutdown latch and wakes parked flushers so the drain
-    /// protocol can finish. Parked flushers re-check shutdown on wake;
-    /// their park timeout bounds the drain latency even if this signal
-    /// races a park.
+    /// protocol can finish.
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        self.cv.notify_all();
+        self.notify_all();
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
@@ -85,25 +112,28 @@ impl FlushCoord {
     /// trainers (the paper's Fig 17 effect).
     pub(crate) fn park(&self) -> u64 {
         let t = Instant::now();
-        let mut guard = self.mutex.lock();
-        if !self.is_shutdown() {
-            self.cv.wait_for(&mut guard, FLUSHER_PARK);
-        }
-        drop(guard);
+        self.sleep(FLUSHER_PARK, || self.is_shutdown());
         t.elapsed().as_nanos() as u64
     }
 
-    /// Blocks the caller until `done()` holds, re-checking under the lock
-    /// before each bounded wait so a notify can never be lost between the
-    /// check and the park.
+    /// Blocks the caller until `done()` holds. Applied rows notify, so each
+    /// bounded wait normally ends early.
     pub(crate) fn wait_until(&self, done: impl Fn() -> bool) {
         while !done() {
-            let mut guard = self.mutex.lock();
-            if done() {
-                break;
-            }
-            self.cv.wait_for(&mut guard, TRAINER_PARK);
+            self.sleep(TRAINER_PARK, &done);
         }
+    }
+
+    /// Parks for at most `timeout` unless `ready()` holds once the caller
+    /// is counted as a sleeper.
+    fn sleep(&self, timeout: Duration, ready: impl Fn() -> bool) {
+        let mut guard = self.mutex.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if !ready() {
+            self.cv.wait_for(&mut guard, timeout);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -186,6 +216,13 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         claims.sort_unstable_by_key(|&(key, ..)| key);
         let claim_ns = t_claim.elapsed().as_nanos() as u64;
         shared.metrics.flush_claim_ns.add(claim_ns);
+        rec.record(
+            rec.current_step(),
+            LedgerPhase::FlushClaim,
+            t_claim,
+            claim_ns,
+            &[("claimed", claims.len() as u64)],
+        );
         // Pure apply: optimizer step + host-store write, walking the
         // dense host/state rows in ascending key (address) order.
         let t_apply = Instant::now();
@@ -224,5 +261,48 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         if shared.cfg.flush_throttle_us > 0 {
             std::thread::sleep(Duration::from_micros(shared.cfg.flush_throttle_us));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn notify_without_a_sleeper_skips_the_condvar() {
+        let coord = FlushCoord::new(1);
+        assert!(!coord.notify_all());
+        // A wait that is already satisfied never counts itself asleep.
+        coord.wait_until(|| true);
+        assert!(!coord.notify_all());
+    }
+
+    #[test]
+    fn parked_waiter_is_woken_by_the_notify() {
+        // `wait_until` and `park` both wait in `sleep`. This waiter's own
+        // timeout is longer than the test allows, so only the notify can
+        // end its wait in time.
+        let coord = Arc::new(FlushCoord::new(1));
+        let done = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (coord, done) = (Arc::clone(&coord), Arc::clone(&done));
+            std::thread::spawn(move || {
+                coord.sleep(Duration::from_secs(60), || done.load(Ordering::Acquire));
+            })
+        };
+        let t0 = Instant::now();
+        while coord.sleepers.load(Ordering::SeqCst) == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(20), "never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        done.store(true, Ordering::Release);
+        assert!(coord.notify_all(), "the parked waiter was not counted");
+        waiter.join().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(40),
+            "woken by its timeout"
+        );
+        assert_eq!(coord.sleepers.load(Ordering::SeqCst), 0);
     }
 }

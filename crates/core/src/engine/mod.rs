@@ -207,20 +207,16 @@ fn membership_transition(
     let t0 = Instant::now();
     if !shared.cfg.skip_quiesce {
         // Drain: flushers keep running between segments, so waking them
-        // and waiting is enough. Every pending entry's priority is below
-        // the already-raised scan bound (reads are only registered
+        // once and parking until they are done is enough (their post-apply
+        // notify wakes this thread). Every pending entry's priority is
+        // below the already-raised scan bound (reads are only registered
         // `lookahead` ahead), and entries with no future reads sit in the
         // eagerly-drained ∞ bucket — the backlog strictly shrinks. The
         // in-flight check closes the claimed-but-unapplied window.
-        loop {
-            shared.flush.notify_all();
-            let drained =
-                shared.gstore.pending_keys() == 0 && shared.flush.inflight.min() == INFINITE;
-            if drained {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        shared.flush.notify_all();
+        shared.flush.wait_until(|| {
+            shared.gstore.pending_keys() == 0 && shared.flush.inflight.min() == INFINITE
+        });
     }
     for (t, slot) in caches.iter().enumerate() {
         let mut guard = slot.lock();

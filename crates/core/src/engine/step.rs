@@ -297,10 +297,9 @@ pub(crate) fn leader_finish(shared: &RunShared<'_>, smap: &ShardMap, s: u64) {
     let cfg = shared.cfg;
     let n_streams = cfg.n_gpus();
     if let Some(bound) = shared.strategy.upper_bound_after(s, cfg.lookahead) {
-        // Scan-range compression (§3.4); the raised bound may unblock
-        // parked flushers' scan ranges.
+        // Scan-range compression (§3.4). The raise makes no queued entry
+        // visible, so it wakes no flusher.
         shared.pq.set_upper_bound(bound);
-        shared.flush.notify_all();
     }
     if shared.strategy.registers_reads {
         // Registration of step s is complete: the next reads to appear are

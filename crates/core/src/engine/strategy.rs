@@ -102,8 +102,11 @@ impl Strategy {
     /// The scan upper bound to publish after step `s`'s registration, if
     /// any (scan-range compression, §3.4): read-driven priorities reach the
     /// prefetch horizon, write-step priorities never exceed the next step.
-    /// The engine also wakes parked flushers when this returns `Some` (a
-    /// raised bound can unblock their scan range).
+    ///
+    /// A raised bound never unblocks a parked flusher: step `s` registers
+    /// finite priorities of at most `s + L` under P²F and exactly `s` under
+    /// FIFO, and the bound published after step `s − 1` already covers
+    /// them, so the raise makes no queued entry visible.
     pub(crate) fn upper_bound_after(&self, s: u64, lookahead: u64) -> Option<u64> {
         let ahead = if self.registers_reads { lookahead } else { 0 };
         self.wait_lag.map(|_| s + 1 + ahead)

@@ -267,9 +267,11 @@ pub(crate) fn register_phase(
                 }
             }
         }
-        // Fresh entries (and tightened priorities) may unblock flushers'
-        // scan ranges; wake any parked ones.
-        shared.flush.notify_all();
+        // A cohort of one never waits at barrier C, whose waiters wake the
+        // flushers for the fresh entries (see `FlushCoord`): wake them here.
+        if smap.n_members() == 1 {
+            shared.flush.notify_all();
+        }
     }
 }
 
@@ -304,6 +306,7 @@ pub(crate) fn trainer_loop(
     let batch_per_gpu = shared.workload.samples_per_step() / n_streams as u64;
     let mut scratch = StepScratch::new(dim, &smap, t);
     let registers_reads = shared.strategy.registers_reads;
+    let proactive = cfg.flush_mode.proactive();
 
     // Bootstrap the sample ring: each member publishes its *streams'*
     // batches for the segment's lookahead window — the in-loop publish
@@ -385,6 +388,8 @@ pub(crate) fn trainer_loop(
                         LedgerPhase::StallWait,
                         &[("blocking_priority", floor), ("pending_keys", pending)],
                     );
+                    // About to give up the core: hand it to a flusher.
+                    shared.flush.notify_all();
                     shared.flush.wait_until(|| !blocked(shared));
                     let wait_ns = span.finish();
                     if wait_ns > 0 {
@@ -585,10 +590,16 @@ pub(crate) fn trainer_loop(
         register_phase(shared, &smap, rec, s, t, &streams, &mut scratch, cache);
         // Barrier C: registration complete — the step's entries are all
         // queued before any member can evaluate step s + 1's wait
-        // condition. The C-leader finalizes bookkeeping concurrently.
+        // condition. The C-leader finalizes bookkeeping concurrently. A
+        // member that will wait here for a sibling wakes the flushers first,
+        // so they run on the core it gives up (see `FlushCoord`).
         let c = {
             let _span = rec.span(s, LedgerPhase::BarrierC);
-            barrier.wait()
+            barrier.wait_then(|| {
+                if proactive {
+                    shared.flush.notify_all();
+                }
+            })
         };
         if c.is_leader() {
             let _span = rec.span(s, LedgerPhase::LeaderApply);

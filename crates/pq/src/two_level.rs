@@ -39,6 +39,10 @@ const VISITORS: u64 = u32::MAX as u64;
 /// Tag of a bucket whose slots are being reset for a new priority. Never a
 /// real priority: `max_step < 2^32 - 2`.
 const RETAGGING: u64 = u32::MAX as u64;
+/// `spin_loop` iterations a re-tagger spends behind the fence before it
+/// yields each further retry: a dequeuer's visit is a few hundred ns unless
+/// its thread was descheduled inside it.
+const RETAG_SPINS: u32 = 128;
 
 /// One slot of the priority ring: a key set and the word that says whose
 /// keys they are.
@@ -117,6 +121,7 @@ impl Bucket {
     /// the ring apart), and re-tagging would mislabel or drop them.
     #[cold]
     fn retag(&self, q: Priority, fenced: bool) {
+        let mut spins = 0u32;
         let old = loop {
             let cur = self.state.load(Ordering::Acquire);
             let tag = cur >> 32;
@@ -138,9 +143,16 @@ impl Bucket {
                     break tag;
                 }
             }
-            // A visitor is still inside, or a peer is mid-reset.
+            // A visitor is still inside, or a peer is mid-reset. Past the
+            // budget, the thread we wait for has likely lost its core: let
+            // it have ours.
             sched_spin!("pq.retag.wait");
-            std::hint::spin_loop();
+            if spins < RETAG_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         };
         sched_point!("pq.retag.claimed");
         // Checked only by the elected re-tagger, behind the claim: nobody is

@@ -75,13 +75,16 @@ pub enum LedgerPhase {
     EpochTransition,
     /// Flusher: pulling batches out of the priority queue.
     FlushDequeue,
+    /// Flusher: claiming the dequeued keys' pending writes from the
+    /// g-entry store.
+    FlushClaim,
     /// Flusher: applying dequeued rows to host DRAM.
     FlushApply,
 }
 
 impl LedgerPhase {
     /// Number of phases (cells per step slot).
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 17;
 
     /// Every phase, in a fixed order matching `as usize` indices.
     pub const ALL: [LedgerPhase; LedgerPhase::COUNT] = [
@@ -100,6 +103,7 @@ impl LedgerPhase {
         LedgerPhase::LeaderApply,
         LedgerPhase::EpochTransition,
         LedgerPhase::FlushDequeue,
+        LedgerPhase::FlushClaim,
         LedgerPhase::FlushApply,
     ];
 
@@ -128,6 +132,7 @@ impl LedgerPhase {
             LedgerPhase::LeaderApply => "leader_apply",
             LedgerPhase::EpochTransition => "epoch_transition",
             LedgerPhase::FlushDequeue => "flush_dequeue",
+            LedgerPhase::FlushClaim => "flush_claim",
             LedgerPhase::FlushApply => "flush_apply",
         }
     }
