@@ -3,11 +3,11 @@
 //!
 //! | Paper system    | Here                               | Structure |
 //! |-----------------|------------------------------------|-----------|
-//! | PyTorch         | [`BaselineKind::NoCache`]          | no GPU cache; every lookup/update takes the CPU-involved host path |
-//! | DGL-KE          | [`BaselineKind::NoCache`]          | same engine, KG workload/model |
-//! | HugeCTR         | [`BaselineKind::Cached`]           | sharded multi-GPU cache, `all_to_all` key/embedding exchange (Fig 2b), CPU-involved miss path on commodity GPUs, UVA on datacenter GPUs |
-//! | DGL-KE-cached   | [`BaselineKind::Cached`]           | same engine, KG workload/model |
-//! | PyTorch-UVM     | [`BaselineKind::Uvm`]              | unified-memory paging: a 4 KiB page migrates per embedding |
+//! | PyTorch         | [`System::PyTorch`]                | no GPU cache; every lookup/update takes the CPU-involved host path |
+//! | DGL-KE          | [`System::PyTorch`]                | same engine, KG workload/model |
+//! | HugeCTR         | [`System::HugeCtr`]                | sharded multi-GPU cache, `all_to_all` key/embedding exchange (Fig 2b), CPU-involved miss path on commodity GPUs, UVA on datacenter GPUs |
+//! | DGL-KE-cached   | [`System::HugeCtr`]                | same engine, KG workload/model |
+//! | PyTorch-UVM     | [`System::PyTorchUvm`]             | unified-memory paging: a 4 KiB page migrates per embedding |
 //!
 //! All of them are synchronous: updates are aggregated per key in canonical
 //! order and applied to the host store at each step, so every baseline is
@@ -19,16 +19,20 @@
 //! concurrency, so a single thread iterating over the simulated GPUs is
 //! faithful.
 
-use frugal_core::{EmbeddingModel, GEntryStore, ShardMap, TrainReport, Workload};
+use crate::System;
+use frugal_core::{
+    EmbeddingModel, FrugalConfig, GEntryStore, OptimizerKind, ShardMap, TrainReport, Workload,
+};
 use frugal_data::Key;
-use frugal_embed::{kernels, CachePolicy, GpuCache, GradAggregator, HostStore, Sharding};
-use frugal_sim::{CostModel, HostPath, IterBreakdown, Nanos, RunStats, Topology};
-use frugal_telemetry::{LaneKind, LedgerPhase, Telemetry};
+use frugal_embed::{kernels, GpuCache, GradAggregator, HostStore, Sharding};
+use frugal_sim::{HostPath, IterBreakdown, Nanos, RunStats};
+use frugal_telemetry::{LaneKind, LedgerPhase};
 use std::collections::HashMap;
 
-/// Which baseline architecture to run.
+/// Which baseline architecture an engine runs (named publicly by
+/// [`System`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaselineKind {
+enum BaselineKind {
     /// No GPU cache; CPU-involved host access for everything
     /// (PyTorch / DGL-KE).
     NoCache,
@@ -39,116 +43,64 @@ pub enum BaselineKind {
     Uvm,
 }
 
-/// Configuration of a baseline engine.
-#[derive(Debug, Clone)]
-pub struct BaselineConfig {
-    /// Which system to model.
-    pub kind: BaselineKind,
-    /// Hardware model.
-    pub cost: CostModel,
-    /// Cache size as a fraction of total parameters (Cached only).
-    pub cache_ratio: f64,
-    /// Cache policy (Cached only).
-    pub cache_policy: CachePolicy,
-    /// SGD learning rate.
-    pub lr: f32,
-    /// Steps to train.
-    pub steps: u64,
-    /// Parameter-init seed.
-    pub seed: u64,
-    /// Telemetry handle (off by default); same semantics as
-    /// `FrugalConfig::telemetry`.
-    pub telemetry: Telemetry,
-}
-
-impl BaselineConfig {
-    /// PyTorch-like (or DGL-KE-like) baseline on `topology`.
-    pub fn pytorch(topology: Topology, steps: u64) -> Self {
-        BaselineConfig {
-            kind: BaselineKind::NoCache,
-            cost: CostModel::new(topology),
-            cache_ratio: 0.0,
-            cache_policy: CachePolicy::StaticHot,
-            lr: 0.1,
-            steps,
-            seed: 42,
-            telemetry: Telemetry::off(),
-        }
-    }
-
-    /// HugeCTR-like (or DGL-KE-cached-like) baseline on `topology`.
-    pub fn hugectr(topology: Topology, steps: u64) -> Self {
-        BaselineConfig {
-            kind: BaselineKind::Cached,
-            cost: CostModel::new(topology),
-            cache_ratio: 0.05,
-            cache_policy: CachePolicy::StaticHot,
-            lr: 0.1,
-            steps,
-            seed: 42,
-            telemetry: Telemetry::off(),
-        }
-    }
-
-    /// PyTorch-UVM-like baseline on `topology`.
-    pub fn uvm(topology: Topology, steps: u64) -> Self {
-        BaselineConfig {
-            kind: BaselineKind::Uvm,
-            cost: CostModel::new(topology),
-            cache_ratio: 0.0,
-            cache_policy: CachePolicy::StaticHot,
-            lr: 0.1,
-            steps,
-            seed: 42,
-            telemetry: Telemetry::off(),
-        }
-    }
-
-    /// Number of GPUs in the configured topology.
-    pub fn n_gpus(&self) -> usize {
-        self.cost.topology().n_gpus()
-    }
-}
-
 /// A baseline training engine.
 ///
 /// # Examples
 ///
 /// ```
-/// use frugal_baselines::{BaselineConfig, BaselineEngine};
-/// use frugal_core::PullToTarget;
+/// use frugal_baselines::{BaselineEngine, System};
+/// use frugal_core::{FrugalConfig, PullToTarget};
 /// use frugal_data::{KeyDistribution, SyntheticTrace};
-/// use frugal_sim::Topology;
 ///
 /// let trace = SyntheticTrace::new(1_000, KeyDistribution::Zipf(0.9), 32, 2, 1)?;
-/// let cfg = BaselineConfig::hugectr(Topology::commodity(2), 10);
-/// let engine = BaselineEngine::new(cfg, 1_000, 8);
+/// let cfg = FrugalConfig::commodity(2, 10);
+/// let engine = BaselineEngine::new(System::HugeCtr, cfg, 1_000, 8);
 /// let report = engine.run(&trace, &PullToTarget::new(8, 7));
 /// assert!(report.throughput() > 0.0);
 /// # Ok::<(), frugal_data::DistError>(())
 /// ```
 #[derive(Debug)]
 pub struct BaselineEngine {
-    cfg: BaselineConfig,
+    kind: BaselineKind,
+    cfg: FrugalConfig,
     store: HostStore,
 }
 
 impl BaselineEngine {
-    /// Creates an engine with a fresh host store of `n_keys × dim`.
-    pub fn new(cfg: BaselineConfig, n_keys: u64, dim: usize) -> Self {
+    /// Creates the `system` baseline with a fresh host store of
+    /// `n_keys × dim`. Of `cfg` it reads `cost`, `cache_ratio` and
+    /// `cache_policy` (HugeCTR only), `lr`, `steps`, `seed` and
+    /// `telemetry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `system` is a Frugal variant, or if `cfg` would change
+    /// what a baseline trains: an optimizer other than SGD or an elastic
+    /// membership plan.
+    pub fn new(system: System, cfg: FrugalConfig, n_keys: u64, dim: usize) -> Self {
+        let kind = match system {
+            System::PyTorch => BaselineKind::NoCache,
+            System::PyTorchUvm => BaselineKind::Uvm,
+            System::HugeCtr => BaselineKind::Cached,
+            other => panic!("{other:?} is not a baseline system"),
+        };
+        assert_eq!(
+            cfg.optimizer,
+            OptimizerKind::Sgd,
+            "baselines train with SGD only"
+        );
+        assert!(
+            cfg.membership.changes.is_empty(),
+            "baselines run a static cohort, not an elastic membership plan"
+        );
         let mut store = HostStore::new(n_keys, dim, cfg.seed);
         store.attach_row_counters(&cfg.telemetry);
-        BaselineEngine { cfg, store }
+        BaselineEngine { kind, cfg, store }
     }
 
     /// The host parameter store (inspect after [`BaselineEngine::run`]).
     pub fn store(&self) -> &HostStore {
         &self.store
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &BaselineConfig {
-        &self.cfg
     }
 
     /// Trains `workload` with `model` and returns the run report.
@@ -228,7 +180,7 @@ impl BaselineEngine {
             let mut owner_hits = vec![0u64; n];
             let mut owner_misses = vec![0u64; n];
             let mut owner_queries = vec![0u64; n];
-            if cfg.kind == BaselineKind::Cached {
+            if self.kind == BaselineKind::Cached {
                 let _span = rec.span(s, LedgerPhase::CacheQuery);
                 let mut routed: Vec<Vec<Key>> = (0..n).map(|_| Vec::new()).collect();
                 let mut routed_seen: Vec<std::collections::HashSet<Key>> =
@@ -295,7 +247,7 @@ impl BaselineEngine {
                     model.dense_flops_per_sample() * batch_per_gpu as f64,
                     model.dense_layers().max(1),
                 );
-                match cfg.kind {
+                match self.kind {
                     BaselineKind::NoCache => {
                         // Gather + scatter through the CPU for all keys.
                         host = cost.host_read(HostPath::CpuInvolved, u, row_bytes, n)
@@ -328,7 +280,7 @@ impl BaselineEngine {
             // coordinated cache update run on the host's service pool, so
             // they are charged once per step, not per GPU.
             let total_rows: u64 = per_gpu_unique.iter().map(|u| u.len() as u64).sum();
-            match cfg.kind {
+            match self.kind {
                 BaselineKind::NoCache | BaselineKind::Uvm => {
                     it.other += cost.framework_nocache(total_rows);
                 }
@@ -351,7 +303,7 @@ impl BaselineEngine {
             for (key, grad) in updates {
                 self.store
                     .write_row(key, |row| kernels::sgd_step(row, &grad, cfg.lr));
-                if cfg.kind == BaselineKind::Cached {
+                if self.kind == BaselineKind::Cached {
                     let o = smap.owner_of(key);
                     if let Some(row) = caches[o].get_mut(&key) {
                         kernels::sgd_step(row, &grad, cfg.lr);
@@ -408,6 +360,7 @@ mod tests {
     use super::*;
     use frugal_core::{train_serial, PullToTarget};
     use frugal_data::{KeyDistribution, SyntheticTrace};
+    use frugal_sim::Topology;
 
     fn trace(n_keys: u64, batch: usize, n: usize) -> SyntheticTrace {
         SyntheticTrace::new(n_keys, KeyDistribution::Zipf(0.9), batch, n, 3).unwrap()
@@ -418,21 +371,16 @@ mod tests {
         let t = trace(300, 32, 2);
         let model = PullToTarget::new(4, 1);
         let serial = train_serial(&t, &model, 15, 0.1, 42);
-        for kind in [
-            BaselineKind::NoCache,
-            BaselineKind::Cached,
-            BaselineKind::Uvm,
-        ] {
-            let mut cfg = BaselineConfig::pytorch(Topology::commodity(2), 15);
-            cfg.kind = kind;
+        for system in [System::PyTorch, System::HugeCtr, System::PyTorchUvm] {
+            let mut cfg = FrugalConfig::commodity(2, 15);
             cfg.cache_ratio = 0.1;
-            let engine = BaselineEngine::new(cfg, 300, 4);
+            let engine = BaselineEngine::new(system, cfg, 300, 4);
             engine.run(&t, &model);
             for key in 0..300 {
                 assert_eq!(
                     engine.store().row_vec(key),
                     serial.store.row_vec(key),
-                    "{kind:?} diverged at key {key}"
+                    "{system:?} diverged at key {key}"
                 );
             }
         }
@@ -445,8 +393,8 @@ mod tests {
         // 60 steps: enough for a 30% loss drop on any reasonable PRNG
         // stream (the vendored rand shim is not bit-compatible with
         // upstream StdRng, so the exact trace differs from the original).
-        let engine =
-            BaselineEngine::new(BaselineConfig::pytorch(Topology::commodity(2), 60), 200, 4);
+        let cfg = FrugalConfig::commodity(2, 60);
+        let engine = BaselineEngine::new(System::PyTorch, cfg, 200, 4);
         let r = engine.run(&t, &model);
         assert!(
             r.final_loss < r.first_loss * 0.7,
@@ -460,9 +408,9 @@ mod tests {
     fn cached_baseline_gets_hits() {
         let t = trace(1_000, 128, 2);
         let model = PullToTarget::new(4, 2);
-        let mut cfg = BaselineConfig::hugectr(Topology::commodity(2), 20);
+        let mut cfg = FrugalConfig::commodity(2, 20);
         cfg.cache_ratio = 0.1;
-        let engine = BaselineEngine::new(cfg, 1_000, 4);
+        let engine = BaselineEngine::new(System::HugeCtr, cfg, 1_000, 4);
         let r = engine.run(&t, &model);
         assert!(r.hit_ratio > 0.05, "hit ratio {}", r.hit_ratio);
     }
@@ -472,12 +420,9 @@ mod tests {
         // Exp #1: PyTorch-UVM is "two orders of magnitude slower".
         let t = trace(100_000, 1024, 2);
         let model = PullToTarget::new(4, 2);
-        let base = BaselineEngine::new(
-            BaselineConfig::pytorch(Topology::commodity(2), 3),
-            100_000,
-            4,
-        );
-        let uvm = BaselineEngine::new(BaselineConfig::uvm(Topology::commodity(2), 3), 100_000, 4);
+        let cfg = FrugalConfig::commodity(2, 3);
+        let base = BaselineEngine::new(System::PyTorch, cfg.clone(), 100_000, 4);
+        let uvm = BaselineEngine::new(System::PyTorchUvm, cfg, 100_000, 4);
         let tb = base.run(&t, &model).throughput();
         let tu = uvm.run(&t, &model).throughput();
         assert!(tb / tu > 20.0, "base {tb} vs uvm {tu}");
@@ -488,16 +433,10 @@ mod tests {
         // Fig 3a: up to 37% throughput drop on commodity GPUs.
         let model = PullToTarget::new(4, 2);
         let t = trace(10_000, 512, 4);
-        let c = BaselineEngine::new(
-            BaselineConfig::hugectr(Topology::commodity(4), 5),
-            10_000,
-            4,
-        );
-        let d = BaselineEngine::new(
-            BaselineConfig::hugectr(Topology::datacenter(4), 5),
-            10_000,
-            4,
-        );
+        let commodity = FrugalConfig::commodity(4, 5);
+        let datacenter = FrugalConfig::on(Topology::datacenter(4), 5);
+        let c = BaselineEngine::new(System::HugeCtr, commodity, 10_000, 4);
+        let d = BaselineEngine::new(System::HugeCtr, datacenter, 10_000, 4);
         let tc = c.run(&t, &model).throughput();
         let td = d.run(&t, &model).throughput();
         assert!(
@@ -512,10 +451,32 @@ mod tests {
     fn stall_is_zero_for_baselines() {
         let t = trace(100, 16, 2);
         let model = PullToTarget::new(4, 2);
-        let engine =
-            BaselineEngine::new(BaselineConfig::hugectr(Topology::commodity(2), 5), 100, 4);
+        let cfg = FrugalConfig::commodity(2, 5);
+        let engine = BaselineEngine::new(System::HugeCtr, cfg, 100, 4);
         let r = engine.run(&t, &model);
         assert_eq!(r.mean_stall(), Nanos::ZERO);
         assert_eq!(r.mean_gentry_update, Nanos::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "SGD only")]
+    fn refuses_an_adagrad_config() {
+        let mut cfg = FrugalConfig::commodity(2, 5);
+        cfg.optimizer = OptimizerKind::Adagrad;
+        BaselineEngine::new(System::PyTorch, cfg, 100, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "static cohort")]
+    fn refuses_an_elastic_plan() {
+        let plan = frugal_core::MembershipPlan::kill_and_recover(1, 2, 2, 4);
+        let cfg = FrugalConfig::commodity(2, 5).with_membership(plan);
+        BaselineEngine::new(System::HugeCtr, cfg, 100, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a baseline")]
+    fn refuses_a_frugal_system() {
+        BaselineEngine::new(System::Frugal, FrugalConfig::commodity(2, 5), 100, 4);
     }
 }

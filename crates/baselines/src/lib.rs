@@ -10,9 +10,15 @@
 //! * **HugeCTR / DGL-KE-cached** — sharded multi-GPU cache with
 //!   `all_to_all` exchange (Fig 2b).
 //! * **PyTorch-UVM** — unified-memory paging.
+//!
+//! A run is a [`System`] plus a [`FrugalConfig`](frugal_core::FrugalConfig):
+//! [`System::run`] trains the six systems of §4.1 — these three and the
+//! Frugal variants — from the same configuration.
 
 #![warn(missing_docs)]
 
 mod engine;
+mod systems;
 
-pub use engine::{BaselineConfig, BaselineEngine, BaselineKind};
+pub use engine::BaselineEngine;
+pub use systems::System;

@@ -1,0 +1,203 @@
+//! The named systems of the paper's evaluation (§4.1) and the one runner:
+//! a [`System`] plus a [`FrugalConfig`] describe a run.
+
+use crate::engine::BaselineEngine;
+use frugal_core::{
+    ConfigError, EmbeddingModel, FlushMode, FrugalConfig, FrugalEngine, TrainReport, Workload,
+};
+
+/// A competitor system from §4.1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum System {
+    /// PyTorch (REC) / DGL-KE (KG): no multi-GPU cache.
+    PyTorch,
+    /// PyTorch-UVM: unified-memory baseline (Exp #1).
+    PyTorchUvm,
+    /// HugeCTR (REC) / DGL-KE-cached (KG): multi-GPU cache + all_to_all.
+    HugeCtr,
+    /// Frugal with write-through flushing.
+    FrugalSync,
+    /// Frugal with arrival-order (FIFO) background flushing — the priority
+    /// ablation: proactive like Frugal, but every pending write gates the
+    /// next step.
+    FrugalFifo,
+    /// The full Frugal system (P²F + two-level PQ).
+    Frugal,
+}
+
+impl System {
+    /// Every system, in declaration order.
+    pub const ALL: [System; 6] = [
+        System::PyTorch,
+        System::PyTorchUvm,
+        System::HugeCtr,
+        System::FrugalSync,
+        System::FrugalFifo,
+        System::Frugal,
+    ];
+
+    /// The command-line name (`--system`), parsed back by [`str::parse`].
+    pub fn cli_name(&self) -> &'static str {
+        match self {
+            System::PyTorch => "pytorch",
+            System::PyTorchUvm => "uvm",
+            System::HugeCtr => "hugectr",
+            System::FrugalSync => "frugal-sync",
+            System::FrugalFifo => "frugal-fifo",
+            System::Frugal => "frugal",
+        }
+    }
+
+    /// Display label in REC experiments.
+    pub fn rec_label(&self) -> &'static str {
+        match self {
+            System::PyTorch => "PyTorch",
+            System::PyTorchUvm => "PyTorch-UVM",
+            System::HugeCtr => "HugeCTR",
+            System::FrugalSync => "Frugal-Sync",
+            System::FrugalFifo => "Frugal-FIFO",
+            System::Frugal => "Frugal",
+        }
+    }
+
+    /// Display label in KG experiments (paper naming).
+    pub fn kg_label(&self) -> &'static str {
+        match self {
+            System::PyTorch => "DGL-KE",
+            System::PyTorchUvm => "DGL-KE-UVM",
+            System::HugeCtr => "DGL-KE-cached",
+            System::FrugalSync => "Frugal-Sync",
+            System::FrugalFifo => "Frugal-FIFO",
+            System::Frugal => "Frugal",
+        }
+    }
+
+    /// The four systems of the microbenchmark (Fig 8), also compared in
+    /// the breakdown (Fig 12) and the scalability sweep (Fig 15).
+    pub fn microbench_set() -> [System; 4] {
+        [
+            System::PyTorch,
+            System::HugeCtr,
+            System::FrugalSync,
+            System::Frugal,
+        ]
+    }
+
+    /// The flush mode a Frugal variant runs `cfg` under; `None` for the
+    /// baselines, which apply every update synchronously.
+    fn flush_mode(self) -> Option<FlushMode> {
+        match self {
+            System::Frugal => Some(FlushMode::P2f),
+            System::FrugalSync => Some(FlushMode::WriteThrough),
+            System::FrugalFifo => Some(FlushMode::Fifo),
+            System::PyTorch | System::PyTorchUvm | System::HugeCtr => None,
+        }
+    }
+
+    /// Checks `cfg` as this system's engine will, so binaries can report a
+    /// bad argument instead of the engine's construction panic. Baselines
+    /// read no flush knob, so only the Frugal variants can fail.
+    pub fn validate(self, cfg: &FrugalConfig) -> Result<(), ConfigError> {
+        match self.flush_mode() {
+            Some(flush_mode) => FrugalConfig {
+                flush_mode,
+                ..cfg.clone()
+            }
+            .validate(),
+            None => Ok(()),
+        }
+    }
+
+    /// Trains `workload` with `model` as this system, on the run `cfg`
+    /// describes. The system decides the architecture and, for the Frugal
+    /// variants, the flush mode; `cfg` supplies everything else. The store
+    /// is sized from the workload's key space and the model's dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine rejects `cfg` (see [`System::validate`] and
+    /// [`BaselineEngine::new`]).
+    pub fn run(
+        self,
+        mut cfg: FrugalConfig,
+        workload: &dyn Workload,
+        model: &dyn EmbeddingModel,
+    ) -> TrainReport {
+        let (n_keys, dim) = (workload.n_keys(), model.dim());
+        match self.flush_mode() {
+            Some(flush_mode) => {
+                cfg.flush_mode = flush_mode;
+                FrugalEngine::new(cfg, n_keys, dim).run(workload, model)
+            }
+            None => BaselineEngine::new(self, cfg, n_keys, dim).run(workload, model),
+        }
+    }
+}
+
+impl std::str::FromStr for System {
+    type Err = String;
+
+    /// Parses the [`System::cli_name`] names.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        System::ALL
+            .into_iter()
+            .find(|system| system.cli_name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = System::ALL.iter().map(System::cli_name).collect();
+                format!("unknown system {s} (expected {})", names.join("|"))
+            })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use frugal_core::PullToTarget;
+    use frugal_data::{KeyDistribution, SyntheticTrace};
+
+    #[test]
+    fn labels() {
+        assert_eq!(System::HugeCtr.rec_label(), "HugeCTR");
+        assert_eq!(System::HugeCtr.kg_label(), "DGL-KE-cached");
+        assert_eq!(System::microbench_set().len(), 4);
+    }
+
+    #[test]
+    fn every_system_parses_back_from_its_cli_name() {
+        for system in System::ALL {
+            assert_eq!(system.cli_name().parse::<System>(), Ok(system));
+        }
+    }
+
+    #[test]
+    fn an_unknown_name_lists_the_valid_ones() {
+        let err = "tensorflow".parse::<System>().unwrap_err();
+        assert!(err.contains("unknown system tensorflow"), "{err}");
+        for system in System::ALL {
+            assert!(err.contains(system.cli_name()), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_applies_the_systems_flush_mode() {
+        let mut cfg = FrugalConfig::commodity(2, 4);
+        cfg.flush_threads = 0;
+        assert!(System::Frugal.validate(&cfg).is_err());
+        assert!(System::FrugalFifo.validate(&cfg).is_err());
+        // Write-through and the baselines need no flushers.
+        assert_eq!(System::FrugalSync.validate(&cfg), Ok(()));
+        assert_eq!(System::HugeCtr.validate(&cfg), Ok(()));
+    }
+
+    #[test]
+    fn runner_covers_all_systems() {
+        let trace = SyntheticTrace::new(500, KeyDistribution::Zipf(0.9), 16, 2, 1).unwrap();
+        let model = PullToTarget::new(4, 1);
+        let mut cfg = FrugalConfig::commodity(2, 4);
+        cfg.flush_threads = 2;
+        for system in System::ALL {
+            let r = system.run(cfg.clone(), &trace, &model);
+            assert!(r.throughput() > 0.0, "{system:?}");
+        }
+    }
+}

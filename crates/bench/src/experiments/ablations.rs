@@ -2,10 +2,10 @@
 //! choices DESIGN.md calls out: cache admission policy, batched dequeue
 //! size, and the sample-queue lookahead `L`.
 
-use super::Scale;
-use crate::systems::{measured_phase, run_system, RunOptions, System};
+use super::{measured_phase, Scale};
 use crate::table::{fmt_throughput, ExpTable};
-use frugal_core::{FrugalConfig, FrugalEngine, PullToTarget, TrainReport};
+use frugal_baselines::System;
+use frugal_core::{FrugalConfig, PullToTarget, TrainReport};
 use frugal_data::{KeyDistribution, SyntheticTrace};
 use frugal_embed::CachePolicy;
 use frugal_telemetry::{LedgerPhase, Telemetry};
@@ -54,11 +54,11 @@ pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
         for ratio in [0.01, 0.05, 0.10] {
             let mut cells = vec![dist.label(), format!("{ratio:.2}")];
             for policy in CachePolicy::ALL {
-                let mut opts = RunOptions::commodity(scale.gpus, scale.steps * 5);
-                opts.flush_threads = 4;
-                opts.cache_ratio = ratio;
-                opts.cache_policy = policy;
-                let r = run_system(System::Frugal, &opts, &trace, &model);
+                let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps * 5);
+                cfg.flush_threads = 4;
+                cfg.cache_ratio = ratio;
+                cfg.cache_policy = policy;
+                let r = System::Frugal.run(cfg, &trace, &model);
                 cells.push(format!("{:.1}%", r.hit_ratio * 100.0));
             }
             t.row(cells);
@@ -101,8 +101,7 @@ pub fn ablation_flush_batch(scale: &Scale) -> Vec<ExpTable> {
         cfg.flush_threads = 4;
         cfg.flush_batch = flush_batch;
         cfg.telemetry = Telemetry::new();
-        let engine = FrugalEngine::new(cfg, scale.micro_keys, dim);
-        let r = engine.run(&trace, &model);
+        let r = System::Frugal.run(cfg, &trace, &model);
         let dequeue_ns = r
             .telemetry
             .as_ref()
@@ -145,10 +144,10 @@ pub fn ablation_lookahead(scale: &Scale) -> Vec<ExpTable> {
         ],
     );
     for lookahead in [1u64, 2, 5, 10, 20] {
-        let mut opts = RunOptions::commodity(scale.gpus, scale.steps * 2);
-        opts.lookahead = lookahead;
-        opts.telemetry = Telemetry::new();
-        let r = run_system(System::Frugal, &opts, &trace, &model);
+        let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps * 2);
+        cfg.lookahead = lookahead;
+        cfg.telemetry = Telemetry::new();
+        let r = System::Frugal.run(cfg, &trace, &model);
         t.row(vec![
             lookahead.to_string(),
             fmt_throughput(r.throughput()),
@@ -185,9 +184,9 @@ pub fn ablation_flush_strategy(scale: &Scale) -> Vec<ExpTable> {
         &["strategy", "throughput", "stall us", "flushed rows"],
     );
     for system in [System::Frugal, System::FrugalFifo, System::FrugalSync] {
-        let mut opts = RunOptions::commodity(scale.gpus, scale.steps * 2);
-        opts.flush_threads = 4;
-        let r = run_system(system, &opts, &trace, &model);
+        let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps * 2);
+        cfg.flush_threads = 4;
+        let r = system.run(cfg, &trace, &model);
         t.row(vec![
             system.rec_label().to_owned(),
             fmt_throughput(r.throughput()),
@@ -224,8 +223,7 @@ pub fn ablation_optimizer(scale: &Scale) -> Vec<ExpTable> {
         cfg.flush_threads = 4;
         cfg.optimizer = kind;
         cfg.lr = 1.0;
-        let engine = FrugalEngine::new(cfg, trace.n_keys(), dim);
-        let r = engine.run(&trace, &model);
+        let r = System::Frugal.run(cfg, &trace, &model);
         t.row(vec![
             name.to_owned(),
             format!("{:.4}", r.first_loss),
@@ -269,8 +267,8 @@ mod tests {
         )
         .unwrap();
         let cfg = FrugalConfig::commodity(scale.gpus, 16);
-        let p2f = FrugalEngine::new(cfg.clone(), scale.micro_keys, 32).run(&trace, &model);
-        let fifo = FrugalEngine::new(cfg.fifo(), scale.micro_keys, 32).run(&trace, &model);
+        let p2f = System::Frugal.run(cfg.clone(), &trace, &model);
+        let fifo = System::FrugalFifo.run(cfg, &trace, &model);
         assert!(fifo.flush_rows > 0, "FIFO must flush in the background");
         for (f, p) in fifo.stats.iters().iter().zip(p2f.stats.iters()) {
             assert!(f.stall >= p.stall, "FIFO {} < P2F {}", f.stall, p.stall);

@@ -1,9 +1,9 @@
 //! Fig 3 (motivation) and Exp #1 (Fig 8, microbenchmark).
 
 use super::Scale;
-use crate::systems::{run_system, RunOptions, System};
 use crate::table::{fmt_throughput, ExpTable};
-use frugal_core::PullToTarget;
+use frugal_baselines::System;
+use frugal_core::{FrugalConfig, PullToTarget};
 use frugal_data::{KeyDistribution, SyntheticTrace};
 use frugal_sim::{CostModel, Topology};
 
@@ -30,18 +30,9 @@ pub fn fig3_motivation(scale: &Scale) -> Vec<ExpTable> {
     for &batch in &scale.batches {
         let trace = SyntheticTrace::new(scale.micro_keys, KeyDistribution::Zipf(0.9), batch, n, 11)
             .expect("valid trace");
-        let d = run_system(
-            System::HugeCtr,
-            &RunOptions::datacenter(n, scale.steps),
-            &trace,
-            &model,
-        );
-        let c = run_system(
-            System::HugeCtr,
-            &RunOptions::commodity(n, scale.steps),
-            &trace,
-            &model,
-        );
+        let datacenter = FrugalConfig::on(Topology::datacenter(n), scale.steps);
+        let d = System::HugeCtr.run(datacenter, &trace, &model);
+        let c = System::HugeCtr.run(FrugalConfig::commodity(n, scale.steps), &trace, &model);
         let (td, tc_) = (d.throughput(), c.throughput());
         ta.row(vec![
             batch.to_string(),
@@ -114,9 +105,9 @@ pub fn exp1_microbenchmark(scale: &Scale) -> Vec<ExpTable> {
                     .expect("valid trace");
                 let mut cells = vec![batch.to_string()];
                 for system in System::microbench_set() {
-                    let mut opts = RunOptions::commodity(scale.gpus, scale.steps);
-                    opts.cache_ratio = cache_ratio;
-                    let r = run_system(system, &opts, &trace, &model);
+                    let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+                    cfg.cache_ratio = cache_ratio;
+                    let r = system.run(cfg, &trace, &model);
                     cells.push(fmt_throughput(r.throughput()));
                 }
                 t.row(cells);
@@ -140,9 +131,8 @@ pub fn exp1_microbenchmark(scale: &Scale) -> Vec<ExpTable> {
         &["system", "throughput"],
     );
     for system in [System::PyTorch, System::PyTorchUvm] {
-        let r = run_system(
-            system,
-            &RunOptions::commodity(scale.gpus, scale.steps),
+        let r = system.run(
+            FrugalConfig::commodity(scale.gpus, scale.steps),
             &trace,
             &model,
         );

@@ -23,6 +23,16 @@ pub use sensitivity::{exp10_flush_threads, exp11_models};
 pub use tables::{table1_gpu_specs, table2_datasets};
 pub use tech::{exp2_p2f, exp3_uva, exp4_pq, exp5_breakdown};
 
+use frugal_core::TrainReport;
+use frugal_telemetry::{LedgerPhase, LedgerPhaseSummary};
+
+/// The measured (wall-clock) per-step summary of ledger `phase` in a run
+/// made with telemetry on — what experiments print next to modeled
+/// columns. `None` when the run carried no telemetry.
+fn measured_phase(report: &TrainReport, phase: LedgerPhase) -> Option<&LedgerPhaseSummary> {
+    report.telemetry.as_ref()?.ledger.as_ref()?.phase(phase)
+}
+
 /// Global scale knobs for the experiment suite.
 ///
 /// The paper's testbed has 8 GPUs, 64 cores, and datasets up to 882 M IDs;

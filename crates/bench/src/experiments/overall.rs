@@ -1,10 +1,12 @@
 //! Exp #6–#9: overall performance (Fig 13–16).
 
 use super::Scale;
-use crate::systems::{run_system, RunOptions, System};
 use crate::table::{fmt_throughput, ExpTable};
+use frugal_baselines::System;
+use frugal_core::{EmbeddingModel, FrugalConfig, Workload};
 use frugal_data::{KgDatasetSpec, KgTrace, RecDatasetSpec, RecTrace};
 use frugal_models::{Dlrm, KgModel, KgScorer};
+use frugal_sim::Topology;
 
 fn kg_specs(scale: &Scale) -> Vec<KgDatasetSpec> {
     vec![
@@ -46,11 +48,11 @@ pub fn exp6_kg(scale: &Scale) -> Vec<ExpTable> {
         for cache_ratio in [0.05, 0.10] {
             let trace = KgTrace::new(spec.clone(), batch, scale.gpus, 29).expect("valid trace");
             let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
-            let mut opts = RunOptions::commodity(scale.gpus, scale.steps);
-            opts.cache_ratio = cache_ratio;
-            let base = run_system(System::PyTorch, &opts, &trace, &model);
-            let cached = run_system(System::HugeCtr, &opts, &trace, &model);
-            let frugal = run_system(System::Frugal, &opts, &trace, &model);
+            let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+            cfg.cache_ratio = cache_ratio;
+            let base = System::PyTorch.run(cfg.clone(), &trace, &model);
+            let cached = System::HugeCtr.run(cfg.clone(), &trace, &model);
+            let frugal = System::Frugal.run(cfg, &trace, &model);
             t.row(vec![
                 format!("{:.0}%", cache_ratio * 100.0),
                 fmt_throughput(base.throughput()),
@@ -79,11 +81,11 @@ pub fn exp7_rec(scale: &Scale) -> Vec<ExpTable> {
                 RecTrace::new(spec.clone(), scale.rec_batch, scale.gpus, 31).expect("valid trace");
             let dim = spec.embedding_dim as usize;
             let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 3, false);
-            let mut opts = RunOptions::commodity(scale.gpus, scale.steps);
-            opts.cache_ratio = cache_ratio;
-            let base = run_system(System::PyTorch, &opts, &trace, &model);
-            let cached = run_system(System::HugeCtr, &opts, &trace, &model);
-            let frugal = run_system(System::Frugal, &opts, &trace, &model);
+            let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+            cfg.cache_ratio = cache_ratio;
+            let base = System::PyTorch.run(cfg.clone(), &trace, &model);
+            let cached = System::HugeCtr.run(cfg.clone(), &trace, &model);
+            let frugal = System::Frugal.run(cfg, &trace, &model);
             t.row(vec![
                 format!("{:.0}%", cache_ratio * 100.0),
                 fmt_throughput(base.throughput()),
@@ -112,15 +114,10 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
     for n in [2usize, 4, 6, 8] {
         let trace = KgTrace::new(kg_spec.clone(), 1024, n, 37).expect("valid trace");
         let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
-        let opts = RunOptions::commodity(n, scale.steps);
+        let cfg = FrugalConfig::commodity(n, scale.steps);
         let mut cells = vec![n.to_string()];
-        for system in [
-            System::PyTorch,
-            System::HugeCtr,
-            System::FrugalSync,
-            System::Frugal,
-        ] {
-            let r = run_system(system, &opts, &trace, &model);
+        for system in System::microbench_set() {
+            let r = system.run(cfg.clone(), &trace, &model);
             cells.push(fmt_throughput(r.throughput()));
         }
         tkg.row(cells);
@@ -140,15 +137,10 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
         let trace = RecTrace::new(rec_spec.clone(), scale.rec_batch, n, 41).expect("valid trace");
         let dim = rec_spec.embedding_dim as usize;
         let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 3, false);
-        let opts = RunOptions::commodity(n, scale.steps);
+        let cfg = FrugalConfig::commodity(n, scale.steps);
         let mut cells = vec![n.to_string()];
-        for system in [
-            System::PyTorch,
-            System::HugeCtr,
-            System::FrugalSync,
-            System::Frugal,
-        ] {
-            let r = run_system(system, &opts, &trace, &model);
+        for system in System::microbench_set() {
+            let r = system.run(cfg.clone(), &trace, &model);
             cells.push(fmt_throughput(r.throughput()));
         }
         trec.row(cells);
@@ -158,12 +150,35 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
     out
 }
 
+/// The best existing system on `n` datacenter A30s vs Frugal on `n`
+/// commodity RTX 3090s: `(best A30 throughput, Frugal throughput,
+/// Frugal's throughput per dollar over the A30 system's)`, each run priced
+/// from its own topology.
+fn best_a30_vs_frugal(
+    n: usize,
+    steps: u64,
+    trace: &dyn Workload,
+    model: &dyn EmbeddingModel,
+) -> (f64, f64, f64) {
+    let dc = FrugalConfig::on(Topology::datacenter(n), steps);
+    let commodity = FrugalConfig::commodity(n, steps);
+    let (dc_price, commodity_price) = (
+        dc.cost.topology().gpu_price_usd(),
+        commodity.cost.topology().gpu_price_usd(),
+    );
+    let best_a30 = [System::PyTorch, System::HugeCtr]
+        .iter()
+        .map(|&s| s.run(dc.clone(), trace, model).throughput())
+        .fold(0.0f64, f64::max);
+    let frugal = System::Frugal.run(commodity, trace, model).throughput();
+    let cost_eff = (frugal / commodity_price) / (best_a30 / dc_price);
+    (best_a30, frugal, cost_eff)
+}
+
 /// Exp #9 (Fig 16): cost efficiency — the best existing system on A30s vs
 /// Frugal on RTX 3090s, with $/throughput.
 pub fn exp9_cost(scale: &Scale) -> Vec<ExpTable> {
     let mut out = Vec::new();
-    let a30_price = frugal_sim::GpuSpec::a30().price_usd;
-    let r3090_price = frugal_sim::GpuSpec::rtx3090().price_usd;
 
     // (a) KG: FB15k- and Freebase-shaped.
     let mut tkg = ExpTable::new(
@@ -185,21 +200,8 @@ pub fn exp9_cost(scale: &Scale) -> Vec<ExpTable> {
             let batch = 1024.min(spec.n_entities as usize / 2).max(16);
             let trace = KgTrace::new(spec.clone(), batch, n, 43).expect("valid trace");
             let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
-            let dc = RunOptions::datacenter(n, scale.steps);
-            let best_a30 = [System::PyTorch, System::HugeCtr]
-                .iter()
-                .map(|&s| run_system(s, &dc, &trace, &model).throughput())
-                .fold(0.0f64, f64::max);
-            let frugal = run_system(
-                System::Frugal,
-                &RunOptions::commodity(n, scale.steps),
-                &trace,
-                &model,
-            )
-            .throughput();
+            let (best_a30, frugal, cost_eff) = best_a30_vs_frugal(n, scale.steps, &trace, &model);
             let thr_ratio = frugal / best_a30;
-            let cost_eff =
-                (frugal / (n as f64 * r3090_price)) / (best_a30 / (n as f64 * a30_price));
             tkg.row(vec![
                 spec.name.clone(),
                 n.to_string(),
@@ -235,21 +237,8 @@ pub fn exp9_cost(scale: &Scale) -> Vec<ExpTable> {
             let trace = RecTrace::new(spec.clone(), scale.rec_batch, n, 47).expect("valid trace");
             let dim = spec.embedding_dim as usize;
             let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 3, false);
-            let dc = RunOptions::datacenter(n, scale.steps);
-            let best_a30 = [System::PyTorch, System::HugeCtr]
-                .iter()
-                .map(|&s| run_system(s, &dc, &trace, &model).throughput())
-                .fold(0.0f64, f64::max);
-            let frugal = run_system(
-                System::Frugal,
-                &RunOptions::commodity(n, scale.steps),
-                &trace,
-                &model,
-            )
-            .throughput();
+            let (best_a30, frugal, cost_eff) = best_a30_vs_frugal(n, scale.steps, &trace, &model);
             let thr_ratio = frugal / best_a30;
-            let cost_eff =
-                (frugal / (n as f64 * r3090_price)) / (best_a30 / (n as f64 * a30_price));
             trec.row(vec![
                 spec.name.clone(),
                 n.to_string(),
@@ -261,7 +250,9 @@ pub fn exp9_cost(scale: &Scale) -> Vec<ExpTable> {
         }
     }
     trec.note(format!(
-        "prices: A30 ${a30_price}, RTX 3090 ${r3090_price} (paper §4.5)"
+        "prices: A30 ${}, RTX 3090 ${} (paper §4.5)",
+        frugal_sim::GpuSpec::a30().price_usd,
+        frugal_sim::GpuSpec::rtx3090().price_usd
     ));
     out.push(trec);
     out

@@ -1,8 +1,9 @@
 //! Exp #10–#11: sensitivity analyses (Fig 17–18).
 
 use super::Scale;
-use crate::systems::{run_system, RunOptions, System};
 use crate::table::{fmt_throughput, ExpTable};
+use frugal_baselines::System;
+use frugal_core::FrugalConfig;
 use frugal_data::{KgDatasetSpec, KgTrace, RecDatasetSpec, RecTrace};
 use frugal_models::{Dlrm, KgModel, KgScorer};
 
@@ -18,9 +19,9 @@ pub fn exp10_flush_threads(scale: &Scale) -> Vec<ExpTable> {
         &["threads", "throughput", "stall us"],
     );
     for threads in [1usize, 2, 4, 8, 12, 16, 24, 30] {
-        let mut opts = RunOptions::commodity(scale.gpus, scale.steps);
-        opts.flush_threads = threads;
-        let r = run_system(System::Frugal, &opts, &trace, &model);
+        let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+        cfg.flush_threads = threads;
+        let r = System::Frugal.run(cfg, &trace, &model);
         t.row(vec![
             threads.to_string(),
             fmt_throughput(r.throughput()),
@@ -47,12 +48,14 @@ pub fn exp11_models(scale: &Scale) -> Vec<ExpTable> {
     for scorer in KgScorer::all() {
         let trace = KgTrace::new(spec.clone(), batch, scale.gpus, 59).expect("valid trace");
         let model = KgModel::new(scorer, trace.clone(), 5, false);
-        let opts = RunOptions::commodity(scale.gpus, scale.steps);
+        let cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+        let thr =
+            |system: System| fmt_throughput(system.run(cfg.clone(), &trace, &model).throughput());
         tkg.row(vec![
             scorer.name().to_owned(),
-            fmt_throughput(run_system(System::PyTorch, &opts, &trace, &model).throughput()),
-            fmt_throughput(run_system(System::HugeCtr, &opts, &trace, &model).throughput()),
-            fmt_throughput(run_system(System::Frugal, &opts, &trace, &model).throughput()),
+            thr(System::PyTorch),
+            thr(System::HugeCtr),
+            thr(System::Frugal),
         ]);
     }
     tkg.note("paper: Frugal wins for every scorer; the embedding layer dominates");
@@ -74,12 +77,14 @@ pub fn exp11_models(scale: &Scale) -> Vec<ExpTable> {
         let trace =
             RecTrace::new(spec.clone(), scale.rec_batch, scale.gpus, 61).expect("valid trace");
         let model = Dlrm::new(trace.clone(), &dims, 0.01, 3, false);
-        let opts = RunOptions::commodity(scale.gpus, scale.steps);
+        let cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+        let thr =
+            |system: System| fmt_throughput(system.run(cfg.clone(), &trace, &model).throughput());
         trec.row(vec![
             model.n_layers().to_string(),
-            fmt_throughput(run_system(System::PyTorch, &opts, &trace, &model).throughput()),
-            fmt_throughput(run_system(System::HugeCtr, &opts, &trace, &model).throughput()),
-            fmt_throughput(run_system(System::Frugal, &opts, &trace, &model).throughput()),
+            thr(System::PyTorch),
+            thr(System::HugeCtr),
+            thr(System::Frugal),
         ]);
     }
     trec.note("paper: deeper DNNs shrink the relative gain but never flip the ordering");

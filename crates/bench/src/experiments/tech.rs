@@ -1,9 +1,9 @@
 //! Exp #2–#5: the technique ablations (Fig 9–12).
 
-use super::Scale;
-use crate::systems::{measured_phase, run_system, RunOptions, System};
+use super::{measured_phase, Scale};
 use crate::table::{fmt_throughput, telemetry_table, ExpTable};
-use frugal_core::{PqKind, PullToTarget, TrainReport};
+use frugal_baselines::System;
+use frugal_core::{FrugalConfig, PqKind, PullToTarget, TrainReport};
 use frugal_data::{KeyDistribution, KgDatasetSpec, KgTrace, SyntheticTrace};
 use frugal_models::{KgModel, KgScorer};
 use frugal_sim::{CostModel, HostPath, Topology};
@@ -37,10 +37,10 @@ pub fn exp2_p2f(scale: &Scale) -> Vec<ExpTable> {
             17,
         )
         .expect("valid trace");
-        let mut opts = RunOptions::commodity(scale.gpus, scale.steps);
-        opts.cache_ratio = 0.01;
-        let sync = run_system(System::FrugalSync, &opts, &trace, &model);
-        let p2f = run_system(System::Frugal, &opts, &trace, &model);
+        let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+        cfg.cache_ratio = 0.01;
+        let sync = System::FrugalSync.run(cfg.clone(), &trace, &model);
+        let p2f = System::Frugal.run(cfg, &trace, &model);
         let (ss, sp) = (
             sync.mean_stall().as_micros_f64(),
             p2f.mean_stall().as_micros_f64(),
@@ -113,11 +113,11 @@ pub fn exp4_pq(scale: &Scale) -> Vec<ExpTable> {
         let trace = KgTrace::new(spec.clone(), batch, scale.gpus, 23).expect("valid trace");
         let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
         let run = |pq: PqKind| -> TrainReport {
-            let mut opts = RunOptions::commodity(scale.gpus, scale.steps);
-            opts.cache_ratio = cache_ratio;
-            opts.pq = pq;
-            opts.telemetry = Telemetry::new();
-            run_system(System::Frugal, &opts, &trace, &model)
+            let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+            cfg.cache_ratio = cache_ratio;
+            cfg.pq = pq;
+            cfg.telemetry = Telemetry::new();
+            System::Frugal.run(cfg, &trace, &model)
         };
         let registration_us = |r: &TrainReport| {
             measured_phase(r, LedgerPhase::Registration).map_or(0.0, |p| p.p50_ns as f64 / 1e3)
@@ -173,9 +173,8 @@ pub fn exp5_breakdown(scale: &Scale) -> Vec<ExpTable> {
         .expect("valid trace");
         let mut cells = vec![batch.to_string()];
         for system in System::microbench_set() {
-            let r = run_system(
-                system,
-                &RunOptions::commodity(scale.gpus, scale.steps),
+            let r = system.run(
+                FrugalConfig::commodity(scale.gpus, scale.steps),
                 &trace,
                 &model,
             );
@@ -203,9 +202,8 @@ pub fn exp5_breakdown(scale: &Scale) -> Vec<ExpTable> {
         19,
     )
     .expect("valid trace");
-    let mut opts = RunOptions::commodity(scale.gpus, scale.steps);
-    opts.telemetry = Telemetry::new();
-    let r = run_system(System::Frugal, &opts, &trace, &model);
+    let cfg = FrugalConfig::commodity(scale.gpus, scale.steps).with_telemetry(Telemetry::new());
+    let r = System::Frugal.run(cfg, &trace, &model);
     let summary = r.telemetry.expect("telemetry was enabled");
     let tele = telemetry_table(
         format!("Fig 12 (instrumented): Frugal per-step phase ledger, batch {batch}"),

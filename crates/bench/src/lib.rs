@@ -18,7 +18,7 @@
 //! | `exp9_cost`              | Fig 16         |
 //! | `exp10_flush_threads`    | Fig 17         |
 //! | `exp11_models`           | Fig 18         |
-//! | `pq_ops` (criterion)     | §3.4 micro-ops |
+//! | `pq_ops`                 | §3.4 micro-ops |
 //!
 //! Run them all with `cargo bench`. Set `FRUGAL_BENCH_QUICK=1` to shrink
 //! every sweep for smoke testing.
@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod systems;
 pub mod table;
 
 use experiments::Scale;

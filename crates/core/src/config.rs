@@ -122,12 +122,6 @@ pub struct MembershipPlan {
 }
 
 impl MembershipPlan {
-    /// True when the plan never changes the cohort (the fixed-width fast
-    /// path).
-    pub fn is_static(&self) -> bool {
-        self.changes.is_empty()
-    }
-
     /// Appends a change: from `step` on, `members` is the active cohort.
     pub fn change(mut self, step: u64, members: Vec<usize>) -> Self {
         self.changes.push(MembershipChange { step, members });
@@ -283,8 +277,14 @@ impl FrugalConfig {
     /// Defaults from the paper's evaluation setup (§4.1) on a commodity
     /// topology of `n_gpus` RTX 3090s.
     pub fn commodity(n_gpus: usize, steps: u64) -> Self {
+        Self::on(Topology::commodity(n_gpus), steps)
+    }
+
+    /// Defaults from the paper's evaluation setup (§4.1), priced on
+    /// `topology`.
+    pub fn on(topology: Topology, steps: u64) -> Self {
         FrugalConfig {
-            cost: CostModel::new(Topology::commodity(n_gpus)),
+            cost: CostModel::new(topology),
             cache_ratio: 0.05,
             cache_policy: CachePolicy::StaticHot,
             lookahead: 10,
@@ -386,6 +386,9 @@ mod tests {
     fn commodity_defaults_match_paper() {
         let c = FrugalConfig::commodity(8, 100);
         assert_eq!(c.n_gpus(), 8);
+        assert!(!c.cost.topology().supports_p2p());
+        let dc = FrugalConfig::on(Topology::datacenter(8), 100);
+        assert!(dc.cost.topology().supports_p2p());
         assert_eq!(c.cache_ratio, 0.05);
         assert_eq!(c.lookahead, 10);
         assert_eq!(c.flush_threads, 8);
@@ -458,7 +461,6 @@ mod tests {
             .change(7, vec![0, 1, 2, 3]);
         let cfg = FrugalConfig::commodity(4, 10).with_membership(ok);
         assert_eq!(cfg.validate(), Ok(()));
-        assert!(FrugalConfig::commodity(4, 10).membership.is_static());
 
         let reject = |plan: MembershipPlan| {
             let c = FrugalConfig::commodity(4, 10).with_membership(plan);

@@ -21,16 +21,6 @@ pub fn demo_commodity(n_gpus: usize, steps: u64) -> FrugalConfig {
     cfg
 }
 
-/// [`demo_commodity`] with a non-default cache policy — the one extra knob
-/// the cache-policy ablation and demos sweep.
-pub fn demo_commodity_with_policy(
-    n_gpus: usize,
-    steps: u64,
-    policy: frugal_embed::CachePolicy,
-) -> FrugalConfig {
-    demo_commodity(n_gpus, steps).with_cache_policy(policy)
-}
-
 /// Validates `cfg` and constructs the engine, turning the construction-time
 /// panic of [`FrugalEngine::new`] into an error binaries can print.
 pub fn build_engine(
@@ -52,14 +42,6 @@ mod tests {
         assert_eq!(cfg.flush_threads, 4);
         assert_eq!(cfg.n_gpus(), 4);
         assert_eq!(cfg.steps, 10);
-        assert_eq!(cfg.validate(), Ok(()));
-    }
-
-    #[test]
-    fn demo_commodity_with_policy_sets_policy() {
-        use frugal_embed::CachePolicy;
-        let cfg = demo_commodity_with_policy(2, 5, CachePolicy::OracleBelady);
-        assert_eq!(cfg.cache_policy, CachePolicy::OracleBelady);
         assert_eq!(cfg.validate(), Ok(()));
     }
 

@@ -197,11 +197,6 @@ impl Registry {
         Arc::clone(self.histograms.lock().unwrap().entry(name).or_default())
     }
 
-    /// Current value of a counter, if registered.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters.lock().unwrap().get(name).map(|c| c.get())
-    }
-
     /// Snapshot of every metric, sorted by name within each kind.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -243,9 +238,8 @@ mod tests {
         let b = r.counter("cache.hits");
         a.add(3);
         b.incr();
-        assert_eq!(r.counter_value("cache.hits"), Some(4));
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(r.counter_value("unknown"), None);
+        assert_eq!(r.snapshot().counters, vec![("cache.hits".to_string(), 4)]);
     }
 
     #[test]

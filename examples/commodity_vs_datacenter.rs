@@ -6,10 +6,10 @@
 //! cargo run --release --example commodity_vs_datacenter
 //! ```
 
-use frugal::baselines::{BaselineConfig, BaselineEngine};
-use frugal::core::{presets, PullToTarget};
+use frugal::baselines::System;
+use frugal::core::{presets, FrugalConfig, PullToTarget};
 use frugal::data::{KeyDistribution, SyntheticTrace};
-use frugal::sim::{GpuSpec, Topology};
+use frugal::sim::Topology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n_gpus = 4;
@@ -20,31 +20,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Existing system (HugeCTR-style) on datacenter A30s: P2P collectives,
     // full UVA — the best case for the old architecture.
-    let dc = BaselineEngine::new(
-        BaselineConfig::hugectr(Topology::datacenter(n_gpus), steps),
-        trace.n_keys(),
-        dim,
-    );
-    let dc_report = dc.run(&trace, &model);
+    let dc = FrugalConfig::on(Topology::datacenter(n_gpus), steps);
+    let dc_price = dc.cost.topology().gpu_price_usd();
+    let dc_report = System::HugeCtr.run(dc, &trace, &model);
 
     // The same architecture moved to commodity 3090s: bounced collectives,
     // CPU-involved miss path.
-    let commodity_old = BaselineEngine::new(
-        BaselineConfig::hugectr(Topology::commodity(n_gpus), steps),
-        trace.n_keys(),
-        dim,
-    );
-    let commodity_old_report = commodity_old.run(&trace, &model);
+    let commodity = FrugalConfig::commodity(n_gpus, steps);
+    let cm_price = commodity.cost.topology().gpu_price_usd();
+    let commodity_old_report = System::HugeCtr.run(commodity, &trace, &model);
 
     // Frugal on the same commodity hardware.
-    let cfg = presets::demo_commodity(n_gpus, steps);
-    let frugal = presets::build_engine(cfg, trace.n_keys(), dim)?;
-    let frugal_report = frugal.run(&trace, &model);
-
-    let a30 = GpuSpec::a30();
-    let r3090 = GpuSpec::rtx3090();
-    let dc_price = n_gpus as f64 * a30.price_usd;
-    let cm_price = n_gpus as f64 * r3090.price_usd;
+    let frugal_report = System::Frugal.run(presets::demo_commodity(n_gpus, steps), &trace, &model);
 
     println!("{n_gpus} GPUs, batch 1024/GPU, Zipf-0.9 over 500k keys\n");
     println!(

@@ -6,6 +6,7 @@
 //! cargo run --release --example knowledge_graph
 //! ```
 
+use frugal::baselines::System;
 use frugal::core::presets;
 use frugal::data::{KgDatasetSpec, KgTrace};
 use frugal::models::{KgModel, KgScorer};
@@ -34,8 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let model = KgModel::new(scorer, trace.clone(), 5, true);
         let mut cfg = presets::demo_commodity(n_gpus, steps);
         cfg.lr = 0.03;
-        let engine = presets::build_engine(cfg, spec.n_entities, 32)?;
-        let report = engine.run(&trace, &model);
+        let report = System::Frugal.run(cfg, &trace, &model);
         println!(
             "{:<10} {:>12.0} {:>12.4} {:>12.4}",
             scorer.name(),

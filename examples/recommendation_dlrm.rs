@@ -6,11 +6,10 @@
 //! cargo run --release --example recommendation_dlrm
 //! ```
 
-use frugal::baselines::{BaselineConfig, BaselineEngine};
+use frugal::baselines::System;
 use frugal::core::{presets, TrainReport};
 use frugal::data::{RecDatasetSpec, RecTrace};
 use frugal::models::Dlrm;
-use frugal::sim::Topology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Avazu's shape (22 sparse features, Zipf-skewed IDs), scaled from
@@ -32,28 +31,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // narrower head keeps this example fast on small machines.)
     let make_model = || Dlrm::new(trace.clone(), &[dim, 64, 32, 1], 0.02, 9, true);
 
-    let mut results: Vec<(&str, TrainReport)> = Vec::new();
-
-    // PyTorch-like: no cache, CPU-involved host access.
-    let base = BaselineEngine::new(
-        BaselineConfig::pytorch(Topology::commodity(n_gpus), steps),
-        spec.n_ids,
-        dim,
-    );
-    results.push(("PyTorch", base.run(&trace, &make_model())));
-
-    // HugeCTR-like: sharded multi-GPU cache + all_to_all.
-    let ctr = BaselineEngine::new(
-        BaselineConfig::hugectr(Topology::commodity(n_gpus), steps),
-        spec.n_ids,
-        dim,
-    );
-    results.push(("HugeCTR", ctr.run(&trace, &make_model())));
-
-    // Frugal: proactive flushing + two-level PQ.
+    // PyTorch-like: no cache, CPU-involved host access. HugeCTR-like:
+    // sharded multi-GPU cache + all_to_all. Frugal: proactive flushing +
+    // two-level PQ. One configuration describes all three runs.
     let cfg = presets::demo_commodity(n_gpus, steps);
-    let frugal = presets::build_engine(cfg, spec.n_ids, dim)?;
-    results.push(("Frugal", frugal.run(&trace, &make_model())));
+    let results: Vec<(&str, TrainReport)> = [System::PyTorch, System::HugeCtr, System::Frugal]
+        .into_iter()
+        .map(|system| {
+            let report = system.run(cfg.clone(), &trace, &make_model());
+            (system.rec_label(), report)
+        })
+        .collect();
 
     println!(
         "{:<10} {:>14} {:>12} {:>10} {:>10}",

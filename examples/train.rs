@@ -17,10 +17,8 @@
 //! FRUGAL_TRACE=trace.json cargo run --release --example train
 //! ```
 
-use frugal::baselines::{BaselineConfig, BaselineEngine, BaselineKind};
-use frugal::core::{
-    EmbeddingModel, FrugalConfig, FrugalEngine, PullToTarget, TrainReport, Workload,
-};
+use frugal::baselines::System;
+use frugal::core::{EmbeddingModel, FrugalConfig, PullToTarget, TrainReport, Workload};
 use frugal::data::{
     KeyDistribution, KgDatasetSpec, KgTrace, RecDatasetSpec, RecTrace, SyntheticTrace,
 };
@@ -137,52 +135,31 @@ impl Args {
     }
 }
 
+/// The run the flags describe: `system` on `topology` with the flags'
+/// knobs, everything else at the paper defaults.
 fn run(
     args: &Args,
+    system: System,
     topology: Topology,
     workload: &dyn Workload,
     model: &dyn EmbeddingModel,
     telemetry: &Telemetry,
 ) -> Result<TrainReport, String> {
-    match args.system.as_str() {
-        "frugal" | "frugal-sync" | "frugal-fifo" => {
-            let mut cfg = FrugalConfig::commodity(args.gpus, args.steps);
-            cfg.cost = frugal::sim::CostModel::new(topology);
-            cfg.cache_ratio = args.cache_ratio;
-            cfg.cache_policy = args.cache_policy;
-            cfg.flush_threads = args.flush_threads;
-            cfg.telemetry = telemetry.clone();
-            match args.system.as_str() {
-                "frugal-sync" => cfg = cfg.write_through(),
-                "frugal-fifo" => cfg = cfg.fifo(),
-                _ => {}
-            }
-            // Report bad flag combinations as an error instead of the
-            // engine's construction panic.
-            cfg.validate().map_err(|e| e.to_string())?;
-            let engine = FrugalEngine::new(cfg, workload.n_keys(), model.dim());
-            Ok(engine.run(workload, model))
-        }
-        "pytorch" | "hugectr" | "uvm" => {
-            let mut cfg = BaselineConfig::pytorch(topology, args.steps);
-            cfg.kind = match args.system.as_str() {
-                "pytorch" => BaselineKind::NoCache,
-                "hugectr" => BaselineKind::Cached,
-                _ => BaselineKind::Uvm,
-            };
-            cfg.cache_ratio = args.cache_ratio;
-            cfg.cache_policy = args.cache_policy;
-            cfg.telemetry = telemetry.clone();
-            let engine = BaselineEngine::new(cfg, workload.n_keys(), model.dim());
-            Ok(engine.run(workload, model))
-        }
-        other => Err(format!("unknown system {other}")),
-    }
+    let mut cfg = FrugalConfig::on(topology, args.steps);
+    cfg.cache_ratio = args.cache_ratio;
+    cfg.cache_policy = args.cache_policy;
+    cfg.flush_threads = args.flush_threads;
+    cfg.telemetry = telemetry.clone();
+    // Report bad flag combinations as an error instead of the engine's
+    // construction panic.
+    system.validate(&cfg).map_err(|e| e.to_string())?;
+    Ok(system.run(cfg, workload, model))
 }
 
 fn main() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&argv)?;
+    let system: System = args.system.parse()?;
     let topology = args.topology()?;
     println!("{args:?}\n");
 
@@ -204,7 +181,7 @@ fn main() -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             let model = PullToTarget::new(32, 7);
-            run(&args, topology, &trace, &model, &telemetry)?
+            run(&args, system, topology, &trace, &model, &telemetry)?
         }
         "rec" => {
             let spec = RecDatasetSpec::avazu().scaled_to_ids(args.keys);
@@ -212,14 +189,14 @@ fn main() -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
             let dim = spec.embedding_dim as usize;
             let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 7, false);
-            run(&args, topology, &trace, &model, &telemetry)?
+            run(&args, system, topology, &trace, &model, &telemetry)?
         }
         "kg" => {
             let spec = KgDatasetSpec::freebase().scaled_to_entities(args.keys.min(200_000));
             let trace =
                 KgTrace::new(spec.clone(), args.batch, args.gpus, 42).map_err(|e| e.to_string())?;
             let model = KgModel::new(KgScorer::TransE, trace.clone(), 7, false);
-            run(&args, topology, &trace, &model, &telemetry)?
+            run(&args, system, topology, &trace, &model, &telemetry)?
         }
         other => return Err(format!("unknown workload {other}")),
     };
@@ -269,6 +246,14 @@ mod tests {
         let err = args.topology().unwrap_err();
         assert!(err.contains("at least one GPU"), "{err}");
         assert!(parse(&["--gpus", "2"]).unwrap().topology().is_ok());
+    }
+
+    #[test]
+    fn every_listed_system_parses() {
+        let usage = "frugal|frugal-sync|frugal-fifo|pytorch|hugectr|uvm";
+        for name in usage.split('|') {
+            assert_eq!(name.parse::<System>().unwrap().cli_name(), name);
+        }
     }
 
     #[test]

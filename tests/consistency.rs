@@ -1,10 +1,9 @@
 //! Cross-crate consistency tests: the executable form of the paper's §3.3
 //! proof that P²F preserves synchronous training consistency.
 
-use frugal::baselines::{BaselineConfig, BaselineEngine, BaselineKind};
+use frugal::baselines::{BaselineEngine, System};
 use frugal::core::{train_serial, FrugalConfig, FrugalEngine, PqKind, PullToTarget};
 use frugal::data::{KeyDistribution, SyntheticTrace};
-use frugal::sim::Topology;
 
 const N_KEYS: u64 = 600;
 const DIM: usize = 8;
@@ -59,18 +58,13 @@ fn all_engines_agree_bitwise() {
             (0..N_KEYS).map(|k| engine.store().row_vec(k)).collect(),
         ));
     }
-    for kind in [
-        BaselineKind::NoCache,
-        BaselineKind::Cached,
-        BaselineKind::Uvm,
-    ] {
-        let mut cfg = BaselineConfig::pytorch(Topology::commodity(2), STEPS);
-        cfg.kind = kind;
+    for system in [System::PyTorch, System::HugeCtr, System::PyTorchUvm] {
+        let mut cfg = frugal_cfg(2);
         cfg.cache_ratio = 0.1;
-        let engine = BaselineEngine::new(cfg, N_KEYS, DIM);
+        let engine = BaselineEngine::new(system, cfg, N_KEYS, DIM);
         engine.run(&t, &model);
         stores.push((
-            format!("baseline-{kind:?}"),
+            format!("baseline-{}", system.cli_name()),
             (0..N_KEYS).map(|k| engine.store().row_vec(k)).collect(),
         ));
     }
