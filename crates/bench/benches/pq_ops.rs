@@ -1,10 +1,15 @@
 //! Microbenchmarks of the priority-queue operations (§3.4): enqueue /
 //! adjust / dequeue on the two-level PQ vs the tree heap, plus the
 //! scan-range-compression ablation the paper credits with a 28 %
-//! dequeue-time reduction.
+//! dequeue-time reduction — and the flusher's whole batch path
+//! (`flush_batch`), stage by stage, in ns per flushed row.
 
+use frugal_core::{GEntryStore, InflightTable, PqOpScratch};
+use frugal_data::{Key, KeyDistribution, KeyHashSet, SyntheticTrace};
+use frugal_embed::{apply_claims, HostStore, SgdRule};
 use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq, INFINITE};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MAX_STEP: u64 = 100_000;
@@ -165,8 +170,119 @@ fn bench_dequeue() {
     );
 }
 
+/// Rows a flusher takes per batch, as the engine's default.
+const FLUSH_BATCH: usize = 256;
+/// Row width, streams, keys per stream-step and lookahead of the
+/// benchmark workloads.
+const DIM: usize = 32;
+const STREAMS: usize = 2;
+const BATCH_PER_STREAM: usize = 1024;
+const LOOKAHEAD: u64 = 10;
+/// Steps registered before the timed ones, and timed steps per sample.
+const WARM_STEPS: u64 = 20;
+const FLUSH_STEPS: u64 = 100;
+
+/// The flusher's batch path, one registered step at a time: register step
+/// `s + L`'s reads and step `s`'s writes (shard-grouped, as the trainers
+/// do), then drain the queue as one flusher does — guarded dequeue of
+/// [`FLUSH_BATCH`] → shard grouping → `take_writes_batch` →
+/// `apply_claims` — timing each stage. Prints each stage's ns per flushed
+/// row, min / mean / max over [`SAMPLES`] samples of [`FLUSH_STEPS`]
+/// steps.
+fn bench_flush_batch(shape: &str, n_keys: u64, dist: KeyDistribution) {
+    let trace = SyntheticTrace::new(n_keys, dist, BATCH_PER_STREAM, STREAMS, 7).unwrap();
+    let store = HostStore::new(n_keys, DIM, 7);
+    let rule = SgdRule::new(0.01);
+    let steps = WARM_STEPS + FLUSH_STEPS * SAMPLES as u64;
+    let gstore = GEntryStore::new();
+    let pq = TwoLevelPq::new(steps + LOOKAHEAD + 1);
+    let inflight = InflightTable::new(1);
+    let mut scratch = PqOpScratch::default();
+    let grad: Arc<[f32]> = vec![1e-3; DIM].into();
+    // A step's distinct keys, grouped by shard.
+    let mut seen = KeyHashSet::default();
+    let mut step_keys = |s: u64| -> Vec<Key> {
+        seen.clear();
+        let unique: Vec<Key> = (0..STREAMS)
+            .flat_map(|g| trace.gpu_keys(s, g))
+            .filter(|&k| seen.insert(k))
+            .collect();
+        let mut grouped = Vec::new();
+        GEntryStore::group_by_shard(unique.iter().copied(), |&k| k, &mut grouped);
+        grouped
+    };
+    for s in 0..LOOKAHEAD {
+        gstore.add_reads_batch(s, &step_keys(s), &pq, &mut scratch);
+    }
+    let (mut out, mut grouped, mut writes, mut claims) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    // Nanoseconds per stage (dequeue, group, claim, apply) and rows.
+    let mut sample = ([0u64; 4], 0u64);
+    let mut samples = Vec::new();
+    for s in 0..steps {
+        gstore.add_reads_batch(s + LOOKAHEAD, &step_keys(s + LOOKAHEAD), &pq, &mut scratch);
+        let items: Vec<(Key, Arc<[f32]>)> = step_keys(s)
+            .into_iter()
+            .map(|k| (k, Arc::clone(&grad)))
+            .collect();
+        gstore.add_writes_batch(s, &items, &pq, &mut scratch);
+        pq.set_upper_bound(s + 1 + LOOKAHEAD);
+        loop {
+            let t0 = Instant::now();
+            out.clear();
+            inflight.open(0);
+            pq.dequeue_batch_guarded(FLUSH_BATCH, &mut out, inflight.guard(0));
+            if out.is_empty() {
+                inflight.clear(0);
+                break;
+            }
+            let t1 = Instant::now();
+            GEntryStore::group_by_shard(out.iter().copied(), |&(key, _)| key, &mut grouped);
+            let t2 = Instant::now();
+            claims.clear();
+            gstore.take_writes_batch(&grouped, &mut writes, &mut claims);
+            let t3 = Instant::now();
+            let rows = apply_claims(&store, &rule, &claims, &writes);
+            writes.clear();
+            inflight.clear(0);
+            let t4 = Instant::now();
+            if s >= WARM_STEPS {
+                let (ns, n) = &mut sample;
+                for (stage, (a, b)) in ns.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4)]) {
+                    *stage += (b - a).as_nanos() as u64;
+                }
+                *n += rows;
+            }
+        }
+        if s >= WARM_STEPS && (s + 1 - WARM_STEPS).is_multiple_of(FLUSH_STEPS) {
+            samples.push(std::mem::take(&mut sample));
+        }
+    }
+    for (i, stage) in ["dequeue", "group", "claim", "apply", "total"]
+        .iter()
+        .enumerate()
+    {
+        let per_row: Vec<f64> = samples
+            .iter()
+            .map(|(ns, rows)| ns.get(i).copied().unwrap_or(ns.iter().sum()) as f64 / *rows as f64)
+            .collect();
+        let mean = per_row.iter().sum::<f64>() / per_row.len() as f64;
+        let min = per_row.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = per_row.iter().copied().fold(0.0, f64::max);
+        let name = format!("flush_batch/{shape}/{stage}");
+        println!("{name:<40} ns/row: [{min:.2} {mean:.2} {max:.2}]");
+    }
+    let rows: u64 = samples.iter().map(|(_, rows)| rows).sum();
+    println!(
+        "flush_batch/{shape}: {:.0} rows flushed per step, batch {FLUSH_BATCH}",
+        rows as f64 / (FLUSH_STEPS * SAMPLES as u64) as f64
+    );
+}
+
 fn main() {
     bench_enqueue();
     bench_adjust();
     bench_dequeue();
+    bench_flush_batch("zipf", 1_000_000, KeyDistribution::Zipf(0.9));
+    bench_flush_batch("cold", 2_000_000, KeyDistribution::Uniform);
 }

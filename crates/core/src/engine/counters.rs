@@ -27,7 +27,7 @@ pub(crate) struct RunMetrics {
     /// Counters `flusher.dequeue_total_ns` / `flusher.claim_total_ns` /
     /// `flusher.apply_total_ns` / `flush.rows`: measured flusher costs,
     /// split into the PQ-dequeue part (which serializes on a tree heap),
-    /// the claim part (batch sort + g-entry extraction, which contends
+    /// the claim part (shard grouping + g-entry extraction, which contends
     /// with registering trainers on the shard locks), and the pure
     /// host-apply part (optimizer step + store write only).
     pub(crate) flush_dequeue_ns: Arc<Counter>,
@@ -39,8 +39,8 @@ pub(crate) struct RunMetrics {
     /// effect, avoided).
     pub(crate) flusher_parked_ns: Arc<Counter>,
     /// Histogram `flush.batch_rows`: rows applied per non-empty flush
-    /// batch — how much locality the key-sorted batch apply gets to
-    /// exploit.
+    /// batch — how many rows each batch's fixed costs (dequeue settle,
+    /// marker, wake) are spread over.
     pub(crate) flush_batch_rows: Arc<Histogram>,
     /// Counter `membership.transition_ns`: wall time spent in elastic
     /// membership transitions (drain to quiescence + cache eviction +

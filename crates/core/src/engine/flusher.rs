@@ -6,9 +6,12 @@
 //! bucket), one claim in which each g-entry shard's lock is taken once for
 //! all of the batch's keys in that shard
 //! ([`GEntryStore::take_writes_batch`](crate::GEntryStore::take_writes_batch)),
-//! one apply that walks the host table in address order with the rows a few
+//! one apply that lands the claimed rows in claim order with the rows a few
 //! places ahead already requested from memory, one marker clear, at most
-//! one wake.
+//! one wake. Nothing on the way is sorted: one counting pass groups the
+//! batch by shard ([`GEntryStore::group_by_shard`]), and the apply needs no
+//! order at all — the prefetch, not an address-order walk, hides its
+//! memory latency.
 
 use super::RunShared;
 use crate::gentry::{GEntryStore, PendingWrites};
@@ -139,14 +142,15 @@ impl FlushCoord {
 
 /// One background flushing thread.
 ///
-/// The apply path is allocation-free after warm-up: claims drain into a
-/// per-flusher reusable scratch (`writes` + `claims`) via
-/// [`crate::gentry::GEntryStore::take_writes_batch`]. The batch is ordered
-/// by g-entry shard for the claim (one lock acquisition per shard it
-/// touches) and the claims by key for the apply, so the dense host/state
-/// tables are walked in address order. The claimed ranges then replay
-/// through [`frugal_embed::apply_claims`] — the same optimizer/store path
-/// the write-through trainers' sharded apply uses.
+/// The apply path is allocation-free after warm-up: the dequeued batch is
+/// grouped by g-entry shard into a reused scratch (`grouped`, one lock
+/// acquisition per shard it touches), and claims drain into two more
+/// (`writes` + `claims`) via
+/// [`crate::gentry::GEntryStore::take_writes_batch`]. The claimed ranges
+/// then replay, in that same order, through
+/// [`frugal_embed::apply_claims`] — the same optimizer/store path the
+/// write-through trainers' sharded apply uses. Each key's rows replay in
+/// step order; the order *across* keys is free (rows are independent).
 ///
 /// Claim-all-then-apply-all is safe under the in-flight marker: the guarded
 /// dequeue publishes the batch's minimum priority *before* extraction and
@@ -160,6 +164,7 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         .telemetry
         .recorder(format!("flusher-{slot}"), LaneKind::Flusher);
     let mut out = Vec::with_capacity(shared.cfg.flush_batch);
+    let mut grouped = Vec::with_capacity(shared.cfg.flush_batch);
     // Reusable claim scratch: the batch's claimed (step, Δ) pairs, flat,
     // plus each claimed key's range into them.
     let mut writes: PendingWrites = Vec::new();
@@ -202,18 +207,17 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
             deq_ns,
             &[("batch", out.len() as u64)],
         );
-        // Claim phase, timed apart from the apply: the batch sort and the
-        // g-entry extraction contend with registering trainers on the
+        // Claim phase, timed apart from the apply: the shard grouping and
+        // the g-entry extraction contend with registering trainers on the
         // shard locks, so folding them into the apply window made
         // `flush_apply_ns_row` look like the kernels slowed down at 8
         // trainers when it was really lock/queue bookkeeping.
         let t_claim = Instant::now();
-        out.sort_unstable_by_key(|&(key, bucket_p)| (GEntryStore::shard_of(key), key, bucket_p));
+        GEntryStore::group_by_shard(out.iter().copied(), |&(key, _)| key, &mut grouped);
         claims.clear();
         shared
             .gstore
-            .take_writes_batch(&out, &mut writes, &mut claims);
-        claims.sort_unstable_by_key(|&(key, ..)| key);
+            .take_writes_batch(&grouped, &mut writes, &mut claims);
         let claim_ns = t_claim.elapsed().as_nanos() as u64;
         shared.metrics.flush_claim_ns.add(claim_ns);
         rec.record(
@@ -223,14 +227,13 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
             claim_ns,
             &[("claimed", claims.len() as u64)],
         );
-        // Pure apply: optimizer step + host-store write, walking the
-        // dense host/state rows in ascending key (address) order.
+        // Pure apply: optimizer step + host-store write, in claim order.
         let t_apply = Instant::now();
         let applied =
             frugal_embed::apply_claims(shared.store, shared.rule.as_ref(), &claims, &writes);
         // Let go of the applied rows now, not at the next batch (which may
         // be a park away): the owner's next reduce overwrites in place
-        // every row it finds unshared (`GradAggregator::drain_arcs`).
+        // every row it finds unshared (`ArcFold`).
         writes.clear();
         // Booked before the marker clear below, so in the trace this
         // batch's span ends before any wait it releases does.

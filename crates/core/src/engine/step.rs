@@ -59,7 +59,7 @@ use super::RunShared;
 use crate::config::FlushMode;
 use crate::ShardMap;
 use frugal_data::Key;
-use frugal_embed::GradAggregator;
+use frugal_embed::{ArcFold, GradAggregator};
 use frugal_sim::{IterBreakdown, Nanos, PqCost, RunStats};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,7 +177,7 @@ pub(crate) struct StepState {
     /// arrival order. Written and then read by its owner between A and C
     /// (and read by the C-leader, whose cost model prices the members' row
     /// counts). The rows stay in the slot for the next step's reduce to
-    /// recycle (see [`GradAggregator::drain_arcs`]).
+    /// recycle (see [`ArcFold`]).
     pub(crate) update_slots: Vec<UpdateSlot>,
     /// Per-GPU phase instrumentation for the current step.
     pub(crate) phase_slots: Vec<Mutex<PhaseTimes>>,
@@ -222,9 +222,10 @@ impl StepState {
 
 /// The decentralized reduce, run by *every* member right after barrier A:
 /// fold the keys the epoch assigns member `t` across all per-stream
-/// aggregator slots in stream index order into `merged` (a per-member
-/// scratch arena), then drain the rows into `update_slots[t]` — over the
-/// previous step's rows, which the drain recycles wherever the flushers
+/// aggregator slots, in stream index order, straight into
+/// `update_slots[t]` — one key → position probe per deposit entry, each
+/// row summed in the `Arc` it leaves the reduce in ([`ArcFold`]). The fold
+/// writes over the previous step's rows, in place wherever the flushers
 /// have let go of them (always, under write-through).
 ///
 /// See the module docs for the bit-equality argument. Visibility: the
@@ -235,18 +236,18 @@ pub(crate) fn reduce_own_shard(
     shared: &RunShared<'_>,
     smap: &ShardMap,
     t: usize,
-    merged: &mut GradAggregator,
+    fold: &mut ArcFold,
 ) {
-    merged.clear();
+    let mut out = shared.step.update_slots[t].write();
     for slot in &shared.step.agg_slots {
         let agg = slot.read();
         for (key, grad) in agg.entries() {
             if smap.owns_key(t, key) {
-                merged.add(key, grad);
+                fold.add(&mut out, key, grad);
             }
         }
     }
-    merged.drain_arcs(&mut shared.step.update_slots[t].write());
+    fold.finish(&mut out);
 }
 
 /// The A-leader's work between barriers A and C, next to its own reduce

@@ -23,7 +23,7 @@ use crate::gentry::{GEntryStore, PqOpScratch};
 use crate::wait;
 use crate::ShardMap;
 use frugal_data::{Key, KeyHashMap, KeyHashSet};
-use frugal_embed::{GpuCache, GradAggregator};
+use frugal_embed::{ArcFold, GpuCache, GradAggregator};
 use frugal_sim::{HostPath, Nanos};
 use frugal_telemetry::{LedgerPhase, StallRecord, ThreadRecorder};
 use parking_lot::Mutex;
@@ -54,14 +54,14 @@ pub(crate) fn member_cache(shared: &RunShared<'_>) -> GpuCache {
 }
 
 /// A trainer's reusable hot-loop buffers: batch dedup, row staging, the
-/// gradient aggregator, and the registration-side shard buckets. Everything
-/// here is cleared (capacity kept) instead of re-allocated, so after
-/// warm-up the per-step loop allocates only what it hands to someone else:
-/// the workload's sampled key lists, the model's `BatchGrads`, and an `Arc`
-/// gradient row only where last step's row in the same position is still
-/// held by an unflushed g-entry (never, under write-through — see
-/// [`GradAggregator::drain_arcs`]). Rebuilt at each segment boundary —
-/// bucket shapes depend on the epoch's shard assignment.
+/// gradient aggregator, the reduce's key index, the registration order and
+/// the read buckets. Everything here is cleared (capacity kept) instead of
+/// re-allocated, so after warm-up the per-step loop allocates only what it
+/// hands to someone else: the workload's sampled key lists, the model's
+/// `BatchGrads`, and an `Arc` gradient row only where last step's row in
+/// the same position of the update slot is still held by an unflushed
+/// g-entry (never, under write-through — see [`ArcFold`]). Rebuilt at each
+/// segment boundary — bucket shapes depend on the epoch's shard assignment.
 pub(crate) struct StepScratch {
     /// Batch dedup: key → slot in `unique`. The only hashing of the batch:
     /// its result is kept in `unique_of`.
@@ -79,12 +79,12 @@ pub(crate) struct StepScratch {
     missing: Vec<(usize, Key)>,
     /// Per-GPU gradient aggregator (swapped with the deposit slot).
     agg: GradAggregator,
-    /// Reduce arena: this trainer's owned-key merge across all deposit
-    /// slots (see [`step::reduce_own_shard`]). Drained into the trainer's
-    /// update slot every step; allocations kept warm.
-    merged: GradAggregator,
-    /// Own-shard write batches, one bucket per owned g-entry shard.
-    write_bufs: Vec<Vec<(Key, Arc<[f32]>)>>,
+    /// The reduce's key → update-slot position index (see
+    /// [`step::reduce_own_shard`]).
+    fold: ArcFold,
+    /// Write registration order: the update slot's positions grouped by
+    /// g-entry shard, arrival order within a shard.
+    write_order: Vec<u32>,
     /// Own-shard read batches, one bucket per owned g-entry shard.
     read_bufs: Vec<Vec<Key>>,
     /// Per-step dedup of own-shard lookahead reads.
@@ -109,8 +109,8 @@ impl StepScratch {
             rows: Vec::new(),
             missing: Vec::new(),
             agg: GradAggregator::new(dim),
-            merged: GradAggregator::new(dim),
-            write_bufs: (0..owned).map(|_| Vec::new()).collect(),
+            fold: ArcFold::default(),
+            write_order: Vec::new(),
             read_bufs: (0..owned).map(|_| Vec::new()).collect(),
             read_seen: KeyHashSet::default(),
             pq_ops: PqOpScratch::default(),
@@ -213,41 +213,44 @@ pub(crate) fn register_phase(
     let cfg = shared.cfg;
     let proactive = cfg.flush_mode.proactive();
 
-    // Single pass over this member's reduced slot: fold the owned rows
-    // into the local cache (the cache sees the same per-key gradient
-    // sequence as the host path, keeping both bit-identical) and bucket
-    // them for batch registration. The slot was written by this member's
-    // own reduce a moment ago; nobody else reads it before barrier C.
+    // The member's reduced slot, written by its own reduce a moment ago;
+    // nobody else reads it before barrier C. One pass folds its rows into
+    // the local cache (the cache sees the same per-key gradient sequence as
+    // the host path, keeping both bit-identical); one counting pass orders
+    // its positions by shard for registration. Both book to `cache_apply`,
+    // so that `registration` times the g-entry work alone.
+    let updates = shared.step.update_slots[t].read();
     {
         let _span = rec.span(s, LedgerPhase::CacheApply);
-        let updates = shared.step.update_slots[t].read();
         for (key, grad) in updates.iter() {
             if let Some((row, state)) = cache.get_with_state(key) {
                 shared.rule.step(row, state, grad);
             }
-            if proactive {
-                let sid = GEntryStore::shard_of(*key);
-                scratch.write_bufs[smap.bucket_of(sid)].push((*key, Arc::clone(grad)));
-            }
+        }
+        if proactive {
+            GEntryStore::group_by_shard(
+                0..updates.len() as u32,
+                |&i| updates[i as usize].0,
+                &mut scratch.write_order,
+            );
         }
     }
     if proactive {
         // Write registration — the sharded critical path (what a serial
-        // leader used to spend on *all* keys).
-        let own_rows = scratch.write_bufs.iter().map(|b| b.len() as u64).sum();
+        // leader used to spend on *all* keys): each owned shard's lock is
+        // taken once, and each row is shared with its W set on the way in,
+        // which leaves the slot and the pending flush as its only holders —
+        // the next reduce recycles it once it has landed.
+        let own_rows = updates.len() as u64;
         let _span = rec.span_with(s, LedgerPhase::Registration, &[("rows", own_rows)]);
-        let mut read_next = 0u64;
-        for buf in &mut scratch.write_bufs {
-            if !buf.is_empty() {
-                // The rows move into the W sets, which leaves the update
-                // slot and the pending flush as a row's only holders: the
-                // next reduce recycles it once it has landed.
-                read_next +=
-                    shared
-                        .gstore
-                        .add_writes_moved(s, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
-            }
-        }
+        let rows = scratch.write_order.iter().map(|&i| {
+            let (key, grad) = &updates[i as usize];
+            (*key, Arc::clone(grad))
+        });
+        let read_next =
+            shared
+                .gstore
+                .add_writes_iter(s, rows, shared.pq.as_ref(), &mut scratch.pq_ops);
         if read_next > 0 {
             shared
                 .step
@@ -565,7 +568,7 @@ pub(crate) fn trainer_loop(
         // this member's owned keys across all deposit slots (stream index
         // order — canonical) into this member's update slot.
         let reduce_span = rec.span(s, LedgerPhase::Reduce);
-        step::reduce_own_shard(shared, &smap, t, &mut scratch.merged);
+        step::reduce_own_shard(shared, &smap, t, &mut scratch.fold);
         match cfg.flush_mode {
             // The write-through flush the paper describes, sharded by key
             // ownership: each member pushes its owned rows to host memory

@@ -526,6 +526,37 @@ impl GEntryStore {
         (key as usize) % SHARDS
     }
 
+    /// Writes `items` into `out` (replacing its contents) grouped by the
+    /// [`GEntryStore::shard_of`] of `key_of(item)`: shards in ascending
+    /// order, each shard's items one contiguous run in their order in
+    /// `items`. One counting pass and one placement pass, no comparison
+    /// sort — what the batch forms need to take each shard's lock once.
+    pub fn group_by_shard<T: Copy>(
+        items: impl Iterator<Item = T> + Clone,
+        key_of: impl Fn(&T) -> Key,
+        out: &mut Vec<T>,
+    ) {
+        out.clear();
+        let Some(first) = items.clone().next() else {
+            return;
+        };
+        // Per shard: its item count, then the next free position of its run.
+        let mut next = [0usize; SHARDS];
+        for item in items.clone() {
+            next[Self::shard_of(key_of(&item))] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        out.resize(start, first);
+        for item in items {
+            let slot = &mut next[Self::shard_of(key_of(&item))];
+            out[*slot] = item;
+            *slot += 1;
+        }
+    }
+
     /// Number of keys with unflushed updates. The engine waits for this to
     /// reach zero when draining at the end of training ("the system waits
     /// for flushing threads to write all deferred parameter updates").
@@ -624,8 +655,8 @@ impl GEntryStore {
     /// priorities are write steps.
     ///
     /// This slice form shares each row with the caller (one `Arc` clone per
-    /// item); a caller that is done with its rows uses
-    /// [`GEntryStore::add_writes_moved`].
+    /// item); [`GEntryStore::add_writes_iter`] takes the rows from any
+    /// iterator.
     pub fn add_writes_batch(
         &self,
         step: u64,
@@ -634,33 +665,22 @@ impl GEntryStore {
         scratch: &mut PqOpScratch,
     ) -> u64 {
         let shared = items.iter().map(|(key, grad)| (*key, Arc::clone(grad)));
-        self.register_writes(step, shared, pq, scratch)
+        self.add_writes_iter(step, shared, pq, scratch)
     }
 
-    /// [`GEntryStore::add_writes_batch`] that *moves* the rows out of
-    /// `items` into the W sets, leaving it empty with its capacity: no
-    /// reference count is touched on the way, and the caller's bucket no
-    /// longer keeps the rows from being recycled once they are flushed.
-    pub fn add_writes_moved(
+    /// The one write-registration routine: [`GEntryStore::add_writes_batch`]
+    /// over the `(key, Δ)` pairs `items` yields, each row moved into its W
+    /// set as it comes. The pairs must arrive grouped by shard (see
+    /// [`GEntryStore::group_by_shard`]) for the one-lock-per-shard promise.
+    pub fn add_writes_iter(
         &self,
         step: u64,
-        items: &mut Vec<(Key, Arc<[f32]>)>,
-        pq: &dyn PriorityQueue,
-        scratch: &mut PqOpScratch,
-    ) -> u64 {
-        self.register_writes(step, items.drain(..), pq, scratch)
-    }
-
-    /// The one write-registration routine behind both public forms.
-    fn register_writes(
-        &self,
-        step: u64,
-        items: impl Iterator<Item = (Key, Arc<[f32]>)>,
+        items: impl IntoIterator<Item = (Key, Arc<[f32]>)>,
         pq: &dyn PriorityQueue,
         scratch: &mut PqOpScratch,
     ) -> u64 {
         let mut read_next = 0u64;
-        let mut items = items.peekable();
+        let mut items = items.into_iter().peekable();
         while let Some(&(first, _)) = items.peek() {
             let sid = Self::shard_of(first);
             let mut shard = self.shards[sid].lock();
@@ -780,11 +800,12 @@ impl GEntryStore {
     /// appends its `(step, Δ)` pairs to `writes` and its `(key, start, end)`
     /// range into them to `claims`. Each contiguous same-shard run of
     /// `batch` takes its shard's lock once and settles `pending_keys` once,
-    /// so a flusher that orders its batch by [`GEntryStore::shard_of`] pays
-    /// both per shard, not per key. Both outputs are appended to, never
-    /// cleared: flushers reuse them batch after batch, so the claim path
-    /// allocates nothing after warm-up, and the entries' W-list capacity
-    /// stays in the shard slabs for reuse.
+    /// so a flusher that groups its batch by shard
+    /// ([`GEntryStore::group_by_shard`]) pays both per shard, not per key;
+    /// the order of the keys inside a run does not matter. Both outputs
+    /// are appended to, never cleared: flushers reuse them batch after
+    /// batch, so the claim path allocates nothing after warm-up, and the
+    /// entries' W-list capacity stays in the shard slabs for reuse.
     pub fn take_writes_batch(
         &self,
         batch: &[(Key, Priority)],

@@ -16,14 +16,17 @@
 //! (no probe run cut by the hole) with its own R/W state attached.
 //!
 //! A third drives twin stores through one random sequence of registrations
-//! and claims — one through the batch-native forms (moving registration,
-//! whole-batch claim), one through the slice and one-key forms — and
-//! requires the same claims, priorities and counts from both.
+//! and claims — one through the engine's forms (registration from an
+//! iterator over a shard-grouped permutation, whole-batch claim of a batch
+//! grouped by shard in arrival order), one through the slice and one-key
+//! forms over the old `(shard, key, priority)`-sorted order — and requires
+//! the same claims, priorities and counts from both. Unit tests pin the
+//! grouping helper itself: a stable permutation, one run per shard.
 
 use frugal_core::{GEntryStore, PqOpScratch, PriorityPolicy};
 use frugal_pq::{TwoLevelPq, INFINITE};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 const MAX_STEP: u64 = 2_000;
@@ -249,15 +252,47 @@ fn check_delete_heavy(ops: &[Op]) -> Result<(), String> {
 /// A random step of the twin-store property: `kind` 0 registers the
 /// writes of step `at` for the keys picked by `mask`, 1 its reads, 2–3
 /// claims the picked keys (each at its current priority, or at `at` — a
-/// stale pair — where `stale` has the key's bit set).
+/// stale pair — where `stale` has the key's bit set; bit `12 + i` adds a
+/// second pair of the key at its current priority). `at` also picks the
+/// arrival order: a rotation, reversed or not.
 type TwinOp = (u64, u64, u64, u64);
 
-/// Twin stores, one random sequence: `batched` registers by
-/// `add_writes_moved` and claims by `take_writes_batch`; `keyed` registers
-/// by the slice form and claims one key at a time with `take_writes_into`.
-/// Both are wrappers of one routine each, so they must agree on every claim
-/// (which pairs are refused as stale, the drained steps, their order), on
-/// every priority and `read_next` count, and on `pending_keys`.
+/// `items` in a scrambled arrival order picked by `at`.
+fn arrival_order<T>(mut items: Vec<T>, at: u64) -> Vec<T> {
+    if !items.is_empty() {
+        let n = items.len();
+        items.rotate_left(at as usize % n);
+    }
+    if at / 16 % 2 == 1 {
+        items.reverse();
+    }
+    items
+}
+
+/// Per claimed key, its drained `(step, Δ bits)` pairs in order.
+type Claimed = BTreeMap<u64, Vec<(u64, u32)>>;
+
+fn claimed(claims: &[(u64, usize, usize)], writes: &[(u64, Arc<[f32]>)]) -> Claimed {
+    claims
+        .iter()
+        .map(|&(key, start, end)| {
+            let rows = writes[start..end].iter().map(|(s, g)| (*s, g[0].to_bits()));
+            (key, rows.collect())
+        })
+        .collect()
+}
+
+/// Twin stores, one random sequence. `batched` registers the engine's
+/// way — [`GEntryStore::add_writes_iter`] over a shard-grouped permutation
+/// of the rows, one `Arc` handed over per row — and claims the engine's
+/// way: the batch grouped by shard with [`GEntryStore::group_by_shard`],
+/// arrival order kept inside a shard, one `take_writes_batch`. `keyed`
+/// registers by the slice form and claims one key at a time with
+/// `take_writes_into`, over the batch sorted by `(shard, key, priority)` —
+/// the order the flusher used to sort into. They must agree on every claim
+/// (the same keys, the same drained `(step, Δ)` rows, the same number of
+/// stale pairs refused), on every priority and `read_next` count, and on
+/// `pending_keys`.
 fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(), String> {
     // Shards 0 (0, 64, 128, 192), 1 (1, 65, 129) and five loners.
     let keys: [u64; 12] = [0, 64, 128, 192, 1, 65, 129, 2, 7, 500, 63, 1000];
@@ -272,21 +307,37 @@ fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(
     );
     let (pq_b, pq_k) = (TwoLevelPq::new(MAX_STEP), TwoLevelPq::new(MAX_STEP));
     let mut scratch = PqOpScratch::default();
+    let mut order: Vec<u32> = Vec::new();
+    let mut grouped: Vec<(u64, u64)> = Vec::new();
     // Step order, as the engine registers: arrival-order priorities assume it.
     let mut step = 0u64;
     for &(kind, mask, stale, at) in ops {
         match kind {
             0 => {
                 let grad: Arc<[f32]> = vec![step as f32].into();
-                let mut items: Vec<(u64, Arc<[f32]>)> =
-                    picked(mask).map(|(_, &k)| (k, Arc::clone(&grad))).collect();
-                items.sort_by_key(|&(k, _)| GEntryStore::shard_of(k));
-                let rn_k = keyed.add_writes_batch(step, &items, &pq_k, &mut scratch);
-                // One more holder per row now; the moving form adds none.
+                let items: Vec<(u64, Arc<[f32]>)> = arrival_order(
+                    picked(mask).map(|(_, &k)| (k, Arc::clone(&grad))).collect(),
+                    at,
+                );
+                let mut sorted = items.clone();
+                sorted.sort_by_key(|&(k, _)| GEntryStore::shard_of(k));
+                let rn_k = keyed.add_writes_batch(step, &sorted, &pq_k, &mut scratch);
+                drop(sorted);
+                GEntryStore::group_by_shard(
+                    0..items.len() as u32,
+                    |&i| items[i as usize].0,
+                    &mut order,
+                );
                 let holders = Arc::strong_count(&grad);
-                let rn_b = batched.add_writes_moved(step, &mut items, &pq_b, &mut scratch);
-                if !items.is_empty() || Arc::strong_count(&grad) != holders {
-                    return Err("the moving form must move the rows, not share them".to_owned());
+                let rows = order.iter().map(|&i| {
+                    let (key, grad) = &items[i as usize];
+                    (*key, Arc::clone(grad))
+                });
+                let rn_b = batched.add_writes_iter(step, rows, &pq_b, &mut scratch);
+                if Arc::strong_count(&grad) != holders + items.len() {
+                    return Err(
+                        "the iterator form must keep exactly the rows it is handed".to_owned()
+                    );
                 }
                 if rn_b != rn_k {
                     return Err(format!(
@@ -303,30 +354,37 @@ fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(
                 keyed.add_reads_batch(read_step, &reads, &pq_k, &mut scratch);
             }
             _ => {
-                // The flusher's order: by shard, then key.
-                let mut batch: Vec<(u64, u64)> = picked(mask)
-                    .map(|(i, &k)| match keyed.priority_of(k) {
+                let mut pairs: Vec<(u64, u64)> = Vec::new();
+                for (i, &k) in picked(mask) {
+                    let current = keyed.priority_of(k);
+                    pairs.push(match current {
                         Some(p) if stale >> i & 1 == 0 => (k, p),
                         _ => (k, at % 12),
-                    })
-                    .collect();
-                batch.sort_by_key(|&(k, p)| (GEntryStore::shard_of(k), k, p));
+                    });
+                    if let Some(p) = current.filter(|_| stale >> (12 + i) & 1 == 1) {
+                        pairs.push((k, p));
+                    }
+                }
+                let arrival = arrival_order(pairs, at);
+                GEntryStore::group_by_shard(arrival.iter().copied(), |&(k, _)| k, &mut grouped);
                 let (mut writes_b, mut claims_b) = (Vec::new(), Vec::new());
-                batched.take_writes_batch(&batch, &mut writes_b, &mut claims_b);
+                batched.take_writes_batch(&grouped, &mut writes_b, &mut claims_b);
+                // The old flusher's order, claimed key by key.
+                let mut sorted = arrival.clone();
+                sorted.sort_unstable_by_key(|&(k, p)| (GEntryStore::shard_of(k), k, p));
                 let (mut writes_k, mut claims_k) = (Vec::new(), Vec::new());
-                for &(key, p) in &batch {
+                for &(key, p) in &sorted {
                     let start = writes_k.len();
                     let n = keyed.take_writes_into(key, p, &mut writes_k);
                     if n > 0 {
                         claims_k.push((key, start, start + n));
                     }
                 }
-                let steps = |w: &[(u64, Arc<[f32]>)]| w.iter().map(|&(s, _)| s).collect::<Vec<_>>();
-                if claims_b != claims_k || steps(&writes_b) != steps(&writes_k) {
+                let (got, want) = (claimed(&claims_b, &writes_b), claimed(&claims_k, &writes_k));
+                if got != want || claims_b.len() != claims_k.len() {
                     return Err(format!(
-                        "claim of {batch:?} diverged: batched {claims_b:?} {:?}, keyed {claims_k:?} {:?}",
-                        steps(&writes_b),
-                        steps(&writes_k)
+                        "claim of {grouped:?} (sorted: {sorted:?}) diverged: grouped {got:?}, \
+                         sorted {want:?}"
                     ));
                 }
             }
@@ -380,12 +438,72 @@ fn a_million_key_window_stays_under_32_bytes_a_key() {
     assert!(store.resident_bytes() < 32 * KEYS as usize);
 }
 
+/// `group_by_shard` on `keys` (tagged with their input positions): a
+/// permutation of the input, each shard one contiguous run, shards in
+/// ascending order, and the input order kept inside a run.
+fn check_grouping(keys: &[u64]) -> Result<(), String> {
+    let tagged: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+    let mut out = vec![(7, 7); 3]; // stale contents are replaced
+    GEntryStore::group_by_shard(tagged.iter().copied(), |&(k, _)| k, &mut out);
+    let mut positions: Vec<usize> = out.iter().map(|&(_, i)| i).collect();
+    if out.iter().any(|&(k, i)| keys[i] != k) {
+        return Err(format!("{out:?} does not carry its items unchanged"));
+    }
+    positions.sort_unstable();
+    if positions != (0..keys.len()).collect::<Vec<_>>() {
+        return Err(format!("{out:?} is not a permutation of {keys:?}"));
+    }
+    for w in out.windows(2) {
+        let (a, b) = (GEntryStore::shard_of(w[0].0), GEntryStore::shard_of(w[1].0));
+        if a > b || (a == b && w[0].1 > w[1].1) {
+            return Err(format!("{out:?}: shards out of order or a run not stable"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn grouping_keeps_arrival_order_inside_each_shard() {
+    let batch = [
+        (65u64, 'a'),
+        (2, 'b'),
+        (1, 'c'),
+        (129, 'd'),
+        (66, 'e'),
+        (0, 'f'),
+    ];
+    let mut out = Vec::new();
+    GEntryStore::group_by_shard(batch.iter().copied(), |&(k, _)| k, &mut out);
+    assert_eq!(
+        out,
+        [
+            (0, 'f'),
+            (65, 'a'),
+            (1, 'c'),
+            (129, 'd'),
+            (2, 'b'),
+            (66, 'e')
+        ]
+    );
+    GEntryStore::group_by_shard(std::iter::empty(), |&(k, _): &(u64, char)| k, &mut out);
+    assert!(out.is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn batched_claim_and_moving_registration_match_the_keyed_forms(
-        ops in proptest::collection::vec((0u64..4, 0u64..4096, 0u64..4096, 0u64..MAX_STEP), 0..120),
+    fn grouping_is_a_stable_permutation_with_one_run_per_shard(
+        keys in proptest::collection::vec(0u64..1024, 0..300),
+    ) {
+        if let Err(msg) = check_grouping(&keys) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+
+    #[test]
+    fn grouped_claim_and_iterator_registration_match_the_keyed_sorted_forms(
+        ops in proptest::collection::vec((0u64..4, 0u64..4096, 0u64..1 << 24, 0u64..MAX_STEP), 0..120),
         arrival in any::<bool>(),
     ) {
         let policy = if arrival {

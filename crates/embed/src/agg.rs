@@ -13,11 +13,95 @@
 //! trainer on its hot loop. A caller that already holds the batch's dense
 //! instance → unique index skips the map altogether
 //! ([`GradAggregator::seed_slots`] / [`GradAggregator::add_to_slot`]).
+//! A caller that wants the sums as shared rows, reusing last step's, folds
+//! into them directly with an [`ArcFold`].
 
 use crate::kernels;
 use frugal_data::{Key, KeyHashMap};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
+
+/// Sums `(key, grad)` entries per key straight into a list of shared rows:
+/// [`GradAggregator::add`] over the entries followed by
+/// [`GradAggregator::drain_arcs`], bit for bit, with no arena in between.
+/// This is the decentralized reduce's fold — each gradient row is written
+/// once, into the `Arc` it leaves the reduce in.
+///
+/// Feed the entries with [`ArcFold::add`] and end with
+/// [`ArcFold::finish`]. The destination keeps `drain_arcs`'s recycling
+/// rule: its rows are overwritten in place where nobody else holds them,
+/// replaced where someone does, and the list is cut to the folded keys.
+/// The key → position map keeps its allocation from fold to fold.
+///
+/// # Examples
+///
+/// ```
+/// use frugal_embed::ArcFold;
+///
+/// let mut out = Vec::new();
+/// let mut fold = ArcFold::default();
+/// fold.add(&mut out, 7, &[1.0, 2.0]);
+/// fold.add(&mut out, 3, &[4.0, 4.0]);
+/// fold.add(&mut out, 7, &[0.5, 0.5]);
+/// fold.finish(&mut out);
+/// assert_eq!((out[0].0, &out[0].1[..]), (7, &[1.5, 2.5][..]));
+/// assert_eq!(out[1].0, 3);
+/// ```
+#[derive(Debug, Default)]
+pub struct ArcFold {
+    /// Key → position in the destination of the fold in progress; its
+    /// length is the number of keys folded so far.
+    index: KeyHashMap<usize>,
+}
+
+impl ArcFold {
+    /// Adds `grad` to `key`'s row of `out`: the first arrival of `key`
+    /// takes the next position, whose row it writes as `0.0 + grad` — the
+    /// sum [`GradAggregator::add`] forms from its zeroed accumulator, so a
+    /// `-0.0` element lands as `+0.0` just the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad`'s length differs from an earlier arrival of `key`.
+    pub fn add(&mut self, out: &mut Vec<(Key, Arc<[f32]>)>, key: Key, grad: &[f32]) {
+        let next = self.index.len();
+        match self.index.entry(key) {
+            Entry::Occupied(e) => {
+                let row = Arc::get_mut(&mut out[*e.get()].1)
+                    .expect("a row written by this fold is held by the fold alone");
+                kernels::add(row, grad);
+            }
+            Entry::Vacant(e) => {
+                e.insert(next);
+                let Some(dst) = out.get_mut(next) else {
+                    out.push((key, zero_plus(grad)));
+                    return;
+                };
+                dst.0 = key;
+                match Arc::get_mut(&mut dst.1) {
+                    Some(row) if row.len() == grad.len() => {
+                        for (x, &g) in row.iter_mut().zip(grad) {
+                            *x = 0.0 + g;
+                        }
+                    }
+                    _ => dst.1 = zero_plus(grad),
+                }
+            }
+        }
+    }
+
+    /// Ends the fold: `out` is cut to the folded keys, in first-arrival
+    /// order, and the fold is ready for the next one.
+    pub fn finish(&mut self, out: &mut Vec<(Key, Arc<[f32]>)>) {
+        out.truncate(self.index.len());
+        self.index.clear();
+    }
+}
+
+/// A fresh row holding `0.0 + grad` (see [`ArcFold::add`]).
+fn zero_plus(grad: &[f32]) -> Arc<[f32]> {
+    grad.iter().map(|&g| 0.0 + g).collect()
+}
 
 /// Accumulates per-key gradients in arrival order.
 ///
@@ -175,7 +259,8 @@ impl GradAggregator {
     /// else holds any more (`Arc::get_mut`) is overwritten in place, so a
     /// caller that hands back last step's rows allocates only for the rows
     /// a consumer still shares and for growth past the old length. An empty
-    /// `out` allocates one `Arc` per row.
+    /// `out` allocates one `Arc` per row. [`ArcFold`] forms the same rows
+    /// without the aggregator's arena in between.
     pub fn drain_arcs(&mut self, out: &mut Vec<(Key, Arc<[f32]>)>) {
         let dim = self.dim;
         out.truncate(self.order.len());
@@ -419,6 +504,105 @@ mod tests {
         slotted.clear();
         slotted.add(5, &[1.0, 1.0]);
         assert_eq!(slotted.into_sorted(), vec![(5, vec![1.0, 1.0])]);
+    }
+
+    /// Stream `g`'s deposited entries at step `step`: overlapping keys,
+    /// values far enough apart that f32 summation order shows in the bits,
+    /// and a `-0.0` element in every row of stream 0. (Raw entries: an
+    /// aggregator's own sums could never hold a `-0.0`.)
+    fn deposit(g: usize, step: u64) -> Vec<(Key, [f32; 3])> {
+        let keys: &[Key] = match (g, step % 2) {
+            (0, 0) => &[4, 9, 2, 10, 6],
+            (0, _) => &[6, 8, 4, 10, 12, 14],
+            (1, 0) => &[2, 5, 4],
+            (1, _) => &[4, 3, 8],
+            (_, 0) => &[6, 4, 7],
+            _ => &[8],
+        };
+        keys.iter()
+            .map(|&key| {
+                let v = 10f32.powi(g as i32 * 3 - 3) * (1.0 + key as f32 * 1e-3 + step as f32);
+                let zero = if g == 0 { -0.0 } else { 1.0 / v };
+                (key, [v, zero, -v])
+            })
+            .collect()
+    }
+
+    /// The reduce, both ways: `add` over the owned (even) keys of the
+    /// deposits in stream order then `drain_arcs`, and the fold.
+    fn reduce_both(
+        step: u64,
+        aggregated: &mut Vec<(Key, Arc<[f32]>)>,
+        folded: &mut Vec<(Key, Arc<[f32]>)>,
+    ) {
+        let mut agg = GradAggregator::new(3);
+        let mut fold = ArcFold::default();
+        for (key, grad) in (0..3).flat_map(|g| deposit(g, step)) {
+            if key % 2 == 0 {
+                let grad = &grad[..];
+                agg.add(key, grad);
+                fold.add(folded, key, grad);
+            }
+        }
+        agg.drain_arcs(aggregated);
+        fold.finish(folded);
+    }
+
+    fn row_bits(out: &[(Key, Arc<[f32]>)]) -> Vec<(Key, Vec<u32>)> {
+        out.iter()
+            .map(|(k, g)| (*k, g.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn fold_is_add_then_drain_arcs_bit_for_bit() {
+        let (mut aggregated, mut folded) = (Vec::new(), Vec::new());
+        reduce_both(0, &mut aggregated, &mut folded);
+        assert_eq!(row_bits(&folded), row_bits(&aggregated));
+        // Key 10's only gradient has a `-0.0` element: the sum from a
+        // zeroed accumulator is `+0.0`, and so is the fold's.
+        assert_eq!(folded[2].0, 10);
+        assert_eq!(folded[2].1[1].to_bits(), 0.0f32.to_bits());
+        // Key 9 is not owned: only even keys, in first-arrival order.
+        assert_eq!(
+            folded.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            [4, 2, 10, 6]
+        );
+
+        // A consumer (a pending flush) still holds row 1; the rest are free.
+        let held = Arc::clone(&folded[1].1);
+        let held_bits: Vec<u32> = held.iter().map(|x| x.to_bits()).collect();
+        let rows: Vec<*const f32> = folded.iter().map(|(_, r)| r.as_ptr()).collect();
+        let held_agg = Arc::clone(&aggregated[1].1);
+        // The next step folds more keys than the slot holds: it grows.
+        reduce_both(1, &mut aggregated, &mut folded);
+        assert_eq!(row_bits(&folded), row_bits(&aggregated));
+        assert_eq!(folded.len(), 6);
+        assert_eq!(
+            folded[0].1.as_ptr(),
+            rows[0],
+            "an unshared row must be recycled"
+        );
+        assert_eq!(
+            folded[2].1.as_ptr(),
+            rows[2],
+            "an unshared row must be recycled"
+        );
+        assert!(
+            !Arc::ptr_eq(&folded[1].1, &held),
+            "a shared row must be replaced"
+        );
+        assert_eq!(
+            held.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            held_bits
+        );
+        drop((held, held_agg));
+
+        // And back: the slot is cut to the folded keys, nothing stale.
+        reduce_both(2, &mut aggregated, &mut folded);
+        assert_eq!(row_bits(&folded), row_bits(&aggregated));
+        assert_eq!(folded.len(), 4);
+        assert_eq!(folded[0].1.as_ptr(), rows[0]);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   per-row loop (optimizer steps, gradient accumulation, row copies)
 //!   routes through.
 //! * [`GradAggregator`] — canonical-order per-key gradient summation for
-//!   bitwise-reproducible synchronous updates.
+//!   bitwise-reproducible synchronous updates; [`ArcFold`] is the same sum
+//!   folded straight into recycled shared rows (the engine's reduce).
 //! * [`apply_claims`] / [`apply_updates`] — the flush-apply entry points:
 //!   every path that moves pending updates into the [`HostStore`]
 //!   (background flushers, the write-through leader) goes through here.
@@ -41,7 +42,7 @@ mod shard;
 mod state;
 mod store;
 
-pub use agg::GradAggregator;
+pub use agg::{ArcFold, GradAggregator};
 pub use cache::{CachePolicy, GpuCache, InsertOutcome};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError};
 pub use flush::{apply_claims, apply_updates, FlushClaim};

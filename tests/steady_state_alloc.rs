@@ -2,8 +2,10 @@
 //! workload's sampled key `Vec`s, the model's `BatchGrads` (a constant per
 //! step), and a gradient row's `Arc` only where the previous step's row in
 //! the same position of the update slot is still held by a g-entry that has
-//! not been flushed. The reduce recycles every other row in place
-//! (`GradAggregator::drain_arcs`), so
+//! not been flushed. The reduce folds the deposits straight into the update
+//! slot's rows and recycles every other row in place as it goes
+//! (`ArcFold`), and registration shares each row with its g-entry without
+//! staging it anywhere, so
 //!
 //! * under write-through, where nothing outlives the step, the count is the
 //!   constant — the updated rows are not in the budget at all;
