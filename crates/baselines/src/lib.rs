@@ -1,15 +1,19 @@
 //! # frugal-baselines — the paper's comparator systems
 //!
-//! Re-implementations of the systems Frugal is evaluated against
-//! (paper §4.1), built on the same substrate (`frugal-sim` hardware model,
-//! `frugal-embed` storage, `frugal-core` model/workload seams) so the
-//! comparison isolates the *architecture*, exactly as the paper did by
+//! The systems Frugal is evaluated against (paper §4.1), priced on the
+//! same substrate (`frugal-sim` hardware model, `frugal-embed` caches,
+//! `frugal-core` model/workload seams and shard map) so the comparison
+//! isolates the *architecture*, exactly as the paper did by
 //! re-implementing HugeCTR's multi-GPU cache inside PyTorch:
 //!
 //! * **PyTorch / DGL-KE** — no GPU cache, CPU-involved host access.
 //! * **HugeCTR / DGL-KE-cached** — sharded multi-GPU cache with
 //!   `all_to_all` exchange (Fig 2b).
 //! * **PyTorch-UVM** — unified-memory paging.
+//!
+//! All three train synchronously, so a baseline run is the serial
+//! oracle's run ([`frugal_core::train_serial`]) plus a walk over its key
+//! stream that prices each step and decides the cache's hits and fills.
 //!
 //! A run is a [`System`] plus a [`FrugalConfig`](frugal_core::FrugalConfig):
 //! [`System::run`] trains the six systems of §4.1 — these three and the
@@ -20,5 +24,4 @@
 mod engine;
 mod systems;
 
-pub use engine::BaselineEngine;
 pub use systems::System;

@@ -1,7 +1,7 @@
 //! The named systems of the paper's evaluation (§4.1) and the one runner:
 //! a [`System`] plus a [`FrugalConfig`] describe a run.
 
-use crate::engine::BaselineEngine;
+use crate::engine;
 use frugal_core::{
     ConfigError, EmbeddingModel, FlushMode, FrugalConfig, FrugalEngine, TrainReport, Workload,
 };
@@ -110,26 +110,46 @@ impl System {
 
     /// Trains `workload` with `model` as this system, on the run `cfg`
     /// describes. The system decides the architecture and, for the Frugal
-    /// variants, the flush mode; `cfg` supplies everything else. The store
-    /// is sized from the workload's key space and the model's dimension.
+    /// variants, the flush mode; `cfg` supplies everything else. A Frugal
+    /// engine's store is sized from the workload's key space and the
+    /// model's dimension.
+    ///
+    /// A baseline trains the serial oracle's parameters
+    /// ([`frugal_core::train_serial`]) and prices each step from its key
+    /// stream; of `cfg` it reads `cost`, `cache_ratio` and `cache_policy`
+    /// (HugeCTR only), `lr`, `steps`, `seed` and `telemetry`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use frugal_baselines::System;
+    /// use frugal_core::{FrugalConfig, PullToTarget};
+    /// use frugal_data::{KeyDistribution, SyntheticTrace};
+    ///
+    /// let trace = SyntheticTrace::new(1_000, KeyDistribution::Zipf(0.9), 32, 2, 1)?;
+    /// let cfg = FrugalConfig::commodity(2, 10);
+    /// let report = System::HugeCtr.run(cfg, &trace, &PullToTarget::new(8, 7));
+    /// assert!(report.throughput() > 0.0 && report.hit_ratio > 0.0);
+    /// # Ok::<(), frugal_data::DistError>(())
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if the engine rejects `cfg` (see [`System::validate`] and
-    /// [`BaselineEngine::new`]).
+    /// Panics if the Frugal engine rejects `cfg` (see
+    /// [`System::validate`]), or if a baseline is asked to train with an
+    /// optimizer other than SGD or under an elastic membership plan.
     pub fn run(
         self,
         mut cfg: FrugalConfig,
         workload: &dyn Workload,
         model: &dyn EmbeddingModel,
     ) -> TrainReport {
-        let (n_keys, dim) = (workload.n_keys(), model.dim());
         match self.flush_mode() {
             Some(flush_mode) => {
                 cfg.flush_mode = flush_mode;
-                FrugalEngine::new(cfg, n_keys, dim).run(workload, model)
+                FrugalEngine::new(cfg, workload.n_keys(), model.dim()).run(workload, model)
             }
-            None => BaselineEngine::new(self, cfg, n_keys, dim).run(workload, model),
+            None => engine::run(self, &cfg, workload, model),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Fig 3 (motivation) and Exp #1 (Fig 8, microbenchmark).
 
-use super::Scale;
+use super::{system_columns, Scale};
 use crate::table::{fmt_throughput, ExpTable};
 use frugal_baselines::System;
 use frugal_core::{FrugalConfig, PullToTarget};
@@ -98,7 +98,7 @@ pub fn exp1_microbenchmark(scale: &Scale) -> Vec<ExpTable> {
                     dist.label(),
                     cache_ratio * 100.0
                 ),
-                &["batch", "PyTorch", "HugeCTR", "Frugal-Sync", "Frugal"],
+                &system_columns("batch", &System::microbench_set(), System::rec_label),
             );
             for &batch in &scale.batches {
                 let trace = SyntheticTrace::new(scale.micro_keys, dist, batch, scale.gpus, 13)

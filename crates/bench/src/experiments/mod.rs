@@ -23,8 +23,25 @@ pub use sensitivity::{exp10_flush_threads, exp11_models};
 pub use tables::{table1_gpu_specs, table2_datasets};
 pub use tech::{exp2_p2f, exp3_uva, exp4_pq, exp5_breakdown};
 
+use frugal_baselines::System;
 use frugal_core::TrainReport;
 use frugal_telemetry::{LedgerPhase, LedgerPhaseSummary};
+
+/// The systems the end-to-end and model-sensitivity figures (Fig 13, 14
+/// and 18) compare, in column order.
+const END_TO_END: [System; 3] = [System::PyTorch, System::HugeCtr, System::Frugal];
+
+/// A table header: `first`, then one column per system, named by `label`
+/// ([`System::rec_label`] or [`System::kg_label`]).
+fn system_columns(
+    first: &str,
+    systems: &[System],
+    label: fn(&System) -> &'static str,
+) -> Vec<String> {
+    std::iter::once(first.to_owned())
+        .chain(systems.iter().map(|s| label(s).to_owned()))
+        .collect()
+}
 
 /// The measured (wall-clock) per-step summary of ledger `phase` in a run
 /// made with telemetry on — what experiments print next to modeled

@@ -1,12 +1,17 @@
 //! Exp #6–#9: overall performance (Fig 13–16).
 
-use super::Scale;
+use super::{system_columns, Scale, END_TO_END};
 use crate::table::{fmt_throughput, ExpTable};
 use frugal_baselines::System;
 use frugal_core::{EmbeddingModel, FrugalConfig, Workload};
 use frugal_data::{KgDatasetSpec, KgTrace, RecDatasetSpec, RecTrace};
 use frugal_models::{Dlrm, KgModel, KgScorer};
 use frugal_sim::Topology;
+
+/// The column of Frugal's throughput over the cache-less baseline's.
+fn speedup_column(label: fn(&System) -> &'static str) -> String {
+    format!("{}/{}", label(&System::Frugal), label(&System::PyTorch))
+}
 
 fn kg_specs(scale: &Scale) -> Vec<KgDatasetSpec> {
     vec![
@@ -35,15 +40,11 @@ pub fn exp6_kg(scale: &Scale) -> Vec<ExpTable> {
         }
         .min(spec.n_entities as usize / 2)
         .max(16);
+        let mut header = system_columns("cache", &END_TO_END, System::kg_label);
+        header.push(speedup_column(System::kg_label));
         let mut t = ExpTable::new(
             format!("Fig 13 ({}): KG throughput (triples/s)", spec.name),
-            &[
-                "cache",
-                "DGL-KE",
-                "DGL-KE-cached",
-                "Frugal",
-                "Frugal/DGL-KE",
-            ],
+            &header,
         );
         for cache_ratio in [0.05, 0.10] {
             let trace = KgTrace::new(spec.clone(), batch, scale.gpus, 29).expect("valid trace");
@@ -72,9 +73,11 @@ pub fn exp6_kg(scale: &Scale) -> Vec<ExpTable> {
 pub fn exp7_rec(scale: &Scale) -> Vec<ExpTable> {
     let mut out = Vec::new();
     for spec in rec_specs(scale) {
+        let mut header = system_columns("cache", &END_TO_END, System::rec_label);
+        header.push(speedup_column(System::rec_label));
         let mut t = ExpTable::new(
             format!("Fig 14 ({}): REC throughput (samples/s)", spec.name),
-            &["cache", "PyTorch", "HugeCTR", "Frugal", "Frugal/PyTorch"],
+            &header,
         );
         for cache_ratio in [0.05, 0.10] {
             let trace =
@@ -109,7 +112,7 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
     let kg_spec = KgDatasetSpec::freebase().scaled_to_entities(scale.kg_entities);
     let mut tkg = ExpTable::new(
         "Fig 15a (KG, Freebase-shaped): throughput by GPU count",
-        &["gpus", "DGL-KE", "DGL-KE-cached", "Frugal-Sync", "Frugal"],
+        &system_columns("gpus", &System::microbench_set(), System::kg_label),
     );
     for n in [2usize, 4, 6, 8] {
         let trace = KgTrace::new(kg_spec.clone(), 1024, n, 37).expect("valid trace");
@@ -131,7 +134,7 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
     let rec_spec = RecDatasetSpec::avazu().scaled_to_ids(scale.rec_ids);
     let mut trec = ExpTable::new(
         "Fig 15b (REC, Avazu-shaped): throughput by GPU count",
-        &["gpus", "PyTorch", "HugeCTR", "Frugal-Sync", "Frugal"],
+        &system_columns("gpus", &System::microbench_set(), System::rec_label),
     );
     for n in [2usize, 4, 6, 8] {
         let trace = RecTrace::new(rec_spec.clone(), scale.rec_batch, n, 41).expect("valid trace");

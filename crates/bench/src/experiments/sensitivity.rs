@@ -1,6 +1,6 @@
 //! Exp #10–#11: sensitivity analyses (Fig 17–18).
 
-use super::Scale;
+use super::{system_columns, Scale, END_TO_END};
 use crate::table::{fmt_throughput, ExpTable};
 use frugal_baselines::System;
 use frugal_core::FrugalConfig;
@@ -43,7 +43,7 @@ pub fn exp11_models(scale: &Scale) -> Vec<ExpTable> {
     let batch = 512.min(spec.n_entities as usize / 2).max(16);
     let mut tkg = ExpTable::new(
         "Fig 18a: KG model sensitivity (triples/s)",
-        &["model", "DGL-KE", "DGL-KE-cached", "Frugal"],
+        &system_columns("model", &END_TO_END, System::kg_label),
     );
     for scorer in KgScorer::all() {
         let trace = KgTrace::new(spec.clone(), batch, scale.gpus, 59).expect("valid trace");
@@ -51,12 +51,9 @@ pub fn exp11_models(scale: &Scale) -> Vec<ExpTable> {
         let cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
         let thr =
             |system: System| fmt_throughput(system.run(cfg.clone(), &trace, &model).throughput());
-        tkg.row(vec![
-            scorer.name().to_owned(),
-            thr(System::PyTorch),
-            thr(System::HugeCtr),
-            thr(System::Frugal),
-        ]);
+        let mut cells = vec![scorer.name().to_owned()];
+        cells.extend(END_TO_END.map(thr));
+        tkg.row(cells);
     }
     tkg.note("paper: Frugal wins for every scorer; the embedding layer dominates");
     out.push(tkg);
@@ -66,7 +63,7 @@ pub fn exp11_models(scale: &Scale) -> Vec<ExpTable> {
     let dim = spec.embedding_dim as usize;
     let mut trec = ExpTable::new(
         "Fig 18b: DLRM depth sensitivity (samples/s)",
-        &["layers", "PyTorch", "HugeCTR", "Frugal"],
+        &system_columns("layers", &END_TO_END, System::rec_label),
     );
     for depth in [2usize, 3, 4, 5, 6] {
         // Head widths: dim -> 512 x (depth-2) -> 256 -> 1.
@@ -80,12 +77,9 @@ pub fn exp11_models(scale: &Scale) -> Vec<ExpTable> {
         let cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
         let thr =
             |system: System| fmt_throughput(system.run(cfg.clone(), &trace, &model).throughput());
-        trec.row(vec![
-            model.n_layers().to_string(),
-            thr(System::PyTorch),
-            thr(System::HugeCtr),
-            thr(System::Frugal),
-        ]);
+        let mut cells = vec![model.n_layers().to_string()];
+        cells.extend(END_TO_END.map(thr));
+        trec.row(cells);
     }
     trec.note("paper: deeper DNNs shrink the relative gain but never flip the ordering");
     out.push(trec);

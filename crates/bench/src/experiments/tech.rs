@@ -1,6 +1,6 @@
 //! Exp #2–#5: the technique ablations (Fig 9–12).
 
-use super::{measured_phase, Scale};
+use super::{measured_phase, system_columns, Scale};
 use crate::table::{fmt_throughput, telemetry_table, ExpTable};
 use frugal_baselines::System;
 use frugal_core::{FrugalConfig, PqKind, PullToTarget, TrainReport};
@@ -160,7 +160,7 @@ pub fn exp5_breakdown(scale: &Scale) -> Vec<ExpTable> {
     let model = PullToTarget::new(32, 7);
     let mut t = ExpTable::new(
         "Fig 12: per-step breakdown (ms): comm / hostDRAM / cache / other / stall",
-        &["batch", "PyTorch", "HugeCTR", "Frugal-Sync", "Frugal"],
+        &system_columns("batch", &System::microbench_set(), System::rec_label),
     );
     for &batch in &scale.batches {
         let trace = SyntheticTrace::new(

@@ -18,10 +18,10 @@ pub struct ExpTable {
 
 impl ExpTable {
     /// Creates an empty table with the given title and column header.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    pub fn new(title: impl Into<String>, header: &[impl AsRef<str>]) -> Self {
         ExpTable {
             title: title.into(),
-            header: header.iter().map(|s| (*s).to_owned()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_owned()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
         }

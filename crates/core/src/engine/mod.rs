@@ -64,50 +64,9 @@ use flusher::FlushCoord;
 use frugal_embed::{GpuCache, HostStore, Sharding, UpdateRule};
 use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq, INFINITE};
 use frugal_telemetry::{LaneKind, LedgerPhase, Registry, ThreadRecorder};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use strategy::Strategy;
-
-/// The published shard-map cell: the engine's single source of ownership
-/// truth. Trainers snapshot the `Arc` once per segment ([`Self::current`]);
-/// the run thread replaces it between segments ([`Self::publish`]). The
-/// epoch counter mirrors the map's own epoch so cheap "did it change?"
-/// probes need no lock.
-pub(crate) struct ShardMapCell {
-    map: Mutex<Arc<ShardMap>>,
-    epoch: AtomicU64,
-}
-
-impl ShardMapCell {
-    pub(crate) fn new(initial: Arc<ShardMap>) -> Self {
-        let epoch = AtomicU64::new(initial.epoch());
-        ShardMapCell {
-            map: Mutex::new(initial),
-            epoch,
-        }
-    }
-
-    /// The current epoch's map. Cache the returned `Arc` for the whole
-    /// segment — per-key atomic loads through here would put a lock on the
-    /// hot path for no benefit (the map cannot change mid-segment).
-    pub(crate) fn current(&self) -> Arc<ShardMap> {
-        Arc::clone(&self.map.lock())
-    }
-
-    /// The current epoch number.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Publishes `next` as the new epoch. Only called between segments,
-    /// when no trainer threads are running.
-    pub(crate) fn publish(&self, next: Arc<ShardMap>) {
-        self.epoch.store(next.epoch(), Ordering::Release);
-        *self.map.lock() = next;
-    }
-}
 
 /// One contiguous run of steps under a fixed shard-map epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,10 +121,8 @@ pub(crate) struct RunShared<'a> {
     pub(crate) gstore: GEntryStore,
     pub(crate) pq: Box<dyn PriorityQueue>,
     /// Cohort-wide cache *sizing* math (capacity, admission thresholds).
-    /// Ownership routing lives in [`ShardMap`], published via `smap`.
+    /// Ownership routing lives in the segment's [`ShardMap`].
     pub(crate) sharding: Sharding,
-    /// The published shard map (see [`ShardMapCell`]).
-    pub(crate) smap: ShardMapCell,
     /// The step protocol's shared state (see [`step::StepState`]).
     pub(crate) step: step::StepState,
     /// Flusher/trainer coordination (see [`FlushCoord`]).
@@ -175,10 +132,10 @@ pub(crate) struct RunShared<'a> {
 }
 
 /// The between-segments membership transition: drain the deferred-flush
-/// machinery to a quiescent point, re-home per-member state under the next
-/// epoch's map, and publish it. Runs on the `run` thread while **no**
-/// trainer threads exist (the previous segment's scope has joined), so
-/// every mutation here is single-threaded by construction.
+/// machinery to a quiescent point and re-home per-member state under the
+/// next epoch's map. Runs on the `run` thread while **no** trainer threads
+/// exist (the previous segment's scope has joined), so every mutation here
+/// is single-threaded by construction.
 ///
 /// The quiescent point is what keeps elastic runs bit-identical: once
 /// every pending g-entry write has reached the host store and every
@@ -189,7 +146,7 @@ pub(crate) struct RunShared<'a> {
 /// the same gradient sequence), so invariant (2) holds in the new epoch
 /// without any cache flush.
 ///
-/// `skip_quiesce` (failure injection) publishes the new map *without* the
+/// `skip_quiesce` (failure injection) moves to the new map *without* the
 /// drain or the evictions: stale survivor cache rows and unflushed
 /// pre-epoch writes then race the new owners — the divergence the elastic
 /// consistency tests must catch.
@@ -199,8 +156,8 @@ pub(crate) struct RunShared<'a> {
 /// `StallWait` — it is membership cost, not flush-wait cost).
 fn membership_transition(
     shared: &RunShared<'_>,
-    caches: &[Mutex<Option<GpuCache>>],
-    next: Arc<ShardMap>,
+    caches: &mut [Option<GpuCache>],
+    next: &ShardMap,
     resume_step: u64,
     rec: &ThreadRecorder,
 ) {
@@ -218,14 +175,13 @@ fn membership_transition(
             shared.gstore.pending_keys() == 0 && shared.flush.inflight.min() == INFINITE
         });
     }
-    for (t, slot) in caches.iter().enumerate() {
-        let mut guard = slot.lock();
+    for (t, slot) in caches.iter_mut().enumerate() {
         if !next.is_member(t) {
             // Leavers always drop their cache — even under failure
             // injection, a killed trainer's cache is gone.
-            *guard = None;
+            *slot = None;
         } else if !shared.cfg.skip_quiesce {
-            if let Some(cache) = guard.as_mut() {
+            if let Some(cache) = slot.as_mut() {
                 // Survivors evict the shards the new epoch takes away;
                 // a future epoch may hand them back, and serving the
                 // then-stale copy would miss the interim updates.
@@ -233,10 +189,6 @@ fn membership_transition(
             }
         }
     }
-    // Epochs advance one at a time: each segment boundary derives `next`
-    // from the currently-published map.
-    debug_assert_eq!(next.epoch(), shared.smap.epoch() + 1);
-    shared.smap.publish(next);
     let ns = t0.elapsed().as_nanos() as u64;
     shared.metrics.membership_transition_ns.add(ns);
     rec.record(resume_step, LedgerPhase::EpochTransition, t0, ns, &[]);
@@ -350,7 +302,6 @@ impl FrugalEngine {
             gstore: GEntryStore::with_policy(strategy.priority_policy),
             pq,
             sharding: Sharding::new(n),
-            smap: ShardMapCell::new(ShardMap::initial(n, GEntryStore::n_shards())),
             step: step::StepState::new(n, model.dim(), workload.samples_per_step(), cfg.lookahead),
             flush: FlushCoord::new(cfg.flush_threads),
             metrics: RunMetrics::new(&registry),
@@ -368,7 +319,11 @@ impl FrugalEngine {
         // Per-member persistent caches (rows + their optimizer state),
         // indexed by trainer id. Slots fill lazily on first membership and
         // survive across segments; transitions drop leavers' slots.
-        let caches: Vec<Mutex<Option<GpuCache>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let mut caches: Vec<Option<GpuCache>> = (0..n).map(|_| None).collect();
+        // The current epoch's map: fixed for a segment, replaced only by
+        // this thread between segments (each from its predecessor, so
+        // epochs advance one at a time).
+        let mut smap = ShardMap::initial(n, GEntryStore::n_shards());
         // One recorder (ledger lane + trace track) per trainer index for the
         // whole run — kept across segments, leaves and rejoins — and one for
         // the transitions this thread runs.
@@ -395,8 +350,8 @@ impl FrugalEngine {
             }
             for (i, seg) in segments.iter().enumerate() {
                 if i > 0 {
-                    let next = shared.smap.current().with_members(&seg.members);
-                    membership_transition(&shared, &caches, next, seg.start, &run_rec);
+                    smap = smap.with_members(&seg.members);
+                    membership_transition(&shared, &mut caches, &smap, seg.start, &run_rec);
                 }
                 // Lock-free: two crossings per step make the barrier
                 // hot-path state at 8–16 trainers. Its waiters spin for as
@@ -407,14 +362,13 @@ impl FrugalEngine {
                 std::thread::scope(|seg_scope| {
                     let members = recorders
                         .iter_mut()
+                        .zip(caches.iter_mut())
                         .enumerate()
                         .filter(|(t, _)| seg.members.contains(t));
-                    for (t, rec) in members {
-                        let barrier = &barrier;
-                        let shared = &shared;
-                        let cache = &caches[t];
+                    for (t, (rec, cache)) in members {
+                        let (barrier, shared, smap) = (&barrier, &shared, &*smap);
                         seg_scope.spawn(move || {
-                            trainer::trainer_loop(shared, barrier, t, seg, cache, rec)
+                            trainer::trainer_loop(shared, barrier, t, seg, smap, cache, rec)
                         });
                     }
                     // The inner scope joins every member before the next

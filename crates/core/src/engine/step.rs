@@ -41,7 +41,7 @@
 //! ([`crate::ShardMap::owns_key`]), so each key sees exactly the serial
 //! leader's addition sequence, just on a different thread. The epoch's
 //! map partitions the key space, so every key is reduced exactly once —
-//! and because every member snapshots the *same* `Arc<ShardMap>` for the
+//! and because every member borrows the run thread's *same* map for the
 //! whole segment, the partition cannot tear mid-step. Across an epoch
 //! change only *which thread* folds a key moves; the fold order per key
 //! is unchanged, which is why elastic runs stay bitwise equal too.

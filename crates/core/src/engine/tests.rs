@@ -303,22 +303,6 @@ fn resolve_segments_splits_at_membership_change_points() {
 }
 
 #[test]
-fn shard_map_cell_publishes_new_epochs() {
-    let cell = ShardMapCell::new(ShardMap::initial(4, GEntryStore::n_shards()));
-    assert_eq!(cell.epoch(), 0);
-    let shrunk = cell.current().with_members(&[0, 1, 3]);
-    cell.publish(shrunk);
-    assert_eq!(cell.epoch(), 1);
-    assert_eq!(cell.current().n_members(), 3);
-    // Restoring the original cohort advances the epoch again — epochs
-    // count transitions, they never reuse numbers.
-    let back = cell.current().with_members(&[0, 1, 2, 3]);
-    cell.publish(back);
-    assert_eq!(cell.epoch(), 2);
-    assert_eq!(cell.current().members(), &[0, 1, 2, 3]);
-}
-
-#[test]
 fn elastic_shrink_and_regrow_matches_serial_bitwise() {
     // 3 → 2 → 3: trainer 1 leaves at step 4 and rejoins at step 8. The
     // shrunk cohort still drives all three logical streams, so the

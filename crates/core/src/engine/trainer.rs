@@ -26,7 +26,6 @@ use frugal_data::{Key, KeyHashMap, KeyHashSet};
 use frugal_embed::{ArcFold, GpuCache, GradAggregator};
 use frugal_sim::{HostPath, Nanos};
 use frugal_telemetry::{LedgerPhase, StallRecord, ThreadRecorder};
-use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -286,28 +285,24 @@ pub(crate) fn trainer_loop(
     barrier: &SpinBarrier,
     t: usize,
     seg: &Segment,
-    cache_slot: &Mutex<Option<GpuCache>>,
+    smap: &ShardMap,
+    cache_slot: &mut Option<GpuCache>,
     rec: &mut ThreadRecorder,
 ) {
     let cfg = shared.cfg;
     let dim = shared.model.dim();
     let n_streams = cfg.n_gpus();
-    // Segment snapshot: the map is immutable for the segment's lifetime,
-    // so the per-key hot path below indexes plain arrays — no atomic
-    // epoch loads, no lock traffic after this line.
-    let smap = shared.smap.current();
+    // The segment's map is immutable for the segment's lifetime, so the
+    // per-key hot path below indexes plain arrays.
     debug_assert!(smap.is_member(t), "trainer {t} spawned outside its epoch");
     let streams: Vec<usize> = smap.streams_of(t).collect();
-    // The member's persistent cache, created on first membership. The
-    // slot lock is uncontended within a segment — transitions (the only
-    // other toucher) run strictly between segments.
-    let mut cache_guard = cache_slot.lock();
-    let cache = cache_guard.get_or_insert_with(|| member_cache(shared));
+    // The member's persistent cache, created on first membership.
+    let cache = cache_slot.get_or_insert_with(|| member_cache(shared));
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut total_fills = 0u64;
     let batch_per_gpu = shared.workload.samples_per_step() / n_streams as u64;
-    let mut scratch = StepScratch::new(dim, &smap, t);
+    let mut scratch = StepScratch::new(dim, smap, t);
     let registers_reads = shared.strategy.registers_reads;
     let proactive = cfg.flush_mode.proactive();
 
@@ -335,9 +330,9 @@ pub(crate) fn trainer_loop(
     if registers_reads {
         let feed_cache = cache.uses_lookahead();
         for s0 in seg.start..boot_end {
-            register_own_reads(shared, &smap, t, s0, &mut scratch);
+            register_own_reads(shared, smap, t, s0, &mut scratch);
             if feed_cache {
-                feed_cache_lookahead(shared, &smap, t, &streams, s0, &mut scratch, cache);
+                feed_cache_lookahead(shared, smap, t, &streams, s0, &mut scratch, cache);
             }
         }
     }
@@ -568,7 +563,7 @@ pub(crate) fn trainer_loop(
         // this member's owned keys across all deposit slots (stream index
         // order — canonical) into this member's update slot.
         let reduce_span = rec.span(s, LedgerPhase::Reduce);
-        step::reduce_own_shard(shared, &smap, t, &mut scratch.fold);
+        step::reduce_own_shard(shared, smap, t, &mut scratch.fold);
         match cfg.flush_mode {
             // The write-through flush the paper describes, sharded by key
             // ownership: each member pushes its owned rows to host memory
@@ -590,7 +585,7 @@ pub(crate) fn trainer_loop(
         drop(reduce_span);
         // Registration reads only the slot this member just wrote, so it
         // needs no barrier behind the reduce.
-        register_phase(shared, &smap, rec, s, t, &streams, &mut scratch, cache);
+        register_phase(shared, smap, rec, s, t, &streams, &mut scratch, cache);
         // Barrier C: registration complete — the step's entries are all
         // queued before any member can evaluate step s + 1's wait
         // condition. The C-leader finalizes bookkeeping concurrently. A
@@ -606,7 +601,7 @@ pub(crate) fn trainer_loop(
         };
         if c.is_leader() {
             let _span = rec.span(s, LedgerPhase::LeaderApply);
-            step::leader_finish(shared, &smap, s);
+            step::leader_finish(shared, smap, s);
         }
     }
 

@@ -45,9 +45,9 @@ pub struct TrainReport {
     /// counter.
     pub flush_apply_ns: u64,
     /// Total nanoseconds spent in elastic membership transitions (drain to
-    /// quiescence + survivor cache eviction + shard-map republication),
-    /// summed over the run's epoch changes — the `membership.transition_ns`
-    /// telemetry counter. Zero for static-cohort runs.
+    /// quiescence + survivor cache eviction), summed over the run's epoch
+    /// changes — the `membership.transition_ns` telemetry counter. Zero for
+    /// static-cohort runs.
     pub membership_transition_ns: u64,
     /// Mean loss over the first recorded step.
     pub first_loss: f32,

@@ -148,8 +148,6 @@ pub struct GpuCache {
     /// The StaticHot admission threshold every build of the policy takes:
     /// `capacity` until [`GpuCache::set_hot_threshold`] says otherwise.
     hot_threshold: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl GpuCache {
@@ -190,8 +188,6 @@ impl GpuCache {
             state_width: 0,
             state: Vec::new(),
             hot_threshold,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -252,7 +248,7 @@ impl GpuCache {
     /// the eviction policy from scratch (history-driven recency/frequency
     /// state and oracle feeds are forgotten — a performance detail at a
     /// rare transition, never a semantic one) with the stored StaticHot
-    /// threshold. Hit/miss stats are preserved.
+    /// threshold.
     pub fn retain<F: FnMut(Key) -> bool>(&mut self, mut keep: F) {
         let old_keys = std::mem::take(&mut self.keys);
         let old_rows = std::mem::take(&mut self.rows);
@@ -294,28 +290,11 @@ impl GpuCache {
         self.kind
     }
 
-    /// `(hits, misses)` counted by [`GpuCache::get`] and
-    /// [`GpuCache::get_mut`].
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Hit ratio over all lookups (`get` + `get_mut`) so far (0 when
-    /// unused).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// The one lookup: resolves `key` to its slot, refreshing policy state
-    /// and counting the hit or miss. A key the policy never admits cannot
-    /// be resident ([`Self::fill_with_state`] refuses it), so its miss is
-    /// counted without probing the map — under `static-hot` that is the
-    /// whole cold tail of every batch.
+    /// The one lookup: resolves `key` to its slot and tells the policy of
+    /// the hit or miss. A key the policy never admits cannot be resident
+    /// ([`Self::fill_with_state`] refuses it), so its miss is reported
+    /// without probing the map — under `static-hot` that is the whole cold
+    /// tail of every batch.
     fn lookup(&mut self, key: &Key) -> Option<usize> {
         let slot = if self.policy.admits(*key) {
             self.map.get(key).copied()
@@ -325,12 +304,10 @@ impl GpuCache {
         match slot {
             Some(slot) => {
                 self.policy.on_hit(*key, slot);
-                self.hits += 1;
                 Some(slot)
             }
             None => {
                 self.policy.on_miss(*key);
-                self.misses += 1;
                 None
             }
         }
@@ -352,7 +329,7 @@ impl GpuCache {
     }
 
     /// Looks up `key` mutably (for in-cache updates), refreshing policy
-    /// state. Counts toward [`Self::stats`] exactly like [`Self::get`].
+    /// state exactly like [`Self::get`].
     pub fn get_mut(&mut self, key: &Key) -> Option<&mut [f32]> {
         self.get_with_state(key).map(|(row, _)| row)
     }
@@ -364,7 +341,7 @@ impl GpuCache {
         Some(self.slot_mut(slot))
     }
 
-    /// True if `key` is cached (does not affect policy state or stats).
+    /// True if `key` is cached (does not affect policy state).
     pub fn contains(&self, key: &Key) -> bool {
         self.map.contains_key(key)
     }
@@ -449,18 +426,14 @@ impl GpuCache {
     /// Announces the training clock to the policy (oracle next-use
     /// bookkeeping; no-op for history-driven policies).
     pub fn begin_step(&mut self, step: u64) {
-        if let Some(feed) = self.policy.lookahead() {
-            feed.begin_step(step);
-        }
+        self.policy.begin_step(step);
     }
 
     /// Feeds a future step's (owner-local) batch keys to the policy.
     /// Callers can skip building the feed when
     /// [`GpuCache::uses_lookahead`] is false.
     pub fn prepare_step(&mut self, step: u64, keys: &[Key]) {
-        if let Some(feed) = self.policy.lookahead() {
-            feed.prepare_step(step, keys);
-        }
+        self.policy.prepare_step(step, keys);
     }
 
     /// Whether the policy consumes [`GpuCache::prepare_step`] feeds.
@@ -561,29 +534,25 @@ mod tests {
     fn stats_track_hits_and_misses() {
         let mut c = GpuCache::new(2, 1, CachePolicy::Lru);
         c.insert_from_slice(1, &[1.0]);
-        let _ = c.get(&1);
-        let _ = c.get(&2);
-        let _ = c.get(&1);
-        assert_eq!(c.stats(), (2, 1));
-        assert!((c.hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
+        let hits = [1, 2, 1].map(|k| c.get(&k).is_some());
+        assert_eq!(hits, [true, false, true]);
     }
 
     #[test]
     fn get_mut_counts_hits_and_misses_like_get() {
         let mut c = GpuCache::new(2, 1, CachePolicy::Lru);
         c.insert_from_slice(1, &[1.0]);
-        assert!(c.get_mut(&1).is_some());
-        assert!(c.get_mut(&2).is_none());
-        assert!(c.get_mut(&1).is_some());
-        assert_eq!(c.stats(), (2, 1), "get_mut must feed the same counters");
-        assert!((c.hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
+        c.insert_from_slice(2, &[2.0]);
+        let hits = [1, 3, 1].map(|k| c.get_mut(&k).is_some());
+        assert_eq!(hits, [true, false, true]);
+        // The hits refreshed 1 exactly as `get` would: 2 is the victim.
+        assert_eq!(c.insert_from_slice(3, &[3.0]), InsertOutcome::Evicted(2));
     }
 
     #[test]
     fn lookup_agrees_with_an_always_probing_one_for_every_policy() {
         // `contains` probes the map for every key and touches nothing; the
-        // counted lookups must tell the same hits from the same misses —
-        // including the keys static-hot never admits (≥ 20), whose probe
+        // lookups must tell the same hits from the same misses — including the keys static-hot never admits (≥ 20), whose probe
         // they skip.
         for policy in CachePolicy::ALL {
             let mut c = GpuCache::new(8, 1, policy);
@@ -614,9 +583,6 @@ mod tests {
                 }
             }
             assert!(hits > 0 && misses > 0, "{policy:?}: stream must be mixed");
-            assert_eq!(c.stats(), (hits, misses), "{policy:?}");
-            let ratio = hits as f64 / (hits + misses) as f64;
-            assert_eq!(c.hit_ratio().to_bits(), ratio.to_bits(), "{policy:?}");
         }
     }
 
@@ -652,7 +618,6 @@ mod tests {
         assert!(c.get(&2).is_none());
         assert!(c.get(&50).is_none());
         assert!(c.get_mut(&51).is_none());
-        assert_eq!(c.stats(), (1, 3));
         assert_eq!(on_miss.load(std::sync::atomic::Ordering::Relaxed), 3);
     }
 
@@ -691,8 +656,9 @@ mod tests {
 
     #[test]
     fn hit_ratio_zero_when_unused() {
-        let c = GpuCache::new(2, 1, CachePolicy::Lru);
-        assert_eq!(c.hit_ratio(), 0.0);
+        let mut c = GpuCache::new(2, 1, CachePolicy::Lru);
+        assert!(c.is_empty());
+        assert!((0..4).all(|k| c.get(&k).is_none()));
         assert_eq!(c.policy(), CachePolicy::Lru);
         assert_eq!(c.capacity(), 2);
     }
@@ -788,7 +754,7 @@ mod tests {
         for k in 0..6u64 {
             c.insert_from_slice(k, &[k as f32, -(k as f32)]);
         }
-        let _ = c.get(&0); // 1 hit on record
+        assert!(c.get(&0).is_some());
         c.retain(|k| k % 2 == 0);
         assert_eq!(c.len(), 3);
         for k in 0..6u64 {
@@ -798,11 +764,8 @@ mod tests {
                 assert!(c.get(&k).is_none(), "key {k} must be gone");
             }
         }
-        // The rebuilt policy still enforces the stored hot threshold, and
-        // stats survived the rebuild (1 get hit + 3 post-retain hits + 3
-        // misses from the loop above).
+        // The rebuilt policy still enforces the stored hot threshold.
         assert_eq!(c.insert_from_slice(500, &[0.0; 2]), InsertOutcome::Rejected);
-        assert_eq!(c.stats(), (4, 3));
     }
 
     #[test]
@@ -835,8 +798,6 @@ mod tests {
         row[0] = 5.0;
         state[2] = 7.0;
         assert!(c.get_with_state(&9).is_none());
-        // Same side effects as get/get_mut: one hit, one miss on record.
-        assert_eq!(c.stats(), (1, 1));
         assert_eq!(c.get(&1).unwrap(), &[5.0, 1.0]);
         assert_eq!(c.get_with_state(&1).unwrap().1, &[-1.0, -1.0, 7.0]);
         // A stateless cache hands out empty state, not a panic.

@@ -46,7 +46,7 @@ pub use agg::{ArcFold, GradAggregator};
 pub use cache::{CachePolicy, GpuCache, InsertOutcome};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError};
 pub use flush::{apply_claims, apply_updates, FlushClaim};
-pub use policy::{EvictionPolicy, Lookahead};
+pub use policy::EvictionPolicy;
 pub use rule::{AdagradRule, SgdRule, UpdateRule};
 pub use shard::Sharding;
 pub use state::DenseStateTable;

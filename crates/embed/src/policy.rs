@@ -19,7 +19,7 @@
 //!   spirit of TinyLFU admission).
 //! * [`OracleBeladyPolicy`] — Belady's MIN fed real future knowledge: the
 //!   engine's s+L lookahead registration doubles as a next-use feed
-//!   ([`Lookahead::prepare_step`]), so the policy can evict the slot
+//!   ([`EvictionPolicy::prepare_step`]), so the policy can evict the slot
 //!   whose next use is farthest (or absent) and bypass inserts that would
 //!   be the farthest themselves.
 //!
@@ -50,8 +50,8 @@ const NEVER: u64 = u64::MAX;
 ///   `None` rejects the insert (admission bypass).
 /// * `on_evict(key, slot)` fires after `evict_candidate` chose `slot`,
 ///   before the new key is installed there.
-/// * [`EvictionPolicy::lookahead`] hands out the engine-side future feed
-///   of a policy that consumes one; history-driven policies have none.
+/// * `begin_step`/`prepare_step` carry the engine-side future feed to a
+///   policy that consumes one; history-driven policies ignore it.
 pub trait EvictionPolicy: fmt::Debug + Send {
     /// A lookup for `key` resolved to `slot`.
     fn on_hit(&mut self, key: Key, slot: usize);
@@ -70,19 +70,11 @@ pub trait EvictionPolicy: fmt::Debug + Send {
     /// Full cache: pick the victim slot for incoming `key`, or `None` to
     /// reject it. `residents[slot]` is the key occupying `slot`.
     fn evict_candidate(&mut self, key: Key, residents: &[Key]) -> Option<usize>;
-    /// The policy's future feed, if it consumes one.
-    fn lookahead(&mut self) -> Option<&mut dyn Lookahead> {
-        None
-    }
-}
-
-/// The future-knowledge half of a lookahead-driven policy.
-pub trait Lookahead {
     /// The (owner-local) batch keys of `step`, fed as soon as the engine
     /// materializes them (s+L lookahead registration).
-    fn prepare_step(&mut self, step: u64, keys: &[Key]);
+    fn prepare_step(&mut self, _step: u64, _keys: &[Key]) {}
     /// The training loop advanced to `step`.
-    fn begin_step(&mut self, step: u64);
+    fn begin_step(&mut self, _step: u64) {}
 }
 
 /// Intrusive doubly-linked recency list over cache slots (head = most
@@ -322,7 +314,7 @@ impl EvictionPolicy for FrequencyAwarePolicy {
 ///
 /// The engine registers every step's reads `L` steps ahead; the same
 /// materialized key lists, filtered to this cache's owner shard, arrive
-/// through [`Lookahead::prepare_step`] as per-key next-use queues.
+/// through [`EvictionPolicy::prepare_step`] as per-key next-use queues.
 /// Under pressure the policy evicts the resident whose next use is
 /// farthest in the future (absent = infinitely far) — and rejects the
 /// *incoming* key instead when its own next use is farther than every
@@ -447,12 +439,6 @@ impl EvictionPolicy for OracleBeladyPolicy {
         }
     }
 
-    fn lookahead(&mut self) -> Option<&mut dyn Lookahead> {
-        Some(self)
-    }
-}
-
-impl Lookahead for OracleBeladyPolicy {
     fn prepare_step(&mut self, step: u64, keys: &[Key]) {
         if step < self.now {
             return;
