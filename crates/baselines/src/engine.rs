@@ -332,8 +332,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "static cohort")]
     fn refuses_an_elastic_plan() {
-        let plan = frugal_core::MembershipPlan::kill_and_recover(1, 2, 2, 4);
-        let cfg = FrugalConfig::commodity(2, 5).with_membership(plan);
+        let mut cfg = FrugalConfig::commodity(2, 5);
+        cfg.membership = frugal_core::MembershipPlan::default()
+            .change(2, vec![0])
+            .change(4, vec![0, 1]);
         System::HugeCtr.run(cfg, &trace(100, 16, 2), &PullToTarget::new(4, 2));
     }
 

@@ -128,19 +128,6 @@ impl MembershipPlan {
         self
     }
 
-    /// Fault-injection sugar: trainer `t` dies at the boundary before
-    /// `fail_step` (a leave) and is recovered at the boundary before
-    /// `recover_step` (a rejoin, cold caches). Both changes are relative
-    /// to the *full* `0..n_gpus` cohort, so compose this before any other
-    /// custom changes.
-    pub fn kill_and_recover(t: usize, n_gpus: usize, fail_step: u64, recover_step: u64) -> Self {
-        let without: Vec<usize> = (0..n_gpus).filter(|&g| g != t).collect();
-        let all: Vec<usize> = (0..n_gpus).collect();
-        MembershipPlan::default()
-            .change(fail_step, without)
-            .change(recover_step, all)
-    }
-
     /// Structural validation (called from [`FrugalConfig::validate`]).
     fn validate(&self, n_gpus: usize, steps: u64) -> Result<(), ConfigError> {
         let bad = |why: String| Err(ConfigError::Membership(why));
@@ -229,6 +216,11 @@ pub struct FrugalConfig {
     /// Cache size as a fraction of total parameters (paper default 5 %).
     pub cache_ratio: f64,
     /// Cache admission policy.
+    ///
+    /// [`CachePolicy::OracleBelady`] is fed by the read-registration
+    /// lookahead, so it only sees future batches under
+    /// [`FlushMode::P2f`]; under the other modes it degrades to a
+    /// never-evicting cache (safe, but pointless).
     pub cache_policy: CachePolicy,
     /// Sample-queue lookahead `L` in steps (paper default 10).
     pub lookahead: u64,
@@ -315,30 +307,6 @@ impl FrugalConfig {
         self
     }
 
-    /// Switches to the write-through Frugal-Sync baseline.
-    pub fn write_through(mut self) -> Self {
-        self.flush_mode = FlushMode::WriteThrough;
-        self
-    }
-
-    /// Switches to the arrival-order FIFO flush ablation (see
-    /// [`FlushMode::Fifo`]).
-    pub fn fifo(mut self) -> Self {
-        self.flush_mode = FlushMode::Fifo;
-        self
-    }
-
-    /// Selects the GPU-cache admission/eviction policy.
-    ///
-    /// [`CachePolicy::OracleBelady`] is fed by the read-registration
-    /// lookahead, so it only sees future batches under
-    /// [`FlushMode::P2f`]; under the other modes it degrades to a
-    /// never-evicting cache (safe, but pointless).
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
-        self
-    }
-
     /// Checks the configuration's structural invariants, returning the
     /// first violation. [`FrugalEngine::new`](crate::FrugalEngine::new)
     /// calls this and panics on `Err`; binaries call it directly to report
@@ -358,12 +326,6 @@ impl FrugalConfig {
         }
         self.membership.validate(self.n_gpus(), self.steps)?;
         Ok(())
-    }
-
-    /// Installs an elastic membership schedule (see [`MembershipPlan`]).
-    pub fn with_membership(mut self, plan: MembershipPlan) -> Self {
-        self.membership = plan;
-        self
     }
 
     /// Enables consistency checking (tests).
@@ -410,19 +372,19 @@ mod tests {
 
     #[test]
     fn cache_policy_builder_sets_policy() {
-        let c = FrugalConfig::commodity(2, 10).with_cache_policy(CachePolicy::OracleBelady);
-        assert_eq!(c.cache_policy, CachePolicy::OracleBelady);
+        let mut c = FrugalConfig::commodity(2, 10);
+        c.cache_policy = CachePolicy::OracleBelady;
         assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn builders_toggle_modes() {
-        let c = FrugalConfig::commodity(2, 10).write_through().checked();
-        assert_eq!(c.flush_mode, FlushMode::WriteThrough);
+        let mut c = FrugalConfig::commodity(2, 10).checked();
         assert!(c.checked);
-        let f = FrugalConfig::commodity(2, 10).fifo();
-        assert_eq!(f.flush_mode, FlushMode::Fifo);
-        assert!(f.flush_mode.proactive());
+        assert!(c.flush_mode.proactive());
+        c.flush_mode = FlushMode::Fifo;
+        assert!(c.flush_mode.proactive());
+        c.flush_mode = FlushMode::WriteThrough;
         assert!(!c.flush_mode.proactive());
     }
 
@@ -438,11 +400,10 @@ mod tests {
         c.flush_threads = 0;
         assert_eq!(c.validate(), Err(ConfigError::NoFlushers(FlushMode::P2f)));
         // Write-through needs no flushers; FIFO does.
-        assert_eq!(c.clone().write_through().validate(), Ok(()));
-        assert_eq!(
-            c.fifo().validate(),
-            Err(ConfigError::NoFlushers(FlushMode::Fifo))
-        );
+        c.flush_mode = FlushMode::WriteThrough;
+        assert_eq!(c.validate(), Ok(()));
+        c.flush_mode = FlushMode::Fifo;
+        assert_eq!(c.validate(), Err(ConfigError::NoFlushers(FlushMode::Fifo)));
 
         for bad in [0.0, -0.1, 1.5, f64::NAN] {
             let mut c = FrugalConfig::commodity(2, 10);
@@ -459,11 +420,13 @@ mod tests {
         let ok = MembershipPlan::default()
             .change(3, vec![0, 1, 2])
             .change(7, vec![0, 1, 2, 3]);
-        let cfg = FrugalConfig::commodity(4, 10).with_membership(ok);
+        let mut cfg = FrugalConfig::commodity(4, 10);
+        cfg.membership = ok;
         assert_eq!(cfg.validate(), Ok(()));
 
         let reject = |plan: MembershipPlan| {
-            let c = FrugalConfig::commodity(4, 10).with_membership(plan);
+            let mut c = FrugalConfig::commodity(4, 10);
+            c.membership = plan;
             assert!(
                 matches!(c.validate(), Err(ConfigError::Membership(_))),
                 "plan must be rejected: {:?}",
@@ -488,7 +451,11 @@ mod tests {
 
     #[test]
     fn kill_and_recover_builds_a_leave_plus_rejoin() {
-        let plan = MembershipPlan::kill_and_recover(2, 4, 3, 8);
+        // A killed trainer is a leave followed by a rejoin of the full
+        // cohort: trainer 2 of 4 dies before step 3 and returns at step 8.
+        let plan = MembershipPlan::default()
+            .change(3, vec![0, 1, 3])
+            .change(8, vec![0, 1, 2, 3]);
         assert_eq!(
             plan.changes,
             vec![
@@ -502,7 +469,8 @@ mod tests {
                 },
             ]
         );
-        let cfg = FrugalConfig::commodity(4, 10).with_membership(plan);
+        let mut cfg = FrugalConfig::commodity(4, 10);
+        cfg.membership = plan;
         assert_eq!(cfg.validate(), Ok(()));
     }
 }

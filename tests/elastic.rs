@@ -1,16 +1,17 @@
 //! Elastic-cohort consistency tests: epoch-versioned shard ownership must
 //! never change the trained parameters.
 //!
-//! The contract under test: a membership change is a *placement* event, not
-//! a *semantics* event. The engine drains to a quiescent point, re-homes
-//! moved shards, and resumes — so an 8→6→8 run (and a crash modeled as
-//! leave + rejoin) stays bit-identical to the serial oracle. The final test
-//! proves the quiesce protocol is load-bearing by skipping it and watching
-//! a stale survivor cache row poison the parameters.
+//! The contract: a membership change is a *placement* event, not a
+//! *semantics* event. The engine drains to a quiescent point, re-homes
+//! moved shards, and resumes, so elastic runs stay bit-identical to the
+//! serial oracle; the covering array (`tests/config_space.rs`) checks that
+//! across the configuration space. These tests check that transitions are
+//! attributed in telemetry, and prove the quiesce protocol load-bearing by
+//! skipping it and watching a stale survivor cache row poison the
+//! parameters.
 
 use frugal::core::{
-    train_serial, train_serial_with, FrugalConfig, FrugalEngine, GEntryStore, MembershipPlan,
-    OptimizerKind, PqKind, PullToTarget, ShardMap,
+    train_serial, FrugalConfig, FrugalEngine, GEntryStore, MembershipPlan, PullToTarget, ShardMap,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::telemetry::json::{self, Json};
@@ -44,128 +45,6 @@ fn shrink_regrow_plan() -> MembershipPlan {
         .change(REGROW_STEP, (0..8).collect())
 }
 
-fn assert_matches_serial(engine: &FrugalEngine, reference: &frugal::core::SerialRun, name: &str) {
-    for k in 0..N_KEYS {
-        assert_eq!(
-            engine.store().row_vec(k),
-            reference.store.row_vec(k),
-            "{name} diverged from serial at key {k}"
-        );
-    }
-}
-
-/// The headline elastic guarantee: 8→6→8 under every flush strategy and
-/// both PQs produces parameters bit-identical to the serial oracle, with
-/// zero invariant violations in checked mode.
-#[test]
-fn elastic_8_6_8_matches_serial_bitwise() {
-    let t = trace(8);
-    let model = PullToTarget::new(DIM, 5);
-    let reference = train_serial(&t, &model, STEPS, 0.1, 42);
-    let mut runs: Vec<(String, FrugalConfig)> = Vec::new();
-    for pq in [PqKind::TwoLevel, PqKind::TreeHeap] {
-        let mut cfg = frugal_cfg(8).with_membership(shrink_regrow_plan());
-        cfg.pq = pq;
-        runs.push((format!("elastic-{pq:?}"), cfg));
-    }
-    runs.push((
-        "elastic-fifo".into(),
-        frugal_cfg(8).fifo().with_membership(shrink_regrow_plan()),
-    ));
-    runs.push((
-        "elastic-sync".into(),
-        frugal_cfg(8)
-            .write_through()
-            .with_membership(shrink_regrow_plan()),
-    ));
-    runs.push((
-        "elastic-checked".into(),
-        frugal_cfg(8)
-            .checked()
-            .with_membership(shrink_regrow_plan()),
-    ));
-    for (name, cfg) in runs {
-        let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
-        let report = engine.run(&t, &model);
-        assert_eq!(report.stats.len(), STEPS as usize, "{name}");
-        assert_eq!(report.violations, 0, "{name}: invariant (2) violated");
-        assert_eq!(report.races, 0, "{name}: host-row data race detected");
-        assert!(
-            report.membership_transition_ns > 0,
-            "{name}: two transitions must be timed"
-        );
-        assert_matches_serial(&engine, &reference, &name);
-    }
-}
-
-/// A crashed trainer is just an unplanned leave followed by a rejoin: the
-/// `kill_and_recover` plan models trainer 3 dying at step 6 and coming back
-/// at step 12, and the run must recover bit-exactly.
-#[test]
-fn killed_trainer_recovers_as_leave_plus_rejoin() {
-    let t = trace(8);
-    let model = PullToTarget::new(DIM, 5);
-    let reference = train_serial(&t, &model, STEPS, 0.1, 42);
-    let cfg = frugal_cfg(8).with_membership(MembershipPlan::kill_and_recover(3, 8, 6, 12));
-    let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
-    let report = engine.run(&t, &model);
-    assert_eq!(report.violations, 0);
-    assert_eq!(report.races, 0);
-    assert!(report.membership_transition_ns > 0);
-    assert_matches_serial(&engine, &reference, "kill-and-recover");
-}
-
-/// Stateful optimizer across epochs: Adagrad's per-row second-moment state
-/// lives on the host path, which survives transitions, so elastic runs must
-/// stay bit-identical there too.
-#[test]
-fn elastic_adagrad_matches_serial_bitwise() {
-    let t = trace(8);
-    let model = PullToTarget::new(DIM, 5);
-    let mut cfg = frugal_cfg(8).with_membership(shrink_regrow_plan());
-    cfg.optimizer = OptimizerKind::Adagrad;
-    cfg.lr = 0.5;
-    let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
-    let report = engine.run(&t, &model);
-    assert!(report.membership_transition_ns > 0);
-    let serial = train_serial_with(&t, &model, STEPS, 0.5, 42, OptimizerKind::Adagrad);
-    for k in 0..N_KEYS {
-        assert_eq!(
-            engine.store().row_vec(k),
-            serial.store.row_vec(k),
-            "Adagrad diverged at key {k}"
-        );
-    }
-}
-
-/// Cache-side optimizer state across epochs: with LRU and half the table
-/// cached, survivors carry hot rows — and, in the same slots, their Adagrad
-/// accumulators — through both transitions (`GpuCache::retain`), while the
-/// rows of moved shards are dropped and later refilled with the host path's
-/// state. A slot that kept a stale accumulator, or lost a survivor's, would
-/// take a different step than the host copy and diverge from the oracle.
-#[test]
-fn elastic_adagrad_lru_survivors_keep_state_bitwise() {
-    use frugal::embed::CachePolicy;
-    let t = trace(8);
-    let model = PullToTarget::new(DIM, 5);
-    let mut cfg = frugal_cfg(8)
-        .with_membership(shrink_regrow_plan())
-        .with_cache_policy(CachePolicy::Lru);
-    cfg.optimizer = OptimizerKind::Adagrad;
-    cfg.lr = 0.5;
-    cfg.cache_ratio = 0.5;
-    cfg.checked = true;
-    let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
-    let report = engine.run(&t, &model);
-    assert!(report.membership_transition_ns > 0);
-    assert_eq!(report.violations, 0);
-    assert_eq!(report.races, 0);
-    assert!(report.hit_ratio > 0.0, "the cache must be live");
-    let serial = train_serial_with(&t, &model, STEPS, 0.5, 42, OptimizerKind::Adagrad);
-    assert_matches_serial(&engine, &serial, "adagrad-lru-8-6-8");
-}
-
 /// The transition shows up in telemetry: the `membership.transition_ns`
 /// counter and the critical-path ledger's `epoch_transition` phase must
 /// both record the two epoch changes, on the trace's one `run` track. Each
@@ -176,9 +55,8 @@ fn transitions_are_attributed_in_telemetry() {
     let telemetry = Telemetry::new();
     let t = trace(8);
     let model = PullToTarget::new(DIM, 5);
-    let cfg = frugal_cfg(8)
-        .with_membership(shrink_regrow_plan())
-        .with_telemetry(telemetry.clone());
+    let mut cfg = frugal_cfg(8).with_telemetry(telemetry.clone());
+    cfg.membership = shrink_regrow_plan();
     let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
     let report = engine.run(&t, &model);
     let summary = report.telemetry.expect("telemetry on");
@@ -284,14 +162,22 @@ fn skipping_quiesce_breaks_elastic_consistency() {
 
     // Control: the same schedule *with* the quiesce protocol is bit-exact.
     let reference = train_serial(&t, &model, STEPS, 0.1, 42);
-    let mut clean_cfg = frugal_cfg(8).with_membership(shrink_regrow_plan());
+    let mut clean_cfg = frugal_cfg(8);
+    clean_cfg.membership = shrink_regrow_plan();
     clean_cfg.cache_ratio = CACHE_RATIO;
     let clean = FrugalEngine::new(clean_cfg, N_KEYS, DIM);
     clean.run(&t, &model);
-    assert_matches_serial(&clean, &reference, "quiesced control");
+    for k in 0..N_KEYS {
+        assert_eq!(
+            clean.store().row_vec(k),
+            reference.store.row_vec(k),
+            "quiesced control diverged from serial at key {k}"
+        );
+    }
 
     // Failure injection: identical schedule, quiesce skipped.
-    let mut cfg = frugal_cfg(8).with_membership(shrink_regrow_plan());
+    let mut cfg = frugal_cfg(8);
+    cfg.membership = shrink_regrow_plan();
     cfg.cache_ratio = CACHE_RATIO;
     cfg.skip_quiesce = true;
     let broken = FrugalEngine::new(cfg, N_KEYS, DIM);

@@ -217,11 +217,9 @@ impl Pinned {
         cfg.seed = 7;
         if self.elastic {
             let shrink = self.steps / 3;
-            cfg = cfg.with_membership(
-                MembershipPlan::default()
-                    .change(shrink, vec![0, 1, 2, 4, 5, 7])
-                    .change(2 * shrink, (0..self.n_gpus).collect()),
-            );
+            cfg.membership = MembershipPlan::default()
+                .change(shrink, vec![0, 1, 2, 4, 5, 7])
+                .change(2 * shrink, (0..self.n_gpus).collect());
         }
         cfg
     }
@@ -237,7 +235,9 @@ fn pinned_profiles_report_their_committed_numbers() {
         let telemetry = Telemetry::new();
         let cfg = p.cfg().with_telemetry(telemetry.clone());
         let p2f = FrugalEngine::new(cfg, p.n_keys, 32).run(&trace, &model);
-        let fifo = FrugalEngine::new(p.cfg().fifo(), p.n_keys, 32).run(&trace, &model);
+        let mut fifo_cfg = p.cfg();
+        fifo_cfg.flush_mode = FlushMode::Fifo;
+        let fifo = FrugalEngine::new(fifo_cfg, p.n_keys, 32).run(&trace, &model);
 
         assert_eq!(p2f.stats.len() as u64, p.steps, "{name}");
         assert_eq!(p2f.violations, 0, "{name}");

@@ -4,7 +4,7 @@
 //! throttled run once; and the FIFO ablation must actually report its
 //! stalls (the regression the profiler was built to catch).
 
-use frugal::core::{FrugalConfig, FrugalEngine, PullToTarget, TrainReport};
+use frugal::core::{FlushMode, FrugalConfig, FrugalEngine, PullToTarget, TrainReport};
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::telemetry::{LedgerPhase, Telemetry};
 
@@ -21,7 +21,7 @@ fn profiled_run(telemetry: &Telemetry, throttle_us: u64, fifo: bool) -> TrainRep
         .checked()
         .with_telemetry(telemetry.clone());
     if fifo {
-        cfg = cfg.fifo();
+        cfg.flush_mode = FlushMode::Fifo;
     }
     cfg.flush_threads = 2;
     cfg.cache_ratio = 0.02;

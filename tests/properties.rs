@@ -1,7 +1,6 @@
 //! Property-based tests (proptest) over the core invariants.
 
-use frugal::core::{train_serial, FrugalConfig, FrugalEngine, PqKind, PullToTarget};
-use frugal::data::{KeyDistribution, SyntheticTrace, Zipf};
+use frugal::data::Zipf;
 use frugal::embed::{CachePolicy, GpuCache};
 use frugal::pq::{PriorityQueue, TreeHeap, TwoLevelPq, INFINITE};
 use proptest::prelude::*;
@@ -115,37 +114,5 @@ proptest! {
         }
         let last = *ops.last().unwrap();
         prop_assert!(cache.contains(&last), "most recent key evicted");
-    }
-}
-
-proptest! {
-    // Engine runs are expensive; fewer cases.
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The headline property: for random shapes, a fully concurrent Frugal
-    /// run is bit-identical to the serial reference.
-    #[test]
-    fn frugal_matches_serial_on_random_configs(
-        n_keys in 64u64..800,
-        batch in 8usize..64,
-        steps in 3u64..15,
-        theta in 0.0f64..1.2,
-        flush_threads in 1usize..5,
-        tree_heap in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let t = SyntheticTrace::new(n_keys, KeyDistribution::Zipf(theta), batch, 2, seed).unwrap();
-        let model = PullToTarget::new(4, seed ^ 1);
-        let mut cfg = FrugalConfig::commodity(2, steps);
-        cfg.flush_threads = flush_threads;
-        cfg.lookahead = 3;
-        cfg.pq = if tree_heap { PqKind::TreeHeap } else { PqKind::TwoLevel };
-        let lr = cfg.lr;
-        let engine = FrugalEngine::new(cfg, n_keys, 4);
-        engine.run(&t, &model);
-        let serial = train_serial(&t, &model, steps, lr, 42);
-        for k in 0..n_keys {
-            prop_assert_eq!(engine.store().row_vec(k), serial.store.row_vec(k), "key {}", k);
-        }
     }
 }

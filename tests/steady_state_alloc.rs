@@ -188,7 +188,8 @@ fn steady_state_p2f_step_allocates_only_its_named_remainder() {
     // every fill allocated a state `Vec` to seed it — this run then made
     // 775.5 allocations per step against 524.0 for the one above, 187 over
     // the budget.
-    let mut cfg = FrugalConfig::commodity(2, STEPS).with_cache_policy(CachePolicy::Lru);
+    let mut cfg = FrugalConfig::commodity(2, STEPS);
+    cfg.cache_policy = CachePolicy::Lru;
     cfg.optimizer = OptimizerKind::Adagrad;
     cfg.cache_ratio = 0.01;
     assert_steady_state("adagrad/lru", cfg, true);
