@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 /// Registry-backed run counters.
 ///
-/// The run report reads several of these back (the cache hit ratio, the
+/// The run report reads several of these back (the violation count, the
 /// flushed-row and flush-apply totals), so they always live on a metric
 /// registry: the run's telemetry registry when telemetry is on, a private
-/// one otherwise. Either way each is visible by name (`cache.hits`,
+/// one otherwise. Either way each is visible by name (`flush.rows`,
 /// `flusher.dequeue_total_ns`, …) in telemetry snapshots. The `*_ns`
 /// counters are wall-clock measurements for the ledger and traces; none of
 /// them feeds a modeled number.
@@ -17,13 +17,6 @@ pub(crate) struct RunMetrics {
     /// Counter `p2f.violations`: consistency-invariant violations seen on
     /// host reads (checked mode).
     pub(crate) violations: Arc<Counter>,
-    /// Counter `cache.hits`: unique keys served by a GPU cache.
-    pub(crate) hits: Arc<Counter>,
-    /// Counter `cache.misses`: unique keys read from host DRAM.
-    pub(crate) misses: Arc<Counter>,
-    /// Counter `cache.fills`: rows copied host→cache on the miss path
-    /// (accepted inserts only — admission rejects don't count).
-    pub(crate) cache_fills: Arc<Counter>,
     /// Counters `flusher.dequeue_total_ns` / `flusher.claim_total_ns` /
     /// `flusher.apply_total_ns` / `flush.rows`: measured flusher costs,
     /// split into the PQ-dequeue part (which serializes on a tree heap),
@@ -52,9 +45,6 @@ impl RunMetrics {
     pub(crate) fn new(registry: &Registry) -> Self {
         RunMetrics {
             violations: registry.counter("p2f.violations"),
-            hits: registry.counter("cache.hits"),
-            misses: registry.counter("cache.misses"),
-            cache_fills: registry.counter("cache.fills"),
             flush_dequeue_ns: registry.counter("flusher.dequeue_total_ns"),
             flush_claim_ns: registry.counter("flusher.claim_total_ns"),
             flush_apply_ns: registry.counter("flusher.apply_total_ns"),

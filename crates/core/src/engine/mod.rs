@@ -38,9 +38,10 @@
 //!
 //! Everything mode-specific is a [`strategy`] table entry consulted at
 //! barrier granularity; the per-key hot paths are strategy-blind. The
-//! modeled registration time and stall are priced by `frugal-sim` from the
-//! step's operation counts (see [`step::leader_finish`]); wall-clock
-//! timings feed only the ledger, the counters and the traces.
+//! engine prices nothing: each member counts its work into its
+//! [`CountRecord`], and [`crate::price`] prices the whole run after the
+//! last segment joins. Wall-clock timings feed only the ledger, the
+//! counters and the traces.
 
 mod barrier;
 mod counters;
@@ -55,6 +56,7 @@ mod tests;
 use crate::config::{FrugalConfig, PqKind};
 use crate::gentry::GEntryStore;
 use crate::model::EmbeddingModel;
+use crate::price::{self, CountRecord};
 use crate::report::TrainReport;
 use crate::workload::Workload;
 use crate::ShardMap;
@@ -103,6 +105,15 @@ pub(crate) fn resolve_segments(cfg: &FrugalConfig) -> Vec<Segment> {
         members,
     });
     segments
+}
+
+/// What one trainer index keeps for the whole run — across segments, leaves
+/// and rejoins: its cache (created on first membership, dropped when it
+/// leaves), its recorder (ledger lane + trace track) and its count record.
+pub(crate) struct MemberState {
+    pub(crate) cache: Option<GpuCache>,
+    pub(crate) rec: ThreadRecorder,
+    pub(crate) counts: CountRecord,
 }
 
 /// Shared state between trainers, the leader, and flushers for one run.
@@ -156,7 +167,7 @@ pub(crate) struct RunShared<'a> {
 /// `StallWait` — it is membership cost, not flush-wait cost).
 fn membership_transition(
     shared: &RunShared<'_>,
-    caches: &mut [Option<GpuCache>],
+    members: &mut [MemberState],
     next: &ShardMap,
     resume_step: u64,
     rec: &ThreadRecorder,
@@ -175,7 +186,7 @@ fn membership_transition(
             shared.gstore.pending_keys() == 0 && shared.flush.inflight.min() == INFINITE
         });
     }
-    for (t, slot) in caches.iter_mut().enumerate() {
+    for (t, slot) in members.iter_mut().map(|m| &mut m.cache).enumerate() {
         if !next.is_member(t) {
             // Leavers always drop their cache — even under failure
             // injection, a killed trainer's cache is gone.
@@ -302,7 +313,7 @@ impl FrugalEngine {
             gstore: GEntryStore::with_policy(strategy.priority_policy),
             pq,
             sharding: Sharding::new(n),
-            step: step::StepState::new(n, model.dim(), workload.samples_per_step(), cfg.lookahead),
+            step: step::StepState::new(n, model.dim(), cfg.lookahead),
             flush: FlushCoord::new(cfg.flush_threads),
             metrics: RunMetrics::new(&registry),
         };
@@ -316,23 +327,21 @@ impl FrugalEngine {
             shared.flush.inflight.set_read_horizon(cfg.lookahead);
         }
 
-        // Per-member persistent caches (rows + their optimizer state),
-        // indexed by trainer id. Slots fill lazily on first membership and
-        // survive across segments; transitions drop leavers' slots.
-        let mut caches: Vec<Option<GpuCache>> = (0..n).map(|_| None).collect();
+        // Per-trainer state for the whole run, indexed by trainer id; the
+        // transitions this thread runs get their own recorder.
+        let mut members: Vec<MemberState> = (0..n)
+            .map(|t| MemberState {
+                cache: None,
+                rec: cfg
+                    .telemetry
+                    .recorder(format!("trainer-{t}"), LaneKind::Trainer),
+                counts: CountRecord::default(),
+            })
+            .collect();
         // The current epoch's map: fixed for a segment, replaced only by
         // this thread between segments (each from its predecessor, so
         // epochs advance one at a time).
         let mut smap = ShardMap::initial(n, GEntryStore::n_shards());
-        // One recorder (ledger lane + trace track) per trainer index for the
-        // whole run — kept across segments, leaves and rejoins — and one for
-        // the transitions this thread runs.
-        let mut recorders: Vec<ThreadRecorder> = (0..n)
-            .map(|t| {
-                cfg.telemetry
-                    .recorder(format!("trainer-{t}"), LaneKind::Trainer)
-            })
-            .collect();
         let run_rec = cfg.telemetry.recorder("run", LaneKind::Trainer);
         let segments = resolve_segments(cfg);
 
@@ -351,7 +360,7 @@ impl FrugalEngine {
             for (i, seg) in segments.iter().enumerate() {
                 if i > 0 {
                     smap = smap.with_members(&seg.members);
-                    membership_transition(&shared, &mut caches, &smap, seg.start, &run_rec);
+                    membership_transition(&shared, &mut members, &smap, seg.start, &run_rec);
                 }
                 // Lock-free: two crossings per step make the barrier
                 // hot-path state at 8–16 trainers. Its waiters spin for as
@@ -360,15 +369,14 @@ impl FrugalEngine {
                 let barrier =
                     SpinBarrier::new(seg.members.len(), seg.members.len() + flushers.len());
                 std::thread::scope(|seg_scope| {
-                    let members = recorders
+                    let cohort = members
                         .iter_mut()
-                        .zip(caches.iter_mut())
                         .enumerate()
                         .filter(|(t, _)| seg.members.contains(t));
-                    for (t, (rec, cache)) in members {
+                    for (t, member) in cohort {
                         let (barrier, shared, smap) = (&barrier, &shared, &*smap);
                         seg_scope.spawn(move || {
-                            trainer::trainer_loop(shared, barrier, t, seg, smap, cache, rec)
+                            trainer::trainer_loop(shared, barrier, t, seg, smap, member)
                         });
                     }
                     // The inner scope joins every member before the next
@@ -383,28 +391,41 @@ impl FrugalEngine {
             debug_assert_eq!(shared.gstore.pending_keys(), 0);
         });
 
-        // Compose the report.
-        let record = shared.step.record.into_inner();
-        let mean_gentry_update = record.mean_gentry();
-        let hits = shared.metrics.hits.get();
-        let misses = shared.metrics.misses.get();
-        let hit_ratio = if hits + misses == 0 {
+        // Price the run and publish its cache counters — `cache.hits`
+        // (unique keys a cache served), `cache.misses` (read from host
+        // DRAM), `cache.fills` (accepted host→cache copies) — now that
+        // every member has joined.
+        let records: Vec<CountRecord> = members.into_iter().map(|m| m.counts).collect();
+        let priced = price::price_run(
+            cfg,
+            model,
+            shared.pq.as_ref(),
+            self.store.n_keys(),
+            workload.samples_per_step(),
+            &segments,
+            &records,
+        );
+        registry.counter("cache.hits").add(priced.hits);
+        registry.counter("cache.misses").add(priced.misses);
+        registry.counter("cache.fills").add(priced.fills);
+        let lookups = priced.hits + priced.misses;
+        let hit_ratio = if lookups == 0 {
             0.0
         } else {
-            hits as f64 / (hits + misses) as f64
+            priced.hits as f64 / lookups as f64
         };
         TrainReport {
-            stats: record.stats,
+            stats: priced.stats,
             hit_ratio,
-            cache_fills: shared.metrics.cache_fills.get(),
-            mean_gentry_update,
+            cache_fills: priced.fills,
+            mean_gentry_update: priced.mean_gentry_update,
             violations: shared.metrics.violations.get() as usize,
             races: self.store.race_count() + shared.rule.race_count(),
             flush_rows: shared.metrics.flush_rows.get(),
             flush_apply_ns: shared.metrics.flush_apply_ns.get(),
             membership_transition_ns: shared.metrics.membership_transition_ns.get(),
-            first_loss: record.first_loss,
-            final_loss: record.final_loss,
+            first_loss: priced.first_loss,
+            final_loss: priced.final_loss,
             telemetry: cfg.telemetry.summary(),
         }
     }

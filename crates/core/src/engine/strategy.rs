@@ -17,7 +17,7 @@
 //!
 //! (Background flushers are [`FlushMode::proactive`]; the synchronous
 //! apply and the stall pricing are one `match` each, in the trainer loop
-//! and in [`super::step::leader_finish`].)
+//! and, after the run, in [`crate::price::price_run`].)
 //!
 //! All three preserve synchronous consistency (bit-equality with the
 //! serial oracle): write-through flushes everything inside the barrier,

@@ -16,17 +16,15 @@
 //! and register them, with no barrier in between → barrier C. See
 //! [`super::step`] for the protocol and what the two leaders do.
 
-use super::step::{self, PhaseTimes};
-use super::{RunShared, Segment};
+use super::step;
+use super::{MemberState, RunShared, Segment};
 use crate::config::FlushMode;
 use crate::gentry::{GEntryStore, PqOpScratch};
 use crate::wait;
 use crate::ShardMap;
 use frugal_data::{Key, KeyHashMap, KeyHashSet};
 use frugal_embed::{ArcFold, GpuCache, GradAggregator};
-use frugal_sim::{HostPath, Nanos};
 use frugal_telemetry::{LedgerPhase, StallRecord, ThreadRecorder};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::barrier::SpinBarrier;
@@ -188,9 +186,9 @@ pub(crate) fn feed_cache_lookahead(
 /// The tail of every member's pass between barriers A and C, straight
 /// after its reduce: apply the owned cache updates, register own-shard
 /// g-entry writes (batch), register the own-shard reads of step `s + L`
-/// (batch, read-driven strategies only).
-/// Write registration also yields this member's share of the step's
-/// blocking rows (the ones step `s + 1` reads).
+/// (batch, read-driven strategies only). Returns this member's share of
+/// the step's blocking rows: the registered rows step `s + 1` reads (0
+/// outside the proactive modes).
 ///
 /// Shard ownership is the [`ShardMap`]'s single partition: member `t` owns
 /// every [`GEntryStore`] shard the current epoch assigns it, and — because
@@ -208,7 +206,7 @@ pub(crate) fn register_phase(
     streams: &[usize],
     scratch: &mut StepScratch,
     cache: &mut GpuCache,
-) {
+) -> u64 {
     let cfg = shared.cfg;
     let proactive = cfg.flush_mode.proactive();
 
@@ -234,74 +232,65 @@ pub(crate) fn register_phase(
             );
         }
     }
-    if proactive {
-        // Write registration — the sharded critical path (what a serial
-        // leader used to spend on *all* keys): each owned shard's lock is
-        // taken once, and each row is shared with its W set on the way in,
-        // which leaves the slot and the pending flush as its only holders —
-        // the next reduce recycles it once it has landed.
-        let own_rows = updates.len() as u64;
-        let _span = rec.span_with(s, LedgerPhase::Registration, &[("rows", own_rows)]);
-        let rows = scratch.write_order.iter().map(|&i| {
-            let (key, grad) = &updates[i as usize];
-            (*key, Arc::clone(grad))
-        });
-        let read_next =
-            shared
-                .gstore
-                .add_writes_iter(s, rows, shared.pq.as_ref(), &mut scratch.pq_ops);
-        if read_next > 0 {
-            shared
-                .step
-                .blocking_next
-                .fetch_add(read_next, Ordering::AcqRel);
-        }
+    if !proactive {
+        return 0;
+    }
+    // Write registration — the sharded critical path (what a serial
+    // leader used to spend on *all* keys): each owned shard's lock is
+    // taken once, and each row is shared with its W set on the way in,
+    // which leaves the slot and the pending flush as its only holders —
+    // the next reduce recycles it once it has landed.
+    let own_rows = updates.len() as u64;
+    let _span = rec.span_with(s, LedgerPhase::Registration, &[("rows", own_rows)]);
+    let rows = scratch.write_order.iter().map(|&i| {
+        let (key, grad) = &updates[i as usize];
+        (*key, Arc::clone(grad))
+    });
+    let read_next = shared
+        .gstore
+        .add_writes_iter(s, rows, shared.pq.as_ref(), &mut scratch.pq_ops);
 
-        if shared.strategy.registers_reads {
-            // Sample-queue prefetch: the reads of step s + L, own shards
-            // only, drawn from the sample ring (published at the top of
-            // this step by each stream's current member).
-            let read_step = s + cfg.lookahead;
-            if read_step < cfg.steps {
-                register_own_reads(shared, smap, t, read_step, scratch);
-                if cache.uses_lookahead() {
-                    feed_cache_lookahead(shared, smap, t, streams, read_step, scratch, cache);
-                }
+    if shared.strategy.registers_reads {
+        // Sample-queue prefetch: the reads of step s + L, own shards
+        // only, drawn from the sample ring (published at the top of
+        // this step by each stream's current member).
+        let read_step = s + cfg.lookahead;
+        if read_step < cfg.steps {
+            register_own_reads(shared, smap, t, read_step, scratch);
+            if cache.uses_lookahead() {
+                feed_cache_lookahead(shared, smap, t, streams, read_step, scratch, cache);
             }
         }
-        // A cohort of one never waits at barrier C, whose waiters wake the
-        // flushers for the fresh entries (see `FlushCoord`): wake them here.
-        if smap.n_members() == 1 {
-            shared.flush.notify_all();
-        }
     }
+    // A cohort of one never waits at barrier C, whose waiters wake the
+    // flushers for the fresh entries (see `FlushCoord`): wake them here.
+    if smap.n_members() == 1 {
+        shared.flush.notify_all();
+    }
+    read_next
 }
 
 /// One member's run of one segment: steps `seg.start..seg.end` under the
 /// segment's shard-map epoch, processing every stream the epoch deals it.
-/// `rec` is the member's recorder for the whole run, across segments.
+/// `member` is the trainer's cache, recorder and count record, for the run.
 pub(crate) fn trainer_loop(
     shared: &RunShared<'_>,
     barrier: &SpinBarrier,
     t: usize,
     seg: &Segment,
     smap: &ShardMap,
-    cache_slot: &mut Option<GpuCache>,
-    rec: &mut ThreadRecorder,
+    member: &mut MemberState,
 ) {
     let cfg = shared.cfg;
     let dim = shared.model.dim();
-    let n_streams = cfg.n_gpus();
     // The segment's map is immutable for the segment's lifetime, so the
     // per-key hot path below indexes plain arrays.
     debug_assert!(smap.is_member(t), "trainer {t} spawned outside its epoch");
     let streams: Vec<usize> = smap.streams_of(t).collect();
+    let MemberState { cache, rec, counts } = member;
     // The member's persistent cache, created on first membership.
-    let cache = cache_slot.get_or_insert_with(|| member_cache(shared));
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut total_fills = 0u64;
-    let batch_per_gpu = shared.workload.samples_per_step() / n_streams as u64;
+    let cache = cache.get_or_insert_with(|| member_cache(shared));
+    counts.reserve((seg.end - seg.start) as usize, streams.len());
     let mut scratch = StepScratch::new(dim, smap, t);
     let registers_reads = shared.strategy.registers_reads;
     let proactive = cfg.flush_mode.proactive();
@@ -360,8 +349,8 @@ pub(crate) fn trainer_loop(
         // The strategy's wait condition — P²F's `PQ.top() > s` (§3.3), or
         // FIFO's "all writes < s flushed". The physical wait enforces
         // consistency and is what the ledger's `stall_wait` measures; the
-        // *reported* stall is priced from blocking-row counts in
-        // [`step::leader_finish`], because a host with fewer cores than
+        // *reported* stall is priced after the run from blocking-row counts
+        // (see `crate::price`), because a host with fewer cores than
         // threads cannot exhibit the overlap a multi-core controller has.
         if !cfg.skip_wait {
             if let Some(th) = shared.strategy.wait_threshold(s) {
@@ -440,7 +429,6 @@ pub(crate) fn trainer_loop(
                 if smap.owns_key(t, key) {
                     if let Some(row) = cache.get(&key) {
                         frugal_embed::kernels::copy(slot, row);
-                        hits += 1;
                         continue;
                     }
                 }
@@ -453,7 +441,7 @@ pub(crate) fn trainer_loop(
             // stream's step, so a row admitted here can never be queried
             // again before the barrier.
             let host_reads = scratch.missing.len() as u64;
-            let mut fills = 0u64;
+            let mut fills = 0;
             let hr_span = rec.span_with(s, LedgerPhase::HostRead, &[("rows", host_reads)]);
             for (m, &(i, key)) in scratch.missing.iter().enumerate() {
                 // The misses are all known: overlap their DRAM latencies.
@@ -466,7 +454,6 @@ pub(crate) fn trainer_loop(
                     shared.metrics.violations.incr();
                 }
                 shared.store.read_row(key, slot);
-                misses += 1;
                 // `admits` pre-gate keeps statically-rejected keys
                 // (static-hot policy, cold tail) away from the slot search.
                 if smap.owns_key(t, key) && cache.admits(key) {
@@ -483,7 +470,6 @@ pub(crate) fn trainer_loop(
                     }
                 }
             }
-            total_fills += fills;
             drop(hr_span);
 
             // Scatter unique rows to per-instance rows for the model.
@@ -514,40 +500,19 @@ pub(crate) fn trainer_loop(
             }
             drop(compute_span);
 
-            // Deposit: price this stream's modeled hardware times, then
-            // hand them and its aggregates to the reducers.
+            // Deposit: hand the aggregates to the reducers, and count the
+            // stream's work into the member's own record.
             let _deposit = rec.span(s, LedgerPhase::Deposit);
-            let cost = &cfg.cost;
-            let row_bytes = (dim * 4) as u64;
-            let phase = PhaseTimes {
-                comm: if shared.model.dense_param_bytes() > 0 {
-                    cost.all_to_all(shared.model.dense_param_bytes())
-                } else {
-                    Nanos::ZERO
-                },
-                host_dram: cost.host_read(HostPath::Uva, host_reads, row_bytes, n_streams),
-                cache: cost.cache_query(unique_n as u64) + cost.cache_update(fills),
-                other: cost.dnn_time(
-                    shared.model.dense_flops_per_sample() * batch_per_gpu as f64,
-                    shared.model.dense_layers().max(1),
-                ),
-                loss: grads.loss,
-            };
+            counts.stream(g, unique_n, scratch.missing.len(), fills, grads.loss);
             // The batch guard is released before the barrier: the slot is
             // republished (by this member) only at step s + 2.
             drop(keys);
-            // The non-critical-path flush writes are *not* charged — that
-            // is precisely Frugal's point. Frugal-Sync charges them as
-            // stall (`CostModel::sync_flush`, in `leader_finish`).
-            {
-                let mut slot = shared.step.agg_slots[g].write();
-                std::mem::swap(&mut *slot, &mut scratch.agg);
-            }
             // The swapped-out arena still holds step s - 1's aggregates
             // (the reduce only *reads* the deposit slots); its readers all
             // finished before barrier C of step s - 1, so the next seeding
             // may overwrite it.
-            *shared.step.phase_slots[g].lock() = phase.clone();
+            let mut slot = shared.step.agg_slots[g].write();
+            std::mem::swap(&mut *slot, &mut scratch.agg);
         }
 
         // Barrier A: every stream's aggregates deposited.
@@ -563,7 +528,7 @@ pub(crate) fn trainer_loop(
         // this member's owned keys across all deposit slots (stream index
         // order — canonical) into this member's update slot.
         let reduce_span = rec.span(s, LedgerPhase::Reduce);
-        step::reduce_own_shard(shared, smap, t, &mut scratch.fold);
+        let rows = step::reduce_own_shard(shared, smap, t, &mut scratch.fold);
         match cfg.flush_mode {
             // The write-through flush the paper describes, sharded by key
             // ownership: each member pushes its owned rows to host memory
@@ -585,10 +550,11 @@ pub(crate) fn trainer_loop(
         drop(reduce_span);
         // Registration reads only the slot this member just wrote, so it
         // needs no barrier behind the reduce.
-        register_phase(shared, smap, rec, s, t, &streams, &mut scratch, cache);
+        let read_next = register_phase(shared, smap, rec, s, t, &streams, &mut scratch, cache);
+        counts.step(streams.len(), rows, read_next);
         // Barrier C: registration complete — the step's entries are all
         // queued before any member can evaluate step s + 1's wait
-        // condition. The C-leader finalizes bookkeeping concurrently. A
+        // condition. The C-leader raises the scan bound concurrently. A
         // member that will wait here for a sibling wakes the flushers first,
         // so they run on the core it gives up (see `FlushCoord`).
         let c = {
@@ -601,11 +567,7 @@ pub(crate) fn trainer_loop(
         };
         if c.is_leader() {
             let _span = rec.span(s, LedgerPhase::LeaderApply);
-            step::leader_finish(shared, smap, s);
+            step::leader_finish(shared, s);
         }
     }
-
-    shared.metrics.hits.add(hits);
-    shared.metrics.misses.add(misses);
-    shared.metrics.cache_fills.add(total_fills);
 }

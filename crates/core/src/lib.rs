@@ -39,6 +39,7 @@ mod engine;
 mod gentry;
 mod model;
 pub mod presets;
+mod price;
 mod report;
 mod serial;
 mod shardmap;

@@ -8,10 +8,10 @@ use frugal_telemetry::TelemetrySummary;
 #[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Per-iteration time breakdowns, every field on the **modeled**
-    /// clock: hardware phases priced by `frugal-sim` from the step's key
-    /// and row counts, the stall from its blocking-row count. A pure
-    /// function of `(seed, config)` — the measured wait is the telemetry
-    /// ledger's `stall_wait` phase.
+    /// clock: priced by `frugal-sim` once, after the run, from the key and
+    /// row counts each member recorded — the stall from the step's
+    /// blocking-row count. A pure function of `(seed, config)` — the
+    /// measured wait is the telemetry ledger's `stall_wait` phase.
     pub stats: RunStats,
     /// Aggregate GPU-cache hit ratio over all trainers. Its denominator is
     /// the `cache.hits` + `cache.misses` telemetry counters.
@@ -74,15 +74,5 @@ impl TrainReport {
     /// Mean per-iteration training-process stall (Exp #2/#4 metric).
     pub fn mean_stall(&self) -> Nanos {
         self.stats.mean_stall()
-    }
-
-    /// Mean flush-apply cost per row in nanoseconds, on the measured clock.
-    /// Zero when nothing was flushed (e.g. write-through runs).
-    pub fn mean_flush_apply_ns_row(&self) -> f64 {
-        if self.flush_rows == 0 {
-            0.0
-        } else {
-            self.flush_apply_ns as f64 / self.flush_rows as f64
-        }
     }
 }

@@ -885,10 +885,8 @@ enum Handoff {
     /// Deposit → barrier A → reduce → registration with nothing in between
     /// (the engine's step: there is no barrier B), a flusher claiming what
     /// the early members register while their siblings still fold the
-    /// deposit slots. `reset_after_a` puts the per-step `blocking_next`
-    /// reset back where it sat while a barrier B still held registrants
-    /// off — with the A-leader, behind barrier A.
-    Registering { reset_after_a: bool },
+    /// deposit slots.
+    Registering,
 }
 
 /// The step the registering hand-off registers its writes at. Keys 1 and 65
@@ -904,8 +902,9 @@ struct Registration {
     gstore: GEntryStore,
     /// Member `g`'s `add_writes_batch` has returned.
     registered: [AtomicBool; REDUCE_N],
-    /// The engine's `StepState::blocking_next`.
-    blocking_next: AtomicU64,
+    /// Member `g`'s blocking rows, as the engine's member records them:
+    /// written by that member alone, summed once every thread is done.
+    read_next: [AtomicU64; REDUCE_N],
     /// `(key, f32 bits)` of every row the flusher applied, read *after* it
     /// held the row across a yield.
     applied: Mutex<Vec<(u64, Vec<u32>)>>,
@@ -925,7 +924,7 @@ struct Registration {
 /// * [`Handoff::Registering`] runs on into the rest of the member-local
 ///   pass: drain the reduced rows into the member's update slot, register
 ///   them (real [`GEntryStore::add_writes_batch`] into a real
-///   [`TwoLevelPq`]), add the blocking rows to the shared counter, then
+///   [`TwoLevelPq`]), record the member's blocking rows, then
 ///   drain a *next* step's rows over the same slot the way the next reduce
 ///   recycles it — while a flusher claims, holds and applies. Every row
 ///   must be applied exactly once with the oracle's bits (a recycled row
@@ -949,7 +948,7 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
             pq: TwoLevelPq::new(16),
             gstore: GEntryStore::with_policy(PriorityPolicy::EarliestRead),
             registered: Default::default(),
-            blocking_next: AtomicU64::new(0),
+            read_next: Default::default(),
             applied: Mutex::new(Vec::new()),
         });
         for key in [1, 65] {
@@ -974,9 +973,8 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
                 // Deposit: swap the aggregator into this trainer's slot
                 // (no yield inside the critical section).
                 std::mem::swap(&mut *slots[g].lock().unwrap(), &mut agg);
-                // Barrier A modeled as an arrival counter; its last arriver
-                // is the A-leader.
-                let a_leader = arrived.fetch_add(1, Ordering::SeqCst) + 1 == REDUCE_N;
+                // Barrier A modeled as an arrival counter.
+                arrived.fetch_add(1, Ordering::SeqCst);
                 yield_point("reduce.deposited");
                 if handoff != Handoff::Unbarriered {
                     for _ in 0..64 {
@@ -986,17 +984,6 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
                         spin_point("reduce.barrier_wait");
                     }
                     assert_eq!(arrived.load(Ordering::SeqCst), REDUCE_N, "barrier starved");
-                }
-                if a_leader
-                    && handoff
-                        == (Handoff::Registering {
-                            reset_after_a: true,
-                        })
-                {
-                    // `leader_prepare` as it was: sound only while a second
-                    // barrier kept every registrant behind it.
-                    yield_point("leader.prepare");
-                    reg.blocking_next.store(0, Ordering::SeqCst);
                 }
                 // Own-shard reduce across every slot, trainer-index order —
                 // the canonical per-key summation order.
@@ -1024,7 +1011,7 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
                     got, oracle[g],
                     "owner {g}'s reduce diverged bitwise from the serial oracle"
                 );
-                if !matches!(handoff, Handoff::Registering { .. }) {
+                if handoff != Handoff::Registering {
                     return;
                 }
 
@@ -1043,7 +1030,7 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
                 );
                 drop(bucketed);
                 reg.registered[g].store(true, Ordering::SeqCst);
-                reg.blocking_next.fetch_add(read_next, Ordering::SeqCst);
+                reg.read_next[g].store(read_next, Ordering::SeqCst);
                 yield_point("register.done");
                 // The next step's reduce drains over the same slot: rows the
                 // flusher has landed are overwritten in place, rows it still
@@ -1054,7 +1041,7 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
                 merged.drain_arcs(&mut update_slot);
             });
         }
-        if !matches!(handoff, Handoff::Registering { .. }) {
+        if handoff != Handoff::Registering {
             return;
         }
 
@@ -1110,7 +1097,10 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
                 "pending key survived the drain"
             );
             assert_eq!(
-                reg.blocking_next.load(Ordering::SeqCst),
+                reg.read_next
+                    .iter()
+                    .map(|n| n.load(Ordering::SeqCst))
+                    .sum::<u64>(),
                 REDUCE_BLOCKING_ROWS,
                 "blocking-row total is not exact"
             );
@@ -1237,9 +1227,8 @@ fn deferred_claim_behind_the_read_horizon_survives_sweep() {
     assert_eq!(outcome.budget_exceeded_runs, 0);
 }
 
-/// PCT over the registering hand-off: ~90 yield points a schedule, three
-/// ordering constraints to lose a count (a registrant's add, the leader's
-/// late reset, the read) or to recycle under a holder.
+/// PCT over the registering hand-off: ~90 yield points a schedule, enough
+/// depth to recycle a row under a flusher that still holds it.
 fn pct(seeds: std::ops::Range<u64>) -> ExploreConfig {
     ExploreConfig {
         seeds,
@@ -1255,40 +1244,12 @@ fn pct(seeds: std::ops::Range<u64>) -> ExploreConfig {
 }
 
 #[test]
-fn reset_behind_barrier_a_loses_an_early_registrants_rows() {
-    // The teeth of the sweep below: with barrier B gone, a `blocking_next`
-    // reset left with the A-leader wipes what a faster sibling has already
-    // registered.
-    let cfg = pct(0..1024);
-    let scenario = || {
-        reduce_handoff(Handoff::Registering {
-            reset_after_a: true,
-        })
-    };
-    let failure = explore(&cfg, scenario())
-        .failure
-        .expect("a reset racing the early registrants must lose blocking rows");
-    assert!(failure.failures[0]
-        .message
-        .contains("blocking-row total is not exact"));
-    eprintln!("reset behind barrier A: replay seed {}", failure.seed);
-    let replayed = replay(failure.seed, &cfg.sim, scenario());
-    assert!(replayed.failed());
-    assert_eq!(replayed.trace, failure.trace);
-}
-
-#[test]
 fn early_registrant_handoff_survives_sweep() {
     // No barrier between reduce and registration: one member registers its
     // shards' writes (and the flusher claims them) while its siblings are
     // still folding the deposit slots.
     for cfg in [pct(0..1024), quiet(0..1024)] {
-        let outcome = explore(
-            &cfg,
-            reduce_handoff(Handoff::Registering {
-                reset_after_a: false,
-            }),
-        );
+        let outcome = explore(&cfg, reduce_handoff(Handoff::Registering));
         assert!(
             outcome.failure.is_none(),
             "{:?}: reduce → registration without barrier B must keep reduced rows, flushed \

@@ -121,23 +121,13 @@ impl RunStats {
         self.mean().stall
     }
 
-    /// Nearest-rank percentile (`0 < q <= 1`) of total iteration time —
-    /// `total_percentile(0.5)` is the median iteration. Tail iterations
-    /// dominate perceived training speed, so benches report p95/p99
-    /// alongside means. Returns zero if nothing was recorded.
-    pub fn total_percentile(&self, q: f64) -> Nanos {
-        Self::percentile(self.iters.iter().map(|it| it.total()).collect(), q)
-    }
-
     /// Nearest-rank percentile (`0 < q <= 1`) of per-iteration stall time
-    /// (the Exp #2/#4 metric; measured: the ledger's `stall_wait` phase).
-    /// Returns zero if nothing was recorded.
+    /// (the Exp #2/#4 metric; measured: the ledger's `stall_wait` phase) —
+    /// `stall_percentile(0.5)` is the median stall. Returns zero if nothing
+    /// was recorded.
     pub fn stall_percentile(&self, q: f64) -> Nanos {
-        Self::percentile(self.iters.iter().map(|it| it.stall).collect(), q)
-    }
-
-    fn percentile(mut values: Vec<Nanos>, q: f64) -> Nanos {
         assert!(q > 0.0 && q <= 1.0, "percentile q must be in (0, 1]");
+        let mut values: Vec<Nanos> = self.iters.iter().map(|it| it.stall).collect();
         if values.is_empty() {
             return Nanos::ZERO;
         }
@@ -214,18 +204,17 @@ mod tests {
         for ms in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
             s.push(it([0, 0, 0, ms, ms / 10]));
         }
-        assert_eq!(s.total_percentile(0.5), Nanos::from_millis(55)); // 50 + 5 stall
-        assert_eq!(s.total_percentile(0.95), Nanos::from_millis(110));
-        assert_eq!(s.total_percentile(0.99), Nanos::from_millis(110));
-        assert_eq!(s.total_percentile(1.0), Nanos::from_millis(110));
+        assert_eq!(s.stall_percentile(0.1), Nanos::from_millis(1));
         assert_eq!(s.stall_percentile(0.5), Nanos::from_millis(5));
+        assert_eq!(s.stall_percentile(0.55), Nanos::from_millis(6));
         assert_eq!(s.stall_percentile(0.99), Nanos::from_millis(10));
+        assert_eq!(s.stall_percentile(1.0), Nanos::from_millis(10));
     }
 
     #[test]
     fn percentiles_of_empty_run_are_zero() {
         let s = RunStats::new(1);
-        assert_eq!(s.total_percentile(0.99), Nanos::ZERO);
+        assert_eq!(s.stall_percentile(0.99), Nanos::ZERO);
         assert_eq!(s.stall_percentile(0.5), Nanos::ZERO);
     }
 
@@ -233,7 +222,7 @@ mod tests {
     #[should_panic(expected = "percentile q must be in (0, 1]")]
     fn percentile_rejects_bad_quantile() {
         let s = RunStats::new(1);
-        let _ = s.total_percentile(0.0);
+        let _ = s.stall_percentile(0.0);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub enum LedgerPhase {
     /// Blocked in the flush-wait condition (P²F / FIFO gate).
     StallWait,
     /// Leader-only bookkeeping after barriers A and C: the A-leader's
-    /// ledger advance, model step end and phase-time fold; the C-leader's
-    /// scan-bound raise and modeled-step pricing.
+    /// ledger advance and model step end; the C-leader's scan-bound raise
+    /// and read horizon.
     LeaderApply,
     /// Elastic membership transition: drain to quiescence, evict moved
     /// shards from survivor caches, publish the next shard-map epoch.

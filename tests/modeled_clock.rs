@@ -10,7 +10,7 @@ use frugal::core::{
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::embed::CachePolicy;
-use frugal::sim::Nanos;
+use frugal::sim::{IterBreakdown, Nanos};
 use frugal::telemetry::{LedgerPhase, Telemetry};
 
 const N_KEYS: u64 = 5_000;
@@ -94,10 +94,10 @@ fn modeled_numbers_are_bit_identical_under_flusher_throttling() {
 
 /// Eight members reach registration at visibly different times — nothing
 /// holds an early reducer back while its siblings still fold the deposit
-/// slots — and the C-leader zeroes the blocking-row counter for the *next*
-/// step's registrants. A count that leaked across a step boundary, or lost a
-/// member's share, would move the stall bits with the interleaving; a slow
-/// flusher pool changes the interleaving.
+/// slots. Each member counts its own blocking rows into its own record and
+/// the run is priced after join, so the stall bits cannot move with the
+/// interleaving by construction; a slow flusher pool changes the
+/// interleaving, and this checks the construction holds.
 #[test]
 fn eight_wide_modeled_numbers_are_bit_identical_under_flusher_throttling() {
     for mode in [FlushMode::P2f, FlushMode::Fifo, FlushMode::WriteThrough] {
@@ -155,6 +155,12 @@ struct Pinned {
     mean_gentry_ns: u64,
     p95_stall_ns: u64,
     fifo_p95_stall_ns: u64,
+    /// Σ of every iteration's modeled total, under P²F and under FIFO.
+    sum_total_ns: [u64; 2],
+    /// Σ of every iteration's modeled `other`, under P²F and under FIFO:
+    /// where each step's oversubscription charge lands, priced from that
+    /// step's member count.
+    sum_other_ns: [u64; 2],
     hit_ratio_bits: u64,
     cache_fills: u64,
     flush_rows: u64,
@@ -173,6 +179,8 @@ const EIGHT: Pinned = Pinned {
     mean_gentry_ns: 76_345,
     p95_stall_ns: 32_999,
     fifo_p95_stall_ns: 109_148,
+    sum_total_ns: [68_178_276, 75_790_180],
+    sum_other_ns: [58_634_562, 58_634_562],
     hit_ratio_bits: 0x3fac_3dcf_0b53_6ba9, // 0.0552
     cache_fills: 1_998,
     flush_rows: 418_843,
@@ -193,6 +201,8 @@ const PINNED: [Pinned; 3] = [
         mean_gentry_ns: 25_404,
         p95_stall_ns: 4_369,
         fifo_p95_stall_ns: 19_069,
+        sum_total_ns: [115_387_202, 118_283_647],
+        sum_other_ns: [107_080_803, 107_080_803],
         hit_ratio_bits: 0x3fd4_4c3f_acb3_2295, // 0.3172
         cache_fills: 1_994,
         flush_rows: 70_924,
@@ -203,6 +213,8 @@ const PINNED: [Pinned; 3] = [
         name: "elastic",
         elastic: true,
         mean_gentry_ns: 85_092,
+        sum_total_ns: [69_199_098, 76_811_002],
+        sum_other_ns: [59_509_248, 59_509_248],
         hit_ratio_bits: 0x3fac_bff0_0b1f_86ce, // 0.0562
         cache_fills: 2_752,
         ..EIGHT
@@ -264,6 +276,22 @@ fn pinned_profiles_report_their_committed_numbers() {
         );
         assert_eq!(p2f.cache_fills, p.cache_fills, "{name}: cache fills");
         assert_eq!(p2f.flush_rows, p.flush_rows, "{name}: flushed rows");
+        let sum = |r: &TrainReport, f: fn(&IterBreakdown) -> Nanos| -> u64 {
+            r.stats.iters().iter().map(|it| f(it).as_nanos()).sum()
+        };
+        assert_eq!(
+            [
+                sum(&p2f, IterBreakdown::total),
+                sum(&fifo, IterBreakdown::total)
+            ],
+            p.sum_total_ns,
+            "{name}: Σ modeled iteration time (P²F, FIFO)"
+        );
+        assert_eq!(
+            [sum(&p2f, |it| it.other), sum(&fifo, |it| it.other)],
+            p.sum_other_ns,
+            "{name}: Σ modeled `other` time (P²F, FIFO)"
+        );
 
         // Two clocked bounds; they catch a collapse, never drift.
         // `leader_apply` books the leader's merge and its apply. Mean a
