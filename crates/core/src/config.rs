@@ -1,5 +1,6 @@
 //! Engine configuration.
 
+use crate::gentry::READ_WINDOW;
 use frugal_embed::{AdagradRule, CachePolicy, SgdRule, UpdateRule};
 use frugal_sim::{CostModel, Topology};
 use frugal_telemetry::Telemetry;
@@ -171,9 +172,11 @@ impl MembershipPlan {
 pub enum ConfigError {
     /// The topology has zero GPUs — there is nothing to train on.
     NoGpus,
-    /// `lookahead == 0`: the sample queue must run at least one step ahead
-    /// of training for prefetch-driven priorities to exist.
-    ZeroLookahead,
+    /// `lookahead` outside `1..=`[`READ_WINDOW`]: the sample queue must run
+    /// at least one step ahead of training for prefetch-driven priorities
+    /// to exist, and a g-entry's read window holds at most [`READ_WINDOW`]
+    /// steps of live reads.
+    Lookahead(u64),
     /// The flush mode relies on background flushers but `flush_threads == 0`
     /// — nothing would ever drain the pending updates.
     NoFlushers(FlushMode),
@@ -188,12 +191,17 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoGpus => write!(f, "topology has zero GPUs"),
-            ConfigError::ZeroLookahead => {
+            ConfigError::Lookahead(0) => {
                 write!(
                     f,
-                    "lookahead must be >= 1 (the sample queue must run ahead)"
+                    "lookahead 0: the sample queue must run at least one step ahead"
                 )
             }
+            ConfigError::Lookahead(l) => write!(
+                f,
+                "lookahead {l} exceeds {READ_WINDOW}, the steps of live reads a g-entry's read \
+                 window holds"
+            ),
             ConfigError::NoFlushers(mode) => write!(
                 f,
                 "{mode:?} mode needs flush_threads >= 1 (nothing would drain pending updates)"
@@ -222,7 +230,9 @@ pub struct FrugalConfig {
     /// [`FlushMode::P2f`]; under the other modes it degrades to a
     /// never-evicting cache (safe, but pointless).
     pub cache_policy: CachePolicy,
-    /// Sample-queue lookahead `L` in steps (paper default 10).
+    /// Sample-queue lookahead `L` in steps (paper default 10), in
+    /// `1..=`[`READ_WINDOW`] (64): each g-entry holds its live reads in a
+    /// window that wide.
     pub lookahead: u64,
     /// Number of background flushing threads (paper default 8, optimum 12).
     pub flush_threads: usize,
@@ -315,8 +325,8 @@ impl FrugalConfig {
         if self.n_gpus() == 0 {
             return Err(ConfigError::NoGpus);
         }
-        if self.lookahead == 0 {
-            return Err(ConfigError::ZeroLookahead);
+        if !(1..=READ_WINDOW).contains(&self.lookahead) {
+            return Err(ConfigError::Lookahead(self.lookahead));
         }
         if self.flush_mode.proactive() && self.flush_threads == 0 {
             return Err(ConfigError::NoFlushers(self.flush_mode));
@@ -393,8 +403,12 @@ mod tests {
         assert_eq!(FrugalConfig::commodity(2, 10).validate(), Ok(()));
 
         let mut c = FrugalConfig::commodity(2, 10);
-        c.lookahead = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroLookahead));
+        c.lookahead = READ_WINDOW;
+        assert_eq!(c.validate(), Ok(()));
+        for bad in [0, READ_WINDOW + 1] {
+            c.lookahead = bad;
+            assert_eq!(c.validate(), Err(ConfigError::Lookahead(bad)));
+        }
 
         let mut c = FrugalConfig::commodity(2, 10);
         c.flush_threads = 0;

@@ -63,6 +63,7 @@ use crate::ShardMap;
 use barrier::SpinBarrier;
 use counters::RunMetrics;
 use flusher::FlushCoord;
+use frugal_data::Key;
 use frugal_embed::{GpuCache, HostStore, Sharding, UpdateRule};
 use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq, INFINITE};
 use frugal_telemetry::{LaneKind, LedgerPhase, Registry, ThreadRecorder};
@@ -109,11 +110,18 @@ pub(crate) fn resolve_segments(cfg: &FrugalConfig) -> Vec<Segment> {
 
 /// What one trainer index keeps for the whole run — across segments, leaves
 /// and rejoins: its cache (created on first membership, dropped when it
-/// leaves), its recorder (ledger lane + trace track) and its count record.
+/// leaves), its recorder (ledger lane + trace track), its count record and
+/// its update slot.
 pub(crate) struct MemberState {
     pub(crate) cache: Option<GpuCache>,
     pub(crate) rec: ThreadRecorder,
     pub(crate) counts: CountRecord,
+    /// The merged `(key, grad)` rows the member reduced this step, in
+    /// canonical arrival order: written by its reduce, then read by its own
+    /// write-through apply and registration between barriers A and C. The
+    /// rows stay for the next step's reduce to recycle (see
+    /// [`frugal_embed::ArcFold`]).
+    pub(crate) updates: Vec<(Key, Arc<[f32]>)>,
 }
 
 /// Shared state between trainers, the leader, and flushers for one run.
@@ -336,6 +344,7 @@ impl FrugalEngine {
                     .telemetry
                     .recorder(format!("trainer-{t}"), LaneKind::Trainer),
                 counts: CountRecord::default(),
+                updates: Vec::new(),
             })
             .collect();
         // The current epoch's map: fixed for a segment, replaced only by

@@ -9,7 +9,8 @@
 //! 1. trainers deposit per-GPU aggregates → **A** →
 //! 2. *every* trainer runs one uninterrupted member-local pass: it reduces
 //!    the key shards it owns across all per-GPU aggregator slots in GPU
-//!    index order ([`reduce_own_shard`]) into its own update slot; under
+//!    index order ([`reduce_own_shard`]) into its own update slot (a `Vec`
+//!    in its [`super::MemberState`], which no other thread reaches); under
 //!    write-through applies that slot to the host store (the sharded form
 //!    of the old leader apply); then runs its registration phase (see
 //!    [`super::trainer::register_phase`]) over the same slot — the cache
@@ -60,9 +61,6 @@ use frugal_embed::{ArcFold, GradAggregator};
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::Arc;
 
-/// One member's reduced `(key, merged gradient)` rows for the step.
-type UpdateSlot = RwLock<Vec<(Key, Arc<[f32]>)>>;
-
 /// Per-GPU ring of published sample batches, indexed `[gpu][step % len]`.
 ///
 /// Trainer `g` is the only writer of row `g`: it publishes step
@@ -107,20 +105,13 @@ impl SampleRing {
     }
 }
 
-/// The step protocol's shared state: deposit slots, the per-owner reduced
-/// update slots and the sample ring.
+/// The step protocol's shared state: the deposit slots and the sample ring.
 #[derive(Debug)]
 pub(crate) struct StepState {
     /// Per-GPU aggregators: trainers swap their full scratch aggregator in
     /// before barrier A; after A every trainer read-scans all of them in
     /// GPU index order. Kept warm (arena reuse) across steps.
     pub(crate) agg_slots: Vec<RwLock<GradAggregator>>,
-    /// Per-owner reduced updates: slot `g` holds the merged
-    /// `(key, grad)` rows trainer `g` owns this step, in canonical
-    /// arrival order. Written and then read by its owner between A and C.
-    /// The rows stay in the slot for the next step's reduce to recycle
-    /// (see [`ArcFold`]).
-    pub(crate) update_slots: Vec<UpdateSlot>,
     /// The double-buffered sample pipeline (see [`SampleRing`]).
     pub(crate) ring: SampleRing,
 }
@@ -131,7 +122,6 @@ impl StepState {
             agg_slots: (0..n_gpus)
                 .map(|_| RwLock::new(GradAggregator::new(dim)))
                 .collect(),
-            update_slots: (0..n_gpus).map(|_| RwLock::new(Vec::new())).collect(),
             ring: SampleRing::new(n_gpus, lookahead),
         }
     }
@@ -139,12 +129,12 @@ impl StepState {
 
 /// The decentralized reduce, run by *every* member right after barrier A:
 /// fold the keys the epoch assigns member `t` across all per-stream
-/// aggregator slots, in stream index order, straight into
-/// `update_slots[t]` — one key → position probe per deposit entry, each
-/// row summed in the `Arc` it leaves the reduce in ([`ArcFold`]). The fold
-/// writes over the previous step's rows, in place wherever the flushers
-/// have let go of them (always, under write-through). Returns the number
-/// of rows the member reduced.
+/// aggregator slots, in stream index order, straight into its update slot
+/// `out` — one key → position probe per deposit entry, each row summed in
+/// the `Arc` it leaves the reduce in ([`ArcFold`]). The fold writes over
+/// the previous step's rows, in place wherever the flushers have let go of
+/// them (always, under write-through). Returns the number of rows the
+/// member reduced.
 ///
 /// See the module docs for the bit-equality argument. Visibility: the
 /// deposits into `agg_slots` happen before barrier A; the slots are next
@@ -155,17 +145,17 @@ pub(crate) fn reduce_own_shard(
     smap: &ShardMap,
     t: usize,
     fold: &mut ArcFold,
+    out: &mut Vec<(Key, Arc<[f32]>)>,
 ) -> usize {
-    let mut out = shared.step.update_slots[t].write();
     for slot in &shared.step.agg_slots {
         let agg = slot.read();
         for (key, grad) in agg.entries() {
             if smap.owns_key(t, key) {
-                fold.add(&mut out, key, grad);
+                fold.add(out, key, grad);
             }
         }
     }
-    fold.finish(&mut out);
+    fold.finish(out);
     out.len()
 }
 

@@ -192,10 +192,10 @@ pub(crate) fn feed_cache_lookahead(
 ///
 /// Shard ownership is the [`ShardMap`]'s single partition: member `t` owns
 /// every [`GEntryStore`] shard the current epoch assigns it, and — because
-/// the cache partition is the *same* map — `update_slots[t]` (the rows `t`
-/// itself reduced) is exactly the set of updates its cache may hold *and*
-/// the set it must register. One scan of the own slot feeds both; no other
-/// member's slot ever needs reading here.
+/// the cache partition is the *same* map — `updates` (the rows `t` itself
+/// reduced into its update slot) is exactly the set of updates its cache
+/// may hold *and* the set it must register. One scan of the own slot feeds
+/// both; no other member's slot ever needs reading here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn register_phase(
     shared: &RunShared<'_>,
@@ -204,19 +204,19 @@ pub(crate) fn register_phase(
     s: u64,
     t: usize,
     streams: &[usize],
+    updates: &[(Key, Arc<[f32]>)],
     scratch: &mut StepScratch,
     cache: &mut GpuCache,
 ) -> u64 {
     let cfg = shared.cfg;
     let proactive = cfg.flush_mode.proactive();
 
-    // The member's reduced slot, written by its own reduce a moment ago;
-    // nobody else reads it before barrier C. One pass folds its rows into
-    // the local cache (the cache sees the same per-key gradient sequence as
-    // the host path, keeping both bit-identical); one counting pass orders
-    // its positions by shard for registration. Both book to `cache_apply`,
-    // so that `registration` times the g-entry work alone.
-    let updates = shared.step.update_slots[t].read();
+    // The member's update slot, written by its own reduce a moment ago.
+    // One pass folds its rows into the local cache (the cache sees the same
+    // per-key gradient sequence as the host path, keeping both
+    // bit-identical); one counting pass orders its positions by shard for
+    // registration. Both book to `cache_apply`, so that `registration`
+    // times the g-entry work alone.
     {
         let _span = rec.span(s, LedgerPhase::CacheApply);
         for (key, grad) in updates.iter() {
@@ -287,7 +287,12 @@ pub(crate) fn trainer_loop(
     // per-key hot path below indexes plain arrays.
     debug_assert!(smap.is_member(t), "trainer {t} spawned outside its epoch");
     let streams: Vec<usize> = smap.streams_of(t).collect();
-    let MemberState { cache, rec, counts } = member;
+    let MemberState {
+        cache,
+        rec,
+        counts,
+        updates,
+    } = member;
     // The member's persistent cache, created on first membership.
     let cache = cache.get_or_insert_with(|| member_cache(shared));
     counts.reserve((seg.end - seg.start) as usize, streams.len());
@@ -528,7 +533,7 @@ pub(crate) fn trainer_loop(
         // this member's owned keys across all deposit slots (stream index
         // order — canonical) into this member's update slot.
         let reduce_span = rec.span(s, LedgerPhase::Reduce);
-        let rows = step::reduce_own_shard(shared, smap, t, &mut scratch.fold);
+        let rows = step::reduce_own_shard(shared, smap, t, &mut scratch.fold, updates);
         match cfg.flush_mode {
             // The write-through flush the paper describes, sharded by key
             // ownership: each member pushes its owned rows to host memory
@@ -539,18 +544,26 @@ pub(crate) fn trainer_loop(
             // correct `copy_state`s to cache fills in this mode too.
             // Ownership partitions the key space, so the concurrent applies
             // touch disjoint rows and need no coordination.
-            FlushMode::WriteThrough => frugal_embed::apply_updates(
-                shared.store,
-                shared.rule.as_ref(),
-                &shared.step.update_slots[t].read(),
-            ),
+            FlushMode::WriteThrough => {
+                frugal_embed::apply_updates(shared.store, shared.rule.as_ref(), updates)
+            }
             // The flushers apply what registration queues.
             FlushMode::P2f | FlushMode::Fifo => {}
         }
         drop(reduce_span);
         // Registration reads only the slot this member just wrote, so it
         // needs no barrier behind the reduce.
-        let read_next = register_phase(shared, smap, rec, s, t, &streams, &mut scratch, cache);
+        let read_next = register_phase(
+            shared,
+            smap,
+            rec,
+            s,
+            t,
+            &streams,
+            updates,
+            &mut scratch,
+            cache,
+        );
         counts.step(streams.len(), rows, read_next);
         // Barrier C: registration complete — the step's entries are all
         // queued before any member can evaluate step s + 1's wait

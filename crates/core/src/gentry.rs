@@ -23,11 +23,12 @@
 //!
 //! * `keys: [u64]` — open-addressing slots (linear probing, Fibonacci
 //!   multiply-shift reduction, backward-shift deletion);
-//! * `r_bits: [u64]` + `r_base: [u32]` — the R set as a 64-step bitset
-//!   window anchored at `r_base`. Lookahead reads span at most `L + 1`
-//!   consecutive steps (`L` defaults to 10), so the window almost never
-//!   overflows; reads the window cannot hold spill into a per-shard side
-//!   map that stays empty in engine use but keeps the semantics exact.
+//! * `r_bits: [u64]` + `r_base: [u32]` — the R set as a
+//!   [`READ_WINDOW`]-step bitset anchored at `r_base`. The engine registers
+//!   each key's reads in step order, and the live ones lie within `L` steps
+//!   of each other (`L` ≤ [`READ_WINDOW`], checked by
+//!   [`FrugalConfig::validate`](crate::FrugalConfig::validate)), so the
+//!   window slides up past consumed steps and always holds the whole set.
 //! * `w_idx: [u32]` — `slab index + 1` of the entry's pending-write list
 //!   (0 = none). The lists themselves live in a per-shard slab with a free
 //!   list, so a drained entry keeps its allocation for reuse.
@@ -48,7 +49,6 @@ use frugal_data::Key;
 use frugal_embed::FlushClaim;
 use frugal_pq::{Priority, PriorityQueue, INFINITE};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -76,6 +76,10 @@ pub enum PriorityPolicy {
 }
 
 const SHARDS: usize = 64;
+
+/// Width in steps of a g-entry's read window: the largest span of live
+/// reads one key may hold, and so the largest lookahead a run may use.
+pub const READ_WINDOW: u64 = 64;
 
 /// Slot sentinel: never a real key.
 const EMPTY: u64 = u64::MAX;
@@ -122,8 +126,8 @@ impl WriteSlab {
     }
 }
 
-/// One shard: the parallel-array table plus the write slab and the read
-/// overflow side map. All access is under the shard's mutex.
+/// One shard: the parallel-array table plus the write slab. All access is
+/// under the shard's mutex.
 #[derive(Debug)]
 struct Shard {
     /// Open-addressing slots; `EMPTY` marks a free one. Every live key is
@@ -138,10 +142,6 @@ struct Shard {
     /// Live entries.
     len: usize,
     slab: WriteSlab,
-    /// Read steps the 64-step window cannot hold (span > 64). Empty in
-    /// engine use; exists so arbitrary register/drain sequences (property
-    /// tests) keep exact `BTreeSet` semantics.
-    overflow: HashMap<Key, BTreeSet<u64>>,
 }
 
 /// Fibonacci hash: multiplies the key onto the golden ratio so sequential
@@ -160,7 +160,6 @@ impl Shard {
             w_idx: vec![0; 16].into_boxed_slice(),
             len: 0,
             slab: WriteSlab::default(),
-            overflow: HashMap::new(),
         }
     }
 
@@ -298,80 +297,51 @@ impl Shard {
 
     // --- R set ---------------------------------------------------------
 
+    /// Adds `step` to the R set. An empty window re-anchors at `step`; a
+    /// read past the window's end slides it up over consumed (clear) low
+    /// steps. Panics on a read the window cannot hold — below its base, or
+    /// beyond a slide past its earliest live read — which no run whose
+    /// lookahead passed [`FrugalConfig::validate`](crate::FrugalConfig::validate)
+    /// registers.
     fn r_insert(&mut self, slot: usize, step: u64) {
         debug_assert!(step < u32::MAX as u64, "step exceeds 32-bit window base");
-        let base = self.r_base[slot] as u64;
-        if self.r_bits[slot] == 0 {
-            // Window is free to re-anchor (overflow steps, if any, remain
-            // valid — membership is the union of window and overflow).
+        let (base, bits) = (self.r_base[slot] as u64, self.r_bits[slot]);
+        if bits == 0 {
             self.r_base[slot] = step as u32;
             self.r_bits[slot] = 1;
             return;
         }
-        if step >= base && step < base + 64 {
-            self.r_bits[slot] |= 1u64 << (step - base);
-            return;
-        }
-        if step >= base + 64 {
-            // Advance the window if the steps that would slide out are all
-            // clear (lookahead registration consumes old steps as it goes,
-            // so this is the common path when a span briefly exceeds 64).
-            let shift = step - 63 - base;
-            if shift < 64 && self.r_bits[slot].trailing_zeros() as u64 >= shift {
-                self.r_bits[slot] >>= shift;
-                self.r_base[slot] = (base + shift) as u32;
-                self.r_bits[slot] |= 1u64 << 63;
-                return;
-            }
-        }
-        // Out-of-window (before the base, or blocked by live low bits):
-        // exact semantics via the side map.
-        let key = self.keys[slot];
-        self.overflow.entry(key).or_default().insert(step);
+        let shift = (step + 1).saturating_sub(base + READ_WINDOW);
+        assert!(
+            step >= base && shift <= bits.trailing_zeros() as u64,
+            "read of key {} at step {step} outside its {READ_WINDOW}-step window at base {base}",
+            self.keys[slot]
+        );
+        self.r_base[slot] = (base + shift) as u32;
+        self.r_bits[slot] = (bits >> shift) | (1u64 << (step - base - shift));
     }
 
     fn r_remove(&mut self, slot: usize, step: u64) {
         let base = self.r_base[slot] as u64;
-        if step >= base && step < base + 64 {
+        if step >= base && step < base + READ_WINDOW {
             self.r_bits[slot] &= !(1u64 << (step - base));
-        }
-        let key = self.keys[slot];
-        if let Some(set) = self.overflow.get_mut(&key) {
-            set.remove(&step);
-            if set.is_empty() {
-                self.overflow.remove(&key);
-            }
         }
     }
 
     fn r_is_empty(&self, slot: usize) -> bool {
-        self.r_bits[slot] == 0 && !self.overflow.contains_key(&self.keys[slot])
+        self.r_bits[slot] == 0
     }
 
     fn r_contains(&self, slot: usize, step: u64) -> bool {
         let base = self.r_base[slot] as u64;
-        if step >= base && step < base + 64 && self.r_bits[slot] & (1u64 << (step - base)) != 0 {
-            return true;
-        }
-        self.overflow
-            .get(&self.keys[slot])
-            .is_some_and(|s| s.contains(&step))
+        step >= base
+            && step < base + READ_WINDOW
+            && self.r_bits[slot] & (1u64 << (step - base)) != 0
     }
 
     fn r_min(&self, slot: usize) -> Option<u64> {
-        let window = if self.r_bits[slot] == 0 {
-            None
-        } else {
-            Some(self.r_base[slot] as u64 + self.r_bits[slot].trailing_zeros() as u64)
-        };
-        let over = self
-            .overflow
-            .get(&self.keys[slot])
-            .and_then(|s| s.first().copied());
-        match (window, over) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (w, o) => w.or(o),
-        }
+        let bits = self.r_bits[slot];
+        (bits != 0).then(|| self.r_base[slot] as u64 + bits.trailing_zeros() as u64)
     }
 
     // --- W set ---------------------------------------------------------
@@ -440,10 +410,10 @@ impl Shard {
         }
     }
 
-    /// Resident bytes of this shard's metadata: the parallel arrays, the
+    /// Resident bytes of this shard's metadata: the parallel arrays and the
     /// slab skeleton (entry tuples, not the shared gradient payloads —
     /// those belong to the training pipeline and are counted by its own
-    /// accounting), and the overflow side map.
+    /// accounting).
     fn resident_bytes(&self) -> usize {
         let slots = self.keys.len() * (8 + 8 + 4 + 4);
         let slab = self.slab.lists.capacity() * std::mem::size_of::<PendingWrites>()
@@ -454,14 +424,7 @@ impl Shard {
                 .map(|l| l.capacity() * std::mem::size_of::<(u64, Arc<[f32]>)>())
                 .sum::<usize>()
             + self.slab.free.capacity() * 4;
-        // BTreeSet<u64> nodes amortize to ~12 bytes/element at capacity 11,
-        // plus map entry overhead; 48/element is a conservative ceiling.
-        let overflow = self
-            .overflow
-            .values()
-            .map(|s| 64 + 48 * s.len())
-            .sum::<usize>();
-        slots + slab + overflow
+        slots + slab
     }
 }
 
@@ -564,87 +527,26 @@ impl GEntryStore {
         self.pending_keys.load(Ordering::Acquire)
     }
 
-    /// Resident bytes of g-entry metadata across all shards: slot arrays,
-    /// write-slab skeleton, and overflow side maps. Gradient payloads
-    /// (`Arc<[f32]>` data) are shared with the cache-update path and not
-    /// counted here. This is the bytes-per-key quantity DESIGN.md §14
-    /// tracks at 1M/10M/100M keys.
+    /// Resident bytes of g-entry metadata across all shards: slot arrays
+    /// and write-slab skeleton. Gradient payloads (`Arc<[f32]>` data) are
+    /// shared with the cache-update path and not counted here. This is the
+    /// bytes-per-key quantity DESIGN.md §14 tracks at 1M/10M/100M keys.
     pub fn resident_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().resident_bytes()).sum()
     }
 
-    /// Registers that `key` will be read at `step` (sample-queue prefetch).
+    /// Registers the aggregated updates of `step` for every `(key, Δ)` in
+    /// `items` (paper §3.3, step 3): removes `step` from each R set, appends
+    /// `(step, Δ)` to the W set, and enqueues or repositions the entry. Each
+    /// contiguous same-shard run of `items` takes its shard's lock once
+    /// (callers pre-group by [`GEntryStore::shard_of`], so "once per run" is
+    /// once per shard) and hands the queue one `enqueue_batch` +
+    /// `adjust_batch`.
     ///
-    /// If the entry has pending writes and this read tightens its priority,
-    /// the queue position is adjusted.
-    pub fn add_read(&self, key: Key, step: u64, pq: &dyn PriorityQueue) {
-        let adjusted = {
-            let mut shard = self.shard(key).lock();
-            let slot = shard.ensure(key);
-            let in_pq = shard.has_writes(slot);
-            let old_p = if in_pq {
-                shard.priority(slot, self.policy)
-            } else {
-                INFINITE
-            };
-            shard.r_insert(slot, step);
-            if in_pq {
-                let new_p = shard.priority(slot, self.policy);
-                if new_p != old_p {
-                    pq.adjust(key, old_p, new_p);
-                    true
-                } else {
-                    false
-                }
-            } else {
-                false
-            }
-        };
-        // Explorer hook for the re-activation window (entry repositioned in
-        // the queue; a dequeuer may now hold a stale (key, priority) pair).
-        // Outside the shard lock: a suspended lock-holder would wedge any
-        // runnable vthread that OS-blocks on the same shard.
-        if adjusted {
-            sched_point!("gentry.read.reactivated");
-        }
-    }
-
-    /// Registers the aggregated update `grad` produced at `step`: removes
-    /// `step` from the R set, appends `(step, Δ)` to the W set, and
-    /// enqueues/adjusts the entry (paper §3.3, step 3).
-    pub fn add_write(&self, key: Key, step: u64, grad: Arc<[f32]>, pq: &dyn PriorityQueue) {
-        let mut shard = self.shard(key).lock();
-        let slot = shard.ensure(key);
-        let had_writes = shard.has_writes(slot);
-        let old_p = if had_writes {
-            shard.priority(slot, self.policy)
-        } else {
-            INFINITE
-        };
-        shard.r_remove(slot, step);
-        shard.w_push(slot, step, grad);
-        if !had_writes {
-            self.pending_keys.fetch_add(1, Ordering::AcqRel);
-        }
-        let new_p = shard.priority(slot, self.policy);
-        if !had_writes {
-            pq.enqueue(key, new_p);
-        } else if new_p != old_p {
-            pq.adjust(key, old_p, new_p);
-        }
-    }
-
-    /// Batch form of [`GEntryStore::add_write`]: registers the aggregated
-    /// updates of `step` for every `(key, Δ)` in `items`, locking each
-    /// shard once per contiguous same-shard run (callers pre-group by
-    /// [`GEntryStore::shard_of`], so "once per run" is once per shard) and
-    /// handing the queue one `enqueue_batch` + `adjust_batch` per shard.
-    ///
-    /// The queue operations execute while the shard lock is still held —
-    /// the same envelope the per-key path uses. Releasing the lock first
-    /// would let a concurrent mutator of the same key observe a queued
-    /// entry (`W ≠ ∅`) not yet physically present and emit an `adjust`
-    /// whose old position does not exist.
+    /// The queue operations execute while the shard lock is still held.
+    /// Releasing the lock first would let a concurrent mutator of the same
+    /// key observe a queued entry (`W ≠ ∅`) not yet physically present and
+    /// emit an `adjust` whose old position does not exist.
     ///
     /// Returns how many of the items left registration with priority
     /// `step + 1`: the rows written now that the very next step reads —
@@ -668,10 +570,11 @@ impl GEntryStore {
         self.add_writes_iter(step, shared, pq, scratch)
     }
 
-    /// The one write-registration routine: [`GEntryStore::add_writes_batch`]
-    /// over the `(key, Δ)` pairs `items` yields, each row moved into its W
-    /// set as it comes. The pairs must arrive grouped by shard (see
-    /// [`GEntryStore::group_by_shard`]) for the one-lock-per-shard promise.
+    /// The one write-registration routine: the registration of
+    /// [`GEntryStore::add_writes_batch`] over the `(key, Δ)` pairs `items`
+    /// yields, each row moved into its W set as it comes. The pairs must
+    /// arrive grouped by shard (see [`GEntryStore::group_by_shard`]) for
+    /// the one-lock-per-shard promise.
     pub fn add_writes_iter(
         &self,
         step: u64,
@@ -725,10 +628,13 @@ impl GEntryStore {
         read_next
     }
 
-    /// Batch form of [`GEntryStore::add_read`]: registers that every key in
-    /// `keys` will be read at `step`, with the same shard-run locking and
-    /// batched queue adjustment as [`GEntryStore::add_writes_batch`].
-    /// Callers pre-dedup and pre-group `keys` by shard.
+    /// Registers that every key in `keys` will be read at `step` (the
+    /// sample-queue prefetch), with the same shard-run locking as
+    /// [`GEntryStore::add_writes_batch`]; an entry with pending writes whose
+    /// priority the read tightens is repositioned in one `adjust_batch` per
+    /// shard. Callers pre-dedup and pre-group `keys` by shard, and register
+    /// each key's reads in step order within [`READ_WINDOW`] steps of its
+    /// earliest live read (panics otherwise).
     pub fn add_reads_batch(
         &self,
         step: u64,
@@ -761,28 +667,10 @@ impl GEntryStore {
         }
     }
 
-    /// Claims the pending writes of `key` for flushing, if the dequeued
-    /// `bucket_priority` still matches the entry's authoritative priority.
-    ///
-    /// Returns `None` for stale dequeues (the paper's inconsistent-g-entry
-    /// check): the entry has been re-positioned and remains live in the
-    /// queue elsewhere.
-    ///
-    /// The updates are returned in step order; the caller applies them to
-    /// host memory and then calls nothing further — the entry is already
-    /// out of the queue and marked flushed.
-    pub fn take_writes(&self, key: Key, bucket_priority: Priority) -> Option<PendingWrites> {
-        let mut writes = PendingWrites::new();
-        match self.take_writes_into(key, bucket_priority, &mut writes) {
-            0 => None,
-            _ => Some(writes),
-        }
-    }
-
-    /// Allocation-free form of [`GEntryStore::take_writes`]: appends the
-    /// claimed `(step, Δ)` pairs to `out` (step order preserved) and
-    /// returns how many were claimed — 0 for a stale dequeue. The batch of
-    /// one of [`GEntryStore::take_writes_batch`].
+    /// Claims the pending writes of `key` for flushing: the batch of one of
+    /// [`GEntryStore::take_writes_batch`]. Appends the claimed `(step, Δ)`
+    /// pairs to `out` (step order preserved) and returns how many were
+    /// claimed — 0 for a stale dequeue.
     pub fn take_writes_into(
         &self,
         key: Key,
@@ -794,18 +682,23 @@ impl GEntryStore {
         out.len() - start
     }
 
-    /// Claims a whole dequeued batch: every `(key, bucket priority)` pair
-    /// of `batch` goes through the stale-dequeue check of
-    /// [`GEntryStore::take_writes`], in order, and each one that passes
-    /// appends its `(step, Δ)` pairs to `writes` and its `(key, start, end)`
-    /// range into them to `claims`. Each contiguous same-shard run of
-    /// `batch` takes its shard's lock once and settles `pending_keys` once,
-    /// so a flusher that groups its batch by shard
-    /// ([`GEntryStore::group_by_shard`]) pays both per shard, not per key;
-    /// the order of the keys inside a run does not matter. Both outputs
-    /// are appended to, never cleared: flushers reuse them batch after
-    /// batch, so the claim path allocates nothing after warm-up, and the
-    /// entries' W-list capacity stays in the shard slabs for reuse.
+    /// Claims a whole dequeued batch for flushing. Each `(key, bucket
+    /// priority)` pair of `batch` is claimed, in order, if the bucket
+    /// priority still matches the entry's authoritative priority; otherwise
+    /// it is a stale dequeue (the paper's inconsistent-g-entry check: the
+    /// entry was repositioned and is live elsewhere in the queue, or it was
+    /// already claimed) and is skipped. A claimed entry leaves the queue
+    /// with its W set drained; if its R set is empty too, it is deleted.
+    ///
+    /// Each claim appends the entry's `(step, Δ)` pairs, in step order, to
+    /// `writes` and its `(key, start, end)` range into them to `claims`.
+    /// Each contiguous same-shard run of `batch` takes its shard's lock once
+    /// and settles `pending_keys` once, so a flusher that groups its batch
+    /// by shard ([`GEntryStore::group_by_shard`]) pays both per shard, not
+    /// per key; the order of the keys inside a run does not matter. Both
+    /// outputs are appended to, never cleared: flushers reuse them batch
+    /// after batch, so the claim path allocates nothing after warm-up, and
+    /// the entries' W-list capacity stays in the shard slabs for reuse.
     pub fn take_writes_batch(
         &self,
         batch: &[(Key, Priority)],
@@ -916,11 +809,36 @@ mod tests {
     use super::*;
     use frugal_pq::TwoLevelPq;
 
+    /// Registers `key`'s read of `step` (a one-key batch).
+    fn read(store: &GEntryStore, pq: &dyn PriorityQueue, key: Key, step: u64) {
+        store.add_reads_batch(step, &[key], pq, &mut PqOpScratch::default());
+    }
+
+    /// Registers `key`'s update `[v]` of `step` (a one-key batch).
+    fn write(store: &GEntryStore, pq: &dyn PriorityQueue, key: Key, step: u64, v: f32) {
+        let items = [(key, Arc::from([v].as_slice()))];
+        store.add_writes_batch(step, &items, pq, &mut PqOpScratch::default());
+    }
+
+    /// Claims `key` at bucket priority `p`: its drained writes, or `None`
+    /// for a stale claim.
+    fn take(store: &GEntryStore, key: Key, p: Priority) -> Option<PendingWrites> {
+        let mut out = PendingWrites::new();
+        (store.take_writes_into(key, p, &mut out) > 0).then_some(out)
+    }
+
+    /// Claims a dequeued batch the flusher's way; returns the rows claimed.
+    fn claim(store: &GEntryStore, batch: &[(Key, Priority)]) -> u64 {
+        let mut writes = PendingWrites::new();
+        store.take_writes_batch(batch, &mut writes, &mut Vec::new());
+        writes.len() as u64
+    }
+
     #[test]
     fn read_only_entries_stay_out_of_queue() {
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
-        store.add_read(5, 3, &pq);
+        read(&store, &pq, 5, 3);
         assert!(pq.is_empty());
         assert_eq!(store.priority_of(5), Some(INFINITE));
         assert_eq!(store.pending_keys(), 0);
@@ -930,9 +848,10 @@ mod tests {
     fn write_enqueues_with_min_read_priority() {
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
-        store.add_read(5, 3, &pq);
-        store.add_read(5, 7, &pq);
-        store.add_write(5, 1, vec![0.1].into(), &pq);
+        for step in [1, 3, 7] {
+            read(&store, &pq, 5, step);
+        }
+        write(&store, &pq, 5, 1, 0.1);
         // Read at step 1 was consumed; min remaining read is 3.
         assert_eq!(store.priority_of(5), Some(3));
         assert_eq!(pq.top_priority(), 3);
@@ -943,8 +862,8 @@ mod tests {
     fn write_without_future_reads_is_infinite() {
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
-        store.add_read(9, 0, &pq);
-        store.add_write(9, 0, vec![1.0].into(), &pq);
+        read(&store, &pq, 9, 0);
+        write(&store, &pq, 9, 0, 1.0);
         assert_eq!(store.priority_of(9), Some(INFINITE));
         assert_eq!(pq.top_priority(), INFINITE);
         assert_eq!(pq.len(), 1); // still flushed eventually
@@ -956,10 +875,10 @@ mod tests {
         // is prefetched again.
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
-        store.add_read(1, 0, &pq);
-        store.add_write(1, 0, vec![1.0].into(), &pq);
+        read(&store, &pq, 1, 0);
+        write(&store, &pq, 1, 0, 1.0);
         assert_eq!(store.priority_of(1), Some(INFINITE));
-        store.add_read(1, 2, &pq);
+        read(&store, &pq, 1, 2);
         assert_eq!(store.priority_of(1), Some(2));
         assert_eq!(pq.top_priority(), 2);
     }
@@ -968,12 +887,12 @@ mod tests {
     fn take_writes_returns_updates_in_step_order() {
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
-        store.add_read(4, 0, &pq);
-        store.add_write(4, 0, vec![1.0].into(), &pq);
-        store.add_read(4, 5, &pq);
-        store.add_write(4, 5, vec![2.0].into(), &pq);
+        read(&store, &pq, 4, 0);
+        write(&store, &pq, 4, 0, 1.0);
+        read(&store, &pq, 4, 5);
+        write(&store, &pq, 4, 5, 2.0);
         let p = store.priority_of(4).unwrap();
-        let w = store.take_writes(4, p).expect("valid claim");
+        let w = take(&store, 4, p).expect("valid claim");
         assert_eq!(w.len(), 2);
         assert_eq!((w[0].0, &w[0].1[..]), (0, &[1.0f32][..]));
         assert_eq!((w[1].0, &w[1].1[..]), (5, &[2.0f32][..]));
@@ -986,27 +905,27 @@ mod tests {
     fn stale_claim_is_rejected() {
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
-        store.add_read(4, 2, &pq);
-        store.add_write(4, 0, vec![1.0].into(), &pq); // priority 2
-        assert!(store.take_writes(4, 7).is_none(), "wrong bucket priority");
-        assert!(store.take_writes(4, 2).is_some());
-        assert!(store.take_writes(4, 2).is_none(), "already drained");
+        read(&store, &pq, 4, 2);
+        write(&store, &pq, 4, 0, 1.0); // priority 2
+        assert!(take(&store, 4, 7).is_none(), "wrong bucket priority");
+        assert!(take(&store, 4, 2).is_some());
+        assert!(take(&store, 4, 2).is_none(), "already drained");
     }
 
     #[test]
     fn surviving_reads_keep_entry_alive() {
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
-        store.add_read(4, 2, &pq);
-        store.add_read(4, 9, &pq);
-        store.add_write(4, 0, vec![1.0].into(), &pq);
-        let w = store.take_writes(4, 2).unwrap();
+        read(&store, &pq, 4, 2);
+        read(&store, &pq, 4, 9);
+        write(&store, &pq, 4, 0, 1.0);
+        let w = take(&store, 4, 2).unwrap();
         assert_eq!(w.len(), 1);
         // Reads at 2 and 9 remain; entry alive but out of the queue.
         assert_eq!(store.len(), 1);
         assert_eq!(store.priority_of(4), Some(INFINITE));
         // A new write re-enqueues at the surviving min read.
-        store.add_write(4, 2, vec![3.0].into(), &pq);
+        write(&store, &pq, 4, 2, 3.0);
         assert_eq!(store.priority_of(4), Some(9));
     }
 
@@ -1014,13 +933,13 @@ mod tests {
     fn invariant_check_detects_violation_state() {
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(100);
-        store.add_read(4, 6, &pq);
+        read(&store, &pq, 4, 6);
         assert!(store.invariant_holds(4, 6), "reads alone are fine");
-        store.add_write(4, 0, vec![1.0].into(), &pq);
+        write(&store, &pq, 4, 0, 1.0);
         assert!(!store.invariant_holds(4, 6), "pending write + read at 6");
         assert!(store.invariant_holds(4, 7), "no read registered at 7");
         let p = store.priority_of(4).unwrap();
-        store.take_writes(4, p).unwrap();
+        take(&store, 4, p).unwrap();
         assert!(store.invariant_holds(4, 6), "flushed");
     }
 
@@ -1029,34 +948,37 @@ mod tests {
         // Reproduces the worked example of Figure 6 (L = 2, keys k1..k3).
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(10);
-        // ❶ prefetch step 0 (k2,k3,k1) and step 1 (k2).
-        for k in [2u64, 3, 1] {
-            store.add_read(k, 0, &pq);
-        }
-        store.add_read(2, 1, &pq);
+        let mut scratch = PqOpScratch::default();
+        let delta = |keys: &[Key]| -> Vec<(Key, Arc<[f32]>)> {
+            keys.iter()
+                .map(|&k| (k, Arc::from([0.5f32].as_slice())))
+                .collect()
+        };
+        // ❶ prefetch step 0 (k1,k2,k3; shards 1..3) and step 1 (k2).
+        store.add_reads_batch(0, &[1, 2, 3], &pq, &mut scratch);
+        store.add_reads_batch(1, &[2], &pq, &mut scratch);
         // ❷ top is ∞ > step 0: train.
         assert!(pq.top_priority() > 0);
         // ❸ backward of step 0 records Δ for all three keys.
-        for k in [1u64, 2, 3] {
-            store.add_write(k, 0, vec![0.5].into(), &pq);
-        }
+        store.add_writes_batch(0, &delta(&[1, 2, 3]), &pq, &mut scratch);
         // k2 has a read at step 1 -> priority 1; k1,k3 -> ∞.
         assert_eq!(store.priority_of(2), Some(1));
         assert_eq!(store.priority_of(1), Some(INFINITE));
         assert_eq!(store.priority_of(3), Some(INFINITE));
         // ❹ prefetch step 2 (k1).
-        store.add_read(1, 2, &pq);
+        store.add_reads_batch(2, &[1], &pq, &mut scratch);
         assert_eq!(store.priority_of(1), Some(2));
         // ❺ top is 1, not > step 1: training must wait.
         assert!(pq.top_priority() <= 1);
         // ❻-❼ flush k2, then train step 1.
-        let mut out = Vec::new();
+        let (mut out, mut writes, mut claims) = (Vec::new(), Vec::new(), Vec::new());
         pq.dequeue_batch(1, &mut out);
         assert_eq!(out[0].0, 2);
-        store.take_writes(2, out[0].1).unwrap();
+        store.take_writes_batch(&out, &mut writes, &mut claims);
+        assert_eq!(claims.len(), 1);
         assert!(pq.top_priority() > 1);
         // ❽ backward of step 1 (k2 again, no more reads).
-        store.add_write(2, 1, vec![0.5].into(), &pq);
+        store.add_writes_batch(1, &delta(&[2]), &pq, &mut scratch);
         assert_eq!(store.priority_of(2), Some(INFINITE));
         // k1's update from step 0 is still deferred (blue dashed box):
         assert!(store.has_pending_writes(1));
@@ -1064,16 +986,16 @@ mod tests {
         assert_eq!(pq.top_priority(), 2);
         out.clear();
         pq.dequeue_batch(1, &mut out);
-        store.take_writes(1, out[0].1).unwrap();
+        store.take_writes_batch(&out, &mut writes, &mut claims);
+        assert_eq!(claims.len(), 2);
         assert!(pq.top_priority() > 2);
         // ❾ train step 2 (k1), record its update.
-        store.add_write(1, 2, vec![0.5].into(), &pq);
+        store.add_writes_batch(2, &delta(&[1]), &pq, &mut scratch);
         // ❿ after training, drain the deferred ∞ updates (k1, k2, k3).
         out.clear();
         pq.dequeue_batch(10, &mut out);
-        for (k, p) in out {
-            store.take_writes(k, p);
-        }
+        store.take_writes_batch(&out, &mut writes, &mut claims);
+        assert_eq!(claims.len(), 5);
         assert_eq!(store.pending_keys(), 0);
         assert!(store.is_empty());
     }
@@ -1088,8 +1010,10 @@ mod tests {
 
     #[test]
     fn batch_writes_match_sequential_path() {
-        // Same operation stream through the per-key path and the batch
-        // path must leave identical store + queue state.
+        // The same operation stream as whole shard-grouped batches and as
+        // a sequence of one-key batches must leave identical store + queue
+        // state: the shard-run locking and the staged queue operations
+        // change nothing observable.
         let seq_store = GEntryStore::new();
         let seq_pq = TwoLevelPq::new(100);
         let bat_store = GEntryStore::new();
@@ -1097,25 +1021,28 @@ mod tests {
         let mut scratch = PqOpScratch::default();
 
         // Keys spanning several shards (incl. two in the same shard:
-        // 1 and 65), some with tightening reads, some deferred.
+        // 1 and 65), some with tightening reads, some deferred. The reads
+        // of step 0 anchor every window; the writes of step 0 consume them.
         let keys: Vec<Key> = vec![1, 65, 2, 130, 7, 64];
-        for &k in &keys {
-            seq_store.add_read(k, 3, &seq_pq);
+        for step in [0, 3] {
+            for &k in &keys {
+                read(&seq_store, &seq_pq, k, step);
+            }
+            bat_store.add_reads_batch(step, &shard_grouped(&keys), &bat_pq, &mut scratch);
         }
-        bat_store.add_reads_batch(3, &shard_grouped(&keys), &bat_pq, &mut scratch);
 
         let grad: Arc<[f32]> = vec![0.5].into();
         let items: Vec<(Key, Arc<[f32]>)> = keys.iter().map(|&k| (k, Arc::clone(&grad))).collect();
-        for (k, g) in &items {
-            seq_store.add_write(*k, 0, Arc::clone(g), &seq_pq);
+        for item in &items {
+            seq_store.add_writes_batch(0, std::slice::from_ref(item), &seq_pq, &mut scratch);
         }
         let mut grouped = items.clone();
         grouped.sort_by_key(|&(k, _)| GEntryStore::shard_of(k));
         bat_store.add_writes_batch(0, &grouped, &bat_pq, &mut scratch);
 
-        // A later read that re-tightens priorities through the batch path.
+        // A later-registered read of an earlier step re-tightens priorities.
         for &k in &[1u64, 2] {
-            seq_store.add_read(k, 1, &seq_pq);
+            read(&seq_store, &seq_pq, k, 1);
         }
         bat_store.add_reads_batch(1, &shard_grouped(&[1, 2]), &bat_pq, &mut scratch);
 
@@ -1126,6 +1053,8 @@ mod tests {
                 "key {k} priority diverged"
             );
         }
+        assert_eq!(bat_store.priority_of(1), Some(1));
+        assert_eq!(bat_store.priority_of(65), Some(3));
         assert_eq!(seq_store.pending_keys(), bat_store.pending_keys());
         assert_eq!(seq_pq.top_priority(), bat_pq.top_priority());
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -1148,10 +1077,10 @@ mod tests {
         assert_eq!(pq.top_priority(), 2);
         let mut out = Vec::new();
         pq.dequeue_batch(usize::MAX, &mut out);
-        for (k, p) in out {
-            let w = store.take_writes(k, p).expect("fresh entries claimable");
-            assert_eq!(w.len(), 1);
-        }
+        let (mut writes, mut claims) = (Vec::new(), Vec::new());
+        store.take_writes_batch(&out, &mut writes, &mut claims);
+        assert_eq!(claims.len(), 2, "fresh entries claimable");
+        assert!(claims.iter().all(|&(_, start, end)| end - start == 1));
         assert_eq!(store.pending_keys(), 0);
     }
 
@@ -1160,27 +1089,29 @@ mod tests {
         let store = GEntryStore::with_policy(PriorityPolicy::ArrivalOrder);
         let pq = TwoLevelPq::new(100);
         // Reads never matter under arrival order.
-        store.add_read(5, 1, &pq);
-        store.add_write(5, 3, vec![0.1].into(), &pq);
+        read(&store, &pq, 5, 1);
+        write(&store, &pq, 5, 3, 0.1);
         assert_eq!(store.priority_of(5), Some(3));
         // A later write does not move the entry: the first pending write
         // still gates it.
-        store.add_write(5, 7, vec![0.2].into(), &pq);
+        write(&store, &pq, 5, 7, 0.2);
         assert_eq!(store.priority_of(5), Some(3));
-        // Nor does a tightening read (the P²F policy would move it to 4).
-        store.add_read(5, 4, &pq);
+        // Nor does a tightening read (the P²F policy would move it to 1,
+        // then 4 once step 1 is written).
+        read(&store, &pq, 5, 4);
         assert_eq!(store.priority_of(5), Some(3));
         assert_eq!(pq.top_priority(), 3);
         // The claim drains both writes in step order; a fresh write then
         // re-enqueues at its own step.
-        let w = store.take_writes(5, 3).expect("claimable");
+        let w = take(&store, 5, 3).expect("claimable");
         assert_eq!(w.iter().map(|&(s, _)| s).collect::<Vec<_>>(), vec![3, 7]);
-        store.add_write(5, 9, vec![0.3].into(), &pq);
+        write(&store, &pq, 5, 9, 0.3);
         assert_eq!(store.priority_of(5), Some(9));
     }
 
     #[test]
     fn arrival_order_batch_matches_per_key_path() {
+        // Whole batches and one-key batches under arrival order.
         let seq_store = GEntryStore::with_policy(PriorityPolicy::ArrivalOrder);
         let seq_pq = TwoLevelPq::new(100);
         let bat_store = GEntryStore::with_policy(PriorityPolicy::ArrivalOrder);
@@ -1191,8 +1122,8 @@ mod tests {
         for step in [2u64, 5] {
             let items: Vec<(Key, Arc<[f32]>)> =
                 keys.iter().map(|&k| (k, Arc::clone(&grad))).collect();
-            for (k, g) in &items {
-                seq_store.add_write(*k, step, Arc::clone(g), &seq_pq);
+            for item in &items {
+                seq_store.add_writes_batch(step, std::slice::from_ref(item), &seq_pq, &mut scratch);
             }
             let mut grouped = items.clone();
             grouped.sort_by_key(|&(k, _)| GEntryStore::shard_of(k));
@@ -1231,9 +1162,7 @@ mod tests {
         // step; draining in between changes nothing.
         let mut out = Vec::new();
         pq.dequeue_batch(usize::MAX, &mut out);
-        for &(k, p) in &out {
-            let _ = store.take_writes(k, p);
-        }
+        store.take_writes_batch(&out, &mut Vec::new(), &mut Vec::new());
         let again: Vec<(Key, Arc<[f32]>)> = vec![(5, vec![1.0].into()), (9, vec![1.0].into())];
         assert_eq!(store.add_writes_batch(1, &again, &pq, &mut scratch), 1);
         // Arrival-order priorities are write steps: never `step + 1`.
@@ -1242,35 +1171,60 @@ mod tests {
     }
 
     #[test]
-    fn read_window_slides_and_overflow_keeps_semantics() {
-        // Span > 64: the bitset window must slide when the low bits are
-        // clear and spill exactly otherwise.
+    fn read_window_slides_past_consumed_steps() {
+        // The engine's shape at the widest lookahead: reads `READ_WINDOW`
+        // steps apart are live together only after the earlier ones are
+        // written, so the window slides up over the consumed steps.
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(10_000);
-        // Window anchored at 0 with a live low bit...
-        store.add_read(7, 0, &pq);
-        store.add_read(7, 63, &pq);
-        // ...so a far read cannot slide the window: it must spill.
-        store.add_read(7, 500, &pq);
-        store.add_write(7, 1, vec![1.0].into(), &pq);
-        assert_eq!(store.priority_of(7), Some(0), "min across window+overflow");
-        // Consuming step 0 frees the low bits; priority falls to 63.
-        store.add_write(7, 0, vec![1.0].into(), &pq);
-        assert_eq!(store.priority_of(7), Some(63));
-        // Consuming 63 leaves only the spilled far read.
-        store.add_write(7, 63, vec![1.0].into(), &pq);
-        assert_eq!(store.priority_of(7), Some(500));
-        // A fresh far read after the window empties re-anchors cleanly.
-        store.add_read(7, 900, &pq);
-        assert_eq!(store.priority_of(7), Some(500));
-        store.add_write(7, 500, vec![1.0].into(), &pq);
-        assert_eq!(store.priority_of(7), Some(900));
+        let last = READ_WINDOW - 1;
+        // A window anchored at 0 holding both of its ends...
+        read(&store, &pq, 7, 0);
+        read(&store, &pq, 7, last);
+        write(&store, &pq, 7, 0, 1.0);
+        assert_eq!(store.priority_of(7), Some(last));
+        // ...slides once step 0 is consumed: a read `READ_WINDOW` past the
+        // base fits, and so does one past the slid window's end.
+        read(&store, &pq, 7, READ_WINDOW);
+        read(&store, &pq, 7, last + 40);
+        assert_eq!(store.priority_of(7), Some(last));
+        assert!(!store.invariant_holds(7, READ_WINDOW));
+        // Consuming `last` leaves the slid reads.
+        write(&store, &pq, 7, last, 1.0);
+        assert_eq!(store.priority_of(7), Some(READ_WINDOW));
+        write(&store, &pq, 7, READ_WINDOW, 1.0);
+        assert_eq!(store.priority_of(7), Some(last + 40));
+        // Claiming keeps the surviving far read, and the entry with it.
         let p = store.priority_of(7).unwrap();
-        assert_eq!(store.take_writes(7, p).unwrap().len(), 4);
-        // The surviving far read keeps the entry alive.
+        assert_eq!(take(&store, 7, p).unwrap().len(), 3);
         assert_eq!(store.len(), 1);
-        assert!(store.invariant_holds(7, 500));
-        assert!(!store.is_empty());
+        assert!(store.invariant_holds(7, last + 40));
+        // Once the window empties, a fresh far read re-anchors it.
+        write(&store, &pq, 7, last + 40, 1.0);
+        read(&store, &pq, 7, 900);
+        assert_eq!(store.priority_of(7), Some(900));
+        assert_eq!(take(&store, 7, 900).unwrap().len(), 1);
+        assert_eq!(store.priority_of(7), Some(INFINITE));
+    }
+
+    #[test]
+    #[should_panic(expected = "read of key 7 at step 2 outside its 64-step window at base 3")]
+    fn a_read_below_the_live_window_panics() {
+        let store = GEntryStore::new();
+        let pq = TwoLevelPq::new(100);
+        read(&store, &pq, 7, 3);
+        read(&store, &pq, 7, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "read of key 7 at step 64 outside its 64-step window at base 0")]
+    fn a_read_past_the_live_window_panics() {
+        // Step 0 is still live, so the window cannot slide to take step 64:
+        // a lookahead of `READ_WINDOW + 1`.
+        let store = GEntryStore::new();
+        let pq = TwoLevelPq::new(100);
+        read(&store, &pq, 7, 0);
+        read(&store, &pq, 7, READ_WINDOW);
     }
 
     #[test]
@@ -1281,12 +1235,9 @@ mod tests {
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(1_000);
         let n = 4_000u64;
-        for i in 0..n {
-            let key = i * SHARDS as u64; // all shard 0
-            store.add_read(key, 10, &pq);
-        }
-        for i in 0..n {
-            let key = i * SHARDS as u64;
+        let keys: Vec<Key> = (0..n).map(|i| i * SHARDS as u64).collect(); // all shard 0
+        store.add_reads_batch(10, &keys, &pq, &mut PqOpScratch::default());
+        for &key in &keys {
             assert_eq!(store.priority_of(key), Some(INFINITE), "key {key}");
             assert!(store.invariant_holds(key, 11));
             assert!(!store.invariant_holds(key, 10) || !store.has_pending_writes(key));
@@ -1369,12 +1320,12 @@ mod tests {
         let live = 500u64;
         let churn = |from: u64, rounds: u64| {
             for i in from..from + rounds {
-                store.add_write(key_of(i + live), 0, vec![1.0].into(), &pq);
-                assert!(store.take_writes(key_of(i), INFINITE).is_some());
+                write(&store, &pq, key_of(i + live), 0, 1.0);
+                assert!(take(&store, key_of(i), INFINITE).is_some());
             }
         };
         for i in 0..live {
-            store.add_write(key_of(i), 0, vec![1.0].into(), &pq);
+            write(&store, &pq, key_of(i), 0, 1.0);
         }
         churn(0, 2 * live);
         let table = |store: &GEntryStore| {
@@ -1431,11 +1382,7 @@ mod tests {
                         continue;
                     }
                     idle = 0;
-                    for &(k, p) in &out {
-                        if let Some(w) = store.take_writes(k, p) {
-                            applied += w.len() as u64;
-                        }
-                    }
+                    applied += claim(&store, &out);
                 }
                 applied
             })
@@ -1446,19 +1393,13 @@ mod tests {
         let applied = flusher.join().unwrap();
         let mut out = Vec::new();
         pq.dequeue_batch(usize::MAX, &mut out);
-        let mut rest = 0u64;
-        for (k, p) in out {
-            if let Some(w) = store.take_writes(k, p) {
-                rest += w.len() as u64;
-            }
-        }
+        let rest = claim(&store, &out);
         assert_eq!(applied + rest, 2 * 300 * 16, "every staged update flushed");
         assert_eq!(store.pending_keys(), 0);
     }
 
     #[test]
     fn concurrent_writes_and_takes_balance() {
-        use std::sync::Arc;
         let store = Arc::new(GEntryStore::new());
         let pq = Arc::new(TwoLevelPq::new(1_000));
         let writer = {
@@ -1466,8 +1407,8 @@ mod tests {
             std::thread::spawn(move || {
                 for step in 0..500u64 {
                     for k in 0..16u64 {
-                        store.add_read(k, step, pq.as_ref());
-                        store.add_write(k, step, vec![1.0].into(), pq.as_ref());
+                        read(&store, pq.as_ref(), k, step);
+                        write(&store, pq.as_ref(), k, step, 1.0);
                     }
                 }
             })
@@ -1487,11 +1428,7 @@ mod tests {
                         std::thread::yield_now();
                         continue;
                     }
-                    for &(k, p) in &out {
-                        if let Some(w) = store.take_writes(k, p) {
-                            applied += w.len() as u64;
-                        }
-                    }
+                    applied += claim(&store, &out);
                 }
                 applied
             })
@@ -1502,12 +1439,7 @@ mod tests {
         // Drain any remainder.
         let mut out = Vec::new();
         pq.dequeue_batch(usize::MAX, &mut out);
-        let mut rest = 0u64;
-        for (k, p) in out {
-            if let Some(w) = store.take_writes(k, p) {
-                rest += w.len() as u64;
-            }
-        }
+        let rest = claim(&store, &out);
         assert_eq!(applied + rest, 500 * 16, "every staged update flushed");
         assert_eq!(store.pending_keys(), 0);
     }

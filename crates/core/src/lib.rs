@@ -50,10 +50,10 @@ pub use config::{
     ConfigError, FlushMode, FrugalConfig, MembershipChange, MembershipPlan, OptimizerKind, PqKind,
 };
 pub use engine::FrugalEngine;
-pub use gentry::{GEntryStore, PendingWrites, PqOpScratch, PriorityPolicy};
+pub use gentry::{GEntryStore, PendingWrites, PqOpScratch, PriorityPolicy, READ_WINDOW};
 pub use model::{BatchGrads, EmbeddingModel, PullToTarget};
 pub use report::TrainReport;
 pub use serial::{train_serial, train_serial_with, SerialRun};
 pub use shardmap::ShardMap;
-pub use wait::{admits, blocked, blocked_at, pending_floor, InflightTable};
+pub use wait::{blocked_at, pending_floor, InflightTable};
 pub use workload::Workload;

@@ -139,17 +139,6 @@ pub fn blocked_at(pq: &dyn PriorityQueue, inflight: &InflightTable, threshold: u
     inflight.any_at_or_below(threshold)
 }
 
-/// The P²F wait condition: true while step `s` must NOT start
-/// ([`blocked_at`] with the §3.3 threshold `s`).
-pub fn blocked(pq: &dyn PriorityQueue, inflight: &InflightTable, s: u64) -> bool {
-    blocked_at(pq, inflight, s)
-}
-
-/// Convenience inverse of [`blocked`]: true when step `s` may start.
-pub fn admits(pq: &dyn PriorityQueue, inflight: &InflightTable, s: u64) -> bool {
-    !blocked(pq, inflight, s)
-}
-
 /// The lowest outstanding deadline across both wait-condition sources —
 /// the queue top and the in-flight markers. This is what a blocked trainer
 /// is blocked *on*; the engine attributes stalls to it in telemetry.
@@ -168,7 +157,7 @@ mod tests {
         let table = InflightTable::new(3);
         assert_eq!(table.min(), INFINITE);
         assert!(!table.any_at_or_below(10));
-        assert!(admits(&pq, &table, 5));
+        assert!(!blocked_at(&pq, &table, 5));
     }
 
     #[test]
@@ -176,9 +165,9 @@ mod tests {
         let pq = TwoLevelPq::new(10);
         pq.enqueue(1, 4);
         let table = InflightTable::new(1);
-        assert!(blocked(&pq, &table, 4), "top == s must block (strict >)");
-        assert!(blocked(&pq, &table, 7));
-        assert!(admits(&pq, &table, 3));
+        assert!(blocked_at(&pq, &table, 4), "top == s must block (strict >)");
+        assert!(blocked_at(&pq, &table, 7));
+        assert!(!blocked_at(&pq, &table, 3));
     }
 
     #[test]
@@ -204,7 +193,7 @@ mod tests {
         let table = InflightTable::new(2);
         // No horizon declared: a deferred claim blocks nothing.
         table.open(1);
-        assert!(admits(&pq, &table, 7));
+        assert!(!blocked_at(&pq, &table, 7));
         table.clear(1);
         // Reads of steps < 5 are all registered; those of 5.. may follow.
         table.set_read_horizon(5);
@@ -212,18 +201,21 @@ mod tests {
         let mut out = Vec::new();
         pq.dequeue_batch_guarded(8, &mut out, table.guard(1));
         assert_eq!(out, vec![(9, INFINITE)]);
-        assert!(admits(&pq, &table, 4), "no read of step 4 can still appear");
         assert!(
-            blocked(&pq, &table, 5),
+            !blocked_at(&pq, &table, 4),
+            "no read of step 4 can still appear"
+        );
+        assert!(
+            blocked_at(&pq, &table, 5),
             "a read of step 5 may hit the batch"
         );
-        assert!(blocked(&pq, &table, 8));
+        assert!(blocked_at(&pq, &table, 8));
         assert_eq!(table.min(), 5);
         // The horizon that counts is the one at open time.
         table.set_read_horizon(6);
-        assert!(blocked(&pq, &table, 5));
+        assert!(blocked_at(&pq, &table, 5));
         table.clear(1);
-        assert!(admits(&pq, &table, 8));
+        assert!(!blocked_at(&pq, &table, 8));
         assert_eq!(table.min(), INFINITE);
     }
 
@@ -232,10 +224,10 @@ mod tests {
         let pq = TwoLevelPq::new(10);
         let table = InflightTable::new(2);
         table.guard(1).store(6, Ordering::SeqCst);
-        assert!(blocked(&pq, &table, 6));
-        assert!(admits(&pq, &table, 5));
+        assert!(blocked_at(&pq, &table, 6));
+        assert!(!blocked_at(&pq, &table, 5));
         assert_eq!(table.min(), 6);
         table.clear(1);
-        assert!(admits(&pq, &table, 6));
+        assert!(!blocked_at(&pq, &table, 6));
     }
 }

@@ -1,14 +1,16 @@
 //! Property test: the compact g-entry representation (bitset read window +
-//! overflow side map + write slab) agrees with plain `BTreeSet`/`Vec`
-//! semantics over arbitrary register/drain sequences.
+//! write slab) agrees with plain `BTreeSet`/`Vec` semantics over the
+//! register/drain sequences the engine produces.
 //!
 //! The reference model is the layout the store shipped with before the
 //! compact rewrite: one `BTreeSet<u64>` R set and one `Vec<u64>` W set per
 //! key, priorities recomputed from scratch. The compact store must match
 //! it on every observable after every operation — priorities, pending
-//! counts, invariant checks, claim outcomes, and drained step sequences —
-//! including step patterns whose read span exceeds the 64-step window
-//! (forcing window slides and overflow spills the engine never triggers).
+//! counts, invariant checks, claim outcomes, and drained step sequences.
+//! Registration follows the engine's order ([`EngineOrder`]) at a lookahead
+//! up to the full [`READ_WINDOW`]: each key's reads arrive in step order
+//! and its live reads lie within `L` steps of each other, so the windows
+//! slide over consumed steps; claims, valid and stale, interleave anywhere.
 //!
 //! A second, delete-heavy property crowds one shard's table and claims
 //! entries away in arbitrary order: deletion closes its hole by backward
@@ -23,10 +25,10 @@
 //! the same claims, priorities and counts from both. Unit tests pin the
 //! grouping helper itself: a stable permutation, one run per shard.
 
-use frugal_core::{GEntryStore, PqOpScratch, PriorityPolicy};
-use frugal_pq::{TwoLevelPq, INFINITE};
+use frugal_core::{GEntryStore, PqOpScratch, PriorityPolicy, READ_WINDOW};
+use frugal_pq::{PriorityQueue, TwoLevelPq, INFINITE};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 const MAX_STEP: u64 = 2_000;
@@ -64,11 +66,11 @@ impl Model {
         })
     }
 
-    fn add_read(&mut self, key: u64, step: u64) {
+    fn read(&mut self, key: u64, step: u64) {
         self.entries.entry(key).or_default().r.insert(step);
     }
 
-    fn add_write(&mut self, key: u64, step: u64) {
+    fn write(&mut self, key: u64, step: u64) {
         let e = self.entries.entry(key).or_default();
         e.r.remove(&step);
         e.w.push(step);
@@ -76,7 +78,7 @@ impl Model {
 
     /// Claim with the same stale-validation rule as the store; returns the
     /// drained write steps.
-    fn take_writes(&mut self, key: u64, bucket_priority: u64) -> Option<Vec<u64>> {
+    fn claim(&mut self, key: u64, bucket_priority: u64) -> Option<Vec<u64>> {
         let p = self.priority(key)?;
         let e = self.entries.get_mut(&key)?;
         if e.w.is_empty() || p != bucket_priority {
@@ -101,74 +103,182 @@ impl Model {
     }
 }
 
-/// One generated operation: `(kind, key index, step)`. A small key set
-/// (reused indices) and a wide step range maximize collisions of both.
-type Op = (u64, u64, u64);
+/// One step of the engine's registration order, with the keys it covers.
+enum Action {
+    /// The reads of a step, registered `L` steps ahead of it.
+    Reads(u64, Vec<u64>),
+    /// The writes of a step: exactly the keys its batch read.
+    Writes(u64, Vec<u64>),
+}
 
-/// Claims `key` at bucket priority `at` on both sides: they must agree on
-/// acceptance (a stale claim is refused) and on the drained write steps.
-fn claim_both(store: &GEntryStore, model: &mut Model, key: u64, at: u64) -> Result<(), String> {
-    let got = store
-        .take_writes(key, at)
-        .map(|w| w.iter().map(|&(s, _)| s).collect::<Vec<_>>());
-    let want = model.take_writes(key, at);
+/// The order in which the engine registers a stream of batches: the reads
+/// of steps `0..L` (the bootstrap), then for each step `s` its writes and
+/// the reads of step `s + L`. Each key's reads therefore arrive in step
+/// order, and the live ones lie within `L` steps of each other.
+struct EngineOrder {
+    lookahead: u64,
+    /// Batches read but not yet written, oldest (= step `next_write`) first.
+    batches: VecDeque<Vec<u64>>,
+    next_write: u64,
+    next_read: u64,
+}
+
+impl EngineOrder {
+    fn new(lookahead: u64) -> Self {
+        assert!((1..=READ_WINDOW).contains(&lookahead));
+        EngineOrder {
+            lookahead,
+            batches: VecDeque::new(),
+            next_write: 0,
+            next_read: 0,
+        }
+    }
+
+    /// The next registration. `batch` becomes the batch of the step whose
+    /// reads are due, if any; a write takes the batch its step read.
+    fn next(&mut self, batch: Vec<u64>) -> Action {
+        if self.next_read < self.next_write + self.lookahead {
+            let step = self.next_read;
+            self.next_read += 1;
+            self.batches.push_back(batch.clone());
+            Action::Reads(step, batch)
+        } else {
+            let step = self.next_write;
+            self.next_write += 1;
+            Action::Writes(
+                step,
+                self.batches.pop_front().expect("reads precede writes"),
+            )
+        }
+    }
+}
+
+/// `keys` picked by the bits of `mask`, grouped by shard.
+fn batch_of(keys: &[u64], mask: u64) -> Vec<u64> {
+    let picked = keys.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1);
+    let mut out = Vec::new();
+    GEntryStore::group_by_shard(picked.map(|(_, &k)| k), |&k| k, &mut out);
+    out
+}
+
+/// Applies `action` to the store (batch forms) and to the model. For the
+/// writes of step `s`, the store's count of rows that step `s + 1` reads
+/// must match the model's.
+fn register(
+    store: &GEntryStore,
+    pq: &dyn PriorityQueue,
+    model: &mut Model,
+    action: &Action,
+) -> Result<(), String> {
+    let mut scratch = PqOpScratch::default();
+    match action {
+        Action::Reads(step, keys) => {
+            store.add_reads_batch(*step, keys, pq, &mut scratch);
+            for &k in keys {
+                model.read(k, *step);
+            }
+            Ok(())
+        }
+        Action::Writes(step, keys) => {
+            let grad: Arc<[f32]> = vec![1.0].into();
+            let items: Vec<(u64, Arc<[f32]>)> =
+                keys.iter().map(|&k| (k, Arc::clone(&grad))).collect();
+            let got = store.add_writes_batch(*step, &items, pq, &mut scratch);
+            let mut want = 0;
+            for &k in keys {
+                model.write(k, *step);
+                want += u64::from(model.priority(k) == Some(step + 1));
+            }
+            if got != want {
+                return Err(format!(
+                    "read_next at step {step}: store {got}, model {want}"
+                ));
+            }
+            Ok(())
+        }
+    }
+}
+
+/// Claims `pairs` on both sides — one `take_writes_batch` of the batch
+/// grouped by shard against the model's one-by-one claims in the same
+/// order: they must agree on acceptance (a stale pair is refused) and on
+/// the drained write steps.
+fn claim_both(store: &GEntryStore, model: &mut Model, pairs: &[(u64, u64)]) -> Result<(), String> {
+    let mut grouped = Vec::new();
+    GEntryStore::group_by_shard(pairs.iter().copied(), |&(k, _)| k, &mut grouped);
+    let (mut writes, mut claims) = (Vec::new(), Vec::new());
+    store.take_writes_batch(&grouped, &mut writes, &mut claims);
+    let got: Vec<(u64, Vec<u64>)> = claims
+        .iter()
+        .map(|&(k, start, end)| (k, writes[start..end].iter().map(|&(s, _)| s).collect()))
+        .collect();
+    let want: Vec<(u64, Vec<u64>)> = grouped
+        .iter()
+        .filter_map(|&(k, p)| model.claim(k, p).map(|w| (k, w)))
+        .collect();
     if got != want {
         return Err(format!(
-            "take_writes({key}, {at}) diverged: store {got:?}, model {want:?}"
+            "claim of {grouped:?} diverged: store {got:?}, model {want:?}"
         ));
     }
     Ok(())
 }
 
-fn check_agreement(policy: PriorityPolicy, ops: &[Op]) -> Result<(), String> {
+/// One generated operation: `(kind, key mask, x)`. Kinds 0–1 take the
+/// engine's next registration (`mask` picks the batch of a step whose reads
+/// are due); 2 claims the picked keys, each at its current priority or —
+/// where bit `i` of `x` is set — at a stale `x % 64`; 3 checks invariant (2)
+/// for every key at `x % (L + 1)` steps past the next write.
+type Op = (u64, u64, u64);
+
+fn check_agreement(policy: PriorityPolicy, lookahead: u64, ops: &[Op]) -> Result<(), String> {
     let store = GEntryStore::with_policy(policy);
     let pq = TwoLevelPq::new(MAX_STEP);
     let mut model = Model::new(policy);
+    let mut order = EngineOrder::new(lookahead);
     // Keys straddle several shards and collide within shard 0 (0 and 64).
     let keys: [u64; 8] = [0, 1, 2, 64, 65, 7, 128, 500];
-    let grad: Arc<[f32]> = vec![1.0].into();
 
-    for &(kind, key_idx, step) in ops {
-        let key = keys[(key_idx % 8) as usize];
-        let step = step % MAX_STEP;
+    for &(kind, mask, x) in ops {
         match kind % 4 {
-            0 => {
-                store.add_read(key, step, &pq);
-                model.add_read(key, step);
-            }
-            1 => {
-                store.add_write(key, step, Arc::clone(&grad), &pq);
-                model.add_write(key, step);
+            0 | 1 => {
+                register(&store, &pq, &mut model, &order.next(batch_of(&keys, mask)))?;
             }
             2 => {
-                // Claim at the entry's current priority (a valid dequeue)
-                // or at a perturbed one (a stale dequeue) — both sides must
-                // agree on acceptance and on the drained steps.
-                let at = match store.priority_of(key) {
-                    Some(p) if !step.is_multiple_of(3) => p,
-                    _ => step,
-                };
-                claim_both(&store, &mut model, key, at)?;
+                let pairs: Vec<(u64, u64)> = batch_of(&keys, mask)
+                    .into_iter()
+                    .map(|k| {
+                        let i = keys.iter().position(|&key| key == k).unwrap();
+                        match store.priority_of(k) {
+                            Some(p) if x >> i & 1 == 0 => (k, p),
+                            _ => (k, x % 64),
+                        }
+                    })
+                    .collect();
+                claim_both(&store, &mut model, &pairs)?;
             }
             _ => {
-                if store.invariant_holds(key, step) != model.invariant_holds(key, step) {
-                    return Err(format!("invariant_holds({key}, {step}) diverged"));
+                let step = order.next_write + x % (lookahead + 1);
+                for &key in &keys {
+                    if store.invariant_holds(key, step) != model.invariant_holds(key, step) {
+                        return Err(format!("invariant_holds({key}, {step}) diverged"));
+                    }
                 }
             }
         }
-        if store.priority_of(key) != model.priority(key) {
-            return Err(format!(
-                "priority_of({key}) diverged after op ({kind}, {step}): store {:?}, model {:?}",
-                store.priority_of(key),
-                model.priority(key)
-            ));
-        }
-        if store.has_pending_writes(key)
-            != model
-                .priority(key)
-                .is_some_and(|_| model.entries.get(&key).is_some_and(|e| !e.w.is_empty()))
-        {
-            return Err(format!("has_pending_writes({key}) diverged"));
+        for &key in &keys {
+            if store.priority_of(key) != model.priority(key) {
+                return Err(format!(
+                    "priority_of({key}) diverged after op ({kind}, {mask}, {x}): store {:?}, \
+                     model {:?}",
+                    store.priority_of(key),
+                    model.priority(key)
+                ));
+            }
+            let model_pending = model.entries.get(&key).is_some_and(|e| !e.w.is_empty());
+            if store.has_pending_writes(key) != model_pending {
+                return Err(format!("has_pending_writes({key}) diverged"));
+            }
         }
     }
     if store.pending_keys() != model.pending_keys() {
@@ -189,50 +299,42 @@ fn check_agreement(policy: PriorityPolicy, ops: &[Op]) -> Result<(), String> {
 }
 
 /// Crowds shard 0 (every key ≡ 0 mod 64, so all collide in one small
-/// table) and deletes by claim in arbitrary order. `kind`: 0 = write with
-/// no read (a claim then deletes the entry), 1 = read + write (a claim
-/// leaves the entry alive, out of the queue), 2–4 = claim.
-fn check_delete_heavy(ops: &[Op]) -> Result<(), String> {
+/// table) and deletes by claim in arbitrary order. `kind` 0 takes the
+/// engine's next registration (`mask` picks the batch among 48 keys); 1–4
+/// claim key `x % 48` at its current priority, which deletes the entry if
+/// no read of it is left.
+fn check_delete_heavy(lookahead: u64, ops: &[Op]) -> Result<(), String> {
     let policy = PriorityPolicy::EarliestRead;
     let store = GEntryStore::with_policy(policy);
     let pq = TwoLevelPq::new(MAX_STEP);
     let mut model = Model::new(policy);
-    let grad: Arc<[f32]> = vec![1.0].into();
-    for &(kind, key_idx, step) in ops {
-        let key = key_idx * 64;
-        match kind {
-            0 => {
-                store.add_write(key, step, Arc::clone(&grad), &pq);
-                model.add_write(key, step);
-            }
-            1 => {
-                store.add_read(key, step + 1, &pq);
-                model.add_read(key, step + 1);
-                store.add_write(key, step, Arc::clone(&grad), &pq);
-                model.add_write(key, step);
-            }
-            _ => {
-                let Some(at) = model.priority(key) else {
-                    continue;
-                };
-                claim_both(&store, &mut model, key, at)?;
-                // The claim may have deleted `key` and shifted its probe
-                // run: every survivor is still found, with its own state.
-                for (&k, e) in &model.entries {
-                    if store.priority_of(k) != model.priority(k) {
-                        return Err(format!(
-                            "after claiming {key}: priority_of({k}) is {:?}, model {:?}",
-                            store.priority_of(k),
-                            model.priority(k)
-                        ));
-                    }
-                    if store.has_pending_writes(k) == e.w.is_empty() {
-                        return Err(format!("after claiming {key}: W set of {k} diverged"));
-                    }
+    let mut order = EngineOrder::new(lookahead);
+    let keys: Vec<u64> = (0..48).map(|i| i * 64).collect();
+    for &(kind, mask, x) in ops {
+        if kind == 0 {
+            register(&store, &pq, &mut model, &order.next(batch_of(&keys, mask)))?;
+        } else {
+            let key = keys[(x % 48) as usize];
+            let Some(at) = model.priority(key) else {
+                continue;
+            };
+            claim_both(&store, &mut model, &[(key, at)])?;
+            // The claim may have deleted `key` and shifted its probe
+            // run: every survivor is still found, with its own state.
+            for (&k, e) in &model.entries {
+                if store.priority_of(k) != model.priority(k) {
+                    return Err(format!(
+                        "after claiming {key}: priority_of({k}) is {:?}, model {:?}",
+                        store.priority_of(k),
+                        model.priority(k)
+                    ));
                 }
-                if store.priority_of(key).is_some() != model.entries.contains_key(&key) {
-                    return Err(format!("claimed key {key}: liveness diverged"));
+                if store.has_pending_writes(k) == e.w.is_empty() {
+                    return Err(format!("after claiming {key}: W set of {k} diverged"));
                 }
+            }
+            if store.priority_of(key).is_some() != model.entries.contains_key(&key) {
+                return Err(format!("claimed key {key}: liveness diverged"));
             }
         }
         if store.len() != model.entries.len() {
@@ -249,12 +351,13 @@ fn check_delete_heavy(ops: &[Op]) -> Result<(), String> {
     Ok(())
 }
 
-/// A random step of the twin-store property: `kind` 0 registers the
-/// writes of step `at` for the keys picked by `mask`, 1 its reads, 2–3
-/// claims the picked keys (each at its current priority, or at `at` — a
-/// stale pair — where `stale` has the key's bit set; bit `12 + i` adds a
-/// second pair of the key at its current priority). `at` also picks the
-/// arrival order: a rotation, reversed or not.
+/// A random step of the twin-store property: `kind` 0–1 takes the
+/// engine's next registration (`mask` picks the batch of a step whose reads
+/// are due), 2–3 claims the picked keys (each at its current priority, or
+/// at `at % 12` — a stale pair — where `stale` has the key's bit set; bit
+/// `12 + i` adds a second pair of the key at its current priority). `at`
+/// also picks the arrival order of writes and claims: a rotation, reversed
+/// or not.
 type TwinOp = (u64, u64, u64, u64);
 
 /// `items` in a scrambled arrival order picked by `at`.
@@ -282,18 +385,22 @@ fn claimed(claims: &[(u64, usize, usize)], writes: &[(u64, Arc<[f32]>)]) -> Clai
         .collect()
 }
 
-/// Twin stores, one random sequence. `batched` registers the engine's
-/// way — [`GEntryStore::add_writes_iter`] over a shard-grouped permutation
-/// of the rows, one `Arc` handed over per row — and claims the engine's
-/// way: the batch grouped by shard with [`GEntryStore::group_by_shard`],
-/// arrival order kept inside a shard, one `take_writes_batch`. `keyed`
-/// registers by the slice form and claims one key at a time with
-/// `take_writes_into`, over the batch sorted by `(shard, key, priority)` —
-/// the order the flusher used to sort into. They must agree on every claim
+/// Twin stores, one random sequence in the engine's registration order.
+/// `batched` registers the engine's way — [`GEntryStore::add_writes_iter`]
+/// over a shard-grouped permutation of the rows, one `Arc` handed over per
+/// row — and claims the engine's way: the batch grouped by shard with
+/// [`GEntryStore::group_by_shard`], arrival order kept inside a shard, one
+/// `take_writes_batch`. `keyed` registers by the slice form and claims one
+/// key at a time with `take_writes_into`, over the batch sorted by
+/// `(shard, key, priority)` — the order the flusher used to sort into. They must agree on every claim
 /// (the same keys, the same drained `(step, Δ)` rows, the same number of
 /// stale pairs refused), on every priority and `read_next` count, and on
 /// `pending_keys`.
-fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(), String> {
+fn check_batched_forms_agree(
+    policy: PriorityPolicy,
+    lookahead: u64,
+    ops: &[TwinOp],
+) -> Result<(), String> {
     // Shards 0 (0, 64, 128, 192), 1 (1, 65, 129) and five loners.
     let keys: [u64; 12] = [0, 64, 128, 192, 1, 65, 129, 2, 7, 500, 63, 1000];
     let picked = |mask: u64| {
@@ -310,13 +417,18 @@ fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(
     let mut order: Vec<u32> = Vec::new();
     let mut grouped: Vec<(u64, u64)> = Vec::new();
     // Step order, as the engine registers: arrival-order priorities assume it.
-    let mut step = 0u64;
+    let mut engine = EngineOrder::new(lookahead);
     for &(kind, mask, stale, at) in ops {
-        match kind {
-            0 => {
+        let action = (kind < 2).then(|| engine.next(batch_of(&keys, mask)));
+        match action {
+            Some(Action::Reads(step, reads)) => {
+                batched.add_reads_batch(step, &reads, &pq_b, &mut scratch);
+                keyed.add_reads_batch(step, &reads, &pq_k, &mut scratch);
+            }
+            Some(Action::Writes(step, written)) => {
                 let grad: Arc<[f32]> = vec![step as f32].into();
                 let items: Vec<(u64, Arc<[f32]>)> = arrival_order(
-                    picked(mask).map(|(_, &k)| (k, Arc::clone(&grad))).collect(),
+                    written.iter().map(|&k| (k, Arc::clone(&grad))).collect(),
                     at,
                 );
                 let mut sorted = items.clone();
@@ -344,16 +456,8 @@ fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(
                         "read_next diverged at step {step}: {rn_b} vs {rn_k}"
                     ));
                 }
-                step += 1;
             }
-            1 => {
-                let read_step = step + at % 12;
-                let mut reads: Vec<u64> = picked(mask).map(|(_, &k)| k).collect();
-                reads.sort_by_key(|&k| GEntryStore::shard_of(k));
-                batched.add_reads_batch(read_step, &reads, &pq_b, &mut scratch);
-                keyed.add_reads_batch(read_step, &reads, &pq_k, &mut scratch);
-            }
-            _ => {
+            None => {
                 let mut pairs: Vec<(u64, u64)> = Vec::new();
                 for (i, &k) in picked(mask) {
                     let current = keyed.priority_of(k);
@@ -417,20 +521,28 @@ fn check_batched_forms_agree(policy: PriorityPolicy, ops: &[TwinOp]) -> Result<(
 /// mid-training lookahead window over a million keys, every key carrying a
 /// registered read inside an 11-step window and one in 64 also a pending
 /// write (all sharing one gradient allocation, so only store metadata is
-/// counted). `resident_bytes` is analytic — table capacities, the write slab
-/// and the overflow map — so the figure is exact; a layout change that moves
-/// it edits the constant here and DESIGN §14.1 with it.
+/// counted). `resident_bytes` is analytic — table capacities and the write
+/// slab — so the figure is exact; a layout change that moves it edits the
+/// constant here and DESIGN §14.1 with it.
 #[test]
 fn a_million_key_window_stays_under_32_bytes_a_key() {
     const KEYS: u64 = 1_000_000;
     let store = GEntryStore::new();
     let pq = TwoLevelPq::new(1024);
     let grad: Arc<[f32]> = vec![0.0f32; 32].into();
-    for k in 0..KEYS {
-        store.add_read(k, k % 11, &pq);
-        if k % 64 == 0 {
-            store.add_write(k, k % 11, Arc::clone(&grad), &pq);
-        }
+    let mut scratch = PqOpScratch::default();
+    let mut batch = Vec::new();
+    // Key `k` is read at step `k % 11`; one key in 64 is also written at
+    // that step, which consumes its read.
+    for step in 0..11 {
+        GEntryStore::group_by_shard((step..KEYS).step_by(11), |&k| k, &mut batch);
+        store.add_reads_batch(step, &batch, &pq, &mut scratch);
+    }
+    for step in 0..11 {
+        let written = (step..KEYS).step_by(11).filter(|k| k % 64 == 0);
+        GEntryStore::group_by_shard(written, |&k| k, &mut batch);
+        let rows = batch.iter().map(|&k| (k, Arc::clone(&grad)));
+        store.add_writes_iter(step, rows, &pq, &mut scratch);
     }
     assert_eq!(store.len(), KEYS as usize);
     assert_eq!(store.resident_bytes(), 31_362_264);
@@ -489,6 +601,11 @@ fn grouping_keeps_arrival_order_inside_each_shard() {
     assert!(out.is_empty());
 }
 
+/// Lookaheads up to the read window's width, the widest in half the cases.
+fn lookahead() -> impl Strategy<Value = u64> {
+    (1..2 * READ_WINDOW).prop_map(|l| l.min(READ_WINDOW))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -503,7 +620,8 @@ proptest! {
 
     #[test]
     fn grouped_claim_and_iterator_registration_match_the_keyed_sorted_forms(
-        ops in proptest::collection::vec((0u64..4, 0u64..4096, 0u64..1 << 24, 0u64..MAX_STEP), 0..120),
+        ops in proptest::collection::vec((0u64..4, 0u64..4096, 0u64..1 << 24, 0u64..MAX_STEP), 0..200),
+        lookahead in lookahead(),
         arrival in any::<bool>(),
     ) {
         let policy = if arrival {
@@ -511,72 +629,59 @@ proptest! {
         } else {
             PriorityPolicy::EarliestRead
         };
-        if let Err(msg) = check_batched_forms_agree(policy, &ops) {
+        if let Err(msg) = check_batched_forms_agree(policy, lookahead, &ops) {
             prop_assert!(false, "{}", msg);
         }
     }
 
     #[test]
     fn compact_store_matches_btreeset_semantics_earliest_read(
-        ops in proptest::collection::vec((0u64..4, 0u64..8, 0u64..MAX_STEP), 0..200)
+        ops in proptest::collection::vec((0u64..4, 0u64..256, any::<u64>()), 0..300),
+        lookahead in lookahead(),
     ) {
-        if let Err(msg) = check_agreement(PriorityPolicy::EarliestRead, &ops) {
+        if let Err(msg) = check_agreement(PriorityPolicy::EarliestRead, lookahead, &ops) {
             prop_assert!(false, "{}", msg);
         }
     }
 
     #[test]
     fn compact_store_matches_btreeset_semantics_arrival_order(
-        ops in proptest::collection::vec((0u64..4, 0u64..8, 0u64..MAX_STEP), 0..200)
+        ops in proptest::collection::vec((0u64..4, 0u64..256, any::<u64>()), 0..300),
+        lookahead in lookahead(),
     ) {
-        if let Err(msg) = check_agreement(PriorityPolicy::ArrivalOrder, &ops) {
+        if let Err(msg) = check_agreement(PriorityPolicy::ArrivalOrder, lookahead, &ops) {
             prop_assert!(false, "{}", msg);
         }
     }
 
     #[test]
     fn delete_heavy_churn_keeps_every_survivor_findable(
-        ops in proptest::collection::vec((0u64..5, 0u64..48, 0u64..40), 0..400)
+        ops in proptest::collection::vec((0u64..5, 0u64..1 << 48, 0u64..48), 0..400),
+        lookahead in 1u64..4,
     ) {
-        if let Err(msg) = check_delete_heavy(&ops) {
+        if let Err(msg) = check_delete_heavy(lookahead, &ops) {
             prop_assert!(false, "{}", msg);
         }
     }
 
     #[test]
     fn batch_write_count_matches_model(
-        ops in proptest::collection::vec((0u64..2, 0u64..8, 0u64..20), 0..100),
-        step in 0u64..20,
+        masks in proptest::collection::vec(0u64..256, 0..100),
+        lookahead in lookahead(),
     ) {
         // `add_writes_batch` reports how many rows left registration at
-        // priority `step + 1`; the model recomputes that from scratch.
+        // priority `step + 1`; `register` checks that against the model,
+        // which recomputes it from scratch, at every step's writes.
         let store = GEntryStore::new();
         let pq = TwoLevelPq::new(MAX_STEP);
-        let mut scratch = PqOpScratch::default();
         let mut model = Model::new(PriorityPolicy::EarliestRead);
+        let mut order = EngineOrder::new(lookahead);
         let keys: [u64; 8] = [0, 1, 2, 64, 65, 7, 128, 500];
-        let grad: Arc<[f32]> = vec![1.0].into();
-        for &(kind, key_idx, at) in &ops {
-            let key = keys[(key_idx % 8) as usize];
-            if kind == 0 {
-                store.add_read(key, at, &pq);
-                model.add_read(key, at);
-            } else {
-                store.add_write(key, at, Arc::clone(&grad), &pq);
-                model.add_write(key, at);
+        for mask in masks {
+            let action = order.next(batch_of(&keys, mask));
+            if let Err(msg) = register(&store, &pq, &mut model, &action) {
+                prop_assert!(false, "{}", msg);
             }
         }
-        // Shard-grouped, as the engine's registration buckets are.
-        let mut batch = keys.to_vec();
-        batch.sort_by_key(|&k| GEntryStore::shard_of(k));
-        let items: Vec<(u64, Arc<[f32]>)> =
-            batch.iter().map(|&k| (k, Arc::clone(&grad))).collect();
-        let got = store.add_writes_batch(step, &items, &pq, &mut scratch);
-        let mut want = 0u64;
-        for &k in &batch {
-            model.add_write(k, step);
-            want += u64::from(model.priority(k) == Some(step + 1));
-        }
-        prop_assert_eq!(got, want);
     }
 }

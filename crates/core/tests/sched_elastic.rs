@@ -21,7 +21,7 @@
 
 #![cfg(feature = "sched")]
 
-use frugal_core::{GEntryStore, InflightTable, ShardMap};
+use frugal_core::{GEntryStore, InflightTable, PqOpScratch, ShardMap};
 use frugal_pq::{PriorityQueue, TwoLevelPq, INFINITE};
 use frugal_sched::{explore, replay, yield_point, ExploreConfig, SimBuilder};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -66,7 +66,7 @@ fn transition_handoff(mode: Quiesce) -> impl FnMut(&mut SimBuilder) {
         let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
         // Epoch 0's parting gift: one deferred write (no future reads, so
         // it sits in the ∞ bucket until the drain).
-        gstore.add_write(key, 0, grad, pq.as_ref() as &dyn PriorityQueue);
+        gstore.add_writes_batch(0, &[(key, grad)], pq.as_ref(), &mut PqOpScratch::default());
         let inflight = Arc::new(InflightTable::new(1));
         // Host rows durably applied (monotone) and the epoch-1 publication
         // flag (monotone false→true).

@@ -1,8 +1,8 @@
 //! Schedule exploration of the P²F wait-condition path (DESIGN.md §8).
 //!
-//! Drives the real [`frugal_core::blocked`]/[`frugal_core::admits`] wait
-//! condition against a real [`TwoLevelPq`] and [`InflightTable`] under the
-//! deterministic scheduler, with a model flusher and a probing trainer:
+//! Drives the real [`frugal_core::blocked_at`] wait condition against a
+//! real [`TwoLevelPq`] and [`InflightTable`] under the deterministic
+//! scheduler, with a model flusher and a probing trainer:
 //!
 //! * **Race 2 (historical)** — the flusher dequeues a batch and applies it
 //!   without ever publishing an in-flight marker. Once the entries leave
@@ -17,13 +17,18 @@
 //!
 //! The full `FrugalEngine` spawns its own uninstrumented OS threads, so
 //! these tests exercise the extracted wait/marker machinery directly —
-//! the exact code the engine's trainer and flusher loops call.
+//! the exact code the engine's trainer and flusher loops call. Registrants
+//! use the g-entry store's batch forms, as the trainers do. Their yield
+//! points sit inside the shard lock, so wherever a claim shares a shard
+//! with a registrant the scheduler may suspend, the claim waits for the
+//! registrant's `reg_done` (the engine's barrier C); collecting dequeues,
+//! which touch only the queue, race it freely. Each registrant's reads
+//! stay inside the key's read window: a read that tightens a priority
+//! below a live read lies above a consumed read that anchors the window.
 
 #![cfg(feature = "sched")]
 
-use frugal_core::{
-    admits, blocked_at, GEntryStore, InflightTable, PqOpScratch, PriorityPolicy, ShardMap,
-};
+use frugal_core::{blocked_at, GEntryStore, InflightTable, PqOpScratch, PriorityPolicy, ShardMap};
 use frugal_embed::GradAggregator;
 use frugal_pq::{PriorityQueue, TwoLevelPq, INFINITE};
 use frugal_sched::{
@@ -45,7 +50,7 @@ enum Mode {
 
 /// One pending write with priority 3; the trainer asks to start step 3.
 /// Until the flusher has durably applied the write (`applied` flips true,
-/// monotonically), `admits(pq, inflight, 3)` must be false in every
+/// monotonically), `blocked_at(pq, inflight, 3)` must hold in every
 /// reachable interleaving.
 fn flush_handoff(mode: Mode) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
@@ -86,7 +91,7 @@ fn flush_handoff(mode: Mode) -> impl FnMut(&mut SimBuilder) {
             let applied = Arc::clone(&applied);
             sim.thread("trainer", move || {
                 for _ in 0..6 {
-                    let ok = admits(pq.as_ref(), &inflight, 3);
+                    let ok = !blocked_at(pq.as_ref(), &inflight, 3);
                     // `applied` only ever goes false→true, so if it is
                     // still false *after* the probe, it was false for the
                     // probe's whole duration — the flush was pending and
@@ -183,7 +188,7 @@ fn guarded_dequeue_with_two_pending_writes_survives_sweep() {
             let applied = Arc::clone(&applied);
             sim.thread("trainer", move || {
                 for _ in 0..6 {
-                    let ok = admits(pq.as_ref(), &inflight, 3);
+                    let ok = !blocked_at(pq.as_ref(), &inflight, 3);
                     if !applied.load(Ordering::SeqCst) {
                         assert!(!ok, "pending flush invisible to the wait condition");
                     }
@@ -204,7 +209,9 @@ fn guarded_dequeue_with_two_pending_writes_survives_sweep() {
 /// * `deferred = false` — the entry starts at priority 3 with one pending
 ///   write; the registrant tightens it to 2 with a step-2 prefetch, then
 ///   the step-2 write moves it back to 3 with a second pending write.
-///   Exactly **2** rows may be applied.
+///   Exactly **2** rows may be applied. (The step-0 read the first write
+///   consumed anchors the entry's read window at 0, below the step-2
+///   read.)
 /// * `deferred = true` — the entry starts deferred (∞, no reads; paper
 ///   Fig 6, k1) and the registrant re-activates it to priority 4.
 ///   Exactly **1** row may be applied.
@@ -213,20 +220,22 @@ fn guarded_dequeue_with_two_pending_writes_survives_sweep() {
 /// runs* — each collected `(key, priority)` pair can be a transient
 /// position the re-registration already abandoned — and only claims them
 /// with `take_writes_into` after `reg_done` (the engine's barrier-C
-/// ordering; same-shard `take_writes` against a scheduler-suspended lock
-/// holder would wedge the harness, see
-/// `sharded_batch_registration_survives_sweep`). Stale claims must return
-/// 0 rows; the entry's writes must be applied exactly once.
+/// ordering; a same-shard claim against a registrant suspended inside the
+/// store, which holds the shard lock at its yield points, would wedge the
+/// harness, see `sharded_batch_registration_survives_sweep`). Stale claims
+/// must return 0 rows; the entry's writes must be applied exactly once.
 fn reactivation_vs_take(deferred: bool) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
         let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
         let gstore = Arc::new(GEntryStore::new());
         let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
+        let mut scratch = PqOpScratch::default();
+        gstore.add_reads_batch(0, &[7], pq.as_ref(), &mut scratch);
         if !deferred {
             // Priority 3: a step-3 read plus the step-0 write.
-            gstore.add_read(7, 3, pq.as_ref() as &dyn PriorityQueue);
+            gstore.add_reads_batch(3, &[7], pq.as_ref(), &mut scratch);
         }
-        gstore.add_write(7, 0, Arc::clone(&grad), pq.as_ref());
+        gstore.add_writes_batch(0, &[(7, Arc::clone(&grad))], pq.as_ref(), &mut scratch);
         let expected = if deferred { 1 } else { 2 };
         let inflight = Arc::new(InflightTable::new(1));
         let reg_done = Arc::new(AtomicBool::new(false));
@@ -240,13 +249,13 @@ fn reactivation_vs_take(deferred: bool) -> impl FnMut(&mut SimBuilder) {
             sim.thread("registrant", move || {
                 if deferred {
                     // Re-activation of a deferred entry: ∞ → 4.
-                    gstore.add_read(7, 4, pq.as_ref());
+                    gstore.add_reads_batch(4, &[7], pq.as_ref(), &mut scratch);
                 } else {
                     // Tighten 3 → 2 (re-activation adjust), then consume
                     // the read with the step-2 write: back to 3, two
                     // pending writes.
-                    gstore.add_read(7, 2, pq.as_ref());
-                    gstore.add_write(7, 2, Arc::clone(&grad), pq.as_ref());
+                    gstore.add_reads_batch(2, &[7], pq.as_ref(), &mut scratch);
+                    gstore.add_writes_batch(2, &[(7, grad)], pq.as_ref(), &mut scratch);
                 }
                 reg_done.store(true, Ordering::SeqCst);
             });
@@ -338,10 +347,11 @@ fn take_writes_vs_infinite_reactivation_survives_sweep() {
 /// claimed shard run.
 ///
 /// Keys 135, 7 and 71 share g-entry shard 7, each with one pending write:
-/// 135 at priority 1, 7 and 71 at priority 3. While the flusher dequeues,
-/// the registrant tightens key 7 to priority 2 and then registers its
-/// step-2 write (back to 3, two pending writes); keys 135 and 71 are never
-/// touched. The flusher collects whatever `(key, priority)` pairs the
+/// 135 at priority 1, 7 and 71 at priority 3 (each write consumed a step-0
+/// read, which anchors the read windows below the tightening read). While
+/// the flusher dequeues, the registrant tightens key 7 to priority 2 and
+/// then registers its step-2 write (back to 3, two pending writes); keys
+/// 135 and 71 are never touched. The flusher collects whatever `(key, priority)` pairs the
 /// racing dequeues produced — for key 7 any of `(7, 3)` from before the
 /// move, `(7, 2)` from during it, `(7, 3)` from after it — groups them by
 /// shard as the engine's flusher does (arrival order inside the run, so
@@ -361,10 +371,13 @@ fn batched_claim_vs_reposition(unsorted_runs: Arc<AtomicUsize>) -> impl FnMut(&m
         let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
         let gstore = Arc::new(GEntryStore::new());
         let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
-        for (key, read) in [(135u64, 1), (7, 3), (71, 3)] {
-            gstore.add_read(key, read, pq.as_ref() as &dyn PriorityQueue);
-            gstore.add_write(key, 0, Arc::clone(&grad), pq.as_ref());
-        }
+        let mut scratch = PqOpScratch::default();
+        let run = [135u64, 7, 71];
+        gstore.add_reads_batch(0, &run, pq.as_ref(), &mut scratch);
+        gstore.add_reads_batch(1, &[135], pq.as_ref(), &mut scratch);
+        gstore.add_reads_batch(3, &[7, 71], pq.as_ref(), &mut scratch);
+        let rows: Vec<(u64, Arc<[f32]>)> = run.iter().map(|&k| (k, Arc::clone(&grad))).collect();
+        gstore.add_writes_batch(0, &rows, pq.as_ref(), &mut scratch);
         let inflight = Arc::new(InflightTable::new(1));
         let reg_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(Mutex::new(Vec::new()));
@@ -373,8 +386,8 @@ fn batched_claim_vs_reposition(unsorted_runs: Arc<AtomicUsize>) -> impl FnMut(&m
             let (pq, gstore) = (Arc::clone(&pq), Arc::clone(&gstore));
             let reg_done = Arc::clone(&reg_done);
             sim.thread("registrant", move || {
-                gstore.add_read(7, 2, pq.as_ref());
-                gstore.add_write(7, 2, Arc::clone(&grad), pq.as_ref());
+                gstore.add_reads_batch(2, &[7], pq.as_ref(), &mut scratch);
+                gstore.add_writes_batch(2, &[(7, grad)], pq.as_ref(), &mut scratch);
                 reg_done.store(true, Ordering::SeqCst);
             });
         }
@@ -488,8 +501,8 @@ fn sharded_batch_registration_survives_sweep() {
     // The parallel-registration path end to end: a trainer registers one
     // shard's g-entry writes with `add_writes_batch` (keys 1 and 65 share
     // shard 1; key 2 lands in shard 2 and is registered in a second batch)
-    // while a flusher drains with guarded dequeues + `take_writes` and a
-    // probing trainer evaluates the wait condition. Reads of step 3 are
+    // while a flusher drains with guarded dequeues + `take_writes_into` and
+    // a probing trainer evaluates the wait condition. Reads of step 3 are
     // pre-registered, so every write carries priority 3 — until all three
     // rows are durably applied, step 3 must stay blocked.
     //
@@ -506,9 +519,7 @@ fn sharded_batch_registration_survives_sweep() {
         let gstore = Arc::new(GEntryStore::new());
         let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
         // Sample-queue prefetch (build phase): step 3 reads all three keys.
-        for key in [1u64, 65, 2] {
-            gstore.add_read(key, 3, pq.as_ref() as &dyn PriorityQueue);
-        }
+        gstore.add_reads_batch(3, &[1, 65, 2], pq.as_ref(), &mut PqOpScratch::default());
         let inflight = Arc::new(InflightTable::new(1));
         let reg1_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicUsize::new(0));
@@ -538,7 +549,7 @@ fn sharded_batch_registration_survives_sweep() {
             let reg1_done = Arc::clone(&reg1_done);
             let applied = Arc::clone(&applied);
             sim.thread("flusher", move || {
-                let mut out = Vec::new();
+                let (mut out, mut writes) = (Vec::new(), Vec::new());
                 for _ in 0..64 {
                     if !reg1_done.load(Ordering::SeqCst) {
                         yield_point("flusher.await_registration");
@@ -547,7 +558,7 @@ fn sharded_batch_registration_survives_sweep() {
                     out.clear();
                     pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
                     for &(key, bucket_p) in &out {
-                        if gstore.take_writes(key, bucket_p).is_some() {
+                        if gstore.take_writes_into(key, bucket_p, &mut writes) > 0 {
                             // "Apply to host memory": the marker may only
                             // clear after this point.
                             applied.fetch_add(1, Ordering::SeqCst);
@@ -572,7 +583,7 @@ fn sharded_batch_registration_survives_sweep() {
                         yield_point("trainer.await_registration");
                         continue;
                     }
-                    let ok = admits(pq.as_ref() as &dyn PriorityQueue, &inflight, 3);
+                    let ok = !blocked_at(pq.as_ref(), &inflight, 3);
                     // Monotone: `applied` only grows, so a post-probe read
                     // of < 3 means rows were pending for the whole probe.
                     if applied.load(Ordering::SeqCst) < 3 {
@@ -642,7 +653,7 @@ fn fifo_wait_condition_survives_sweep() {
             let applied = Arc::clone(&applied);
             let applied_step0 = Arc::clone(&applied_step0);
             sim.thread("flusher", move || {
-                let mut out = Vec::new();
+                let (mut out, mut writes) = (Vec::new(), Vec::new());
                 for _ in 0..64 {
                     if !reg1_done.load(Ordering::SeqCst) {
                         yield_point("flusher.await_registration");
@@ -651,7 +662,7 @@ fn fifo_wait_condition_survives_sweep() {
                     out.clear();
                     pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
                     for &(key, bucket_p) in &out {
-                        if gstore.take_writes(key, bucket_p).is_some() {
+                        if gstore.take_writes_into(key, bucket_p, &mut writes) > 0 {
                             applied.fetch_add(1, Ordering::SeqCst);
                             if bucket_p == 0 {
                                 applied_step0.fetch_add(1, Ordering::SeqCst);
@@ -710,23 +721,26 @@ fn fifo_wait_condition_survives_sweep() {
 
 #[test]
 fn adjust_insert_before_delete_window_survives_sweep() {
-    // ROADMAP open item: `PriorityQueue::adjust` repositions an entry by
-    // inserting the new priority *before* deleting the old one, so a
+    // ROADMAP open item: `PriorityQueue::adjust_batch` repositions an entry
+    // by inserting the new priority *before* deleting the old one, so a
     // concurrent wait-condition evaluation always finds the key at one
     // position or the other (transiently both). This sweep drives the
     // re-activation tightening — a step-2 prefetch arrives for an entry
-    // queued at priority 5 — against a racing guarded dequeue and a
-    // probing trainer. Were the adjust delete-first, the explorer would
-    // catch the empty window where `admits(pq, inflight, 2)` turns true
-    // while the write is still pending; the stale-claim check must also
-    // keep the row applied exactly once.
+    // queued at priority 5, whose read window a consumed step-0 read
+    // anchors at 0 — against a racing guarded dequeue, which may collect
+    // the abandoned `(7, 5)` pair: the stale-claim check must keep the row
+    // applied exactly once. The trainer probes only once registration has
+    // settled (before the tightening, step 2 is rightly admitted), and from
+    // then on `blocked_at(pq, inflight, 2)` must hold until the row lands.
     let outcome = explore(&quiet(0..1024), |sim| {
         let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
         let gstore = Arc::new(GEntryStore::new());
         let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
         // Build phase: one pending write on key 7, earliest read step 5.
-        gstore.add_read(7, 5, pq.as_ref() as &dyn PriorityQueue);
-        gstore.add_write(7, 0, Arc::clone(&grad), pq.as_ref());
+        let mut scratch = PqOpScratch::default();
+        gstore.add_reads_batch(0, &[7], pq.as_ref(), &mut scratch);
+        gstore.add_reads_batch(5, &[7], pq.as_ref(), &mut scratch);
+        gstore.add_writes_batch(0, &[(7, grad)], pq.as_ref(), &mut scratch);
         let inflight = Arc::new(InflightTable::new(1));
         let reg_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicUsize::new(0));
@@ -737,7 +751,7 @@ fn adjust_insert_before_delete_window_survives_sweep() {
             let reg_done = Arc::clone(&reg_done);
             sim.thread("registrant", move || {
                 // Tighten 5 → 2: the adjust under test.
-                gstore.add_read(7, 2, pq.as_ref());
+                gstore.add_reads_batch(2, &[7], pq.as_ref(), &mut scratch);
                 reg_done.store(true, Ordering::SeqCst);
             });
         }
@@ -798,7 +812,7 @@ fn adjust_insert_before_delete_window_survives_sweep() {
                         yield_point("trainer.await_registration");
                         continue;
                     }
-                    let ok = admits(pq.as_ref() as &dyn PriorityQueue, &inflight, 2);
+                    let ok = !blocked_at(pq.as_ref(), &inflight, 2);
                     // After the tightening, the entry gates step 2; the
                     // monotone `applied` read makes the probe sound.
                     if applied.load(Ordering::SeqCst) == 0 {
@@ -951,9 +965,12 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
             read_next: Default::default(),
             applied: Mutex::new(Vec::new()),
         });
-        for key in [1, 65] {
-            reg.gstore.add_read(key, REDUCE_STEP + 1, &reg.pq);
-        }
+        reg.gstore.add_reads_batch(
+            REDUCE_STEP + 1,
+            &[1, 65],
+            &reg.pq,
+            &mut PqOpScratch::default(),
+        );
         let total_rows: usize = oracle.iter().map(Vec::len).sum();
 
         for g in 0..REDUCE_N {
@@ -1154,7 +1171,9 @@ fn deferred_claim_vs_late_read(opened: bool) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
         let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
         let gstore = Arc::new(GEntryStore::new());
-        gstore.add_write(9, 2, Arc::from(vec![1.0f32].as_slice()), pq.as_ref());
+        let mut scratch = PqOpScratch::default();
+        let row: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
+        gstore.add_writes_batch(2, &[(9, row)], pq.as_ref(), &mut scratch);
         let inflight = Arc::new(InflightTable::new(1));
         inflight.set_read_horizon(4);
         let claimed = Arc::new(AtomicBool::new(false));
@@ -1184,10 +1203,10 @@ fn deferred_claim_vs_late_read(opened: bool) -> impl FnMut(&mut SimBuilder) {
                 spin_point("trainer.await_claim");
             }
             // Step 3's registration (lookahead 1): step 4 reads key 9.
-            gstore.add_read(9, 4, pq.as_ref());
+            gstore.add_reads_batch(4, &[9], pq.as_ref(), &mut scratch);
             yield_point("trainer.barrier_c");
             for _ in 0..4 {
-                let ok = admits(pq.as_ref(), &inflight, 4);
+                let ok = !blocked_at(pq.as_ref(), &inflight, 4);
                 // `applied` only goes false→true: still false after the
                 // probe means the row was in flight throughout it.
                 if !applied.load(Ordering::SeqCst) {

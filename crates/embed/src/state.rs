@@ -5,9 +5,9 @@
 //! in sharded `Mutex<HashMap<Key, Vec<f32>>>`, paying a lock acquisition, a
 //! hash lookup, and a possible allocation on every flushed row. But the
 //! state table has exactly the same access discipline as [`HostStore`]: the
-//! P²F algorithm serializes flushes per key (`take_writes` claims a key's
-//! pending writes exclusively, and no new flush of that key can start until
-//! the claim is applied and the in-flight marker cleared), so no two
+//! P²F algorithm serializes flushes per key (`take_writes_batch` claims a
+//! key's pending writes exclusively, and no new flush of that key can start
+//! until the claim is applied and the in-flight marker cleared), so no two
 //! threads ever touch the same state row concurrently. That makes a flat
 //! `UnsafeCell` table sound for the flush-apply path — no locks, no
 //! hashing, one predictable offset per key.

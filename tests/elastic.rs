@@ -12,6 +12,7 @@
 
 use frugal::core::{
     train_serial, FrugalConfig, FrugalEngine, GEntryStore, MembershipPlan, PullToTarget, ShardMap,
+    READ_WINDOW,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::telemetry::json::{self, Json};
@@ -188,4 +189,35 @@ fn skipping_quiesce_breaks_elastic_consistency() {
         "skipping the quiesce protocol must corrupt the parameters \
          (stale survivor cache rows resurfacing on shard return)"
     );
+}
+
+/// The widest lookahead a g-entry's read window holds: a hot key's live
+/// reads span all [`READ_WINDOW`] steps, its window slides each time its
+/// earliest read is written, and each continuation segment re-registers a
+/// whole window of reads. A checked 3 → {0, 2} → 3 run at that lookahead
+/// must still train bit-identically to the serial oracle, with no
+/// invariant violation.
+#[test]
+fn the_widest_lookahead_keeps_an_elastic_run_bit_identical() {
+    const STEPS: u64 = 160;
+    let t = trace(3);
+    let model = PullToTarget::new(DIM, 5);
+    let mut cfg = FrugalConfig::commodity(3, STEPS).checked();
+    cfg.flush_threads = 2;
+    cfg.lookahead = READ_WINDOW;
+    cfg.membership = MembershipPlan::default()
+        .change(70, vec![0, 2])
+        .change(110, vec![0, 1, 2]);
+    let reference = train_serial(&t, &model, STEPS, cfg.lr, cfg.seed);
+    let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
+    let report = engine.run(&t, &model);
+    assert_eq!((report.violations, report.races), (0, 0));
+    assert_eq!(report.final_loss.to_bits(), reference.final_loss.to_bits());
+    for k in 0..N_KEYS {
+        assert_eq!(
+            engine.store().row_vec(k),
+            reference.store.row_vec(k),
+            "key {k} diverged from serial"
+        );
+    }
 }
