@@ -12,12 +12,14 @@
 //! * **PyTorch-UVM** — unified-memory paging.
 //!
 //! All three train synchronously, so a baseline run is the serial
-//! oracle's run ([`frugal_core::train_serial`]) plus a walk over its key
-//! stream that prices each step and decides the cache's hits and fills.
+//! oracle's run ([`frugal_core::train_serial`]) plus [`System::price`]:
+//! the key-stream walk ([`frugal_core::price`]) that decides the caches'
+//! hits and fills and prices each step.
 //!
 //! A run is a [`System`] plus a [`FrugalConfig`](frugal_core::FrugalConfig):
 //! [`System::run`] trains the six systems of §4.1 — these three and the
-//! Frugal variants — from the same configuration.
+//! Frugal variants — from the same configuration, and [`System::price`]
+//! returns the modeled part of that run's report from the walk alone.
 
 #![warn(missing_docs)]
 

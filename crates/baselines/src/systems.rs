@@ -1,10 +1,11 @@
 //! The named systems of the paper's evaluation (§4.1) and the one runner:
 //! a [`System`] plus a [`FrugalConfig`] describe a run.
 
-use crate::engine;
 use frugal_core::{
-    ConfigError, EmbeddingModel, FlushMode, FrugalConfig, FrugalEngine, TrainReport, Workload,
+    train_serial, ConfigError, EmbeddingModel, FlushMode, FrugalConfig, FrugalEngine, ModeledRun,
+    OptimizerKind, Routing, TrainReport, Workload,
 };
+use frugal_sim::HostPath;
 
 /// A competitor system from §4.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,10 +115,10 @@ impl System {
     /// engine's store is sized from the workload's key space and the
     /// model's dimension.
     ///
-    /// A baseline trains the serial oracle's parameters
-    /// ([`frugal_core::train_serial`]) and prices each step from its key
-    /// stream; of `cfg` it reads `cost`, `cache_ratio` and `cache_policy`
-    /// (HugeCTR only), `lr`, `steps`, `seed` and `telemetry`.
+    /// A baseline run is the serial oracle's
+    /// ([`frugal_core::train_serial`]) plus [`System::price`]; of `cfg` it
+    /// reads `cost`, `cache_ratio` and `cache_policy` (HugeCTR only), `lr`,
+    /// `steps`, `seed` and `telemetry`.
     ///
     /// # Examples
     ///
@@ -144,13 +145,66 @@ impl System {
         workload: &dyn Workload,
         model: &dyn EmbeddingModel,
     ) -> TrainReport {
-        match self.flush_mode() {
-            Some(flush_mode) => {
-                cfg.flush_mode = flush_mode;
-                FrugalEngine::new(cfg, workload.n_keys(), model.dim()).run(workload, model)
-            }
-            None => engine::run(self, &cfg, workload, model),
+        if let Some(flush_mode) = self.flush_mode() {
+            cfg.flush_mode = flush_mode;
+            return FrugalEngine::new(cfg, workload.n_keys(), model.dim()).run(workload, model);
         }
+        assert_eq!(
+            cfg.optimizer,
+            OptimizerKind::Sgd,
+            "baselines train with SGD only"
+        );
+        let modeled = self.price(cfg.clone(), workload, model);
+        let serial = train_serial(workload, model, cfg.steps, cfg.lr, cfg.seed);
+        // One thread applies every update synchronously, in a static
+        // cohort: no races, no background flush, no transition.
+        TrainReport {
+            stats: modeled.stats,
+            hit_ratio: modeled.hit_ratio,
+            cache_fills: modeled.cache_fills,
+            mean_gentry_update: modeled.mean_gentry_update,
+            violations: 0,
+            races: 0,
+            flush_rows: 0,
+            flush_apply_ns: 0,
+            membership_transition_ns: 0,
+            first_loss: serial.first_loss,
+            final_loss: serial.final_loss,
+            telemetry: cfg.telemetry.summary(),
+        }
+    }
+
+    /// The modeled part of what [`System::run`] reports for the same
+    /// arguments — the modeled clock, hit ratio, cache fills and g-entry
+    /// time — from the key stream alone: [`frugal_core::price`]'s walk,
+    /// with neither the engine nor the serial oracle running. Frugal's
+    /// variants take member routing, HugeCTR owner routing, and PyTorch and
+    /// PyTorch-UVM owner routing with no cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Frugal variant is priced on a `cfg` its engine rejects,
+    /// or a baseline under an elastic membership plan.
+    pub fn price(
+        self,
+        mut cfg: FrugalConfig,
+        workload: &dyn Workload,
+        model: &dyn EmbeddingModel,
+    ) -> ModeledRun {
+        let routing = match self {
+            System::PyTorch => Routing::Host(HostPath::CpuInvolved),
+            System::PyTorchUvm => Routing::Host(HostPath::Uvm),
+            System::HugeCtr => Routing::Owner,
+            System::FrugalSync | System::FrugalFifo | System::Frugal => Routing::Member,
+        };
+        match self.flush_mode() {
+            Some(flush_mode) => cfg.flush_mode = flush_mode,
+            None => assert!(
+                cfg.membership.changes.is_empty(),
+                "baselines run a static cohort, not an elastic membership plan"
+            ),
+        }
+        frugal_core::price(&cfg, workload, model, routing)
     }
 }
 
@@ -209,6 +263,8 @@ mod tests {
         assert_eq!(System::HugeCtr.validate(&cfg), Ok(()));
     }
 
+    /// One runner, one price: every system's run reports exactly what the
+    /// walk prices for it.
     #[test]
     fn runner_covers_all_systems() {
         let trace = SyntheticTrace::new(500, KeyDistribution::Zipf(0.9), 16, 2, 1).unwrap();
@@ -217,7 +273,12 @@ mod tests {
         cfg.flush_threads = 2;
         for system in System::ALL {
             let r = system.run(cfg.clone(), &trace, &model);
+            let p = system.price(cfg.clone(), &trace, &model);
             assert!(r.throughput() > 0.0, "{system:?}");
+            assert_eq!(r.stats.iters(), p.stats.iters(), "{system:?}");
+            assert_eq!(r.hit_ratio.to_bits(), p.hit_ratio.to_bits(), "{system:?}");
+            assert_eq!(r.cache_fills, p.cache_fills, "{system:?}");
+            assert_eq!(r.mean_gentry_update, p.mean_gentry_update, "{system:?}");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The cache-policy ablation as a standalone CI artifact: policy × skew ×
-//! ratio hit-ratio grid through the full P²F engine, printed as the table
-//! EXPERIMENTS.md records and CI archives.
+//! ratio hit-ratio grid of the P²F engine's caches (as the key-stream walk
+//! decides them), printed as the table EXPERIMENTS.md records and CI
+//! archives.
 //!
 //! ```sh
 //! cargo run --release --bin cache_ablation               # default scale

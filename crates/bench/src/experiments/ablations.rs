@@ -18,12 +18,13 @@ fn measured_us(r: &TrainReport, phase: LedgerPhase) -> String {
     )
 }
 
-/// Cache eviction policy × key skew × cache ratio, through the full P²F
-/// engine: per-policy hit ratios for every cell of the grid. The paper
-/// fixes HugeCTR's static policy for all systems; this ablation shows how
-/// much headroom adaptive policies leave on the table, with the Belady
-/// oracle (fed perfect next-use knowledge from the lookahead ring) as the
-/// upper bound no online policy can beat.
+/// Cache eviction policy × key skew × cache ratio under P²F, priced by the
+/// key-stream walk (the P²F engine's cache decisions, checked against the
+/// engine record for record): per-policy hit ratios for every cell of the
+/// grid. The paper fixes HugeCTR's static policy for all systems; this
+/// ablation shows how much headroom adaptive policies leave on the table,
+/// with the Belady oracle (fed perfect next-use knowledge from the
+/// lookahead ring) as the upper bound no online policy can beat.
 pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
     let dim = 32usize;
     let model = PullToTarget::new(dim, 7);
@@ -58,7 +59,7 @@ pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
                 cfg.flush_threads = 4;
                 cfg.cache_ratio = ratio;
                 cfg.cache_policy = policy;
-                let r = System::Frugal.run(cfg, &trace, &model);
+                let r = System::Frugal.price(cfg, &trace, &model);
                 cells.push(format!("{:.1}%", r.hit_ratio * 100.0));
             }
             t.row(cells);
@@ -146,12 +147,12 @@ pub fn ablation_lookahead(scale: &Scale) -> Vec<ExpTable> {
     for lookahead in [1u64, 2, 5, 10, 20] {
         let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps * 2);
         cfg.lookahead = lookahead;
-        cfg.telemetry = Telemetry::new();
-        let r = System::Frugal.run(cfg, &trace, &model);
+        let modeled = System::Frugal.price(cfg.clone(), &trace, &model);
+        let r = System::Frugal.run(cfg.with_telemetry(Telemetry::new()), &trace, &model);
         t.row(vec![
             lookahead.to_string(),
-            fmt_throughput(r.throughput()),
-            format!("{:.0}", r.mean_stall().as_micros_f64()),
+            fmt_throughput(modeled.throughput()),
+            format!("{:.0}", modeled.stats.mean_stall().as_micros_f64()),
             measured_us(&r, LedgerPhase::Registration),
             measured_us(&r, LedgerPhase::StallWait),
         ]);
@@ -186,12 +187,14 @@ pub fn ablation_flush_strategy(scale: &Scale) -> Vec<ExpTable> {
     for system in [System::Frugal, System::FrugalFifo, System::FrugalSync] {
         let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps * 2);
         cfg.flush_threads = 4;
-        let r = system.run(cfg, &trace, &model);
+        let modeled = system.price(cfg.clone(), &trace, &model);
+        // The flushers' row count is the engine's own.
+        let flush_rows = system.run(cfg, &trace, &model).flush_rows;
         t.row(vec![
             system.rec_label().to_owned(),
-            fmt_throughput(r.throughput()),
-            format!("{:.0}", r.mean_stall().as_micros_f64()),
-            r.flush_rows.to_string(),
+            fmt_throughput(modeled.throughput()),
+            format!("{:.0}", modeled.stats.mean_stall().as_micros_f64()),
+            flush_rows.to_string(),
         ]);
     }
     t.note("FIFO is proactive yet unselective: all pending writes gate the next step, the stall P2F's read-driven priorities avoid");
@@ -223,12 +226,13 @@ pub fn ablation_optimizer(scale: &Scale) -> Vec<ExpTable> {
         cfg.flush_threads = 4;
         cfg.optimizer = kind;
         cfg.lr = 1.0;
+        let modeled = System::Frugal.price(cfg.clone(), &trace, &model);
         let r = System::Frugal.run(cfg, &trace, &model);
         t.row(vec![
             name.to_owned(),
             format!("{:.4}", r.first_loss),
             format!("{:.4}", r.final_loss),
-            fmt_throughput(r.throughput()),
+            fmt_throughput(modeled.throughput()),
         ]);
     }
     t.note("both run through identical P2F machinery; Adagrad keeps per-row state on host and cache paths");

@@ -31,8 +31,8 @@ pub fn fig3_motivation(scale: &Scale) -> Vec<ExpTable> {
         let trace = SyntheticTrace::new(scale.micro_keys, KeyDistribution::Zipf(0.9), batch, n, 11)
             .expect("valid trace");
         let datacenter = FrugalConfig::on(Topology::datacenter(n), scale.steps);
-        let d = System::HugeCtr.run(datacenter, &trace, &model);
-        let c = System::HugeCtr.run(FrugalConfig::commodity(n, scale.steps), &trace, &model);
+        let d = System::HugeCtr.price(datacenter, &trace, &model);
+        let c = System::HugeCtr.price(FrugalConfig::commodity(n, scale.steps), &trace, &model);
         let (td, tc_) = (d.throughput(), c.throughput());
         ta.row(vec![
             batch.to_string(),
@@ -40,8 +40,8 @@ pub fn fig3_motivation(scale: &Scale) -> Vec<ExpTable> {
             fmt_throughput(tc_),
             format!("{:.0}", (1.0 - tc_ / td) * 100.0),
         ]);
-        let fmt_bd = |r: &frugal_core::TrainReport| {
-            let m = r.mean_iter();
+        let fmt_bd = |r: &frugal_core::ModeledRun| {
+            let m = r.stats.mean();
             format!(
                 "{:.2}/{:.2}/{:.2}/{:.2}",
                 m.comm.as_millis_f64(),
@@ -107,7 +107,7 @@ pub fn exp1_microbenchmark(scale: &Scale) -> Vec<ExpTable> {
                 for system in System::microbench_set() {
                     let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
                     cfg.cache_ratio = cache_ratio;
-                    let r = system.run(cfg, &trace, &model);
+                    let r = system.price(cfg, &trace, &model);
                     cells.push(fmt_throughput(r.throughput()));
                 }
                 t.row(cells);
@@ -131,7 +131,7 @@ pub fn exp1_microbenchmark(scale: &Scale) -> Vec<ExpTable> {
         &["system", "throughput"],
     );
     for system in [System::PyTorch, System::PyTorchUvm] {
-        let r = system.run(
+        let r = system.price(
             FrugalConfig::commodity(scale.gpus, scale.steps),
             &trace,
             &model,

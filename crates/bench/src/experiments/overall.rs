@@ -51,9 +51,9 @@ pub fn exp6_kg(scale: &Scale) -> Vec<ExpTable> {
             let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
             let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
             cfg.cache_ratio = cache_ratio;
-            let base = System::PyTorch.run(cfg.clone(), &trace, &model);
-            let cached = System::HugeCtr.run(cfg.clone(), &trace, &model);
-            let frugal = System::Frugal.run(cfg, &trace, &model);
+            let base = System::PyTorch.price(cfg.clone(), &trace, &model);
+            let cached = System::HugeCtr.price(cfg.clone(), &trace, &model);
+            let frugal = System::Frugal.price(cfg, &trace, &model);
             t.row(vec![
                 format!("{:.0}%", cache_ratio * 100.0),
                 fmt_throughput(base.throughput()),
@@ -86,9 +86,9 @@ pub fn exp7_rec(scale: &Scale) -> Vec<ExpTable> {
             let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 3, false);
             let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
             cfg.cache_ratio = cache_ratio;
-            let base = System::PyTorch.run(cfg.clone(), &trace, &model);
-            let cached = System::HugeCtr.run(cfg.clone(), &trace, &model);
-            let frugal = System::Frugal.run(cfg, &trace, &model);
+            let base = System::PyTorch.price(cfg.clone(), &trace, &model);
+            let cached = System::HugeCtr.price(cfg.clone(), &trace, &model);
+            let frugal = System::Frugal.price(cfg, &trace, &model);
             t.row(vec![
                 format!("{:.0}%", cache_ratio * 100.0),
                 fmt_throughput(base.throughput()),
@@ -120,7 +120,7 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
         let cfg = FrugalConfig::commodity(n, scale.steps);
         let mut cells = vec![n.to_string()];
         for system in System::microbench_set() {
-            let r = system.run(cfg.clone(), &trace, &model);
+            let r = system.price(cfg.clone(), &trace, &model);
             cells.push(fmt_throughput(r.throughput()));
         }
         tkg.row(cells);
@@ -143,7 +143,7 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
         let cfg = FrugalConfig::commodity(n, scale.steps);
         let mut cells = vec![n.to_string()];
         for system in System::microbench_set() {
-            let r = system.run(cfg.clone(), &trace, &model);
+            let r = system.price(cfg.clone(), &trace, &model);
             cells.push(fmt_throughput(r.throughput()));
         }
         trec.row(cells);
@@ -171,9 +171,9 @@ fn best_a30_vs_frugal(
     );
     let best_a30 = [System::PyTorch, System::HugeCtr]
         .iter()
-        .map(|&s| s.run(dc.clone(), trace, model).throughput())
+        .map(|&s| s.price(dc.clone(), trace, model).throughput())
         .fold(0.0f64, f64::max);
-    let frugal = System::Frugal.run(commodity, trace, model).throughput();
+    let frugal = System::Frugal.price(commodity, trace, model).throughput();
     let cost_eff = (frugal / commodity_price) / (best_a30 / dc_price);
     (best_a30, frugal, cost_eff)
 }

@@ -21,11 +21,11 @@ pub fn exp10_flush_threads(scale: &Scale) -> Vec<ExpTable> {
     for threads in [1usize, 2, 4, 8, 12, 16, 24, 30] {
         let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
         cfg.flush_threads = threads;
-        let r = System::Frugal.run(cfg, &trace, &model);
+        let r = System::Frugal.price(cfg, &trace, &model);
         t.row(vec![
             threads.to_string(),
             fmt_throughput(r.throughput()),
-            format!("{:.0}", r.mean_stall().as_micros_f64()),
+            format!("{:.0}", r.stats.mean_stall().as_micros_f64()),
         ]);
     }
     t.note("paper: throughput rises to ~12 threads, then declines as flushers steal CPU");
@@ -50,7 +50,7 @@ pub fn exp11_models(scale: &Scale) -> Vec<ExpTable> {
         let model = KgModel::new(scorer, trace.clone(), 5, false);
         let cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
         let thr =
-            |system: System| fmt_throughput(system.run(cfg.clone(), &trace, &model).throughput());
+            |system: System| fmt_throughput(system.price(cfg.clone(), &trace, &model).throughput());
         let mut cells = vec![scorer.name().to_owned()];
         cells.extend(END_TO_END.map(thr));
         tkg.row(cells);
@@ -76,7 +76,7 @@ pub fn exp11_models(scale: &Scale) -> Vec<ExpTable> {
         let model = Dlrm::new(trace.clone(), &dims, 0.01, 3, false);
         let cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
         let thr =
-            |system: System| fmt_throughput(system.run(cfg.clone(), &trace, &model).throughput());
+            |system: System| fmt_throughput(system.price(cfg.clone(), &trace, &model).throughput());
         let mut cells = vec![model.n_layers().to_string()];
         cells.extend(END_TO_END.map(thr));
         trec.row(cells);

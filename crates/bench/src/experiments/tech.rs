@@ -3,7 +3,7 @@
 use super::{measured_phase, system_columns, Scale};
 use crate::table::{fmt_throughput, telemetry_table, ExpTable};
 use frugal_baselines::System;
-use frugal_core::{FrugalConfig, PqKind, PullToTarget, TrainReport};
+use frugal_core::{FrugalConfig, ModeledRun, PqKind, PullToTarget};
 use frugal_data::{KeyDistribution, KgDatasetSpec, KgTrace, SyntheticTrace};
 use frugal_models::{KgModel, KgScorer};
 use frugal_sim::{CostModel, HostPath, Topology};
@@ -39,13 +39,13 @@ pub fn exp2_p2f(scale: &Scale) -> Vec<ExpTable> {
         .expect("valid trace");
         let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
         cfg.cache_ratio = 0.01;
-        let sync = System::FrugalSync.run(cfg.clone(), &trace, &model);
-        let p2f = System::Frugal.run(cfg, &trace, &model);
+        let sync = System::FrugalSync.price(cfg.clone(), &trace, &model);
+        let p2f = System::Frugal.price(cfg, &trace, &model);
         let (ss, sp) = (
-            sync.mean_stall().as_micros_f64(),
-            p2f.mean_stall().as_micros_f64(),
+            sync.stats.mean_stall().as_micros_f64(),
+            p2f.stats.mean_stall().as_micros_f64(),
         );
-        let tail = |r: &TrainReport, q: f64| r.stats.stall_percentile(q).as_micros_f64();
+        let tail = |r: &ModeledRun, q: f64| r.stats.stall_percentile(q).as_micros_f64();
         stall.row(vec![
             batch.to_string(),
             format!("{ss:.0}"),
@@ -112,18 +112,19 @@ pub fn exp4_pq(scale: &Scale) -> Vec<ExpTable> {
     for cache_ratio in [0.05, 0.10] {
         let trace = KgTrace::new(spec.clone(), batch, scale.gpus, 23).expect("valid trace");
         let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
-        let run = |pq: PqKind| -> TrainReport {
+        let cfg = |pq: PqKind| {
             let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
             cfg.cache_ratio = cache_ratio;
             cfg.pq = pq;
-            cfg.telemetry = Telemetry::new();
-            System::Frugal.run(cfg, &trace, &model)
+            cfg
         };
-        let registration_us = |r: &TrainReport| {
-            measured_phase(r, LedgerPhase::Registration).map_or(0.0, |p| p.p50_ns as f64 / 1e3)
+        let registration_us = |pq: PqKind| {
+            let cfg = cfg(pq).with_telemetry(Telemetry::new());
+            let r = System::Frugal.run(cfg, &trace, &model);
+            measured_phase(&r, LedgerPhase::Registration).map_or(0.0, |p| p.p50_ns as f64 / 1e3)
         };
-        let tree = run(PqKind::TreeHeap);
-        let two = run(PqKind::TwoLevel);
+        let tree = System::Frugal.price(cfg(PqKind::TreeHeap), &trace, &model);
+        let two = System::Frugal.price(cfg(PqKind::TwoLevel), &trace, &model);
         t.row(vec![
             format!("{:.0}%", cache_ratio * 100.0),
             format!(
@@ -133,15 +134,19 @@ pub fn exp4_pq(scale: &Scale) -> Vec<ExpTable> {
             ),
             format!(
                 "{:.0}/{:.0}",
-                tree.mean_stall().as_micros_f64(),
-                two.mean_stall().as_micros_f64()
+                tree.stats.mean_stall().as_micros_f64(),
+                two.stats.mean_stall().as_micros_f64()
             ),
             format!(
                 "{}/{}",
                 fmt_throughput(tree.throughput()),
                 fmt_throughput(two.throughput())
             ),
-            format!("{:.0}/{:.0}", registration_us(&tree), registration_us(&two)),
+            format!(
+                "{:.0}/{:.0}",
+                registration_us(PqKind::TreeHeap),
+                registration_us(PqKind::TwoLevel)
+            ),
         ]);
     }
     t.note("paper: two-level PQ is 1.2-1.4x faster on g-entry updates, cuts stall 74-107x, lifts throughput 2.1-3.3x");
@@ -173,12 +178,12 @@ pub fn exp5_breakdown(scale: &Scale) -> Vec<ExpTable> {
         .expect("valid trace");
         let mut cells = vec![batch.to_string()];
         for system in System::microbench_set() {
-            let r = system.run(
+            let r = system.price(
                 FrugalConfig::commodity(scale.gpus, scale.steps),
                 &trace,
                 &model,
             );
-            let m = r.mean_iter();
+            let m = r.stats.mean();
             cells.push(format!(
                 "{:.2}/{:.2}/{:.2}/{:.2}/{:.2}",
                 m.comm.as_millis_f64(),

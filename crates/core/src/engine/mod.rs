@@ -56,7 +56,7 @@ mod tests;
 use crate::config::{FrugalConfig, PqKind};
 use crate::gentry::GEntryStore;
 use crate::model::EmbeddingModel;
-use crate::price::{self, CountRecord};
+use crate::price::{self, CountRecord, RunCounts};
 use crate::report::TrainReport;
 use crate::workload::Workload;
 use crate::ShardMap;
@@ -277,6 +277,21 @@ impl FrugalEngine {
     /// Panics if the workload GPU count differs from the configured
     /// topology or if the model dimension differs from the store.
     pub fn run(&self, workload: &dyn Workload, model: &dyn EmbeddingModel) -> TrainReport {
+        self.run_counted(workload, model).0
+    }
+
+    /// [`FrugalEngine::run`], also returning what every member counted:
+    /// the records the report was priced from, which
+    /// [`crate::walk_counts`] must reproduce.
+    ///
+    /// # Panics
+    ///
+    /// As [`FrugalEngine::run`].
+    pub fn run_counted(
+        &self,
+        workload: &dyn Workload,
+        model: &dyn EmbeddingModel,
+    ) -> (TrainReport, RunCounts) {
         let cfg = &self.cfg;
         let n = cfg.n_gpus();
         assert_eq!(workload.n_gpus(), n, "workload/topology GPU count mismatch");
@@ -423,7 +438,7 @@ impl FrugalEngine {
         } else {
             priced.hits as f64 / lookups as f64
         };
-        TrainReport {
+        let report = TrainReport {
             stats: priced.stats,
             hit_ratio,
             cache_fills: priced.fills,
@@ -436,6 +451,7 @@ impl FrugalEngine {
             first_loss: priced.first_loss,
             final_loss: priced.final_loss,
             telemetry: cfg.telemetry.summary(),
-        }
+        };
+        (report, RunCounts(records))
     }
 }

@@ -14,6 +14,9 @@
 //!   routing, republished at quiesced boundaries for elastic membership.
 //! * [`train_serial`] — the synchronous-consistency oracle: a Frugal run
 //!   must be bit-identical to this single-threaded reference.
+//! * [`price()`] — the key-stream walk: every system's cache decisions and
+//!   modeled clock from the keys alone, no threads and no numerics; the
+//!   engine's count records must equal the walk's ([`walk_counts`]).
 //! * [`Workload`] / [`EmbeddingModel`] — the seams through which datasets
 //!   (`frugal-data`) and models (`frugal-models`) plug in;
 //!   [`PullToTarget`] is the embedding-only microbenchmark model.
@@ -44,6 +47,7 @@ mod report;
 mod serial;
 mod shardmap;
 mod wait;
+mod walk;
 mod workload;
 
 pub use config::{
@@ -52,8 +56,10 @@ pub use config::{
 pub use engine::FrugalEngine;
 pub use gentry::{GEntryStore, PendingWrites, PqOpScratch, PriorityPolicy, READ_WINDOW};
 pub use model::{BatchGrads, EmbeddingModel, PullToTarget};
-pub use report::TrainReport;
+pub use price::RunCounts;
+pub use report::{ModeledRun, TrainReport};
 pub use serial::{train_serial, train_serial_with, SerialRun};
 pub use shardmap::ShardMap;
 pub use wait::{blocked_at, pending_floor, InflightTable};
+pub use walk::{price, walk_counts, Routing};
 pub use workload::Workload;

@@ -25,10 +25,19 @@ struct StreamCounts {
     loss: f32,
 }
 
+/// Counts compare; the loss is numerics, which the walk does not run (the
+/// serial oracle checks it).
+impl PartialEq for StreamCounts {
+    fn eq(&self, other: &Self) -> bool {
+        let counts = |c: &Self| (c.stream, c.unique, c.host_reads, c.fills);
+        counts(self) == counts(other)
+    }
+}
+
 /// One member's step: how many streams it ran (their [`StreamCounts`]
 /// precede this entry in the record), and its share of the reduce and
 /// registration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct MemberCounts {
     streams: u32,
     /// Rows in the member's update slot after the reduce.
@@ -42,7 +51,7 @@ struct MemberCounts {
 /// step it was a member of, in step order across segments — the step
 /// itself is implicit. Written only by that member's thread; read after
 /// the run has joined.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct CountRecord {
     streams: Vec<StreamCounts>,
     steps: Vec<MemberCounts>,
@@ -85,6 +94,13 @@ impl CountRecord {
     }
 }
 
+/// Every member's count record over a run, indexed by trainer id: what
+/// the engine's members counted ([`crate::FrugalEngine::run_counted`]) or
+/// what the key-stream walk decides ([`crate::walk_counts`]). Two are equal
+/// when every count of every member's every step is; losses are left out.
+#[derive(Debug, PartialEq)]
+pub struct RunCounts(pub(crate) Vec<CountRecord>);
+
 /// Narrows a count to the record's width. Every count is bounded by one
 /// step's sampled keys, far below `u32::MAX`.
 fn narrow(n: impl TryInto<u32>) -> u32 {
@@ -101,6 +117,27 @@ pub(crate) struct PricedRun {
     pub(crate) hits: u64,
     pub(crate) misses: u64,
     pub(crate) fills: u64,
+}
+
+/// Every system's per-GPU dense share of a step: the `all_to_all` of the
+/// dense parameters (none without them) and the DNN's forward and
+/// backward over one GPU's slice of the batch.
+pub(crate) fn dense_prices(
+    cfg: &FrugalConfig,
+    model: &dyn EmbeddingModel,
+    samples_per_step: u64,
+) -> (Nanos, Nanos) {
+    let cost = &cfg.cost;
+    let comm = match model.dense_param_bytes() {
+        0 => Nanos::ZERO,
+        bytes => cost.all_to_all(bytes),
+    };
+    let batch_per_gpu = samples_per_step / cfg.n_gpus() as u64;
+    let dnn = cost.dnn_time(
+        model.dense_flops_per_sample() * batch_per_gpu as f64,
+        model.dense_layers().max(1),
+    );
+    (comm, dnn)
 }
 
 /// Prices every step of the run from the members' records. `segments`
@@ -128,16 +165,7 @@ pub(crate) fn price_run(
     } else {
         PqCost::Concurrent
     };
-    let batch_per_gpu = samples_per_step / n_streams as u64;
-    let comm = if model.dense_param_bytes() > 0 {
-        cost.all_to_all(model.dense_param_bytes())
-    } else {
-        Nanos::ZERO
-    };
-    let dnn = cost.dnn_time(
-        model.dense_flops_per_sample() * batch_per_gpu as f64,
-        model.dense_layers().max(1),
-    );
+    let (comm, dnn) = dense_prices(cfg, model, samples_per_step);
 
     // Per member, the next unread step and stream entries of its record.
     let mut next = vec![(0usize, 0usize); records.len()];

@@ -76,3 +76,24 @@ impl TrainReport {
         self.stats.mean_stall()
     }
 }
+
+/// The modeled part of a [`TrainReport`] — the fields of the same names —
+/// from the key stream alone: what [`crate::price()`] returns.
+#[derive(Debug, Clone)]
+pub struct ModeledRun {
+    /// Per-iteration breakdowns on the modeled clock.
+    pub stats: RunStats,
+    /// Aggregate GPU-cache hit ratio.
+    pub hit_ratio: f64,
+    /// Rows the caches accepted on the miss path.
+    pub cache_fills: u64,
+    /// Mean modeled g-entry registration time a step.
+    pub mean_gentry_update: Nanos,
+}
+
+impl ModeledRun {
+    /// Training throughput in samples per second.
+    pub fn throughput(&self) -> f64 {
+        self.stats.throughput()
+    }
+}

@@ -1,0 +1,362 @@
+//! The key-stream walk: every system's cache decisions and the counts its
+//! modeled clock prices, from the keys alone — no threads, no numerics.
+//!
+//! One loop, two routings. *Member* routing (the Frugal variants) looks a
+//! stream's owned unique keys up in the cache of the member that runs it,
+//! the rest being host reads, and yields exactly the engine's per-member
+//! [`CountRecord`]s, which [`price_run`] prices; `tests/config_space.rs`
+//! checks them record for record. *Owner* routing (HugeCTR, and PyTorch and
+//! PyTorch-UVM with no cache) sends every unique key once to its
+//! [`ShardMap`] owner's cache (Fig 2b). In both, the synchronous apply then
+//! looks each owner's rows up again, in first arrival across streams 0..n
+//! (a member's reduced rows, HugeCTR's routed keys): that lookup moves LRU
+//! recency and the frequency counts. A cache slot holds one placeholder
+//! float, never a row.
+
+use crate::config::{FlushMode, FrugalConfig, PqKind};
+use crate::engine::resolve_segments;
+use crate::gentry::GEntryStore;
+use crate::model::EmbeddingModel;
+use crate::price::{dense_prices, price_run, CountRecord, RunCounts};
+use crate::report::ModeledRun;
+use crate::workload::Workload;
+use crate::ShardMap;
+use frugal_data::{Key, KeyHashSet};
+use frugal_embed::{GpuCache, InsertOutcome, Sharding};
+use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq};
+use frugal_sim::{HostPath, IterBreakdown, Nanos, RunStats};
+use frugal_telemetry::{LaneKind, LedgerPhase};
+
+/// Where a step's keys are looked up, and so which system [`price`] prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routing {
+    /// Frugal under the configuration's flush mode.
+    Member,
+    /// HugeCTR / DGL-KE-cached: owner caches and an `all_to_all` exchange.
+    Owner,
+    /// PyTorch / DGL-KE ([`HostPath::CpuInvolved`]) and PyTorch-UVM
+    /// ([`HostPath::Uvm`]): no GPU cache; every unique key goes through
+    /// host memory on the given path.
+    Host(HostPath),
+}
+
+/// One step as the walk leaves it: per stream its unique keys (first
+/// occurrence order), per owner its rows, per stream (member routing) or
+/// per owner its misses and accepted fills, per member its `read_next`.
+struct Step<'a> {
+    smap: &'a ShardMap,
+    members: &'a [usize],
+    unique: &'a [Vec<Key>],
+    rows: &'a [Vec<Key>],
+    misses: &'a [usize],
+    fills: &'a [usize],
+    read_next: &'a [u64],
+}
+
+/// Feeds the oracle policy the keys of `batches` that member `t` owns, over
+/// its streams in order: the engine's lookahead feed of `step`.
+fn feed(cache: &mut GpuCache, smap: &ShardMap, t: usize, step: u64, batches: &[Vec<Key>]) {
+    let ahead: Vec<Key> = smap
+        .streams_of(t)
+        .flat_map(|g| batches[g].iter().copied())
+        .filter(|&k| smap.owns_key(t, k))
+        .collect();
+    cache.prepare_step(step, &ahead);
+}
+
+/// Fills `k` into `cache`, counting the fill if the cache accepts it.
+fn fill(cache: &mut GpuCache, k: Key, fills: &mut usize) {
+    if cache.fill_into(k, |_| {}) != InsertOutcome::Rejected {
+        *fills += 1;
+    }
+}
+
+/// The one loop: walks every step under `routing`, hands each to `visit`,
+/// and returns the run's cache hits, misses and fills. With telemetry on it
+/// books each step's `sample` and `cache_query` and publishes the `cache.*`
+/// counters.
+fn walk(
+    cfg: &FrugalConfig,
+    workload: &dyn Workload,
+    routing: Routing,
+    mut visit: impl FnMut(&Step<'_>),
+) -> (u64, u64, u64) {
+    let n = cfg.n_gpus();
+    assert_eq!(workload.n_gpus(), n, "workload/topology GPU count mismatch");
+    let (steps, lookahead) = (cfg.steps, cfg.lookahead);
+    let member = routing == Routing::Member;
+    let cached = !matches!(routing, Routing::Host(_));
+    // Only P²F registers the lookahead reads that feed the oracle policy
+    // and make a written row block the next step.
+    let p2f = member && cfg.flush_mode == FlushMode::P2f;
+    let sample = |s: u64| -> Vec<Vec<Key>> { (0..n).map(|g| workload.keys(s, g)).collect() };
+    let (sharding, n_keys) = (Sharding::new(n), workload.n_keys());
+    let new_cache = || {
+        let capacity = sharding.cache_capacity(n_keys, cfg.cache_ratio);
+        let mut cache = GpuCache::new(capacity, 1, cfg.cache_policy);
+        cache.set_hot_threshold(sharding.hot_threshold(n_keys, cfg.cache_ratio));
+        cache
+    };
+    let mut caches: Vec<Option<GpuCache>> = (0..n).map(|_| None).collect();
+    let (mut unique, mut rows) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+    let (mut misses, mut fills, mut read_next) = (vec![0; n], vec![0; n], vec![0; n]);
+    let (mut seen, mut owned_misses) = (KeyHashSet::default(), Vec::new());
+    let mut carried: Option<(u64, Vec<Vec<Key>>)> = None;
+    let mut totals = (0, 0, 0);
+    let mut rec = cfg.telemetry.recorder("walk", LaneKind::Trainer);
+    let mut smap = ShardMap::initial(n, GEntryStore::n_shards());
+    for (i, seg) in resolve_segments(cfg).iter().enumerate() {
+        if i > 0 {
+            // The transition: leavers drop their cache, survivors keep what
+            // the next epoch still gives them.
+            smap = smap.with_members(&seg.members);
+            for (t, slot) in caches.iter_mut().enumerate() {
+                if !smap.is_member(t) {
+                    *slot = None;
+                } else if let (Some(cache), false) = (slot.as_mut(), cfg.skip_quiesce) {
+                    cache.retain(|k| smap.owns_key(t, k));
+                }
+            }
+        }
+        for &t in seg.members.iter().filter(|_| cached) {
+            let cache = caches[t].get_or_insert_with(new_cache);
+            if p2f && cache.uses_lookahead() {
+                for s0 in seg.start..(seg.start + lookahead).min(steps) {
+                    feed(cache, &smap, t, s0, &sample(s0));
+                }
+            }
+        }
+        for s in seg.start..seg.end {
+            let sample_span = rec.span(s, LedgerPhase::Sample);
+            let batches = match carried.take() {
+                Some((c, batches)) if c == s => batches,
+                _ => sample(s),
+            };
+            for (u, keys) in unique.iter_mut().zip(&batches) {
+                seen.clear();
+                u.clear();
+                u.extend(keys.iter().filter(|&&k| seen.insert(k)));
+            }
+            seen.clear();
+            rows.iter_mut().for_each(Vec::clear);
+            for &k in unique.iter().flatten().filter(|_| cached) {
+                if seen.insert(k) {
+                    rows[smap.owner_of(k)].push(k);
+                }
+            }
+            drop(sample_span);
+            let query_span = rec.span(s, LedgerPhase::CacheQuery);
+            misses.fill(0);
+            fills.fill(0);
+            read_next.fill(0);
+            for cache in caches.iter_mut().flatten() {
+                cache.begin_step(s);
+            }
+            for &t in seg.members.iter().filter(|_| cached) {
+                let cache = caches[t].as_mut().expect("a member has a cache");
+                if member {
+                    // The forward pass: a stream's owned keys are all
+                    // looked up, then its owned misses filled.
+                    for g in smap.streams_of(t) {
+                        owned_misses.clear();
+                        for &k in &unique[g] {
+                            let owned = smap.owns_key(t, k);
+                            if !(owned && cache.get(&k).is_some()) {
+                                misses[g] += 1;
+                                if owned {
+                                    owned_misses.push(k);
+                                }
+                            }
+                        }
+                        for &k in &owned_misses {
+                            fill(cache, k, &mut fills[g]);
+                        }
+                    }
+                } else {
+                    for &k in &rows[t] {
+                        if cache.get(&k).is_none() {
+                            misses[t] += 1;
+                            fill(cache, k, &mut fills[t]);
+                        }
+                    }
+                }
+                // The synchronous apply's lookups.
+                for k in &rows[t] {
+                    cache.get(k);
+                }
+            }
+            drop(query_span);
+            // Registration adds the reads of `s + L` after the writes of
+            // `s`, so a row's next-step read is known when it is written
+            // only if `L ≥ 2` (the engine's `L = 1` boundary).
+            if p2f && lookahead >= 2 && s + 1 < steps {
+                let next_batches = sample(s + 1);
+                let next: KeyHashSet = next_batches.iter().flatten().copied().collect();
+                for &t in &seg.members {
+                    read_next[t] = rows[t].iter().filter(|&k| next.contains(k)).count() as u64;
+                }
+                carried = Some((s + 1, next_batches));
+            }
+            if p2f && s + lookahead < steps {
+                let mut ahead = None;
+                for &t in &seg.members {
+                    let cache = caches[t].as_mut().expect("a member has a cache");
+                    if cache.uses_lookahead() {
+                        let batches = ahead.get_or_insert_with(|| sample(s + lookahead));
+                        feed(cache, &smap, t, s + lookahead, batches);
+                    }
+                }
+            }
+            // A member looks every unique key up (what it does not own
+            // misses); an owner only the keys routed to it.
+            let lookups: usize = (if member { &unique } else { &rows })
+                .iter()
+                .map(Vec::len)
+                .sum();
+            let step_misses: usize = misses.iter().sum();
+            totals.0 += (lookups - step_misses) as u64;
+            totals.1 += step_misses as u64;
+            totals.2 += fills.iter().sum::<usize>() as u64;
+            visit(&Step {
+                smap: &smap,
+                members: &seg.members,
+                unique: &unique,
+                rows: &rows,
+                misses: &misses,
+                fills: &fills,
+                read_next: &read_next,
+            });
+        }
+    }
+    if let Some(reg) = cfg.telemetry.registry() {
+        reg.counter("cache.hits").add(totals.0);
+        reg.counter("cache.misses").add(totals.1);
+        reg.counter("cache.fills").add(totals.2);
+    }
+    totals
+}
+
+/// What the engine's members count on this run (see [`RunCounts`]),
+/// decided by the walk alone: the check of
+/// [`crate::FrugalEngine::run_counted`]. The losses are 0.
+pub fn walk_counts(cfg: &FrugalConfig, workload: &dyn Workload) -> RunCounts {
+    let mut records: Vec<CountRecord> = (0..cfg.n_gpus()).map(|_| CountRecord::default()).collect();
+    walk(cfg, workload, Routing::Member, |step| {
+        for &t in step.members {
+            let mut n_streams = 0;
+            for g in step.smap.streams_of(t) {
+                let unique = step.unique[g].len();
+                records[t].stream(g, unique, step.misses[g], step.fills[g], 0.0);
+                n_streams += 1;
+            }
+            records[t].step(n_streams, step.rows[t].len(), step.read_next[t]);
+        }
+    });
+    RunCounts(records)
+}
+
+/// The modeled part of training `workload` with `model` under `routing`,
+/// from the key stream alone. Under [`Routing::Member`] it is what
+/// [`crate::FrugalEngine::run`] reports for `cfg`: the walk's records
+/// priced by the engine's own pricing. The owner routings always route by the full
+/// cohort's map.
+///
+/// # Panics
+///
+/// Panics if the workload's GPU count differs from the topology, or if
+/// member routing is asked to price a `cfg` that
+/// [`FrugalConfig::validate`] rejects.
+pub fn price(
+    cfg: &FrugalConfig,
+    workload: &dyn Workload,
+    model: &dyn EmbeddingModel,
+    routing: Routing,
+) -> ModeledRun {
+    let samples = workload.samples_per_step();
+    if routing == Routing::Member {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid FrugalConfig: {e}");
+        }
+        let RunCounts(records) = walk_counts(cfg, workload);
+        // Only whether the queue's dequeues serialize enters the price.
+        let pq: Box<dyn PriorityQueue> = match cfg.pq {
+            PqKind::TwoLevel => Box::new(TwoLevelPq::new(0)),
+            PqKind::TreeHeap => Box::new(TreeHeap::new()),
+        };
+        let segments = resolve_segments(cfg);
+        let p = price_run(
+            cfg,
+            model,
+            &*pq,
+            workload.n_keys(),
+            samples,
+            &segments,
+            &records,
+        );
+        return ModeledRun {
+            stats: p.stats,
+            hit_ratio: p.hits as f64 / (p.hits + p.misses).max(1) as f64,
+            cache_fills: p.fills,
+            mean_gentry_update: p.mean_gentry_update,
+        };
+    }
+    let (cost, n) = (&cfg.cost, cfg.n_gpus());
+    let row_bytes = (model.dim() * 4) as u64;
+    let host_rw = |path, rows| {
+        cost.host_read(path, rows, row_bytes, n) + cost.host_write(path, rows, row_bytes, n)
+    };
+    let cached = routing == Routing::Owner;
+    let topology = cost.topology();
+    let path = match routing {
+        Routing::Host(path) => path,
+        // Datacenter GPUs reach host memory over unthrottled UVA (§2.3).
+        _ if topology.supports_host_uva() && !topology.gpu_spec().is_commodity() => HostPath::Uva,
+        _ => HostPath::CpuInvolved,
+    };
+    let (dense, dnn) = dense_prices(cfg, model, samples);
+    let mut stats = RunStats::new(samples);
+    let (hits, misses, fills) = walk(cfg, workload, routing, |step| {
+        // Each phase is the slowest GPU's.
+        let mut it = IterBreakdown::default();
+        for (g, unique) in step.unique.iter().enumerate() {
+            let u = unique.len() as u64;
+            let (mut comm, mut cache, mut other) = (dense, Nanos::ZERO, dnn);
+            let host = if cached {
+                // Fig 2b: ➊ bucket keys (CPU), ➋ all_to_all keys, ➌ owner
+                // cache query, ➍ all_to_all embeddings (and gradients on
+                // the way back), ➎ reorder (CPU).
+                let remote = unique
+                    .iter()
+                    .filter(|&&k| !step.smap.owns_key(g, k))
+                    .count();
+                comm += cost.all_to_all(u * 8) + cost.all_to_all(remote as u64 * row_bytes) * 2;
+                cache = cost.cache_query(step.rows[g].len() as u64);
+                other += Nanos::from_micros_f64(cost.params().cpu_dispatch_us * 2.0);
+                host_rw(path, step.misses[g] as u64)
+            } else {
+                // Gather + scatter through the host for every key.
+                host_rw(path, u)
+            };
+            it.comm = it.comm.max(comm);
+            it.host_dram = it.host_dram.max(host);
+            it.cache = it.cache.max(cache);
+            it.other = it.other.max(other);
+        }
+        // Framework row work and the coordinated cache update run on the
+        // host's shared service pool: charged once a step, not per GPU.
+        let total_rows: u64 = step.unique.iter().map(|u| u.len() as u64).sum();
+        if cached {
+            it.other += cost.framework_cached(total_rows);
+            it.cache += cost.cache_coordinated_update(total_rows);
+        } else {
+            it.other += cost.framework_nocache(total_rows);
+        }
+        stats.push(it);
+    });
+    ModeledRun {
+        stats,
+        hit_ratio: hits as f64 / (hits + misses).max(1) as f64,
+        cache_fills: fills,
+        mean_gentry_update: Nanos::ZERO,
+    }
+}

@@ -43,6 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const ITERS: u64 = 100_000;
+/// The timed test's batches, and rounds a batch.
+const BATCHES: u64 = 20;
+const BATCH_ROUNDS: u64 = 5_000;
 
 /// One round of every disabled hot-path operation the engine performs
 /// per step. Returns a value the optimizer cannot discard.
@@ -94,25 +97,30 @@ fn disabled_hot_path_is_cheap() {
     let mut rec = telemetry.recorder("dark", LaneKind::Trainer);
     let start = Instant::now();
 
-    // Warm up, then time. The bound is deliberately loose (100 ns per
-    // full round of ~7 disabled calls, i.e. far under 1% of a ~500 µs
-    // engine step even if every call sat on the critical path) so the
-    // assertion survives noisy CI boxes while still catching an
-    // accidental clock read or lock acquisition sneaking into the
-    // disabled path.
+    // Warm up, then time `BATCHES` batches and bound the fastest round.
+    // The minimum is the path's own cost; a mean also carries whatever
+    // preemption a loaded host adds. The bound is deliberately loose (100
+    // ns per full round of ~7 disabled calls, i.e. far under 1% of a ~500
+    // µs engine step even if every call sat on the critical path) while
+    // still catching an accidental clock read or lock acquisition sneaking
+    // into the disabled path.
     let mut sink = 0u64;
     for i in 0..1_000 {
         sink = sink.wrapping_add(hot_ops(&telemetry, &mut rec, start, i));
     }
-    let t0 = Instant::now();
-    for i in 0..ITERS {
-        sink = sink.wrapping_add(hot_ops(&telemetry, &mut rec, start, i));
+    let mut fastest = u64::MAX;
+    for batch in 0..BATCHES {
+        let t0 = Instant::now();
+        for i in 0..BATCH_ROUNDS {
+            let step = batch * BATCH_ROUNDS + i;
+            sink = sink.wrapping_add(hot_ops(&telemetry, &mut rec, start, step));
+        }
+        fastest = fastest.min(t0.elapsed().as_nanos() as u64 / BATCH_ROUNDS);
     }
-    let per_round = t0.elapsed().as_nanos() as u64 / ITERS;
     std::hint::black_box(sink);
     assert!(
-        per_round < 100,
-        "disabled hot-path round took {per_round} ns (expected branch-only cost)"
+        fastest < 100,
+        "fastest disabled hot-path round took {fastest} ns (expected branch-only cost)"
     );
 }
 

@@ -6,14 +6,18 @@
 //! pair of axis values [`FrugalConfig::validate`] accepts (t = 2) and every
 //! triple of flush mode × cache policy × membership (t = 3), where the
 //! protocols interact. Each row is a tiny run compared bit for bit with
-//! the serial oracle: every host row and both loss values.
+//! the serial oracle (every host row and both loss values), and record for
+//! record with the key-stream walk: every count each member made of every
+//! step (unique keys, host reads and fills per stream; reduced rows and
+//! blocking rows per member), so a cache residency decision that changes
+//! no value still has to match.
 //!
 //! Run with `-- --nocapture` to see the table; every line of it starts
 //! with `config-space` and is the same on every run.
 
 use frugal::core::{
-    train_serial_with, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan, OptimizerKind,
-    PqKind, PullToTarget,
+    train_serial_with, walk_counts, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan,
+    OptimizerKind, PqKind, PullToTarget,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::embed::CachePolicy;
@@ -216,7 +220,8 @@ fn config(row: &Row) -> FrugalConfig {
     cfg
 }
 
-/// Runs one row against the serial oracle; `Err` lists what differed.
+/// Runs one row against the serial oracle and the walk; `Err` lists what
+/// differed.
 fn run(row: &Row) -> Result<(), String> {
     let cfg = config(row);
     cfg.validate().map_err(|e| format!("validate: {e}"))?;
@@ -228,8 +233,8 @@ fn run(row: &Row) -> Result<(), String> {
     let trace = SyntheticTrace::new(N_KEYS, distribution, BATCH_PER_GPU, cfg.n_gpus(), 77).unwrap();
     let model = PullToTarget::new(DIM, 5);
     let serial = train_serial_with(&trace, &model, STEPS, cfg.lr, cfg.seed, cfg.optimizer);
-    let engine = FrugalEngine::new(cfg, N_KEYS, DIM);
-    let r = engine.run(&trace, &model);
+    let engine = FrugalEngine::new(cfg.clone(), N_KEYS, DIM);
+    let (r, counts) = engine.run_counted(&trace, &model);
 
     let mut wrong = Vec::new();
     if r.stats.len() != STEPS as usize {
@@ -247,6 +252,9 @@ fn run(row: &Row) -> Result<(), String> {
     }
     if AXES[RATIO].1[row[RATIO]] == "1.0" && r.hit_ratio <= 0.0 {
         wrong.push("no cache hits with the whole table cached".into());
+    }
+    if counts != walk_counts(&cfg, &trace) {
+        wrong.push("count records differ from the walk's".into());
     }
     let losses = |first: f32, last: f32| (first.to_bits(), last.to_bits());
     if losses(r.first_loss, r.final_loss) != losses(serial.first_loss, serial.final_loss) {

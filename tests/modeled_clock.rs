@@ -6,7 +6,8 @@
 //! an unthrottled one.
 
 use frugal::core::{
-    FlushMode, FrugalConfig, FrugalEngine, MembershipPlan, PqKind, PullToTarget, TrainReport,
+    price, walk_counts, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan, ModeledRun, PqKind,
+    PullToTarget, Routing, TrainReport,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::embed::CachePolicy;
@@ -138,7 +139,9 @@ fn fifo_blocks_on_at_least_the_rows_p2f_blocks_on() {
 
 /// One fixed workload — seed 7, dim 32, Zipf 0.9 — and what it must report.
 /// Every pinned value is a pure function of `(seed, config)`: ten runs in a
-/// row agree on all of them. A change that legitimately moves a price, the
+/// row agree on all of them. The key-stream walk prices them (P²F and
+/// FIFO), and one P²F engine run must count what the walk counts and report
+/// its flushed rows. A change that legitimately moves a price, the
 /// model or the cache's decisions edits these constants in the same commit
 /// and says so.
 struct Pinned {
@@ -244,22 +247,31 @@ fn pinned_profiles_report_their_committed_numbers() {
         let trace = SyntheticTrace::new(p.n_keys, KeyDistribution::Zipf(0.9), p.batch, p.n_gpus, 7)
             .unwrap();
         let model = PullToTarget::new(32, 7);
-        let telemetry = Telemetry::new();
-        let cfg = p.cfg().with_telemetry(telemetry.clone());
-        let p2f = FrugalEngine::new(cfg, p.n_keys, 32).run(&trace, &model);
+        // The walk carries the pins; one engine run checks that its
+        // members counted exactly what the walk decides.
+        let walked = price(&p.cfg(), &trace, &model, Routing::Member);
         let mut fifo_cfg = p.cfg();
         fifo_cfg.flush_mode = FlushMode::Fifo;
-        let fifo = FrugalEngine::new(fifo_cfg, p.n_keys, 32).run(&trace, &model);
-
-        assert_eq!(p2f.stats.len() as u64, p.steps, "{name}");
+        let fifo = price(&fifo_cfg, &trace, &model, Routing::Member);
+        let telemetry = Telemetry::new();
+        let cfg = p.cfg().with_telemetry(telemetry.clone());
+        let (p2f, counts) = FrugalEngine::new(cfg, p.n_keys, 32).run_counted(&trace, &model);
+        assert!(
+            counts == walk_counts(&p.cfg(), &trace),
+            "{name}: the engine's count records differ from the walk's"
+        );
+        assert_eq!(p2f.stats.iters(), walked.stats.iters(), "{name}");
         assert_eq!(p2f.violations, 0, "{name}");
+        assert_eq!(p2f.flush_rows, p.flush_rows, "{name}: flushed rows");
+
+        assert_eq!(walked.stats.len() as u64, p.steps, "{name}");
         assert_eq!(
-            p2f.mean_gentry_update.as_nanos(),
+            walked.mean_gentry_update.as_nanos(),
             p.mean_gentry_ns,
             "{name}: mean g-entry registration"
         );
         assert_eq!(
-            p2f.stats.stall_percentile(0.95).as_nanos(),
+            walked.stats.stall_percentile(0.95).as_nanos(),
             p.p95_stall_ns,
             "{name}: p95 stall"
         );
@@ -269,26 +281,25 @@ fn pinned_profiles_report_their_committed_numbers() {
             "{name}: p95 stall under arrival-order flushing"
         );
         assert_eq!(
-            p2f.hit_ratio.to_bits(),
+            walked.hit_ratio.to_bits(),
             p.hit_ratio_bits,
             "{name}: hit ratio {}",
-            p2f.hit_ratio
+            walked.hit_ratio
         );
-        assert_eq!(p2f.cache_fills, p.cache_fills, "{name}: cache fills");
-        assert_eq!(p2f.flush_rows, p.flush_rows, "{name}: flushed rows");
-        let sum = |r: &TrainReport, f: fn(&IterBreakdown) -> Nanos| -> u64 {
+        assert_eq!(walked.cache_fills, p.cache_fills, "{name}: cache fills");
+        let sum = |r: &ModeledRun, f: fn(&IterBreakdown) -> Nanos| -> u64 {
             r.stats.iters().iter().map(|it| f(it).as_nanos()).sum()
         };
         assert_eq!(
             [
-                sum(&p2f, IterBreakdown::total),
+                sum(&walked, IterBreakdown::total),
                 sum(&fifo, IterBreakdown::total)
             ],
             p.sum_total_ns,
             "{name}: Σ modeled iteration time (P²F, FIFO)"
         );
         assert_eq!(
-            [sum(&p2f, |it| it.other), sum(&fifo, |it| it.other)],
+            [sum(&walked, |it| it.other), sum(&fifo, |it| it.other)],
             p.sum_other_ns,
             "{name}: Σ modeled `other` time (P²F, FIFO)"
         );
