@@ -165,7 +165,7 @@ impl System {
             mean_gentry_update: modeled.mean_gentry_update,
             violations: 0,
             races: 0,
-            flush_rows: 0,
+            flush_rows: modeled.flush_rows,
             flush_apply_ns: 0,
             membership_transition_ns: 0,
             first_loss: serial.first_loss,
@@ -175,8 +175,8 @@ impl System {
     }
 
     /// The modeled part of what [`System::run`] reports for the same
-    /// arguments — the modeled clock, hit ratio, cache fills and g-entry
-    /// time — from the key stream alone: [`frugal_core::price`]'s walk,
+    /// arguments — the modeled clock, hit ratio, cache fills, g-entry time
+    /// and flushed rows — from the key stream alone: [`frugal_core::price`]'s walk,
     /// with neither the engine nor the serial oracle running. Frugal's
     /// variants take member routing, HugeCTR owner routing, and PyTorch and
     /// PyTorch-UVM owner routing with no cache.
@@ -279,6 +279,7 @@ mod tests {
             assert_eq!(r.hit_ratio.to_bits(), p.hit_ratio.to_bits(), "{system:?}");
             assert_eq!(r.cache_fills, p.cache_fills, "{system:?}");
             assert_eq!(r.mean_gentry_update, p.mean_gentry_update, "{system:?}");
+            assert_eq!(r.flush_rows, p.flush_rows, "{system:?}");
         }
     }
 }

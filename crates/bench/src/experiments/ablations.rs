@@ -187,14 +187,12 @@ pub fn ablation_flush_strategy(scale: &Scale) -> Vec<ExpTable> {
     for system in [System::Frugal, System::FrugalFifo, System::FrugalSync] {
         let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps * 2);
         cfg.flush_threads = 4;
-        let modeled = system.price(cfg.clone(), &trace, &model);
-        // The flushers' row count is the engine's own.
-        let flush_rows = system.run(cfg, &trace, &model).flush_rows;
+        let modeled = system.price(cfg, &trace, &model);
         t.row(vec![
             system.rec_label().to_owned(),
             fmt_throughput(modeled.throughput()),
             format!("{:.0}", modeled.stats.mean_stall().as_micros_f64()),
-            flush_rows.to_string(),
+            modeled.flush_rows.to_string(),
         ]);
     }
     t.note("FIFO is proactive yet unselective: all pending writes gate the next step, the stall P2F's read-driven priorities avoid");
@@ -271,17 +269,17 @@ mod tests {
         )
         .unwrap();
         let cfg = FrugalConfig::commodity(scale.gpus, 16);
-        let p2f = System::Frugal.run(cfg.clone(), &trace, &model);
-        let fifo = System::FrugalFifo.run(cfg, &trace, &model);
+        let p2f = System::Frugal.price(cfg.clone(), &trace, &model);
+        let fifo = System::FrugalFifo.price(cfg, &trace, &model);
         assert!(fifo.flush_rows > 0, "FIFO must flush in the background");
         for (f, p) in fifo.stats.iters().iter().zip(p2f.stats.iters()) {
             assert!(f.stall >= p.stall, "FIFO {} < P2F {}", f.stall, p.stall);
         }
         assert!(
-            fifo.mean_stall() > p2f.mean_stall(),
+            fifo.stats.mean_stall() > p2f.stats.mean_stall(),
             "FIFO stall {:?} should exceed P2F stall {:?}",
-            fifo.mean_stall(),
-            p2f.mean_stall()
+            fifo.stats.mean_stall(),
+            p2f.stats.mean_stall()
         );
     }
 }

@@ -117,6 +117,9 @@ pub(crate) struct PricedRun {
     pub(crate) hits: u64,
     pub(crate) misses: u64,
     pub(crate) fills: u64,
+    /// Rows the flushers apply: every reduced row under the proactive
+    /// modes, none under write-through.
+    pub(crate) flush_rows: u64,
 }
 
 /// Every system's per-GPU dense share of a step: the `all_to_all` of the
@@ -174,7 +177,7 @@ pub(crate) fn price_run(
     let mut stats = RunStats::new(samples_per_step);
     let (mut first_loss, mut final_loss) = (0.0, 0.0);
     let mut gentry_sum = Nanos::ZERO;
-    let (mut hits, mut misses, mut fills) = (0, 0, 0);
+    let (mut hits, mut misses, mut fills, mut flush_rows) = (0, 0, 0, 0);
     for seg in segments {
         // The controller/flushers contend with trainers for CPU cores:
         // charge the configuration's oversubscription factor on the
@@ -223,6 +226,7 @@ pub(crate) fn price_run(
                 // that is precisely Frugal's point.
                 FlushMode::WriteThrough => (Nanos::ZERO, cost.sync_flush(total_rows, n_streams)),
                 mode => {
+                    flush_rows += total_rows;
                     // Which rows gate the next wait: the ones written now
                     // that the next step reads under P²F, every written row
                     // under FIFO — so FIFO ≥ P²F holds row for row.
@@ -258,5 +262,6 @@ pub(crate) fn price_run(
         hits,
         misses,
         fills,
+        flush_rows,
     }
 }

@@ -89,6 +89,10 @@ pub struct ModeledRun {
     pub cache_fills: u64,
     /// Mean modeled g-entry registration time a step.
     pub mean_gentry_update: Nanos,
+    /// Rows the flushing threads apply: the reduced rows of every member's
+    /// every step under P²F and FIFO; zero under write-through and for the
+    /// baselines, which have no flushers.
+    pub flush_rows: u64,
 }
 
 impl ModeledRun {

@@ -298,6 +298,7 @@ pub fn price(
             hit_ratio: p.hits as f64 / (p.hits + p.misses).max(1) as f64,
             cache_fills: p.fills,
             mean_gentry_update: p.mean_gentry_update,
+            flush_rows: p.flush_rows,
         };
     }
     let (cost, n) = (&cfg.cost, cfg.n_gpus());
@@ -358,5 +359,6 @@ pub fn price(
         hit_ratio: hits as f64 / (hits + misses).max(1) as f64,
         cache_fills: fills,
         mean_gentry_update: Nanos::ZERO,
+        flush_rows: 0,
     }
 }

@@ -13,6 +13,12 @@
 //! The hash is a pure function of the key — no per-process random state —
 //! so iteration-order-sensitive bugs reproduce across runs (the schedule
 //! explorer relies on runs being replayable).
+//!
+//! The same finalizer, [`fmix64`], is the workload's one counter hash: trace
+//! seeds, latent weights, initial embedding rows and the stand-in model's
+//! targets are all `fmix64` of a linear combination of their inputs, and
+//! [`counter_row`] computes a whole row of such values in one loop the
+//! compiler can vectorize.
 
 use crate::trace::Key;
 use std::collections::{HashMap, HashSet};
@@ -25,11 +31,27 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Default, Clone)]
 pub struct KeyHasher(u64);
 
-#[inline]
-fn mix64(mut z: u64) -> u64 {
+/// The splitmix64 finalizer: a bijection on `u64` with full avalanche.
+#[inline(always)]
+pub fn fmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Fills `out` with the counter hashes of `base`, mapped into
+/// `[-0.5, 0.5]`: `out[d] = (fmix64(base + d·0xBF58_476D_1CE4_E5B9) as f64
+/// / u64::MAX as f64) as f32 − 0.5`, wrapping arithmetic.
+///
+/// Each element depends on `base` and `d` alone, so the loop has no carried
+/// state: compiled for a wider instruction set it runs several lanes at
+/// once, and every lane computes exactly the scalar value.
+#[inline(always)]
+pub fn counter_row(base: u64, out: &mut [f32]) {
+    for (d, o) in out.iter_mut().enumerate() {
+        let z = fmix64(base.wrapping_add((d as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)));
+        *o = (z as f64 / u64::MAX as f64) as f32 - 0.5;
+    }
 }
 
 impl Hasher for KeyHasher {
@@ -40,7 +62,7 @@ impl Hasher for KeyHasher {
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
-        self.0 = mix64(self.0.wrapping_add(n).wrapping_add(0x9E37_79B9_7F4A_7C15));
+        self.0 = fmix64(self.0.wrapping_add(n).wrapping_add(0x9E37_79B9_7F4A_7C15));
     }
 
     #[inline]

@@ -18,7 +18,7 @@
 #![warn(missing_debug_implementations)]
 
 mod datasets;
-mod hash;
+pub mod hash;
 mod trace;
 mod zipf;
 

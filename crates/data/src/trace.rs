@@ -9,6 +9,7 @@
 //! basis of the serial-vs-Frugal equivalence tests).
 
 use crate::datasets::{KgDatasetSpec, RecDatasetSpec};
+use crate::hash::fmix64;
 use crate::zipf::{DistError, KeyDistribution, KeySampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,15 +17,13 @@ use rand::{Rng, SeedableRng};
 /// An embedding-table key (a row index).
 pub type Key = u64;
 
-/// Mixes `(seed, step, gpu, salt)` into an RNG seed (splitmix64 finalizer).
+/// Mixes `(seed, step, gpu, salt)` into an RNG seed (the counter hash).
 fn mix(seed: u64, step: u64, gpu: u64, salt: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(step.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(gpu.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(salt.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    fmix64(
+        seed.wrapping_add(step.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(gpu.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add(salt.wrapping_mul(0x94D0_49BB_1331_11EB)),
+    )
 }
 
 fn rng_for(seed: u64, step: u64, gpu: u64, salt: u64) -> StdRng {
@@ -129,9 +128,9 @@ impl SyntheticTrace {
     /// [`step_keys`]: SyntheticTrace::step_keys
     pub fn gpu_keys(&self, step: u64, gpu: usize) -> Vec<Key> {
         let mut rng = rng_for(self.seed, step, gpu as u64, 1);
-        (0..self.batch_per_gpu)
-            .map(|_| self.sampler.sample(&mut rng))
-            .collect()
+        let mut keys = vec![0; self.batch_per_gpu];
+        self.sampler.fill(&mut rng, &mut keys);
+        keys
     }
 }
 

@@ -15,6 +15,7 @@
 //! tests break the P²F wait condition on purpose and assert the counter
 //! trips.
 
+use frugal_data::hash::{counter_row, fmix64};
 use frugal_data::Key;
 use frugal_telemetry::{Counter, Telemetry};
 use std::cell::UnsafeCell;
@@ -22,12 +23,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    fmix64(
+        a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+    )
+}
+
+/// The counter-hash base of row `key`: element `d` hashes
+/// `row_base + d·0xBF58_476D_1CE4_E5B9` ([`counter_row`]).
+fn row_base(seed: u64, key: Key) -> u64 {
+    mix(seed, key).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Deterministic initial value of element `d` of embedding row `key`,
@@ -36,6 +41,48 @@ fn mix(a: u64, b: u64) -> u64 {
 pub fn initial_value(seed: u64, key: Key, d: usize) -> f32 {
     let h = mix(mix(seed, key), d as u64);
     ((h as f64 / u64::MAX as f64) as f32 - 0.5) * 0.1
+}
+
+/// Writes row `key`'s initial values ([`initial_value`]) into `row`, whose
+/// length is the row's width.
+#[inline(always)]
+fn initial_row(seed: u64, key: Key, row: &mut [f32]) {
+    counter_row(row_base(seed, key), row);
+    row.iter_mut().for_each(|v| *v *= 0.1);
+}
+
+/// The initial values of rows `0..n_keys`, `dim` wide, computed a whole
+/// row at a time. Compiled for the baseline instruction set and, inlined,
+/// into [`initial_rows_avx2`]; each element is the same IEEE arithmetic in
+/// both.
+#[inline(always)]
+fn initial_rows(seed: u64, n_keys: u64, dim: usize) -> Vec<UnsafeCell<f32>> {
+    let mut data = Vec::with_capacity(n_keys as usize * dim);
+    let mut row = vec![0.0; dim];
+    for key in 0..n_keys {
+        initial_row(seed, key, &mut row);
+        data.extend(row.iter().map(|&v| UnsafeCell::new(v)));
+    }
+    data
+}
+
+/// [`initial_rows`] with four 64-bit lanes a vector: without them the
+/// row kernel's 64-bit multiplies are no faster than the scalar loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn initial_rows_avx2(seed: u64, n_keys: u64, dim: usize) -> Vec<UnsafeCell<f32>> {
+    initial_rows(seed, n_keys, dim)
+}
+
+/// [`initial_rows`] for the widest instruction set this CPU has.
+fn initial_rows_dispatch(seed: u64, n_keys: u64, dim: usize) -> Vec<UnsafeCell<f32>> {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `initial_rows_avx2` needs AVX2 and nothing else, and the
+        // check above found it on the running CPU.
+        return unsafe { initial_rows_avx2(seed, n_keys, dim) };
+    }
+    initial_rows(seed, n_keys, dim)
 }
 
 /// How many rows ahead of the one being read or written a batch loop asks
@@ -106,13 +153,7 @@ impl HostStore {
     fn build(n_keys: u64, dim: usize, seed: u64, checked: bool) -> Self {
         assert!(n_keys > 0, "store needs at least one key");
         assert!(dim > 0, "embedding dimension must be positive");
-        let len = n_keys as usize * dim;
-        let mut data = Vec::with_capacity(len);
-        for key in 0..n_keys {
-            for d in 0..dim {
-                data.push(UnsafeCell::new(initial_value(seed, key, d)));
-            }
-        }
+        let data = initial_rows_dispatch(seed, n_keys, dim);
         let versions = checked.then(|| {
             let mut v = Vec::with_capacity(n_keys as usize);
             v.resize_with(n_keys as usize, || AtomicU64::new(0));
@@ -308,6 +349,46 @@ mod tests {
         assert_eq!(a.row_vec(42), b.row_vec(42));
         assert_ne!(a.row_vec(42), c.row_vec(42));
         assert_eq!(a.seed(), 7);
+    }
+
+    #[test]
+    fn initial_value_is_the_splitmix_formula_and_fills_whole_rows() {
+        // The formula every engine, checkpoint and test has initialized
+        // rows with; the counter-hash row kernel must reproduce it.
+        fn splitmix(a: u64, b: u64) -> u64 {
+            let mut z = a
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let dim = 33;
+        for seed in [0u64, 7, 42, u64::MAX] {
+            // The dispatched build and the baseline instantiation.
+            let store = HostStore::new(5, dim, seed);
+            let mut baseline = initial_rows(seed, 5, dim);
+            for key in [0u64, 1, 4, 1 << 40, u64::MAX] {
+                let mut row = vec![0.0; dim];
+                initial_row(seed, key, &mut row);
+                for (d, &v) in row.iter().enumerate() {
+                    let h = splitmix(splitmix(seed, key), d as u64);
+                    let old = ((h as f64 / u64::MAX as f64) as f32 - 0.5) * 0.1;
+                    assert_eq!(v.to_bits(), old.to_bits(), "seed {seed} key {key} d {d}");
+                    assert_eq!(initial_value(seed, key, d).to_bits(), old.to_bits());
+                }
+                if key < 5 {
+                    let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&store.row_vec(key)), bits(&row));
+                    let from = key as usize * dim;
+                    let base: Vec<f32> = baseline[from..from + dim]
+                        .iter_mut()
+                        .map(|c| *c.get_mut())
+                        .collect();
+                    assert_eq!(bits(&base), bits(&row));
+                }
+            }
+        }
     }
 
     #[test]

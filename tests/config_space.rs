@@ -10,14 +10,15 @@
 //! record with the key-stream walk: every count each member made of every
 //! step (unique keys, host reads and fills per stream; reduced rows and
 //! blocking rows per member), so a cache residency decision that changes
-//! no value still has to match.
+//! no value still has to match. The walk's flushed-row count must also
+//! equal the flushers'.
 //!
 //! Run with `-- --nocapture` to see the table; every line of it starts
 //! with `config-space` and is the same on every run.
 
 use frugal::core::{
-    train_serial_with, walk_counts, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan,
-    OptimizerKind, PqKind, PullToTarget,
+    price, train_serial_with, walk_counts, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan,
+    OptimizerKind, PqKind, PullToTarget, Routing,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::embed::CachePolicy;
@@ -79,8 +80,10 @@ const REJECTED: [[(&str, &str); 2]; 2] = [
 /// cached rows (and Adagrad state) through both transitions, the first of
 /// them under P²F; under uniform keys the rows a transition moves away and
 /// back are read in every epoch, so the last is a shape that a skipped
-/// quiesce corrupts.
-const SEEDS: [&[(&str, &str)]; 3] = [
+/// quiesce corrupts. In the fourth, a survivor runs two streams into an
+/// LRU cache with room for more than one step's keys: which rows it keeps
+/// then depends on the recency its synchronous apply's lookups leave.
+const SEEDS: [&[(&str, &str)]; 4] = [
     &[("width", "8"), ("lookahead", ">steps"), ("checked", "on")],
     &[
         ("flush", "p2f"),
@@ -97,6 +100,13 @@ const SEEDS: [&[(&str, &str)]; 3] = [
         ("policy", "static-hot"),
         ("ratio", "1.0"),
         ("distribution", "uniform"),
+    ],
+    &[
+        ("policy", "lru"),
+        ("ratio", "0.05"),
+        ("width", "3"),
+        ("membership", "shrink"),
+        ("distribution", "zipf-1.2"),
     ],
 ];
 
@@ -255,6 +265,13 @@ fn run(row: &Row) -> Result<(), String> {
     }
     if counts != walk_counts(&cfg, &trace) {
         wrong.push("count records differ from the walk's".into());
+    }
+    let modeled = price(&cfg, &trace, &model, Routing::Member);
+    if modeled.flush_rows != r.flush_rows {
+        wrong.push(format!(
+            "walk prices {} flushed rows, the flushers applied {}",
+            modeled.flush_rows, r.flush_rows
+        ));
     }
     let losses = |first: f32, last: f32| (first.to_bits(), last.to_bits());
     if losses(r.first_loss, r.final_loss) != losses(serial.first_loss, serial.final_loss) {
