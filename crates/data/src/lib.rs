@@ -9,6 +9,8 @@
 //!   workloads for DLRM (paper Table 2), with learnable synthetic labels.
 //! * [`KgDatasetSpec`]/[`KgTrace`] — FB15k/Freebase/WikiKG-shaped triples
 //!   with negative sampling for the knowledge-graph models.
+//! * [`par::fill_chunks`] — fills a set-up table (the host store's initial
+//!   rows, the alias sampler's weights) on every core.
 //!
 //! All traces are deterministic functions of `(seed, step, gpu)`, which is
 //! what lets Frugal's controller prefetch future steps' keys (the sample
@@ -19,6 +21,7 @@
 
 mod datasets;
 pub mod hash;
+pub mod par;
 mod trace;
 mod zipf;
 

@@ -234,12 +234,19 @@ impl ZipfAlias {
             return Err(DistError::BadExponent(theta));
         }
         let n_us = n as usize;
-        let weights: Vec<f64> = (0..n_us).map(|r| ((r + 1) as f64).powf(-theta)).collect();
-        let total: f64 = weights.iter().sum();
+        // Each weight is a function of its rank alone, so every core may
+        // compute some; the total stays one sum in rank order.
+        let mut prob = vec![0.0; n_us];
+        crate::par::fill_chunks(&mut prob, 1, |start, chunk| {
+            for (r, w) in (start..).zip(chunk.iter_mut()) {
+                *w = ((r + 1) as f64).powf(-theta);
+            }
+        });
+        let total: f64 = prob.iter().sum();
         // Vose's algorithm with index stacks walked in ascending rank order
         // (the construction is deterministic, not just the distribution).
         let scale = n as f64 / total;
-        let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+        prob.iter_mut().for_each(|w| *w *= scale);
         let mut alias = vec![0u32; n_us];
         let mut small: Vec<u32> = Vec::new();
         let mut large: Vec<u32> = Vec::new();
@@ -593,6 +600,52 @@ mod tests {
         let mut rb = StdRng::seed_from_u64(9);
         for _ in 0..10_000 {
             assert_eq!(a.sample(&mut ra), b.sample(&mut rb));
+        }
+    }
+
+    #[test]
+    fn alias_table_is_the_serial_construction_bit_for_bit() {
+        // The whole construction on one thread: one weight after another,
+        // then the total and the Vose walk.
+        fn serial(n: usize, theta: f64) -> (Vec<f64>, Vec<u32>) {
+            let weights: Vec<f64> = (0..n).map(|r| ((r + 1) as f64).powf(-theta)).collect();
+            let total: f64 = weights.iter().sum();
+            let scale = n as f64 / total;
+            let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+            let mut alias = vec![0u32; n];
+            let (mut small, mut large) = (Vec::new(), Vec::new());
+            for (i, &p) in prob.iter().enumerate() {
+                if p < 1.0 {
+                    small.push(i as u32);
+                } else {
+                    large.push(i as u32);
+                }
+            }
+            while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+                small.pop();
+                alias[s as usize] = l;
+                prob[l as usize] -= 1.0 - prob[s as usize];
+                if prob[l as usize] < 1.0 {
+                    large.pop();
+                    small.push(l);
+                }
+            }
+            for &i in small.iter().chain(large.iter()) {
+                prob[i as usize] = 1.0;
+            }
+            (prob, alias)
+        }
+        for n in [1usize, 2, 3, 4097, 1_000_003] {
+            for theta in [0.0, 0.9, 1.2] {
+                let table = ZipfAlias::new(n as u64, theta).unwrap();
+                let (prob, alias) = serial(n, theta);
+                let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    bits(&table.prob) == bits(&prob),
+                    "prob, n {n} theta {theta}"
+                );
+                assert!(table.alias == alias, "alias, n {n} theta {theta}");
+            }
         }
     }
 

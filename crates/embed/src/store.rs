@@ -16,6 +16,7 @@
 //! trips.
 
 use frugal_data::hash::{counter_row, fmix64};
+use frugal_data::par::fill_chunks;
 use frugal_data::Key;
 use frugal_telemetry::{Counter, Telemetry};
 use std::cell::UnsafeCell;
@@ -51,38 +52,48 @@ fn initial_row(seed: u64, key: Key, row: &mut [f32]) {
     row.iter_mut().for_each(|v| *v *= 0.1);
 }
 
-/// The initial values of rows `0..n_keys`, `dim` wide, computed a whole
-/// row at a time. Compiled for the baseline instruction set and, inlined,
-/// into [`initial_rows_avx2`]; each element is the same IEEE arithmetic in
-/// both.
+/// Writes the initial values of rows `first_key..`, `dim` wide, into
+/// `out`, a whole row at a time. Compiled for the baseline instruction set
+/// and, inlined, into [`initial_rows_avx2`]; each element is the same IEEE
+/// arithmetic in both.
 #[inline(always)]
-fn initial_rows(seed: u64, n_keys: u64, dim: usize) -> Vec<UnsafeCell<f32>> {
-    let mut data = Vec::with_capacity(n_keys as usize * dim);
-    let mut row = vec![0.0; dim];
-    for key in 0..n_keys {
-        initial_row(seed, key, &mut row);
-        data.extend(row.iter().map(|&v| UnsafeCell::new(v)));
+fn initial_rows(seed: u64, first_key: Key, dim: usize, out: &mut [f32]) {
+    for (key, row) in (first_key..).zip(out.chunks_exact_mut(dim)) {
+        initial_row(seed, key, row);
     }
-    data
 }
 
 /// [`initial_rows`] with four 64-bit lanes a vector: without them the
 /// row kernel's 64-bit multiplies are no faster than the scalar loop.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn initial_rows_avx2(seed: u64, n_keys: u64, dim: usize) -> Vec<UnsafeCell<f32>> {
-    initial_rows(seed, n_keys, dim)
+fn initial_rows_avx2(seed: u64, first_key: Key, dim: usize, out: &mut [f32]) {
+    initial_rows(seed, first_key, dim, out)
 }
 
 /// [`initial_rows`] for the widest instruction set this CPU has.
-fn initial_rows_dispatch(seed: u64, n_keys: u64, dim: usize) -> Vec<UnsafeCell<f32>> {
+fn initial_rows_dispatch(seed: u64, first_key: Key, dim: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         // SAFETY: `initial_rows_avx2` needs AVX2 and nothing else, and the
         // check above found it on the running CPU.
-        return unsafe { initial_rows_avx2(seed, n_keys, dim) };
+        return unsafe { initial_rows_avx2(seed, first_key, dim, out) };
     }
-    initial_rows(seed, n_keys, dim)
+    initial_rows(seed, first_key, dim, out)
+}
+
+/// The initial values of rows `0..n_keys`, `dim` wide, built on every core
+/// ([`fill_chunks`]) into zeroed memory the store then owns as is. A row is
+/// a function of its key alone, so no split of the rows changes a bit.
+fn initial_table(seed: u64, n_keys: u64, dim: usize) -> Box<[UnsafeCell<f32>]> {
+    let mut data = vec![0.0f32; n_keys as usize * dim].into_boxed_slice();
+    fill_chunks(&mut data, dim, |start, rows| {
+        initial_rows_dispatch(seed, (start / dim) as Key, dim, rows)
+    });
+    // SAFETY: `UnsafeCell<f32>` is `repr(transparent)` over `f32`, so the
+    // two slices have one layout and the allocation passes whole from the
+    // old box to the new one.
+    unsafe { Box::from_raw(Box::into_raw(data) as *mut [UnsafeCell<f32>]) }
 }
 
 /// How many rows ahead of the one being read or written a batch loop asks
@@ -153,14 +164,14 @@ impl HostStore {
     fn build(n_keys: u64, dim: usize, seed: u64, checked: bool) -> Self {
         assert!(n_keys > 0, "store needs at least one key");
         assert!(dim > 0, "embedding dimension must be positive");
-        let data = initial_rows_dispatch(seed, n_keys, dim);
+        let data = initial_table(seed, n_keys, dim);
         let versions = checked.then(|| {
             let mut v = Vec::with_capacity(n_keys as usize);
             v.resize_with(n_keys as usize, || AtomicU64::new(0));
             v.into_boxed_slice()
         });
         HostStore {
-            data: data.into_boxed_slice(),
+            data,
             dim,
             n_keys,
             versions,
@@ -365,9 +376,6 @@ mod tests {
         }
         let dim = 33;
         for seed in [0u64, 7, 42, u64::MAX] {
-            // The dispatched build and the baseline instantiation.
-            let store = HostStore::new(5, dim, seed);
-            let mut baseline = initial_rows(seed, 5, dim);
             for key in [0u64, 1, 4, 1 << 40, u64::MAX] {
                 let mut row = vec![0.0; dim];
                 initial_row(seed, key, &mut row);
@@ -377,15 +385,90 @@ mod tests {
                     assert_eq!(v.to_bits(), old.to_bits(), "seed {seed} key {key} d {d}");
                     assert_eq!(initial_value(seed, key, d).to_bits(), old.to_bits());
                 }
-                if key < 5 {
-                    let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&store.row_vec(key)), bits(&row));
-                    let from = key as usize * dim;
-                    let base: Vec<f32> = baseline[from..from + dim]
-                        .iter_mut()
-                        .map(|c| *c.get_mut())
-                        .collect();
-                    assert_eq!(bits(&base), bits(&row));
+            }
+        }
+
+        // Whole tables: every build equals `initial_value` element by
+        // element, whichever instruction set fills the rows and however
+        // they are split into chunks: `workers` chunks filled at once, chunk
+        // `w` holding rows `w·n/workers ..`, as `fill_chunks` splits them.
+        type Kernel = fn(u64, Key, usize, &mut [f32]);
+        fn split_build(kernel: Kernel, workers: u64, seed: u64, n: u64, dim: usize) -> Vec<f32> {
+            let mut data = vec![0.0f32; n as usize * dim];
+            let workers = workers.min(n);
+            std::thread::scope(|scope| {
+                let mut rest = &mut data[..];
+                for w in 0..workers {
+                    let (from, to) = (w * n / workers, (w + 1) * n / workers);
+                    let (chunk, tail) = rest.split_at_mut((to - from) as usize * dim);
+                    scope.spawn(move || kernel(seed, from, dim, chunk));
+                    rest = tail;
+                }
+                assert!(rest.is_empty());
+            });
+            data
+        }
+        let seed = 7;
+        for n in [1u64, 2, 4097, 65_537, 1_000_003] {
+            for dim in [1, 3, 32, 33] {
+                let stores = [
+                    HostStore::new(n, dim, seed),
+                    HostStore::new_checked(n, dim, seed),
+                ];
+                if n as usize * dim > 1 << 22 {
+                    // A table this size takes over a second a build in the
+                    // dev profile, so here only the stores are built, and
+                    // only the rows a misplaced chunk edge would shift are
+                    // read: the first, the last, and both sides of every
+                    // edge of a split into 2 to 7 chunks.
+                    let mut keys = vec![0, n - 1];
+                    for workers in 2..=7 {
+                        keys.extend(
+                            (1..workers).flat_map(|w| [w * n / workers - 1, w * n / workers]),
+                        );
+                    }
+                    for store in &stores {
+                        for &key in &keys {
+                            let want: Vec<u32> = (0..dim)
+                                .map(|d| initial_value(seed, key, d).to_bits())
+                                .collect();
+                            let got: Vec<u32> =
+                                store.row_vec(key).iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(got, want, "n {n} dim {dim} key {key}: {store:?}");
+                        }
+                    }
+                    continue;
+                }
+                // No value is NaN, so `==` on two tables is equality of bits
+                // except for the sign of a zero, checked where `want` has one.
+                let (mut want, mut zeros) = (Vec::with_capacity(n as usize * dim), Vec::new());
+                for key in 0..n {
+                    for d in 0..dim {
+                        let v = initial_value(seed, key, d);
+                        if v == 0.0 {
+                            zeros.push(want.len());
+                        }
+                        want.push(v);
+                    }
+                }
+                let same = |got: &[f32]| {
+                    got == want && zeros.iter().all(|&i| got[i].to_bits() == want[i].to_bits())
+                };
+                for (path, kernel) in [
+                    ("baseline", initial_rows as Kernel),
+                    ("dispatched", initial_rows_dispatch),
+                ] {
+                    for workers in [1, 3] {
+                        let got = split_build(kernel, workers, seed, n, dim);
+                        assert!(same(&got), "n {n} dim {dim}: {path} on {workers} workers");
+                    }
+                }
+                for store in &stores {
+                    let mut got = vec![0.0; want.len()];
+                    for (key, row) in (0..n).zip(got.chunks_exact_mut(dim)) {
+                        store.read_row(key, row);
+                    }
+                    assert!(same(&got), "n {n} dim {dim}: {store:?}");
                 }
             }
         }
