@@ -9,7 +9,7 @@
 //!   condition guarantees no key read at step `s` has unflushed updates.
 //! * **Backward** — per-GPU gradients are aggregated per key in canonical
 //!   order at a step barrier; **every trainer then reduces the key shards
-//!   it owns across all per-GPU aggregators in GPU index order**
+//!   it owns across all per-GPU deposits in GPU index order**
 //!   (decentralized all-to-all — no leader-serial merge), applies its
 //!   shard synchronously under write-through, and registers the g-entry
 //!   writes (and, under P²F, the step `s + L` reads) for the
@@ -336,7 +336,7 @@ impl FrugalEngine {
             gstore: GEntryStore::with_policy(strategy.priority_policy),
             pq,
             sharding: Sharding::new(n),
-            step: step::StepState::new(n, model.dim(), cfg.lookahead),
+            step: step::StepState::new(n, cfg.lookahead),
             flush: FlushCoord::new(cfg.flush_threads),
             metrics: RunMetrics::new(&registry),
         };

@@ -8,7 +8,7 @@
 //!
 //! 1. trainers deposit per-GPU aggregates → **A** →
 //! 2. *every* trainer runs one uninterrupted member-local pass: it reduces
-//!    the key shards it owns across all per-GPU aggregator slots in GPU
+//!    the key shards it owns across all per-GPU deposit slots in GPU
 //!    index order ([`reduce_own_shard`]) into its own update slot (a `Vec`
 //!    in its [`super::MemberState`], which no other thread reaches); under
 //!    write-through applies that slot to the host store (the sharded form
@@ -32,8 +32,8 @@
 //! # Why the reduce stays bit-identical to the serial leader merge
 //!
 //! Bit-equality needs every key's gradients summed in the canonical order
-//! (sample order within a stream — already inside each deposited
-//! aggregator — then stream index order across streams). The *across-key*
+//! (sample order within a stream — already inside each deposit — then
+//! stream index order across streams). The *across-key*
 //! order is free: rows are independent. [`reduce_own_shard`] scans
 //! `agg_slots[0..n_streams]` in index order and folds only the keys the
 //! current shard-map epoch assigns member `t`
@@ -48,28 +48,29 @@
 //! # The sample ring
 //!
 //! [`SampleRing`] double-buffers sampling: at the top of step `s`, trainer
-//! `g` draws step `s + L`'s batch for its own GPU and publishes it; the
-//! batch consumed at step `s` was published `L` steps ago. Registration
-//! (the `s + L` read prefetch) reads all GPUs' lists straight from the
-//! ring, so the workload is sampled exactly once per (step, GPU) — the old
-//! leader gathered every trainer's list a second time each step.
+//! `g` draws step `s + L`'s batch for its own GPU and publishes it as a
+//! [`StepPlan`]; the plan consumed at step `s` was published `L` steps
+//! ago. Registration (the `s + L` read prefetch) reads its own shards'
+//! slices of every GPU's plan from the ring, so each (step, GPU) batch is
+//! sampled and deduplicated exactly once.
 
 use super::RunShared;
+use crate::plan::{PlanScratch, StepPlan};
 use crate::ShardMap;
 use frugal_data::Key;
-use frugal_embed::{ArcFold, GradAggregator};
+use frugal_embed::ArcFold;
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::Arc;
 
-/// Per-GPU ring of published sample batches, indexed `[gpu][step % len]`.
+/// Per-GPU ring of published step plans, indexed `[gpu][step % len]`.
 ///
 /// Trainer `g` is the only writer of row `g`: it publishes step
-/// `s + lookahead`'s keys at the top of step `s` (and steps
+/// `s + lookahead`'s plan at the top of step `s` (and steps
 /// `0..lookahead` before the loop). Readers are trainer `g` itself (its
-/// own batch at step `s`) and, under read-registering strategies, every
-/// trainer's registration phase (the `s + lookahead` lists of all GPUs,
-/// after barrier A of step `s`, which orders the publish before those
-/// reads).
+/// own plan at step `s`) and, under read-registering strategies, every
+/// trainer's registration phase (its shards' slices of the
+/// `s + lookahead` plans of all GPUs, after barrier A of step `s`, which
+/// orders the publish before those reads).
 ///
 /// The ring holds `lookahead + 2` slots: values `s..=s+L` must stay live
 /// while step `s` runs, plus one slot of slack so publishing `s + L` at
@@ -77,7 +78,7 @@ use std::sync::Arc;
 /// still pending.
 #[derive(Debug)]
 pub(crate) struct SampleRing {
-    slots: Vec<Vec<RwLock<Vec<Key>>>>,
+    slots: Vec<Vec<RwLock<StepPlan>>>,
     len: u64,
 }
 
@@ -86,21 +87,24 @@ impl SampleRing {
         let len = lookahead + 2;
         SampleRing {
             slots: (0..n_gpus)
-                .map(|_| (0..len).map(|_| RwLock::new(Vec::new())).collect())
+                .map(|_| (0..len).map(|_| RwLock::default()).collect())
                 .collect(),
             len,
         }
     }
 
-    /// Publishes `keys` as GPU `gpu`'s batch of `step`.
-    pub(crate) fn publish(&self, gpu: usize, step: u64, keys: Vec<Key>) {
-        *self.slots[gpu][(step % self.len) as usize].write() = keys;
+    /// Publishes `keys` as GPU `gpu`'s batch of `step`: rebuilds the
+    /// slot's plan in place.
+    pub(crate) fn publish(&self, gpu: usize, step: u64, keys: Vec<Key>, scratch: &mut PlanScratch) {
+        self.slots[gpu][(step % self.len) as usize]
+            .write()
+            .rebuild(keys, scratch);
     }
 
-    /// Reads GPU `gpu`'s batch of `step`. The caller must only ask for
+    /// Reads GPU `gpu`'s plan of `step`. The caller must only ask for
     /// steps inside the live window (see type docs); the barriers provide
     /// the publish → read ordering.
-    pub(crate) fn read(&self, gpu: usize, step: u64) -> RwLockReadGuard<'_, Vec<Key>> {
+    pub(crate) fn read(&self, gpu: usize, step: u64) -> RwLockReadGuard<'_, StepPlan> {
         self.slots[gpu][(step % self.len) as usize].read()
     }
 }
@@ -108,30 +112,29 @@ impl SampleRing {
 /// The step protocol's shared state: the deposit slots and the sample ring.
 #[derive(Debug)]
 pub(crate) struct StepState {
-    /// Per-GPU aggregators: trainers swap their full scratch aggregator in
-    /// before barrier A; after A every trainer read-scans all of them in
-    /// GPU index order. Kept warm (arena reuse) across steps.
-    pub(crate) agg_slots: Vec<RwLock<GradAggregator>>,
+    /// Per-GPU deposits: stream `g`'s gradients of the step summed per key,
+    /// row `i` belonging to the `i`-th unique key of its plan. Trainers
+    /// swap their scratch arena in before barrier A; after A every trainer
+    /// read-scans all of them in GPU index order. Kept warm across steps.
+    pub(crate) agg_slots: Vec<RwLock<Vec<f32>>>,
     /// The double-buffered sample pipeline (see [`SampleRing`]).
     pub(crate) ring: SampleRing,
 }
 
 impl StepState {
-    pub(crate) fn new(n_gpus: usize, dim: usize, lookahead: u64) -> Self {
+    pub(crate) fn new(n_gpus: usize, lookahead: u64) -> Self {
         StepState {
-            agg_slots: (0..n_gpus)
-                .map(|_| RwLock::new(GradAggregator::new(dim)))
-                .collect(),
+            agg_slots: (0..n_gpus).map(|_| RwLock::default()).collect(),
             ring: SampleRing::new(n_gpus, lookahead),
         }
     }
 }
 
-/// The decentralized reduce, run by *every* member right after barrier A:
-/// fold the keys the epoch assigns member `t` across all per-stream
-/// aggregator slots, in stream index order, straight into its update slot
-/// `out` — one key → position probe per deposit entry, each row summed in
-/// the `Arc` it leaves the reduce in ([`ArcFold`]). The fold writes over
+/// The decentralized reduce of step `s`, run by *every* member right after
+/// barrier A: fold the keys the epoch assigns member `t` across all
+/// per-stream deposits, in stream index order, straight into its update
+/// slot `out` — one key → position probe per deposit row, each row summed
+/// in the `Arc` it leaves the reduce in ([`ArcFold`]). The fold writes over
 /// the previous step's rows, in place wherever the flushers have let go of
 /// them (always, under write-through). Returns the number of rows the
 /// member reduced.
@@ -139,17 +142,20 @@ impl StepState {
 /// See the module docs for the bit-equality argument. Visibility: the
 /// deposits into `agg_slots` happen before barrier A; the slots are next
 /// written after barrier C, which cannot complete until every reducer is
-/// done — the read locks here never observe a mid-swap aggregator.
+/// done — the read locks here never observe a mid-swap deposit. The plans
+/// naming the deposits' keys are republished only at step `s + 2`.
 pub(crate) fn reduce_own_shard(
     shared: &RunShared<'_>,
     smap: &ShardMap,
     t: usize,
+    s: u64,
     fold: &mut ArcFold,
     out: &mut Vec<(Key, Arc<[f32]>)>,
 ) -> usize {
-    for slot in &shared.step.agg_slots {
-        let agg = slot.read();
-        for (key, grad) in agg.entries() {
+    let dim = shared.model.dim();
+    for (g, slot) in shared.step.agg_slots.iter().enumerate() {
+        let (plan, grads) = (shared.step.ring.read(g, s), slot.read());
+        for (&key, grad) in plan.unique().iter().zip(grads.chunks_exact(dim)) {
             if smap.owns_key(t, key) {
                 fold.add(out, key, grad);
             }

@@ -9,21 +9,24 @@
 //! and applied exactly once — the run stays bit-identical to the serial
 //! oracle while membership changes only move work between threads.
 //!
-//! A step is: sample ahead, wait for the flush condition, run each stream's
-//! forward/backward (one dedup pass per batch — its dense instance → unique
-//! index serves the row scatter and the gradient aggregation alike),
-//! deposit → barrier A → reduce the owned shards, apply them (write-through)
-//! and register them, with no barrier in between → barrier C. See
+//! A step is: sample ahead (each batch published as a
+//! [`StepPlan`](crate::plan::StepPlan), its one dedup pass), wait for the
+//! flush condition, run each stream's forward/backward (the plan's unique
+//! keys feed the cache query, and its dense instance → unique index serves
+//! the row scatter and the gradient aggregation alike), deposit → barrier
+//! A → reduce the owned shards, apply them (write-through) and register
+//! them, with no barrier in between → barrier C. See
 //! [`super::step`] for the protocol and what the two leaders do.
 
 use super::step;
 use super::{MemberState, RunShared, Segment};
 use crate::config::FlushMode;
 use crate::gentry::{GEntryStore, PqOpScratch};
+use crate::plan::{self, PlanScratch};
 use crate::wait;
 use crate::ShardMap;
-use frugal_data::{Key, KeyHashMap, KeyHashSet};
-use frugal_embed::{ArcFold, GpuCache, GradAggregator};
+use frugal_data::Key;
+use frugal_embed::{ArcFold, GpuCache};
 use frugal_telemetry::{LedgerPhase, StallRecord, ThreadRecorder};
 use std::sync::Arc;
 
@@ -50,22 +53,19 @@ pub(crate) fn member_cache(shared: &RunShared<'_>) -> GpuCache {
     cache
 }
 
-/// A trainer's reusable hot-loop buffers: batch dedup, row staging, the
-/// gradient aggregator, the reduce's key index, the registration order and
-/// the read buckets. Everything here is cleared (capacity kept) instead of
-/// re-allocated, so after warm-up the per-step loop allocates only what it
-/// hands to someone else: the workload's sampled key lists, the model's
-/// `BatchGrads`, and an `Arc` gradient row only where last step's row in
-/// the same position of the update slot is still held by an unflushed
-/// g-entry (never, under write-through — see [`ArcFold`]). Rebuilt at each
-/// segment boundary — bucket shapes depend on the epoch's shard assignment.
+/// A trainer's reusable hot-loop buffers: the plan builder's dedup table,
+/// row staging, the gradient sums, the reduce's key index and the
+/// registration order. Everything here is cleared (capacity kept) instead
+/// of re-allocated, and the ring's plans are rebuilt in place, so after
+/// warm-up the per-step loop allocates only what it hands to someone else:
+/// the workload's sampled key lists, the model's `BatchGrads`, and an `Arc`
+/// gradient row only where last step's row in the same position of the
+/// update slot is still held by an unflushed g-entry (never, under
+/// write-through — see [`ArcFold`]).
+#[derive(Default)]
 pub(crate) struct StepScratch {
-    /// Batch dedup: key → slot in `unique`. The only hashing of the batch:
-    /// its result is kept in `unique_of`.
-    index_of: KeyHashMap<usize>,
-    unique: Vec<Key>,
-    /// Instance `i` of the batch is `unique[unique_of[i]]`.
-    unique_of: Vec<usize>,
+    /// The dedup table of the plans this member publishes.
+    dedup: PlanScratch,
     /// Unique rows, `unique.len() × dim`; every row is overwritten by the
     /// cache copy or the host read, so shrinking and regrowing never
     /// zero-fills more than the growth.
@@ -74,58 +74,30 @@ pub(crate) struct StepScratch {
     rows: Vec<f32>,
     /// Cache misses: `(unique index, key)`.
     missing: Vec<(usize, Key)>,
-    /// Per-GPU gradient aggregator (swapped with the deposit slot).
-    agg: GradAggregator,
+    /// The stream's gradients summed per unique key, `unique.len() × dim`
+    /// (swapped with the deposit slot).
+    agg: Vec<f32>,
     /// The reduce's key → update-slot position index (see
     /// [`step::reduce_own_shard`]).
     fold: ArcFold,
     /// Write registration order: the update slot's positions grouped by
     /// g-entry shard, arrival order within a shard.
     write_order: Vec<u32>,
-    /// Own-shard read batches, one bucket per owned g-entry shard.
-    read_bufs: Vec<Vec<Key>>,
-    /// Per-step dedup of own-shard lookahead reads.
-    read_seen: KeyHashSet,
     /// Staged PQ operations for the g-entry batch calls.
     pq_ops: PqOpScratch,
-    /// Owned keys of the lookahead step across this member's streams, fed
-    /// to the cache policy. Since the cache partition *is* the ownership
-    /// partition (one [`ShardMap`]), this is the lookahead ring's content
-    /// re-grouped per step rather than per shard.
-    cache_ahead: Vec<Key>,
 }
 
-impl StepScratch {
-    pub(crate) fn new(dim: usize, smap: &ShardMap, t: usize) -> Self {
-        let owned = smap.owned_shards(t);
-        StepScratch {
-            index_of: KeyHashMap::default(),
-            unique: Vec::new(),
-            unique_of: Vec::new(),
-            urows: Vec::new(),
-            rows: Vec::new(),
-            missing: Vec::new(),
-            agg: GradAggregator::new(dim),
-            fold: ArcFold::default(),
-            write_order: Vec::new(),
-            read_bufs: (0..owned).map(|_| Vec::new()).collect(),
-            read_seen: KeyHashSet::default(),
-            pq_ops: PqOpScratch::default(),
-            cache_ahead: Vec::new(),
-        }
-    }
-}
-
-/// Registers member `t`'s owned-shard reads of step `read_step`, drawing
-/// every stream's key list of that step from the sample ring (published at
-/// the top of step `read_step - L`, ordered before these reads by barrier
-/// A): filters to owned shards, dedups into the shard buckets, and
-/// registers each bucket with one batch call.
+/// Registers member `t`'s owned-shard reads of step `read_step`: its own
+/// shards' slices of every stream's plan of that step, drawn from the
+/// sample ring (published at the top of step `read_step - L`, ordered
+/// before these reads by barrier A), one batch call per slice. The work is
+/// the member's share of the keys, not every stream's whole batch.
 ///
-/// Re-registering a read another epoch's owner already registered is
-/// idempotent: the g-entry R set is a per-step bitset, so a segment
-/// bootstrap can uniformly (re-)register its whole lookahead window
-/// without perturbing priorities.
+/// A key two streams share is registered twice, and the second
+/// registration is a no-op: the g-entry R set is a per-step bitset. So is
+/// re-registering a read another epoch's owner already registered, so a
+/// segment bootstrap can uniformly (re-)register its whole lookahead
+/// window without perturbing priorities.
 pub(crate) fn register_own_reads(
     shared: &RunShared<'_>,
     smap: &ShardMap,
@@ -133,54 +105,14 @@ pub(crate) fn register_own_reads(
     read_step: u64,
     scratch: &mut StepScratch,
 ) {
-    for buf in &mut scratch.read_bufs {
-        buf.clear();
-    }
-    scratch.read_seen.clear();
     for g in 0..smap.n_streams() {
-        let list = shared.step.ring.read(g, read_step);
-        for &key in list.iter() {
-            let sid = GEntryStore::shard_of(key);
-            if smap.owner_of_shard(sid) == t && scratch.read_seen.insert(key) {
-                scratch.read_bufs[smap.bucket_of(sid)].push(key);
-            }
-        }
-    }
-    for buf in &scratch.read_bufs {
-        if !buf.is_empty() {
+        let plan = shared.step.ring.read(g, read_step);
+        for keys in plan.owned(smap, t) {
             shared
                 .gstore
-                .add_reads_batch(read_step, buf, shared.pq.as_ref(), &mut scratch.pq_ops);
+                .add_reads_batch(read_step, keys, shared.pq.as_ref(), &mut scratch.pq_ops);
         }
     }
-}
-
-/// Feeds the cache policy the owned keys of `read_step`'s batches across
-/// member `t`'s streams — the cache-side view of the lookahead window
-/// (skipped when the policy ignores it). The forward pass queries the
-/// local cache for exactly these keys (each stream's batch filtered to
-/// owned), so this is the access stream the oracle must predict; the feed
-/// makes one `prepare_step` call per step so next-use bookkeeping sees
-/// each step once.
-pub(crate) fn feed_cache_lookahead(
-    shared: &RunShared<'_>,
-    smap: &ShardMap,
-    t: usize,
-    streams: &[usize],
-    read_step: u64,
-    scratch: &mut StepScratch,
-    cache: &mut GpuCache,
-) {
-    scratch.cache_ahead.clear();
-    for &g in streams {
-        let list = shared.step.ring.read(g, read_step);
-        for &key in list.iter() {
-            if smap.owns_key(t, key) {
-                scratch.cache_ahead.push(key);
-            }
-        }
-    }
-    cache.prepare_step(read_step, &scratch.cache_ahead);
 }
 
 /// The tail of every member's pass between barriers A and C, straight
@@ -258,7 +190,8 @@ pub(crate) fn register_phase(
         if read_step < cfg.steps {
             register_own_reads(shared, smap, t, read_step, scratch);
             if cache.uses_lookahead() {
-                feed_cache_lookahead(shared, smap, t, streams, read_step, scratch, cache);
+                let plans = streams.iter().map(|&g| shared.step.ring.read(g, read_step));
+                plan::feed_lookahead(cache, smap, t, read_step, plans);
             }
         }
     }
@@ -296,7 +229,7 @@ pub(crate) fn trainer_loop(
     // The member's persistent cache, created on first membership.
     let cache = cache.get_or_insert_with(|| member_cache(shared));
     counts.reserve((seg.end - seg.start) as usize, streams.len());
-    let mut scratch = StepScratch::new(dim, smap, t);
+    let mut scratch = StepScratch::default();
     let registers_reads = shared.strategy.registers_reads;
     let proactive = cfg.flush_mode.proactive();
 
@@ -310,7 +243,8 @@ pub(crate) fn trainer_loop(
     let boot_end = (seg.start + cfg.lookahead).min(cfg.steps);
     for s0 in seg.start..boot_end {
         for &g in &streams {
-            shared.step.ring.publish(g, s0, shared.workload.keys(s0, g));
+            let keys = shared.workload.keys(s0, g);
+            shared.step.ring.publish(g, s0, keys, &mut scratch.dedup);
         }
     }
     barrier.wait();
@@ -326,7 +260,8 @@ pub(crate) fn trainer_loop(
         for s0 in seg.start..boot_end {
             register_own_reads(shared, smap, t, s0, &mut scratch);
             if feed_cache {
-                feed_cache_lookahead(shared, smap, t, &streams, s0, &mut scratch, cache);
+                let plans = streams.iter().map(|&g| shared.step.ring.read(g, s0));
+                plan::feed_lookahead(cache, smap, t, s0, plans);
             }
         }
     }
@@ -335,19 +270,17 @@ pub(crate) fn trainer_loop(
         // Advance the cache policy's clock before anything observes step
         // `s` (the oracle's next-use distances are relative to it).
         cache.begin_step(s);
-        // Double-buffered sampling: draw step `s + L`'s batches for this
-        // member's streams *now*, before the wait condition, so sample
-        // generation overlaps the stall window instead of sitting on the
-        // critical path; the batches consumed below were published L
+        // Double-buffered sampling: draw and plan step `s + L`'s batches
+        // for this member's streams *now*, before the wait condition, so
+        // sample generation overlaps the stall window instead of sitting
+        // on the critical path; the plans consumed below were published L
         // steps ago.
         let sample_span = rec.span(s, LedgerPhase::Sample);
         let ahead = s + cfg.lookahead;
         if ahead < cfg.steps {
             for &g in &streams {
-                shared
-                    .step
-                    .ring
-                    .publish(g, ahead, shared.workload.keys(ahead, g));
+                let keys = shared.workload.keys(ahead, g);
+                shared.step.ring.publish(g, ahead, keys, &mut scratch.dedup);
             }
         }
         drop(sample_span);
@@ -403,33 +336,22 @@ pub(crate) fn trainer_loop(
         // the same per-(stream, step) calls a full cohort makes, just
         // grouped onto fewer threads.
         for &g in &streams {
-            // Batch hand-off: this stream's keys were published `L` steps
+            // Batch hand-off: this stream's plan was published `L` steps
             // ago (or in the bootstrap). The read guard pins the slot
             // through the forward pass — safe, because only this member
             // republishes the slot, at step `s + 2`, long after the guard
             // drops.
-            let keys = shared.step.ring.read(g, s);
+            let plan = shared.step.ring.read(g, s);
 
-            // Forward pass 1 — cache query: dedup the batch and resolve
-            // unique keys against the local cache, collecting the ones it
-            // missed. All staging buffers are per-member scratch —
-            // cleared, never re-allocated.
+            // Forward pass 1 — cache query: resolve the plan's unique keys
+            // against the local cache, collecting the ones it missed. All
+            // staging buffers are per-member scratch — cleared, never
+            // re-allocated.
             let cq_span = rec.span(s, LedgerPhase::CacheQuery);
-            scratch.index_of.clear();
-            scratch.unique.clear();
-            scratch.unique_of.clear();
             scratch.missing.clear();
-            for &key in keys.iter() {
-                let next = scratch.unique.len();
-                let u = *scratch.index_of.entry(key).or_insert(next);
-                if u == next {
-                    scratch.unique.push(key);
-                }
-                scratch.unique_of.push(u);
-            }
-            let unique_n = scratch.unique.len();
+            let unique_n = plan.unique().len();
             scratch.urows.resize(unique_n * dim, 0.0);
-            for (i, &key) in scratch.unique.iter().enumerate() {
+            for (i, &key) in plan.unique().iter().enumerate() {
                 let slot = &mut scratch.urows[i * dim..(i + 1) * dim];
                 if smap.owns_key(t, key) {
                     if let Some(row) = cache.get(&key) {
@@ -479,8 +401,9 @@ pub(crate) fn trainer_loop(
 
             // Scatter unique rows to per-instance rows for the model.
             let scatter_span = rec.span(s, LedgerPhase::Scatter);
-            scratch.rows.resize(keys.len() * dim, 0.0);
-            for (row, &u) in scratch.rows.chunks_exact_mut(dim).zip(&scratch.unique_of) {
+            scratch.rows.resize(plan.keys().len() * dim, 0.0);
+            for (row, &u) in scratch.rows.chunks_exact_mut(dim).zip(plan.index()) {
+                let u = u as usize;
                 frugal_embed::kernels::copy(row, &scratch.urows[u * dim..(u + 1) * dim]);
             }
             drop(scatter_span);
@@ -488,20 +411,17 @@ pub(crate) fn trainer_loop(
             let compute_span = rec.span(s, LedgerPhase::Compute);
             let grads = shared
                 .model
-                .forward_backward(g, s, keys.as_slice(), &scratch.rows);
+                .forward_backward(g, s, plan.keys(), &scratch.rows);
 
             // Aggregate this stream's gradients per key in arrival order,
-            // addressed by the dedup pass's index — no second hashing (the
-            // aggregator arena is reused: swapped into the stream's deposit
-            // slot below, read by the reducers, swapped back for the next
-            // stream/step).
-            scratch.agg.seed_slots(&scratch.unique);
-            for (&u, grad) in scratch
-                .unique_of
-                .iter()
-                .zip(grads.emb_grads.chunks_exact(dim))
-            {
-                scratch.agg.add_to_slot(u, grad);
+            // addressed by the plan's index — no hashing (the arena is
+            // reused: swapped into the stream's deposit slot below, read by
+            // the reducers, swapped back for the next stream/step).
+            scratch.agg.clear();
+            scratch.agg.resize(unique_n * dim, 0.0);
+            for (&u, grad) in plan.index().iter().zip(grads.emb_grads.chunks_exact(dim)) {
+                let u = u as usize;
+                frugal_embed::kernels::add(&mut scratch.agg[u * dim..(u + 1) * dim], grad);
             }
             drop(compute_span);
 
@@ -509,12 +429,12 @@ pub(crate) fn trainer_loop(
             // stream's work into the member's own record.
             let _deposit = rec.span(s, LedgerPhase::Deposit);
             counts.stream(g, unique_n, scratch.missing.len(), fills, grads.loss);
-            // The batch guard is released before the barrier: the slot is
+            // The plan guard is released before the barrier: the slot is
             // republished (by this member) only at step s + 2.
-            drop(keys);
-            // The swapped-out arena still holds step s - 1's aggregates
-            // (the reduce only *reads* the deposit slots); its readers all
-            // finished before barrier C of step s - 1, so the next seeding
+            drop(plan);
+            // The swapped-out arena still holds step s - 1's sums (the
+            // reduce only *reads* the deposit slots); its readers all
+            // finished before barrier C of step s - 1, so the next clear
             // may overwrite it.
             let mut slot = shared.step.agg_slots[g].write();
             std::mem::swap(&mut *slot, &mut scratch.agg);
@@ -533,7 +453,7 @@ pub(crate) fn trainer_loop(
         // this member's owned keys across all deposit slots (stream index
         // order — canonical) into this member's update slot.
         let reduce_span = rec.span(s, LedgerPhase::Reduce);
-        let rows = step::reduce_own_shard(shared, smap, t, &mut scratch.fold, updates);
+        let rows = step::reduce_own_shard(shared, smap, t, s, &mut scratch.fold, updates);
         match cfg.flush_mode {
             // The write-through flush the paper describes, sharded by key
             // ownership: each member pushes its owned rows to host memory

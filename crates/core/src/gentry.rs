@@ -494,14 +494,15 @@ impl GEntryStore {
     /// order, each shard's items one contiguous run in their order in
     /// `items`. One counting pass and one placement pass, no comparison
     /// sort — what the batch forms need to take each shard's lock once.
+    /// Returns where each shard's run ends in `out`.
     pub fn group_by_shard<T: Copy>(
         items: impl Iterator<Item = T> + Clone,
         key_of: impl Fn(&T) -> Key,
         out: &mut Vec<T>,
-    ) {
+    ) -> [usize; SHARDS] {
         out.clear();
         let Some(first) = items.clone().next() else {
-            return;
+            return [0; SHARDS];
         };
         // Per shard: its item count, then the next free position of its run.
         let mut next = [0usize; SHARDS];
@@ -518,6 +519,7 @@ impl GEntryStore {
             out[*slot] = item;
             *slot += 1;
         }
+        next
     }
 
     /// Number of keys with unflushed updates. The engine waits for this to
@@ -632,9 +634,12 @@ impl GEntryStore {
     /// sample-queue prefetch), with the same shard-run locking as
     /// [`GEntryStore::add_writes_batch`]; an entry with pending writes whose
     /// priority the read tightens is repositioned in one `adjust_batch` per
-    /// shard. Callers pre-dedup and pre-group `keys` by shard, and register
-    /// each key's reads in step order within [`READ_WINDOW`] steps of its
-    /// earliest live read (panics otherwise).
+    /// shard. Callers pre-group `keys` by shard, and register each key's
+    /// reads in step order within [`READ_WINDOW`] steps of its earliest
+    /// live read (panics otherwise). A repeat of a key's read of `step`,
+    /// in the same batch or a later one, is a no-op: the R set holds one
+    /// bit per step, so it moves no priority and issues no queue
+    /// operation.
     pub fn add_reads_batch(
         &self,
         step: u64,
@@ -1063,6 +1068,52 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "queue contents diverged");
+    }
+
+    #[test]
+    fn a_repeated_read_of_a_step_is_a_no_op() {
+        // The engine registers a key two streams share once per stream:
+        // the repeat, in the same batch or a later one of the same step,
+        // must leave the entry and the queue as one registration does.
+        let r_set = |store: &GEntryStore, k: Key| {
+            let shard = store.shard(k).lock();
+            let slot = shard.find(k).expect("registered key");
+            (shard.r_base[slot], shard.r_bits[slot])
+        };
+        for pending in [false, true] {
+            let k: Key = 9;
+            let (once, once_pq) = (GEntryStore::new(), TwoLevelPq::new(100));
+            let (twice, twice_pq) = (GEntryStore::new(), TwoLevelPq::new(100));
+            for (store, pq) in [(&once, &once_pq), (&twice, &twice_pq)] {
+                read(store, pq, k, 0);
+                if pending {
+                    // Consumes the read of 0: W = {0}, R = {}, priority ∞.
+                    write(store, pq, k, 0, 1.0);
+                }
+            }
+            let (mut a, mut b) = (PqOpScratch::default(), PqOpScratch::default());
+            once.add_reads_batch(3, &[k], &once_pq, &mut a);
+            twice.add_reads_batch(3, &[k, k], &twice_pq, &mut b);
+            assert_eq!(a.moves, b.moves, "pending {pending}: the repeat moved");
+            assert_eq!(a.moves.len(), usize::from(pending));
+            twice.add_reads_batch(3, &[k], &twice_pq, &mut b);
+            assert!(
+                b.moves.is_empty(),
+                "pending {pending}: a later repeat moved"
+            );
+
+            assert_eq!(r_set(&once, k), r_set(&twice, k), "pending {pending}");
+            assert_eq!(once.priority_of(k), twice.priority_of(k));
+            assert_eq!(once_pq.len(), twice_pq.len());
+            assert_eq!(once_pq.peek_top(), twice_pq.peek_top());
+            assert_eq!(once.pending_keys(), twice.pending_keys());
+            let expected = if pending {
+                (Some(3), 1)
+            } else {
+                (Some(INFINITE), 0)
+            };
+            assert_eq!((twice.priority_of(k), twice_pq.len()), expected);
+        }
     }
 
     #[test]

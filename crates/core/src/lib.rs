@@ -41,6 +41,7 @@ mod config;
 mod engine;
 mod gentry;
 mod model;
+mod plan;
 pub mod presets;
 mod price;
 mod report;

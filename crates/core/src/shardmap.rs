@@ -63,12 +63,6 @@ pub struct ShardMap {
     members: Vec<usize>,
     /// Owning member id per shard.
     owners: Vec<u8>,
-    /// Dense per-owner bucket index per shard (rank of the shard among its
-    /// owner's shards, ascending shard id) — what sizes the registration
-    /// read/write buckets.
-    buckets: Vec<u16>,
-    /// Shards owned per member id (0 for non-members).
-    owned: Vec<usize>,
 }
 
 impl ShardMap {
@@ -135,21 +129,12 @@ impl ShardMap {
             *owner = members[i] as u8;
             load[i] += 1;
         }
-        let mut buckets = vec![0u16; n_shards];
-        let mut owned = vec![0usize; n_streams];
-        for sid in 0..n_shards {
-            let t = owners[sid] as usize;
-            buckets[sid] = owned[t] as u16;
-            owned[t] += 1;
-        }
         ShardMap {
             epoch,
             n_streams,
             n_shards,
             members,
             owners,
-            buckets,
-            owned,
         }
     }
 
@@ -200,15 +185,9 @@ impl ShardMap {
         self.owners[(key as usize) % self.n_shards] as usize == t
     }
 
-    /// The dense per-owner bucket index of shard `sid` (see the field
-    /// docs).
-    pub fn bucket_of(&self, sid: usize) -> usize {
-        self.buckets[sid] as usize
-    }
-
     /// Shards owned by member `t` this epoch (0 for non-members).
     pub fn owned_shards(&self, t: usize) -> usize {
-        self.owned[t]
+        self.owners.iter().filter(|&&o| o as usize == t).count()
     }
 
     /// The logical streams member `t` processes this epoch: streams are
@@ -278,20 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_dense_per_owner() {
-        let map = map_for(&[1, 3, 6]);
-        let mut next = [0usize; 8];
-        for sid in 0..SHARDS {
-            let t = map.owner_of_shard(sid);
-            assert_eq!(map.bucket_of(sid), next[t], "shard {sid}");
-            next[t] += 1;
-        }
-        for (t, &n) in next.iter().enumerate() {
-            assert_eq!(n, map.owned_shards(t));
-        }
-    }
-
-    #[test]
     fn with_members_bumps_epoch_and_is_a_pure_function_of_the_set() {
         let e0 = ShardMap::initial(8, SHARDS);
         let e1 = e0.with_members(&[0, 1, 2, 3, 4, 5]);
@@ -303,7 +268,6 @@ mod tests {
         // every shard to its original owner.
         for sid in 0..SHARDS {
             assert_eq!(e0.owner_of_shard(sid), e2.owner_of_shard(sid));
-            assert_eq!(e0.bucket_of(sid), e2.bucket_of(sid));
         }
     }
 

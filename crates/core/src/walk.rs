@@ -17,6 +17,7 @@ use crate::config::{FlushMode, FrugalConfig, PqKind};
 use crate::engine::resolve_segments;
 use crate::gentry::GEntryStore;
 use crate::model::EmbeddingModel;
+use crate::plan::{feed_lookahead, PlanScratch, StepPlan};
 use crate::price::{dense_prices, price_run, CountRecord, RunCounts};
 use crate::report::ModeledRun;
 use crate::workload::Workload;
@@ -40,28 +41,17 @@ pub enum Routing {
     Host(HostPath),
 }
 
-/// One step as the walk leaves it: per stream its unique keys (first
-/// occurrence order), per owner its rows, per stream (member routing) or
-/// per owner its misses and accepted fills, per member its `read_next`.
+/// One step as the walk leaves it: per stream its plan, per owner its
+/// rows, per stream (member routing) or per owner its misses and accepted
+/// fills, per member its `read_next`.
 struct Step<'a> {
     smap: &'a ShardMap,
     members: &'a [usize],
-    unique: &'a [Vec<Key>],
+    plans: &'a [StepPlan],
     rows: &'a [Vec<Key>],
     misses: &'a [usize],
     fills: &'a [usize],
     read_next: &'a [u64],
-}
-
-/// Feeds the oracle policy the keys of `batches` that member `t` owns, over
-/// its streams in order: the engine's lookahead feed of `step`.
-fn feed(cache: &mut GpuCache, smap: &ShardMap, t: usize, step: u64, batches: &[Vec<Key>]) {
-    let ahead: Vec<Key> = smap
-        .streams_of(t)
-        .flat_map(|g| batches[g].iter().copied())
-        .filter(|&k| smap.owns_key(t, k))
-        .collect();
-    cache.prepare_step(step, &ahead);
 }
 
 /// Fills `k` into `cache`, counting the fill if the cache accepts it.
@@ -89,7 +79,19 @@ fn walk(
     // Only P²F registers the lookahead reads that feed the oracle policy
     // and make a written row block the next step.
     let p2f = member && cfg.flush_mode == FlushMode::P2f;
-    let sample = |s: u64| -> Vec<Vec<Key>> { (0..n).map(|g| workload.keys(s, g)).collect() };
+    // The plans of steps `s..=s + L`, each (step, stream) planned once.
+    let len = lookahead + 1;
+    let at = |s: u64| (s % len) as usize;
+    let mut window = vec![vec![StepPlan::default(); n]; len as usize];
+    let mut scratch = PlanScratch::default();
+    let mut plan_step = |window: &mut Vec<Vec<StepPlan>>, s: u64| {
+        for (g, plan) in window[at(s)].iter_mut().enumerate() {
+            plan.rebuild(workload.keys(s, g), &mut scratch);
+        }
+    };
+    for s in 0..lookahead.min(steps) {
+        plan_step(&mut window, s);
+    }
     let (sharding, n_keys) = (Sharding::new(n), workload.n_keys());
     let new_cache = || {
         let capacity = sharding.cache_capacity(n_keys, cfg.cache_ratio);
@@ -98,10 +100,10 @@ fn walk(
         cache
     };
     let mut caches: Vec<Option<GpuCache>> = (0..n).map(|_| None).collect();
-    let (mut unique, mut rows) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+    let mut rows = vec![Vec::new(); n];
     let (mut misses, mut fills, mut read_next) = (vec![0; n], vec![0; n], vec![0; n]);
-    let (mut seen, mut owned_misses) = (KeyHashSet::default(), Vec::new());
-    let mut carried: Option<(u64, Vec<Vec<Key>>)> = None;
+    let (mut seen, mut next, mut owned_misses) =
+        (KeyHashSet::default(), KeyHashSet::default(), Vec::new());
     let mut totals = (0, 0, 0);
     let mut rec = cfg.telemetry.recorder("walk", LaneKind::Trainer);
     let mut smap = ShardMap::initial(n, GEntryStore::n_shards());
@@ -122,24 +124,20 @@ fn walk(
             let cache = caches[t].get_or_insert_with(new_cache);
             if p2f && cache.uses_lookahead() {
                 for s0 in seg.start..(seg.start + lookahead).min(steps) {
-                    feed(cache, &smap, t, s0, &sample(s0));
+                    let plans = smap.streams_of(t).map(|g| &window[at(s0)][g]);
+                    feed_lookahead(cache, &smap, t, s0, plans);
                 }
             }
         }
         for s in seg.start..seg.end {
             let sample_span = rec.span(s, LedgerPhase::Sample);
-            let batches = match carried.take() {
-                Some((c, batches)) if c == s => batches,
-                _ => sample(s),
-            };
-            for (u, keys) in unique.iter_mut().zip(&batches) {
-                seen.clear();
-                u.clear();
-                u.extend(keys.iter().filter(|&&k| seen.insert(k)));
+            if s + lookahead < steps {
+                plan_step(&mut window, s + lookahead);
             }
+            let plans = &window[at(s)];
             seen.clear();
             rows.iter_mut().for_each(Vec::clear);
-            for &k in unique.iter().flatten().filter(|_| cached) {
+            for &k in plans.iter().flat_map(StepPlan::unique).filter(|_| cached) {
                 if seen.insert(k) {
                     rows[smap.owner_of(k)].push(k);
                 }
@@ -159,7 +157,7 @@ fn walk(
                     // looked up, then its owned misses filled.
                     for g in smap.streams_of(t) {
                         owned_misses.clear();
-                        for &k in &unique[g] {
+                        for &k in plans[g].unique() {
                             let owned = smap.owns_key(t, k);
                             if !(owned && cache.get(&k).is_some()) {
                                 misses[g] += 1;
@@ -190,29 +188,29 @@ fn walk(
             // `s`, so a row's next-step read is known when it is written
             // only if `L ≥ 2` (the engine's `L = 1` boundary).
             if p2f && lookahead >= 2 && s + 1 < steps {
-                let next_batches = sample(s + 1);
-                let next: KeyHashSet = next_batches.iter().flatten().copied().collect();
+                next.clear();
+                next.extend(window[at(s + 1)].iter().flat_map(StepPlan::unique));
                 for &t in &seg.members {
                     read_next[t] = rows[t].iter().filter(|&k| next.contains(k)).count() as u64;
                 }
-                carried = Some((s + 1, next_batches));
             }
             if p2f && s + lookahead < steps {
-                let mut ahead = None;
+                let ahead = &window[at(s + lookahead)];
                 for &t in &seg.members {
                     let cache = caches[t].as_mut().expect("a member has a cache");
                     if cache.uses_lookahead() {
-                        let batches = ahead.get_or_insert_with(|| sample(s + lookahead));
-                        feed(cache, &smap, t, s + lookahead, batches);
+                        let plans = smap.streams_of(t).map(|g| &ahead[g]);
+                        feed_lookahead(cache, &smap, t, s + lookahead, plans);
                     }
                 }
             }
             // A member looks every unique key up (what it does not own
             // misses); an owner only the keys routed to it.
-            let lookups: usize = (if member { &unique } else { &rows })
-                .iter()
-                .map(Vec::len)
-                .sum();
+            let lookups: usize = if member {
+                plans.iter().map(|p| p.unique().len()).sum()
+            } else {
+                rows.iter().map(Vec::len).sum()
+            };
             let step_misses: usize = misses.iter().sum();
             totals.0 += (lookups - step_misses) as u64;
             totals.1 += step_misses as u64;
@@ -220,7 +218,7 @@ fn walk(
             visit(&Step {
                 smap: &smap,
                 members: &seg.members,
-                unique: &unique,
+                plans,
                 rows: &rows,
                 misses: &misses,
                 fills: &fills,
@@ -245,7 +243,7 @@ pub fn walk_counts(cfg: &FrugalConfig, workload: &dyn Workload) -> RunCounts {
         for &t in step.members {
             let mut n_streams = 0;
             for g in step.smap.streams_of(t) {
-                let unique = step.unique[g].len();
+                let unique = step.plans[g].unique().len();
                 records[t].stream(g, unique, step.misses[g], step.fills[g], 0.0);
                 n_streams += 1;
             }
@@ -319,7 +317,7 @@ pub fn price(
     let (hits, misses, fills) = walk(cfg, workload, routing, |step| {
         // Each phase is the slowest GPU's.
         let mut it = IterBreakdown::default();
-        for (g, unique) in step.unique.iter().enumerate() {
+        for (g, unique) in step.plans.iter().map(StepPlan::unique).enumerate() {
             let u = unique.len() as u64;
             let (mut comm, mut cache, mut other) = (dense, Nanos::ZERO, dnn);
             let host = if cached {
@@ -345,7 +343,7 @@ pub fn price(
         }
         // Framework row work and the coordinated cache update run on the
         // host's shared service pool: charged once a step, not per GPU.
-        let total_rows: u64 = step.unique.iter().map(|u| u.len() as u64).sum();
+        let total_rows: u64 = step.plans.iter().map(|p| p.unique().len() as u64).sum();
         if cached {
             it.other += cost.framework_cached(total_rows);
             it.cache += cost.cache_coordinated_update(total_rows);

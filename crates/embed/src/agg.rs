@@ -9,12 +9,9 @@
 //!
 //! Accumulators live in one flat arena (`data`) indexed by a key → slot
 //! map, so an aggregator can be [`cleared`](GradAggregator::clear) and
-//! reused step after step without re-allocating — the engine keeps one per
-//! trainer on its hot loop. A caller that already holds the batch's dense
-//! instance → unique index skips the map altogether
-//! ([`GradAggregator::seed_slots`] / [`GradAggregator::add_to_slot`]).
-//! A caller that wants the sums as shared rows, reusing last step's, folds
-//! into them directly with an [`ArcFold`].
+//! reused step after step without re-allocating. A caller that wants the
+//! sums as shared rows, reusing last step's, folds into them directly with
+//! an [`ArcFold`].
 
 use crate::kernels;
 use frugal_data::{Key, KeyHashMap};
@@ -158,11 +155,6 @@ impl GradAggregator {
 
     /// `key`'s slot, minted on first touch — one hash probe either way.
     fn slot(&mut self, key: Key) -> usize {
-        debug_assert_eq!(
-            self.index.len(),
-            self.order.len(),
-            "key-addressed add on a slot-seeded aggregator"
-        );
         let next = self.order.len();
         match self.index.entry(key) {
             Entry::Occupied(e) => *e.get(),
@@ -181,31 +173,9 @@ impl GradAggregator {
     ///
     /// Panics if `grad.len() != dim`.
     pub fn add(&mut self, key: Key, grad: &[f32]) {
-        let i = self.slot(key);
-        self.add_to_slot(i, grad);
-    }
-
-    /// Replaces the contents with one zeroed accumulator per key of
-    /// `unique` (distinct keys, in first-arrival order), slot `i` belonging
-    /// to `unique[i]`. The caller has already deduplicated the batch, so no
-    /// key map is built: fill with [`GradAggregator::add_to_slot`] and read
-    /// with [`GradAggregator::entries`]; the key-addressed adds and merges
-    /// are off limits until the next [`GradAggregator::clear`].
-    pub fn seed_slots(&mut self, unique: &[Key]) {
-        self.clear();
-        self.order.extend_from_slice(unique);
-        self.data.resize(unique.len() * self.dim, 0.0);
-    }
-
-    /// Adds `grad` to the accumulator in `slot` — [`GradAggregator::add`]
-    /// for a key whose slot the caller already knows, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad.len() != dim` or `slot` is out of range.
-    pub fn add_to_slot(&mut self, slot: usize, grad: &[f32]) {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        kernels::add(&mut self.data[slot * self.dim..(slot + 1) * self.dim], grad);
+        let i = self.slot(key);
+        kernels::add(&mut self.data[i * self.dim..(i + 1) * self.dim], grad);
     }
 
     /// Number of distinct keys accumulated.
@@ -287,8 +257,7 @@ impl GradAggregator {
     pub fn merge_from(&mut self, other: &mut GradAggregator) {
         assert_eq!(self.dim, other.dim, "dim mismatch");
         for (&k, grad) in other.order.iter().zip(other.data.chunks_exact(self.dim)) {
-            let j = self.slot(k);
-            self.add_to_slot(j, grad);
+            self.add(k, grad);
         }
         other.clear();
     }
@@ -450,60 +419,6 @@ mod tests {
         let mut narrow: Vec<(Key, Arc<[f32]>)> = vec![(0, Arc::from(&[0.0f32][..]))];
         two_rows(1, 2, 4.0).drain_arcs(&mut narrow);
         assert_eq!(&narrow[0].1[..], &[4.0, 1.0]);
-    }
-
-    /// A batch with many repeats of few keys, values spread so that the f32
-    /// summation order within a key is observable.
-    fn duplicate_heavy_batch() -> (Vec<Key>, Vec<[f32; 2]>) {
-        let keys: Vec<Key> = (0..200u64).map(|i| (i * i + 3 * i) % 13).collect();
-        let grads = (0..200)
-            .map(|i| {
-                let v = 10f32.powi(i % 7 - 3) * (1.0 + i as f32 * 1e-3);
-                [v, -1.0 / v]
-            })
-            .collect();
-        (keys, grads)
-    }
-
-    #[test]
-    fn slot_filled_matches_key_filled_bitwise() {
-        let (keys, grads) = duplicate_heavy_batch();
-        let mut keyed = GradAggregator::new(2);
-        for (&key, grad) in keys.iter().zip(&grads) {
-            keyed.add(key, grad);
-        }
-        // The caller's dedup pass: unique keys in first-arrival order and
-        // each instance's index into them.
-        let mut unique: Vec<Key> = Vec::new();
-        let slot_of: Vec<usize> = keys
-            .iter()
-            .map(|key| {
-                unique.iter().position(|u| u == key).unwrap_or_else(|| {
-                    unique.push(*key);
-                    unique.len() - 1
-                })
-            })
-            .collect();
-        assert!(
-            unique.len() < keys.len() / 10,
-            "batch must be duplicate-heavy"
-        );
-        let mut slotted = two_rows(77, 78, 9.0); // stale contents are replaced
-        slotted.seed_slots(&unique);
-        for (&slot, grad) in slot_of.iter().zip(&grads) {
-            slotted.add_to_slot(slot, grad);
-        }
-        let bits = |agg: &GradAggregator| -> Vec<(Key, Vec<u32>)> {
-            agg.entries()
-                .map(|(k, g)| (k, g.iter().map(|x| x.to_bits()).collect()))
-                .collect()
-        };
-        assert_eq!(bits(&slotted), bits(&keyed));
-        assert_eq!(slotted.len(), keyed.len());
-        // Cleared, it is an ordinary key-addressed aggregator again.
-        slotted.clear();
-        slotted.add(5, &[1.0, 1.0]);
-        assert_eq!(slotted.into_sorted(), vec![(5, vec![1.0, 1.0])]);
     }
 
     /// Stream `g`'s deposited entries at step `step`: overlapping keys,
