@@ -4,8 +4,7 @@
 
 use super::{measured_phase, Scale};
 use crate::table::{fmt_throughput, ExpTable};
-use frugal_baselines::System;
-use frugal_core::{FrugalConfig, PullToTarget, TrainReport};
+use frugal_core::{FrugalConfig, PullToTarget, System, TrainReport};
 use frugal_data::{KeyDistribution, SyntheticTrace};
 use frugal_embed::CachePolicy;
 use frugal_telemetry::{LedgerPhase, Telemetry};

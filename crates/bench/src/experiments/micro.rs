@@ -2,8 +2,7 @@
 
 use super::{system_columns, Scale};
 use crate::table::{fmt_throughput, ExpTable};
-use frugal_baselines::System;
-use frugal_core::{FrugalConfig, PullToTarget};
+use frugal_core::{FrugalConfig, PullToTarget, System};
 use frugal_data::{KeyDistribution, SyntheticTrace};
 use frugal_sim::{CostModel, Topology};
 

@@ -23,8 +23,7 @@ pub use sensitivity::{exp10_flush_threads, exp11_models};
 pub use tables::{table1_gpu_specs, table2_datasets};
 pub use tech::{exp2_p2f, exp3_uva, exp4_pq, exp5_breakdown};
 
-use frugal_baselines::System;
-use frugal_core::TrainReport;
+use frugal_core::{System, TrainReport};
 use frugal_telemetry::{LedgerPhase, LedgerPhaseSummary};
 
 /// The systems the end-to-end and model-sensitivity figures (Fig 13, 14

@@ -2,8 +2,7 @@
 
 use super::{system_columns, Scale, END_TO_END};
 use crate::table::{fmt_throughput, ExpTable};
-use frugal_baselines::System;
-use frugal_core::FrugalConfig;
+use frugal_core::{FrugalConfig, System};
 use frugal_data::{KgDatasetSpec, KgTrace, RecDatasetSpec, RecTrace};
 use frugal_models::{Dlrm, KgModel, KgScorer};
 

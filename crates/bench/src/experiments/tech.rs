@@ -2,8 +2,7 @@
 
 use super::{measured_phase, system_columns, Scale};
 use crate::table::{fmt_throughput, telemetry_table, ExpTable};
-use frugal_baselines::System;
-use frugal_core::{FrugalConfig, ModeledRun, PqKind, PullToTarget};
+use frugal_core::{FrugalConfig, ModeledRun, PqKind, PullToTarget, System};
 use frugal_data::{KeyDistribution, KgDatasetSpec, KgTrace, SyntheticTrace};
 use frugal_models::{KgModel, KgScorer};
 use frugal_sim::{CostModel, HostPath, Topology};

@@ -39,9 +39,9 @@
 //! Everything mode-specific is a [`strategy`] table entry consulted at
 //! barrier granularity; the per-key hot paths are strategy-blind. The
 //! engine prices nothing: each member counts its work into its
-//! [`CountRecord`], and [`crate::price`] prices the whole run after the
-//! last segment joins. Wall-clock timings feed only the ledger, the
-//! counters and the traces.
+//! [`CountRecord`], and [`price_run`](crate::price::price_run) prices the
+//! whole run after the last segment joins. Wall-clock timings feed only
+//! the ledger, the counters and the traces.
 
 mod barrier;
 mod counters;
@@ -49,9 +49,6 @@ mod flusher;
 mod step;
 mod strategy;
 mod trainer;
-
-#[cfg(test)]
-mod tests;
 
 use crate::config::{FrugalConfig, PqKind};
 use crate::gentry::GEntryStore;
@@ -64,12 +61,14 @@ use barrier::SpinBarrier;
 use counters::RunMetrics;
 use flusher::FlushCoord;
 use frugal_data::Key;
-use frugal_embed::{GpuCache, HostStore, Sharding, UpdateRule};
+use frugal_embed::{GpuCache, HostStore, UpdateRule};
 use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq, INFINITE};
 use frugal_telemetry::{LaneKind, LedgerPhase, Registry, ThreadRecorder};
 use std::sync::Arc;
 use std::time::Instant;
 use strategy::Strategy;
+
+pub(crate) use trainer::member_cache;
 
 /// One contiguous run of steps under a fixed shard-map epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,9 +138,6 @@ pub(crate) struct RunShared<'a> {
     pub(crate) store: &'a HostStore,
     pub(crate) gstore: GEntryStore,
     pub(crate) pq: Box<dyn PriorityQueue>,
-    /// Cohort-wide cache *sizing* math (capacity, admission thresholds).
-    /// Ownership routing lives in the segment's [`ShardMap`].
-    pub(crate) sharding: Sharding,
     /// The step protocol's shared state (see [`step::StepState`]).
     pub(crate) step: step::StepState,
     /// Flusher/trainer coordination (see [`FlushCoord`]).
@@ -335,7 +331,6 @@ impl FrugalEngine {
             store: &self.store,
             gstore: GEntryStore::with_policy(strategy.priority_policy),
             pq,
-            sharding: Sharding::new(n),
             step: step::StepState::new(n, cfg.lookahead),
             flush: FlushCoord::new(cfg.flush_threads),
             metrics: RunMetrics::new(&registry),
@@ -423,7 +418,6 @@ impl FrugalEngine {
         let priced = price::price_run(
             cfg,
             model,
-            shared.pq.as_ref(),
             self.store.n_keys(),
             workload.samples_per_step(),
             &segments,
@@ -455,3 +449,6 @@ impl FrugalEngine {
         (report, RunCounts(records))
     }
 }
+
+#[cfg(test)]
+mod tests;

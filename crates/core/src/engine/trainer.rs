@@ -20,36 +20,37 @@
 
 use super::step;
 use super::{MemberState, RunShared, Segment};
-use crate::config::FlushMode;
+use crate::config::{FlushMode, FrugalConfig};
 use crate::gentry::{GEntryStore, PqOpScratch};
 use crate::plan::{self, PlanScratch};
 use crate::wait;
 use crate::ShardMap;
 use frugal_data::Key;
-use frugal_embed::{ArcFold, GpuCache};
+use frugal_embed::{ArcFold, GpuCache, Sharding};
 use frugal_telemetry::{LedgerPhase, StallRecord, ThreadRecorder};
 use std::sync::Arc;
 
 use super::barrier::SpinBarrier;
 
 /// Builds a member's persistent state: its GPU cache, each slot holding a
-/// row and the row's optimizer state. Created lazily on first membership
-/// and carried *across* segments while the member stays in the cohort; a
+/// `dim`-float row and `state_width` floats of the row's optimizer state,
+/// its capacity, policy and hot threshold set by `cfg` and the key space
+/// (sized for the full cohort). Created lazily on first membership and
+/// carried *across* segments while the member stays in the cohort; a
 /// leaver's cache is dropped at the transition (the host store is
 /// authoritative, so a rejoin simply starts cold and refills from host
-/// reads).
-pub(crate) fn member_cache(shared: &RunShared<'_>) -> GpuCache {
-    let cfg = shared.cfg;
-    let n_keys = shared.workload.n_keys();
-    let dim = shared.model.dim();
-    // Cached rows evolve with their own copy of the optimizer state,
-    // seeded from the host path's at fill time: both copies then see the
-    // same per-key gradient sequence through the same kernel
-    // (`shared.rule.step`), so states and values stay bit-identical.
-    let cap = shared.sharding.cache_capacity(n_keys, cfg.cache_ratio);
-    let mut cache =
-        GpuCache::new(cap, dim, cfg.cache_policy).with_state_width(shared.rule.state_width(dim));
-    cache.set_hot_threshold(shared.sharding.hot_threshold(n_keys, cfg.cache_ratio));
+/// reads). The key-stream walk builds its caches here too, with `dim` 1
+/// and no state.
+pub(crate) fn member_cache(
+    cfg: &FrugalConfig,
+    n_keys: u64,
+    dim: usize,
+    state_width: usize,
+) -> GpuCache {
+    let sharding = Sharding::new(cfg.n_gpus());
+    let cap = sharding.cache_capacity(n_keys, cfg.cache_ratio);
+    let mut cache = GpuCache::new(cap, dim, cfg.cache_policy).with_state_width(state_width);
+    cache.set_hot_threshold(sharding.hot_threshold(n_keys, cfg.cache_ratio));
     cache
 }
 
@@ -226,8 +227,15 @@ pub(crate) fn trainer_loop(
         counts,
         updates,
     } = member;
-    // The member's persistent cache, created on first membership.
-    let cache = cache.get_or_insert_with(|| member_cache(shared));
+    // The member's persistent cache, created on first membership. Cached
+    // rows evolve with their own copy of the optimizer state, seeded from
+    // the host path's at fill time: both copies then see the same per-key
+    // gradient sequence through the same kernel (`shared.rule.step`), so
+    // states and values stay bit-identical.
+    let cache = cache.get_or_insert_with(|| {
+        let (n_keys, state_width) = (shared.workload.n_keys(), shared.rule.state_width(dim));
+        member_cache(cfg, n_keys, dim, state_width)
+    });
     counts.reserve((seg.end - seg.start) as usize, streams.len());
     let mut scratch = StepScratch::default();
     let registers_reads = shared.strategy.registers_reads;

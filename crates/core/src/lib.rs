@@ -14,8 +14,11 @@
 //!   routing, republished at quiesced boundaries for elastic membership.
 //! * [`train_serial`] — the synchronous-consistency oracle: a Frugal run
 //!   must be bit-identical to this single-threaded reference.
-//! * [`price()`] — the key-stream walk: every system's cache decisions and
-//!   modeled clock from the keys alone, no threads and no numerics; the
+//! * [`System`] — the six systems of §4.1 (Frugal, Frugal-Sync,
+//!   Frugal-FIFO and the PyTorch-, HugeCTR- and UVM-like comparators) and
+//!   the one runner: [`System::run`] trains a run, and [`System::price`]
+//!   prices it by the key-stream walk — every system's cache decisions and
+//!   modeled clock from the keys alone, no threads and no numerics. The
 //!   engine's count records must equal the walk's ([`walk_counts`]).
 //! * [`Workload`] / [`EmbeddingModel`] — the seams through which datasets
 //!   (`frugal-data`) and models (`frugal-models`) plug in;
@@ -47,6 +50,7 @@ mod price;
 mod report;
 mod serial;
 mod shardmap;
+mod systems;
 mod wait;
 mod walk;
 mod workload;
@@ -61,6 +65,7 @@ pub use price::RunCounts;
 pub use report::{ModeledRun, TrainReport};
 pub use serial::{train_serial, train_serial_with, SerialRun};
 pub use shardmap::ShardMap;
+pub use systems::System;
 pub use wait::{blocked_at, pending_floor, InflightTable};
-pub use walk::{price, walk_counts, Routing};
+pub use walk::walk_counts;
 pub use workload::Workload;

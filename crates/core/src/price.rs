@@ -6,10 +6,9 @@
 //! atomic or barrier carries a modeled number, so the price is a pure
 //! function of `(seed, config)` by construction.
 
-use crate::config::{FlushMode, FrugalConfig};
+use crate::config::{FlushMode, FrugalConfig, PqKind};
 use crate::engine::Segment;
 use crate::model::EmbeddingModel;
-use frugal_pq::PriorityQueue;
 use frugal_sim::{HostPath, IterBreakdown, Nanos, PqCost, RunStats};
 
 /// One stream's forward pass at one step, as the member that ran it saw it.
@@ -144,8 +143,10 @@ pub(crate) fn dense_prices(
 }
 
 /// Prices every step of the run from the members' records. `segments`
-/// gives each step's members; `records` is indexed by trainer id; `pq`
-/// and its `capacity` (the store's key count) set how dequeues scale.
+/// gives each step's members; `records` is indexed by trainer id;
+/// `cfg.pq` and `capacity` (the store's key count) set how dequeues scale:
+/// the two-level PQ dequeues lock-free, a tree heap funnels every dequeue
+/// through its root.
 ///
 /// Per step: each stream's comm / host DRAM / cache / DNN price, the max of
 /// each over the streams, then the registration and stall prices from the
@@ -154,7 +155,6 @@ pub(crate) fn dense_prices(
 pub(crate) fn price_run(
     cfg: &FrugalConfig,
     model: &dyn EmbeddingModel,
-    pq: &dyn PriorityQueue,
     capacity: u64,
     samples_per_step: u64,
     segments: &[Segment],
@@ -163,10 +163,9 @@ pub(crate) fn price_run(
     let cost = &cfg.cost;
     let n_streams = cfg.n_gpus();
     let row_bytes = (model.dim() * 4) as u64;
-    let pq_cost = if pq.dequeue_serializes() {
-        PqCost::Serialized { capacity }
-    } else {
-        PqCost::Concurrent
+    let pq_cost = match cfg.pq {
+        PqKind::TwoLevel => PqCost::Concurrent,
+        PqKind::TreeHeap => PqCost::Serialized { capacity },
     };
     let (comm, dnn) = dense_prices(cfg, model, samples_per_step);
 

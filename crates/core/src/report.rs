@@ -78,7 +78,8 @@ impl TrainReport {
 }
 
 /// The modeled part of a [`TrainReport`] — the fields of the same names —
-/// from the key stream alone: what [`crate::price()`] returns.
+/// from the key stream alone: what [`System::price`](crate::System::price)
+/// returns.
 #[derive(Debug, Clone)]
 pub struct ModeledRun {
     /// Per-iteration breakdowns on the modeled clock.

@@ -1,10 +1,30 @@
 //! The named systems of the paper's evaluation (§4.1) and the one runner:
 //! a [`System`] plus a [`FrugalConfig`] describe a run.
+//!
+//! The comparators are priced on the same substrate as Frugal (the
+//! `frugal-sim` hardware model, the `frugal-embed` caches, this crate's
+//! model/workload seams and shard map), so the comparison isolates the
+//! *architecture*, as the paper did by re-implementing HugeCTR's multi-GPU
+//! cache inside PyTorch:
+//!
+//! * **PyTorch / DGL-KE** — no GPU cache, CPU-involved host access.
+//! * **HugeCTR / DGL-KE-cached** — sharded multi-GPU cache with
+//!   `all_to_all` exchange (Fig 2b).
+//! * **PyTorch-UVM** — unified-memory paging.
+//!
+//! All three train synchronously, so a baseline run is the serial oracle's
+//! run ([`train_serial`]) plus [`System::price`]: the key-stream walk
+//! (`walk.rs`) that decides the caches' hits and fills and prices each
+//! step. The Frugal variants train on the [`FrugalEngine`], and
+//! [`System::price`] walks them under member routing.
 
-use frugal_core::{
-    train_serial, ConfigError, EmbeddingModel, FlushMode, FrugalConfig, FrugalEngine, ModeledRun,
-    OptimizerKind, Routing, TrainReport, Workload,
-};
+use crate::config::{ConfigError, FlushMode, FrugalConfig, OptimizerKind};
+use crate::engine::FrugalEngine;
+use crate::model::EmbeddingModel;
+use crate::report::{ModeledRun, TrainReport};
+use crate::serial::train_serial;
+use crate::walk::{price, Routing};
+use crate::workload::Workload;
 use frugal_sim::HostPath;
 
 /// A competitor system from §4.1.
@@ -115,16 +135,15 @@ impl System {
     /// engine's store is sized from the workload's key space and the
     /// model's dimension.
     ///
-    /// A baseline run is the serial oracle's
-    /// ([`frugal_core::train_serial`]) plus [`System::price`]; of `cfg` it
-    /// reads `cost`, `cache_ratio` and `cache_policy` (HugeCTR only), `lr`,
-    /// `steps`, `seed` and `telemetry`.
+    /// A baseline run is the serial oracle's ([`train_serial`]) plus
+    /// [`System::price`]; of `cfg` it reads `cost`, `cache_ratio` and
+    /// `cache_policy` (HugeCTR only), `lr`, `steps`, `seed` and
+    /// `telemetry`.
     ///
     /// # Examples
     ///
     /// ```
-    /// use frugal_baselines::System;
-    /// use frugal_core::{FrugalConfig, PullToTarget};
+    /// use frugal_core::{FrugalConfig, PullToTarget, System};
     /// use frugal_data::{KeyDistribution, SyntheticTrace};
     ///
     /// let trace = SyntheticTrace::new(1_000, KeyDistribution::Zipf(0.9), 32, 2, 1)?;
@@ -176,15 +195,18 @@ impl System {
 
     /// The modeled part of what [`System::run`] reports for the same
     /// arguments — the modeled clock, hit ratio, cache fills, g-entry time
-    /// and flushed rows — from the key stream alone: [`frugal_core::price`]'s walk,
+    /// and flushed rows — from the key stream alone: the key-stream walk,
     /// with neither the engine nor the serial oracle running. Frugal's
-    /// variants take member routing, HugeCTR owner routing, and PyTorch and
-    /// PyTorch-UVM owner routing with no cache.
+    /// variants take member routing, priced by the engine's own pricing;
+    /// HugeCTR takes owner routing, and PyTorch and PyTorch-UVM owner
+    /// routing with no cache. The owner routings always route by the full
+    /// cohort's map.
     ///
     /// # Panics
     ///
-    /// Panics if a Frugal variant is priced on a `cfg` its engine rejects,
-    /// or a baseline under an elastic membership plan.
+    /// Panics if the workload's GPU count differs from the topology, if a
+    /// Frugal variant is priced on a `cfg` its engine rejects, or if a
+    /// baseline is priced under an elastic membership plan.
     pub fn price(
         self,
         mut cfg: FrugalConfig,
@@ -204,7 +226,7 @@ impl System {
                 "baselines run a static cohort, not an elastic membership plan"
             ),
         }
-        frugal_core::price(&cfg, workload, model, routing)
+        price(&cfg, workload, model, routing)
     }
 }
 
@@ -226,8 +248,9 @@ impl std::str::FromStr for System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frugal_core::PullToTarget;
+    use crate::PullToTarget;
     use frugal_data::{KeyDistribution, SyntheticTrace};
+    use frugal_sim::Topology;
 
     #[test]
     fn labels() {
@@ -281,5 +304,22 @@ mod tests {
             assert_eq!(r.mean_gentry_update, p.mean_gentry_update, "{system:?}");
             assert_eq!(r.flush_rows, p.flush_rows, "{system:?}");
         }
+    }
+
+    #[test]
+    fn hugectr_slower_on_commodity_than_datacenter() {
+        // Fig 3a: up to 37% throughput drop on commodity GPUs.
+        let model = PullToTarget::new(4, 2);
+        let t = SyntheticTrace::new(10_000, KeyDistribution::Zipf(0.9), 512, 4, 3).unwrap();
+        let commodity = FrugalConfig::commodity(4, 5);
+        let datacenter = FrugalConfig::on(Topology::datacenter(4), 5);
+        let tc = System::HugeCtr.run(commodity, &t, &model).throughput();
+        let td = System::HugeCtr.run(datacenter, &t, &model).throughput();
+        assert!(
+            tc < td,
+            "commodity {tc} should be slower than datacenter {td}"
+        );
+        let drop = 1.0 - tc / td;
+        assert!(drop > 0.1, "drop {drop} too small");
     }
 }

@@ -1,6 +1,8 @@
 //! The key-stream walk: every system's cache decisions and the counts its
 //! modeled clock prices, from the keys alone — no threads, no numerics.
 //!
+//! [`crate::System::price`] prices every system through [`price`].
+//!
 //! One loop, two routings. *Member* routing (the Frugal variants) looks a
 //! stream's owned unique keys up in the cache of the member that runs it,
 //! the rest being host reads, and yields exactly the engine's per-member
@@ -13,8 +15,8 @@
 //! recency and the frequency counts. A cache slot holds one placeholder
 //! float, never a row.
 
-use crate::config::{FlushMode, FrugalConfig, PqKind};
-use crate::engine::resolve_segments;
+use crate::config::{FlushMode, FrugalConfig};
+use crate::engine::{member_cache, resolve_segments};
 use crate::gentry::GEntryStore;
 use crate::model::EmbeddingModel;
 use crate::plan::{feed_lookahead, PlanScratch, StepPlan};
@@ -23,14 +25,13 @@ use crate::report::ModeledRun;
 use crate::workload::Workload;
 use crate::ShardMap;
 use frugal_data::{Key, KeyHashSet};
-use frugal_embed::{GpuCache, InsertOutcome, Sharding};
-use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq};
+use frugal_embed::{GpuCache, InsertOutcome};
 use frugal_sim::{HostPath, IterBreakdown, Nanos, RunStats};
 use frugal_telemetry::{LaneKind, LedgerPhase};
 
 /// Where a step's keys are looked up, and so which system [`price`] prices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Routing {
+pub(crate) enum Routing {
     /// Frugal under the configuration's flush mode.
     Member,
     /// HugeCTR / DGL-KE-cached: owner caches and an `all_to_all` exchange.
@@ -92,13 +93,8 @@ fn walk(
     for s in 0..lookahead.min(steps) {
         plan_step(&mut window, s);
     }
-    let (sharding, n_keys) = (Sharding::new(n), workload.n_keys());
-    let new_cache = || {
-        let capacity = sharding.cache_capacity(n_keys, cfg.cache_ratio);
-        let mut cache = GpuCache::new(capacity, 1, cfg.cache_policy);
-        cache.set_hot_threshold(sharding.hot_threshold(n_keys, cfg.cache_ratio));
-        cache
-    };
+    // A slot holds one placeholder float and no optimizer state.
+    let new_cache = || member_cache(cfg, workload.n_keys(), 1, 0);
     let mut caches: Vec<Option<GpuCache>> = (0..n).map(|_| None).collect();
     let mut rows = vec![Vec::new(); n];
     let (mut misses, mut fills, mut read_next) = (vec![0; n], vec![0; n], vec![0; n]);
@@ -256,15 +252,15 @@ pub fn walk_counts(cfg: &FrugalConfig, workload: &dyn Workload) -> RunCounts {
 /// The modeled part of training `workload` with `model` under `routing`,
 /// from the key stream alone. Under [`Routing::Member`] it is what
 /// [`crate::FrugalEngine::run`] reports for `cfg`: the walk's records
-/// priced by the engine's own pricing. The owner routings always route by the full
-/// cohort's map.
+/// priced by the engine's own pricing. The owner routings always route by
+/// the full cohort's map.
 ///
 /// # Panics
 ///
 /// Panics if the workload's GPU count differs from the topology, or if
 /// member routing is asked to price a `cfg` that
 /// [`FrugalConfig::validate`] rejects.
-pub fn price(
+pub(crate) fn price(
     cfg: &FrugalConfig,
     workload: &dyn Workload,
     model: &dyn EmbeddingModel,
@@ -276,21 +272,8 @@ pub fn price(
             panic!("invalid FrugalConfig: {e}");
         }
         let RunCounts(records) = walk_counts(cfg, workload);
-        // Only whether the queue's dequeues serialize enters the price.
-        let pq: Box<dyn PriorityQueue> = match cfg.pq {
-            PqKind::TwoLevel => Box::new(TwoLevelPq::new(0)),
-            PqKind::TreeHeap => Box::new(TreeHeap::new()),
-        };
         let segments = resolve_segments(cfg);
-        let p = price_run(
-            cfg,
-            model,
-            &*pq,
-            workload.n_keys(),
-            samples,
-            &segments,
-            &records,
-        );
+        let p = price_run(cfg, model, workload.n_keys(), samples, &segments, &records);
         return ModeledRun {
             stats: p.stats,
             hit_ratio: p.hits as f64 / (p.hits + p.misses).max(1) as f64,

@@ -3,8 +3,7 @@
 //! four small fixed-seed runs. A change to how a baseline walks its cache
 //! or prices a step moves one of these numbers; a refactor must not.
 
-use frugal_baselines::System;
-use frugal_core::{FrugalConfig, PullToTarget, TrainReport};
+use frugal_core::{FrugalConfig, PullToTarget, System, TrainReport};
 use frugal_data::{KeyDistribution, SyntheticTrace};
 use frugal_embed::CachePolicy;
 

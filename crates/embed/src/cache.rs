@@ -7,7 +7,7 @@
 //! The cache is split into mechanism and strategy: this module
 //! owns the *mechanism* — a flat arena of `slots × dim` floats plus the
 //! key→slot map — while all *strategy* lives behind the
-//! [`EvictionPolicy`](crate::EvictionPolicy) trait in [`crate::policy`].
+//! [`EvictionPolicy`] trait in [`crate::policy`].
 //! Four policies ship ([`CachePolicy`]):
 //!
 //! * [`CachePolicy::StaticHot`] — admit only the statically hottest keys,
@@ -110,7 +110,7 @@ impl std::str::FromStr for CachePolicy {
 
 /// A single GPU's embedding cache: flat row arena + key→slot map, with the
 /// admission/eviction strategy behind an
-/// [`EvictionPolicy`](crate::EvictionPolicy).
+/// [`EvictionPolicy`].
 ///
 /// # Examples
 ///

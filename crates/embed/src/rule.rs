@@ -1,6 +1,6 @@
 //! Concurrent update rules applied by flushing threads.
 //!
-//! Unlike [`frugal_tensor::RowOptimizer`] (single-threaded, `&mut self`),
+//! Unlike `frugal_tensor::RowOptimizer` (single-threaded, `&mut self`),
 //! flushing threads share one rule across threads, so the trait here takes
 //! `&self` and implementations manage their own interior state. Stateful
 //! rules keep that state in a [`DenseStateTable`] — lock-free, preallocated,

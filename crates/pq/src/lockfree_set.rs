@@ -1,7 +1,7 @@
 //! A lock-free concurrent set of keys, used as the second level of the
 //! two-level priority queue (paper §3.4).
 //!
-//! The paper uses a "lock-free dynamic scalable hash table" [34] for the
+//! The paper uses a "lock-free dynamic scalable hash table" \[34\] for the
 //! g-entries sharing one priority. This implementation keeps the same
 //! properties with a simpler structure: a chain of open-addressing segments
 //! whose slots are `AtomicU64`s. Segment capacities grow geometrically

@@ -148,14 +148,6 @@ pub trait PriorityQueue: Send + Sync + Debug {
     /// Implementations may ignore it.
     fn set_upper_bound(&self, upper: Priority);
 
-    /// True if concurrent dequeues serialize on shared state (a global or
-    /// near-root lock). A tree heap funnels every dequeue through the root;
-    /// the two-level PQ dequeues lock-free. Engines use this to model how
-    /// flushing throughput scales with thread count.
-    fn dequeue_serializes(&self) -> bool {
-        false
-    }
-
     /// Approximate number of entries (including not-yet-collected stale
     /// duplicates in lazy implementations).
     fn len(&self) -> usize;

@@ -196,10 +196,6 @@ impl PriorityQueue for TreeHeap {
         // Scan-range compression is a two-level-PQ concept; nothing to do.
     }
 
-    fn dequeue_serializes(&self) -> bool {
-        true // one lock guards the heap; every dequeue passes the root
-    }
-
     fn len(&self) -> usize {
         self.heap.lock().len()
     }

@@ -17,7 +17,7 @@
 //!
 //! * a run is fully determined by its seed (same seed ⇒ same interleaving
 //!   ⇒ same outcome), and
-//! * a violation found by [`explore`] is replayed exactly by
+//! * a violation found by [`explore()`] is replayed exactly by
 //!   [`replay`] with the printed seed.
 //!
 //! Two policies are provided: uniform random walk over runnable threads,

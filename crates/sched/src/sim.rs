@@ -404,7 +404,7 @@ impl PolicyState {
 // Single-schedule execution.
 
 /// Executes one schedule of the scenario built by `build`, fully determined
-/// by `seed`. See [`crate::explore`] for driving many seeds.
+/// by `seed`. See [`crate::explore()`] for driving many seeds.
 pub fn run_schedule(seed: u64, cfg: &SimConfig, build: impl FnOnce(&mut SimBuilder)) -> RunOutcome {
     let mut builder = SimBuilder::default();
     build(&mut builder);

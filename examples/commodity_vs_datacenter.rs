@@ -6,8 +6,7 @@
 //! cargo run --release --example commodity_vs_datacenter
 //! ```
 
-use frugal::baselines::System;
-use frugal::core::{presets, FrugalConfig, PullToTarget};
+use frugal::core::{presets, FrugalConfig, PullToTarget, System};
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::sim::Topology;
 

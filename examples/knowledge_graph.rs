@@ -6,8 +6,7 @@
 //! cargo run --release --example knowledge_graph
 //! ```
 
-use frugal::baselines::System;
-use frugal::core::presets;
+use frugal::core::{presets, System};
 use frugal::data::{KgDatasetSpec, KgTrace};
 use frugal::models::{KgModel, KgScorer};
 

@@ -5,8 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use frugal::core::presets;
-use frugal::core::PullToTarget;
+use frugal::core::{presets, FrugalEngine, PullToTarget};
 use frugal::data::{KeyDistribution, SyntheticTrace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = presets::demo_commodity(4, 30);
     cfg.lr = 2.0; // gradients are mean-normalized; a higher rate converges fast
 
-    let engine = presets::build_engine(cfg, trace.n_keys(), 32)?;
+    // Validate first: the engine panics on a configuration it rejects.
+    cfg.validate()?;
+    let engine = FrugalEngine::new(cfg, trace.n_keys(), 32);
 
     println!("training 30 steps on 4 simulated RTX 3090s...");
     let report = engine.run(&trace, &model);

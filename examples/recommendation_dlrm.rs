@@ -6,8 +6,7 @@
 //! cargo run --release --example recommendation_dlrm
 //! ```
 
-use frugal::baselines::System;
-use frugal::core::{presets, TrainReport};
+use frugal::core::{presets, System, TrainReport};
 use frugal::data::{RecDatasetSpec, RecTrace};
 use frugal::models::Dlrm;
 

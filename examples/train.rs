@@ -17,8 +17,7 @@
 //! FRUGAL_TRACE=trace.json cargo run --release --example train
 //! ```
 
-use frugal::baselines::System;
-use frugal::core::{EmbeddingModel, FrugalConfig, PullToTarget, TrainReport, Workload};
+use frugal::core::{EmbeddingModel, FrugalConfig, PullToTarget, System, TrainReport, Workload};
 use frugal::data::{
     KeyDistribution, KgDatasetSpec, KgTrace, RecDatasetSpec, RecTrace, SyntheticTrace,
 };

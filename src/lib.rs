@@ -9,16 +9,17 @@
 //! * [`pq`] — the two-level concurrent priority queue and its tree-heap
 //!   baseline.
 //! * [`embed`] — embedding tables, host parameter store, multi-GPU caches.
-//! * [`core`] — the P²F algorithm, controller, flushing threads, and the
-//!   Frugal / Frugal-Sync training engines.
-//! * [`baselines`] — PyTorch-, HugeCTR-, DGL-KE- and UVM-like comparators.
+//! * [`core`] — the P²F algorithm, controller, flushing threads, the
+//!   Frugal / Frugal-Sync training engines, and
+//!   [`System`](core::System): the six systems of §4.1 (the Frugal
+//!   variants and the PyTorch-, HugeCTR-, DGL-KE- and UVM-like
+//!   comparators), each run or priced from one configuration.
 //! * [`models`] — DLRM and the knowledge-graph scorers.
 //! * [`telemetry`] — dependency-free metrics, phase spans, and Chrome-trace
 //!   export for all of the above.
 
 #![warn(missing_docs)]
 
-pub use frugal_baselines as baselines;
 pub use frugal_core as core;
 pub use frugal_data as data;
 pub use frugal_embed as embed;

@@ -17,8 +17,8 @@
 //! with `config-space` and is the same on every run.
 
 use frugal::core::{
-    price, train_serial_with, walk_counts, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan,
-    OptimizerKind, PqKind, PullToTarget, Routing,
+    train_serial_with, walk_counts, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan,
+    OptimizerKind, PqKind, PullToTarget, System,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::embed::CachePolicy;
@@ -266,7 +266,9 @@ fn run(row: &Row) -> Result<(), String> {
     if counts != walk_counts(&cfg, &trace) {
         wrong.push("count records differ from the walk's".into());
     }
-    let modeled = price(&cfg, &trace, &model, Routing::Member);
+    // The Frugal variant that runs the row's flush mode.
+    let system = [System::Frugal, System::FrugalFifo, System::FrugalSync][row[FLUSH]];
+    let modeled = system.price(cfg.clone(), &trace, &model);
     if modeled.flush_rows != r.flush_rows {
         wrong.push(format!(
             "walk prices {} flushed rows, the flushers applied {}",

@@ -2,8 +2,7 @@
 //! make: the baselines' losses, the wait condition's fault seam, and the
 //! shutdown drain on a key space much larger than the run.
 
-use frugal::baselines::System;
-use frugal::core::{train_serial, FrugalConfig, FrugalEngine, PullToTarget};
+use frugal::core::{train_serial, FrugalConfig, FrugalEngine, PullToTarget, System};
 use frugal::data::{KeyDistribution, SyntheticTrace};
 
 const STEPS: u64 = 20;

@@ -6,8 +6,8 @@
 //! an unthrottled one.
 
 use frugal::core::{
-    price, walk_counts, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan, ModeledRun, PqKind,
-    PullToTarget, Routing, TrainReport,
+    walk_counts, FlushMode, FrugalConfig, FrugalEngine, MembershipPlan, ModeledRun, PqKind,
+    PullToTarget, System, TrainReport,
 };
 use frugal::data::{KeyDistribution, SyntheticTrace};
 use frugal::embed::CachePolicy;
@@ -249,10 +249,8 @@ fn pinned_profiles_report_their_committed_numbers() {
         let model = PullToTarget::new(32, 7);
         // The walk carries the pins; one engine run checks that its
         // members counted exactly what the walk decides.
-        let walked = price(&p.cfg(), &trace, &model, Routing::Member);
-        let mut fifo_cfg = p.cfg();
-        fifo_cfg.flush_mode = FlushMode::Fifo;
-        let fifo = price(&fifo_cfg, &trace, &model, Routing::Member);
+        let walked = System::Frugal.price(p.cfg(), &trace, &model);
+        let fifo = System::FrugalFifo.price(p.cfg(), &trace, &model);
         let telemetry = Telemetry::new();
         let cfg = p.cfg().with_telemetry(telemetry.clone());
         let (p2f, counts) = FrugalEngine::new(cfg, p.n_keys, 32).run_counted(&trace, &model);
