@@ -43,11 +43,6 @@ impl ExpTable {
         self.notes.push(note.into());
     }
 
-    /// The title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Number of data rows.
     pub fn n_rows(&self) -> usize {
         self.rows.len()
@@ -164,7 +159,7 @@ mod tests {
         assert_eq!(t.n_rows(), 1);
         assert_eq!(t.cell_f64(0, 1), Some(1.5));
         assert_eq!(t.cell_f64(0, 5), None);
-        assert_eq!(t.title(), "Demo");
+        assert_eq!(t.title, "Demo");
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl SpinBarrier {
 
     /// A barrier releasing cohorts of `n` threads (`n >= 1`) whose waiters
     /// spin for `spin`, whatever the host.
-    pub fn with_budget(n: usize, spin: SpinBudget) -> Self {
+    fn with_budget(n: usize, spin: SpinBudget) -> Self {
         assert!(n >= 1, "barrier needs at least one thread");
         SpinBarrier {
             arrived: AtomicUsize::new(0),

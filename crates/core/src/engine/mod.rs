@@ -52,6 +52,7 @@ mod trainer;
 
 use crate::config::{FrugalConfig, PqKind};
 use crate::gentry::GEntryStore;
+use crate::member;
 use crate::model::EmbeddingModel;
 use crate::price::{self, CountRecord, RunCounts};
 use crate::report::TrainReport;
@@ -67,8 +68,6 @@ use frugal_telemetry::{LaneKind, LedgerPhase, Registry, ThreadRecorder};
 use std::sync::Arc;
 use std::time::Instant;
 use strategy::Strategy;
-
-pub(crate) use trainer::member_cache;
 
 /// One contiguous run of steps under a fixed shard-map epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,20 +189,8 @@ fn membership_transition(
             shared.gstore.pending_keys() == 0 && shared.flush.inflight.min() == INFINITE
         });
     }
-    for (t, slot) in members.iter_mut().map(|m| &mut m.cache).enumerate() {
-        if !next.is_member(t) {
-            // Leavers always drop their cache — even under failure
-            // injection, a killed trainer's cache is gone.
-            *slot = None;
-        } else if !shared.cfg.skip_quiesce {
-            if let Some(cache) = slot.as_mut() {
-                // Survivors evict the shards the new epoch takes away;
-                // a future epoch may hand them back, and serving the
-                // then-stale copy would miss the interim updates.
-                cache.retain(|k| next.owns_key(t, k));
-            }
-        }
-    }
+    let caches = members.iter_mut().map(|m| &mut m.cache);
+    member::transition(caches, next, shared.cfg.skip_quiesce);
     let ns = t0.elapsed().as_nanos() as u64;
     shared.metrics.membership_transition_ns.add(ns);
     rec.record(resume_step, LedgerPhase::EpochTransition, t0, ns, &[]);

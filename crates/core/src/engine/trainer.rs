@@ -16,43 +16,23 @@
 //! the row scatter and the gradient aggregation alike), deposit → barrier
 //! A → reduce the owned shards, apply them (write-through) and register
 //! them, with no barrier in between → barrier C. See
-//! [`super::step`] for the protocol and what the two leaders do.
+//! [`super::step`] for the protocol and what the two leaders do. Every
+//! cache decision is a call into [`crate::member`], which the walk shares.
 
 use super::step;
 use super::{MemberState, RunShared, Segment};
-use crate::config::{FlushMode, FrugalConfig};
+use crate::config::FlushMode;
 use crate::gentry::{GEntryStore, PqOpScratch};
-use crate::plan::{self, PlanScratch};
+use crate::member::{self, member_cache};
+use crate::plan::PlanScratch;
 use crate::wait;
 use crate::ShardMap;
 use frugal_data::Key;
-use frugal_embed::{ArcFold, GpuCache, Sharding};
+use frugal_embed::{ArcFold, GpuCache};
 use frugal_telemetry::{LedgerPhase, StallRecord, ThreadRecorder};
 use std::sync::Arc;
 
 use super::barrier::SpinBarrier;
-
-/// Builds a member's persistent state: its GPU cache, each slot holding a
-/// `dim`-float row and `state_width` floats of the row's optimizer state,
-/// its capacity, policy and hot threshold set by `cfg` and the key space
-/// (sized for the full cohort). Created lazily on first membership and
-/// carried *across* segments while the member stays in the cohort; a
-/// leaver's cache is dropped at the transition (the host store is
-/// authoritative, so a rejoin simply starts cold and refills from host
-/// reads). The key-stream walk builds its caches here too, with `dim` 1
-/// and no state.
-pub(crate) fn member_cache(
-    cfg: &FrugalConfig,
-    n_keys: u64,
-    dim: usize,
-    state_width: usize,
-) -> GpuCache {
-    let sharding = Sharding::new(cfg.n_gpus());
-    let cap = sharding.cache_capacity(n_keys, cfg.cache_ratio);
-    let mut cache = GpuCache::new(cap, dim, cfg.cache_policy).with_state_width(state_width);
-    cache.set_hot_threshold(sharding.hot_threshold(n_keys, cfg.cache_ratio));
-    cache
-}
 
 /// A trainer's reusable hot-loop buffers: the plan builder's dedup table,
 /// row staging, the gradient sums, the reduce's key index and the
@@ -152,11 +132,10 @@ pub(crate) fn register_phase(
     // times the g-entry work alone.
     {
         let _span = rec.span(s, LedgerPhase::CacheApply);
-        for (key, grad) in updates.iter() {
-            if let Some((row, state)) = cache.get_with_state(key) {
-                shared.rule.step(row, state, grad);
-            }
-        }
+        let rows = updates.iter().map(|(key, grad)| (*key, grad));
+        member::apply(cache, rows, |row, state, grad| {
+            shared.rule.step(row, state, grad)
+        });
         if proactive {
             GEntryStore::group_by_shard(
                 0..updates.len() as u32,
@@ -190,10 +169,9 @@ pub(crate) fn register_phase(
         let read_step = s + cfg.lookahead;
         if read_step < cfg.steps {
             register_own_reads(shared, smap, t, read_step, scratch);
-            if cache.uses_lookahead() {
-                let plans = streams.iter().map(|&g| shared.step.ring.read(g, read_step));
-                plan::feed_lookahead(cache, smap, t, read_step, plans);
-            }
+            member::feed(cache, smap, t, read_step..read_step + 1, |s1| {
+                streams.iter().map(move |&g| shared.step.ring.read(g, s1))
+            });
         }
     }
     // A cohort of one never waits at barrier C, whose waiters wake the
@@ -264,14 +242,12 @@ pub(crate) fn trainer_loop(
     // idempotent against the previous owner's, while re-seeding this
     // member's (rebuilt) cache policy feed.
     if registers_reads {
-        let feed_cache = cache.uses_lookahead();
         for s0 in seg.start..boot_end {
             register_own_reads(shared, smap, t, s0, &mut scratch);
-            if feed_cache {
-                let plans = streams.iter().map(|&g| shared.step.ring.read(g, s0));
-                plan::feed_lookahead(cache, smap, t, s0, plans);
-            }
         }
+        member::feed(cache, smap, t, seg.start..boot_end, |s0| {
+            streams.iter().map(move |&g| shared.step.ring.read(g, s0))
+        });
     }
 
     for s in seg.start..seg.end {
@@ -351,60 +327,47 @@ pub(crate) fn trainer_loop(
             // drops.
             let plan = shared.step.ring.read(g, s);
 
-            // Forward pass 1 — cache query: resolve the plan's unique keys
-            // against the local cache, collecting the ones it missed. All
-            // staging buffers are per-member scratch — cleared, never
+            // Forward pass 1 — cache query: the plan's owned unique keys
+            // served from the local cache, the rest collected as misses.
+            // All staging buffers are per-member scratch — cleared, never
             // re-allocated.
             let cq_span = rec.span(s, LedgerPhase::CacheQuery);
-            scratch.missing.clear();
             let unique_n = plan.unique().len();
             scratch.urows.resize(unique_n * dim, 0.0);
-            for (i, &key) in plan.unique().iter().enumerate() {
-                let slot = &mut scratch.urows[i * dim..(i + 1) * dim];
-                if smap.owns_key(t, key) {
-                    if let Some(row) = cache.get(&key) {
-                        frugal_embed::kernels::copy(slot, row);
-                        continue;
-                    }
-                }
-                scratch.missing.push((i, key));
-            }
+            let (urows, at) = (&mut scratch.urows, |i: usize| i * dim..(i + 1) * dim);
+            member::query(cache, smap, t, &plan, &mut scratch.missing, |i, row| {
+                frugal_embed::kernels::copy(&mut urows[at(i)], row)
+            });
             drop(cq_span);
 
-            // Forward pass 2 — host reads (UVA zero-copy) for the cache
-            // misses. Safe to split from pass 1: keys are unique within a
-            // stream's step, so a row admitted here can never be queried
-            // again before the barrier.
-            let host_reads = scratch.missing.len() as u64;
-            let mut fills = 0;
-            let hr_span = rec.span_with(s, LedgerPhase::HostRead, &[("rows", host_reads)]);
-            for (m, &(i, key)) in scratch.missing.iter().enumerate() {
-                // The misses are all known: overlap their DRAM latencies.
-                shared
-                    .store
-                    .prefetch_ahead(&scratch.missing, m, |&(_, key)| key);
-                let slot = &mut scratch.urows[i * dim..(i + 1) * dim];
-                // Verify the consistency invariant first when checking is on.
-                if cfg.checked && !shared.gstore.invariant_holds(key, s) {
-                    shared.metrics.violations.incr();
-                }
-                shared.store.read_row(key, slot);
-                // `admits` pre-gate keeps statically-rejected keys
-                // (static-hot policy, cold tail) away from the slot search.
-                if smap.owns_key(t, key) && cache.admits(key) {
-                    // The slot takes the row just read and the host
-                    // path's optimizer state for it (safe: the wait
-                    // condition guarantees this key has no in-flight
-                    // updates while it is being read).
-                    let outcome = cache.fill_with_state(key, |row, state| {
-                        row.copy_from_slice(slot);
-                        shared.rule.copy_state(key, state);
-                    });
-                    if !matches!(outcome, frugal_embed::InsertOutcome::Rejected) {
-                        fills += 1;
+            // Forward pass 2 — host reads (UVA zero-copy) for the misses,
+            // each owned one filled with the row just read and the host
+            // path's optimizer state for it (safe: the wait condition
+            // guarantees this key has no in-flight updates while it is
+            // being read).
+            let missing = &scratch.missing;
+            let hr_span =
+                rec.span_with(s, LedgerPhase::HostRead, &[("rows", missing.len() as u64)]);
+            let fills = member::fill(
+                cache,
+                smap,
+                t,
+                missing,
+                &mut scratch.urows,
+                |urows, m, i, key| {
+                    // The misses are all known: overlap their DRAM latencies.
+                    shared.store.prefetch_ahead(missing, m, |&(_, key)| key);
+                    // Verify the consistency invariant first when checking is on.
+                    if cfg.checked && !shared.gstore.invariant_holds(key, s) {
+                        shared.metrics.violations.incr();
                     }
-                }
-            }
+                    shared.store.read_row(key, &mut urows[at(i)]);
+                },
+                |urows, i, key, row, state| {
+                    row.copy_from_slice(&urows[at(i)]);
+                    shared.rule.copy_state(key, state);
+                },
+            );
             drop(hr_span);
 
             // Scatter unique rows to per-instance rows for the model.

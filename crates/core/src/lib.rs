@@ -43,6 +43,7 @@ macro_rules! sched_point {
 mod config;
 mod engine;
 mod gentry;
+mod member;
 mod model;
 mod plan;
 pub mod presets;

@@ -2,15 +2,14 @@
 //! g-entry shard once. The engine's sample ring publishes plans `L` steps
 //! early (paper §3.2) and the key-stream walk builds them with the same
 //! [`StepPlan::rebuild`]; the cache query, scatter, aggregation, count
-//! records, lookahead read registration and oracle feed all read them.
+//! records, lookahead read registration and oracle feed
+//! ([`crate::member`]) all read them.
 //! Shard ids do not depend on the shard-map epoch, so an elastic
 //! transition never invalidates a plan.
 
 use crate::gentry::GEntryStore;
 use crate::ShardMap;
 use frugal_data::{Key, KeyHashMap};
-use frugal_embed::GpuCache;
-use std::ops::Deref;
 
 const SHARDS: usize = GEntryStore::n_shards();
 
@@ -92,24 +91,6 @@ impl StepPlan {
         (0..SHARDS)
             .filter(move |&sid| smap.owner_of_shard(sid) == t)
             .map(|sid| self.shard(sid))
-    }
-}
-
-/// Feeds the oracle policy of member `t`'s cache the keys `t` owns in the
-/// `plans` of `step` (one per stream `t` runs): the keys its forward pass
-/// will query, one owned slice at a time. The policy ignores order,
-/// repeats and call boundaries within a step, so this decides what one
-/// call with the instance lists would.
-pub(crate) fn feed_lookahead<P: Deref<Target = StepPlan>>(
-    cache: &mut GpuCache,
-    smap: &ShardMap,
-    t: usize,
-    step: u64,
-    plans: impl IntoIterator<Item = P>,
-) {
-    for plan in plans {
-        plan.owned(smap, t)
-            .for_each(|keys| cache.prepare_step(step, keys));
     }
 }
 

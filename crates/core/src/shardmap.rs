@@ -185,11 +185,6 @@ impl ShardMap {
         self.owners[(key as usize) % self.n_shards] as usize == t
     }
 
-    /// Shards owned by member `t` this epoch (0 for non-members).
-    pub fn owned_shards(&self, t: usize) -> usize {
-        self.owners.iter().filter(|&&o| o as usize == t).count()
-    }
-
     /// The logical streams member `t` processes this epoch: streams are
     /// dealt round-robin over the sorted member list, so a shrunk cohort
     /// still covers every stream (and at full width each trainer keeps its
@@ -198,17 +193,6 @@ impl ShardMap {
         let m = self.members.len();
         let idx = self.members.binary_search(&t).ok();
         (0..self.n_streams).filter(move |g| idx.is_some_and(|i| g % m == i))
-    }
-
-    /// Shards that own a different member in `next` than in `self` — the
-    /// reassignment cost of a membership change.
-    pub fn moved_shards(&self, next: &ShardMap) -> usize {
-        assert_eq!(self.n_shards, next.n_shards);
-        self.owners
-            .iter()
-            .zip(&next.owners)
-            .filter(|(a, b)| a != b)
-            .count()
     }
 }
 
@@ -223,12 +207,28 @@ mod tests {
         ShardMap::build(0, 8, SHARDS, members.to_vec())
     }
 
+    /// Shards `map` gives member `t` (0 for non-members).
+    fn owned_shards(map: &ShardMap, t: usize) -> usize {
+        map.owners.iter().filter(|&&o| o as usize == t).count()
+    }
+
+    /// Shards whose owner differs between `map` and `next`: the
+    /// reassignment cost of a membership change.
+    fn moved_shards(map: &ShardMap, next: &ShardMap) -> usize {
+        assert_eq!(map.n_shards, next.n_shards);
+        map.owners
+            .iter()
+            .zip(&next.owners)
+            .filter(|(a, b)| a != b)
+            .count()
+    }
+
     #[test]
     fn initial_map_covers_every_shard_exactly_once() {
         let map = ShardMap::initial(8, SHARDS);
         assert_eq!(map.epoch(), 0);
         assert_eq!(map.members(), &[0, 1, 2, 3, 4, 5, 6, 7]);
-        let total: usize = (0..8).map(|t| map.owned_shards(t)).sum();
+        let total: usize = (0..8).map(|t| owned_shards(&map, t)).sum();
         assert_eq!(total, SHARDS);
         for sid in 0..SHARDS {
             let t = map.owner_of_shard(sid);
@@ -246,7 +246,7 @@ mod tests {
             let members: Vec<usize> = (0..m).collect();
             let map = map_for(&members);
             let cap = SHARDS.div_ceil(m);
-            let loads: Vec<usize> = members.iter().map(|&t| map.owned_shards(t)).collect();
+            let loads: Vec<usize> = members.iter().map(|&t| owned_shards(&map, t)).collect();
             let (lo, hi) = (*loads.iter().min().unwrap(), *loads.iter().max().unwrap());
             assert!(hi <= cap, "m={m}: load over cap, got {loads:?}");
             assert!(
@@ -345,7 +345,7 @@ mod tests {
                 per_member[map.owner_of_shard(sid)] += 1;
             }
             for (t, &n) in per_member.iter().enumerate() {
-                prop_assert_eq!(n, map.owned_shards(t));
+                prop_assert_eq!(n, owned_shards(&map, t));
                 if !members.contains(&t) {
                     prop_assert_eq!(n, 0);
                 }
@@ -366,7 +366,7 @@ mod tests {
             let rest: Vec<usize> = members.iter().copied().filter(|&t| t != leaver).collect();
             let big = map_for(&members);
             let small = map_for(&rest);
-            let moved = big.moved_shards(&small);
+            let moved = moved_shards(&big, &small);
             let bound = SHARDS.div_ceil(rest.len()) + 8;
             prop_assert!(
                 moved <= bound,

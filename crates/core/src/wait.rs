@@ -98,7 +98,7 @@ impl InflightTable {
 
     /// True if any flusher is applying a batch containing priority ≤ `step`,
     /// or one it opened when reads of `step` could still be registered.
-    pub fn any_at_or_below(&self, step: u64) -> bool {
+    fn any_at_or_below(&self, step: u64) -> bool {
         self.slots.iter().chain(&self.horizons).any(|p| {
             sched_point!("wait.inflight.slot");
             p.load(Ordering::Acquire) <= step

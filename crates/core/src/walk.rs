@@ -3,29 +3,29 @@
 //!
 //! [`crate::System::price`] prices every system through [`price`].
 //!
-//! One loop, two routings. *Member* routing (the Frugal variants) looks a
-//! stream's owned unique keys up in the cache of the member that runs it,
-//! the rest being host reads, and yields exactly the engine's per-member
-//! [`CountRecord`]s, which [`price_run`] prices; `tests/config_space.rs`
-//! checks them record for record. *Owner* routing (HugeCTR, and PyTorch and
-//! PyTorch-UVM with no cache) sends every unique key once to its
-//! [`ShardMap`] owner's cache (Fig 2b). In both, the synchronous apply then
-//! looks each owner's rows up again, in first arrival across streams 0..n
-//! (a member's reduced rows, HugeCTR's routed keys): that lookup moves LRU
-//! recency and the frequency counts. A cache slot holds one placeholder
-//! float, never a row.
+//! One loop, two routings. *Member* routing (the Frugal variants) makes
+//! each member's cache decisions through the trainer's own [`member`]
+//! functions, with no-op callbacks, and yields exactly the engine's
+//! per-member [`CountRecord`]s, which [`price_run`] prices;
+//! `tests/config_space.rs` checks the threading record for record. *Owner*
+//! routing (HugeCTR, and PyTorch and PyTorch-UVM with no cache) sends every
+//! unique key once to its [`ShardMap`] owner's cache (Fig 2b). In both, the
+//! synchronous apply's lookups ([`member::apply`]) then take each owner's
+//! rows in first arrival across streams 0..n. A cache slot holds one
+//! placeholder float, never a row.
 
 use crate::config::{FlushMode, FrugalConfig};
-use crate::engine::{member_cache, resolve_segments};
+use crate::engine::resolve_segments;
 use crate::gentry::GEntryStore;
+use crate::member::{self, member_cache};
 use crate::model::EmbeddingModel;
-use crate::plan::{feed_lookahead, PlanScratch, StepPlan};
+use crate::plan::{PlanScratch, StepPlan};
 use crate::price::{dense_prices, price_run, CountRecord, RunCounts};
 use crate::report::ModeledRun;
 use crate::workload::Workload;
 use crate::ShardMap;
 use frugal_data::{Key, KeyHashSet};
-use frugal_embed::{GpuCache, InsertOutcome};
+use frugal_embed::GpuCache;
 use frugal_sim::{HostPath, IterBreakdown, Nanos, RunStats};
 use frugal_telemetry::{LaneKind, LedgerPhase};
 
@@ -53,13 +53,6 @@ struct Step<'a> {
     misses: &'a [usize],
     fills: &'a [usize],
     read_next: &'a [u64],
-}
-
-/// Fills `k` into `cache`, counting the fill if the cache accepts it.
-fn fill(cache: &mut GpuCache, k: Key, fills: &mut usize) {
-    if cache.fill_into(k, |_| {}) != InsertOutcome::Rejected {
-        *fills += 1;
-    }
 }
 
 /// The one loop: walks every step under `routing`, hands each to `visit`,
@@ -98,31 +91,24 @@ fn walk(
     let mut caches: Vec<Option<GpuCache>> = (0..n).map(|_| None).collect();
     let mut rows = vec![Vec::new(); n];
     let (mut misses, mut fills, mut read_next) = (vec![0; n], vec![0; n], vec![0; n]);
-    let (mut seen, mut next, mut owned_misses) =
+    let (mut seen, mut next, mut missing) =
         (KeyHashSet::default(), KeyHashSet::default(), Vec::new());
     let mut totals = (0, 0, 0);
     let mut rec = cfg.telemetry.recorder("walk", LaneKind::Trainer);
     let mut smap = ShardMap::initial(n, GEntryStore::n_shards());
     for (i, seg) in resolve_segments(cfg).iter().enumerate() {
         if i > 0 {
-            // The transition: leavers drop their cache, survivors keep what
-            // the next epoch still gives them.
             smap = smap.with_members(&seg.members);
-            for (t, slot) in caches.iter_mut().enumerate() {
-                if !smap.is_member(t) {
-                    *slot = None;
-                } else if let (Some(cache), false) = (slot.as_mut(), cfg.skip_quiesce) {
-                    cache.retain(|k| smap.owns_key(t, k));
-                }
-            }
+            member::transition(&mut caches, &smap, cfg.skip_quiesce);
         }
         for &t in seg.members.iter().filter(|_| cached) {
             let cache = caches[t].get_or_insert_with(new_cache);
-            if p2f && cache.uses_lookahead() {
-                for s0 in seg.start..(seg.start + lookahead).min(steps) {
-                    let plans = smap.streams_of(t).map(|g| &window[at(s0)][g]);
-                    feed_lookahead(cache, &smap, t, s0, plans);
-                }
+            if p2f {
+                let boot = seg.start..(seg.start + lookahead).min(steps);
+                member::feed(cache, &smap, t, boot, |s0| {
+                    let plans = &window[at(s0)];
+                    smap.streams_of(t).map(move |g| &plans[g])
+                });
             }
         }
         for s in seg.start..seg.end {
@@ -149,35 +135,29 @@ fn walk(
             for &t in seg.members.iter().filter(|_| cached) {
                 let cache = caches[t].as_mut().expect("a member has a cache");
                 if member {
-                    // The forward pass: a stream's owned keys are all
-                    // looked up, then its owned misses filled.
                     for g in smap.streams_of(t) {
-                        owned_misses.clear();
-                        for &k in plans[g].unique() {
-                            let owned = smap.owns_key(t, k);
-                            if !(owned && cache.get(&k).is_some()) {
-                                misses[g] += 1;
-                                if owned {
-                                    owned_misses.push(k);
-                                }
-                            }
-                        }
-                        for &k in &owned_misses {
-                            fill(cache, k, &mut fills[g]);
-                        }
+                        member::query(cache, &smap, t, &plans[g], &mut missing, |_, _| {});
+                        misses[g] = missing.len();
+                        fills[g] = member::fill(
+                            cache,
+                            &smap,
+                            t,
+                            &missing,
+                            &mut (),
+                            |_, _, _, _| {},
+                            |_, _, _, _, _| {},
+                        );
                     }
                 } else {
+                    // An owner looks each routed key up and fills it at once.
                     for &k in &rows[t] {
                         if cache.get(&k).is_none() {
                             misses[t] += 1;
-                            fill(cache, k, &mut fills[t]);
+                            fills[t] += usize::from(member::fill_row(cache, k, |_, _| {}));
                         }
                     }
                 }
-                // The synchronous apply's lookups.
-                for k in &rows[t] {
-                    cache.get(k);
-                }
+                member::apply(cache, rows[t].iter().map(|&k| (k, ())), |_, _, ()| {});
             }
             drop(query_span);
             // Registration adds the reads of `s + L` after the writes of
@@ -190,15 +170,13 @@ fn walk(
                     read_next[t] = rows[t].iter().filter(|&k| next.contains(k)).count() as u64;
                 }
             }
-            if p2f && s + lookahead < steps {
-                let ahead = &window[at(s + lookahead)];
-                for &t in &seg.members {
-                    let cache = caches[t].as_mut().expect("a member has a cache");
-                    if cache.uses_lookahead() {
-                        let plans = smap.streams_of(t).map(|g| &ahead[g]);
-                        feed_lookahead(cache, &smap, t, s + lookahead, plans);
-                    }
-                }
+            for &t in seg.members.iter().filter(|_| p2f) {
+                let cache = caches[t].as_mut().expect("a member has a cache");
+                let ahead = s + lookahead..(s + lookahead + 1).min(steps);
+                member::feed(cache, &smap, t, ahead, |s1| {
+                    let plans = &window[at(s1)];
+                    smap.streams_of(t).map(move |g| &plans[g])
+                });
             }
             // A member looks every unique key up (what it does not own
             // misses); an owner only the keys routed to it.

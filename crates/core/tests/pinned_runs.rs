@@ -1,7 +1,7 @@
-//! The baselines' observable results, pinned: the cache decisions (hit
-//! ratio, fills), the modeled clock (every step's total) and the losses of
-//! four small fixed-seed runs. A change to how a baseline walks its cache
-//! or prices a step moves one of these numbers; a refactor must not.
+//! Observable results, pinned: the cache decisions (hit ratio, fills), the
+//! modeled clock (every step's total) and the losses of small fixed-seed
+//! runs of the baselines and of Frugal. A change to how a system walks its
+//! cache or prices a step moves one of these numbers; a refactor must not.
 
 use frugal_core::{FrugalConfig, PullToTarget, System, TrainReport};
 use frugal_data::{KeyDistribution, SyntheticTrace};
@@ -37,6 +37,10 @@ impl Pinned {
     }
 }
 
+/// One pinned case: the system, its policy, then the run's hit-ratio bits,
+/// fills and per-step totals.
+type Case = (System, CachePolicy, u64, u64, [u64; STEPS as usize]);
+
 fn run(system: System, policy: CachePolicy) -> Pinned {
     let trace = SyntheticTrace::new(2_000, KeyDistribution::Zipf(0.9), 64, 2, 5).unwrap();
     let model = PullToTarget::new(8, 3);
@@ -49,12 +53,53 @@ fn run(system: System, policy: CachePolicy) -> Pinned {
     Pinned::of(&system.run(cfg, &trace, &model))
 }
 
+/// Every system trains the serial oracle's parameters, so all runs share
+/// their losses.
+fn check(cases: &[Case]) {
+    let (first_loss_bits, final_loss_bits) = (1026214192, 1025909974);
+    for &(system, policy, hit_ratio_bits, cache_fills, iter_totals_ns) in cases {
+        let expected = Pinned {
+            hit_ratio_bits,
+            cache_fills,
+            iter_totals_ns,
+            first_loss_bits,
+            final_loss_bits,
+        };
+        assert_eq!(run(system, policy), expected, "{system:?} {policy:?}");
+    }
+}
+
+/// Frugal's engine and walk make their cache decisions through one module,
+/// so comparing the two cannot catch a wrong decision there: these pins
+/// do, under the two history-driven policies (`static-hot` and `oracle`
+/// are pinned by `tests/modeled_clock.rs`).
+#[test]
+fn frugal_runs_report_their_pinned_values() {
+    check(&[
+        (
+            System::Frugal,
+            CachePolicy::Lru,
+            4592914620224145715,
+            322,
+            [
+                559677, 556726, 553992, 555142, 552017, 553062, 553243, 553764,
+            ],
+        ),
+        (
+            System::Frugal,
+            CachePolicy::FrequencyAware,
+            4593688076432987664,
+            131,
+            [
+                559677, 556726, 545352, 546142, 545524, 546415, 545764, 546264,
+            ],
+        ),
+    ]);
+}
+
 #[test]
 fn baseline_runs_report_their_pinned_values() {
-    // Every baseline trains the serial oracle's parameters, so all four
-    // runs share their losses.
-    let (first_loss_bits, final_loss_bits) = (1026214192, 1025909974);
-    let cases = [
+    check(&[
         (
             System::HugeCtr,
             CachePolicy::Lru,
@@ -91,15 +136,5 @@ fn baseline_runs_report_their_pinned_values() {
                 9733380, 9854696, 9485748, 9487748, 9612064, 9363432, 9487748, 9491748,
             ],
         ),
-    ];
-    for (system, policy, hit_ratio_bits, cache_fills, iter_totals_ns) in cases {
-        let expected = Pinned {
-            hit_ratio_bits,
-            cache_fills,
-            iter_totals_ns,
-            first_loss_bits,
-            final_loss_bits,
-        };
-        assert_eq!(run(system, policy), expected, "{system:?} {policy:?}");
-    }
+    ]);
 }

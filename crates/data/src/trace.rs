@@ -150,15 +150,6 @@ impl RecBatch {
     pub fn n_samples(&self) -> usize {
         self.labels.len()
     }
-
-    /// The keys of sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.n_samples()`.
-    pub fn sample_keys(&self, i: usize) -> &[Key] {
-        &self.keys[i * self.n_features..(i + 1) * self.n_features]
-    }
 }
 
 /// A replayable recommendation (CTR) trace shaped like a [`RecDatasetSpec`].
@@ -386,6 +377,11 @@ impl KgTrace {
 mod tests {
     use super::*;
 
+    /// The keys of sample `i` of `b`.
+    fn sample_keys(b: &RecBatch, i: usize) -> &[Key] {
+        &b.keys[i * b.n_features..(i + 1) * b.n_features]
+    }
+
     #[test]
     fn synthetic_trace_is_deterministic() {
         let t = SyntheticTrace::new(1_000, KeyDistribution::Zipf(0.99), 64, 4, 9).unwrap();
@@ -454,7 +450,7 @@ mod tests {
         let b = t.step_batch(0, 0);
         assert_eq!(b.n_samples(), 8);
         assert_eq!(b.keys.len(), 8 * 22);
-        assert_eq!(b.sample_keys(3).len(), 22);
+        assert_eq!(sample_keys(&b, 3).len(), 22);
         for &k in &b.keys {
             assert!(k < 10_000);
         }
@@ -485,7 +481,7 @@ mod tests {
         for step in 0..4 {
             let b = t.step_batch(step, 0);
             for i in 0..b.n_samples() {
-                let w: f32 = b.sample_keys(i).iter().map(|&k| latent_weight(k)).sum();
+                let w: f32 = sample_keys(&b, i).iter().map(|&k| latent_weight(k)).sum();
                 if w > 0.0 {
                     pos_clicks += b.labels[i];
                     pos_n += 1.0;

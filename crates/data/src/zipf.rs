@@ -127,27 +127,6 @@ impl Zipf {
         ((rank + 1) as f64).powf(-self.theta)
     }
 
-    /// Fraction of total probability mass covered by the hottest
-    /// `hot` ranks. Useful to reason about cache hit ratios.
-    pub fn hot_mass(&self, hot: u64) -> f64 {
-        let hot = hot.min(self.n);
-        let total: f64 = Self::harmonic(self.n, self.theta);
-        if total == 0.0 {
-            return 0.0;
-        }
-        Self::harmonic(hot, self.theta) / total
-    }
-
-    fn harmonic(n: u64, theta: f64) -> f64 {
-        // Exact for small n, integral approximation for large n.
-        if n <= 10_000 {
-            (1..=n).map(|k| (k as f64).powf(-theta)).sum()
-        } else {
-            let head: f64 = (1..=10_000u64).map(|k| (k as f64).powf(-theta)).sum();
-            head + Self::h_integral(n as f64 + 0.5, theta) - Self::h_integral(10_000.5, theta)
-        }
-    }
-
     /// H(x) = ∫ h, with h(x) = x^-theta.
     fn h_integral(x: f64, theta: f64) -> f64 {
         let log_x = x.ln();
@@ -439,6 +418,27 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Fraction of `z`'s probability mass covered by its hottest `hot`
+    /// ranks.
+    fn hot_mass(z: &Zipf, hot: u64) -> f64 {
+        let hot = hot.min(z.n);
+        let total: f64 = harmonic(z.n, z.theta);
+        if total == 0.0 {
+            return 0.0;
+        }
+        harmonic(hot, z.theta) / total
+    }
+
+    fn harmonic(n: u64, theta: f64) -> f64 {
+        // Exact for small n, integral approximation for large n.
+        if n <= 10_000 {
+            (1..=n).map(|k| (k as f64).powf(-theta)).sum()
+        } else {
+            let head: f64 = (1..=10_000u64).map(|k| (k as f64).powf(-theta)).sum();
+            head + Zipf::h_integral(n as f64 + 0.5, theta) - Zipf::h_integral(10_000.5, theta)
+        }
+    }
+
     #[test]
     fn zipf_rejects_bad_params() {
         assert_eq!(Zipf::new(0, 0.9).unwrap_err(), DistError::EmptyKeySpace);
@@ -510,8 +510,8 @@ mod tests {
     #[test]
     fn hot_mass_monotone_and_bounded() {
         let z = Zipf::new(10_000_000, 0.99).unwrap();
-        let m1 = z.hot_mass(100_000); // 1% of keys
-        let m5 = z.hot_mass(500_000); // 5% of keys
+        let m1 = hot_mass(&z, 100_000); // 1% of keys
+        let m5 = hot_mass(&z, 500_000); // 5% of keys
         assert!(m1 > 0.0 && m1 < m5 && m5 <= 1.0);
         // Skewed: the hottest 1% should cover well over 1% of accesses.
         assert!(m1 > 0.5, "1% of keys covers {m1} of mass");

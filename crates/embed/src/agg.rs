@@ -254,7 +254,7 @@ impl GradAggregator {
     /// # Panics
     ///
     /// Panics if dimensions differ.
-    pub fn merge_from(&mut self, other: &mut GradAggregator) {
+    fn merge_from(&mut self, other: &mut GradAggregator) {
         assert_eq!(self.dim, other.dim, "dim mismatch");
         for (&k, grad) in other.order.iter().zip(other.data.chunks_exact(self.dim)) {
             self.add(k, grad);

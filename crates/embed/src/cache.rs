@@ -405,7 +405,7 @@ impl GpuCache {
 
     /// [`Self::fill_with_state`] for callers with no state to carry: `fill`
     /// writes the row, the slot's state (if any) restarts from zero.
-    pub fn fill_into<F: FnOnce(&mut [f32])>(&mut self, key: Key, fill: F) -> InsertOutcome {
+    fn fill_into<F: FnOnce(&mut [f32])>(&mut self, key: Key, fill: F) -> InsertOutcome {
         self.fill_with_state(key, |row, state| {
             fill(row);
             state.fill(0.0);

@@ -61,7 +61,7 @@ fn split2_wide<'a>(
 ///
 /// Panics if lengths differ.
 #[inline]
-pub fn add_wide(acc: &mut [f32], grad: &[f32]) {
+fn add_wide(acc: &mut [f32], grad: &[f32]) {
     assert_eq!(acc.len(), grad.len(), "gradient length != dim");
     let (ah, gh, at, gt) = split2_wide(acc, grad);
     for (ac, gc) in ah
@@ -82,7 +82,7 @@ pub fn add_wide(acc: &mut [f32], grad: &[f32]) {
 ///
 /// Panics if lengths differ.
 #[inline]
-pub fn sgd_step_wide(row: &mut [f32], grad: &[f32], lr: f32) {
+fn sgd_step_wide(row: &mut [f32], grad: &[f32], lr: f32) {
     assert_eq!(row.len(), grad.len(), "row/gradient length mismatch");
     let (rh, gh, rt, gt) = split2_wide(row, grad);
     for (rc, gc) in rh

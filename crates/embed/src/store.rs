@@ -238,7 +238,7 @@ impl HostStore {
     /// A hint with no architectural effect: it reads and writes nothing, so
     /// it needs none of the protocol's guarantees about the row.
     #[inline]
-    pub fn prefetch_row(&self, key: Key) {
+    fn prefetch_row(&self, key: Key) {
         if key >= self.n_keys {
             return;
         }

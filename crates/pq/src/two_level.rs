@@ -365,11 +365,6 @@ impl TwoLevelPq {
         true
     }
 
-    /// Largest finite priority this queue accepts.
-    pub fn max_step(&self) -> u64 {
-        self.max_step
-    }
-
     /// Bytes the queue holds: its headers (the bucket ring) plus every
     /// segment of every bucket's chain. Constant once each ring bucket has
     /// seen its peak population — it does not grow with the step count.

@@ -405,7 +405,7 @@ impl CostModel {
 
     /// Reference-machine cost of registering one g-entry update whose
     /// gradient is `row_bytes` wide through an O(1) queue, in nanoseconds.
-    pub fn gentry_op_reference_ns(&self, row_bytes: u64) -> f64 {
+    fn gentry_op_reference_ns(&self, row_bytes: u64) -> f64 {
         self.params.gentry_base_ns + self.params.gentry_byte_ns * row_bytes as f64
     }
 

@@ -117,13 +117,6 @@ impl JsonWriter {
         }
         self
     }
-
-    /// Writes a boolean value.
-    pub fn boolean(&mut self, v: bool) -> &mut Self {
-        self.before_value();
-        self.out.push_str(if v { "true" } else { "false" });
-        self
-    }
 }
 
 /// Escapes `s` as a JSON string literal (including the quotes) into `out`.
@@ -457,7 +450,7 @@ mod tests {
         w.key("events").begin_array();
         w.begin_object();
         w.key("ts").number_f64(12.3456);
-        w.key("ok").boolean(true);
+        w.key("ok").number_u64(1);
         w.end_object();
         w.number_u64(7);
         w.end_array();
@@ -466,7 +459,7 @@ mod tests {
         let text = w.finish();
         assert_eq!(
             text,
-            r#"{"name":"p2f \"wait\"\n","events":[{"ts":12.346,"ok":true},7],"neg":-3.000}"#
+            r#"{"name":"p2f \"wait\"\n","events":[{"ts":12.346,"ok":1},7],"neg":-3.000}"#
         );
     }
 

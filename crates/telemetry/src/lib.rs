@@ -374,7 +374,7 @@ impl TelemetrySummary {
 
     /// Serializes the snapshot as JSONL: one object per metric, then one
     /// per stall record.
-    pub fn to_jsonl(&self) -> String {
+    fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.metrics.counters {
             let mut w = JsonWriter::new();

@@ -3,8 +3,7 @@
 //! This is the "DNN part" of the embedding models (paper Fig 2a): DLRM runs
 //! a fully connected 512-512-256-1 network over the aggregated embeddings.
 //! The implementation provides exact forward/backward passes (verified by
-//! finite differences in the tests) and a [`Mlp::flops_per_sample`] figure
-//! for the hardware cost model.
+//! finite differences in the tests).
 
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
@@ -121,15 +120,6 @@ impl Mlp {
         d
     }
 
-    /// FLOPs of one forward+backward pass per sample (the standard `6 m n`
-    /// estimate: 2 for forward, 4 for backward per weight).
-    pub fn flops_per_sample(&self) -> f64 {
-        self.layers
-            .iter()
-            .map(|l| 6.0 * (l.inputs() * l.outputs()) as f64)
-            .sum()
-    }
-
     /// Forward pass; returns the cached activations.
     pub fn forward(&self, x: &Matrix) -> ForwardPass {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
@@ -207,6 +197,15 @@ impl Mlp {
 mod tests {
     use super::*;
 
+    /// FLOPs of one forward+backward pass per sample (the standard `6 m n`
+    /// estimate: 2 for forward, 4 for backward per weight).
+    fn flops_per_sample(mlp: &Mlp) -> f64 {
+        mlp.layers
+            .iter()
+            .map(|l| 6.0 * (l.inputs() * l.outputs()) as f64)
+            .sum()
+    }
+
     fn loss_of(mlp: &Mlp, x: &Matrix, target: &[f32]) -> f32 {
         let out = mlp.forward(x);
         out.output()
@@ -231,7 +230,7 @@ mod tests {
     fn flops_formula() {
         let mlp = Mlp::new(&[32, 512, 512, 256, 1], 0);
         let expect = 6.0 * (32. * 512. + 512. * 512. + 512. * 256. + 256. * 1.);
-        assert_eq!(mlp.flops_per_sample(), expect);
+        assert_eq!(flops_per_sample(&mlp), expect);
     }
 
     #[test]
