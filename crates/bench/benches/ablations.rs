@@ -3,7 +3,7 @@
 //! L, sparse optimizer).
 
 fn main() {
-    let scale = frugal_bench::env_scale();
+    let scale = frugal_bench::experiments::Scale::default();
     for table in frugal_bench::experiments::ablation_cache_policy(&scale) {
         println!("{table}");
     }

@@ -53,8 +53,8 @@ fn measured_phase(report: &TrainReport, phase: LedgerPhase) -> Option<&LedgerPha
 ///
 /// The paper's testbed has 8 GPUs, 64 cores, and datasets up to 882 M IDs;
 /// this harness runs everything on whatever machine hosts it, so sizes are
-/// scaled down. `Scale::default()` targets a single-digit-minutes full
-/// suite on a small machine; [`Scale::quick`] is for smoke tests.
+/// scaled down. Every bench target and the `cache_ablation` bin run
+/// `Scale::default()`; the unit tests run a smaller scale.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// Synthetic-microbenchmark key-space size (paper: 10 M).
@@ -88,8 +88,19 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// A very small scale for smoke tests.
-    pub fn quick() -> Self {
+    /// Note string describing the downscaling, appended to tables.
+    pub fn note(&self) -> String {
+        format!(
+            "scaled: {} GPUs, {} keys (micro), {} steps/config; paper: 8 GPUs, 10M keys",
+            self.gpus, self.micro_keys, self.steps
+        )
+    }
+}
+
+#[cfg(test)]
+impl Scale {
+    /// A very small scale for the unit tests.
+    pub(crate) fn quick() -> Self {
         Scale {
             micro_keys: 20_000,
             gpus: 2,
@@ -99,13 +110,5 @@ impl Scale {
             kg_entities: 5_000,
             rec_batch: 128,
         }
-    }
-
-    /// Note string describing the downscaling, appended to tables.
-    pub fn note(&self) -> String {
-        format!(
-            "scaled: {} GPUs, {} keys (micro), {} steps/config; paper: 8 GPUs, 10M keys",
-            self.gpus, self.micro_keys, self.steps
-        )
     }
 }

@@ -20,21 +20,10 @@
 //! | `exp11_models`           | Fig 18         |
 //! | `pq_ops`                 | §3.4 micro-ops |
 //!
-//! Run them all with `cargo bench`. Set `FRUGAL_BENCH_QUICK=1` to shrink
-//! every sweep for smoke testing.
+//! Run them all with `cargo bench`; each prints its tables at
+//! [`experiments::Scale::default`].
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod table;
-
-use experiments::Scale;
-
-/// The scale selected by the environment (`FRUGAL_BENCH_QUICK=1` shrinks).
-pub fn env_scale() -> Scale {
-    if std::env::var("FRUGAL_BENCH_QUICK").is_ok() {
-        Scale::quick()
-    } else {
-        Scale::default()
-    }
-}

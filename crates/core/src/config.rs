@@ -224,11 +224,6 @@ pub struct FrugalConfig {
     /// Cache size as a fraction of total parameters (paper default 5 %).
     pub cache_ratio: f64,
     /// Cache admission policy.
-    ///
-    /// [`CachePolicy::OracleBelady`] is fed by the read-registration
-    /// lookahead, so it only sees future batches under
-    /// [`FlushMode::P2f`]; under the other modes it degrades to a
-    /// never-evicting cache (safe, but pointless).
     pub cache_policy: CachePolicy,
     /// Sample-queue lookahead `L` in steps (paper default 10), in
     /// `1..=`[`READ_WINDOW`] (64): each g-entry holds its live reads in a
@@ -383,7 +378,7 @@ mod tests {
     #[test]
     fn cache_policy_builder_sets_policy() {
         let mut c = FrugalConfig::commodity(2, 10);
-        c.cache_policy = CachePolicy::OracleBelady;
+        c.cache_policy = CachePolicy::FrequencyAware;
         assert_eq!(c.validate(), Ok(()));
     }
 

@@ -116,7 +116,6 @@ pub(crate) fn register_phase(
     rec: &mut ThreadRecorder,
     s: u64,
     t: usize,
-    streams: &[usize],
     updates: &[(Key, Arc<[f32]>)],
     scratch: &mut StepScratch,
     cache: &mut GpuCache,
@@ -169,9 +168,6 @@ pub(crate) fn register_phase(
         let read_step = s + cfg.lookahead;
         if read_step < cfg.steps {
             register_own_reads(shared, smap, t, read_step, scratch);
-            member::feed(cache, smap, t, read_step..read_step + 1, |s1| {
-                streams.iter().map(move |&g| shared.step.ring.read(g, s1))
-            });
         }
     }
     // A cohort of one never waits at barrier C, whose waiters wake the
@@ -239,21 +235,14 @@ pub(crate) fn trainer_loop(
     // shards' reads of the segment's first L steps before its first step.
     // At run start no writes exist yet, so this issues no queue
     // operations; at a continuation segment the R-bitset registration is
-    // idempotent against the previous owner's, while re-seeding this
-    // member's (rebuilt) cache policy feed.
+    // idempotent against the previous owner's.
     if registers_reads {
         for s0 in seg.start..boot_end {
             register_own_reads(shared, smap, t, s0, &mut scratch);
         }
-        member::feed(cache, smap, t, seg.start..boot_end, |s0| {
-            streams.iter().map(move |&g| shared.step.ring.read(g, s0))
-        });
     }
 
     for s in seg.start..seg.end {
-        // Advance the cache policy's clock before anything observes step
-        // `s` (the oracle's next-use distances are relative to it).
-        cache.begin_step(s);
         // Double-buffered sampling: draw and plan step `s + L`'s batches
         // for this member's streams *now*, before the wait condition, so
         // sample generation overlaps the stall window instead of sitting
@@ -444,17 +433,7 @@ pub(crate) fn trainer_loop(
         drop(reduce_span);
         // Registration reads only the slot this member just wrote, so it
         // needs no barrier behind the reduce.
-        let read_next = register_phase(
-            shared,
-            smap,
-            rec,
-            s,
-            t,
-            &streams,
-            updates,
-            &mut scratch,
-            cache,
-        );
+        let read_next = register_phase(shared, smap, rec, s, t, updates, &mut scratch, cache);
         counts.step(streams.len(), rows, read_next);
         // Barrier C: registration complete — the step's entries are all
         // queued before any member can evaluate step s + 1's wait

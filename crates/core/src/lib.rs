@@ -19,7 +19,8 @@
 //!   the one runner: [`System::run`] trains a run, and [`System::price`]
 //!   prices it by the key-stream walk — every system's cache decisions and
 //!   modeled clock from the keys alone, no threads and no numerics. The
-//!   engine's count records must equal the walk's ([`walk_counts`]).
+//!   engine's count records must equal the walk's ([`walk_counts`]), and
+//!   [`belady_hit_ratio`] bounds what any cache policy could hit.
 //! * [`Workload`] / [`EmbeddingModel`] — the seams through which datasets
 //!   (`frugal-data`) and models (`frugal-models`) plug in;
 //!   [`PullToTarget`] is the embedding-only microbenchmark model.
@@ -68,5 +69,5 @@ pub use serial::{train_serial, train_serial_with, SerialRun};
 pub use shardmap::ShardMap;
 pub use systems::System;
 pub use wait::{blocked_at, pending_floor, InflightTable};
-pub use walk::walk_counts;
+pub use walk::{belady_hit_ratio, walk_counts};
 pub use workload::Workload;

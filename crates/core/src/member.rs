@@ -3,8 +3,7 @@
 //!
 //! Member `t` looks its owned keys up in its own cache, reads the rest from
 //! the host and fills its owned misses ([`query`], [`fill`]); its owned rows
-//! then take their synchronous update ([`apply`]); under P²F the oracle
-//! policy is fed the step `L` ahead ([`feed`]); a transition drops or
+//! then take their synchronous update ([`apply`]); a transition drops or
 //! trims its cache ([`transition`]). The trainer passes closures that move
 //! rows and optimizer state; the walk, whose slots hold one placeholder
 //! float, passes no-ops. The cache sees the same calls either way.
@@ -14,7 +13,6 @@ use crate::plan::StepPlan;
 use crate::ShardMap;
 use frugal_data::Key;
 use frugal_embed::{GpuCache, InsertOutcome, Sharding};
-use std::ops::{Deref, Range};
 
 /// Builds a member's cache: slots of a `dim`-float row and `state_width`
 /// floats of optimizer state, capacity, policy and hot threshold set by
@@ -105,31 +103,6 @@ pub(crate) fn apply<P>(
     for (key, payload) in rows {
         if let Some((row, state)) = cache.get_with_state(&key) {
             update(row, state, payload);
-        }
-    }
-}
-
-/// Feeds a lookahead policy, for each step of `steps`, the keys `t` owns
-/// in `plans(step)` (one plan per stream `t` runs), one owned slice at a
-/// time; the policy ignores order and repeats within a step. Other policies
-/// are not fed.
-pub(crate) fn feed<I>(
-    cache: &mut GpuCache,
-    smap: &ShardMap,
-    t: usize,
-    steps: Range<u64>,
-    mut plans: impl FnMut(u64) -> I,
-) where
-    I: IntoIterator,
-    I::Item: Deref<Target = StepPlan>,
-{
-    if !cache.uses_lookahead() {
-        return;
-    }
-    for step in steps {
-        for plan in plans(step) {
-            plan.owned(smap, t)
-                .for_each(|keys| cache.prepare_step(step, keys));
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The step plan: one (step, stream) batch, deduplicated and grouped by
 //! g-entry shard once. The engine's sample ring publishes plans `L` steps
 //! early (paper §3.2) and the key-stream walk builds them with the same
-//! [`StepPlan::rebuild`]; the cache query, scatter, aggregation, count
-//! records, lookahead read registration and oracle feed
-//! ([`crate::member`]) all read them.
+//! [`StepPlan::rebuild`]; the cache query ([`crate::member`]), scatter,
+//! aggregation, count records and lookahead read registration all read
+//! them.
 //! Shard ids do not depend on the shard-map epoch, so an elastic
 //! transition never invalidates a plan.
 

@@ -13,6 +13,9 @@
 //! synchronous apply's lookups ([`member::apply`]) then take each owner's
 //! rows in first arrival across streams 0..n. A cache slot holds one
 //! placeholder float, never a row.
+//!
+//! [`belady_hit_ratio`] reads the member routing's plans once more, for the
+//! offline bound on what any cache policy could hit.
 
 use crate::config::{FlushMode, FrugalConfig};
 use crate::engine::resolve_segments;
@@ -25,7 +28,7 @@ use crate::report::ModeledRun;
 use crate::workload::Workload;
 use crate::ShardMap;
 use frugal_data::{Key, KeyHashSet};
-use frugal_embed::GpuCache;
+use frugal_embed::{belady_hits, GpuCache};
 use frugal_sim::{HostPath, IterBreakdown, Nanos, RunStats};
 use frugal_telemetry::{LaneKind, LedgerPhase};
 
@@ -70,21 +73,21 @@ fn walk(
     let (steps, lookahead) = (cfg.steps, cfg.lookahead);
     let member = routing == Routing::Member;
     let cached = !matches!(routing, Routing::Host(_));
-    // Only P²F registers the lookahead reads that feed the oracle policy
-    // and make a written row block the next step.
+    // Only P²F registers the lookahead reads that make a written row
+    // block the next step.
     let p2f = member && cfg.flush_mode == FlushMode::P2f;
-    // The plans of steps `s..=s + L`, each (step, stream) planned once.
-    let len = lookahead + 1;
-    let at = |s: u64| (s % len) as usize;
-    let mut window = vec![vec![StepPlan::default(); n]; len as usize];
+    // The plans of steps `s` and `s + 1` (`read_next` reads no further
+    // ahead), each (step, stream) planned once.
+    let at = |s: u64| (s % 2) as usize;
+    let mut window = vec![vec![StepPlan::default(); n]; 2];
     let mut scratch = PlanScratch::default();
     let mut plan_step = |window: &mut Vec<Vec<StepPlan>>, s: u64| {
         for (g, plan) in window[at(s)].iter_mut().enumerate() {
             plan.rebuild(workload.keys(s, g), &mut scratch);
         }
     };
-    for s in 0..lookahead.min(steps) {
-        plan_step(&mut window, s);
+    if steps > 0 {
+        plan_step(&mut window, 0);
     }
     // A slot holds one placeholder float and no optimizer state.
     let new_cache = || member_cache(cfg, workload.n_keys(), 1, 0);
@@ -102,19 +105,12 @@ fn walk(
             member::transition(&mut caches, &smap, cfg.skip_quiesce);
         }
         for &t in seg.members.iter().filter(|_| cached) {
-            let cache = caches[t].get_or_insert_with(new_cache);
-            if p2f {
-                let boot = seg.start..(seg.start + lookahead).min(steps);
-                member::feed(cache, &smap, t, boot, |s0| {
-                    let plans = &window[at(s0)];
-                    smap.streams_of(t).map(move |g| &plans[g])
-                });
-            }
+            caches[t].get_or_insert_with(new_cache);
         }
         for s in seg.start..seg.end {
             let sample_span = rec.span(s, LedgerPhase::Sample);
-            if s + lookahead < steps {
-                plan_step(&mut window, s + lookahead);
+            if s + 1 < steps {
+                plan_step(&mut window, s + 1);
             }
             let plans = &window[at(s)];
             seen.clear();
@@ -129,9 +125,6 @@ fn walk(
             misses.fill(0);
             fills.fill(0);
             read_next.fill(0);
-            for cache in caches.iter_mut().flatten() {
-                cache.begin_step(s);
-            }
             for &t in seg.members.iter().filter(|_| cached) {
                 let cache = caches[t].as_mut().expect("a member has a cache");
                 if member {
@@ -169,14 +162,6 @@ fn walk(
                 for &t in &seg.members {
                     read_next[t] = rows[t].iter().filter(|&k| next.contains(k)).count() as u64;
                 }
-            }
-            for &t in seg.members.iter().filter(|_| p2f) {
-                let cache = caches[t].as_mut().expect("a member has a cache");
-                let ahead = s + lookahead..(s + lookahead + 1).min(steps);
-                member::feed(cache, &smap, t, ahead, |s1| {
-                    let plans = &window[at(s1)];
-                    smap.streams_of(t).map(move |g| &plans[g])
-                });
             }
             // A member looks every unique key up (what it does not own
             // misses); an owner only the keys routed to it.
@@ -225,6 +210,44 @@ pub fn walk_counts(cfg: &FrugalConfig, workload: &dyn Workload) -> RunCounts {
         }
     });
     RunCounts(records)
+}
+
+/// The hit ratio of Belady's MIN over the whole run
+/// ([`frugal_embed::belady_hits`]): the most hits any cache policy could
+/// score where [`walk_counts`] counts `cfg.cache_policy`'s. Each member's
+/// accesses are the keys `member::query` looks up (its owned unique keys
+/// of each stream it runs, one batch per stream and step) from the same
+/// step plans, and the denominator is the walk's: every unique key of
+/// every plan. An offline reference; no run decides by it.
+///
+/// # Panics
+///
+/// Panics if the workload's GPU count differs from the topology, or if
+/// `cfg` plans a membership change.
+pub fn belady_hit_ratio(cfg: &FrugalConfig, workload: &dyn Workload) -> f64 {
+    let n = cfg.n_gpus();
+    assert_eq!(workload.n_gpus(), n, "workload/topology GPU count mismatch");
+    assert!(
+        cfg.membership.changes.is_empty(),
+        "the Belady bound is computed for a static cohort"
+    );
+    let smap = ShardMap::initial(n, GEntryStore::n_shards());
+    let mut accesses: Vec<Vec<Vec<Key>>> = vec![Vec::new(); n];
+    let (mut plan, mut scratch) = (StepPlan::default(), PlanScratch::default());
+    let mut lookups = 0;
+    for s in 0..cfg.steps {
+        for (t, batches) in accesses.iter_mut().enumerate() {
+            for g in smap.streams_of(t) {
+                plan.rebuild(workload.keys(s, g), &mut scratch);
+                lookups += plan.unique().len();
+                let owned = plan.unique().iter().filter(|&&k| smap.owns_key(t, k));
+                batches.push(owned.copied().collect());
+            }
+        }
+    }
+    let capacity = member_cache(cfg, workload.n_keys(), 1, 0).capacity();
+    let hits: u64 = accesses.iter().map(|a| belady_hits(a, capacity)).sum();
+    hits as f64 / lookups.max(1) as f64
 }
 
 /// The modeled part of training `workload` with `model` under `routing`,

@@ -71,8 +71,8 @@ fn check(cases: &[Case]) {
 
 /// Frugal's engine and walk make their cache decisions through one module,
 /// so comparing the two cannot catch a wrong decision there: these pins
-/// do, under the two history-driven policies (`static-hot` and `oracle`
-/// are pinned by `tests/modeled_clock.rs`).
+/// do, under the two history-driven policies (`static-hot`, the default,
+/// is pinned by `tests/modeled_clock.rs`'s profiles).
 #[test]
 fn frugal_runs_report_their_pinned_values() {
     check(&[

@@ -8,7 +8,7 @@
 //! owns the *mechanism* — a flat arena of `slots × dim` floats plus the
 //! key→slot map — while all *strategy* lives behind the
 //! [`EvictionPolicy`] trait in [`crate::policy`].
-//! Four policies ship ([`CachePolicy`]):
+//! Three policies ship ([`CachePolicy`]):
 //!
 //! * [`CachePolicy::StaticHot`] — admit only the statically hottest keys,
 //!   never evict (HugeCTR's strategy, the paper's default across systems).
@@ -16,8 +16,6 @@
 //! * [`CachePolicy::FrequencyAware`] — LRU recency + decayed per-key
 //!   frequencies; admission under pressure requires beating the victim's
 //!   frequency (Fang et al.).
-//! * [`CachePolicy::OracleBelady`] — Belady's MIN driven by the engine's
-//!   s+L lookahead feed, with admission bypass.
 //!
 //! Rows live in one contiguous `Vec<f32>` arena indexed by slot — no
 //! per-slot `Vec`, no pointer chase, and **no allocation on the
@@ -38,9 +36,7 @@
 //! cache-side optimizer memory is `capacity × state_width` floats however
 //! many keys pass through the cache.
 
-use crate::policy::{
-    EvictionPolicy, FrequencyAwarePolicy, LruPolicy, OracleBeladyPolicy, StaticHotPolicy,
-};
+use crate::policy::{EvictionPolicy, FrequencyAwarePolicy, LruPolicy, StaticHotPolicy};
 use frugal_data::{Key, KeyBuildHasher, KeyHashMap};
 
 /// Cache admission/eviction policy selector (see [`crate::policy`] for the
@@ -57,18 +53,14 @@ pub enum CachePolicy {
     /// a missing key displaces the LRU victim only when seen strictly more
     /// often.
     FrequencyAware,
-    /// Belady's MIN over the engine's lookahead window: evict the
-    /// farthest-next-use resident and bypass farthest-next-use inserts.
-    OracleBelady,
 }
 
 impl CachePolicy {
     /// All selectable policies, in ablation/display order.
-    pub const ALL: [CachePolicy; 4] = [
+    pub const ALL: [CachePolicy; 3] = [
         CachePolicy::StaticHot,
         CachePolicy::Lru,
         CachePolicy::FrequencyAware,
-        CachePolicy::OracleBelady,
     ];
 
     /// Stable command-line / report label.
@@ -77,7 +69,6 @@ impl CachePolicy {
             CachePolicy::StaticHot => "static-hot",
             CachePolicy::Lru => "lru",
             CachePolicy::FrequencyAware => "freq",
-            CachePolicy::OracleBelady => "oracle",
         }
     }
 
@@ -86,7 +77,6 @@ impl CachePolicy {
             CachePolicy::StaticHot => Box::new(StaticHotPolicy::new(hot_threshold)),
             CachePolicy::Lru => Box::new(LruPolicy::new(capacity)),
             CachePolicy::FrequencyAware => Box::new(FrequencyAwarePolicy::new(capacity)),
-            CachePolicy::OracleBelady => Box::new(OracleBeladyPolicy::new(capacity)),
         }
     }
 }
@@ -100,9 +90,8 @@ impl std::str::FromStr for CachePolicy {
             "static-hot" | "static" | "statichot" => Ok(CachePolicy::StaticHot),
             "lru" => Ok(CachePolicy::Lru),
             "freq" | "frequency" | "frequency-aware" => Ok(CachePolicy::FrequencyAware),
-            "oracle" | "belady" | "oracle-belady" => Ok(CachePolicy::OracleBelady),
             other => Err(format!(
-                "unknown cache policy {other} (expected static-hot|lru|freq|oracle)"
+                "unknown cache policy {other} (expected static-hot|lru|freq)"
             )),
         }
     }
@@ -245,10 +234,9 @@ impl GpuCache {
     /// epoch moves shards away from this GPU, the rows of those shards
     /// must leave the cache before training resumes, or a later epoch
     /// that moves the shard *back* would serve stale copies. It rebuilds
-    /// the eviction policy from scratch (history-driven recency/frequency
-    /// state and oracle feeds are forgotten — a performance detail at a
-    /// rare transition, never a semantic one) with the stored StaticHot
-    /// threshold.
+    /// the eviction policy from scratch (recency and frequency history is
+    /// forgotten — a performance detail at a rare transition, never a
+    /// semantic one) with the stored StaticHot threshold.
     pub fn retain<F: FnMut(Key) -> bool>(&mut self, mut keep: F) {
         let old_keys = std::mem::take(&mut self.keys);
         let old_rows = std::mem::take(&mut self.rows);
@@ -423,23 +411,10 @@ impl GpuCache {
         self.fill_into(key, |dst| dst.copy_from_slice(row))
     }
 
-    /// Announces the training clock to the policy (oracle next-use
-    /// bookkeeping; no-op for history-driven policies).
-    pub fn begin_step(&mut self, step: u64) {
-        self.policy.begin_step(step);
-    }
-
-    /// Feeds a future step's (owner-local) batch keys to the policy.
-    /// Callers can skip building the feed when
-    /// [`GpuCache::uses_lookahead`] is false.
-    pub fn prepare_step(&mut self, step: u64, keys: &[Key]) {
-        self.policy.prepare_step(step, keys);
-    }
-
-    /// Whether the policy consumes [`GpuCache::prepare_step`] feeds.
-    pub fn uses_lookahead(&self) -> bool {
-        matches!(self.kind, CachePolicy::OracleBelady)
-    }
+    /// Does nothing: every policy decides from the accesses it has seen,
+    /// so none needs the training clock. Kept because
+    /// `benchmark/src/replay.rs` calls it once a step.
+    pub fn begin_step(&mut self, _step: u64) {}
 }
 
 /// Result of a cache insertion. No variant carries row payloads: rows live
@@ -560,13 +535,6 @@ mod tests {
             let key_at = |i: u64| (i * 7919 + i / 3) % 40;
             let (mut hits, mut misses) = (0u64, 0u64);
             for i in 0..4_000u64 {
-                if i % 40 == 0 {
-                    // The oracle evicts only for keys with a known future.
-                    let step = i / 40;
-                    let ahead: Vec<Key> = (i + 40..i + 80).map(key_at).collect();
-                    c.begin_step(step);
-                    c.prepare_step(step + 1, &ahead);
-                }
                 let key = key_at(i);
                 let resident = c.contains(&key);
                 let got = if i % 3 == 0 {
@@ -716,35 +684,6 @@ mod tests {
             let _ = c.get(&7);
         }
         assert_eq!(c.insert_from_slice(7, &[7.0]), InsertOutcome::Evicted(1));
-    }
-
-    #[test]
-    fn oracle_belady_follows_the_feed() {
-        // Only the oracle takes a feed; history-driven policies have none.
-        for policy in CachePolicy::ALL {
-            let fed = GpuCache::new(2, 1, policy).uses_lookahead();
-            assert_eq!(fed, policy == CachePolicy::OracleBelady, "{policy:?}");
-        }
-        let mut c = GpuCache::new(2, 1, CachePolicy::OracleBelady);
-        // Future: 1 used at steps 1 and 3; 2 at 2; 4 at 4; 9 never.
-        c.prepare_step(1, &[1]);
-        c.prepare_step(2, &[2]);
-        c.prepare_step(3, &[1]);
-        c.prepare_step(4, &[4]);
-        c.begin_step(0);
-        c.insert_from_slice(1, &[1.0]);
-        c.insert_from_slice(2, &[2.0]);
-        // A key with no known future never displaces residents.
-        assert_eq!(c.insert_from_slice(9, &[9.0]), InsertOutcome::Rejected);
-        c.begin_step(1);
-        let _ = c.get(&1); // consumes 1's step-1 use; next use 3
-                           // 4 (next use 4) is farther than both residents (3 and 2): bypass.
-        assert_eq!(c.insert_from_slice(4, &[4.0]), InsertOutcome::Rejected);
-        c.begin_step(2);
-        let _ = c.get(&2); // consumes 2's last use → 2 has no future
-                           // Now 4 displaces 2 (no future), not 1 (next use 3).
-        assert_eq!(c.insert_from_slice(4, &[4.0]), InsertOutcome::Evicted(2));
-        assert!(c.contains(&1) && c.contains(&4));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   seqlock *checked mode* that detects consistency violations.
 //! * [`GpuCache`] — a per-GPU hot-row cache: flat slot arenas (a row and
 //!   its optimizer state per slot) with the admission/eviction strategy
-//!   behind the [`EvictionPolicy`] trait (StaticHot, LRU, frequency-aware,
-//!   and a lookahead-fed Belady oracle).
+//!   behind the [`EvictionPolicy`] trait (StaticHot, LRU, frequency-aware);
+//!   [`belady_hits`] is the offline bound they are judged against.
 //! * [`Sharding`] — cohort-wide cache-capacity and admission-threshold
 //!   math (key → owner routing lives in `frugal-core`'s `ShardMap`).
 //! * [`UpdateRule`] ([`SgdRule`], [`AdagradRule`]) — thread-safe optimizer
@@ -46,7 +46,7 @@ pub use agg::{ArcFold, GradAggregator};
 pub use cache::{CachePolicy, GpuCache, InsertOutcome};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError};
 pub use flush::{apply_claims, apply_updates, FlushClaim};
-pub use policy::EvictionPolicy;
+pub use policy::{belady_hits, EvictionPolicy};
 pub use rule::{AdagradRule, SgdRule, UpdateRule};
 pub use shard::Sharding;
 pub use state::DenseStateTable;

@@ -1,12 +1,14 @@
-//! Pluggable cache eviction/admission policies.
+//! Pluggable cache eviction/admission policies, and the offline bound
+//! they are judged against.
 //!
 //! [`GpuCache`](crate::GpuCache) owns the row arena and the key→slot map;
-//! everything *strategic* — recency bookkeeping, admission decisions,
-//! victim selection, and future-knowledge tracking — lives behind the
-//! [`EvictionPolicy`] trait. The cache drives the policy through narrow
-//! callbacks; the policy never touches rows.
+//! everything *strategic* — recency bookkeeping, admission decisions and
+//! victim selection — lives behind the [`EvictionPolicy`] trait. The cache
+//! drives the policy through narrow callbacks; the policy never touches
+//! rows, and it decides from the accesses it has seen, never from future
+//! ones.
 //!
-//! Four implementations (one per [`CachePolicy`](crate::CachePolicy)
+//! Three implementations (one per [`CachePolicy`](crate::CachePolicy)
 //! variant):
 //!
 //! * [`StaticHotPolicy`] — admit only keys below the static hotness
@@ -17,27 +19,21 @@
 //!   is admitted under pressure only when its running frequency beats the
 //!   victim's (frequency-aware software caching per Fang et al., in the
 //!   spirit of TinyLFU admission).
-//! * [`OracleBeladyPolicy`] — Belady's MIN fed real future knowledge: the
-//!   engine's s+L lookahead registration doubles as a next-use feed
-//!   ([`EvictionPolicy::prepare_step`]), so the policy can evict the slot
-//!   whose next use is farthest (or absent) and bypass inserts that would
-//!   be the farthest themselves.
+//!
+//! [`belady_hits`] is no policy: it scores Belady's MIN over a whole known
+//! access sequence, the most hits any of them could score on it.
 //!
 //! Caches are single-owner structures (one per trainer thread), so
 //! policies are plain `&mut` state: no locks, no atomics.
 
 use frugal_data::{Key, KeyHashMap};
-use std::collections::VecDeque;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// "No slot" sentinel for the intrusive recency list.
 const NIL: usize = usize::MAX;
 
-/// "Never used again" sentinel for oracle next-use distances.
-const NEVER: u64 = u64::MAX;
-
-/// The strategic half of a GPU cache: admission, victim selection, and
-/// (for lookahead-driven policies) future-knowledge tracking.
+/// The strategic half of a GPU cache: admission and victim selection.
 ///
 /// Contract, enforced by [`GpuCache`](crate::GpuCache):
 ///
@@ -50,8 +46,6 @@ const NEVER: u64 = u64::MAX;
 ///   `None` rejects the insert (admission bypass).
 /// * `on_evict(key, slot)` fires after `evict_candidate` chose `slot`,
 ///   before the new key is installed there.
-/// * `begin_step`/`prepare_step` carry the engine-side future feed to a
-///   policy that consumes one; history-driven policies ignore it.
 pub trait EvictionPolicy: fmt::Debug + Send {
     /// A lookup for `key` resolved to `slot`.
     fn on_hit(&mut self, key: Key, slot: usize);
@@ -70,11 +64,6 @@ pub trait EvictionPolicy: fmt::Debug + Send {
     /// Full cache: pick the victim slot for incoming `key`, or `None` to
     /// reject it. `residents[slot]` is the key occupying `slot`.
     fn evict_candidate(&mut self, key: Key, residents: &[Key]) -> Option<usize>;
-    /// The (owner-local) batch keys of `step`, fed as soon as the engine
-    /// materializes them (s+L lookahead registration).
-    fn prepare_step(&mut self, _step: u64, _keys: &[Key]) {}
-    /// The training loop advanced to `step`.
-    fn begin_step(&mut self, _step: u64) {}
 }
 
 /// Intrusive doubly-linked recency list over cache slots (head = most
@@ -310,150 +299,71 @@ impl EvictionPolicy for FrequencyAwarePolicy {
     }
 }
 
-/// Belady's MIN with admission bypass, fed real future knowledge.
+/// The hits of Belady's MIN with bypass over a fully known access sequence:
+/// the most any cache of `capacity` slots that fills only the keys it
+/// misses can score on it. An offline bound, not a policy.
 ///
-/// The engine registers every step's reads `L` steps ahead; the same
-/// materialized key lists, filtered to this cache's owner shard, arrive
-/// through [`EvictionPolicy::prepare_step`] as per-key next-use queues.
-/// Under pressure the policy evicts the resident whose next use is
-/// farthest in the future (absent = infinitely far) — and rejects the
-/// *incoming* key instead when its own next use is farther than every
-/// resident's, which plain evict-only Belady misses.
-///
-/// Next-use queues are consumed lazily: `begin_step(s)` only advances the
-/// clock, and entries `< now` are dropped at inspection time. A resident's
-/// distance is its first use `≥ now` (a step-`s` use not yet popped by a
-/// hit is still ahead of a fill decided during step `s`: a later stream of
-/// the same member queries the cache after this stream's fills); an
-/// *incoming* key's distance is its first use `> now`, because the fill
-/// consuming it **is** the `now` use. Hits pop their `≤ now` entries
-/// eagerly.
-#[derive(Debug)]
-pub struct OracleBeladyPolicy {
-    /// Per-key future use steps, non-decreasing, deduped per step.
-    future: KeyHashMap<VecDeque<u64>>,
-    now: u64,
-    capacity: usize,
-}
-
-impl OracleBeladyPolicy {
-    /// An oracle policy for a cache of `capacity` slots.
-    pub fn new(capacity: usize) -> Self {
-        OracleBeladyPolicy {
-            future: KeyHashMap::default(),
-            now: 0,
-            capacity,
+/// `accesses` comes batch by batch, and every key of a batch is looked up
+/// before any of them is filled, as a member queries one stream's plan and
+/// then fills its misses. After each batch the cache keeps, of its
+/// residents and the batch's keys, the `capacity` whose next use is
+/// soonest; a key never used again is not kept. With one key a batch this
+/// is Belady's rule: a miss evicts the resident used farthest ahead, or is
+/// bypassed when it is used farthest ahead itself. The keys of a batch are
+/// distinct, as a plan's unique keys are; with repeats, keeping the
+/// soonest-used keys is no longer optimal. Next uses come from one reverse
+/// scan.
+pub fn belady_hits(accesses: &[Vec<Key>], capacity: usize) -> u64 {
+    const NEVER: usize = usize::MAX;
+    // `next[i]`: the first batch after its own that uses the i-th access's
+    // key, over `accesses` flattened.
+    let mut next = vec![NEVER; accesses.iter().map(Vec::len).sum()];
+    let mut later = KeyHashMap::default();
+    let mut end = next.len();
+    for (b, batch) in accesses.iter().enumerate().rev() {
+        let uses = &mut next[end - batch.len()..end];
+        for (n, key) in uses.iter_mut().zip(batch) {
+            *n = later.get(key).copied().unwrap_or(NEVER);
         }
+        later.extend(batch.iter().map(|&key| (key, b)));
+        end -= batch.len();
     }
-
-    /// First known use at or after `now` (`NEVER` when none), dropping
-    /// consumed entries.
-    fn next_use_resident(&mut self, key: Key) -> u64 {
-        match self.future.get_mut(&key) {
-            None => NEVER,
-            Some(q) => {
-                while q.front().is_some_and(|&s| s < self.now) {
-                    q.pop_front();
-                }
-                match q.front() {
-                    Some(&s) => s,
-                    None => {
-                        self.future.remove(&key);
-                        NEVER
+    // Each resident's next use, and the residents ordered by it.
+    let mut due: KeyHashMap<usize> = KeyHashMap::default();
+    let mut by_due = BTreeSet::new();
+    let (mut hits, mut at) = (0, 0);
+    for (b, batch) in accesses.iter().enumerate() {
+        let uses = &next[at..at + batch.len()];
+        at += batch.len();
+        // Lookups: a resident is due now, and its hit moves it to its next use.
+        for (&key, &n) in batch.iter().zip(uses) {
+            if let Some(d) = due.get_mut(&key) {
+                hits += 1;
+                by_due.remove(&(b, key));
+                by_due.insert((n, key));
+                *d = n;
+            }
+        }
+        // Fills: a miss used again displaces the resident due farthest
+        // ahead, if that one is due after it.
+        for (&key, &n) in batch.iter().zip(uses) {
+            if n == NEVER || due.contains_key(&key) {
+                continue;
+            }
+            if due.len() >= capacity {
+                match by_due.last() {
+                    Some(&(far, victim)) if far > n => {
+                        by_due.pop_last();
+                        due.remove(&victim);
                     }
+                    _ => continue,
                 }
             }
+            due.insert(key, n);
+            by_due.insert((n, key));
         }
     }
-
-    /// First known use strictly after `now` (`NEVER` when none): the
-    /// incoming key's `now` use is consumed by the fill being decided.
-    fn next_use_incoming(&mut self, key: Key) -> u64 {
-        match self.future.get_mut(&key) {
-            None => NEVER,
-            Some(q) => {
-                while q.front().is_some_and(|&s| s <= self.now) {
-                    q.pop_front();
-                }
-                match q.front() {
-                    Some(&s) => s,
-                    None => {
-                        self.future.remove(&key);
-                        NEVER
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl EvictionPolicy for OracleBeladyPolicy {
-    fn on_hit(&mut self, key: Key, _slot: usize) {
-        // This step's use is consumed; expose the *next* one.
-        if let Some(q) = self.future.get_mut(&key) {
-            while q.front().is_some_and(|&s| s <= self.now) {
-                q.pop_front();
-            }
-            if q.is_empty() {
-                self.future.remove(&key);
-            }
-        }
-    }
-
-    fn on_insert(&mut self, key: Key, _slot: usize) {
-        // Uniform with the eviction path: the fill consumes the `now` use.
-        let _ = self.next_use_incoming(key);
-    }
-
-    fn on_replace(&mut self, _key: Key, _slot: usize) {}
-    fn on_evict(&mut self, _key: Key, _slot: usize) {}
-
-    fn admits(&self, _key: Key) -> bool {
-        self.capacity > 0
-    }
-
-    fn evict_candidate(&mut self, key: Key, residents: &[Key]) -> Option<usize> {
-        let incoming = self.next_use_incoming(key);
-        if incoming == NEVER {
-            // Known-useless (or unknown) future: never displace a resident.
-            return None;
-        }
-        let mut victim = NIL;
-        let mut farthest = 0u64;
-        for (slot, &resident) in residents.iter().enumerate() {
-            let next = self.next_use_resident(resident);
-            if next == NEVER {
-                return Some(slot);
-            }
-            if next > farthest {
-                farthest = next;
-                victim = slot;
-            }
-        }
-        // Belady with bypass: if the incoming key itself has the farthest
-        // next use, caching it can only displace a sooner reuse.
-        if incoming >= farthest {
-            None
-        } else {
-            Some(victim)
-        }
-    }
-
-    fn prepare_step(&mut self, step: u64, keys: &[Key]) {
-        if step < self.now {
-            return;
-        }
-        for &key in keys {
-            let q = self.future.entry(key).or_default();
-            if q.back() != Some(&step) {
-                q.push_back(step);
-            }
-        }
-    }
-
-    fn begin_step(&mut self, step: u64) {
-        self.now = step;
-    }
+    hits
 }
 
 #[cfg(test)]
@@ -501,41 +411,32 @@ mod tests {
         assert!(!p.freq.contains_key(&2));
     }
 
+    fn one_a_batch(keys: &[Key]) -> Vec<Vec<Key>> {
+        keys.iter().map(|&key| vec![key]).collect()
+    }
+
     #[test]
     fn oracle_evicts_farthest_next_use() {
-        let mut p = OracleBeladyPolicy::new(2);
-        p.prepare_step(1, &[10]);
-        p.prepare_step(5, &[20]);
-        p.prepare_step(2, &[30]);
-        p.begin_step(0);
-        // Residents 10 (next 1) and 20 (next 5); incoming 30 (next 2)
-        // displaces 20.
-        assert_eq!(p.evict_candidate(30, &[10, 20]), Some(1));
+        // 10 and 20 fill the cache; 30 (next use batch 4) displaces 20
+        // (next use 5), not 10 (next use 3).
+        assert_eq!(belady_hits(&one_a_batch(&[10, 20, 30, 10, 30, 20]), 2), 2);
     }
 
     #[test]
     fn oracle_bypasses_farthest_incoming_key() {
-        let mut p = OracleBeladyPolicy::new(2);
-        p.prepare_step(1, &[10]);
-        p.prepare_step(2, &[20]);
-        p.prepare_step(9, &[30]);
-        p.begin_step(0);
-        assert_eq!(p.evict_candidate(30, &[10, 20]), None);
-        // Unknown future is treated as farthest of all.
-        assert_eq!(p.evict_candidate(40, &[10, 20]), None);
+        // 30 is used again only after both residents: it is not filled,
+        // and neither is 40, which is never used again.
+        let accesses = one_a_batch(&[10, 20, 30, 40, 10, 20, 30]);
+        assert_eq!(belady_hits(&accesses, 2), 2);
+        assert_eq!(belady_hits(&accesses, 3), 3);
+        assert_eq!(belady_hits(&accesses, 0), 0);
     }
 
     #[test]
     fn oracle_resident_use_at_now_is_still_ahead() {
-        // During step s, a resident used *at* s must not look dead (a
-        // later stream may still query it), while an incoming key's s-use
-        // counts as consumed.
-        let mut p = OracleBeladyPolicy::new(2);
-        p.prepare_step(3, &[10]);
-        p.prepare_step(3, &[30]);
-        p.prepare_step(4, &[20]);
-        p.begin_step(3);
-        assert_eq!(p.next_use_resident(10), 3);
-        assert_eq!(p.next_use_incoming(30), NEVER);
+        // A batch is looked up before it is filled: 20, due in batch 1,
+        // hits there although that batch's 30 displaces it.
+        let accesses = [vec![10, 20], vec![20, 30], vec![30, 10]];
+        assert_eq!(belady_hits(&accesses, 2), 3);
     }
 }

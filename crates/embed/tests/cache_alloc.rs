@@ -110,56 +110,6 @@ fn steady_state_fill_loop_never_allocates() {
 }
 
 #[test]
-fn oracle_fill_loop_never_allocates_once_plans_are_fed() {
-    // The oracle allocates while *ingesting* lookahead feeds
-    // (prepare_step); the fill/evict path itself must still be free. Feed
-    // the whole future up front, then measure the per-step loop.
-    let row = vec![1.0f32; DIM];
-    let steps = 64u64;
-    let mut cache = GpuCache::new(CAP, DIM, CachePolicy::OracleBelady);
-    let feeds: Vec<Vec<u64>> = (0..steps)
-        .map(|s| (0..UNIVERSE).filter(|k| (k + s) % 3 == 0).collect())
-        .collect();
-    for (s, keys) in feeds.iter().enumerate() {
-        cache.prepare_step(s as u64, keys);
-    }
-    // Warm-up steps fill the arena to capacity and run enough evictions
-    // that the key→slot map's deferred tombstone resize (see the churn
-    // test) happens before measurement.
-    let warm = 8u64;
-    for s in 0..warm {
-        cache.begin_step(s);
-        churn_step(&mut cache, &feeds[s as usize], &row);
-    }
-    let before = allocs();
-    let mut filled = 0u64;
-    for s in warm..steps {
-        cache.begin_step(s);
-        filled += churn_step(&mut cache, &feeds[s as usize], &row);
-    }
-    let after = allocs();
-    std::hint::black_box(filled);
-    assert_eq!(
-        after - before,
-        0,
-        "oracle allocated during fed steady-state churn ({filled} fills)"
-    );
-}
-
-fn churn_step(cache: &mut GpuCache, keys: &[u64], row: &[f32]) -> u64 {
-    let mut filled = 0u64;
-    for &key in keys {
-        if cache.get(&key).is_some() {
-            continue;
-        }
-        if !matches!(cache.insert_from_slice(key, row), InsertOutcome::Rejected) {
-            filled += 1;
-        }
-    }
-    filled
-}
-
-#[test]
 fn stateful_fills_and_updates_allocate_nothing_and_memory_is_capacity_bound() {
     // A slot is the row *and* its optimizer state: filling a (stolen) slot
     // writes both in place, updating a cached row reaches both with one

@@ -7,17 +7,20 @@
 //! * StaticHot / LRU / FrequencyAware — exact agreement on every hit/miss
 //!   decision, final membership, and the hit/miss counters, plus the
 //!   capacity invariant `len ≤ capacity` at every step.
-//! * OracleBelady — exact hit-count agreement with a from-scratch
-//!   Belady-MIN simulator (with admission bypass) that recomputes next
-//!   uses by scanning the raw trace, and the optimality property: on any
-//!   fully-known trace the oracle's hits are an upper bound on what LRU
-//!   and FrequencyAware achieve.
+//! * `belady_hits`, the offline bound — exact hit-count agreement with a
+//!   from-scratch Belady-MIN simulator (with admission bypass) that
+//!   recomputes next uses by scanning the raw trace; on batched traces
+//!   (every key of a batch looked up before any is filled, as a member
+//!   queries a stream's plan), agreement with an exhaustive search over
+//!   every fill choice; and the bound itself: on any batched trace no
+//!   policy scores more hits.
 //!
 //! The reference models here are deliberately naive (`Vec` scans,
 //! recompute-from-trace next uses) so they share no code — and no bugs —
-//! with the intrusive-list/queue implementations in `policy.rs`.
+//! with the intrusive-list implementations and the reverse scan in
+//! `policy.rs`.
 
-use frugal_embed::{CachePolicy, GpuCache};
+use frugal_embed::{belady_hits, CachePolicy, GpuCache};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -217,28 +220,74 @@ fn opt_hits(cap: usize, trace: &[Key]) -> u64 {
     hits
 }
 
-/// Replay `trace` (one key per step) through a cache whose oracle was fed
-/// the whole trace up front, the way the engine's lookahead registration
-/// feeds it. Returns the hit count.
-fn oracle_hits(cap: usize, trace: &[Key]) -> u64 {
-    let mut cache = GpuCache::new(cap, DIM, CachePolicy::OracleBelady);
-    for (s, &key) in trace.iter().enumerate() {
-        cache.prepare_step(s as u64, &[key]);
+/// The most hits a demand-filled cache of `cap` slots can score on
+/// `batches` (keys below 8), by trying every choice: after each batch it
+/// may keep any `cap` of its residents and the batch's keys.
+fn best_hits(cap: usize, batches: &[Vec<Key>]) -> u64 {
+    fn go(
+        cap: usize,
+        batches: &[Vec<Key>],
+        resident: u8,
+        memo: &mut HashMap<(usize, u8), u64>,
+    ) -> u64 {
+        let Some(batch) = batches.first() else {
+            return 0;
+        };
+        if let Some(&best) = memo.get(&(batches.len(), resident)) {
+            return best;
+        }
+        let hits = batch.iter().filter(|&&k| resident & 1 << k != 0).count() as u64;
+        let open = batch.iter().fold(resident, |m, &k| m | 1 << k);
+        let mut best = 0;
+        let mut keep = open;
+        loop {
+            if keep.count_ones() as usize <= cap {
+                best = best.max(go(cap, &batches[1..], keep, memo));
+            }
+            if keep == 0 {
+                break;
+            }
+            keep = (keep - 1) & open;
+        }
+        memo.insert((batches.len(), resident), hits + best);
+        hits + best
     }
+    go(cap, batches, 0, &mut HashMap::new())
+}
+
+/// Replays `batches` through a `policy` cache as a member does a step's
+/// streams: every key of a batch is looked up, then its misses are filled.
+/// Returns the hit count.
+fn batched_hits(policy: CachePolicy, cap: usize, threshold: u64, batches: &[Vec<Key>]) -> u64 {
+    let mut cache = GpuCache::new(cap, DIM, policy);
+    cache.set_hot_threshold(threshold);
     let mut hits = 0;
-    for (s, &key) in trace.iter().enumerate() {
-        cache.begin_step(s as u64);
-        hits += u64::from(access(&mut cache, key));
+    for batch in batches {
+        let missing: Vec<Key> = batch
+            .iter()
+            .copied()
+            .filter(|key| cache.get(key).is_none())
+            .collect();
+        hits += (batch.len() - missing.len()) as u64;
+        for key in missing {
+            let _ = cache.insert_from_slice(key, &row_for(key));
+        }
     }
     hits
 }
 
-fn online_hits(policy: CachePolicy, cap: usize, trace: &[Key]) -> u64 {
-    let mut cache = GpuCache::new(cap, DIM, policy);
-    trace
-        .iter()
-        .map(|&key| u64::from(access(&mut cache, key)))
-        .sum()
+/// A trace as one-key batches.
+fn singletons(trace: &[Key]) -> Vec<Vec<Key>> {
+    trace.iter().map(|&key| vec![key]).collect()
+}
+
+/// Batches of distinct keys, as a plan's unique keys are.
+fn distinct(mut batches: Vec<Vec<Key>>) -> Vec<Vec<Key>> {
+    for batch in &mut batches {
+        batch.sort_unstable();
+        batch.dedup();
+    }
+    batches
 }
 
 // ---------------------------------------------------------------------------
@@ -311,24 +360,43 @@ proptest! {
         // Hit-for-hit agreement with the from-scratch OPT simulator. Tie
         // breaks between never-used-again residents may differ, but dead
         // keys can't contribute future hits, so the counts must match.
-        let got = oracle_hits(cap, &trace);
+        let got = belady_hits(&singletons(&trace), cap);
         let want = opt_hits(cap, &trace);
-        prop_assert_eq!(got, want, "oracle {} vs OPT {} on {:?}", got, want, trace);
+        prop_assert_eq!(got, want, "belady {} vs OPT {} on {:?}", got, want, trace);
+    }
+
+    #[test]
+    fn belady_hits_is_the_batched_optimum(
+        cap in 0usize..4,
+        batches in proptest::collection::vec(proptest::collection::vec(0u64..6, 0..5), 0..8),
+    ) {
+        // Keeping the soonest-used keys after each batch is optimal even
+        // when a batch is looked up before any of it is filled.
+        let batches = distinct(batches);
+        let got = belady_hits(&batches, cap);
+        let want = best_hits(cap, &batches);
+        prop_assert_eq!(got, want, "belady {} vs search {} on {:?}", got, want, batches);
     }
 
     #[test]
     fn oracle_is_an_upper_bound_on_online_policies(
         cap in 1usize..6,
-        trace in proptest::collection::vec(0u64..10, 0..120),
+        threshold in 0u64..12,
+        batches in proptest::collection::vec(proptest::collection::vec(0u64..10, 0..5), 0..60),
     ) {
         // Belady-MIN with bypass is optimal over the whole class of
-        // admission/eviction policies, so on a fully-known trace neither
-        // online policy may beat it.
-        let oracle = oracle_hits(cap, &trace);
-        let lru = online_hits(CachePolicy::Lru, cap, &trace);
-        let freq = online_hits(CachePolicy::FrequencyAware, cap, &trace);
-        prop_assert!(oracle >= lru, "lru {} > oracle {} on {:?}", lru, oracle, trace);
-        prop_assert!(oracle >= freq, "freq {} > oracle {} on {:?}", freq, oracle, trace);
+        // demand-filled admission/eviction policies, so on a fully known
+        // trace, batched the way a member looks keys up, no policy may
+        // beat it.
+        let batches = distinct(batches);
+        let bound = belady_hits(&batches, cap);
+        for policy in CachePolicy::ALL {
+            let hits = batched_hits(policy, cap, threshold, &batches);
+            prop_assert!(
+                bound >= hits,
+                "{} {} > belady {} on {:?}", policy.label(), hits, bound, batches
+            );
+        }
     }
 }
 

@@ -108,7 +108,7 @@ impl Args {
                     println!(
                         "usage: train [--workload micro|rec|kg] [--system frugal|frugal-sync|frugal-fifo|pytorch|hugectr|uvm]\n\
                          \x20            [--gpus N] [--batch N] [--steps N] [--cache-ratio F]\n\
-                         \x20            [--cache-policy static-hot|lru|freq|oracle]\n\
+                         \x20            [--cache-policy static-hot|lru|freq]\n\
                          \x20            [--flush-threads N] [--keys N] [--datacenter]"
                     );
                     std::process::exit(0);

@@ -50,7 +50,7 @@ const CHECKED: usize = 12;
 const AXES: [(&str, &[&str]); 13] = [
     ("flush", &["p2f", "fifo", "sync"]),
     ("pq", &["two-level", "tree-heap"]),
-    ("policy", &["static-hot", "lru", "freq", "oracle"]),
+    ("policy", &["static-hot", "lru", "freq"]),
     ("ratio", &["tiny", "0.05", "1.0"]),
     ("optimizer", &["sgd", "adagrad"]),
     ("width", &["1", "2", "3", "4", "8"]),

@@ -44,16 +44,16 @@ fn run_wide(
     FrugalEngine::new(cfg, trace.n_keys(), 8).run(&trace, &model)
 }
 
-/// The cache is one more input: the Belady oracle decides from the
-/// lookahead feed, and a trainer that stalls longer behind a slow flusher
-/// pool must not fill (or hit) differently for it.
+/// The cache is one more input: `freq` decides from the access counts it
+/// has seen, and a trainer that stalls longer behind a slow flusher pool
+/// must not fill (or hit) differently for it.
 #[test]
 fn modeled_numbers_are_bit_identical_under_flusher_throttling() {
     for (mode, policy) in [
         (FlushMode::P2f, None),
         (FlushMode::Fifo, None),
         (FlushMode::WriteThrough, None),
-        (FlushMode::P2f, Some(CachePolicy::OracleBelady)),
+        (FlushMode::P2f, Some(CachePolicy::FrequencyAware)),
     ] {
         for pq in [PqKind::TwoLevel, PqKind::TreeHeap] {
             let case = format!(
