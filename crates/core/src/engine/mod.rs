@@ -318,7 +318,7 @@ impl FrugalEngine {
             store: &self.store,
             gstore: GEntryStore::with_policy(strategy.priority_policy),
             pq,
-            step: step::StepState::new(n, cfg.lookahead),
+            step: step::StepState::new(n, cfg.lookahead, strategy.registers_reads),
             flush: FlushCoord::new(cfg.flush_threads),
             metrics: RunMetrics::new(&registry),
         };

@@ -80,25 +80,31 @@ use std::sync::Arc;
 pub(crate) struct SampleRing {
     slots: Vec<Vec<RwLock<StepPlan>>>,
     len: u64,
+    /// Whether plans are grouped by shard as they are published: only
+    /// read registration reads the grouping.
+    group: bool,
 }
 
 impl SampleRing {
-    fn new(n_gpus: usize, lookahead: u64) -> Self {
+    fn new(n_gpus: usize, lookahead: u64, group: bool) -> Self {
         let len = lookahead + 2;
         SampleRing {
             slots: (0..n_gpus)
                 .map(|_| (0..len).map(|_| RwLock::default()).collect())
                 .collect(),
             len,
+            group,
         }
     }
 
     /// Publishes `keys` as GPU `gpu`'s batch of `step`: rebuilds the
-    /// slot's plan in place.
+    /// slot's plan in place, grouped by shard if the ring groups.
     pub(crate) fn publish(&self, gpu: usize, step: u64, keys: Vec<Key>, scratch: &mut PlanScratch) {
-        self.slots[gpu][(step % self.len) as usize]
-            .write()
-            .rebuild(keys, scratch);
+        let mut plan = self.slots[gpu][(step % self.len) as usize].write();
+        plan.rebuild(keys, scratch);
+        if self.group {
+            plan.group_by_shard();
+        }
     }
 
     /// Reads GPU `gpu`'s plan of `step`. The caller must only ask for
@@ -122,10 +128,12 @@ pub(crate) struct StepState {
 }
 
 impl StepState {
-    pub(crate) fn new(n_gpus: usize, lookahead: u64) -> Self {
+    /// `registers_reads`: whether the strategy registers lookahead reads,
+    /// the one reader of a plan's shard grouping.
+    pub(crate) fn new(n_gpus: usize, lookahead: u64, registers_reads: bool) -> Self {
         StepState {
             agg_slots: (0..n_gpus).map(|_| RwLock::default()).collect(),
-            ring: SampleRing::new(n_gpus, lookahead),
+            ring: SampleRing::new(n_gpus, lookahead, registers_reads),
         }
     }
 }

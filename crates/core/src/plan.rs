@@ -1,9 +1,11 @@
-//! The step plan: one (step, stream) batch, deduplicated and grouped by
-//! g-entry shard once. The engine's sample ring publishes plans `L` steps
-//! early (paper §3.2) and the key-stream walk builds them with the same
-//! [`StepPlan::rebuild`]; the cache query ([`crate::member`]), scatter,
-//! aggregation, count records and lookahead read registration all read
-//! them.
+//! The step plan: one (step, stream) batch, deduplicated once, and grouped
+//! by g-entry shard once where read registration needs it. The engine's
+//! sample ring publishes plans `L` steps early (paper §3.2) and the
+//! key-stream walk builds them with the same [`StepPlan::rebuild`]; the
+//! cache query ([`crate::member`]), scatter, aggregation and count records
+//! read the dedup, and lookahead read registration the grouping, which only
+//! the ring of a read-registering strategy builds
+//! ([`StepPlan::group_by_shard`]).
 //! Shard ids do not depend on the shard-map epoch, so an elastic
 //! transition never invalidates a plan.
 
@@ -13,7 +15,7 @@ use frugal_data::{Key, KeyHashMap};
 
 const SHARDS: usize = GEntryStore::n_shards();
 
-/// One (step, stream) batch, deduplicated and grouped by shard.
+/// One (step, stream) batch, deduplicated and, on request, grouped by shard.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StepPlan {
     /// The sampled keys, in instance order.
@@ -25,7 +27,8 @@ pub(crate) struct StepPlan {
     /// `unique` grouped by [`GEntryStore::shard_of`]: shards ascending,
     /// first-occurrence order inside each shard.
     by_shard: Vec<Key>,
-    /// Shard `sid`'s keys are `by_shard[offsets[sid]..offsets[sid + 1]]`.
+    /// Shard `sid`'s keys are `by_shard[offsets[sid]..offsets[sid + 1]]`;
+    /// empty until the batch is grouped.
     offsets: Vec<u32>,
 }
 
@@ -54,6 +57,13 @@ impl StepPlan {
             self.index.push(u);
         }
         self.keys = keys;
+        self.offsets.clear();
+    }
+
+    /// Groups the plan's distinct keys by shard, for [`StepPlan::shard`]
+    /// and [`StepPlan::owned`]. Only a strategy that registers reads asks
+    /// for them, so [`StepPlan::rebuild`] leaves them out.
+    pub(crate) fn group_by_shard(&mut self) {
         let ends =
             GEntryStore::group_by_shard(self.unique.iter().copied(), |&k| k, &mut self.by_shard);
         self.offsets.clear();
@@ -77,7 +87,10 @@ impl StepPlan {
     }
 
     /// The distinct keys of g-entry shard `sid`, in first-occurrence order.
+    /// The plan must have been grouped ([`StepPlan::group_by_shard`]) since
+    /// its last rebuild.
     pub(crate) fn shard(&self, sid: usize) -> &[Key] {
+        debug_assert_eq!(self.offsets.len(), SHARDS + 1, "plan not grouped by shard");
         &self.by_shard[self.offsets[sid] as usize..self.offsets[sid + 1] as usize]
     }
 
@@ -103,6 +116,7 @@ mod tests {
     fn plan_of(keys: &[Key]) -> StepPlan {
         let mut plan = StepPlan::default();
         plan.rebuild(keys.to_vec(), &mut PlanScratch::default());
+        plan.group_by_shard();
         plan
     }
 
@@ -181,6 +195,7 @@ mod tests {
         let mut plan = StepPlan::default();
         for keys in all.iter().rev().chain(&all) {
             plan.rebuild(keys.clone(), &mut scratch);
+            plan.group_by_shard();
             assert_plan_of(&plan, keys);
             let fresh = plan_of(keys);
             assert_eq!(plan.unique(), fresh.unique());
@@ -188,6 +203,15 @@ mod tests {
             assert_eq!(plan.by_shard, fresh.by_shard);
             assert_eq!(plan.offsets, fresh.offsets);
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "plan not grouped by shard")]
+    fn a_rebuild_drops_the_previous_batch_s_grouping() {
+        let mut plan = plan_of(&[1, 2, 3]);
+        plan.rebuild(vec![4, 5], &mut PlanScratch::default());
+        plan.shard(0);
     }
 
     #[test]

@@ -82,11 +82,52 @@ fn initial_rows_dispatch(seed: u64, first_key: Key, dim: usize, out: &mut [f32])
     initial_rows(seed, first_key, dim, out)
 }
 
+/// The size of a transparent huge page on x86-64 Linux (and on aarch64
+/// with 4 KB base pages).
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The whole huge pages inside the `len` bytes at `addr`, as
+/// `(first address, length)`: the range rounded in to [`HUGE_PAGE`]
+/// boundaries at both ends, or `None` when no whole huge page fits.
+fn huge_page_interior(addr: usize, len: usize) -> Option<(usize, usize)> {
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = (addr + len) / HUGE_PAGE * HUGE_PAGE;
+    (start < end).then(|| (start, end - start))
+}
+
+/// Asks the kernel to back the whole huge pages inside `data` with
+/// transparent huge pages (`madvise(MADV_HUGEPAGE)`), before anything
+/// touches them: the fill then faults the table in 2 MB at a time, not
+/// 4 KB, and every scattered row access after it walks a shorter page
+/// table. A hint that changes no byte; a kernel that refuses it leaves the
+/// table on ordinary pages. Returns whether the kernel took it.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(data: &mut [f32]) -> bool {
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_HUGEPAGE: i32 = 14;
+    let Some((start, len)) = huge_page_interior(data.as_ptr() as usize, size_of_val(data)) else {
+        return false;
+    };
+    // SAFETY: `start..start + len` lies inside `data`, which this borrow
+    // holds exclusively, and the advice changes no byte of it.
+    unsafe { madvise(start as *mut std::ffi::c_void, len, MADV_HUGEPAGE) == 0 }
+}
+
+/// Without transparent huge pages there is nothing to ask for.
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_data: &mut [f32]) -> bool {
+    false
+}
+
 /// The initial values of rows `0..n_keys`, `dim` wide, built on every core
-/// ([`fill_chunks`]) into zeroed memory the store then owns as is. A row is
-/// a function of its key alone, so no split of the rows changes a bit.
+/// ([`fill_chunks`]) into zeroed memory the store then owns as is, on huge
+/// pages where the kernel grants them ([`advise_huge_pages`]). A row is a
+/// function of its key alone, so no split of the rows changes a bit.
 fn initial_table(seed: u64, n_keys: u64, dim: usize) -> Box<[UnsafeCell<f32>]> {
     let mut data = vec![0.0f32; n_keys as usize * dim].into_boxed_slice();
+    advise_huge_pages(&mut data);
     fill_chunks(&mut data, dim, |start, rows| {
         initial_rows_dispatch(seed, (start / dim) as Key, dim, rows)
     });
@@ -420,14 +461,27 @@ mod tests {
                     // dev profile, so here only the stores are built, and
                     // only the rows a misplaced chunk edge would shift are
                     // read: the first, the last, and both sides of every
-                    // edge of a split into 2 to 7 chunks.
-                    let mut keys = vec![0, n - 1];
+                    // edge of a split into 2 to 7 chunks ...
+                    let mut edges = vec![0, n - 1];
                     for workers in 2..=7 {
-                        keys.extend(
+                        edges.extend(
                             (1..workers).flat_map(|w| [w * n / workers - 1, w * n / workers]),
                         );
                     }
                     for store in &stores {
+                        // ... and both sides of every 2 MB boundary of the
+                        // store's allocation, where the huge-page advice
+                        // splits it. (The smaller tables below, several of
+                        // them advised, are compared whole.)
+                        let mut keys = edges.clone();
+                        let base = store.data.as_ptr() as usize;
+                        let end = base + n as usize * dim * size_of::<f32>();
+                        let mut boundary = (base + 1).next_multiple_of(HUGE_PAGE);
+                        while boundary < end {
+                            let element = (boundary - base) / size_of::<f32>();
+                            keys.extend([(element - 1) / dim, element / dim].map(|k| k as Key));
+                            boundary += HUGE_PAGE;
+                        }
                         for &key in &keys {
                             let want: Vec<u32> = (0..dim)
                                 .map(|d| initial_value(seed, key, d).to_bits())
@@ -472,6 +526,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_huge_page_interior_rounds_in_to_whole_huge_pages() {
+        const H: usize = HUGE_PAGE;
+        // Empty, aligned or not.
+        assert_eq!(huge_page_interior(4 * H, 0), None);
+        assert_eq!(huge_page_interior(4 * H + 16, 0), None);
+        // Shorter than a huge page, from a boundary or across one.
+        assert_eq!(huge_page_interior(4 * H, H - 4), None);
+        assert_eq!(huge_page_interior(5 * H - 64, H - 4), None);
+        // A whole huge page's length that crosses a boundary holds none.
+        assert_eq!(huge_page_interior(4 * H + 16, H), None);
+        // Unaligned at both ends: rounded in at both.
+        assert_eq!(huge_page_interior(3 * H + 16, 5 * H), Some((4 * H, 4 * H)));
+        // Aligned at both ends: all of it.
+        assert_eq!(huge_page_interior(2 * H, 3 * H), Some((2 * H, 3 * H)));
+        assert_eq!(huge_page_interior(2 * H, H), Some((2 * H, H)));
+    }
+
+    /// The `VmFlags` of the mapping of this process that holds `addr`, read
+    /// from `/proc/self/smaps`; `None` where the file cannot be read.
+    fn vm_flags_at(addr: usize) -> Option<Vec<String>> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let mut holds = false;
+        for line in smaps.lines() {
+            let first = line.split_whitespace().next().unwrap_or("");
+            if let Some((lo, hi)) = first.split_once('-') {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    holds = (lo..hi).contains(&addr);
+                    continue;
+                }
+            }
+            if let Some(flags) = line.strip_prefix("VmFlags:").filter(|_| holds) {
+                return Some(flags.split_whitespace().map(str::to_owned).collect());
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn the_table_is_advised_onto_huge_pages() {
+        // 8 MB of rows: at least three whole huge pages wherever they land.
+        let (n, dim) = (65_536, 32);
+        let store = HostStore::new(n, dim, 7);
+        let bytes = n as usize * dim * size_of::<f32>();
+        let (first, _) = huge_page_interior(store.data.as_ptr() as usize, bytes).unwrap();
+        // Read before anything else is advised, so nothing else can have
+        // put the flag there.
+        let flags = vm_flags_at(first);
+        // Whether this kernel takes the advice at all, asked of a separate
+        // buffer: where it refuses (no transparent huge pages), the table
+        // stays on ordinary pages and there is nothing to see.
+        let mut probe = vec![0.0f32; 6 << 20 >> 2];
+        if !advise_huge_pages(&mut probe) {
+            return;
+        }
+        let flags = flags.expect("/proc/self/smaps lists the table's mapping");
+        assert!(
+            flags.iter().any(|f| f == "hg"),
+            "the table's mapping at {first:#x} is not advised: VmFlags {flags:?}"
+        );
     }
 
     #[test]
