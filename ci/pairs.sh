@@ -11,9 +11,10 @@
 # wins and ties, and both sides' median and quartiles (choosing-metrics §8:
 # claim a gain only with ≥ 9/10 of the pairs won and medians further apart
 # than the parent's quartiles), then both sides' busy cores
-# (keys_per_s × cpu_ns_per_key × 1e-9). For traced and replay runs — where a claim's
-# attribution comes from — it prints both sides' median and quartiles of
-# every value the rep reports, one row each.
+# (keys_per_s × cpu_ns_per_key × 1e-9), as quartiles and pair by pair.
+# For traced and replay runs — where a claim's attribution comes from — it
+# prints both sides' median and quartiles of every value the rep reports,
+# one row each.
 # Exact values (counts, loss bits) that differ between the sides are listed.
 set -euo pipefail
 
@@ -85,11 +86,14 @@ for name, higher in METRICS if mode == "untraced" else []:
 
 if mode == "untraced":
     # Cores the run kept busy: CPU time per key over wall time per key.
+    # Per pair too, so a contended pair can be told from a slow one.
+    busy = lambda r: r["values"]["keys_per_s"] * r["values"]["cpu_ns_per_key"] * 1e-9
     print("\nbusy cores (keys_per_s x cpu_ns_per_key x 1e-9):")
     for side, runs in (("parent", parent), ("change", change)):
-        q1, med, q3 = quartiles([r["values"]["keys_per_s"] * r["values"]["cpu_ns_per_key"] * 1e-9
-                                 for r in runs])
+        q1, med, q3 = quartiles([busy(r) for r in runs])
         print(f"  {side} median {med:.3f}  quartiles {q1:.3f} .. {q3:.3f}")
+    print("  per pair (parent/change): "
+          + " ".join(f"{busy(x):.2f}/{busy(y):.2f}" for x, y in zip(parent, change)))
 
 if mode != "untraced":
     # Every value either side reports; a layer that is not live on the

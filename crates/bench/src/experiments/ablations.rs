@@ -2,7 +2,7 @@
 //! choices DESIGN.md calls out: cache admission policy, batched dequeue
 //! size, and the sample-queue lookahead `L`.
 
-use super::{measured_phase, Scale};
+use super::{measured_phase, zipf09_trace, Scale};
 use crate::table::{fmt_throughput, ExpTable};
 use frugal_core::{belady_hit_ratio, FrugalConfig, PullToTarget, System, TrainReport};
 use frugal_data::{KeyDistribution, SyntheticTrace};
@@ -25,8 +25,7 @@ fn measured_us(r: &TrainReport, phase: LedgerPhase) -> String {
 /// against Belady's MIN over the whole run ([`belady_hit_ratio`]), the
 /// bound no policy can beat at any run length.
 pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
-    let dim = 32usize;
-    let model = PullToTarget::new(dim, 7);
+    let model = PullToTarget::new(32, 7);
     let steps = scale.steps * 5;
     let mut t = ExpTable::new(
         "Ablation: cache policy x skew x ratio (hit ratio %)",
@@ -75,22 +74,48 @@ pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
     vec![t]
 }
 
+/// The orderings the [`ablation_cache_policy`] grid is built around, one
+/// message per violating row: the `oracle` column (Belady's MIN over the
+/// whole run) bounds every policy in every cell, and on Zipf ≥ 0.9 `freq`
+/// does not lose to `lru` (churn protection is what frequency-aware
+/// admission buys on skewed traffic). Every cell is a pure function of the
+/// seed and the grid, so the orderings are checked exactly.
+pub fn cache_policy_violations(tables: &[ExpTable]) -> Vec<String> {
+    let mut violations = Vec::new();
+    for t in tables {
+        for row in 0..t.n_rows() {
+            let dist = t.cell(row, 0).expect("a distribution cell");
+            // Columns as `ablation_cache_policy` builds them.
+            let [hot, lru, freq, oracle] = [2, 3, 4, 5].map(|col| {
+                let cell = t.cell(row, col).expect("a hit-ratio cell");
+                cell.trim_end_matches('%')
+                    .parse::<f64>()
+                    .expect("a percentage")
+            });
+            if oracle < hot || oracle < lru || oracle < freq {
+                violations.push(format!(
+                    "{dist} row {row}: oracle {oracle:.1}% below a policy \
+                     (static-hot {hot:.1}%, lru {lru:.1}%, freq {freq:.1}%)"
+                ));
+            }
+            if dist.contains("0.9") && freq < lru {
+                violations.push(format!(
+                    "{dist} row {row}: freq {freq:.1}% lost to lru {lru:.1}% on a skewed trace"
+                ));
+            }
+        }
+    }
+    violations
+}
+
 /// Batched dequeue (§3.4: "Dequeue can be batched to remove the repeated
 /// scanning overhead"): flusher batch size vs the flushers' measured
 /// dequeue cost and the trainers' measured wait. Batch size moves no
 /// operation count, so the modeled clock cannot see it — the columns are
 /// wall-clock.
 pub fn ablation_flush_batch(scale: &Scale) -> Vec<ExpTable> {
-    let dim = 32usize;
-    let model = PullToTarget::new(dim, 7);
-    let trace = SyntheticTrace::new(
-        scale.micro_keys,
-        KeyDistribution::Zipf(0.9),
-        *scale.batches.last().expect("non-empty"),
-        scale.gpus,
-        71,
-    )
-    .expect("valid trace");
+    let model = PullToTarget::new(32, 7);
+    let trace = zipf09_trace(scale, *scale.batches.last().expect("non-empty"), 71);
     let mut t = ExpTable::new(
         "Ablation: flusher dequeue batch size (measured on this host)",
         &[
@@ -127,16 +152,8 @@ pub fn ablation_flush_batch(scale: &Scale) -> Vec<ExpTable> {
 /// priority signal (everything looks ∞ until the last moment); large values
 /// only cost queue memory.
 pub fn ablation_lookahead(scale: &Scale) -> Vec<ExpTable> {
-    let dim = 32usize;
-    let model = PullToTarget::new(dim, 7);
-    let trace = SyntheticTrace::new(
-        scale.micro_keys,
-        KeyDistribution::Zipf(0.9),
-        *scale.batches.last().expect("non-empty"),
-        scale.gpus,
-        73,
-    )
-    .expect("valid trace");
+    let model = PullToTarget::new(32, 7);
+    let trace = zipf09_trace(scale, *scale.batches.last().expect("non-empty"), 73);
     let mut t = ExpTable::new(
         "Ablation: sample-queue lookahead L",
         &[
@@ -173,16 +190,8 @@ pub fn ablation_lookahead(scale: &Scale) -> Vec<ExpTable> {
 /// priorities, not background flushing per se, are what keep the wait
 /// cheap.
 pub fn ablation_flush_strategy(scale: &Scale) -> Vec<ExpTable> {
-    let dim = 32usize;
-    let model = PullToTarget::new(dim, 7);
-    let trace = SyntheticTrace::new(
-        scale.micro_keys,
-        KeyDistribution::Zipf(0.9),
-        *scale.batches.last().expect("non-empty"),
-        scale.gpus,
-        83,
-    )
-    .expect("valid trace");
+    let model = PullToTarget::new(32, 7);
+    let trace = zipf09_trace(scale, *scale.batches.last().expect("non-empty"), 83);
     let mut t = ExpTable::new(
         "Ablation: flush strategy (priority vs arrival order vs sync)",
         &["strategy", "throughput", "stall us", "flushed rows"],
@@ -205,8 +214,7 @@ pub fn ablation_flush_strategy(scale: &Scale) -> Vec<ExpTable> {
 /// SGD vs Adagrad through the full Frugal engine: the optimizer extension.
 pub fn ablation_optimizer(scale: &Scale) -> Vec<ExpTable> {
     use frugal_core::OptimizerKind;
-    let dim = 32usize;
-    let model = PullToTarget::new(dim, 7);
+    let model = PullToTarget::new(32, 7);
     let trace = SyntheticTrace::new(
         scale.micro_keys.min(100_000),
         KeyDistribution::Zipf(0.9),
@@ -263,25 +271,8 @@ mod tests {
             steps: 20,
             ..Scale::quick()
         };
-        let t = &ablation_cache_policy(&scale)[0];
-        let pct = |row, col| {
-            let cell = t.cell(row, col).expect("hit-ratio cell");
-            cell.trim_end_matches('%')
-                .parse::<f64>()
-                .expect("a percentage")
-        };
-        for row in 0..t.n_rows() {
-            let oracle = pct(row, 5);
-            for (col, policy) in [(2, "static-hot"), (3, "lru"), (4, "freq")] {
-                assert!(
-                    oracle >= pct(row, col),
-                    "{} {}: oracle {oracle}% < {policy} {}%",
-                    t.cell(row, 0).unwrap(),
-                    t.cell(row, 1).unwrap(),
-                    pct(row, col)
-                );
-            }
-        }
+        let violations = cache_policy_violations(&ablation_cache_policy(&scale));
+        assert!(violations.is_empty(), "{violations:#?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fig 3 (motivation) and Exp #1 (Fig 8, microbenchmark).
 
-use super::{system_columns, Scale};
+use super::{system_columns, zipf09_trace, Scale};
 use crate::table::{fmt_throughput, ExpTable};
 use frugal_core::{FrugalConfig, PullToTarget, System};
 use frugal_data::{KeyDistribution, SyntheticTrace};
@@ -117,14 +117,7 @@ pub fn exp1_microbenchmark(scale: &Scale) -> Vec<ExpTable> {
         }
     }
     // UVM sidebar: two orders of magnitude slower.
-    let trace = SyntheticTrace::new(
-        scale.micro_keys,
-        KeyDistribution::Zipf(0.9),
-        *scale.batches.last().expect("non-empty batches"),
-        scale.gpus,
-        13,
-    )
-    .expect("valid trace");
+    let trace = zipf09_trace(scale, *scale.batches.last().expect("non-empty batches"), 13);
     let mut t = ExpTable::new(
         "Exp 1 sidebar: PyTorch-UVM page-granularity penalty",
         &["system", "throughput"],

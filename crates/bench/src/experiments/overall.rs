@@ -12,6 +12,12 @@ fn speedup_column(label: fn(&System) -> &'static str) -> String {
     format!("{}/{}", label(&System::Frugal), label(&System::PyTorch))
 }
 
+/// The figures' DLRM over a REC trace: embedding dim, then 512-512-256-1.
+fn dlrm(trace: &RecTrace) -> Dlrm {
+    let dim = trace.spec().embedding_dim as usize;
+    Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 3, false)
+}
+
 fn kg_specs(scale: &Scale) -> Vec<KgDatasetSpec> {
     vec![
         KgDatasetSpec::fb15k().scaled_to_entities(scale.kg_entities),
@@ -25,6 +31,27 @@ fn rec_specs(scale: &Scale) -> Vec<RecDatasetSpec> {
         RecDatasetSpec::avazu().scaled_to_ids(scale.rec_ids),
         RecDatasetSpec::criteo().scaled_to_ids(scale.rec_ids),
         RecDatasetSpec::criteo_tb().scaled_to_ids(scale.rec_ids),
+    ]
+}
+
+/// One cache-ratio row of Fig 13/14: each [`END_TO_END`] system's
+/// throughput, then Frugal's over the cache-less baseline's.
+fn end_to_end_row(
+    scale: &Scale,
+    cache_ratio: f64,
+    trace: &dyn Workload,
+    model: &dyn EmbeddingModel,
+) -> Vec<String> {
+    let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
+    cfg.cache_ratio = cache_ratio;
+    let [base, cached, frugal] =
+        END_TO_END.map(|s| s.price(cfg.clone(), trace, model).throughput());
+    vec![
+        format!("{:.0}%", cache_ratio * 100.0),
+        fmt_throughput(base),
+        fmt_throughput(cached),
+        fmt_throughput(frugal),
+        format!("{:.2}", frugal / base),
     ]
 }
 
@@ -48,18 +75,7 @@ pub fn exp6_kg(scale: &Scale) -> Vec<ExpTable> {
         for cache_ratio in [0.05, 0.10] {
             let trace = KgTrace::new(spec.clone(), batch, scale.gpus, 29).expect("valid trace");
             let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
-            let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
-            cfg.cache_ratio = cache_ratio;
-            let base = System::PyTorch.price(cfg.clone(), &trace, &model);
-            let cached = System::HugeCtr.price(cfg.clone(), &trace, &model);
-            let frugal = System::Frugal.price(cfg, &trace, &model);
-            t.row(vec![
-                format!("{:.0}%", cache_ratio * 100.0),
-                fmt_throughput(base.throughput()),
-                fmt_throughput(cached.throughput()),
-                fmt_throughput(frugal.throughput()),
-                format!("{:.2}", frugal.throughput() / base.throughput()),
-            ]);
+            t.row(end_to_end_row(scale, cache_ratio, &trace, &model));
         }
         t.note("paper: Frugal beats DGL-KE 1.2-1.5x and DGL-KE-cached 4.1-7.1x; DGL-KE-cached can trail vanilla DGL-KE");
         t.note(format!("entities scaled to {}", spec.n_entities));
@@ -81,26 +97,31 @@ pub fn exp7_rec(scale: &Scale) -> Vec<ExpTable> {
         for cache_ratio in [0.05, 0.10] {
             let trace =
                 RecTrace::new(spec.clone(), scale.rec_batch, scale.gpus, 31).expect("valid trace");
-            let dim = spec.embedding_dim as usize;
-            let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 3, false);
-            let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
-            cfg.cache_ratio = cache_ratio;
-            let base = System::PyTorch.price(cfg.clone(), &trace, &model);
-            let cached = System::HugeCtr.price(cfg.clone(), &trace, &model);
-            let frugal = System::Frugal.price(cfg, &trace, &model);
-            t.row(vec![
-                format!("{:.0}%", cache_ratio * 100.0),
-                fmt_throughput(base.throughput()),
-                fmt_throughput(cached.throughput()),
-                fmt_throughput(frugal.throughput()),
-                format!("{:.2}", frugal.throughput() / base.throughput()),
-            ]);
+            t.row(end_to_end_row(scale, cache_ratio, &trace, &dlrm(&trace)));
         }
         t.note("paper: Frugal beats PyTorch 4.9-7.4x and HugeCTR 6.1-8.7x");
         t.note(format!("ID space scaled to {}", spec.n_ids));
         out.push(t);
     }
     out
+}
+
+/// One GPU-count row of Fig 15: every microbenchmark system's throughput
+/// on `n` commodity GPUs.
+fn gpu_count_row(
+    n: usize,
+    steps: u64,
+    trace: &dyn Workload,
+    model: &dyn EmbeddingModel,
+) -> Vec<String> {
+    let cfg = FrugalConfig::commodity(n, steps);
+    let mut cells = vec![n.to_string()];
+    for system in System::microbench_set() {
+        cells.push(fmt_throughput(
+            system.price(cfg.clone(), trace, model).throughput(),
+        ));
+    }
+    cells
 }
 
 /// Exp #8 (Fig 15): scalability across GPU counts.
@@ -116,13 +137,7 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
     for n in [2usize, 4, 6, 8] {
         let trace = KgTrace::new(kg_spec.clone(), 1024, n, 37).expect("valid trace");
         let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
-        let cfg = FrugalConfig::commodity(n, scale.steps);
-        let mut cells = vec![n.to_string()];
-        for system in System::microbench_set() {
-            let r = system.price(cfg.clone(), &trace, &model);
-            cells.push(fmt_throughput(r.throughput()));
-        }
-        tkg.row(cells);
+        tkg.row(gpu_count_row(n, scale.steps, &trace, &model));
     }
     tkg.note(
         "paper: cache-less systems plateau at >=4 GPUs (root-complex bound); Frugal keeps scaling",
@@ -137,31 +152,34 @@ pub fn exp8_scalability(scale: &Scale) -> Vec<ExpTable> {
     );
     for n in [2usize, 4, 6, 8] {
         let trace = RecTrace::new(rec_spec.clone(), scale.rec_batch, n, 41).expect("valid trace");
-        let dim = rec_spec.embedding_dim as usize;
-        let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 3, false);
-        let cfg = FrugalConfig::commodity(n, scale.steps);
-        let mut cells = vec![n.to_string()];
-        for system in System::microbench_set() {
-            let r = system.price(cfg.clone(), &trace, &model);
-            cells.push(fmt_throughput(r.throughput()));
-        }
-        trec.row(cells);
+        trec.row(gpu_count_row(n, scale.steps, &trace, &dlrm(&trace)));
     }
     trec.note("paper: Frugal improves 1.2-4.9x across GPU counts, sub-linear due to link limits");
     out.push(trec);
     out
 }
 
-/// The best existing system on `n` datacenter A30s vs Frugal on `n`
-/// commodity RTX 3090s: `(best A30 throughput, Frugal throughput,
-/// Frugal's throughput per dollar over the A30 system's)`, each run priced
+/// Fig 16's columns.
+const COST_COLUMNS: [&str; 6] = [
+    "dataset",
+    "gpus",
+    "A30 best",
+    "Frugal 3090",
+    "thr ratio",
+    "cost-eff x",
+];
+
+/// One row of Fig 16, the best existing system on `n` datacenter A30s vs
+/// Frugal on `n` commodity RTX 3090s: both throughputs, their ratio, and
+/// Frugal's throughput per dollar over the A30 system's, each run priced
 /// from its own topology.
-fn best_a30_vs_frugal(
+fn cost_row(
+    dataset: &str,
     n: usize,
     steps: u64,
     trace: &dyn Workload,
     model: &dyn EmbeddingModel,
-) -> (f64, f64, f64) {
+) -> Vec<String> {
     let dc = FrugalConfig::on(Topology::datacenter(n), steps);
     let commodity = FrugalConfig::commodity(n, steps);
     let (dc_price, commodity_price) = (
@@ -174,7 +192,14 @@ fn best_a30_vs_frugal(
         .fold(0.0f64, f64::max);
     let frugal = System::Frugal.price(commodity, trace, model).throughput();
     let cost_eff = (frugal / commodity_price) / (best_a30 / dc_price);
-    (best_a30, frugal, cost_eff)
+    vec![
+        dataset.to_owned(),
+        n.to_string(),
+        fmt_throughput(best_a30),
+        fmt_throughput(frugal),
+        format!("{:.2}", frugal / best_a30),
+        format!("{cost_eff:.1}"),
+    ]
 }
 
 /// Exp #9 (Fig 16): cost efficiency — the best existing system on A30s vs
@@ -185,14 +210,7 @@ pub fn exp9_cost(scale: &Scale) -> Vec<ExpTable> {
     // (a) KG: FB15k- and Freebase-shaped.
     let mut tkg = ExpTable::new(
         "Fig 16a (KG): best-on-A30 vs Frugal-on-3090 (triples/s)",
-        &[
-            "dataset",
-            "gpus",
-            "A30 best",
-            "Frugal 3090",
-            "thr ratio",
-            "cost-eff x",
-        ],
+        &COST_COLUMNS,
     );
     for spec in [
         KgDatasetSpec::fb15k().scaled_to_entities(scale.kg_entities),
@@ -202,16 +220,7 @@ pub fn exp9_cost(scale: &Scale) -> Vec<ExpTable> {
             let batch = 1024.min(spec.n_entities as usize / 2).max(16);
             let trace = KgTrace::new(spec.clone(), batch, n, 43).expect("valid trace");
             let model = KgModel::new(KgScorer::TransE, trace.clone(), 5, false);
-            let (best_a30, frugal, cost_eff) = best_a30_vs_frugal(n, scale.steps, &trace, &model);
-            let thr_ratio = frugal / best_a30;
-            tkg.row(vec![
-                spec.name.clone(),
-                n.to_string(),
-                fmt_throughput(best_a30),
-                fmt_throughput(frugal),
-                format!("{thr_ratio:.2}"),
-                format!("{cost_eff:.1}"),
-            ]);
+            tkg.row(cost_row(&spec.name, n, scale.steps, &trace, &model));
         }
     }
     tkg.note(
@@ -222,14 +231,7 @@ pub fn exp9_cost(scale: &Scale) -> Vec<ExpTable> {
     // (b) REC: Avazu- and Criteo-shaped.
     let mut trec = ExpTable::new(
         "Fig 16b (REC): best-on-A30 vs Frugal-on-3090 (samples/s)",
-        &[
-            "dataset",
-            "gpus",
-            "A30 best",
-            "Frugal 3090",
-            "thr ratio",
-            "cost-eff x",
-        ],
+        &COST_COLUMNS,
     );
     for spec in [
         RecDatasetSpec::avazu().scaled_to_ids(scale.rec_ids),
@@ -237,18 +239,7 @@ pub fn exp9_cost(scale: &Scale) -> Vec<ExpTable> {
     ] {
         for n in [2usize, 3, 4] {
             let trace = RecTrace::new(spec.clone(), scale.rec_batch, n, 47).expect("valid trace");
-            let dim = spec.embedding_dim as usize;
-            let model = Dlrm::new(trace.clone(), &[dim, 512, 512, 256, 1], 0.01, 3, false);
-            let (best_a30, frugal, cost_eff) = best_a30_vs_frugal(n, scale.steps, &trace, &model);
-            let thr_ratio = frugal / best_a30;
-            trec.row(vec![
-                spec.name.clone(),
-                n.to_string(),
-                fmt_throughput(best_a30),
-                fmt_throughput(frugal),
-                format!("{thr_ratio:.2}"),
-                format!("{cost_eff:.1}"),
-            ]);
+            trec.row(cost_row(&spec.name, n, scale.steps, &trace, &dlrm(&trace)));
         }
     }
     trec.note(format!(

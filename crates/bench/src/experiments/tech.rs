@@ -1,9 +1,9 @@
 //! Exp #2–#5: the technique ablations (Fig 9–12).
 
-use super::{measured_phase, system_columns, Scale};
+use super::{measured_phase, system_columns, zipf09_trace, Scale};
 use crate::table::{fmt_throughput, telemetry_table, ExpTable};
 use frugal_core::{FrugalConfig, ModeledRun, PqKind, PullToTarget, System};
-use frugal_data::{KeyDistribution, KgDatasetSpec, KgTrace, SyntheticTrace};
+use frugal_data::{KgDatasetSpec, KgTrace};
 use frugal_models::{KgModel, KgScorer};
 use frugal_sim::{CostModel, HostPath, Topology};
 use frugal_telemetry::{LedgerPhase, Telemetry};
@@ -28,14 +28,7 @@ pub fn exp2_p2f(scale: &Scale) -> Vec<ExpTable> {
         &["batch", "SyncFlushing", "P2F", "speedup x"],
     );
     for &batch in &scale.batches {
-        let trace = SyntheticTrace::new(
-            scale.micro_keys,
-            KeyDistribution::Zipf(0.9),
-            batch,
-            scale.gpus,
-            17,
-        )
-        .expect("valid trace");
+        let trace = zipf09_trace(scale, batch, 17);
         let mut cfg = FrugalConfig::commodity(scale.gpus, scale.steps);
         cfg.cache_ratio = 0.01;
         let sync = System::FrugalSync.price(cfg.clone(), &trace, &model);
@@ -167,14 +160,7 @@ pub fn exp5_breakdown(scale: &Scale) -> Vec<ExpTable> {
         &system_columns("batch", &System::microbench_set(), System::rec_label),
     );
     for &batch in &scale.batches {
-        let trace = SyntheticTrace::new(
-            scale.micro_keys,
-            KeyDistribution::Zipf(0.9),
-            batch,
-            scale.gpus,
-            19,
-        )
-        .expect("valid trace");
+        let trace = zipf09_trace(scale, batch, 19);
         let mut cells = vec![batch.to_string()];
         for system in System::microbench_set() {
             let r = system.price(
@@ -198,14 +184,7 @@ pub fn exp5_breakdown(scale: &Scale) -> Vec<ExpTable> {
 
     // One instrumented run: where the modeled breakdown above comes from.
     let batch = *scale.batches.last().expect("scale has batches");
-    let trace = SyntheticTrace::new(
-        scale.micro_keys,
-        KeyDistribution::Zipf(0.9),
-        batch,
-        scale.gpus,
-        19,
-    )
-    .expect("valid trace");
+    let trace = zipf09_trace(scale, batch, 19);
     let cfg = FrugalConfig::commodity(scale.gpus, scale.steps).with_telemetry(Telemetry::new());
     let r = System::Frugal.run(cfg, &trace, &model);
     let summary = r.telemetry.expect("telemetry was enabled");

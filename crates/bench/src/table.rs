@@ -1,6 +1,6 @@
 //! Plain-text experiment tables.
 //!
-//! Every bench target prints one or more [`ExpTable`]s in the shape of the
+//! Every artifact prints one or more [`ExpTable`]s in the shape of the
 //! paper's figures: rows are the x-axis points, columns the systems/series.
 
 use std::fmt;
