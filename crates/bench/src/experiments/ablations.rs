@@ -17,27 +17,28 @@ fn measured_us(r: &TrainReport, phase: LedgerPhase) -> String {
     )
 }
 
+/// One cell of the [`ablation_cache_policy`] grid, at full precision.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyCell {
+    /// The trace's key distribution.
+    pub dist: KeyDistribution,
+    /// The total cache ratio.
+    pub ratio: f64,
+    /// Each policy's hit ratio, in [`CachePolicy::ALL`] order.
+    pub hits: [f64; 3],
+    /// Belady's MIN over the whole run ([`belady_hit_ratio`]).
+    pub oracle: f64,
+}
+
 /// Cache eviction policy × key skew × cache ratio under P²F, priced by the
 /// key-stream walk (the P²F engine's cache decisions, checked against the
 /// engine record for record): per-policy hit ratios for every cell of the
-/// grid. The paper fixes HugeCTR's static policy for all systems; this
-/// ablation shows how much headroom adaptive policies leave on the table,
-/// against Belady's MIN over the whole run ([`belady_hit_ratio`]), the
-/// bound no policy can beat at any run length.
-pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
+/// grid, with Belady's MIN over the whole run ([`belady_hit_ratio`]), the
+/// bound no policy can beat at any run length. [`ablation_cache_policy`]
+/// prints it and [`cache_policy_violations`] checks it.
+pub fn cache_policy_grid(scale: &Scale) -> Vec<PolicyCell> {
     let model = PullToTarget::new(32, 7);
-    let steps = scale.steps * 5;
-    let mut t = ExpTable::new(
-        "Ablation: cache policy x skew x ratio (hit ratio %)",
-        &[
-            "distribution",
-            "ratio",
-            "static-hot",
-            "lru",
-            "freq",
-            "oracle",
-        ],
-    );
+    let mut grid = Vec::new();
     for dist in [
         KeyDistribution::Zipf(0.8),
         KeyDistribution::Zipf(0.9),
@@ -52,57 +53,89 @@ pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
         )
         .expect("valid trace");
         for ratio in [0.01, 0.05, 0.10] {
-            let mut cfg = FrugalConfig::commodity(scale.gpus, steps);
+            let mut cfg = FrugalConfig::commodity(scale.gpus, cache_policy_steps(scale));
             cfg.flush_threads = 4;
             cfg.cache_ratio = ratio;
-            let mut cells = vec![dist.label(), format!("{ratio:.2}")];
-            for policy in CachePolicy::ALL {
+            let hits = CachePolicy::ALL.map(|policy| {
                 cfg.cache_policy = policy;
-                let r = System::Frugal.price(cfg.clone(), &trace, &model);
-                cells.push(format!("{:.1}%", r.hit_ratio * 100.0));
-            }
+                System::Frugal.price(cfg.clone(), &trace, &model).hit_ratio
+            });
             let oracle = belady_hit_ratio(&cfg, &trace);
-            cells.push(format!("{:.1}%", oracle * 100.0));
-            t.row(cells);
+            grid.push(PolicyCell {
+                dist,
+                ratio,
+                hits,
+                oracle,
+            });
         }
     }
-    t.note(format!(
-        "priced by the key-stream walk, {steps} steps; oracle = Belady's MIN over the whole \
-         run (offline upper bound), freq = frequency-aware admission+eviction, \
-         static-hot = paper setup"
-    ));
-    vec![t]
+    grid
 }
 
-/// The orderings the [`ablation_cache_policy`] grid is built around, one
-/// message per violating row: the `oracle` column (Belady's MIN over the
-/// whole run) bounds every policy in every cell, and on Zipf ≥ 0.9 `freq`
-/// does not lose to `lru` (churn protection is what frequency-aware
-/// admission buys on skewed traffic). Every cell is a pure function of the
-/// seed and the grid, so the orderings are checked exactly.
-pub fn cache_policy_violations(tables: &[ExpTable]) -> Vec<String> {
+/// The steps each [`cache_policy_grid`] cell runs.
+fn cache_policy_steps(scale: &Scale) -> u64 {
+    scale.steps * 5
+}
+
+/// [`cache_policy_grid`] as a table of percentages. The paper fixes
+/// HugeCTR's static policy for all systems; this ablation shows how much
+/// headroom adaptive policies leave on the table.
+pub fn cache_policy_table(scale: &Scale, grid: &[PolicyCell]) -> ExpTable {
+    let mut t = ExpTable::new(
+        "Ablation: cache policy x skew x ratio (hit ratio %)",
+        &[
+            "distribution",
+            "ratio",
+            "static-hot",
+            "lru",
+            "freq",
+            "oracle",
+        ],
+    );
+    let percent = |hit: f64| format!("{:.1}%", hit * 100.0);
+    for cell in grid {
+        let mut cells = vec![cell.dist.label(), format!("{:.2}", cell.ratio)];
+        cells.extend(cell.hits.map(percent));
+        cells.push(percent(cell.oracle));
+        t.row(cells);
+    }
+    t.note(format!(
+        "priced by the key-stream walk, {} steps; oracle = Belady's MIN over the whole \
+         run (offline upper bound), freq = frequency-aware admission+eviction, \
+         static-hot = paper setup",
+        cache_policy_steps(scale)
+    ));
+    t
+}
+
+/// The cache policy grid ([`cache_policy_grid`]) as printed.
+pub fn ablation_cache_policy(scale: &Scale) -> Vec<ExpTable> {
+    vec![cache_policy_table(scale, &cache_policy_grid(scale))]
+}
+
+/// The orderings the [`cache_policy_grid`] is built around, one message per
+/// violating row: the `oracle` (Belady's MIN over the whole run) bounds
+/// every policy in every cell, and on Zipf ≥ 0.9 `freq` does not lose to
+/// `lru` (churn protection is what frequency-aware admission buys on
+/// skewed traffic). Every cell is a pure function of the seed and the
+/// grid, so the orderings are checked exactly, on the unrounded ratios.
+pub fn cache_policy_violations(grid: &[PolicyCell]) -> Vec<String> {
     let mut violations = Vec::new();
-    for t in tables {
-        for row in 0..t.n_rows() {
-            let dist = t.cell(row, 0).expect("a distribution cell");
-            // Columns as `ablation_cache_policy` builds them.
-            let [hot, lru, freq, oracle] = [2, 3, 4, 5].map(|col| {
-                let cell = t.cell(row, col).expect("a hit-ratio cell");
-                cell.trim_end_matches('%')
-                    .parse::<f64>()
-                    .expect("a percentage")
-            });
-            if oracle < hot || oracle < lru || oracle < freq {
-                violations.push(format!(
-                    "{dist} row {row}: oracle {oracle:.1}% below a policy \
-                     (static-hot {hot:.1}%, lru {lru:.1}%, freq {freq:.1}%)"
-                ));
-            }
-            if dist.contains("0.9") && freq < lru {
-                violations.push(format!(
-                    "{dist} row {row}: freq {freq:.1}% lost to lru {lru:.1}% on a skewed trace"
-                ));
-            }
+    for (row, cell) in grid.iter().enumerate() {
+        let (dist, ratio) = (cell.dist.label(), cell.ratio);
+        let [hot, lru, freq] = cell.hits.map(|hit| hit * 100.0);
+        let oracle = cell.oracle * 100.0;
+        if oracle < hot || oracle < lru || oracle < freq {
+            violations.push(format!(
+                "{dist} ratio {ratio:.2} (row {row}): oracle {oracle:.6}% below a policy \
+                 (static-hot {hot:.6}%, lru {lru:.6}%, freq {freq:.6}%)"
+            ));
+        }
+        if matches!(cell.dist, KeyDistribution::Zipf(s) if s >= 0.9) && freq < lru {
+            violations.push(format!(
+                "{dist} ratio {ratio:.2} (row {row}): freq {freq:.6}% lost to lru {lru:.6}% \
+                 on a skewed trace"
+            ));
         }
     }
     violations
@@ -271,7 +304,7 @@ mod tests {
             steps: 20,
             ..Scale::quick()
         };
-        let violations = cache_policy_violations(&ablation_cache_policy(&scale));
+        let violations = cache_policy_violations(&cache_policy_grid(&scale));
         assert!(violations.is_empty(), "{violations:#?}");
     }
 

@@ -15,7 +15,7 @@ mod tech;
 
 pub use ablations::{
     ablation_cache_policy, ablation_flush_batch, ablation_flush_strategy, ablation_lookahead,
-    ablation_optimizer, cache_policy_violations,
+    ablation_optimizer, cache_policy_grid, cache_policy_table, cache_policy_violations, PolicyCell,
 };
 pub use micro::{exp1_microbenchmark, fig3_motivation};
 pub use overall::{exp6_kg, exp7_rec, exp8_scalability, exp9_cost};

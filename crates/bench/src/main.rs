@@ -9,7 +9,9 @@
 //! `ablation_cache_policy` grid breaks the policy ordering
 //! ([`cache_policy_violations`]), and 2 on an unknown artifact.
 
-use frugal_bench::experiments::{cache_policy_violations, resolve, Scale};
+use frugal_bench::experiments::{
+    cache_policy_grid, cache_policy_table, cache_policy_violations, resolve, Scale,
+};
 
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
@@ -20,15 +22,19 @@ fn main() {
     let scale = Scale::default();
     let mut violations = Vec::new();
     for (name, build) in artifacts {
-        let tables = build(&scale);
-        for table in &tables {
-            println!("{table}");
-        }
-        if name == "ablation_cache_policy" {
-            violations.extend(cache_policy_violations(&tables));
+        // The policy grid is printed and checked from one computation.
+        let tables = if name == "ablation_cache_policy" {
+            let grid = cache_policy_grid(&scale);
+            violations.extend(cache_policy_violations(&grid));
             if violations.is_empty() {
                 eprintln!("cache ablation: policy ordering holds on all rows");
             }
+            vec![cache_policy_table(&scale, &grid)]
+        } else {
+            build(&scale)
+        };
+        for table in &tables {
+            println!("{table}");
         }
     }
     if !violations.is_empty() {

@@ -23,7 +23,7 @@ use super::step;
 use super::{MemberState, RunShared, Segment};
 use crate::config::FlushMode;
 use crate::gentry::{GEntryStore, PqOpScratch};
-use crate::member::{self, member_cache};
+use crate::member::{self, member_cache, Lookups};
 use crate::plan::PlanScratch;
 use crate::wait;
 use crate::ShardMap;
@@ -53,8 +53,8 @@ pub(crate) struct StepScratch {
     urows: Vec<f32>,
     /// Per-sample rows, `keys.len() × dim`, overwritten by the scatter.
     rows: Vec<f32>,
-    /// Cache misses: `(unique index, key)`.
-    missing: Vec<(usize, Key)>,
+    /// The cache lookups' staging: misses and resolved hits.
+    lookups: Lookups,
     /// The stream's gradients summed per unique key, `unique.len() × dim`
     /// (swapped with the deposit slot).
     agg: Vec<f32>,
@@ -131,10 +131,13 @@ pub(crate) fn register_phase(
     // times the g-entry work alone.
     {
         let _span = rec.span(s, LedgerPhase::CacheApply);
-        let rows = updates.iter().map(|(key, grad)| (*key, grad));
-        member::apply(cache, rows, |row, state, grad| {
-            shared.rule.step(row, state, grad)
-        });
+        member::apply(
+            cache,
+            &mut scratch.lookups,
+            updates,
+            |(key, _)| *key,
+            |row, state, (_, grad)| shared.rule.step(row, state, grad),
+        );
         if proactive {
             GEntryStore::group_by_shard(
                 0..updates.len() as u32,
@@ -324,7 +327,7 @@ pub(crate) fn trainer_loop(
             let unique_n = plan.unique().len();
             scratch.urows.resize(unique_n * dim, 0.0);
             let (urows, at) = (&mut scratch.urows, |i: usize| i * dim..(i + 1) * dim);
-            member::query(cache, smap, t, &plan, &mut scratch.missing, |i, row| {
+            member::query(cache, smap, t, &plan, &mut scratch.lookups, |i, row| {
                 frugal_embed::kernels::copy(&mut urows[at(i)], row)
             });
             drop(cq_span);
@@ -334,7 +337,7 @@ pub(crate) fn trainer_loop(
             // path's optimizer state for it (safe: the wait condition
             // guarantees this key has no in-flight updates while it is
             // being read).
-            let missing = &scratch.missing;
+            let missing = &scratch.lookups.missing;
             let hr_span =
                 rec.span_with(s, LedgerPhase::HostRead, &[("rows", missing.len() as u64)]);
             let fills = member::fill(
@@ -388,7 +391,13 @@ pub(crate) fn trainer_loop(
             // Deposit: hand the aggregates to the reducers, and count the
             // stream's work into the member's own record.
             let _deposit = rec.span(s, LedgerPhase::Deposit);
-            counts.stream(g, unique_n, scratch.missing.len(), fills, grads.loss);
+            counts.stream(
+                g,
+                unique_n,
+                scratch.lookups.missing.len(),
+                fills,
+                grads.loss,
+            );
             // The plan guard is released before the barrier: the slot is
             // republished (by this member) only at step s + 2.
             drop(plan);

@@ -20,7 +20,7 @@
 use crate::config::{FlushMode, FrugalConfig};
 use crate::engine::resolve_segments;
 use crate::gentry::GEntryStore;
-use crate::member::{self, member_cache};
+use crate::member::{self, member_cache, Lookups};
 use crate::model::EmbeddingModel;
 use crate::plan::{PlanScratch, StepPlan};
 use crate::price::{dense_prices, price_run, CountRecord, RunCounts};
@@ -94,8 +94,11 @@ fn walk(
     let mut caches: Vec<Option<GpuCache>> = (0..n).map(|_| None).collect();
     let mut rows = vec![Vec::new(); n];
     let (mut misses, mut fills, mut read_next) = (vec![0; n], vec![0; n], vec![0; n]);
-    let (mut seen, mut next, mut missing) =
-        (KeyHashSet::default(), KeyHashSet::default(), Vec::new());
+    let (mut seen, mut next, mut lookups) = (
+        KeyHashSet::default(),
+        KeyHashSet::default(),
+        Lookups::default(),
+    );
     let mut totals = (0, 0, 0);
     let mut rec = cfg.telemetry.recorder("walk", LaneKind::Trainer);
     let mut smap = ShardMap::initial(n, GEntryStore::n_shards());
@@ -129,13 +132,13 @@ fn walk(
                 let cache = caches[t].as_mut().expect("a member has a cache");
                 if member {
                     for g in smap.streams_of(t) {
-                        member::query(cache, &smap, t, &plans[g], &mut missing, |_, _| {});
-                        misses[g] = missing.len();
+                        member::query(cache, &smap, t, &plans[g], &mut lookups, |_, _| {});
+                        misses[g] = lookups.missing.len();
                         fills[g] = member::fill(
                             cache,
                             &smap,
                             t,
-                            &missing,
+                            &lookups.missing,
                             &mut (),
                             |_, _, _, _| {},
                             |_, _, _, _, _| {},
@@ -150,7 +153,7 @@ fn walk(
                         }
                     }
                 }
-                member::apply(cache, rows[t].iter().map(|&k| (k, ())), |_, _, ()| {});
+                member::apply(cache, &mut lookups, &rows[t], |&k| k, |_, _, _| {});
             }
             drop(query_span);
             // Registration adds the reads of `s + L` after the writes of

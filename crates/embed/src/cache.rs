@@ -6,7 +6,7 @@
 //!
 //! The cache is split into mechanism and strategy: this module
 //! owns the *mechanism* — a flat arena of `slots × dim` floats plus the
-//! key→slot map — while all *strategy* lives behind the
+//! key→slot index — while all *strategy* lives behind the
 //! [`EvictionPolicy`] trait in [`crate::policy`].
 //! Three policies ship ([`CachePolicy`]):
 //!
@@ -35,8 +35,30 @@
 //! everything the cache holds for a key lives and dies with its slot:
 //! cache-side optimizer memory is `capacity × state_width` floats however
 //! many keys pass through the cache.
+//!
+//! **The slot index follows the admission set.** A policy that admits
+//! exactly the keys below a bound says so
+//! ([`EvictionPolicy::admission_bound`]; `static-hot`'s bound is its hot
+//! threshold), and its cache finds a slot by indexing a dense `u32` table
+//! with the key: one load, no hash, no probe, and a key past the table is
+//! a miss. The table grows on fill, doubling up to the bound, so it spans
+//! the largest key filled rather than the threshold. It is taken only
+//! while its whole span costs no more than the map's buckets would (4 B a
+//! key against 16 B a bucket for twice the capacity: a bound up to eight
+//! times the capacity); past that, and for `lru` and `freq`, which admit
+//! any key, the index is the `KeyHashMap` it always was. On the
+//! benchmark's `zipf` and `sync` shape a member's index is a 200 KB table
+//! where the map held ≈ 1.1 MB.
+//!
+//! **Resolve first, touch after.** [`GpuCache::find`] is the lookup
+//! without the access: it tells the policy of the hit or miss exactly as
+//! [`GpuCache::get`] does, returns the hit's [`Slot`], and prefetches the
+//! slot's row and state. A member resolves a whole batch that way before
+//! it reads or updates one row ([`GpuCache::row`], [`GpuCache::slot_mut`]),
+//! so the hits' memory latencies overlap instead of queueing.
 
 use crate::policy::{EvictionPolicy, FrequencyAwarePolicy, LruPolicy, StaticHotPolicy};
+use crate::store::prefetch;
 use frugal_data::{Key, KeyBuildHasher, KeyHashMap};
 
 /// Cache admission/eviction policy selector (see [`crate::policy`] for the
@@ -97,8 +119,126 @@ impl std::str::FromStr for CachePolicy {
     }
 }
 
-/// A single GPU's embedding cache: flat row arena + key→slot map, with the
-/// admission/eviction strategy behind an
+/// "Not resident" in a [`SlotIndex::Dense`] table.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The least a [`SlotIndex::Map`] entry costs: its `(key, slot)` bucket.
+const MAP_ENTRY: usize = size_of::<(Key, usize)>();
+
+/// Where a resident key's slot is found.
+#[derive(Debug)]
+enum SlotIndex {
+    /// For a policy that admits exactly the keys below `bound`
+    /// ([`EvictionPolicy::admission_bound`]): key `k`'s slot at `slots[k]`,
+    /// [`NO_SLOT`] if `k` is not resident. The table grows on fill, doubling
+    /// up to `bound` at most, so it covers the largest key filled and not a
+    /// threshold far above every key.
+    Dense { slots: Vec<u32>, bound: usize },
+    /// For any other policy: a key→slot map, and its capacity as built. The
+    /// live `capacity()` dips while evict/insert churn leaves tombstones
+    /// behind although the table's allocation is unchanged, so
+    /// [`GpuCache::resident_bytes`] counts the larger of the two.
+    Map {
+        map: KeyHashMap<usize>,
+        reserved: usize,
+    },
+}
+
+impl SlotIndex {
+    /// An empty index for `policy` over `capacity` slots: the dense table
+    /// when the policy's admission set is a key range whose whole table is
+    /// no larger than the map's buckets, the map otherwise.
+    fn for_policy(policy: &dyn EvictionPolicy, capacity: usize) -> Self {
+        // 2× so a full map stays at or below half the table's usable
+        // capacity: hashbrown then resolves evict/insert tombstone
+        // pressure by rehashing in place instead of deferring a single
+        // seed-timed resize into the steady-state fill loop (the
+        // zero-alloc guarantee cache_alloc.rs pins). Cost is 16 B per
+        // extra slot, noise next to the `dim`-float rows.
+        let entries = capacity.saturating_mul(2).min(1 << 21);
+        match policy.admission_bound() {
+            Some(bound) if bound <= (entries * MAP_ENTRY / size_of::<u32>()) as u64 => {
+                SlotIndex::Dense {
+                    slots: Vec::new(),
+                    bound: bound as usize,
+                }
+            }
+            _ => {
+                let map = KeyHashMap::with_capacity_and_hasher(entries, KeyBuildHasher::default());
+                SlotIndex::Map {
+                    reserved: map.capacity(),
+                    map,
+                }
+            }
+        }
+    }
+
+    fn get(&self, key: Key) -> Option<usize> {
+        match self {
+            SlotIndex::Dense { slots, .. } => usize::try_from(key)
+                .ok()
+                .and_then(|k| slots.get(k))
+                .filter(|&&slot| slot != NO_SLOT)
+                .map(|&slot| slot as usize),
+            SlotIndex::Map { map, .. } => map.get(&key).copied(),
+        }
+    }
+
+    /// Records `key`, which the policy admits, at `slot`: the dense table's
+    /// only growth path.
+    fn insert(&mut self, key: Key, slot: usize) {
+        match self {
+            SlotIndex::Dense { slots, bound } => {
+                // Admitted, so `key < bound`; and a slot holds an admitted
+                // key, so `slot < bound ≤ u32::MAX`.
+                let k = key as usize;
+                if k >= slots.len() {
+                    let len = (k + 1).max(2 * slots.len()).min(*bound);
+                    slots.reserve_exact(len - slots.len());
+                    slots.resize(len, NO_SLOT);
+                }
+                slots[k] = slot as u32;
+            }
+            SlotIndex::Map { map, .. } => {
+                map.insert(key, slot);
+            }
+        }
+    }
+
+    fn remove(&mut self, key: Key) {
+        match self {
+            SlotIndex::Dense { slots, .. } => slots[key as usize] = NO_SLOT,
+            SlotIndex::Map { map, .. } => {
+                map.remove(&key);
+            }
+        }
+    }
+
+    /// Forgets every key, keeping the allocation.
+    fn clear(&mut self) {
+        match self {
+            SlotIndex::Dense { slots, .. } => slots.fill(NO_SLOT),
+            SlotIndex::Map { map, .. } => map.clear(),
+        }
+    }
+
+    /// Heap bytes held.
+    fn bytes(&self) -> usize {
+        match self {
+            SlotIndex::Dense { slots, .. } => slots.capacity() * size_of::<u32>(),
+            // hashbrown: one (key, slot) bucket + one control byte each.
+            SlotIndex::Map { map, reserved } => map.capacity().max(*reserved) * (MAP_ENTRY + 1),
+        }
+    }
+}
+
+/// A resident key's slot, as [`GpuCache::find`] resolved it. It stays the
+/// key's until the cache's next fill or [`GpuCache::retain`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
+/// A single GPU's embedding cache: flat row arena + key→slot index, with
+/// the admission/eviction strategy behind an
 /// [`EvictionPolicy`].
 ///
 /// # Examples
@@ -119,11 +259,8 @@ pub struct GpuCache {
     dim: usize,
     kind: CachePolicy,
     policy: Box<dyn EvictionPolicy>,
-    map: KeyHashMap<usize>,
-    /// `map.capacity()` as built. The live value dips while evict/insert
-    /// churn leaves tombstones behind although the table's allocation is
-    /// unchanged, so [`GpuCache::resident_bytes`] counts this instead.
-    map_reserved: usize,
+    /// Resident key → slot; the only way in is [`GpuCache::fill_with_state`].
+    index: SlotIndex,
     /// Occupying key per slot; `keys.len() <= capacity` always (slots are
     /// only created while below capacity, evictions reuse the victim slot).
     keys: Vec<Key>,
@@ -154,24 +291,15 @@ impl GpuCache {
         // Reserve a bounded prefix of the arena upfront; beyond it the
         // arena doubles amortized until capacity, then never grows again.
         let reserve = capacity.min(1 << 16);
-        // 2× so a full map stays at or below half the table's usable
-        // capacity: hashbrown then resolves evict/insert tombstone
-        // pressure by rehashing in place instead of deferring a single
-        // seed-timed resize into the steady-state fill loop (the
-        // zero-alloc guarantee cache_alloc.rs pins). Cost is 16 B per
-        // extra slot, noise next to the `dim`-float rows.
-        let map = KeyHashMap::with_capacity_and_hasher(
-            capacity.saturating_mul(2).min(1 << 21),
-            KeyBuildHasher::default(),
-        );
         let hot_threshold = capacity as u64;
+        let kind = policy;
+        let policy = kind.build(capacity, hot_threshold);
         GpuCache {
             capacity,
             dim,
-            kind: policy,
-            policy: policy.build(capacity, hot_threshold),
-            map_reserved: map.capacity(),
-            map,
+            kind,
+            index: SlotIndex::for_policy(&*policy, capacity),
+            policy,
             keys: Vec::with_capacity(reserve),
             rows: Vec::with_capacity(reserve * dim),
             state_width: 0,
@@ -197,14 +325,12 @@ impl GpuCache {
     }
 
     /// Heap bytes held by the slot storage: row arena, state arena,
-    /// per-slot keys and the key→slot map (policy side structures
+    /// per-slot keys and the key→slot index (policy side structures
     /// excluded). Constant once the cache has reached capacity.
     pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
         (self.rows.capacity() + self.state.capacity()) * size_of::<f32>()
             + self.keys.capacity() * size_of::<Key>()
-            // hashbrown: one (key, slot) bucket + one control byte each.
-            + self.map.capacity().max(self.map_reserved) * (size_of::<(Key, usize)>() + 1)
+            + self.index.bytes()
     }
 
     /// Sets the StaticHot admission threshold: keys `< threshold` are
@@ -218,13 +344,19 @@ impl GpuCache {
         self.hot_threshold = threshold;
         // The threshold is all the state a static-hot policy has; the other
         // policies carry history a rebuild would lose, and no threshold.
-        if self.kind == CachePolicy::StaticHot {
-            self.policy = self.kind.build(self.capacity, threshold);
+        if self.kind != CachePolicy::StaticHot {
+            return;
         }
+        self.policy = self.kind.build(self.capacity, threshold);
         assert!(
             self.keys.iter().all(|&k| self.policy.admits(k)),
             "hot threshold {threshold} strands resident rows"
         );
+        // The bound picks the index and sizes a dense one.
+        self.index = SlotIndex::for_policy(&*self.policy, self.capacity);
+        for (slot, &key) in self.keys.iter().enumerate() {
+            self.index.insert(key, slot);
+        }
     }
 
     /// Drops every row whose key fails `keep`, compacting survivors into
@@ -241,7 +373,7 @@ impl GpuCache {
         let old_keys = std::mem::take(&mut self.keys);
         let old_rows = std::mem::take(&mut self.rows);
         let old_state = std::mem::take(&mut self.state);
-        self.map.clear();
+        self.index.clear();
         self.policy = self.kind.build(self.capacity, self.hot_threshold);
         self.keys.reserve(old_keys.len());
         self.rows.reserve(old_rows.len());
@@ -265,12 +397,12 @@ impl GpuCache {
 
     /// Current number of rows.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.keys.len()
     }
 
     /// True if no rows are cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.keys.is_empty()
     }
 
     /// The policy in effect.
@@ -279,17 +411,9 @@ impl GpuCache {
     }
 
     /// The one lookup: resolves `key` to its slot and tells the policy of
-    /// the hit or miss. A key the policy never admits cannot be resident
-    /// ([`Self::fill_with_state`] refuses it), so its miss is reported
-    /// without probing the map — under `static-hot` that is the whole cold
-    /// tail of every batch.
+    /// the hit or miss.
     fn lookup(&mut self, key: &Key) -> Option<usize> {
-        let slot = if self.policy.admits(*key) {
-            self.map.get(key).copied()
-        } else {
-            None
-        };
-        match slot {
+        match self.index.get(*key) {
             Some(slot) => {
                 self.policy.on_hit(*key, slot);
                 Some(slot)
@@ -302,7 +426,7 @@ impl GpuCache {
     }
 
     /// The `(row, state)` storage of `slot`.
-    fn slot_mut(&mut self, slot: usize) -> (&mut [f32], &mut [f32]) {
+    fn storage_mut(&mut self, slot: usize) -> (&mut [f32], &mut [f32]) {
         let (dim, sw) = (self.dim, self.state_width);
         (
             &mut self.rows[slot * dim..(slot + 1) * dim],
@@ -316,6 +440,33 @@ impl GpuCache {
         Some(&self.rows[slot * self.dim..(slot + 1) * self.dim])
     }
 
+    /// The lookup of [`Self::get`] and [`Self::get_with_state`], telling
+    /// the policy of the hit or miss exactly as they do, without the
+    /// access: it returns the hit's slot and asks the memory system for
+    /// the slot's row and state. A batch resolved first and read or
+    /// updated after ([`Self::row`], [`Self::slot_mut`]) overlaps its
+    /// hits' memory latencies instead of waiting them out one by one.
+    pub fn find(&mut self, key: &Key) -> Option<Slot> {
+        let slot = self.lookup(key)?;
+        let (dim, sw) = (self.dim, self.state_width);
+        prefetch(&self.rows[slot * dim..(slot + 1) * dim]);
+        prefetch(&self.state[slot * sw..(slot + 1) * sw]);
+        Some(Slot(
+            u32::try_from(slot).expect("a cache holds fewer than 2^32 rows"),
+        ))
+    }
+
+    /// The row in `slot`.
+    pub fn row(&self, slot: Slot) -> &[f32] {
+        let slot = slot.0 as usize;
+        &self.rows[slot * self.dim..(slot + 1) * self.dim]
+    }
+
+    /// The row and optimizer state in `slot`, for an in-cache update.
+    pub fn slot_mut(&mut self, slot: Slot) -> (&mut [f32], &mut [f32]) {
+        self.storage_mut(slot.0 as usize)
+    }
+
     /// Looks up `key` mutably (for in-cache updates), refreshing policy
     /// state exactly like [`Self::get`].
     pub fn get_mut(&mut self, key: &Key) -> Option<&mut [f32]> {
@@ -326,12 +477,12 @@ impl GpuCache {
     /// row — one probe for both (the state slice is empty at width 0).
     pub fn get_with_state(&mut self, key: &Key) -> Option<(&mut [f32], &mut [f32])> {
         let slot = self.lookup(key)?;
-        Some(self.slot_mut(slot))
+        Some(self.storage_mut(slot))
     }
 
     /// True if `key` is cached (does not affect policy state).
     pub fn contains(&self, key: &Key) -> bool {
-        self.map.contains_key(key)
+        self.index.get(*key).is_some()
     }
 
     /// Whether this cache would admit `key` at all (occupancy aside).
@@ -349,23 +500,23 @@ impl GpuCache {
     where
         F: FnOnce(&mut [f32], &mut [f32]),
     {
-        // The only way into `map`, and it is shut to keys the policy does
-        // not admit: what lets `lookup` skip the probe for them.
+        // The only way into the index, and it is shut to keys the policy
+        // does not admit: what bounds a dense index's keys.
         if !self.policy.admits(key) {
             return InsertOutcome::Rejected;
         }
-        if let Some(&slot) = self.map.get(&key) {
-            let (row, state) = self.slot_mut(slot);
+        if let Some(slot) = self.index.get(key) {
+            let (row, state) = self.storage_mut(slot);
             fill(row, state);
             self.policy.on_replace(key, slot);
             return InsertOutcome::Replaced;
         }
-        let (slot, evicted) = if self.map.len() >= self.capacity {
+        let (slot, evicted) = if self.keys.len() >= self.capacity {
             let Some(victim) = self.policy.evict_candidate(key, &self.keys) else {
                 return InsertOutcome::Rejected;
             };
             let old_key = self.keys[victim];
-            self.map.remove(&old_key);
+            self.index.remove(old_key);
             self.policy.on_evict(old_key, victim);
             self.keys[victim] = key;
             (victim, Some(old_key))
@@ -377,13 +528,13 @@ impl GpuCache {
             self.state.resize((slot + 1) * self.state_width, 0.0);
             (slot, None)
         };
-        let (row, state) = self.slot_mut(slot);
+        let (row, state) = self.storage_mut(slot);
         fill(row, state);
         debug_assert!(
             self.policy.admits(key),
             "a key the policy does not admit must never become resident"
         );
-        self.map.insert(key, slot);
+        self.index.insert(key, slot);
         self.policy.on_insert(key, slot);
         match evicted {
             Some(k) => InsertOutcome::Evicted(k),
@@ -435,6 +586,7 @@ pub enum InsertOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sharding;
 
     #[test]
     fn static_hot_admits_only_hot_keys() {
@@ -526,9 +678,9 @@ mod tests {
 
     #[test]
     fn lookup_agrees_with_an_always_probing_one_for_every_policy() {
-        // `contains` probes the map for every key and touches nothing; the
-        // lookups must tell the same hits from the same misses — including the keys static-hot never admits (≥ 20), whose probe
-        // they skip.
+        // `contains` reads the index for every key and touches nothing; the
+        // lookups must tell the same hits from the same misses — including
+        // the keys static-hot never admits (≥ 20), past its dense table.
         for policy in CachePolicy::ALL {
             let mut c = GpuCache::new(8, 1, policy);
             c.set_hot_threshold(20);
@@ -581,7 +733,7 @@ mod tests {
         c.policy = Box::new(CountsMisses(std::sync::Arc::clone(&on_miss)));
         c.insert_from_slice(1, &[1.0]);
         assert_eq!(c.insert_from_slice(50, &[5.0]), InsertOutcome::Rejected);
-        // One hit, one probed miss, two misses on keys never admitted.
+        // One hit, one miss on an admitted key, two on keys never admitted.
         assert!(c.get(&1).is_some());
         assert!(c.get(&2).is_none());
         assert!(c.get(&50).is_none());
@@ -822,6 +974,151 @@ mod tests {
         let mut c = GpuCache::new(2, 1, CachePolicy::Lru);
         c.insert_from_slice(1, &[1.0]);
         let _ = c.with_state_width(1);
+    }
+
+    /// A reference static-hot cache: key → (row, state), admitting keys
+    /// below `threshold` while fewer than `capacity` are resident.
+    struct Reference {
+        rows: KeyHashMap<(f32, f32)>,
+        threshold: u64,
+        capacity: usize,
+    }
+
+    impl Reference {
+        fn fill(&mut self, key: Key, v: f32) -> InsertOutcome {
+            if key >= self.threshold {
+                InsertOutcome::Rejected
+            } else if self.rows.insert(key, (v, -v)).is_some() {
+                InsertOutcome::Replaced
+            } else if self.rows.len() > self.capacity {
+                self.rows.remove(&key);
+                InsertOutcome::Rejected
+            } else {
+                InsertOutcome::Inserted
+            }
+        }
+
+        /// Every key below `universe` reads the same in `c` as here.
+        fn check(&self, c: &mut GpuCache, universe: u64, at: &str) {
+            assert_eq!(c.len(), self.rows.len(), "{at}: len");
+            for key in 0..universe {
+                let want = self.rows.get(&key).copied();
+                assert_eq!(c.contains(&key), want.is_some(), "{at}: contains({key})");
+                let got = if key % 2 == 0 {
+                    c.get_with_state(&key)
+                        .map(|(row, state)| (row[0], state[0]))
+                } else {
+                    c.get(&key).map(|row| (row[0], want.map_or(0.0, |w| w.1)))
+                };
+                assert_eq!(got, want, "{at}: key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_index_agrees_with_a_map_reference_after_every_operation() {
+        const CAP: usize = 24;
+        let mut c = GpuCache::new(CAP, 1, CachePolicy::StaticHot).with_state_width(1);
+        c.set_hot_threshold(40);
+        assert!(matches!(c.index, SlotIndex::Dense { .. }));
+        let mut reference = Reference {
+            rows: KeyHashMap::default(),
+            threshold: 40,
+            capacity: CAP,
+        };
+        let mut x = 7u64;
+        for op in 0..600u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (x >> 33) % 56; // at and above the threshold
+            let at = format!("op {op}");
+            match op % 100 {
+                // Raise the threshold, then lower it back once the keys the
+                // lowered one strands have left.
+                30 => {
+                    c.set_hot_threshold(50);
+                    reference.threshold = 50;
+                }
+                60 => {
+                    c.retain(|k| k < 40 && k % 3 != 0);
+                    reference.rows.retain(|&k, _| k < 40 && k % 3 != 0);
+                    c.set_hot_threshold(40);
+                    reference.threshold = 40;
+                }
+                _ => {
+                    let v = op as f32;
+                    assert_eq!(fill_both(&mut c, key, v), reference.fill(key, v), "{at}");
+                }
+            }
+            reference.check(&mut c, 56, &at);
+            assert!(matches!(c.index, SlotIndex::Dense { .. }), "{at}");
+        }
+    }
+
+    #[test]
+    fn a_dense_index_grows_to_the_largest_key_filled_not_the_threshold() {
+        let mut c = GpuCache::new(1 << 18, 1, CachePolicy::StaticHot);
+        c.set_hot_threshold(1 << 20);
+        assert!(matches!(c.index, SlotIndex::Dense { .. }));
+        let empty = c.resident_bytes();
+        c.insert_from_slice(3, &[3.0]);
+        c.insert_from_slice(1_000, &[1.0]);
+        let table = c.resident_bytes() - empty;
+        assert!((1_001 * 4..=2_002 * 4).contains(&table), "table {table} B");
+        // A threshold too wide for a table smaller than the map gets the map.
+        c.set_hot_threshold(u64::MAX - 2);
+        assert!(matches!(c.index, SlotIndex::Map { .. }));
+        assert_eq!(c.get(&1_000).unwrap(), &[1.0]);
+        c.insert_from_slice(u64::MAX - 3, &[9.0]);
+        assert!(c.contains(&(u64::MAX - 3)) && c.contains(&3));
+    }
+
+    #[test]
+    fn the_dense_table_is_no_larger_than_the_map_it_replaces() {
+        // The benchmark's static-hot shapes: 5 % of 1 M and of 2 M keys over
+        // two members, each filling the half of the hot keys it owns.
+        const DIM: usize = 32;
+        for n_keys in [1_000_000u64, 2_000_000] {
+            let sharding = Sharding::new(2);
+            let cap = sharding.cache_capacity(n_keys, 0.05);
+            let threshold = sharding.hot_threshold(n_keys, 0.05);
+            let mut dense = GpuCache::new(cap, DIM, CachePolicy::StaticHot);
+            dense.set_hot_threshold(threshold);
+            let mut map = GpuCache::new(cap, DIM, CachePolicy::Lru);
+            for key in (0..threshold).step_by(2) {
+                assert_eq!(
+                    dense.insert_from_slice(key, &[0.5; DIM]),
+                    InsertOutcome::Inserted
+                );
+                map.insert_from_slice(key, &[0.5; DIM]);
+            }
+            assert_eq!(dense.len(), cap);
+            let arenas = cap * DIM * size_of::<f32>() + cap * size_of::<Key>();
+            let (table, map) = (
+                dense.resident_bytes() - arenas,
+                map.resident_bytes() - arenas,
+            );
+            assert!(
+                table >= (threshold as usize - 1) * size_of::<u32>(),
+                "the table ({table} B) is counted"
+            );
+            assert!(table <= map, "{n_keys} keys: table {table} B, map {map} B");
+        }
+    }
+
+    #[test]
+    fn find_resolves_like_get_and_hands_out_the_slot() {
+        let mut c = GpuCache::new(2, 2, CachePolicy::Lru).with_state_width(1);
+        fill_both(&mut c, 1, 1.0);
+        fill_both(&mut c, 2, 2.0);
+        let slot = c.find(&1).expect("resident");
+        assert!(c.find(&3).is_none());
+        assert_eq!(c.row(slot), &[1.0, 1.0]);
+        c.slot_mut(slot).1[0] = 5.0;
+        assert_eq!(c.get_with_state(&1).unwrap().1, &[5.0]);
+        // `find` refreshed 1 as `get` would: 2 is the victim.
+        assert_eq!(fill_both(&mut c, 3, 3.0), InsertOutcome::Evicted(2));
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod state;
 mod store;
 
 pub use agg::{ArcFold, GradAggregator};
-pub use cache::{CachePolicy, GpuCache, InsertOutcome};
+pub use cache::{CachePolicy, GpuCache, InsertOutcome, Slot};
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError};
 pub use flush::{apply_claims, apply_updates, FlushClaim};
 pub use policy::{belady_hits, EvictionPolicy};

@@ -61,6 +61,11 @@ pub trait EvictionPolicy: fmt::Debug + Send {
     fn admits(&self, _key: Key) -> bool {
         true
     }
+    /// `Some(bound)` when [`Self::admits`] is exactly `key < bound`: the
+    /// cache may then find slots by indexing a table with the key.
+    fn admission_bound(&self) -> Option<Key> {
+        None
+    }
     /// Full cache: pick the victim slot for incoming `key`, or `None` to
     /// reject it. `residents[slot]` is the key occupying `slot`.
     fn evict_candidate(&mut self, key: Key, residents: &[Key]) -> Option<usize>;
@@ -156,6 +161,10 @@ impl EvictionPolicy for StaticHotPolicy {
 
     fn admits(&self, key: Key) -> bool {
         key < self.hot_threshold
+    }
+
+    fn admission_bound(&self) -> Option<Key> {
+        Some(self.hot_threshold)
     }
 
     fn evict_candidate(&mut self, _key: Key, _residents: &[Key]) -> Option<usize> {

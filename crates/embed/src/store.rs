@@ -143,6 +143,33 @@ fn initial_table(seed: u64, n_keys: u64, dim: usize) -> Box<[UnsafeCell<f32>]> {
 /// lines are still in L1/L2 when their turn comes.
 const PREFETCH_ROWS_AHEAD: usize = 8;
 
+/// Asks the memory system for every cache line `items` touches, ahead of
+/// their use: the host store's rows ([`HostStore::prefetch_ahead`]) and the
+/// GPU cache's hit rows and state (`GpuCache::find`).
+///
+/// A hint with no architectural effect: it reads and writes nothing, so it
+/// is safe on any slice, shared or not.
+#[inline]
+pub(crate) fn prefetch<T>(items: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    if !items.is_empty() {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        /// Bytes per cache line.
+        const LINE: usize = 64;
+        let first = items.as_ptr().cast::<i8>();
+        let lines = (first as usize % LINE + size_of_val(items)).div_ceil(LINE);
+        let first = first.wrapping_sub(first as usize % LINE);
+        for line in 0..lines {
+            // SAFETY: a prefetch does not dereference its address and
+            // cannot fault, wherever it points; SSE is part of the x86-64
+            // baseline.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(line * LINE)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = items;
+}
+
 /// The complete parameter set in host memory.
 ///
 /// # Examples
@@ -280,22 +307,9 @@ impl HostStore {
     /// it needs none of the protocol's guarantees about the row.
     #[inline]
     fn prefetch_row(&self, key: Key) {
-        if key >= self.n_keys {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            /// `f32`s per 64-byte cache line.
-            const LINE: usize = 16;
-            let row = self.data[key as usize * self.dim].get() as *const i8;
-            for line in 0..self.dim.div_ceil(LINE) {
-                // SAFETY: `row` points at the first element of an in-range
-                // row and `line * LINE < dim`, so the address lies inside
-                // `data`; a prefetch does not dereference it and cannot
-                // fault. SSE is part of the x86-64 baseline.
-                unsafe { _mm_prefetch::<_MM_HINT_T0>(row.add(line * LINE * 4)) };
-            }
+        if key < self.n_keys {
+            let start = key as usize * self.dim;
+            prefetch(&self.data[start..start + self.dim]);
         }
     }
 

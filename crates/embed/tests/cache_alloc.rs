@@ -151,3 +151,45 @@ fn stateful_fills_and_updates_allocate_nothing_and_memory_is_capacity_bound() {
     assert_eq!(cache.resident_bytes(), resident, "footprint moved");
     assert_eq!(cache.len(), CAP);
 }
+
+#[test]
+fn a_full_static_hot_cache_allocates_nothing() {
+    // The benchmark's shape: the hot threshold is twice the capacity, so
+    // the slot index is a table indexed by key that grew while the cache
+    // filled. Full, the cache takes no key: lookups, resolves, in-cache
+    // updates, replacing fills and refused fills, on keys below, at and
+    // above the threshold, all leave the heap alone.
+    const THRESHOLD: u64 = 2 * CAP as u64;
+    let row = vec![1.0f32; DIM];
+    let mut cache = GpuCache::new(CAP, DIM, CachePolicy::StaticHot).with_state_width(DIM);
+    cache.set_hot_threshold(THRESHOLD);
+    for key in (0..THRESHOLD).step_by(2) {
+        assert_eq!(cache.insert_from_slice(key, &row), InsertOutcome::Inserted);
+    }
+    assert_eq!(cache.len(), CAP);
+    let resident = cache.resident_bytes();
+    let before = allocs();
+    let (mut hits, mut refused) = (0u64, 0u64);
+    for round in 0..16u64 {
+        for key in 0..2 * THRESHOLD {
+            if let Some(slot) = cache.find(&key) {
+                hits += 1;
+                cache.slot_mut(slot).1[0] += 1.0;
+            }
+            if let Some((row, _)) = cache.get_with_state(&key) {
+                row[0] += 1.0;
+            }
+            hits += u64::from(cache.get(&key).is_some() && cache.contains(&key));
+            match cache.insert_from_slice(key ^ (round & 1), &row) {
+                InsertOutcome::Rejected => refused += 1,
+                InsertOutcome::Replaced => {}
+                other => panic!("a full static-hot cache took key {key}: {other:?}"),
+            }
+        }
+    }
+    let after = allocs();
+    std::hint::black_box((hits, refused));
+    assert!(hits > 0 && refused > 0, "the stream must hit and refuse");
+    assert_eq!(after - before, 0, "a full static-hot cache allocated");
+    assert_eq!(cache.resident_bytes(), resident, "footprint moved");
+}
