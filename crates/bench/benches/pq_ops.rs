@@ -4,7 +4,7 @@
 //! dequeue-time reduction — and the flusher's whole batch path
 //! (`flush_batch`), stage by stage, in ns per flushed row.
 
-use frugal_core::{GEntryStore, InflightTable, PqOpScratch};
+use frugal_core::{GEntryStore, InflightTable, PriorityPolicy};
 use frugal_data::{Key, KeyDistribution, KeyHashSet, SyntheticTrace};
 use frugal_embed::{apply_claims, HostStore, SgdRule};
 use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq, INFINITE};
@@ -183,9 +183,9 @@ const WARM_STEPS: u64 = 20;
 const FLUSH_STEPS: u64 = 100;
 
 /// The flusher's batch path, one registered step at a time: register step
-/// `s + L`'s reads and step `s`'s writes (shard-grouped, as the trainers
-/// do), then drain the queue as one flusher does — guarded dequeue of
-/// [`FLUSH_BATCH`] → shard grouping → `take_writes_batch` →
+/// `s + L`'s reads and step `s`'s writes into the g-entry store's shard
+/// queue (shard-grouped, as the trainers do), then drain it as one flusher
+/// does — `mark_lowest` → `claim_marked` of [`FLUSH_BATCH`] keys →
 /// `apply_claims` — timing each stage. Prints each stage's ns per flushed
 /// row, min / mean / max over [`SAMPLES`] samples of [`FLUSH_STEPS`]
 /// steps.
@@ -194,10 +194,8 @@ fn bench_flush_batch(shape: &str, n_keys: u64, dist: KeyDistribution) {
     let store = HostStore::new(n_keys, DIM, 7);
     let rule = SgdRule::new(0.01);
     let steps = WARM_STEPS + FLUSH_STEPS * SAMPLES as u64;
-    let gstore = GEntryStore::new();
-    let pq = TwoLevelPq::new(steps + LOOKAHEAD + 1);
+    let gstore = GEntryStore::with_queue(PriorityPolicy::EarliestRead, LOOKAHEAD + 2);
     let inflight = InflightTable::new(1);
-    let mut scratch = PqOpScratch::default();
     let grad: Arc<[f32]> = vec![1e-3; DIM].into();
     // A step's distinct keys, grouped by shard.
     let mut seen = KeyHashSet::default();
@@ -212,43 +210,34 @@ fn bench_flush_batch(shape: &str, n_keys: u64, dist: KeyDistribution) {
         grouped
     };
     for s in 0..LOOKAHEAD {
-        gstore.add_reads_batch(s, &step_keys(s), &pq, &mut scratch);
+        gstore.queue_reads(s, &step_keys(s));
     }
-    let (mut out, mut grouped, mut writes, mut claims) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    // Nanoseconds per stage (dequeue, group, claim, apply) and rows.
-    let mut sample = ([0u64; 4], 0u64);
+    let (mut writes, mut claims) = (Vec::new(), Vec::new());
+    // Nanoseconds per stage (mark, claim, apply) and rows.
+    let mut sample = ([0u64; 3], 0u64);
     let mut samples = Vec::new();
     for s in 0..steps {
-        gstore.add_reads_batch(s + LOOKAHEAD, &step_keys(s + LOOKAHEAD), &pq, &mut scratch);
-        let items: Vec<(Key, Arc<[f32]>)> = step_keys(s)
-            .into_iter()
-            .map(|k| (k, Arc::clone(&grad)))
-            .collect();
-        gstore.add_writes_batch(s, &items, &pq, &mut scratch);
-        pq.set_upper_bound(s + 1 + LOOKAHEAD);
+        gstore.queue_reads(s + LOOKAHEAD, &step_keys(s + LOOKAHEAD));
+        let rows = step_keys(s).into_iter().map(|k| (k, Arc::clone(&grad)));
+        gstore.queue_writes(s, rows);
         loop {
             let t0 = Instant::now();
-            out.clear();
             inflight.open(0);
-            pq.dequeue_batch_guarded(FLUSH_BATCH, &mut out, inflight.guard(0));
-            if out.is_empty() {
+            if !gstore.mark_lowest(inflight.guard(0)) {
                 inflight.clear(0);
                 break;
             }
             let t1 = Instant::now();
-            GEntryStore::group_by_shard(out.iter().copied(), |&(key, _)| key, &mut grouped);
-            let t2 = Instant::now();
             claims.clear();
-            gstore.take_writes_batch(&grouped, &mut writes, &mut claims);
-            let t3 = Instant::now();
+            gstore.claim_marked(FLUSH_BATCH, inflight.guard(0), &mut writes, &mut claims);
+            let t2 = Instant::now();
             let rows = apply_claims(&store, &rule, &claims, &writes);
             writes.clear();
             inflight.clear(0);
-            let t4 = Instant::now();
+            let t3 = Instant::now();
             if s >= WARM_STEPS {
                 let (ns, n) = &mut sample;
-                for (stage, (a, b)) in ns.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4)]) {
+                for (stage, (a, b)) in ns.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3)]) {
                     *stage += (b - a).as_nanos() as u64;
                 }
                 *n += rows;
@@ -258,10 +247,7 @@ fn bench_flush_batch(shape: &str, n_keys: u64, dist: KeyDistribution) {
             samples.push(std::mem::take(&mut sample));
         }
     }
-    for (i, stage) in ["dequeue", "group", "claim", "apply", "total"]
-        .iter()
-        .enumerate()
-    {
+    for (i, stage) in ["mark", "claim", "apply", "total"].iter().enumerate() {
         let per_row: Vec<f64> = samples
             .iter()
             .map(|(ns, rows)| ns.get(i).copied().unwrap_or(ns.iter().sum()) as f64 / *rows as f64)

@@ -55,7 +55,9 @@ impl OptimizerKind {
     }
 }
 
-/// Which concurrent priority queue the engine uses (Exp #4's ablation).
+/// Which concurrent priority queue the modeled clock prices (Exp #4's
+/// ablation). Pricing only: the engine always runs the g-entry store's own
+/// shard queue, whose buckets are the two-level shape of §3.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PqKind {
     /// The paper's two-level PQ (§3.4).
@@ -239,7 +241,7 @@ pub struct FrugalConfig {
     pub optimizer: OptimizerKind,
     /// Steps to train.
     pub steps: u64,
-    /// Priority-queue implementation.
+    /// Priority-queue implementation the modeled clock prices.
     pub pq: PqKind,
     /// Flushing strategy (Frugal vs Frugal-Sync).
     pub flush_mode: FlushMode,

@@ -19,10 +19,11 @@ pub(crate) struct RunMetrics {
     pub(crate) violations: Arc<Counter>,
     /// Counters `flusher.dequeue_total_ns` / `flusher.claim_total_ns` /
     /// `flusher.apply_total_ns` / `flush.rows`: measured flusher costs,
-    /// split into the PQ-dequeue part (which serializes on a tree heap),
-    /// the claim part (shard grouping + g-entry extraction, which contends
-    /// with registering trainers on the shard locks), and the pure
-    /// host-apply part (optimizer step + store write only).
+    /// split into the dequeue part (finding the lowest queued priority and
+    /// raising the in-flight marker), the claim part (taking and claiming
+    /// each shard's bucket under its lock, which contends with registering
+    /// trainers), and the pure host-apply part (optimizer step + store
+    /// write only).
     pub(crate) flush_dequeue_ns: Arc<Counter>,
     pub(crate) flush_claim_ns: Arc<Counter>,
     pub(crate) flush_apply_ns: Arc<Counter>,
@@ -32,7 +33,7 @@ pub(crate) struct RunMetrics {
     /// effect, avoided).
     pub(crate) flusher_parked_ns: Arc<Counter>,
     /// Histogram `flush.batch_rows`: rows applied per non-empty flush
-    /// batch — how many rows each batch's fixed costs (dequeue settle,
+    /// batch — how many rows each batch's fixed costs (index scan,
     /// marker, wake) are spread over.
     pub(crate) flush_batch_rows: Arc<Histogram>,
     /// Counter `membership.transition_ns`: wall time spent in elastic

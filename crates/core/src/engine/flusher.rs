@@ -2,34 +2,34 @@
 //! drain loop (paper §3.2, component 4).
 //!
 //! A flusher works a batch at a time and pays its synchronisation per batch,
-//! not per row: one guarded dequeue (the queue settles its counters once per
-//! bucket), one claim in which each g-entry shard's lock is taken once for
-//! all of the batch's keys in that shard
-//! ([`GEntryStore::take_writes_batch`](crate::GEntryStore::take_writes_batch)),
-//! one apply that lands the claimed rows in claim order with the rows a few
+//! not per row: one marker raise at the lowest queued priority
+//! ([`GEntryStore::mark_lowest`](crate::GEntryStore::mark_lowest)), one
+//! claim that takes each g-entry shard's share of the lowest buckets and
+//! claims it in one hold of that shard's lock
+//! ([`GEntryStore::claim_marked`](crate::GEntryStore::claim_marked)), one
+//! apply that lands the claimed rows in claim order with the rows a few
 //! places ahead already requested from memory, one marker clear, at most
-//! one wake. Nothing on the way is sorted: one counting pass groups the
-//! batch by shard ([`GEntryStore::group_by_shard`]), and the apply needs no
-//! order at all — the prefetch, not an address-order walk, hides its
-//! memory latency.
+//! one wake. Nothing on the way is sorted or grouped: the queue already
+//! lives in the shards, and the apply needs no order at all — the
+//! prefetch, not an address-order walk, hides its memory latency.
 
 use super::RunShared;
-use crate::gentry::{GEntryStore, PendingWrites};
+use crate::gentry::PendingWrites;
 use crate::wait::InflightTable;
 use frugal_embed::FlushClaim;
 use frugal_telemetry::{LaneKind, LedgerPhase};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// How long an idle flusher parks on the flush condvar before re-polling.
-/// Bounded so shutdown and missed notifications (a registration that lands
-/// between the empty dequeue and the park) cannot stall the drain. Wakes
-/// are notify-driven (a trainer about to give up its core signals the
-/// condvar, see [`FlushCoord`]), so this timeout is a safety net, not the
-/// drain cadence — at 100 µs the idle re-poll churn of a several-flusher
-/// pool was itself a measurable CPU tax on oversubscribed hosts (hundreds
-/// of wake-poll cycles per step), so the net is deliberately loose.
+/// Wakes are notify-driven (a trainer about to give up its core signals the
+/// condvar, see [`FlushCoord`]), and a notify that lands between a
+/// flusher's empty pass and its park is not lost (see [`FlushCoord::park`]),
+/// so this timeout is a safety net, not the drain cadence — at 100 µs the
+/// idle re-poll churn of a several-flusher pool was itself a measurable CPU
+/// tax on oversubscribed hosts (hundreds of wake-poll cycles per step), so
+/// the net is deliberately loose.
 const FLUSHER_PARK: Duration = Duration::from_millis(1);
 
 /// How long a blocked trainer parks between wait-condition re-checks.
@@ -51,8 +51,9 @@ const TRAINER_PARK: Duration = Duration::from_micros(50);
 /// cohort of one, which never waits at C, at the end of its registration.
 /// A woken flusher tends to run on its waker's core; woken by a member that
 /// keeps working, it would take that member's core while the sibling idles
-/// at C. Raising the scan bound wakes nobody: it makes no queued entry
-/// visible (see [`super::strategy::Strategy::upper_bound_after`]).
+/// at C. One exception: the C-leader, past C, when the queue already holds
+/// entries the next step's wait would block on — a stall wait, and its
+/// wake, would otherwise follow for certain.
 #[derive(Debug)]
 pub(crate) struct FlushCoord {
     mutex: Mutex<()>,
@@ -60,11 +61,13 @@ pub(crate) struct FlushCoord {
     /// Threads parked (or committing to park) on `cv`: a notify with none
     /// skips the condvar and its futex syscall.
     sleepers: AtomicUsize,
+    /// Notifications issued so far: a flusher parks only if none arrived
+    /// since it read this before its empty pass.
+    notified: AtomicU64,
     shutdown: AtomicBool,
     /// Per-flusher in-flight markers checked by the wait condition (see
-    /// [`InflightTable`]): dequeuing removes an entry from the queue before
-    /// its row write completes, so the queue's `top_priority` alone cannot
-    /// cover it.
+    /// [`InflightTable`]): a claim removes an entry from the queue before
+    /// its row write completes, so the queue's top alone cannot cover it.
     pub(crate) inflight: InflightTable,
 }
 
@@ -74,6 +77,7 @@ impl FlushCoord {
             mutex: Mutex::new(()),
             cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
+            notified: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             inflight: InflightTable::new(n_flushers),
         }
@@ -83,9 +87,10 @@ impl FlushCoord {
     /// anyone was asleep to wake. The caller has already made its change
     /// (rows queued or applied, the shutdown latch raised) visible.
     pub(crate) fn notify_all(&self) -> bool {
+        self.notified.fetch_add(1, Ordering::Relaxed);
         // Pairs with the fence in `sleep`: either this load sees the
         // sleeper counted, or the sleeper's re-check sees the caller's
-        // change and it never waits.
+        // change (and the count above) and it never waits.
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::Relaxed) == 0 {
             return false;
@@ -108,14 +113,24 @@ impl FlushCoord {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Parks an idle flusher until a notification (or the bounded timeout —
-    /// the safety net against a notify that lands between its empty dequeue
-    /// and this wait). Returns the nanoseconds spent parked. Spinning here
-    /// instead would burn a core per idle flusher and divert CPU from
-    /// trainers (the paper's Fig 17 effect).
-    pub(crate) fn park(&self) -> u64 {
+    /// The notification count, read by a flusher before a pass: see
+    /// [`Self::park`].
+    pub(crate) fn notifications(&self) -> u64 {
+        self.notified.load(Ordering::Relaxed)
+    }
+
+    /// Parks an idle flusher until a notification (or the bounded timeout),
+    /// unless one already arrived since it read `seen` from
+    /// [`Self::notifications`] before its empty pass: a notify that lands
+    /// between the pass and this wait finds no sleeper to signal, and would
+    /// otherwise be lost for a whole timeout. Returns the nanoseconds spent
+    /// parked. Spinning here instead would burn a core per idle flusher and
+    /// divert CPU from trainers (the paper's Fig 17 effect).
+    pub(crate) fn park(&self, seen: u64) -> u64 {
         let t = Instant::now();
-        self.sleep(FLUSHER_PARK, || self.is_shutdown());
+        self.sleep(FLUSHER_PARK, || {
+            self.is_shutdown() || self.notified.load(Ordering::Relaxed) != seen
+        });
         t.elapsed().as_nanos() as u64
     }
 
@@ -142,60 +157,54 @@ impl FlushCoord {
 
 /// One background flushing thread.
 ///
-/// The apply path is allocation-free after warm-up: the dequeued batch is
-/// grouped by g-entry shard into a reused scratch (`grouped`, one lock
-/// acquisition per shard it touches), and claims drain into two more
-/// (`writes` + `claims`) via
-/// [`crate::gentry::GEntryStore::take_writes_batch`]. The claimed ranges
-/// then replay, in that same order, through
-/// [`frugal_embed::apply_claims`] — the same optimizer/store path the
-/// write-through trainers' sharded apply uses. Each key's rows replay in
-/// step order; the order *across* keys is free (rows are independent).
+/// The apply path is allocation-free after warm-up: claims drain into two
+/// reused scratches (`writes` + `claims`) via
+/// [`crate::gentry::GEntryStore::claim_marked`], and the claimed ranges
+/// then replay, in that same order, through [`frugal_embed::apply_claims`]
+/// — the same optimizer/store path the write-through trainers' sharded
+/// apply uses. Each key's rows replay in step order; the order *across*
+/// keys is free (rows are independent).
 ///
-/// Claim-all-then-apply-all is safe under the in-flight marker: the guarded
-/// dequeue publishes the batch's minimum priority *before* extraction and
-/// the marker stays up until every row is applied, so a trainer admitted at
-/// step `s` has `s <` marker `≤` every batch key's priority (its next-read
-/// step under P²F, its write step under FIFO) — step `s` reads none of the
+/// Claim-all-then-apply-all is safe under the in-flight marker: the
+/// marker is raised at the lowest queued priority *before* anything is
+/// extracted, lowered before any bucket below it is, and stays up until
+/// every row is applied, so a trainer admitted at step `s` has `s <`
+/// marker `≤` every claimed key's priority (its next-read step under P²F,
+/// its write step under FIFO) — step `s` reads none of the
 /// claimed-but-unapplied rows.
 pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
     let rec = shared
         .cfg
         .telemetry
         .recorder(format!("flusher-{slot}"), LaneKind::Flusher);
-    let mut out = Vec::with_capacity(shared.cfg.flush_batch);
-    let mut grouped = Vec::with_capacity(shared.cfg.flush_batch);
     // Reusable claim scratch: the batch's claimed (step, Δ) pairs, flat,
     // plus each claimed key's range into them.
     let mut writes: PendingWrites = Vec::new();
     let mut claims: Vec<FlushClaim> = Vec::with_capacity(shared.cfg.flush_batch);
+    let guard = shared.flush.inflight.guard(slot);
     loop {
-        out.clear();
+        claims.clear();
+        let seen = shared.flush.notifications();
         let t_deq = Instant::now();
-        // Guarded dequeue: the in-flight marker is published *before* each
-        // entry leaves the queue, so there is no instant at which a pending
-        // flush is visible to neither `top_priority` nor the marker scan.
-        // (Publishing after `dequeue_batch` returned — the engine's old
-        // order — left exactly that window; the schedule explorer found a
-        // trainer slipping through it. See DESIGN.md §8 race 3.)
-        // Before that, the read horizon: a deferred entry claimed now may
-        // have its next read registered while it is still in flight.
+        // Before anything, the read horizon: a deferred entry claimed now
+        // may have its next read registered while it is still in flight.
+        // Then the marker, raised *before* any entry leaves the queue, so
+        // there is no instant at which a pending flush is visible to
+        // neither the queue's top nor the marker scan. (Publishing after
+        // extraction — the engine's old order — left exactly that window;
+        // the schedule explorer found a trainer slipping through it. See
+        // DESIGN.md §8 race 3.)
         shared.flush.inflight.open(slot);
-        shared.pq.dequeue_batch_guarded(
-            shared.cfg.flush_batch,
-            &mut out,
-            shared.flush.inflight.guard(slot),
-        );
-        if out.is_empty() {
+        if !shared.gstore.mark_lowest(guard) {
             shared.flush.inflight.clear(slot);
             if shared.flush.is_shutdown() && shared.gstore.pending_keys() == 0 {
                 return;
             }
-            let parked = shared.flush.park();
+            let parked = shared.flush.park(seen);
             shared.metrics.flusher_parked_ns.add(parked);
             continue;
         }
-        // Only non-empty dequeues are recorded: thousands of idle polls
+        // Only non-empty passes are recorded: thousands of idle polls
         // would swamp the trace ring. Flushers do not track the trainer
         // step; they book to the ledger's cursor.
         let deq_ns = t_deq.elapsed().as_nanos() as u64;
@@ -205,19 +214,17 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
             LedgerPhase::FlushDequeue,
             t_deq,
             deq_ns,
-            &[("batch", out.len() as u64)],
+            &[],
         );
-        // Claim phase, timed apart from the apply: the shard grouping and
-        // the g-entry extraction contend with registering trainers on the
-        // shard locks, so folding them into the apply window made
-        // `flush_apply_ns_row` look like the kernels slowed down at 8
-        // trainers when it was really lock/queue bookkeeping.
+        // Claim phase, timed apart from the apply: the extraction contends
+        // with registering trainers on the shard locks, so folding it into
+        // the apply window made `flush_apply_ns_row` look like the kernels
+        // slowed down at 8 trainers when it was really queue bookkeeping.
         let t_claim = Instant::now();
-        GEntryStore::group_by_shard(out.iter().copied(), |&(key, _)| key, &mut grouped);
-        claims.clear();
-        shared
-            .gstore
-            .take_writes_batch(&grouped, &mut writes, &mut claims);
+        let taken =
+            shared
+                .gstore
+                .claim_marked(shared.cfg.flush_batch, guard, &mut writes, &mut claims);
         let claim_ns = t_claim.elapsed().as_nanos() as u64;
         shared.metrics.flush_claim_ns.add(claim_ns);
         rec.record(
@@ -225,7 +232,7 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
             LedgerPhase::FlushClaim,
             t_claim,
             claim_ns,
-            &[("claimed", claims.len() as u64)],
+            &[("taken", taken as u64), ("claimed", claims.len() as u64)],
         );
         // Pure apply: optimizer step + host-store write, in claim order.
         let t_apply = Instant::now();

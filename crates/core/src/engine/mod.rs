@@ -15,9 +15,10 @@
 //!   writes (and, under P²F, the step `s + L` reads) for the
 //!   [`GEntryStore`] shards it owns using the batch APIs — none of the
 //!   per-key step work (Exp #4a) is serialized on a leader thread.
-//! * **Flushing threads** — dequeue the highest-priority g-entries and apply
-//!   their pending updates to the host store in step order; idle flushers
-//!   park on the flush condvar (bounded wait) instead of burning a core.
+//! * **Flushing threads** — claim the highest-priority g-entries from the
+//!   store's shard queue and apply their pending updates to the host store
+//!   in step order; idle flushers park on the flush condvar (bounded wait)
+//!   instead of burning a core.
 //! * **Wait condition** — the strategy's consistency gate: under P²F a
 //!   trainer may start step `s` only when `PQ.top() > s` (strictly), the
 //!   exact condition of §3.3, which this module measures as the training
@@ -50,7 +51,7 @@ mod step;
 mod strategy;
 mod trainer;
 
-use crate::config::{FrugalConfig, PqKind};
+use crate::config::FrugalConfig;
 use crate::gentry::GEntryStore;
 use crate::member;
 use crate::model::EmbeddingModel;
@@ -63,7 +64,7 @@ use counters::RunMetrics;
 use flusher::FlushCoord;
 use frugal_data::Key;
 use frugal_embed::{GpuCache, HostStore, UpdateRule};
-use frugal_pq::{PriorityQueue, TreeHeap, TwoLevelPq, INFINITE};
+use frugal_pq::INFINITE;
 use frugal_telemetry::{LaneKind, LedgerPhase, Registry, ThreadRecorder};
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,8 +136,8 @@ pub(crate) struct RunShared<'a> {
     pub(crate) workload: &'a dyn Workload,
     pub(crate) model: &'a dyn EmbeddingModel,
     pub(crate) store: &'a HostStore,
+    /// The g-entries and, in their shards, the flush queue.
     pub(crate) gstore: GEntryStore,
-    pub(crate) pq: Box<dyn PriorityQueue>,
     /// The step protocol's shared state (see [`step::StepState`]).
     pub(crate) step: step::StepState,
     /// Flusher/trainer coordination (see [`FlushCoord`]).
@@ -179,11 +180,11 @@ fn membership_transition(
     if !shared.cfg.skip_quiesce {
         // Drain: flushers keep running between segments, so waking them
         // once and parking until they are done is enough (their post-apply
-        // notify wakes this thread). Every pending entry's priority is
-        // below the already-raised scan bound (reads are only registered
-        // `lookahead` ahead), and entries with no future reads sit in the
-        // eagerly-drained ∞ bucket — the backlog strictly shrinks. The
-        // in-flight check closes the claimed-but-unapplied window.
+        // notify wakes this thread). Every pending entry sits in a bucket
+        // the flushers scan — a finite one, or the eagerly drained ∞ bucket
+        // — and nothing registers meanwhile, so the backlog strictly
+        // shrinks. The in-flight check closes the claimed-but-unapplied
+        // window.
         shared.flush.notify_all();
         shared.flush.wait_until(|| {
             shared.gstore.pending_keys() == 0 && shared.flush.inflight.min() == INFINITE
@@ -281,20 +282,15 @@ impl FrugalEngine {
         assert_eq!(model.dim(), self.store.dim(), "model/store dim mismatch");
         let strategy = Strategy::of(cfg.flush_mode);
 
-        let max_priority = cfg.steps + cfg.lookahead + 2;
         // The step-`s` wait proves every priority `≤ s` flushed before
         // registration inserts into `[s + 1, s + L]` (FIFO: `{s}` after
         // `≤ s − 1`), so `L + 2` recycled buckets hold every live finite
         // priority. Skipping the wait (failure injection) voids that proof;
         // such a run keeps one bucket per step.
         let window = if cfg.skip_wait {
-            max_priority + 1
+            cfg.steps + cfg.lookahead + 3
         } else {
             cfg.lookahead + 2
-        };
-        let pq: Box<dyn PriorityQueue> = match cfg.pq {
-            PqKind::TwoLevel => Box::new(TwoLevelPq::with_window(max_priority, window)),
-            PqKind::TreeHeap => Box::new(TreeHeap::new()),
         };
         // Run counters live on the telemetry registry when one is attached,
         // on a private registry otherwise (the report reads them either
@@ -316,16 +312,12 @@ impl FrugalEngine {
             workload,
             model,
             store: &self.store,
-            gstore: GEntryStore::with_policy(strategy.priority_policy),
-            pq,
+            gstore: GEntryStore::with_queue(strategy.priority_policy, window),
             step: step::StepState::new(n, cfg.lookahead, strategy.registers_reads),
             flush: FlushCoord::new(cfg.flush_threads),
             metrics: RunMetrics::new(&registry),
         };
 
-        if let Some(bound) = strategy.initial_upper_bound(cfg.lookahead) {
-            shared.pq.set_upper_bound(bound);
-        }
         if strategy.registers_reads {
             // The bootstrap registers the reads of steps 0..L before any
             // write exists; step 0's registration adds those of step L.

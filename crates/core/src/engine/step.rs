@@ -20,10 +20,11 @@
 //!    update slot: nothing between A and C waits on anyone. Meanwhile the
 //!    A-leader ([`leader_prepare`]) advances the ledger cursor and ends the
 //!    model step → **C** →
-//! 3. the C-leader ([`leader_finish`]) raises the queue's scan bound and
-//!    the read horizon while other trainers already enter step `s + 1` —
-//!    nothing it does gates their wait condition, and barrier A of `s + 1`
-//!    orders it before that step's registration.
+//! 3. the C-leader ([`leader_finish`]) wakes the flushers if the next
+//!    step's wait would block, and raises the read horizon, while other
+//!    trainers already enter step `s + 1` — nothing it does gates their
+//!    wait condition, and barrier A of `s + 1` orders it before that
+//!    step's registration.
 //!
 //! (The barriers keep their historical names: a barrier B used to separate
 //! the reduce from registration, and has guarded nothing since both read
@@ -184,23 +185,25 @@ pub(crate) fn leader_prepare(shared: &RunShared<'_>, s: u64) {
     shared.model.end_step(s);
 }
 
-/// The C-leader's bookkeeping after barrier C: raise the PQ scan bound and
-/// the read horizon. Nothing here gates the other trainers' next step —
-/// they are already past C — and the next barrier A cannot complete before
-/// this thread arrives.
+/// The C-leader's bookkeeping after barrier C: wake the flushers if the
+/// queue already holds entries the next step's wait would block on, and
+/// raise the read horizon. Nothing here gates the other trainers' next
+/// step — they are already past C — and the next barrier A cannot complete
+/// before this thread arrives.
 pub(crate) fn leader_finish(shared: &RunShared<'_>, s: u64) {
-    let cfg = shared.cfg;
-    if let Some(bound) = shared.strategy.upper_bound_after(s, cfg.lookahead) {
-        // Scan-range compression (§3.4). The raise makes no queued entry
-        // visible, so it wakes no flusher.
-        shared.pq.set_upper_bound(bound);
+    // The last member to register is the one whose arrival at C woke
+    // nobody (see `FlushCoord`): a flusher that drained its siblings' rows
+    // and parked would leave the rows it registered to the next stall
+    // wait, which would then be certain.
+    if let Some(th) = shared.strategy.wait_threshold(s + 1) {
+        if shared.gstore.top_priority() <= th {
+            shared.flush.notify_all();
+        }
     }
     if shared.strategy.registers_reads {
         // Registration of step s is complete: the next reads to appear are
         // those of step s + 1 + L (see `crate::wait`).
-        shared
-            .flush
-            .inflight
-            .set_read_horizon(s + 1 + cfg.lookahead);
+        let lookahead = shared.cfg.lookahead;
+        shared.flush.inflight.set_read_horizon(s + 1 + lookahead);
     }
 }

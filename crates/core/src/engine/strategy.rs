@@ -83,34 +83,6 @@ impl Strategy {
     pub(crate) fn wait_threshold(&self, s: u64) -> Option<u64> {
         self.wait_lag.and_then(|lag| s.checked_sub(lag))
     }
-
-    /// The queue's initial scan upper bound (largest finite priority that
-    /// can exist before step 0 completes), if the mode queues anything:
-    /// under P²F the prefetched reads of steps `0..L` plus step-0 writes
-    /// read at ≤ `L + 1` by the time the bound next rises, under FIFO
-    /// step-0 writes alone.
-    pub(crate) fn initial_upper_bound(&self, lookahead: u64) -> Option<u64> {
-        self.wait_lag.map(|_| {
-            if self.registers_reads {
-                lookahead + 1
-            } else {
-                0
-            }
-        })
-    }
-
-    /// The scan upper bound to publish after step `s`'s registration, if
-    /// any (scan-range compression, §3.4): read-driven priorities reach the
-    /// prefetch horizon, write-step priorities never exceed the next step.
-    ///
-    /// A raised bound never unblocks a parked flusher: step `s` registers
-    /// finite priorities of at most `s + L` under P²F and exactly `s` under
-    /// FIFO, and the bound published after step `s − 1` already covers
-    /// them, so the raise makes no queued entry visible.
-    pub(crate) fn upper_bound_after(&self, s: u64, lookahead: u64) -> Option<u64> {
-        let ahead = if self.registers_reads { lookahead } else { 0 };
-        self.wait_lag.map(|_| s + 1 + ahead)
-    }
 }
 
 #[cfg(test)]
@@ -124,8 +96,6 @@ mod tests {
         assert_eq!(s.priority_policy, PriorityPolicy::EarliestRead);
         assert_eq!(s.wait_threshold(0), Some(0));
         assert_eq!(s.wait_threshold(7), Some(7));
-        assert_eq!(s.initial_upper_bound(10), Some(11));
-        assert_eq!(s.upper_bound_after(4, 10), Some(15));
     }
 
     #[test]
@@ -133,8 +103,6 @@ mod tests {
         let s = Strategy::of(FlushMode::WriteThrough);
         assert!(!s.registers_reads);
         assert_eq!(s.wait_threshold(5), None, "never waits");
-        assert_eq!(s.initial_upper_bound(10), None);
-        assert_eq!(s.upper_bound_after(5, 10), None);
     }
 
     #[test]
@@ -144,7 +112,5 @@ mod tests {
         assert_eq!(s.priority_policy, PriorityPolicy::ArrivalOrder);
         assert_eq!(s.wait_threshold(0), None, "nothing precedes step 0");
         assert_eq!(s.wait_threshold(5), Some(4), "all writes < 5 must land");
-        assert_eq!(s.initial_upper_bound(10), Some(0));
-        assert_eq!(s.upper_bound_after(4, 10), Some(5));
     }
 }

@@ -22,7 +22,7 @@
 use super::step;
 use super::{MemberState, RunShared, Segment};
 use crate::config::FlushMode;
-use crate::gentry::{GEntryStore, PqOpScratch};
+use crate::gentry::GEntryStore;
 use crate::member::{self, member_cache, Lookups};
 use crate::plan::PlanScratch;
 use crate::wait;
@@ -64,8 +64,6 @@ pub(crate) struct StepScratch {
     /// Write registration order: the update slot's positions grouped by
     /// g-entry shard, arrival order within a shard.
     write_order: Vec<u32>,
-    /// Staged PQ operations for the g-entry batch calls.
-    pq_ops: PqOpScratch,
 }
 
 /// Registers member `t`'s owned-shard reads of step `read_step`: its own
@@ -84,14 +82,11 @@ pub(crate) fn register_own_reads(
     smap: &ShardMap,
     t: usize,
     read_step: u64,
-    scratch: &mut StepScratch,
 ) {
     for g in 0..smap.n_streams() {
         let plan = shared.step.ring.read(g, read_step);
         for keys in plan.owned(smap, t) {
-            shared
-                .gstore
-                .add_reads_batch(read_step, keys, shared.pq.as_ref(), &mut scratch.pq_ops);
+            shared.gstore.queue_reads(read_step, keys);
         }
     }
 }
@@ -160,9 +155,7 @@ pub(crate) fn register_phase(
         let (key, grad) = &updates[i as usize];
         (*key, Arc::clone(grad))
     });
-    let read_next = shared
-        .gstore
-        .add_writes_iter(s, rows, shared.pq.as_ref(), &mut scratch.pq_ops);
+    let read_next = shared.gstore.queue_writes(s, rows);
 
     if shared.strategy.registers_reads {
         // Sample-queue prefetch: the reads of step s + L, own shards
@@ -170,7 +163,7 @@ pub(crate) fn register_phase(
         // this step by each stream's current member).
         let read_step = s + cfg.lookahead;
         if read_step < cfg.steps {
-            register_own_reads(shared, smap, t, read_step, scratch);
+            register_own_reads(shared, smap, t, read_step);
         }
     }
     // A cohort of one never waits at barrier C, whose waiters wake the
@@ -241,7 +234,7 @@ pub(crate) fn trainer_loop(
     // idempotent against the previous owner's.
     if registers_reads {
         for s0 in seg.start..boot_end {
-            register_own_reads(shared, smap, t, s0, &mut scratch);
+            register_own_reads(shared, smap, t, s0);
         }
     }
 
@@ -269,18 +262,23 @@ pub(crate) fn trainer_loop(
         if !cfg.skip_wait {
             if let Some(th) = shared.strategy.wait_threshold(s) {
                 let blocked = |shared: &RunShared<'_>| {
-                    wait::blocked_at(shared.pq.as_ref(), &shared.flush.inflight, th)
+                    wait::blocked_at(&shared.gstore, &shared.flush.inflight, th)
                 };
-                if blocked(shared) {
-                    // Stall attribution: what is this wait blocked *on*?
-                    // The lowest deadline across the queue top and
-                    // in-flight flushes, the outstanding backlog, the
-                    // queue depth, and (best effort) a key sitting at the
-                    // blocking priority.
-                    let floor = wait::pending_floor(shared.pq.as_ref(), &shared.flush.inflight);
+                // Stall attribution: what is this wait blocked *on*? The
+                // lowest deadline across the queue top and in-flight
+                // flushes — read once, in the wait condition's order, and
+                // the block decided on it, so the deadline a stall names is
+                // the one that blocked it (a flusher that clears its marker
+                // between two reads would otherwise leave a stall at `s`
+                // naming a deadline above `s`).
+                let floor = wait::pending_floor(&shared.gstore, &shared.flush.inflight);
+                if floor <= th {
+                    // The outstanding backlog, the queue depth, and (best
+                    // effort) a key sitting at the blocking priority.
                     let pending = shared.gstore.pending_keys() as u64;
                     let (queue_depth, blocking_key) = if cfg.telemetry.is_enabled() {
-                        (shared.pq.len() as u64, shared.pq.peek_top().map(|(k, _)| k))
+                        let top = shared.gstore.peek_top().map(|(k, _)| k);
+                        (shared.gstore.queued_len() as u64, top)
                     } else {
                         (0, None)
                     };
@@ -338,6 +336,7 @@ pub(crate) fn trainer_loop(
             // guarantees this key has no in-flight updates while it is
             // being read).
             let missing = &scratch.lookups.missing;
+            let stateful = shared.rule.state_width(dim) > 0;
             let hr_span =
                 rec.span_with(s, LedgerPhase::HostRead, &[("rows", missing.len() as u64)]);
             let fills = member::fill(
@@ -347,8 +346,12 @@ pub(crate) fn trainer_loop(
                 missing,
                 &mut scratch.urows,
                 |urows, m, i, key| {
-                    // The misses are all known: overlap their DRAM latencies.
-                    shared.store.prefetch_ahead(missing, m, |&(_, key)| key);
+                    // The misses are all known: overlap their DRAM latencies,
+                    // the host row's and the optimizer state's a fill copies.
+                    let ahead = shared.store.prefetch_ahead(missing, m, |&(_, key)| key);
+                    if let Some(ahead) = ahead.filter(|_| stateful) {
+                        shared.rule.prefetch_state(ahead);
+                    }
                     // Verify the consistency invariant first when checking is on.
                     if cfg.checked && !shared.gstore.invariant_holds(key, s) {
                         shared.metrics.violations.incr();
@@ -446,7 +449,7 @@ pub(crate) fn trainer_loop(
         counts.step(streams.len(), rows, read_next);
         // Barrier C: registration complete — the step's entries are all
         // queued before any member can evaluate step s + 1's wait
-        // condition. The C-leader raises the scan bound concurrently. A
+        // condition. The C-leader raises the read horizon concurrently. A
         // member that will wait here for a sibling wakes the flushers first,
         // so they run on the core it gives up (see `FlushCoord`).
         let c = {

@@ -4,7 +4,7 @@
 //! Training with Commodity GPUs* (ASPLOS '25):
 //!
 //! * [`GEntryStore`] — per-parameter metadata (R/W sets, Equation-1
-//!   priorities) mirrored into a concurrent priority queue.
+//!   priorities) and, in its shards, the flush queue that orders them.
 //! * [`FrugalEngine`] — the multi-threaded training runtime: training
 //!   processes, the controller's sample-queue prefetch, update
 //!   registration, background flushing threads, and the P²F wait

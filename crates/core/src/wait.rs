@@ -3,19 +3,21 @@
 //! A trainer may start step `s` only when no pending update could still be
 //! read by `s`. Two sources must both clear:
 //!
-//! 1. **Queued** entries: `PQ.top() > s` (strictly) — the queue's
-//!    conservative lower bound covers everything not yet dequeued.
-//! 2. **In-flight** entries: a flusher that dequeued a batch but has not
+//! 1. **Queued** entries: `PQ.top() > s` (strictly) — the shard queue's
+//!    conservative lower bound ([`GEntryStore::top_priority`]) covers
+//!    everything not yet claimed.
+//! 2. **In-flight** entries: a flusher that claimed a batch but has not
 //!    finished applying it to host memory holds those entries *outside*
-//!    the queue. Each flusher publishes the minimum priority of its
-//!    current batch in an [`InflightTable`] slot; the wait condition
+//!    the queue. Each flusher publishes a lower bound of its current
+//!    batch's priorities in an [`InflightTable`] slot; the wait condition
 //!    blocks while any slot is ≤ `s`.
 //!
 //! Losing either check re-admits a historical race (DESIGN.md §8 race 2).
 //! The handoff between them is itself delicate: markers must be published
-//! *before* entries leave the queue ([`frugal_pq::PriorityQueue::dequeue_batch_guarded`]),
-//! or there is an instant where an extracted entry is covered by neither
-//! check — the dequeue-to-publish race the schedule explorer found.
+//! *before* entries leave the queue ([`GEntryStore::mark_lowest`], then
+//! [`GEntryStore::claim_marked`]), or there is an instant where an
+//! extracted entry is covered by neither check — the dequeue-to-publish
+//! race the schedule explorer found.
 //!
 //! # Deferred claims and the read horizon
 //!
@@ -37,7 +39,8 @@
 //! batch applied within `L` steps of its claim — every batch, in practice —
 //! delays nobody.
 
-use frugal_pq::{PriorityQueue, INFINITE};
+use crate::gentry::GEntryStore;
+use frugal_pq::INFINITE;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One marker slot per flushing thread: the minimum priority of the batch
@@ -83,7 +86,7 @@ impl InflightTable {
     }
 
     /// The raw marker slot for flusher `slot`, to be passed as the guard of
-    /// [`PriorityQueue::dequeue_batch_guarded`].
+    /// [`GEntryStore::mark_lowest`] and [`GEntryStore::claim_marked`].
     pub fn guard(&self, slot: usize) -> &AtomicU64 {
         &self.slots[slot]
     }
@@ -127,12 +130,12 @@ impl InflightTable {
 /// steps, and every write from steps before `s` must land first).
 ///
 /// Checked in this order — queue first, then in-flight markers — because
-/// entries move from the queue *into* a marker: a guarded dequeue
-/// publishes the marker before extraction, so an entry missed by the
-/// `top_priority` read is already visible to the marker scan that follows.
-/// (The reverse order would be racy even with guarded dequeues.)
-pub fn blocked_at(pq: &dyn PriorityQueue, inflight: &InflightTable, threshold: u64) -> bool {
-    if pq.top_priority() <= threshold {
+/// entries move from the queue *into* a marker: a flusher publishes its
+/// marker before extraction, so an entry missed by the `top_priority` read
+/// is already visible to the marker scan that follows. (The reverse order
+/// would be racy even so.)
+pub fn blocked_at(queue: &GEntryStore, inflight: &InflightTable, threshold: u64) -> bool {
+    if queue.top_priority() <= threshold {
         return true;
     }
     sched_point!("wait.between_checks");
@@ -140,94 +143,121 @@ pub fn blocked_at(pq: &dyn PriorityQueue, inflight: &InflightTable, threshold: u
 }
 
 /// The lowest outstanding deadline across both wait-condition sources —
-/// the queue top and the in-flight markers. This is what a blocked trainer
-/// is blocked *on*; the engine attributes stalls to it in telemetry.
-pub fn pending_floor(pq: &dyn PriorityQueue, inflight: &InflightTable) -> u64 {
-    pq.top_priority().min(inflight.min())
+/// the queue top and the in-flight markers, read in [`blocked_at`]'s order,
+/// so `pending_floor(..) <= threshold` is the same condition. This is what
+/// a blocked trainer is blocked *on*; the engine decides a step's first
+/// block on it and attributes the stall to it in telemetry.
+pub fn pending_floor(queue: &GEntryStore, inflight: &InflightTable) -> u64 {
+    queue.top_priority().min(inflight.min())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frugal_pq::TwoLevelPq;
+    use crate::gentry::{PendingWrites, PriorityPolicy};
+    use std::sync::Arc;
+
+    /// Queues one pending write of `key` at step `step`, read next at
+    /// `read` (`None`: deferred).
+    fn queue(store: &GEntryStore, key: u64, step: u64, read: Option<u64>) {
+        if let Some(r) = read {
+            store.queue_reads(r, &[key]);
+        }
+        store.queue_writes(step, [(key, Arc::from([1.0f32].as_slice()))]);
+    }
+
+    /// Flusher `slot`'s mark-then-claim; returns the keys it claimed.
+    fn claim(store: &GEntryStore, table: &InflightTable, slot: usize) -> Vec<u64> {
+        let (mut writes, mut claims) = (PendingWrites::new(), Vec::new());
+        if store.mark_lowest(table.guard(slot)) {
+            store.claim_marked(8, table.guard(slot), &mut writes, &mut claims);
+        }
+        claims.iter().map(|&(k, ..)| k).collect()
+    }
 
     #[test]
     fn idle_table_blocks_nothing() {
-        let pq = TwoLevelPq::new(10);
+        let store = GEntryStore::new();
         let table = InflightTable::new(3);
         assert_eq!(table.min(), INFINITE);
         assert!(!table.any_at_or_below(10));
-        assert!(!blocked_at(&pq, &table, 5));
+        assert!(!blocked_at(&store, &table, 5));
     }
 
     #[test]
     fn queued_entry_blocks_its_step() {
-        let pq = TwoLevelPq::new(10);
-        pq.enqueue(1, 4);
+        let store = GEntryStore::new();
+        queue(&store, 1, 0, Some(4));
         let table = InflightTable::new(1);
-        assert!(blocked_at(&pq, &table, 4), "top == s must block (strict >)");
-        assert!(blocked_at(&pq, &table, 7));
-        assert!(!blocked_at(&pq, &table, 3));
+        assert!(
+            blocked_at(&store, &table, 4),
+            "top == s must block (strict >)"
+        );
+        assert!(blocked_at(&store, &table, 7));
+        assert!(!blocked_at(&store, &table, 3));
     }
 
     #[test]
     fn threshold_form_matches_fifo_semantics() {
         // FIFO priorities are write steps: step s blocks on anything ≤ s-1.
-        let pq = TwoLevelPq::new(10);
-        pq.enqueue(9, 2); // a write from step 2, not yet flushed
+        let store = GEntryStore::with_policy(PriorityPolicy::ArrivalOrder);
+        queue(&store, 9, 2, None); // a write from step 2, not yet flushed
         let table = InflightTable::new(1);
-        assert!(blocked_at(&pq, &table, 2), "step 3 must wait for step 2");
-        assert!(!blocked_at(&pq, &table, 1), "step 2 needs only steps < 2");
+        assert!(blocked_at(&store, &table, 2), "step 3 must wait for step 2");
+        assert!(
+            !blocked_at(&store, &table, 1),
+            "step 2 needs only steps < 2"
+        );
         // An in-flight marker participates at the same threshold.
-        let mut out = Vec::new();
-        pq.dequeue_batch_guarded(8, &mut out, table.guard(0));
-        assert!(blocked_at(&pq, &table, 2), "claimed but unapplied blocks");
+        assert_eq!(claim(&store, &table, 0), vec![9]);
+        assert!(
+            blocked_at(&store, &table, 2),
+            "claimed but unapplied blocks"
+        );
         table.clear(0);
-        assert!(!blocked_at(&pq, &table, 2));
+        assert!(!blocked_at(&store, &table, 2));
     }
 
     #[test]
     fn open_batch_blocks_from_the_read_horizon_on() {
-        let pq = TwoLevelPq::new(10);
-        pq.enqueue(9, INFINITE);
+        let store = GEntryStore::new();
+        queue(&store, 9, 0, None);
         let table = InflightTable::new(2);
         // No horizon declared: a deferred claim blocks nothing.
         table.open(1);
-        assert!(!blocked_at(&pq, &table, 7));
+        assert!(!blocked_at(&store, &table, 7));
         table.clear(1);
         // Reads of steps < 5 are all registered; those of 5.. may follow.
         table.set_read_horizon(5);
         table.open(1);
-        let mut out = Vec::new();
-        pq.dequeue_batch_guarded(8, &mut out, table.guard(1));
-        assert_eq!(out, vec![(9, INFINITE)]);
+        assert_eq!(claim(&store, &table, 1), vec![9]);
         assert!(
-            !blocked_at(&pq, &table, 4),
+            !blocked_at(&store, &table, 4),
             "no read of step 4 can still appear"
         );
         assert!(
-            blocked_at(&pq, &table, 5),
+            blocked_at(&store, &table, 5),
             "a read of step 5 may hit the batch"
         );
-        assert!(blocked_at(&pq, &table, 8));
+        assert!(blocked_at(&store, &table, 8));
         assert_eq!(table.min(), 5);
         // The horizon that counts is the one at open time.
         table.set_read_horizon(6);
-        assert!(blocked_at(&pq, &table, 5));
+        assert!(blocked_at(&store, &table, 5));
         table.clear(1);
-        assert!(!blocked_at(&pq, &table, 8));
+        assert!(!blocked_at(&store, &table, 8));
         assert_eq!(table.min(), INFINITE);
     }
 
     #[test]
     fn inflight_marker_blocks_like_a_queued_entry() {
-        let pq = TwoLevelPq::new(10);
+        let store = GEntryStore::new();
         let table = InflightTable::new(2);
         table.guard(1).store(6, Ordering::SeqCst);
-        assert!(blocked_at(&pq, &table, 6));
-        assert!(!blocked_at(&pq, &table, 5));
+        assert!(blocked_at(&store, &table, 6));
+        assert!(!blocked_at(&store, &table, 5));
         assert_eq!(table.min(), 6);
         table.clear(1);
-        assert!(!blocked_at(&pq, &table, 6));
+        assert!(!blocked_at(&store, &table, 6));
     }
 }

@@ -19,16 +19,18 @@
 //!
 //! A third drives twin stores through one random sequence of registrations
 //! and claims — one through the engine's forms (registration from an
-//! iterator over a shard-grouped permutation, whole-batch claim of a batch
-//! grouped by shard in arrival order), one through the slice and one-key
-//! forms over the old `(shard, key, priority)`-sorted order — and requires
-//! the same claims, priorities and counts from both. Unit tests pin the
-//! grouping helper itself: a stable permutation, one run per shard.
+//! iterator over a shard-grouped permutation into the store's own shard
+//! queue, claims by a flusher's mark-then-claim pass), one through the
+//! slice forms into an external queue and one-key `take_writes_into`
+//! claims of the keys the pass claimed — and requires the same claims,
+//! priorities and counts from both. Unit tests pin the grouping helper
+//! itself: a stable permutation, one run per shard.
 
 use frugal_core::{GEntryStore, PqOpScratch, PriorityPolicy, READ_WINDOW};
-use frugal_pq::{PriorityQueue, TwoLevelPq, INFINITE};
+use frugal_pq::{PriorityQueue, TwoLevelPq, DEFERRED_CLAIM, INFINITE};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MAX_STEP: u64 = 2_000;
@@ -199,19 +201,19 @@ fn register(
     }
 }
 
-/// Claims `pairs` on both sides — one `take_writes_batch` of the batch
-/// grouped by shard against the model's one-by-one claims in the same
-/// order: they must agree on acceptance (a stale pair is refused) and on
-/// the drained write steps.
+/// Claims `pairs` on both sides, grouped by shard, one `take_writes_into`
+/// per pair against the model's claims in the same order: they must agree
+/// on acceptance (a stale pair is refused) and on the drained write steps.
 fn claim_both(store: &GEntryStore, model: &mut Model, pairs: &[(u64, u64)]) -> Result<(), String> {
     let mut grouped = Vec::new();
     GEntryStore::group_by_shard(pairs.iter().copied(), |&(k, _)| k, &mut grouped);
-    let (mut writes, mut claims) = (Vec::new(), Vec::new());
-    store.take_writes_batch(&grouped, &mut writes, &mut claims);
-    let got: Vec<(u64, Vec<u64>)> = claims
-        .iter()
-        .map(|&(k, start, end)| (k, writes[start..end].iter().map(|&(s, _)| s).collect()))
-        .collect();
+    let mut got: Vec<(u64, Vec<u64>)> = Vec::new();
+    for &(k, p) in &grouped {
+        let mut writes = Vec::new();
+        if store.take_writes_into(k, p, &mut writes) > 0 {
+            got.push((k, writes.iter().map(|&(s, _)| s).collect()));
+        }
+    }
     let want: Vec<(u64, Vec<u64>)> = grouped
         .iter()
         .filter_map(|&(k, p)| model.claim(k, p).map(|w| (k, w)))
@@ -353,11 +355,11 @@ fn check_delete_heavy(lookahead: u64, ops: &[Op]) -> Result<(), String> {
 
 /// A random step of the twin-store property: `kind` 0–1 takes the
 /// engine's next registration (`mask` picks the batch of a step whose reads
-/// are due), 2–3 claims the picked keys (each at its current priority, or
-/// at `at % 12` — a stale pair — where `stale` has the key's bit set; bit
-/// `12 + i` adds a second pair of the key at its current priority). `at`
-/// also picks the arrival order of writes and claims: a rotation, reversed
-/// or not.
+/// are due), 2–3 runs one flusher pass of `at % 8 + 1` keys. Before the
+/// pass, each key whose bit `stale` has set is claimed on the keyed side at
+/// `at % 12` where that is not its priority — a stale pair, which must be
+/// refused. `at` also picks the arrival order of writes: a rotation,
+/// reversed or not.
 type TwinOp = (u64, u64, u64, u64);
 
 /// `items` in a scrambled arrival order picked by `at`.
@@ -386,44 +388,38 @@ fn claimed(claims: &[(u64, usize, usize)], writes: &[(u64, Arc<[f32]>)]) -> Clai
 }
 
 /// Twin stores, one random sequence in the engine's registration order.
-/// `batched` registers the engine's way — [`GEntryStore::add_writes_iter`]
+/// `queued` registers the engine's way — [`GEntryStore::queue_writes`]
 /// over a shard-grouped permutation of the rows, one `Arc` handed over per
-/// row — and claims the engine's way: the batch grouped by shard with
-/// [`GEntryStore::group_by_shard`], arrival order kept inside a shard, one
-/// `take_writes_batch`. `keyed` registers by the slice form and claims one
-/// key at a time with `take_writes_into`, over the batch sorted by
-/// `(shard, key, priority)` — the order the flusher used to sort into. They must agree on every claim
-/// (the same keys, the same drained `(step, Δ)` rows, the same number of
-/// stale pairs refused), on every priority and `read_next` count, and on
-/// `pending_keys`.
-fn check_batched_forms_agree(
+/// row, into the store's shard queue — and claims the engine's way: a
+/// flusher pass, [`GEntryStore::mark_lowest`] then
+/// [`GEntryStore::claim_marked`]. `keyed` registers by the slice forms into
+/// an external queue and claims each key the pass claimed with
+/// `take_writes_into` at its current priority. They must agree on every
+/// claim (the same keys, the same drained `(step, Δ)` rows, each claimed at
+/// a priority the pass's marker covers), on every priority and `read_next`
+/// count, and on `pending_keys`; the keyed side refuses every stale pair.
+fn check_shard_queue_claims_agree(
     policy: PriorityPolicy,
     lookahead: u64,
     ops: &[TwinOp],
 ) -> Result<(), String> {
     // Shards 0 (0, 64, 128, 192), 1 (1, 65, 129) and five loners.
     let keys: [u64; 12] = [0, 64, 128, 192, 1, 65, 129, 2, 7, 500, 63, 1000];
-    let picked = |mask: u64| {
-        keys.iter()
-            .enumerate()
-            .filter(move |(i, _)| mask >> i & 1 == 1)
-    };
-    let (batched, keyed) = (
-        GEntryStore::with_policy(policy),
+    let (queued, keyed) = (
+        GEntryStore::with_queue(policy, lookahead + 2),
         GEntryStore::with_policy(policy),
     );
-    let (pq_b, pq_k) = (TwoLevelPq::new(MAX_STEP), TwoLevelPq::new(MAX_STEP));
+    let pq = TwoLevelPq::new(MAX_STEP);
     let mut scratch = PqOpScratch::default();
     let mut order: Vec<u32> = Vec::new();
-    let mut grouped: Vec<(u64, u64)> = Vec::new();
     // Step order, as the engine registers: arrival-order priorities assume it.
     let mut engine = EngineOrder::new(lookahead);
     for &(kind, mask, stale, at) in ops {
         let action = (kind < 2).then(|| engine.next(batch_of(&keys, mask)));
         match action {
             Some(Action::Reads(step, reads)) => {
-                batched.add_reads_batch(step, &reads, &pq_b, &mut scratch);
-                keyed.add_reads_batch(step, &reads, &pq_k, &mut scratch);
+                queued.queue_reads(step, &reads);
+                keyed.add_reads_batch(step, &reads, &pq, &mut scratch);
             }
             Some(Action::Writes(step, written)) => {
                 let grad: Arc<[f32]> = vec![step as f32].into();
@@ -433,7 +429,7 @@ fn check_batched_forms_agree(
                 );
                 let mut sorted = items.clone();
                 sorted.sort_by_key(|&(k, _)| GEntryStore::shard_of(k));
-                let rn_k = keyed.add_writes_batch(step, &sorted, &pq_k, &mut scratch);
+                let rn_k = keyed.add_writes_batch(step, &sorted, &pq, &mut scratch);
                 drop(sorted);
                 GEntryStore::group_by_shard(
                     0..items.len() as u32,
@@ -445,56 +441,58 @@ fn check_batched_forms_agree(
                     let (key, grad) = &items[i as usize];
                     (*key, Arc::clone(grad))
                 });
-                let rn_b = batched.add_writes_iter(step, rows, &pq_b, &mut scratch);
+                let rn_q = queued.queue_writes(step, rows);
                 if Arc::strong_count(&grad) != holders + items.len() {
                     return Err(
                         "the iterator form must keep exactly the rows it is handed".to_owned()
                     );
                 }
-                if rn_b != rn_k {
+                if rn_q != rn_k {
                     return Err(format!(
-                        "read_next diverged at step {step}: {rn_b} vs {rn_k}"
+                        "read_next diverged at step {step}: {rn_q} vs {rn_k}"
                     ));
                 }
             }
             None => {
-                let mut pairs: Vec<(u64, u64)> = Vec::new();
-                for (i, &k) in picked(mask) {
-                    let current = keyed.priority_of(k);
-                    pairs.push(match current {
-                        Some(p) if stale >> i & 1 == 0 => (k, p),
-                        _ => (k, at % 12),
-                    });
-                    if let Some(p) = current.filter(|_| stale >> (12 + i) & 1 == 1) {
-                        pairs.push((k, p));
+                let mut refused = Vec::new();
+                for (i, &k) in keys.iter().enumerate() {
+                    let p = at % 12;
+                    if stale >> i & 1 == 1 && keyed.priority_of(k) != Some(p) {
+                        refused.push(keyed.take_writes_into(k, p, &mut Vec::new()));
                     }
                 }
-                let arrival = arrival_order(pairs, at);
-                GEntryStore::group_by_shard(arrival.iter().copied(), |&(k, _)| k, &mut grouped);
-                let (mut writes_b, mut claims_b) = (Vec::new(), Vec::new());
-                batched.take_writes_batch(&grouped, &mut writes_b, &mut claims_b);
-                // The old flusher's order, claimed key by key.
-                let mut sorted = arrival.clone();
-                sorted.sort_unstable_by_key(|&(k, p)| (GEntryStore::shard_of(k), k, p));
+                if refused.iter().any(|&n| n > 0) {
+                    return Err(format!("a stale pair at {} was claimed", at % 12));
+                }
+                let guard = AtomicU64::new(INFINITE);
+                let (mut writes_q, mut claims_q) = (Vec::new(), Vec::new());
+                if queued.mark_lowest(&guard) {
+                    let max = at as usize % 8 + 1;
+                    queued.claim_marked(max, &guard, &mut writes_q, &mut claims_q);
+                }
+                let marker = guard.load(Ordering::SeqCst);
                 let (mut writes_k, mut claims_k) = (Vec::new(), Vec::new());
-                for &(key, p) in &sorted {
+                for &(key, ..) in &claims_q {
+                    let Some(p) = keyed.priority_of(key) else {
+                        return Err(format!("claimed {key}, which has no entry"));
+                    };
+                    if p.min(DEFERRED_CLAIM) < marker {
+                        return Err(format!("{key} claimed at {p} below the marker {marker}"));
+                    }
                     let start = writes_k.len();
                     let n = keyed.take_writes_into(key, p, &mut writes_k);
-                    if n > 0 {
-                        claims_k.push((key, start, start + n));
-                    }
+                    claims_k.push((key, start, start + n));
                 }
-                let (got, want) = (claimed(&claims_b, &writes_b), claimed(&claims_k, &writes_k));
-                if got != want || claims_b.len() != claims_k.len() {
+                let (got, want) = (claimed(&claims_q, &writes_q), claimed(&claims_k, &writes_k));
+                if got != want || claims_q.len() != got.len() {
                     return Err(format!(
-                        "claim of {grouped:?} (sorted: {sorted:?}) diverged: grouped {got:?}, \
-                         sorted {want:?}"
+                        "the pass claimed {got:?}; the keyed claims drained {want:?}"
                     ));
                 }
             }
         }
         for &k in &keys {
-            if batched.priority_of(k) != keyed.priority_of(k) {
+            if queued.priority_of(k) != keyed.priority_of(k) {
                 return Err(format!("priority_of({k}) diverged after {kind}"));
             }
         }
@@ -503,14 +501,14 @@ fn check_batched_forms_agree(
             .iter()
             .filter(|&&k| keyed.has_pending_writes(k))
             .count();
-        if batched.pending_keys() != pending || keyed.pending_keys() != pending {
+        if queued.pending_keys() != pending || keyed.pending_keys() != pending {
             return Err(format!(
-                "pending_keys: batched {}, keyed {}, entries with writes {pending}",
-                batched.pending_keys(),
+                "pending_keys: queued {}, keyed {}, entries with writes {pending}",
+                queued.pending_keys(),
                 keyed.pending_keys()
             ));
         }
-        if batched.len() != keyed.len() {
+        if queued.len() != keyed.len() {
             return Err("live g-entry counts diverged".to_owned());
         }
     }
@@ -521,31 +519,30 @@ fn check_batched_forms_agree(
 /// mid-training lookahead window over a million keys, every key carrying a
 /// registered read inside an 11-step window and one in 64 also a pending
 /// write (all sharing one gradient allocation, so only store metadata is
-/// counted). `resident_bytes` is analytic — table capacities and the write
-/// slab — so the figure is exact; a layout change that moves it edits the
-/// constant here and DESIGN §14.1 with it.
+/// counted), queued in the engine's shard queue at lookahead 10.
+/// `resident_bytes` is analytic — table capacities, write pools and queue
+/// buckets — so the figure is exact; a layout change that moves it edits
+/// the constant here and DESIGN §14.1 with it.
 #[test]
 fn a_million_key_window_stays_under_32_bytes_a_key() {
     const KEYS: u64 = 1_000_000;
-    let store = GEntryStore::new();
-    let pq = TwoLevelPq::new(1024);
+    let store = GEntryStore::with_queue(PriorityPolicy::EarliestRead, 12);
     let grad: Arc<[f32]> = vec![0.0f32; 32].into();
-    let mut scratch = PqOpScratch::default();
     let mut batch = Vec::new();
     // Key `k` is read at step `k % 11`; one key in 64 is also written at
     // that step, which consumes its read.
     for step in 0..11 {
         GEntryStore::group_by_shard((step..KEYS).step_by(11), |&k| k, &mut batch);
-        store.add_reads_batch(step, &batch, &pq, &mut scratch);
+        store.queue_reads(step, &batch);
     }
     for step in 0..11 {
         let written = (step..KEYS).step_by(11).filter(|k| k % 64 == 0);
         GEntryStore::group_by_shard(written, |&k| k, &mut batch);
         let rows = batch.iter().map(|&k| (k, Arc::clone(&grad)));
-        store.add_writes_iter(step, rows, &pq, &mut scratch);
+        store.queue_writes(step, rows);
     }
     assert_eq!(store.len(), KEYS as usize);
-    assert_eq!(store.resident_bytes(), 31_362_264);
+    assert_eq!(store.resident_bytes(), 31_153_184);
     // The budget binds whoever edits the figure above.
     assert!(store.resident_bytes() < 32 * KEYS as usize);
 }
@@ -619,8 +616,8 @@ proptest! {
     }
 
     #[test]
-    fn grouped_claim_and_iterator_registration_match_the_keyed_sorted_forms(
-        ops in proptest::collection::vec((0u64..4, 0u64..4096, 0u64..1 << 24, 0u64..MAX_STEP), 0..200),
+    fn shard_queue_claim_and_iterator_registration_match_the_keyed_forms(
+        ops in proptest::collection::vec((0u64..4, 0u64..4096, 0u64..4096, 0u64..MAX_STEP), 0..200),
         lookahead in lookahead(),
         arrival in any::<bool>(),
     ) {
@@ -629,7 +626,7 @@ proptest! {
         } else {
             PriorityPolicy::EarliestRead
         };
-        if let Err(msg) = check_batched_forms_agree(policy, lookahead, &ops) {
+        if let Err(msg) = check_shard_queue_claims_agree(policy, lookahead, &ops) {
             prop_assert!(false, "{}", msg);
         }
     }

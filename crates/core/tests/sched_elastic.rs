@@ -1,8 +1,8 @@
 //! Schedule exploration of the elastic membership transition (drain →
 //! remap → resume).
 //!
-//! Drives the real deferred-flush machinery — [`GEntryStore`],
-//! [`TwoLevelPq`], [`InflightTable`] — and the real [`ShardMap`] remap
+//! Drives the real deferred-flush machinery — [`GEntryStore`] and its
+//! shard queue, [`InflightTable`] — and the real [`ShardMap`] remap
 //! under the deterministic scheduler. The scenario is the engine's segment
 //! boundary in miniature: trainer 0 leaves one pending epoch-0 g-entry
 //! write behind, the cohort shrinks to `{1}`, and trainer 1 (the moved
@@ -13,7 +13,7 @@
 //!   for `pending_keys() == 0` *and* an idle in-flight table before
 //!   publishing. The 1024-seed sweep must be clean.
 //! * **PQ-drain only** — the coordinator checks only `pending_keys()`,
-//!   missing the claimed-but-unapplied window where a flusher has taken
+//!   missing the claimed-but-unapplied window where a flusher has claimed
 //!   the writes off the queue but not yet applied them to the host. The
 //!   explorer must find the divergence and replay it deterministically.
 //! * **No drain** — the new map is published immediately (the engine's
@@ -21,8 +21,8 @@
 
 #![cfg(feature = "sched")]
 
-use frugal_core::{GEntryStore, InflightTable, PqOpScratch, ShardMap};
-use frugal_pq::{PriorityQueue, TwoLevelPq, INFINITE};
+use frugal_core::{GEntryStore, InflightTable, PriorityPolicy, ShardMap};
+use frugal_pq::INFINITE;
 use frugal_sched::{explore, replay, yield_point, ExploreConfig, SimBuilder};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -61,12 +61,11 @@ fn transition_handoff(mode: Quiesce) -> impl FnMut(&mut SimBuilder) {
             "regrowing must return the shard to its original owner"
         );
 
-        let pq = Arc::new(TwoLevelPq::new(16));
-        let gstore = Arc::new(GEntryStore::new());
+        let gstore = Arc::new(GEntryStore::with_queue(PriorityPolicy::EarliestRead, 16));
         let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
         // Epoch 0's parting gift: one deferred write (no future reads, so
         // it sits in the ∞ bucket until the drain).
-        gstore.add_writes_batch(0, &[(key, grad)], pq.as_ref(), &mut PqOpScratch::default());
+        gstore.queue_writes(0, [(key, grad)]);
         let inflight = Arc::new(InflightTable::new(1));
         // Host rows durably applied (monotone) and the epoch-1 publication
         // flag (monotone false→true).
@@ -74,20 +73,17 @@ fn transition_handoff(mode: Quiesce) -> impl FnMut(&mut SimBuilder) {
         let published = Arc::new(AtomicBool::new(false));
 
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
             let applied = Arc::clone(&applied);
             sim.thread("flusher", move || {
-                let mut writes = Vec::new();
-                let mut out = Vec::new();
+                let (mut writes, mut claims) = (Vec::new(), Vec::new());
                 for _ in 0..64 {
-                    out.clear();
-                    pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                    let mut n = 0;
-                    for &(k, p) in &out {
-                        n += gstore.take_writes_into(k, p, &mut writes);
+                    writes.clear();
+                    if gstore.mark_lowest(inflight.guard(0)) {
+                        gstore.claim_marked(8, inflight.guard(0), &mut writes, &mut claims);
                     }
+                    let n = writes.len();
                     if n > 0 {
                         // The claimed-but-unapplied window: the queue is
                         // empty, only the in-flight marker covers the rows.
@@ -136,9 +132,8 @@ fn transition_handoff(mode: Quiesce) -> impl FnMut(&mut SimBuilder) {
             let applied = Arc::clone(&applied);
             let published = Arc::clone(&published);
             sim.thread("new-owner", move || {
-                // Patient wait: draining the ∞ bucket takes the flusher
-                // many slices (the scan bound is raised incrementally), so
-                // the probe budget must outlast the whole drain.
+                // Patient wait: the probe budget must outlast the whole
+                // drain.
                 for _ in 0..256 {
                     if !published.load(Ordering::SeqCst) {
                         yield_point("new_owner.await_epoch");

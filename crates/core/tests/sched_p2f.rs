@@ -1,82 +1,124 @@
 //! Schedule exploration of the P²F wait-condition path (DESIGN.md §8).
 //!
-//! Drives the real [`frugal_core::blocked_at`] wait condition against a
-//! real [`TwoLevelPq`] and [`InflightTable`] under the deterministic
-//! scheduler, with a model flusher and a probing trainer:
+//! Drives the real [`frugal_core::blocked_at`] wait condition against the
+//! real g-entry store — its shard queue's top, and a flusher's
+//! mark-then-claim ([`GEntryStore::mark_lowest`],
+//! [`GEntryStore::claim_marked`]) — and a real [`InflightTable`] under the
+//! deterministic scheduler, with a model flusher and a probing trainer:
 //!
-//! * **Race 2 (historical)** — the flusher dequeues a batch and applies it
+//! * **Race 2 (historical)** — the flusher claims a batch and applies it
 //!   without ever publishing an in-flight marker. Once the entries leave
-//!   the queue, `top_priority` no longer covers them and nothing else
-//!   does: a trainer is admitted while the flush is still pending.
+//!   the queue, its top no longer covers them and nothing else does: a
+//!   trainer is admitted while the flush is still pending.
 //! * **Race 3 (found by this harness)** — the flusher *does* publish a
-//!   marker, but only *after* `dequeue_batch` returns. The window between
+//!   marker, but only *after* the claim returns. The window between
 //!   extraction and publication is invisible to both halves of the wait
 //!   condition.
-//! * **Fixed** — [`PriorityQueue::dequeue_batch_guarded`] publishes the
-//!   marker before each entry leaves the queue; the sweep must be clean.
+//! * **Fixed** — the flusher raises its marker before anything leaves the
+//!   queue, and lowers it before a lower bucket does; the sweep must be
+//!   clean.
 //!
 //! The full `FrugalEngine` spawns its own uninstrumented OS threads, so
 //! these tests exercise the extracted wait/marker machinery directly —
 //! the exact code the engine's trainer and flusher loops call. Registrants
-//! use the g-entry store's batch forms, as the trainers do. Their yield
-//! points sit inside the shard lock, so wherever a claim shares a shard
-//! with a registrant the scheduler may suspend, the claim waits for the
-//! registrant's `reg_done` (the engine's barrier C); collecting dequeues,
-//! which touch only the queue, race it freely. Each registrant's reads
-//! stay inside the key's read window: a read that tightens a priority
-//! below a live read lies above a consumed read that anchors the window.
+//! use the store's shard-queue forms, as the trainers do. Every yield point
+//! of the store sits outside its shard locks, so claims, registrations and
+//! probes race freely: no suspended thread ever holds a lock a runnable one
+//! waits for. Each registrant's reads stay inside the key's read window: a
+//! read that tightens a priority below a live read lies above a consumed
+//! read that anchors the window.
 
 #![cfg(feature = "sched")]
 
-use frugal_core::{blocked_at, GEntryStore, InflightTable, PqOpScratch, PriorityPolicy, ShardMap};
-use frugal_embed::GradAggregator;
-use frugal_pq::{PriorityQueue, TwoLevelPq, INFINITE};
+use frugal_core::{
+    blocked_at, GEntryStore, InflightTable, PendingWrites, PriorityPolicy, ShardMap,
+};
+use frugal_embed::{FlushClaim, GradAggregator};
+use frugal_pq::INFINITE;
 use frugal_sched::{
     explore, replay, spin_point, yield_point, ExploreConfig, Policy, SimBuilder, SimConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// How the model flusher hands off dequeued entries to the wait condition.
+/// Finite buckets of every scenario's store: wider than any priority used,
+/// so no two share one.
+const WINDOW: u64 = 16;
+
+fn store(policy: PriorityPolicy) -> Arc<GEntryStore> {
+    Arc::new(GEntryStore::with_queue(policy, WINDOW))
+}
+
+/// One row of one element.
+fn row() -> Arc<[f32]> {
+    Arc::from(vec![1.0f32].as_slice())
+}
+
+/// Queues `key`'s write of `step`.
+fn write(gstore: &GEntryStore, key: u64, step: u64) {
+    gstore.queue_writes(step, [(key, row())]);
+}
+
+/// A flusher's pass the engine's way, into `guard`: mark, then claim up to
+/// `max` keys. Returns the claimed `(key, steps)`.
+fn flush(gstore: &GEntryStore, guard: &AtomicU64, max: usize) -> Vec<(u64, Vec<u64>)> {
+    let (mut writes, mut claims): (PendingWrites, Vec<FlushClaim>) = (Vec::new(), Vec::new());
+    if gstore.mark_lowest(guard) {
+        gstore.claim_marked(max, guard, &mut writes, &mut claims);
+    }
+    claims
+        .iter()
+        .map(|&(k, a, b)| (k, writes[a..b].iter().map(|&(s, _)| s).collect()))
+        .collect()
+}
+
+/// Rows in a pass's claims.
+fn rows(claimed: &[(u64, Vec<u64>)]) -> usize {
+    claimed.iter().map(|(_, steps)| steps.len()).sum()
+}
+
+/// How the model flusher hands off claimed entries to the wait condition.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// Historical race 2: no in-flight marker at all.
     NoMarker,
     /// Race 3: marker published only after the batch has left the queue.
     PublishAfter,
-    /// Current code: guard published before extraction.
+    /// Current code: marker raised before extraction.
     Guarded,
 }
 
 /// One pending write with priority 3; the trainer asks to start step 3.
 /// Until the flusher has durably applied the write (`applied` flips true,
-/// monotonically), `blocked_at(pq, inflight, 3)` must hold in every
+/// monotonically), `blocked_at(store, inflight, 3)` must hold in every
 /// reachable interleaving.
 fn flush_handoff(mode: Mode) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
-        let pq = Arc::new(TwoLevelPq::new(16));
-        pq.enqueue(9, 3);
+        let gstore = store(PriorityPolicy::EarliestRead);
+        gstore.queue_reads(3, &[9]);
+        write(&gstore, 9, 0);
         let inflight = Arc::new(InflightTable::new(1));
         let applied = Arc::new(AtomicBool::new(false));
 
         {
-            let pq = Arc::clone(&pq);
+            let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
             let applied = Arc::clone(&applied);
             sim.thread("flusher", move || {
-                let mut out = Vec::new();
                 match mode {
                     Mode::Guarded => {
-                        pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
+                        flush(&gstore, inflight.guard(0), 8);
                     }
                     Mode::NoMarker | Mode::PublishAfter => {
-                        pq.dequeue_batch(8, &mut out);
+                        // A marker nobody reads.
+                        let private = AtomicU64::new(INFINITE);
+                        flush(&gstore, &private, 8);
                         if mode == Mode::PublishAfter {
-                            // The dequeue-to-publish window: entries are
-                            // out of the queue but no marker covers them.
+                            // The claim-to-publish window: entries are out
+                            // of the queue but no marker covers them.
                             yield_point("flusher.publish_gap");
-                            let min = out.iter().map(|&(_, p)| p).min().unwrap_or(INFINITE);
-                            inflight.guard(0).store(min, Ordering::SeqCst);
+                            let marker = private.load(Ordering::SeqCst);
+                            inflight.guard(0).store(marker, Ordering::SeqCst);
                         }
                     }
                 }
@@ -86,16 +128,15 @@ fn flush_handoff(mode: Mode) -> impl FnMut(&mut SimBuilder) {
             });
         }
         {
-            let pq = Arc::clone(&pq);
             let inflight = Arc::clone(&inflight);
             let applied = Arc::clone(&applied);
             sim.thread("trainer", move || {
                 for _ in 0..6 {
-                    let ok = !blocked_at(pq.as_ref(), &inflight, 3);
-                    // `applied` only ever goes false→true, so if it is
-                    // still false *after* the probe, it was false for the
-                    // probe's whole duration — the flush was pending and
-                    // step 3 must have been refused.
+                    let ok = !blocked_at(&gstore, &inflight, 3);
+                    // `applied` only goes false→true, so if it is still
+                    // false *after* the probe, it was false for the probe's
+                    // whole duration — the flush was pending and step 3
+                    // must have been refused.
                     if !applied.load(Ordering::SeqCst) {
                         assert!(!ok, "pending flush invisible to the wait condition");
                     }
@@ -131,185 +172,217 @@ fn race2_missing_marker_is_found_and_replays() {
 }
 
 #[test]
-fn race3_publish_after_dequeue_is_found_and_replays() {
+fn race3_publish_after_claim_is_found_and_replays() {
     let cfg = quiet(0..1024);
     let outcome = explore(&cfg, flush_handoff(Mode::PublishAfter));
     let failure = outcome
         .failure
-        .expect("race 3 (dequeue-to-publish window) must be found");
+        .expect("race 3 (claim-to-publish window) must be found");
     assert!(failure.failures[0]
         .message
         .contains("pending flush invisible"));
-    eprintln!(
-        "race 3 (publish-after-dequeue): replay seed {}",
-        failure.seed
-    );
+    eprintln!("race 3 (publish-after-claim): replay seed {}", failure.seed);
     let replayed = replay(failure.seed, &cfg.sim, flush_handoff(Mode::PublishAfter));
     assert!(replayed.failed());
     assert_eq!(replayed.trace, failure.trace);
 }
 
 #[test]
-fn guarded_dequeue_survives_sweep() {
+fn marked_claim_survives_sweep() {
     let outcome = explore(&quiet(0..1024), flush_handoff(Mode::Guarded));
     assert!(
         !outcome.found_violation(),
-        "guarded dequeue must keep the wait condition sound: {:?}",
+        "a claim behind its marker must keep the wait condition sound: {:?}",
         outcome.failure
     );
     assert_eq!(outcome.runs, 1024);
 }
 
 #[test]
-fn guarded_dequeue_with_two_pending_writes_survives_sweep() {
-    // Same shape, two entries straddling the step: the guard must cover
-    // the batch minimum, not just the first bucket scanned.
-    let outcome = explore(&quiet(0..512), |sim| {
-        let pq = Arc::new(TwoLevelPq::new(16));
-        pq.enqueue(9, 3);
-        pq.enqueue(11, 2);
+fn marked_claim_with_two_pending_writes_survives_sweep() {
+    // Same shape, two entries straddling the step, in one shard and in
+    // two: the marker must cover the batch minimum, not just the first
+    // bucket taken.
+    for other in [11, 73] {
+        let outcome = explore(&quiet(0..512), |sim| {
+            let gstore = store(PriorityPolicy::EarliestRead);
+            gstore.queue_reads(3, &[9]);
+            gstore.queue_reads(2, &[other]);
+            write(&gstore, 9, 0);
+            write(&gstore, other, 0);
+            let inflight = Arc::new(InflightTable::new(1));
+            let applied = Arc::new(AtomicBool::new(false));
+            {
+                let gstore = Arc::clone(&gstore);
+                let inflight = Arc::clone(&inflight);
+                let applied = Arc::clone(&applied);
+                sim.thread("flusher", move || {
+                    assert_eq!(rows(&flush(&gstore, inflight.guard(0), 8)), 2);
+                    yield_point("flusher.apply");
+                    applied.store(true, Ordering::SeqCst);
+                    inflight.clear(0);
+                });
+            }
+            {
+                let inflight = Arc::clone(&inflight);
+                let applied = Arc::clone(&applied);
+                sim.thread("trainer", move || {
+                    for _ in 0..6 {
+                        let ok = !blocked_at(&gstore, &inflight, 3);
+                        if !applied.load(Ordering::SeqCst) {
+                            assert!(!ok, "pending flush invisible to the wait condition");
+                        }
+                        yield_point("trainer.probe");
+                    }
+                });
+            }
+        });
+        assert!(
+            !outcome.found_violation(),
+            "multi-entry claim must stay sound: {:?}",
+            outcome.failure
+        );
+    }
+}
+
+/// A move into a bucket below the marker (key 7: ∞ → 2) between a
+/// flusher's mark and its claim: the flusher marked at the lowest bucket it
+/// saw (key 3's, priority 5), and must lower its marker before it takes
+/// bucket 2. Once the move is registered, step 2 must stay blocked until
+/// key 7's row is applied.
+fn lower_bucket_during_claim() -> impl FnMut(&mut SimBuilder) {
+    move |sim: &mut SimBuilder| {
+        let gstore = store(PriorityPolicy::EarliestRead);
+        gstore.queue_reads(5, &[3]);
+        write(&gstore, 3, 0);
+        write(&gstore, 7, 0); // deferred
         let inflight = Arc::new(InflightTable::new(1));
+        let marked = Arc::new(AtomicBool::new(false));
+        let reg_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicBool::new(false));
         {
-            let pq = Arc::clone(&pq);
+            let gstore = Arc::clone(&gstore);
+            let (marked, reg_done) = (Arc::clone(&marked), Arc::clone(&reg_done));
+            sim.thread("registrant", move || {
+                while !marked.load(Ordering::SeqCst) {
+                    spin_point("registrant.await_mark");
+                }
+                gstore.queue_reads(2, &[7]);
+                reg_done.store(true, Ordering::SeqCst);
+            });
+        }
+        {
+            let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
-            let applied = Arc::clone(&applied);
+            let (reg_done, applied) = (Arc::clone(&reg_done), Arc::clone(&applied));
             sim.thread("flusher", move || {
-                let mut out = Vec::new();
-                pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
+                let guard = inflight.guard(0);
+                assert!(gstore.mark_lowest(guard));
+                assert_eq!(guard.load(Ordering::SeqCst), 5);
+                marked.store(true, Ordering::SeqCst);
+                while !reg_done.load(Ordering::SeqCst) {
+                    spin_point("flusher.await_move");
+                }
+                let (mut writes, mut claims) = (Vec::new(), Vec::new());
+                gstore.claim_marked(8, guard, &mut writes, &mut claims);
+                assert_eq!(writes.len(), 2);
                 yield_point("flusher.apply");
                 applied.store(true, Ordering::SeqCst);
                 inflight.clear(0);
             });
         }
         {
-            let pq = Arc::clone(&pq);
             let inflight = Arc::clone(&inflight);
-            let applied = Arc::clone(&applied);
             sim.thread("trainer", move || {
-                for _ in 0..6 {
-                    let ok = !blocked_at(pq.as_ref(), &inflight, 3);
+                for _ in 0..12 {
+                    if !reg_done.load(Ordering::SeqCst) {
+                        yield_point("trainer.await_registration");
+                        continue;
+                    }
+                    let ok = !blocked_at(&gstore, &inflight, 2);
                     if !applied.load(Ordering::SeqCst) {
-                        assert!(!ok, "pending flush invisible to the wait condition");
+                        assert!(!ok, "moved entry invisible to the wait condition");
                     }
                     yield_point("trainer.probe");
                 }
             });
         }
-    });
-    assert!(
-        !outcome.found_violation(),
-        "multi-entry guarded dequeue must stay sound: {:?}",
-        outcome.failure
-    );
+    }
 }
 
-/// Take-writes vs. concurrent re-registration on one key (key 7).
+#[test]
+fn a_bucket_filled_below_the_marker_survives_sweep() {
+    let outcome = explore(&quiet(0..1024), lower_bucket_during_claim());
+    assert!(
+        !outcome.found_violation(),
+        "a claim must lower its marker before it takes a lower bucket: {:?}",
+        outcome.failure
+    );
+    assert_eq!(outcome.budget_exceeded_runs, 0);
+}
+
+/// Claims vs. concurrent re-registration on one key (key 7).
 ///
 /// * `deferred = false` — the entry starts at priority 3 with one pending
-///   write; the registrant tightens it to 2 with a step-2 prefetch, then
-///   the step-2 write moves it back to 3 with a second pending write.
-///   Exactly **2** rows may be applied. (The step-0 read the first write
-///   consumed anchors the entry's read window at 0, below the step-2
-///   read.)
+///   write; the registrant tightens it to 2 with a step-2 prefetch (a copy
+///   pushed into bucket 2, the old one left in bucket 3), then the step-2
+///   write moves it back to 3 with a second pending write (one more copy
+///   in bucket 3). Exactly **2** rows may be applied. (The step-0 read the
+///   first write consumed anchors the entry's read window at 0, below the
+///   step-2 read.)
 /// * `deferred = true` — the entry starts deferred (∞, no reads; paper
 ///   Fig 6, k1) and the registrant re-activates it to priority 4.
 ///   Exactly **1** row may be applied.
 ///
-/// The flusher first collects pq-only dequeues *while the registrant
-/// runs* — each collected `(key, priority)` pair can be a transient
-/// position the re-registration already abandoned — and only claims them
-/// with `take_writes_into` after `reg_done` (the engine's barrier-C
-/// ordering; a same-shard claim against a registrant suspended inside the
-/// store, which holds the shard lock at its yield points, would wedge the
-/// harness, see `sharded_batch_registration_survives_sweep`). Stale claims
-/// must return 0 rows; the entry's writes must be applied exactly once.
+/// The flusher's passes race the registrant, one key a pass, so a pass can
+/// land between any two of its steps and take a copy the re-registration
+/// has abandoned. A stale copy must claim nothing; the entry's writes must
+/// be applied exactly once.
 fn reactivation_vs_take(deferred: bool) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
-        let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
-        let gstore = Arc::new(GEntryStore::new());
-        let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
-        let mut scratch = PqOpScratch::default();
-        gstore.add_reads_batch(0, &[7], pq.as_ref(), &mut scratch);
+        let gstore = store(PriorityPolicy::EarliestRead);
+        gstore.queue_reads(0, &[7]);
         if !deferred {
             // Priority 3: a step-3 read plus the step-0 write.
-            gstore.add_reads_batch(3, &[7], pq.as_ref(), &mut scratch);
+            gstore.queue_reads(3, &[7]);
         }
-        gstore.add_writes_batch(0, &[(7, Arc::clone(&grad))], pq.as_ref(), &mut scratch);
+        write(&gstore, 7, 0);
         let expected = if deferred { 1 } else { 2 };
-        let inflight = Arc::new(InflightTable::new(1));
         let reg_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicUsize::new(0));
 
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
             let reg_done = Arc::clone(&reg_done);
-            let grad = Arc::clone(&grad);
             sim.thread("registrant", move || {
                 if deferred {
                     // Re-activation of a deferred entry: ∞ → 4.
-                    gstore.add_reads_batch(4, &[7], pq.as_ref(), &mut scratch);
+                    gstore.queue_reads(4, &[7]);
                 } else {
-                    // Tighten 3 → 2 (re-activation adjust), then consume
-                    // the read with the step-2 write: back to 3, two
-                    // pending writes.
-                    gstore.add_reads_batch(2, &[7], pq.as_ref(), &mut scratch);
-                    gstore.add_writes_batch(2, &[(7, grad)], pq.as_ref(), &mut scratch);
+                    // Tighten 3 → 2, then consume the read with the step-2
+                    // write: back to 3, two pending writes.
+                    gstore.queue_reads(2, &[7]);
+                    write(&gstore, 7, 2);
                 }
                 reg_done.store(true, Ordering::SeqCst);
             });
         }
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
-            let inflight = Arc::clone(&inflight);
-            let reg_done = Arc::clone(&reg_done);
             let applied = Arc::clone(&applied);
             sim.thread("flusher", move || {
-                let mut claims: Vec<(u64, u64)> = Vec::new();
-                let mut out = Vec::new();
-                // Phase 1: dequeues racing the registrant (pq only — no
-                // g-entry locks touched while the registrant may hold one).
-                for _ in 0..3 {
-                    out.clear();
-                    pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                    inflight.clear(0);
-                    claims.extend(out.iter().copied());
-                    yield_point("flusher.collect");
-                }
-                // Phase 2: claim the collected (possibly stale) pairs once
-                // registration has settled, then drain the rest.
-                let mut writes = Vec::new();
-                let mut claimed = false;
+                let guard = AtomicU64::new(INFINITE);
                 for _ in 0..64 {
-                    if !reg_done.load(Ordering::SeqCst) {
-                        yield_point("flusher.await_registration");
-                        continue;
-                    }
-                    if !claimed {
-                        claimed = true;
-                        for &(key, p) in &claims {
-                            let n = gstore.take_writes_into(key, p, &mut writes);
-                            applied.fetch_add(n, Ordering::SeqCst);
-                        }
-                    }
-                    if gstore.pending_keys() == 0 {
+                    let claimed = flush(&gstore, &guard, 1);
+                    applied.fetch_add(rows(&claimed), Ordering::SeqCst);
+                    guard.store(INFINITE, Ordering::SeqCst);
+                    if reg_done.load(Ordering::SeqCst) && gstore.pending_keys() == 0 {
                         return;
                     }
-                    out.clear();
-                    pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                    for &(key, p) in &out {
-                        let n = gstore.take_writes_into(key, p, &mut writes);
-                        applied.fetch_add(n, Ordering::SeqCst);
-                    }
-                    inflight.clear(0);
                     yield_point("flusher.drain");
                 }
             });
         }
-        let gstore = Arc::clone(&gstore);
-        let applied = Arc::clone(&applied);
         sim.check("writes applied exactly once", move || {
             assert_eq!(
                 applied.load(Ordering::SeqCst),
@@ -322,135 +395,83 @@ fn reactivation_vs_take(deferred: bool) -> impl FnMut(&mut SimBuilder) {
 }
 
 #[test]
-fn take_writes_vs_reregistration_survives_sweep() {
+fn claim_vs_reregistration_survives_sweep() {
     let outcome = explore(&quiet(0..1024), reactivation_vs_take(false));
     assert!(
         !outcome.found_violation(),
-        "take-writes vs re-registration must apply exactly once: {:?}",
+        "claims vs re-registration must apply exactly once: {:?}",
         outcome.failure
     );
     assert_eq!(outcome.runs, 1024);
 }
 
 #[test]
-fn take_writes_vs_infinite_reactivation_survives_sweep() {
+fn claim_vs_infinite_reactivation_survives_sweep() {
     let outcome = explore(&quiet(0..1024), reactivation_vs_take(true));
     assert!(
         !outcome.found_violation(),
-        "take-writes vs ∞ re-activation must apply exactly once: {:?}",
+        "claims vs ∞ re-activation must apply exactly once: {:?}",
         outcome.failure
     );
     assert_eq!(outcome.runs, 1024);
 }
 
-/// A batched claim against a registrant that re-positions one key of the
-/// claimed shard run.
+/// A claim against a registrant that re-positions one key of the shard
+/// whose bucket it takes.
 ///
 /// Keys 135, 7 and 71 share g-entry shard 7, each with one pending write:
 /// 135 at priority 1, 7 and 71 at priority 3 (each write consumed a step-0
 /// read, which anchors the read windows below the tightening read). While
-/// the flusher dequeues, the registrant tightens key 7 to priority 2 and
-/// then registers its step-2 write (back to 3, two pending writes); keys
-/// 135 and 71 are never touched. The flusher collects whatever `(key, priority)` pairs the
-/// racing dequeues produced — for key 7 any of `(7, 3)` from before the
-/// move, `(7, 2)` from during it, `(7, 3)` from after it — groups them by
-/// shard as the engine's flusher does (arrival order inside the run, so
-/// 135 leads: the run's keys are not in ascending order) and claims them
-/// with **one** [`GEntryStore::take_writes_batch`]: one lock acquisition
-/// for the whole run, every pair still validated against the entry's
-/// priority at that moment. A pair the registrant has moved away from is
-/// refused (the batch's in-flight marker was published for the priority
-/// the pair names, not for where the entry went), its neighbours in the run
-/// are claimed all the same, and exactly 4 rows are applied, none twice.
-///
-/// As in [`reactivation_vs_take`], claims wait for `reg_done`: a registrant
-/// suspended inside the store holds the shard mutex. `unsorted_runs` counts
-/// the claimed runs whose keys were not in ascending order.
-fn batched_claim_vs_reposition(unsorted_runs: Arc<AtomicUsize>) -> impl FnMut(&mut SimBuilder) {
+/// the flusher's passes run — two keys a pass — the registrant tightens key
+/// 7 to priority 2 and then registers its step-2 write (back to 3, two
+/// pending writes); keys 135 and 71 are never touched. A pass takes the
+/// shard's share of a bucket and claims it in one lock hold, each key
+/// validated against its entry's priority at that moment: a copy the
+/// registrant has moved away from claims nothing, its neighbours are
+/// claimed all the same, and exactly 4 rows are applied, none twice.
+/// `stale_passes` counts the passes that took a copy and claimed nothing
+/// for it.
+fn claim_vs_reposition(stale_passes: Arc<AtomicUsize>) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
-        let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
-        let gstore = Arc::new(GEntryStore::new());
-        let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
-        let mut scratch = PqOpScratch::default();
+        let gstore = store(PriorityPolicy::EarliestRead);
         let run = [135u64, 7, 71];
-        gstore.add_reads_batch(0, &run, pq.as_ref(), &mut scratch);
-        gstore.add_reads_batch(1, &[135], pq.as_ref(), &mut scratch);
-        gstore.add_reads_batch(3, &[7, 71], pq.as_ref(), &mut scratch);
-        let rows: Vec<(u64, Arc<[f32]>)> = run.iter().map(|&k| (k, Arc::clone(&grad))).collect();
-        gstore.add_writes_batch(0, &rows, pq.as_ref(), &mut scratch);
-        let inflight = Arc::new(InflightTable::new(1));
+        gstore.queue_reads(0, &run);
+        gstore.queue_reads(1, &[135]);
+        gstore.queue_reads(3, &[7, 71]);
+        gstore.queue_writes(0, run.iter().map(|&k| (k, row())));
         let reg_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(Mutex::new(Vec::new()));
 
         {
-            let (pq, gstore) = (Arc::clone(&pq), Arc::clone(&gstore));
+            let gstore = Arc::clone(&gstore);
             let reg_done = Arc::clone(&reg_done);
             sim.thread("registrant", move || {
-                gstore.add_reads_batch(2, &[7], pq.as_ref(), &mut scratch);
-                gstore.add_writes_batch(2, &[(7, grad)], pq.as_ref(), &mut scratch);
+                gstore.queue_reads(2, &[7]);
+                write(&gstore, 7, 2);
                 reg_done.store(true, Ordering::SeqCst);
             });
         }
         {
-            let (pq, gstore) = (Arc::clone(&pq), Arc::clone(&gstore));
-            let (inflight, applied) = (Arc::clone(&inflight), Arc::clone(&applied));
-            let unsorted_runs = Arc::clone(&unsorted_runs);
+            let (gstore, applied) = (Arc::clone(&gstore), Arc::clone(&applied));
+            let stale_passes = Arc::clone(&stale_passes);
             sim.thread("flusher", move || {
-                let mut batch: Vec<(u64, u64)> = Vec::new();
-                let mut out = Vec::new();
-                // Dequeues racing the registrant (queue only — no g-entry
-                // lock is touched while the registrant may hold one).
-                for _ in 0..3 {
-                    out.clear();
-                    pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                    inflight.clear(0);
-                    batch.extend(out.iter().copied());
-                    yield_point("flusher.collect");
-                }
-                while !reg_done.load(Ordering::SeqCst) {
-                    spin_point("flusher.await_registration");
-                }
-                let (mut grouped, mut writes, mut claims) = (Vec::new(), Vec::new(), Vec::new());
-                for _ in 0..8 {
-                    // One shard run, possibly holding a stale pair of key 7
-                    // next to the valid pairs of keys 135 and 71.
-                    GEntryStore::group_by_shard(batch.iter().copied(), |&(k, _)| k, &mut grouped);
-                    if grouped.windows(2).any(|w| w[0].0 > w[1].0) {
-                        unsorted_runs.fetch_add(1, Ordering::Relaxed);
+                let guard = AtomicU64::new(INFINITE);
+                while !reg_done.load(Ordering::SeqCst) || gstore.pending_keys() > 0 {
+                    let (mut writes, mut claims) = (Vec::new(), Vec::new());
+                    if !gstore.mark_lowest(&guard) {
+                        spin_point("flusher.idle");
+                        continue;
                     }
-                    // Registration has settled, so each entry's priority is
-                    // what it will be under the claim's lock: exactly the
-                    // pairs that name it may be claimed, the first of them
-                    // in the run (once per key).
-                    let mut valid: Vec<u64> = Vec::new();
-                    for &(k, p) in &grouped {
-                        if gstore.has_pending_writes(k)
-                            && gstore.priority_of(k) == Some(p)
-                            && !valid.contains(&k)
-                        {
-                            valid.push(k);
-                        }
+                    let taken = gstore.claim_marked(2, &guard, &mut writes, &mut claims);
+                    if taken > claims.len() {
+                        stale_passes.fetch_add(1, Ordering::Relaxed);
                     }
-                    gstore.take_writes_batch(&grouped, &mut writes, &mut claims);
-                    let claimed: Vec<u64> = claims.iter().map(|&(k, ..)| k).collect();
-                    assert_eq!(
-                        claimed, valid,
-                        "run {grouped:?}: a stale pair was claimed or a valid one refused"
-                    );
+                    guard.store(INFINITE, Ordering::SeqCst);
                     let mut applied = applied.lock().unwrap();
                     for &(key, start, end) in &claims {
                         applied.extend(writes[start..end].iter().map(|&(step, _)| (key, step)));
                     }
-                    if gstore.pending_keys() == 0 {
-                        return;
-                    }
                     drop(applied);
-                    // Whatever the collect phase missed.
-                    batch.clear();
-                    writes.clear();
-                    claims.clear();
-                    pq.dequeue_batch_guarded(8, &mut batch, inflight.guard(0));
-                    inflight.clear(0);
                     yield_point("flusher.drain");
                 }
             });
@@ -469,29 +490,26 @@ fn batched_claim_vs_reposition(unsorted_runs: Arc<AtomicUsize>) -> impl FnMut(&m
 }
 
 #[test]
-fn batched_claim_vs_repositioned_run_member_survives_sweep() {
+fn claim_vs_repositioned_shard_neighbour_survives_sweep() {
     for cfg in [pct(0..1024), quiet(0..1024)] {
-        let unsorted_runs = Arc::new(AtomicUsize::new(0));
-        let outcome = explore(
-            &cfg,
-            batched_claim_vs_reposition(Arc::clone(&unsorted_runs)),
-        );
+        let stale_passes = Arc::new(AtomicUsize::new(0));
+        let outcome = explore(&cfg, claim_vs_reposition(Arc::clone(&stale_passes)));
         assert!(
             outcome.failure.is_none(),
-            "{:?}: a batched claim must refuse exactly the stale pairs of its run: {:?}",
+            "{:?}: a claim must skip exactly the stale copies of its bucket: {:?}",
             cfg.sim.policy,
             outcome.failure
         );
         assert_eq!(outcome.runs, 1024);
         assert_eq!(outcome.budget_exceeded_runs, 0);
-        // The counting pass keeps arrival order inside a run: most sweeps'
-        // claims see 135 (priority 1, dequeued first) ahead of 7 and 71
-        // (measured: 1 007 such runs under PCT, 1 024 under random).
+        // The sweep reaches the lazy deletion: passes that took a moved
+        // key's abandoned copy.
+        let stale = stale_passes.load(Ordering::Relaxed);
+        eprintln!("{:?}: {stale} passes took a stale copy", cfg.sim.policy);
         assert!(
-            unsorted_runs.load(Ordering::Relaxed) >= 512,
-            "{:?}: only {} runs out of ascending key order",
-            cfg.sim.policy,
-            unsorted_runs.load(Ordering::Relaxed)
+            stale >= 256,
+            "{:?}: only {stale} stale passes",
+            cfg.sim.policy
         );
     }
 }
@@ -499,71 +517,42 @@ fn batched_claim_vs_repositioned_run_member_survives_sweep() {
 #[test]
 fn sharded_batch_registration_survives_sweep() {
     // The parallel-registration path end to end: a trainer registers one
-    // shard's g-entry writes with `add_writes_batch` (keys 1 and 65 share
-    // shard 1; key 2 lands in shard 2 and is registered in a second batch)
-    // while a flusher drains with guarded dequeues + `take_writes_into` and
-    // a probing trainer evaluates the wait condition. Reads of step 3 are
-    // pre-registered, so every write carries priority 3 — until all three
-    // rows are durably applied, step 3 must stay blocked.
-    //
-    // The flusher and prober gate on `reg1_done` (spun at a yield point):
-    // the engine's barrier C orders registration before the next wait-
-    // condition evaluation, and a scheduler-suspended registrant holding a
-    // shard mutex must never be contended by a runnable thread (the
-    // harness counts only yield points, so OS-mutex blocking on a
-    // suspended vthread would wedge the controller). The second batch DOES
-    // run concurrently with the drain — disjoint shard, so the only
-    // shared state is the lock-free queue, exactly the engine's geometry.
+    // shard's g-entry writes with `queue_writes` (keys 1 and 65 share shard
+    // 1; key 2 lands in shard 2 and is registered in a second batch) while
+    // a flusher drains with mark-then-claim passes and a probing trainer
+    // evaluates the wait condition. Reads of step 3 are pre-registered, so
+    // every write carries priority 3 — once registration is done (the
+    // engine's barrier C orders it before the next wait condition), step 3
+    // must stay blocked until all three rows are durably applied. The
+    // flusher races both batches.
     let outcome = explore(&quiet(0..1024), |sim| {
-        let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
-        let gstore = Arc::new(GEntryStore::new());
-        let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
+        let gstore = store(PriorityPolicy::EarliestRead);
         // Sample-queue prefetch (build phase): step 3 reads all three keys.
-        gstore.add_reads_batch(3, &[1, 65, 2], pq.as_ref(), &mut PqOpScratch::default());
+        gstore.queue_reads(3, &[1, 65, 2]);
         let inflight = Arc::new(InflightTable::new(1));
-        let reg1_done = Arc::new(AtomicBool::new(false));
+        let reg_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicUsize::new(0));
 
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
-            let reg1_done = Arc::clone(&reg1_done);
-            let grad = Arc::clone(&grad);
+            let reg_done = Arc::clone(&reg_done);
             sim.thread("registrant", move || {
-                let mut scratch = PqOpScratch::default();
-                gstore.add_writes_batch(
-                    0,
-                    &[(1, Arc::clone(&grad)), (65, Arc::clone(&grad))],
-                    pq.as_ref(),
-                    &mut scratch,
-                );
-                reg1_done.store(true, Ordering::SeqCst);
+                gstore.queue_writes(0, [(1, row()), (65, row())]);
                 yield_point("registrant.between_batches");
-                gstore.add_writes_batch(0, &[(2, Arc::clone(&grad))], pq.as_ref(), &mut scratch);
+                write(&gstore, 2, 0);
+                reg_done.store(true, Ordering::SeqCst);
             });
         }
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
-            let reg1_done = Arc::clone(&reg1_done);
             let applied = Arc::clone(&applied);
             sim.thread("flusher", move || {
-                let (mut out, mut writes) = (Vec::new(), Vec::new());
                 for _ in 0..64 {
-                    if !reg1_done.load(Ordering::SeqCst) {
-                        yield_point("flusher.await_registration");
-                        continue;
-                    }
-                    out.clear();
-                    pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                    for &(key, bucket_p) in &out {
-                        if gstore.take_writes_into(key, bucket_p, &mut writes) > 0 {
-                            // "Apply to host memory": the marker may only
-                            // clear after this point.
-                            applied.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
+                    let claimed = flush(&gstore, inflight.guard(0), 8);
+                    // "Apply to host memory": the marker may only clear
+                    // after this point.
+                    applied.fetch_add(rows(&claimed), Ordering::SeqCst);
                     inflight.clear(0);
                     if applied.load(Ordering::SeqCst) == 3 {
                         return;
@@ -573,17 +562,16 @@ fn sharded_batch_registration_survives_sweep() {
             });
         }
         {
-            let pq = Arc::clone(&pq);
+            let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
-            let reg1_done = Arc::clone(&reg1_done);
             let applied = Arc::clone(&applied);
             sim.thread("trainer", move || {
                 for _ in 0..8 {
-                    if !reg1_done.load(Ordering::SeqCst) {
+                    if !reg_done.load(Ordering::SeqCst) {
                         yield_point("trainer.await_registration");
                         continue;
                     }
-                    let ok = !blocked_at(pq.as_ref(), &inflight, 3);
+                    let ok = !blocked_at(&gstore, &inflight, 3);
                     // Monotone: `applied` only grows, so a post-probe read
                     // of < 3 means rows were pending for the whole probe.
                     if applied.load(Ordering::SeqCst) < 3 {
@@ -593,8 +581,6 @@ fn sharded_batch_registration_survives_sweep() {
                 }
             });
         }
-        let gstore = Arc::clone(&gstore);
-        let applied = Arc::clone(&applied);
         sim.check("all rows drained", move || {
             assert_eq!(applied.load(Ordering::SeqCst), 3, "flusher starved");
             assert_eq!(gstore.pending_keys(), 0, "pending key survived the drain");
@@ -611,62 +597,41 @@ fn sharded_batch_registration_survives_sweep() {
 #[test]
 fn fifo_wait_condition_survives_sweep() {
     // The FIFO-ablation wait condition end to end: an arrival-order store
-    // enqueues every write at its *write* step (reads never reposition
+    // queues every write at its *write* step (reads never reposition
     // anything), and a step-`s` trainer evaluates
-    // `blocked_at(pq, inflight, s - 1)` — all writes issued before step
+    // `blocked_at(store, inflight, s - 1)` — all writes issued before step
     // `s` must be durably applied first. Keys 1 and 65 (shard 1) register
     // at step 0 as one single-priority batch; key 2 (shard 2) follows at
     // step 1 and must NOT gate step 1. Until both step-0 rows are applied,
     // `blocked_at(_, _, 0)` must hold in every reachable interleaving.
     let outcome = explore(&quiet(0..1024), |sim| {
-        let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
-        let gstore = Arc::new(GEntryStore::with_policy(PriorityPolicy::ArrivalOrder));
-        let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
+        let gstore = store(PriorityPolicy::ArrivalOrder);
         let inflight = Arc::new(InflightTable::new(1));
         let reg1_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicUsize::new(0));
         let applied_step0 = Arc::new(AtomicUsize::new(0));
 
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
             let reg1_done = Arc::clone(&reg1_done);
-            let grad = Arc::clone(&grad);
             sim.thread("registrant", move || {
-                let mut scratch = PqOpScratch::default();
-                gstore.add_writes_batch(
-                    0,
-                    &[(1, Arc::clone(&grad)), (65, Arc::clone(&grad))],
-                    pq.as_ref(),
-                    &mut scratch,
-                );
+                gstore.queue_writes(0, [(1, row()), (65, row())]);
                 reg1_done.store(true, Ordering::SeqCst);
                 yield_point("registrant.between_batches");
-                gstore.add_writes_batch(1, &[(2, Arc::clone(&grad))], pq.as_ref(), &mut scratch);
+                write(&gstore, 2, 1);
             });
         }
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
-            let reg1_done = Arc::clone(&reg1_done);
             let applied = Arc::clone(&applied);
             let applied_step0 = Arc::clone(&applied_step0);
             sim.thread("flusher", move || {
-                let (mut out, mut writes) = (Vec::new(), Vec::new());
                 for _ in 0..64 {
-                    if !reg1_done.load(Ordering::SeqCst) {
-                        yield_point("flusher.await_registration");
-                        continue;
-                    }
-                    out.clear();
-                    pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                    for &(key, bucket_p) in &out {
-                        if gstore.take_writes_into(key, bucket_p, &mut writes) > 0 {
-                            applied.fetch_add(1, Ordering::SeqCst);
-                            if bucket_p == 0 {
-                                applied_step0.fetch_add(1, Ordering::SeqCst);
-                            }
+                    for (_, steps) in flush(&gstore, inflight.guard(0), 8) {
+                        applied.fetch_add(1, Ordering::SeqCst);
+                        if steps == [0] {
+                            applied_step0.fetch_add(1, Ordering::SeqCst);
                         }
                     }
                     inflight.clear(0);
@@ -678,7 +643,7 @@ fn fifo_wait_condition_survives_sweep() {
             });
         }
         {
-            let pq = Arc::clone(&pq);
+            let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
             let reg1_done = Arc::clone(&reg1_done);
             let applied_step0 = Arc::clone(&applied_step0);
@@ -688,7 +653,7 @@ fn fifo_wait_condition_survives_sweep() {
                         yield_point("trainer.await_registration");
                         continue;
                     }
-                    let is_blocked = blocked_at(pq.as_ref() as &dyn PriorityQueue, &inflight, 0);
+                    let is_blocked = blocked_at(&gstore, &inflight, 0);
                     // Monotone: `applied_step0` only grows, so a post-probe
                     // read of < 2 means step-0 rows were pending for the
                     // probe's whole duration.
@@ -702,9 +667,6 @@ fn fifo_wait_condition_survives_sweep() {
                 }
             });
         }
-        let gstore = Arc::clone(&gstore);
-        let applied = Arc::clone(&applied);
-        let applied_step0 = Arc::clone(&applied_step0);
         sim.check("all rows drained", move || {
             assert_eq!(applied.load(Ordering::SeqCst), 3, "flusher starved");
             assert_eq!(applied_step0.load(Ordering::SeqCst), 2);
@@ -720,89 +682,64 @@ fn fifo_wait_condition_survives_sweep() {
 }
 
 #[test]
-fn adjust_insert_before_delete_window_survives_sweep() {
-    // ROADMAP open item: `PriorityQueue::adjust_batch` repositions an entry
-    // by inserting the new priority *before* deleting the old one, so a
-    // concurrent wait-condition evaluation always finds the key at one
-    // position or the other (transiently both). This sweep drives the
-    // re-activation tightening — a step-2 prefetch arrives for an entry
-    // queued at priority 5, whose read window a consumed step-0 read
-    // anchors at 0 — against a racing guarded dequeue, which may collect
-    // the abandoned `(7, 5)` pair: the stale-claim check must keep the row
-    // applied exactly once. The trainer probes only once registration has
-    // settled (before the tightening, step 2 is rightly admitted), and from
-    // then on `blocked_at(pq, inflight, 2)` must hold until the row lands.
+fn tightening_move_vs_claim_survives_sweep() {
+    // A tightening move pushes the key into its new bucket and leaves the
+    // old copy behind (lazy deletion), so a concurrent wait-condition
+    // evaluation always finds the key at one position or the other. This
+    // sweep drives the re-activation tightening — a step-2 prefetch
+    // arrives for an entry queued at priority 5, whose read window a
+    // consumed step-0 read anchors at 0 — against racing flusher passes,
+    // which may take the abandoned copy at 5: the stale-claim check must
+    // keep the row applied exactly once. A pass that claims the entry at 5
+    // before the read lands is the deferred-claim shape (DESIGN §8 race 6):
+    // as in the engine, each pass opens the read horizon (reads of step 2
+    // are still to come until the registrant declares them done) before it
+    // marks. The trainer probes once registration has settled, and from
+    // then on `blocked_at(store, inflight, 2)` must hold until the row
+    // lands.
     let outcome = explore(&quiet(0..1024), |sim| {
-        let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
-        let gstore = Arc::new(GEntryStore::new());
-        let grad: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
+        let gstore = store(PriorityPolicy::EarliestRead);
         // Build phase: one pending write on key 7, earliest read step 5.
-        let mut scratch = PqOpScratch::default();
-        gstore.add_reads_batch(0, &[7], pq.as_ref(), &mut scratch);
-        gstore.add_reads_batch(5, &[7], pq.as_ref(), &mut scratch);
-        gstore.add_writes_batch(0, &[(7, grad)], pq.as_ref(), &mut scratch);
+        gstore.queue_reads(0, &[7]);
+        gstore.queue_reads(5, &[7]);
+        write(&gstore, 7, 0);
         let inflight = Arc::new(InflightTable::new(1));
+        inflight.set_read_horizon(2);
         let reg_done = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicUsize::new(0));
 
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
+            let inflight = Arc::clone(&inflight);
             let reg_done = Arc::clone(&reg_done);
             sim.thread("registrant", move || {
-                // Tighten 5 → 2: the adjust under test.
-                gstore.add_reads_batch(2, &[7], pq.as_ref(), &mut scratch);
+                // Tighten 5 → 2: the move under test.
+                gstore.queue_reads(2, &[7]);
+                inflight.set_read_horizon(3);
                 reg_done.store(true, Ordering::SeqCst);
             });
         }
         {
-            let pq = Arc::clone(&pq);
             let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
             let reg_done = Arc::clone(&reg_done);
             let applied = Arc::clone(&applied);
             sim.thread("flusher", move || {
-                let mut claims: Vec<(u64, u64)> = Vec::new();
-                let mut out = Vec::new();
-                // One pq-only dequeue racing the adjust. The slot's marker
-                // stays published until the collected claims are resolved
-                // below, so anything extracted here remains covered by the
-                // wait condition throughout (no g-entry locks are touched
-                // while the registrant may hold one).
-                pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                claims.extend(out.iter().copied());
-                yield_point("flusher.collected");
-                let mut writes = Vec::new();
-                let mut claimed = false;
                 for _ in 0..64 {
-                    if !reg_done.load(Ordering::SeqCst) {
-                        yield_point("flusher.await_registration");
-                        continue;
-                    }
-                    if !claimed {
-                        claimed = true;
-                        for &(key, p) in &claims {
-                            let n = gstore.take_writes_into(key, p, &mut writes);
-                            applied.fetch_add(n, Ordering::SeqCst);
-                        }
-                        inflight.clear(0);
-                    }
-                    if gstore.pending_keys() == 0 {
+                    inflight.open(0);
+                    let claimed = flush(&gstore, inflight.guard(0), 8);
+                    yield_point("flusher.apply");
+                    applied.fetch_add(rows(&claimed), Ordering::SeqCst);
+                    inflight.clear(0);
+                    if reg_done.load(Ordering::SeqCst) && gstore.pending_keys() == 0 {
                         return;
                     }
-                    out.clear();
-                    pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                    for &(key, p) in &out {
-                        let n = gstore.take_writes_into(key, p, &mut writes);
-                        applied.fetch_add(n, Ordering::SeqCst);
-                    }
-                    inflight.clear(0);
                     yield_point("flusher.drain");
                 }
             });
         }
         {
-            let pq = Arc::clone(&pq);
+            let gstore = Arc::clone(&gstore);
             let inflight = Arc::clone(&inflight);
             let reg_done = Arc::clone(&reg_done);
             let applied = Arc::clone(&applied);
@@ -812,7 +749,7 @@ fn adjust_insert_before_delete_window_survives_sweep() {
                         yield_point("trainer.await_registration");
                         continue;
                     }
-                    let ok = !blocked_at(pq.as_ref(), &inflight, 2);
+                    let ok = !blocked_at(&gstore, &inflight, 2);
                     // After the tightening, the entry gates step 2; the
                     // monotone `applied` read makes the probe sound.
                     if applied.load(Ordering::SeqCst) == 0 {
@@ -822,8 +759,6 @@ fn adjust_insert_before_delete_window_survives_sweep() {
                 }
             });
         }
-        let gstore = Arc::clone(&gstore);
-        let applied = Arc::clone(&applied);
         sim.check("write applied exactly once", move || {
             assert_eq!(
                 applied.load(Ordering::SeqCst),
@@ -835,7 +770,7 @@ fn adjust_insert_before_delete_window_survives_sweep() {
     });
     assert!(
         !outcome.found_violation(),
-        "adjust insert-before-delete must keep the wait condition sound: {:?}",
+        "a tightening move must keep the wait condition sound: {:?}",
         outcome.failure
     );
     assert_eq!(outcome.runs, 1024);
@@ -912,10 +847,7 @@ const REDUCE_BLOCKING_ROWS: u64 = 2;
 
 /// State of the registration half of [`Handoff::Registering`].
 struct Registration {
-    pq: TwoLevelPq,
     gstore: GEntryStore,
-    /// Member `g`'s `add_writes_batch` has returned.
-    registered: [AtomicBool; REDUCE_N],
     /// Member `g`'s blocking rows, as the engine's member records them:
     /// written by that member alone, summed once every thread is done.
     read_next: [AtomicU64; REDUCE_N],
@@ -937,8 +869,8 @@ struct Registration {
 ///   the serial oracle.
 /// * [`Handoff::Registering`] runs on into the rest of the member-local
 ///   pass: drain the reduced rows into the member's update slot, register
-///   them (real [`GEntryStore::add_writes_batch`] into a real
-///   [`TwoLevelPq`]), record the member's blocking rows, then
+///   them (the real [`GEntryStore::queue_writes`] into the store's shard
+///   queue), record the member's blocking rows, then
 ///   drain a *next* step's rows over the same slot the way the next reduce
 ///   recycles it — while a flusher claims, holds and applies. Every row
 ///   must be applied exactly once with the oracle's bits (a recycled row
@@ -959,18 +891,11 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
         let oracle = Arc::new(reduce_oracle());
         let smap = reduce_map();
         let reg = Arc::new(Registration {
-            pq: TwoLevelPq::new(16),
-            gstore: GEntryStore::with_policy(PriorityPolicy::EarliestRead),
-            registered: Default::default(),
+            gstore: GEntryStore::with_queue(PriorityPolicy::EarliestRead, WINDOW),
             read_next: Default::default(),
             applied: Mutex::new(Vec::new()),
         });
-        reg.gstore.add_reads_batch(
-            REDUCE_STEP + 1,
-            &[1, 65],
-            &reg.pq,
-            &mut PqOpScratch::default(),
-        );
+        reg.gstore.queue_reads(REDUCE_STEP + 1, &[1, 65]);
         let total_rows: usize = oracle.iter().map(Vec::len).sum();
 
         for g in 0..REDUCE_N {
@@ -1039,14 +964,7 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
                 merged.drain_arcs(&mut update_slot);
                 let mut bucketed = update_slot.clone();
                 bucketed.sort_by_key(|&(key, _)| GEntryStore::shard_of(key));
-                let read_next = reg.gstore.add_writes_batch(
-                    REDUCE_STEP,
-                    &bucketed,
-                    &reg.pq,
-                    &mut PqOpScratch::default(),
-                );
-                drop(bucketed);
-                reg.registered[g].store(true, Ordering::SeqCst);
+                let read_next = reg.gstore.queue_writes(REDUCE_STEP, bucketed);
                 reg.read_next[g].store(read_next, Ordering::SeqCst);
                 yield_point("register.done");
                 // The next step's reduce drains over the same slot: rows the
@@ -1064,37 +982,31 @@ fn reduce_handoff(handoff: Handoff) -> impl FnMut(&mut SimBuilder) {
 
         {
             let reg = Arc::clone(&reg);
-            let smap = Arc::clone(&smap);
             sim.thread("flusher", move || {
-                // Dequeued `(key, bucket priority)` pairs not yet claimed.
-                let mut pending = Vec::new();
-                let mut writes = Vec::new();
+                // The marker is not what this scenario checks.
+                let guard = AtomicU64::new(INFINITE);
+                let (mut writes, mut claims) = (Vec::new(), Vec::new());
                 let mut n_applied = 0;
                 while n_applied < total_rows {
-                    reg.pq.dequeue_batch(2, &mut pending);
-                    // Dequeue any time, but claim only from a member whose
-                    // registration has returned: a registrant suspended
-                    // inside `add_writes_batch` holds its shard's mutex, and
-                    // OS-blocking on it would wedge the harness. Members
-                    // own whole shards, so a finished one's are free.
-                    let ready = pending.iter().position(|&(key, _)| {
-                        reg.registered[smap.owner_of(key)].load(Ordering::SeqCst)
-                    });
-                    let Some(i) = ready else {
+                    if !reg.gstore.mark_lowest(&guard) {
                         spin_point("flusher.idle");
                         continue;
-                    };
-                    let (key, bucket_p) = pending.swap_remove(i);
-                    let n = reg.gstore.take_writes_into(key, bucket_p, &mut writes);
+                    }
+                    reg.gstore.claim_marked(2, &guard, &mut writes, &mut claims);
+                    guard.store(INFINITE, Ordering::SeqCst);
                     // Claimed, not yet applied: the owner may be recycling
                     // its update slot right now.
                     yield_point("flusher.holding");
                     let mut applied = reg.applied.lock().unwrap();
-                    for (step, grad) in writes.drain(..) {
-                        assert_eq!(step, REDUCE_STEP);
-                        applied.push((key, grad.iter().map(|x| x.to_bits()).collect()));
+                    for &(key, start, end) in &claims {
+                        for (step, grad) in &writes[start..end] {
+                            assert_eq!(*step, REDUCE_STEP);
+                            applied.push((key, grad.iter().map(|x| x.to_bits()).collect()));
+                        }
+                        n_applied += end - start;
                     }
-                    n_applied += n;
+                    writes.clear();
+                    claims.clear();
                 }
             });
         }
@@ -1158,40 +1070,31 @@ fn barriered_reduce_handoff_survives_sweep() {
 /// Key 9 has one pending write and no registered read: priority ∞. The
 /// flusher claims it — rightly blocking no step at that moment — and is
 /// then held up before the row lands. Meanwhile registration learns that
-/// step 4 reads key 9; the W set is already empty, so nothing moves in the
-/// queue, and the claim's marker (`DEFERRED_CLAIM`) is above every step.
-/// With `opened`, the flusher first publishes the read horizon (4: reads of
-/// step 4 were still to come when it dequeued), and step 4 waits for it.
+/// step 4 reads key 9; the W set is already empty, so nothing is queued,
+/// and the claim's marker (`DEFERRED_CLAIM`) is above every step. With
+/// `opened`, the flusher first publishes the read horizon (4: reads of
+/// step 4 were still to come when it claimed), and step 4 waits for it.
 ///
 /// The registration runs only after the claim returned: that is the order
 /// under test (the other one re-activates the queued entry, see
-/// [`reactivation_vs_take`]), and a registrant contending the shard mutex of
-/// a suspended claimant would wedge the harness.
+/// [`reactivation_vs_take`]).
 fn deferred_claim_vs_late_read(opened: bool) -> impl FnMut(&mut SimBuilder) {
     move |sim: &mut SimBuilder| {
-        let pq: Arc<TwoLevelPq> = Arc::new(TwoLevelPq::new(16));
-        let gstore = Arc::new(GEntryStore::new());
-        let mut scratch = PqOpScratch::default();
-        let row: Arc<[f32]> = Arc::from(vec![1.0f32].as_slice());
-        gstore.add_writes_batch(2, &[(9, row)], pq.as_ref(), &mut scratch);
+        let gstore = store(PriorityPolicy::EarliestRead);
+        write(&gstore, 9, 2);
         let inflight = Arc::new(InflightTable::new(1));
         inflight.set_read_horizon(4);
         let claimed = Arc::new(AtomicBool::new(false));
         let applied = Arc::new(AtomicBool::new(false));
 
         {
-            let (pq, gstore, inflight) =
-                (Arc::clone(&pq), Arc::clone(&gstore), Arc::clone(&inflight));
+            let (gstore, inflight) = (Arc::clone(&gstore), Arc::clone(&inflight));
             let (claimed, applied) = (Arc::clone(&claimed), Arc::clone(&applied));
             sim.thread("flusher", move || {
                 if opened {
                     inflight.open(0);
                 }
-                let mut out = Vec::new();
-                pq.dequeue_batch_guarded(8, &mut out, inflight.guard(0));
-                assert_eq!(out, vec![(9, INFINITE)]);
-                let mut writes = Vec::new();
-                assert_eq!(gstore.take_writes_into(9, INFINITE, &mut writes), 1);
+                assert_eq!(flush(&gstore, inflight.guard(0), 8), vec![(9, vec![2])]);
                 claimed.store(true, Ordering::SeqCst);
                 yield_point("flusher.apply");
                 applied.store(true, Ordering::SeqCst);
@@ -1203,10 +1106,10 @@ fn deferred_claim_vs_late_read(opened: bool) -> impl FnMut(&mut SimBuilder) {
                 spin_point("trainer.await_claim");
             }
             // Step 3's registration (lookahead 1): step 4 reads key 9.
-            gstore.add_reads_batch(4, &[9], pq.as_ref(), &mut scratch);
+            gstore.queue_reads(4, &[9]);
             yield_point("trainer.barrier_c");
             for _ in 0..4 {
-                let ok = !blocked_at(pq.as_ref(), &inflight, 4);
+                let ok = !blocked_at(&gstore, &inflight, 4);
                 // `applied` only goes false→true: still false after the
                 // probe means the row was in flight throughout it.
                 if !applied.load(Ordering::SeqCst) {

@@ -11,7 +11,8 @@
 //! Both know their whole batch of keys before they touch the first row, and
 //! the rows are scattered over a table far larger than any cache — so both
 //! ask for each row a few places ahead of writing it
-//! ([`HostStore::prefetch_ahead`]) and the batch's misses overlap.
+//! ([`HostStore::prefetch_ahead`]), and for the rule's state row beside it
+//! ([`UpdateRule::prefetch_state`]), and the batch's misses overlap.
 
 use crate::rule::UpdateRule;
 use crate::store::HostStore;
@@ -36,8 +37,12 @@ pub fn apply_claims(
     claims: &[FlushClaim],
     writes: &[(u64, Arc<[f32]>)],
 ) -> u64 {
+    let stateful = rule.state_width(store.dim()) > 0;
     for (i, &(key, start, end)) in claims.iter().enumerate() {
-        store.prefetch_ahead(claims, i, |&(key, ..)| key);
+        let ahead = store.prefetch_ahead(claims, i, |&(key, ..)| key);
+        if let Some(ahead) = ahead.filter(|_| stateful) {
+            rule.prefetch_state(ahead);
+        }
         store.write_row(key, |row| {
             for (_step, grad) in &writes[start..end] {
                 rule.apply(key, row, grad);
@@ -53,8 +58,12 @@ pub fn apply_claims(
 /// flushers keeps stateful optimizers' `copy_state` correct in every
 /// mode.
 pub fn apply_updates(store: &HostStore, rule: &dyn UpdateRule, updates: &[(Key, Arc<[f32]>)]) {
+    let stateful = rule.state_width(store.dim()) > 0;
     for (i, (key, grad)) in updates.iter().enumerate() {
-        store.prefetch_ahead(updates, i, |&(key, _)| key);
+        let ahead = store.prefetch_ahead(updates, i, |&(key, _)| key);
+        if let Some(ahead) = ahead.filter(|_| stateful) {
+            rule.prefetch_state(ahead);
+        }
         store.write_row(*key, |row| rule.apply(*key, row, grad));
     }
 }

@@ -47,6 +47,11 @@ pub trait UpdateRule: Send + Sync + std::fmt::Debug {
     /// The base learning rate.
     fn learning_rate(&self) -> f32;
 
+    /// Asks the memory system for the rule's state row for `key` ahead of
+    /// an [`UpdateRule::apply`] or [`UpdateRule::copy_state`] of it; a hint
+    /// that changes nothing (and, for a stateless rule, does nothing).
+    fn prefetch_state(&self, _key: Key) {}
+
     /// Copies the host path's state row for `key` into `dst`
     /// (`state_width` floats) without allocating; a key the host path never
     /// updated yields zeros. Engines seed a cached row's state slot with
@@ -158,6 +163,10 @@ impl UpdateRule for AdagradRule {
 
     fn apply(&self, key: Key, row: &mut [f32], grad: &[f32]) {
         self.state.update(key, |acc| self.step(row, acc, grad));
+    }
+
+    fn prefetch_state(&self, key: Key) {
+        self.state.prefetch(key);
     }
 
     fn copy_state(&self, key: Key, dst: &mut [f32]) {

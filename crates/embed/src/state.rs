@@ -5,7 +5,7 @@
 //! in sharded `Mutex<HashMap<Key, Vec<f32>>>`, paying a lock acquisition, a
 //! hash lookup, and a possible allocation on every flushed row. But the
 //! state table has exactly the same access discipline as [`HostStore`]: the
-//! P²F algorithm serializes flushes per key (`take_writes_batch` claims a
+//! P²F algorithm serializes flushes per key (a flusher's claim takes a
 //! key's pending writes exclusively, and no new flush of that key can start
 //! until the claim is applied and the in-flight marker cleared), so no two
 //! threads ever touch the same state row concurrently. That makes a flat
@@ -105,6 +105,18 @@ impl DenseStateTable {
             touched: touched.into_boxed_slice(),
             versions,
             races: AtomicUsize::new(0),
+        }
+    }
+
+    /// Asks the memory system for `key`'s state row ahead of its update
+    /// (a batch loop's companion to
+    /// [`HostStore::prefetch_ahead`](crate::HostStore::prefetch_ahead));
+    /// does nothing for a key out of range.
+    #[inline]
+    pub fn prefetch(&self, key: Key) {
+        if key < self.n_keys {
+            let start = key as usize * self.dim;
+            crate::store::prefetch(&self.data[start..start + self.dim]);
         }
     }
 

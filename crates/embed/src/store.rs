@@ -292,12 +292,18 @@ impl HostStore {
     /// the item a fixed number of places further on, so the batch's DRAM
     /// misses overlap instead of each one waiting out the one before — the
     /// table is hundreds of megabytes and a batch's rows are scattered all
-    /// over it.
+    /// over it. Returns that item's key, for the caller to ask for the
+    /// key's other rows (its optimizer state) the same way.
     #[inline]
-    pub fn prefetch_ahead<T>(&self, items: &[T], i: usize, key_of: impl Fn(&T) -> Key) {
-        if let Some(item) = items.get(i + PREFETCH_ROWS_AHEAD) {
-            self.prefetch_row(key_of(item));
-        }
+    pub fn prefetch_ahead<T>(
+        &self,
+        items: &[T],
+        i: usize,
+        key_of: impl Fn(&T) -> Key,
+    ) -> Option<Key> {
+        let key = key_of(items.get(i + PREFETCH_ROWS_AHEAD)?);
+        self.prefetch_row(key);
+        Some(key)
     }
 
     /// Asks the memory system for row `key` ahead of its use; does nothing

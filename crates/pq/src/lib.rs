@@ -11,8 +11,11 @@
 //!   sets, O(1) enqueue/dequeue/adjust, with scan-range compression.
 //! * [`TreeHeap`] — the classic binary-heap baseline with O(log N)
 //!   operations and lock serialization.
-//! * [`PriorityQueue`] — the trait both implement, letting the training
-//!   engine swap them (Exp #4's ablation).
+//! * [`PriorityQueue`] — the trait both implement. The training engine
+//!   runs neither: its queue is the same two-level shape kept inside the
+//!   g-entry store's shards. These queues are what Exp #4's modeled prices
+//!   describe, what the benchmark's replay registers into, and what the
+//!   PQ micro-benchmarks time.
 //! * [`LockFreeSet`] — the second-level lock-free hash structure.
 
 #![warn(missing_docs)]
