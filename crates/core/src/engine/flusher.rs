@@ -239,8 +239,8 @@ pub(crate) fn flusher_loop(shared: &RunShared<'_>, slot: usize) {
         let applied =
             frugal_embed::apply_claims(shared.store, shared.rule.as_ref(), &claims, &writes);
         // Let go of the applied rows now, not at the next batch (which may
-        // be a park away): the owner's next reduce overwrites in place
-        // every row it finds unshared (`ArcFold`).
+        // be a park away): the owner's reduce two steps on overwrites in
+        // place every row it finds unshared (`ArcFold`).
         writes.clear();
         // Booked before the marker clear below, so in the trace this
         // batch's span ends before any wait it releases does.

@@ -70,6 +70,11 @@ use std::sync::Arc;
 use std::time::Instant;
 use strategy::Strategy;
 
+/// The longest run [`FrugalConfig::skip_wait`] may inject its fault into:
+/// without the wait's proof the flush queue keeps one bucket per step in
+/// every shard (32 bytes each), 16 MB at this bound.
+pub(crate) const SKIP_WAIT_MAX_STEPS: u64 = 4096;
+
 /// One contiguous run of steps under a fixed shard-map epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Segment {
@@ -117,10 +122,14 @@ pub(crate) struct MemberState {
     pub(crate) counts: CountRecord,
     /// The merged `(key, grad)` rows the member reduced this step, in
     /// canonical arrival order: written by its reduce, then read by its own
-    /// write-through apply and registration between barriers A and C. The
-    /// rows stay for the next step's reduce to recycle (see
-    /// [`frugal_embed::ArcFold`]).
+    /// write-through apply and registration between barriers A and C.
     pub(crate) updates: Vec<(Key, Arc<[f32]>)>,
+    /// The previous step's update slot. Each reduce swaps the two and folds
+    /// over the older rows (see [`frugal_embed::ArcFold`]), so a row
+    /// registered at step `s` is recycled at step `s + 2`: a flusher still
+    /// landing step `s`'s rows while step `s + 1` reduces costs no
+    /// allocation.
+    pub(crate) previous: Vec<(Key, Arc<[f32]>)>,
 }
 
 /// Shared state between trainers, the leader, and flushers for one run.
@@ -286,8 +295,14 @@ impl FrugalEngine {
         // registration inserts into `[s + 1, s + L]` (FIFO: `{s}` after
         // `≤ s − 1`), so `L + 2` recycled buckets hold every live finite
         // priority. Skipping the wait (failure injection) voids that proof;
-        // such a run keeps one bucket per step.
+        // such a run keeps one bucket per step, in each of the 64 shards.
         let window = if cfg.skip_wait {
+            assert!(
+                cfg.steps <= SKIP_WAIT_MAX_STEPS,
+                "skip_wait is failure injection for runs of at most {SKIP_WAIT_MAX_STEPS} steps \
+                 (its flush queue keeps one bucket per step); got {}",
+                cfg.steps
+            );
             cfg.steps + cfg.lookahead + 3
         } else {
             cfg.lookahead + 2
@@ -334,6 +349,7 @@ impl FrugalEngine {
                     .recorder(format!("trainer-{t}"), LaneKind::Trainer),
                 counts: CountRecord::default(),
                 updates: Vec::new(),
+                previous: Vec::new(),
             })
             .collect();
         // The current epoch's map: fixed for a segment, replaced only by

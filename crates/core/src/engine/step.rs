@@ -144,7 +144,8 @@ impl StepState {
 /// per-stream deposits, in stream index order, straight into its update
 /// slot `out` — one key → position probe per deposit row, each row summed
 /// in the `Arc` it leaves the reduce in ([`ArcFold`]). The fold writes over
-/// the previous step's rows, in place wherever the flushers have let go of
+/// the rows `out` holds — the member's reduce of two steps ago (see
+/// [`super::MemberState`]) — in place wherever the flushers have let go of
 /// them (always, under write-through). Returns the number of rows the
 /// member reduced.
 ///

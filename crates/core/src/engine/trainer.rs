@@ -40,9 +40,9 @@ use super::barrier::SpinBarrier;
 /// of re-allocated, and the ring's plans are rebuilt in place, so after
 /// warm-up the per-step loop allocates only what it hands to someone else:
 /// the workload's sampled key lists, the model's `BatchGrads`, and an `Arc`
-/// gradient row only where last step's row in the same position of the
-/// update slot is still held by an unflushed g-entry (never, under
-/// write-through — see [`ArcFold`]).
+/// gradient row only where the row in the same position of the update slot
+/// it recycles (two steps old, see [`MemberState`]) is still held by an
+/// unflushed g-entry (never, under write-through — see [`ArcFold`]).
 #[derive(Default)]
 pub(crate) struct StepScratch {
     /// The dedup table of the plans this member publishes.
@@ -148,7 +148,7 @@ pub(crate) fn register_phase(
     // leader used to spend on *all* keys): each owned shard's lock is
     // taken once, and each row is shared with its W set on the way in,
     // which leaves the slot and the pending flush as its only holders —
-    // the next reduce recycles it once it has landed.
+    // the reduce two steps on recycles it once it has landed.
     let own_rows = updates.len() as u64;
     let _span = rec.span_with(s, LedgerPhase::Registration, &[("rows", own_rows)]);
     let rows = scratch.write_order.iter().map(|&i| {
@@ -196,6 +196,7 @@ pub(crate) fn trainer_loop(
         rec,
         counts,
         updates,
+        previous,
     } = member;
     // The member's persistent cache, created on first membership. Cached
     // rows evolve with their own copy of the optimizer state, seeded from
@@ -336,7 +337,6 @@ pub(crate) fn trainer_loop(
             // guarantees this key has no in-flight updates while it is
             // being read).
             let missing = &scratch.lookups.missing;
-            let stateful = shared.rule.state_width(dim) > 0;
             let hr_span =
                 rec.span_with(s, LedgerPhase::HostRead, &[("rows", missing.len() as u64)]);
             let fills = member::fill(
@@ -348,8 +348,7 @@ pub(crate) fn trainer_loop(
                 |urows, m, i, key| {
                     // The misses are all known: overlap their DRAM latencies,
                     // the host row's and the optimizer state's a fill copies.
-                    let ahead = shared.store.prefetch_ahead(missing, m, |&(_, key)| key);
-                    if let Some(ahead) = ahead.filter(|_| stateful) {
+                    if let Some(ahead) = shared.store.prefetch_ahead(missing, m, |&(_, key)| key) {
                         shared.rule.prefetch_state(ahead);
                     }
                     // Verify the consistency invariant first when checking is on.
@@ -423,8 +422,10 @@ pub(crate) fn trainer_loop(
         }
         // One member-local pass to barrier C. Decentralized reduce: fold
         // this member's owned keys across all deposit slots (stream index
-        // order — canonical) into this member's update slot.
+        // order — canonical) into this member's update slot, over the rows
+        // it reduced two steps ago.
         let reduce_span = rec.span(s, LedgerPhase::Reduce);
+        std::mem::swap(updates, previous);
         let rows = step::reduce_own_shard(shared, smap, t, s, &mut scratch.fold, updates);
         match cfg.flush_mode {
             // The write-through flush the paper describes, sharded by key

@@ -37,10 +37,8 @@ pub fn apply_claims(
     claims: &[FlushClaim],
     writes: &[(u64, Arc<[f32]>)],
 ) -> u64 {
-    let stateful = rule.state_width(store.dim()) > 0;
     for (i, &(key, start, end)) in claims.iter().enumerate() {
-        let ahead = store.prefetch_ahead(claims, i, |&(key, ..)| key);
-        if let Some(ahead) = ahead.filter(|_| stateful) {
+        if let Some(ahead) = store.prefetch_ahead(claims, i, |&(key, ..)| key) {
             rule.prefetch_state(ahead);
         }
         store.write_row(key, |row| {
@@ -58,10 +56,8 @@ pub fn apply_claims(
 /// flushers keeps stateful optimizers' `copy_state` correct in every
 /// mode.
 pub fn apply_updates(store: &HostStore, rule: &dyn UpdateRule, updates: &[(Key, Arc<[f32]>)]) {
-    let stateful = rule.state_width(store.dim()) > 0;
     for (i, (key, grad)) in updates.iter().enumerate() {
-        let ahead = store.prefetch_ahead(updates, i, |&(key, _)| key);
-        if let Some(ahead) = ahead.filter(|_| stateful) {
+        if let Some(ahead) = store.prefetch_ahead(updates, i, |&(key, _)| key) {
             rule.prefetch_state(ahead);
         }
         store.write_row(*key, |row| rule.apply(*key, row, grad));

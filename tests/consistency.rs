@@ -65,6 +65,17 @@ fn skipping_wait_condition_breaks_consistency() {
     );
 }
 
+/// A `skip_wait` run keeps one flush-queue bucket per step, so a run
+/// longer than the injection is meant for is refused before it starts.
+#[test]
+#[should_panic(expected = "skip_wait is failure injection")]
+fn a_skip_wait_run_longer_than_its_bound_is_refused() {
+    let t = SyntheticTrace::new(64, KeyDistribution::Uniform, 8, 1, 1).unwrap();
+    let mut cfg = FrugalConfig::commodity(1, 4097);
+    cfg.skip_wait = true;
+    FrugalEngine::new(cfg, 64, 4).run(&t, &PullToTarget::new(4, 1));
+}
+
 /// The flushing pipeline drains completely: after a run, re-reading the
 /// store equals the serial result even for keys only written early on
 /// (deferred ∞-priority flushes must not be lost at shutdown).

@@ -1,11 +1,11 @@
 //! The steady-state step allocates only what it hands to someone else: the
 //! workload's sampled key `Vec`s, the model's `BatchGrads` (a constant per
-//! step), and a gradient row's `Arc` only where the previous step's row in
-//! the same position of the update slot is still held by a g-entry that has
-//! not been flushed. The reduce folds the deposits straight into the update
-//! slot's rows and recycles every other row in place as it goes
-//! (`ArcFold`), and registration shares each row with its g-entry without
-//! staging it anywhere, so
+//! step), and a gradient row's `Arc` only where the row it would recycle —
+//! the same position of the member's update slot of two steps before — is
+//! still held by a g-entry that has not been flushed. The reduce folds the
+//! deposits straight into that slot's rows and recycles every other row in
+//! place as it goes (`ArcFold`), and registration shares each row with its
+//! g-entry without staging it anywhere, so
 //!
 //! * under write-through, where nothing outlives the step, the count is the
 //!   constant — the updated rows are not in the budget at all;
@@ -89,17 +89,17 @@ impl EmbeddingModel for Stamping {
 
 /// The per-step constant: two key lists, two `BatchGrads` and the sample
 /// ring's bookkeeping — not a segment per priority or a rebuilt table.
-/// Measured: 17.5–17.7.
+/// Measured: 16.4–16.7.
 const PER_STEP: u64 = 32;
 
 /// The share of a step's updated rows a P²F step may allocate anew on top
 /// of [`PER_STEP`]: rows whose predecessor in the update slot the flusher
-/// has not landed by the next reduce. Measured: 0.1–0.4 % (18–20
-/// allocations a step in all, the same with three busy loops competing
-/// for the two cores); the budget leaves room for a flusher that loses the
-/// CPU for a couple of dozen steps of the last third, and none for a
-/// per-call scratch anywhere on the dequeue → claim → apply path (when each
-/// dequeue grew a fresh `Vec`, these runs made 35–36 a step).
+/// has not landed by the reduce that recycles it, two steps later.
+/// Measured: 0–0.6 % (16.5–19.4 allocations a step in all, nearly always
+/// 16.5–16.7); the budget leaves room for a flusher that loses the CPU for
+/// a couple of dozen steps of the last third, and none for a per-call
+/// scratch anywhere on the dequeue → claim → apply path (when each dequeue
+/// grew a fresh `Vec`, these runs made 35–36 a step).
 const UNFLUSHED_ROW_SHARE: u64 = 16;
 
 /// Runs `cfg` for [`STEPS`] steps and checks the allocation budget over the
