@@ -249,9 +249,7 @@ pub struct FrugalConfig {
     /// consistency invariant on every host read.
     pub checked: bool,
     /// Failure injection: skip the P²F wait condition. Consistency is then
-    /// expected to break; used to validate the checker. Such a run's flush
-    /// queue keeps one bucket per step, so it may be at most 4 096 steps
-    /// long (the engine panics otherwise).
+    /// expected to break; used to validate the checker.
     pub skip_wait: bool,
     /// Elastic cohort schedule (default: static full cohort).
     pub membership: MembershipPlan,

@@ -70,11 +70,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use strategy::Strategy;
 
-/// The longest run [`FrugalConfig::skip_wait`] may inject its fault into:
-/// without the wait's proof the flush queue keeps one bucket per step in
-/// every shard (32 bytes each), 16 MB at this bound.
-pub(crate) const SKIP_WAIT_MAX_STEPS: u64 = 4096;
-
 /// One contiguous run of steps under a fixed shard-map epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Segment {
@@ -291,22 +286,6 @@ impl FrugalEngine {
         assert_eq!(model.dim(), self.store.dim(), "model/store dim mismatch");
         let strategy = Strategy::of(cfg.flush_mode);
 
-        // The step-`s` wait proves every priority `≤ s` flushed before
-        // registration inserts into `[s + 1, s + L]` (FIFO: `{s}` after
-        // `≤ s − 1`), so `L + 2` recycled buckets hold every live finite
-        // priority. Skipping the wait (failure injection) voids that proof;
-        // such a run keeps one bucket per step, in each of the 64 shards.
-        let window = if cfg.skip_wait {
-            assert!(
-                cfg.steps <= SKIP_WAIT_MAX_STEPS,
-                "skip_wait is failure injection for runs of at most {SKIP_WAIT_MAX_STEPS} steps \
-                 (its flush queue keeps one bucket per step); got {}",
-                cfg.steps
-            );
-            cfg.steps + cfg.lookahead + 3
-        } else {
-            cfg.lookahead + 2
-        };
         // Run counters live on the telemetry registry when one is attached,
         // on a private registry otherwise (the report reads them either
         // way).
@@ -327,7 +306,13 @@ impl FrugalEngine {
             workload,
             model,
             store: &self.store,
-            gstore: GEntryStore::with_queue(strategy.priority_policy, window),
+            // The step-`s` wait proves every priority `≤ s` flushed before
+            // registration inserts into `[s + 1, s + L]` (FIFO: `{s}` after
+            // `≤ s − 1`), so `L + 2` buckets keep the tags exact. A
+            // `skip_wait` run voids that proof, but only the wait needs
+            // exact tags, and a ring narrower than the live span still
+            // drains (see `gentry`).
+            gstore: GEntryStore::with_queue(strategy.priority_policy, cfg.lookahead + 2),
             step: step::StepState::new(n, cfg.lookahead, strategy.registers_reads),
             flush: FlushCoord::new(cfg.flush_threads),
             metrics: RunMetrics::new(&registry),

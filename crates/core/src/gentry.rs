@@ -47,9 +47,12 @@
 //! into it. It is exact while concurrent registrants keep every live finite
 //! priority within `window` consecutive values — the engine's step-`s` wait
 //! proves everything `≤ s` flushed before registration inserts into
-//! `[s + 1, s + L]`, so `L + 2` buckets suffice. A single-threaded caller
-//! may queue any priorities: a bucket that holds two of them is claimed at
-//! the lower, which flushes the higher early, and early is always safe.
+//! `[s + 1, s + L]`, so `L + 2` buckets suffice. Only that wait needs exact
+//! tags. A ring narrower than the live span — any ring under one thread,
+//! or the engine's under the `skip_wait` failure injection, which skips the
+//! wait — still drains: a claim takes every key whose current priority
+//! maps to the bucket, so a bucket that holds two priorities flushes the
+//! higher one early and loses nothing.
 //!
 //! # Compact layout (CriteoTB-scale memory)
 //!
@@ -674,8 +677,9 @@ impl GEntryStore {
 
     /// Creates an empty store deriving priorities with `policy`, whose
     /// shard queue keeps `window` finite buckets (rounded up to a power of
-    /// two) plus ∞: concurrent registrants must keep every live finite
-    /// priority within `window` consecutive values (see the module docs).
+    /// two) plus ∞. Its tags are exact while concurrent registrants keep
+    /// every live finite priority within `window` consecutive values (see
+    /// the module docs).
     ///
     /// # Panics
     ///
@@ -1840,16 +1844,27 @@ mod tests {
     /// flusher pass of `x % 6 + 1` keys.
     type QueueOp = (u64, Key, u64);
 
-    /// Drives the store's shard queue and the reference through `ops` on
-    /// one thread and checks, after every operation, that the queue's top
-    /// never exceeds the lowest pending finite priority and, after every
-    /// flusher pass, that each claim drained a pending entry's whole W set
-    /// (so it is claimed exactly once and a stale copy never is), that the
-    /// marker covers every claimed priority, and that the pass claimed
-    /// lowest first: nothing still pending is below what it claimed.
-    fn check_shard_queue(policy: PriorityPolicy, ops: &[QueueOp]) -> Result<(), String> {
-        // Wide enough that no two live priorities share a bucket.
-        let store = GEntryStore::with_queue(policy, 512);
+    /// A ring wide enough that no two live priorities of
+    /// [`check_shard_queue`]'s operations share a bucket.
+    const WIDE: u64 = 512;
+
+    /// Drives a shard queue of `window` buckets and the reference through
+    /// `ops` on one thread and checks, after every operation, that the
+    /// queue's top never exceeds the lowest pending finite priority and,
+    /// after every flusher pass, that each claim drained a pending entry's
+    /// whole W set (so it is claimed exactly once and a stale copy never
+    /// is) and that the marker covers every claimed priority. On the
+    /// [`WIDE`] ring it also checks that the pass claimed lowest first:
+    /// nothing still pending is below what it claimed. A narrower ring
+    /// shares buckets between live priorities and may flush the higher
+    /// one early, but must still drain.
+    fn check_shard_queue(
+        policy: PriorityPolicy,
+        window: u64,
+        ops: &[QueueOp],
+    ) -> Result<(), String> {
+        let ordered = window == WIDE;
+        let store = GEntryStore::with_queue(policy, window);
         let mut reference = Reference::default();
         let mut step = 0u64;
         for &(kind, key, x) in ops {
@@ -1885,7 +1900,7 @@ mod tests {
                         if steps != w {
                             return Err(format!("claim of {k} drained {steps:?}, pending {w:?}"));
                         }
-                        if p < last || p.min(DEFERRED_CLAIM) < marker {
+                        if (ordered && p < last) || p.min(DEFERRED_CLAIM) < marker {
                             return Err(format!(
                                 "{k} claimed at {p} after {last}, marker {marker}"
                             ));
@@ -1897,7 +1912,7 @@ mod tests {
                         }
                     }
                     let lowest_left = reference.pending(policy).iter().map(|&(_, p)| p).min();
-                    if lowest_left.is_some_and(|p| p < last) {
+                    if ordered && lowest_left.is_some_and(|p| p < last) {
                         return Err(format!("claimed {last} while {lowest_left:?} is pending"));
                     }
                 }
@@ -1943,8 +1958,10 @@ mod tests {
             } else {
                 PriorityPolicy::EarliestRead
             };
-            if let Err(msg) = check_shard_queue(policy, &ops) {
-                prop_assert!(false, "{}", msg);
+            for window in [1, 2, 4, WIDE] {
+                if let Err(msg) = check_shard_queue(policy, window, &ops) {
+                    prop_assert!(false, "window {}: {}", window, msg);
+                }
             }
         }
     }

@@ -691,7 +691,7 @@ fn tightening_move_vs_claim_survives_sweep() {
     // consumed step-0 read anchors at 0 — against racing flusher passes,
     // which may take the abandoned copy at 5: the stale-claim check must
     // keep the row applied exactly once. A pass that claims the entry at 5
-    // before the read lands is the deferred-claim shape (DESIGN §8 race 6):
+    // before the read lands is the deferred-claim shape (DESIGN §8 race 5):
     // as in the engine, each pass opens the read horizon (reads of step 2
     // are still to come until the registrant declares them done) before it
     // marks. The trainer probes once registration has settled, and from
@@ -1065,7 +1065,7 @@ fn barriered_reduce_handoff_survives_sweep() {
     assert_eq!(outcome.runs, 1024);
 }
 
-/// A deferred claim against a late read registration (DESIGN.md §8 race 6).
+/// A deferred claim against a late read registration (DESIGN.md §8 race 5).
 ///
 /// Key 9 has one pending write and no registered read: priority ∞. The
 /// flusher claims it — rightly blocking no step at that moment — and is

@@ -6,9 +6,9 @@
 //! the controller adjusting priorities, so the queue's scalability decides
 //! the training stall (Exp #4).
 //!
-//! * [`TwoLevelPq`] — the paper's design: a priority index (a ring of
-//!   buckets recycled as the lookahead window advances) over lock-free key
-//!   sets, O(1) enqueue/dequeue/adjust, with scan-range compression.
+//! * [`TwoLevelPq`] — the paper's design: a priority-index array (one
+//!   bucket per step number, plus ∞) over lock-free key sets, O(1)
+//!   enqueue/dequeue/adjust, with scan-range compression.
 //! * [`TreeHeap`] — the classic binary-heap baseline with O(log N)
 //!   operations and lock serialization.
 //! * [`PriorityQueue`] — the trait both implement. The training engine
@@ -34,16 +34,6 @@ macro_rules! sched_point {
     ($label:expr) => {{
         #[cfg(feature = "sched")]
         frugal_sched::yield_point($label);
-    }};
-}
-
-/// [`sched_point!`] for the back-edge of a spin-wait: also tells the
-/// scheduler that the caller waits on another thread (see
-/// `frugal_sched::spin_point`).
-macro_rules! sched_spin {
-    ($label:expr) => {{
-        #[cfg(feature = "sched")]
-        frugal_sched::spin_point($label);
     }};
 }
 

@@ -11,10 +11,7 @@
 //! segment is full, a new segment is appended with a single CAS on the
 //! chain — the set grows dynamically without ever taking a lock. Removal
 //! tombstones the slot; tombstones are reusable, which bounds memory by the
-//! peak population rather than total traffic. A drained set can be
-//! [`reset`](LockFreeSet::reset) to all-`EMPTY` slots in place, which is how
-//! the ring-indexed priority index recycles a bucket for a new priority
-//! without freeing or allocating a segment.
+//! peak population rather than total traffic.
 //!
 //! Insertion is *run-native*: [`LockFreeSet::insert_run`] places a whole
 //! slice of keys for the price of one `len` update, one occupancy
@@ -119,7 +116,7 @@ impl Segment {
 /// A lock-free, dynamically growing set of `u64` keys.
 ///
 /// The head segment is allocated lazily, so an empty set costs only a few
-/// words — a full-window priority index holds one set per training step.
+/// words — the priority index holds one set per training step.
 ///
 /// # Counter discipline
 ///
@@ -420,8 +417,8 @@ impl LockFreeSet {
     /// read-modify-writes per dequeued key.
     ///
     /// Each segment is scanned for one lap starting where the last taker
-    /// stopped: a set that is drained a batch at a time and never reset
-    /// (the ∞ bucket) keeps its live keys ahead of the cursor, not behind a
+    /// stopped: a set that is drained a batch at a time (the ∞ bucket)
+    /// keeps its live keys ahead of the cursor, not behind a
     /// prefix of tombstones every call would cross again.
     pub(crate) fn take_any_with(&self, max: usize, mut sink: impl FnMut(u64)) -> usize {
         if max == 0 || self.is_empty() {
@@ -516,31 +513,6 @@ impl LockFreeSet {
             seg_ptr = seg.next.load(Ordering::Acquire);
         }
         false
-    }
-
-    /// Returns every slot of a *drained* set to `EMPTY`, keeping the segment
-    /// chain, so probe runs are short again instead of saturating with
-    /// tombstones after a few fill/drain rounds.
-    ///
-    /// The caller must guarantee the set is empty and that no other thread
-    /// mutates it for the duration (the priority index's re-tag fence does).
-    /// Readers ([`Self::contains`], [`Self::peek_any`], [`Self::is_empty`])
-    /// may run concurrently: they only ever see `EMPTY` or a tombstone.
-    pub(crate) fn reset(&self) {
-        debug_assert_eq!(self.len.load(Ordering::Acquire), 0, "reset of a live set");
-        let mut seg_ptr = self.head.load(Ordering::Acquire);
-        while !seg_ptr.is_null() {
-            // SAFETY: segments are never freed while the set is alive.
-            let seg = unsafe { &*seg_ptr };
-            debug_assert_eq!(seg.occupied.load(Ordering::Acquire), 0);
-            for slot in seg.slots.iter() {
-                // Untouched slots stay clean: no store, no dirtied line.
-                if slot.load(Ordering::Relaxed) != EMPTY {
-                    slot.store(EMPTY, Ordering::Release);
-                }
-            }
-            seg_ptr = seg.next.load(Ordering::Acquire);
-        }
     }
 
     /// Heap bytes this set holds: every segment of its chain (the header
@@ -663,34 +635,6 @@ mod tests {
             s.insert(k);
             assert!(s.remove(k));
         }
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn reset_returns_a_drained_chain_to_empty_slots() {
-        let s = LockFreeSet::new();
-        let mut out = Vec::new();
-        for round in 0..4u64 {
-            for k in 0..1_000 {
-                s.insert(round * 1_000 + k);
-            }
-            assert_eq!(s.take_any(usize::MAX, &mut out), 1_000);
-        }
-        let chain = s.heap_bytes();
-        assert!(chain > 1_000 * 8);
-        s.reset();
-        assert_eq!(s.heap_bytes(), chain, "the chain is kept, not freed");
-        let mut seg_ptr = s.head.load(Ordering::Acquire);
-        while !seg_ptr.is_null() {
-            // SAFETY: the set is alive and owns its chain.
-            let seg = unsafe { &*seg_ptr };
-            assert!(seg.slots.iter().all(|x| x.load(Ordering::Relaxed) == EMPTY));
-            seg_ptr = seg.next.load(Ordering::Acquire);
-        }
-        // And it is a working set again.
-        s.insert(7);
-        assert!(s.contains(7) && !s.contains(8));
-        assert!(s.remove(7));
         assert!(s.is_empty());
     }
 

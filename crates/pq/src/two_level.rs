@@ -1,188 +1,23 @@
 //! The two-level concurrent priority queue (paper §3.4, Figure 7).
 //!
-//! Level 1 is the *priority index*: a ring of buckets addressed by
-//! `priority & (ring - 1)`, plus one bucket for ∞. Exploiting that
-//! priorities are small integers is what buys O(1) operations instead of the
-//! O(log N) of a tree heap; exploiting that the *live* ones lie within a
-//! lookahead of each other is what keeps the index O(L) instead of O(steps).
-//! Level 2 is a lock-free set of g-entry keys per bucket ([`LockFreeSet`]).
-//!
-//! *The window invariant.* A queue built by [`TwoLevelPq::with_window`]
-//! with a ring of `R` buckets requires every live finite priority to lie in
-//! `(upper - R, upper]` — under P²F the step-`s` wait proves everything
-//! `≤ s` flushed before registration inserts into `[s + 1, s + L]`, so
-//! `R ≥ L + 2` suffices. Priorities `p` and `p + R` share a bucket; each
-//! bucket carries the priority it currently holds (its *tag*), and the
-//! first insert of a new priority *re-tags* it: waits out any dequeuer
-//! still inside, claims the bucket against its fellow registrants, checks
-//! that the old priority's entries are gone (the invariant, enforced, not
-//! assumed), and returns the bucket's slots to `EMPTY` — recycling the
-//! segment chain instead of allocating one per step. [`TwoLevelPq::new`]
-//! is the full-window case of the same code: one bucket per step, indexed
-//! by the priority itself, so no priority is ever re-tagged.
+//! Level 1 is the *priority index*: an array with one bucket per step
+//! number, plus one bucket for ∞. Exploiting that priorities are small
+//! integers is what buys O(1) operations instead of the O(log N) of a tree
+//! heap. Level 2 is a lock-free set of g-entry keys per bucket
+//! ([`LockFreeSet`]).
 //!
 //! *Scan-range compression* (the paper's dequeue optimization) maintains
 //! global lower/upper bounds on live finite priorities: the lower bound is
 //! raised when a scan proves a prefix empty and lowered (CAS loop) by any
 //! insert below it, so it is always conservative; the upper bound is
 //! `current_step + L`, set by the controller, since prefetching only looks
-//! `L` steps ahead. Scans cover `[max(lower, upper + 1 - R), upper]`.
+//! `L` steps ahead. Scans cover `[lower, upper]`.
 
 use crate::lockfree_set::LockFreeSet;
 use crate::queue::{settled_guard, Priority, PriorityQueue, DEFERRED_CLAIM, INFINITE};
 #[cfg(feature = "sched")]
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-
-/// Low half of [`Bucket::state`]: visitors inside the bucket.
-const VISITORS: u64 = u32::MAX as u64;
-/// Tag of a bucket whose slots are being reset for a new priority. Never a
-/// real priority: `max_step < 2^32 - 2`.
-const RETAGGING: u64 = u32::MAX as u64;
-/// `spin_loop` iterations a re-tagger spends behind the fence before it
-/// yields each further retry: a dequeuer's visit is a few hundred ns unless
-/// its thread was descheduled inside it.
-const RETAG_SPINS: u32 = 128;
-
-/// One slot of the priority ring: a key set and the word that says whose
-/// keys they are.
-struct Bucket {
-    set: LockFreeSet,
-    /// `tag << 32 | visitors`: the finite priority this bucket currently
-    /// holds, and how many dequeuers/removers are inside `set` on that
-    /// priority's behalf. One word, so a re-tag moves the tag in a single
-    /// CAS that fails while anyone is inside — the re-tag fence needs no
-    /// cross-location ordering argument.
-    state: AtomicU64,
-}
-
-/// A dequeuer's or remover's stay inside a bucket; leaving is the drop.
-struct Visit<'a>(&'a Bucket);
-
-impl std::ops::Deref for Visit<'_> {
-    type Target = LockFreeSet;
-
-    fn deref(&self) -> &LockFreeSet {
-        &self.0.set
-    }
-}
-
-impl Drop for Visit<'_> {
-    fn drop(&mut self) {
-        // Release: everything done to the slots happens-before a re-tag
-        // that observes the count back at zero.
-        self.0.state.fetch_sub(1, Ordering::Release);
-    }
-}
-
-impl Bucket {
-    fn new(tag: u64) -> Self {
-        Bucket {
-            set: LockFreeSet::new(),
-            state: AtomicU64::new(tag << 32),
-        }
-    }
-
-    fn tag(&self) -> u64 {
-        self.state.load(Ordering::Acquire) >> 32
-    }
-
-    /// True if the bucket currently holds priority `p` and (conservatively)
-    /// at least one entry. Read-only: safe against a concurrent re-tag,
-    /// which can only make the answer a stale "yes" — the conservative
-    /// direction for the scans that call it (a bound kept lower, a guard
-    /// published lower, an `enter` that then backs out).
-    fn holds(&self, p: Priority) -> bool {
-        self.tag() == p && !self.set.is_empty()
-    }
-
-    /// Enters the bucket to extract entries of priority `p`; `None` if it
-    /// holds another priority by now (a dequeuer that slept across a wrap,
-    /// or an `adjust` whose old copy is long gone). While the visit lasts
-    /// the bucket cannot be re-tagged, so nothing taken through it can
-    /// belong to `p + ring`.
-    fn enter(&self, p: Priority) -> Option<Visit<'_>> {
-        let prev = self.state.fetch_add(1, Ordering::AcqRel);
-        let visit = Visit(self);
-        (prev >> 32 == p).then_some(visit)
-    }
-
-    /// Hands the bucket over to priority `q`: claims it with one CAS that
-    /// fails while a visitor is inside (unless `fenced` is off — test-only),
-    /// checks that the old priority left nothing behind, returns every slot
-    /// to `EMPTY` and publishes the new tag. Concurrent registrants of the
-    /// same `q` elect one re-tagger by that CAS; the others wait for its tag
-    /// and look at nothing else.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket still counts entries of the priority it holds:
-    /// the window invariant is broken (two live priorities a multiple of
-    /// the ring apart), and re-tagging would mislabel or drop them.
-    #[cold]
-    fn retag(&self, q: Priority, fenced: bool) {
-        let mut spins = 0u32;
-        let old = loop {
-            let cur = self.state.load(Ordering::Acquire);
-            let tag = cur >> 32;
-            if tag == q {
-                return;
-            }
-            sched_point!("pq.retag.loaded");
-            if tag != RETAGGING {
-                // The fence: with a visitor inside, `cur != tag << 32` and
-                // the CAS fails. So does a CAS from a stale `cur` — a peer
-                // got there first.
-                let expected = if fenced { tag << 32 } else { cur };
-                let claimed = (RETAGGING << 32) | (expected & VISITORS);
-                if self
-                    .state
-                    .compare_exchange(expected, claimed, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break tag;
-                }
-            }
-            // A visitor is still inside, or a peer is mid-reset. Past the
-            // budget, the thread we wait for has likely lost its core: let
-            // it have ours.
-            sched_spin!("pq.retag.wait");
-            if spins < RETAG_SPINS {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        };
-        sched_point!("pq.retag.claimed");
-        // Checked only by the elected re-tagger, behind the claim: nobody is
-        // inside and no peer can insert under `q` yet, so the count is the
-        // old priority's alone — and exact, every visitor's decrements
-        // having happened-before the CAS that saw them gone.
-        if !self.set.is_empty() {
-            // Peers waiting on `RETAGGING` fail the same check instead of
-            // spinning behind a re-tagger that is gone.
-            self.publish(old);
-            panic!(
-                "window invariant violated: priority {q} lands in the bucket \
-                 still holding live entries of priority {old}"
-            );
-        }
-        self.set.reset();
-        self.publish(q);
-    }
-
-    /// Ends a re-tag: replaces `RETAGGING` by `tag`. Visitors bouncing off
-    /// `RETAGGING` may be mid-bounce, so their count is kept. Release
-    /// publishes the reset slots to every inserter that reads the new tag.
-    fn publish(&self, tag: u64) {
-        let _ = self
-            .state
-            .fetch_update(Ordering::Release, Ordering::Relaxed, |cur| {
-                Some((tag << 32) | (cur & VISITORS))
-            });
-    }
-}
 
 /// The paper's two-level concurrent priority queue.
 ///
@@ -200,13 +35,9 @@ impl Bucket {
 /// assert_eq!(out, vec![(7, 3), (9, INFINITE)]);
 /// ```
 pub struct TwoLevelPq {
-    /// Finite priorities: priority `p` lives in `ring[p & mask]` while that
-    /// bucket is tagged `p`.
-    ring: Box<[Bucket]>,
-    /// `ring.len() - 1` for a power-of-two ring; all ones for the full
-    /// window, whose `max_step + 1` buckets every priority indexes directly.
-    mask: u64,
-    /// The ∞ bucket. Never re-tagged, so it has no tag and no fence.
+    /// Finite priorities: priority `p` lives in `buckets[p]`.
+    buckets: Box<[LockFreeSet]>,
+    /// The ∞ bucket.
     infinite: LockFreeSet,
     max_step: u64,
     /// Conservative lower bound of live finite priorities.
@@ -230,17 +61,12 @@ pub struct TwoLevelPq {
     /// historical race.
     #[cfg(feature = "sched")]
     bug_scan_raise: AtomicBool,
-    /// Test-only: drops the re-tag fence (a re-tag no longer waits for
-    /// visitors to leave) so the schedule explorer can show what it is for.
-    #[cfg(feature = "sched")]
-    bug_wrap_retag: AtomicBool,
 }
 
 impl std::fmt::Debug for TwoLevelPq {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TwoLevelPq")
             .field("max_step", &self.max_step)
-            .field("ring", &self.ring.len())
             .field("len", &self.len())
             .field("lower", &self.lower.load(Ordering::Relaxed))
             .field("upper", &self.upper.load(Ordering::Relaxed))
@@ -250,71 +76,19 @@ impl std::fmt::Debug for TwoLevelPq {
 
 impl TwoLevelPq {
     /// Creates a queue accepting priorities `0..=max_step` and ∞, with one
-    /// bucket per finite priority: the full-window case of
-    /// [`Self::with_window`], for callers that cannot bound how far apart
-    /// live priorities lie. Costs a few words per step (second-level tables
-    /// are lazy) and keeps every bucket's segments until the queue drops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_step >= 2^32 - 2` (steps fit in 32 bits throughout
-    /// the engine — the g-entry store's read windows anchor on a `u32` —
-    /// and training runs are far shorter).
+    /// bucket per finite priority. Costs a few words per step (second-level
+    /// tables are lazy) and keeps every bucket's segments until the queue
+    /// drops.
     pub fn new(max_step: u64) -> Self {
-        Self::with_window(max_step, max_step + 1)
-    }
-
-    /// Creates a queue accepting priorities `0..=max_step` and ∞ whose live
-    /// finite priorities always lie within `window` consecutive values. The
-    /// index is a ring of `window` buckets rounded up to a power of two —
-    /// or one bucket per step, if that is fewer — that are recycled as the
-    /// window advances, so the queue's memory is O(`window` + peak
-    /// entries), not O(`max_step`).
-    ///
-    /// The caller keeps [`PriorityQueue::set_upper_bound`] current: every
-    /// live finite priority must lie in `(upper - ring, upper]`, where
-    /// `upper` starts at `ring - 1`. An insert that finds its bucket still
-    /// holding entries of an older priority panics.
-    ///
-    /// ```
-    /// use frugal_pq::{PriorityQueue, TwoLevelPq};
-    ///
-    /// let pq = TwoLevelPq::with_window(1_000_000, 4);
-    /// let mut out = Vec::new();
-    /// for step in 0..1_000u64 {
-    ///     pq.set_upper_bound(step + 3);
-    ///     pq.enqueue(step, step + 3);
-    ///     pq.dequeue_batch(1, &mut out);
-    /// }
-    /// assert_eq!(out.len(), 1_000);
-    /// assert!(pq.resident_bytes() < 4_096, "four buckets, reused");
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0` or `max_step >= 2^32 - 2`.
-    pub fn with_window(max_step: u64, window: u64) -> Self {
-        assert!(max_step < u32::MAX as u64 - 1, "max_step too large");
-        assert!(window > 0, "window must hold at least one priority");
-        // A ring that would cover every priority is the full window: one
-        // bucket per step, indexed by the priority itself (all-ones mask),
-        // not rounded up.
-        let (ring, mask) = match window.next_power_of_two() {
-            pow2 if pow2 > max_step => (max_step + 1, u64::MAX),
-            pow2 => (pow2, pow2 - 1),
-        };
         TwoLevelPq {
-            ring: (0..ring).map(Bucket::new).collect(),
-            mask,
+            buckets: (0..=max_step).map(|_| LockFreeSet::new()).collect(),
             infinite: LockFreeSet::new(),
             max_step,
             lower: AtomicU64::new(0),
-            upper: AtomicU64::new(max_step.min(ring - 1)),
+            upper: AtomicU64::new(max_step),
             len: AtomicUsize::new(0),
             #[cfg(feature = "sched")]
             bug_scan_raise: AtomicBool::new(false),
-            #[cfg(feature = "sched")]
-            bug_wrap_retag: AtomicBool::new(false),
         }
     }
 
@@ -326,21 +100,13 @@ impl TwoLevelPq {
         self.bug_scan_raise.store(on, Ordering::SeqCst);
     }
 
-    /// Test-only: lets a re-tag proceed while a dequeuer is still inside
-    /// the bucket, so the schedule explorer can show the entry it then
-    /// extracts under the wrong priority.
-    #[cfg(feature = "sched")]
-    pub fn set_bug_wrap_retag(&self, on: bool) {
-        self.bug_wrap_retag.store(on, Ordering::SeqCst);
-    }
-
     /// Test-only: reverts every bucket's insert to the historical
     /// publish-then-count order (see
     /// [`LockFreeSet::set_bug_publish_window`]).
     #[cfg(feature = "sched")]
     pub fn set_bug_publish_window(&self, on: bool) {
-        for b in self.ring.iter() {
-            b.set.set_bug_publish_window(on);
+        for b in self.buckets.iter() {
+            b.set_bug_publish_window(on);
         }
         self.infinite.set_bug_publish_window(on);
     }
@@ -355,34 +121,8 @@ impl TwoLevelPq {
         false
     }
 
-    #[cfg(feature = "sched")]
-    fn retag_fenced(&self) -> bool {
-        !self.bug_wrap_retag.load(Ordering::Relaxed)
-    }
-
-    #[cfg(not(feature = "sched"))]
-    fn retag_fenced(&self) -> bool {
-        true
-    }
-
-    /// Bytes the queue holds: its headers (the bucket ring) plus every
-    /// segment of every bucket's chain. Constant once each ring bucket has
-    /// seen its peak population — it does not grow with the step count.
-    pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + std::mem::size_of_val(&*self.ring)
-            + self.infinite.heap_bytes()
-            + self.ring.iter().map(|b| b.set.heap_bytes()).sum::<usize>()
-    }
-
-    /// The ring bucket of finite priority `p` (whatever it is tagged).
-    fn bucket(&self, p: Priority) -> &Bucket {
-        &self.ring[(p & self.mask) as usize]
-    }
-
-    /// The set an entry of priority `p` is inserted into, re-tagging its
-    /// ring bucket if `p` is the first of its priority to land there.
-    fn insert_set(&self, p: Priority) -> &LockFreeSet {
+    /// The bucket of priority `p`.
+    fn bucket(&self, p: Priority) -> &LockFreeSet {
         if p == INFINITE {
             return &self.infinite;
         }
@@ -391,24 +131,7 @@ impl TwoLevelPq {
             "priority {p} > max_step {}",
             self.max_step
         );
-        let bucket = self.bucket(p);
-        // Acquire pairs with the re-tagger's Release: the reset slots are
-        // visible before anything is inserted under the new tag.
-        if bucket.tag() != p {
-            bucket.retag(p, self.retag_fenced());
-        }
-        &bucket.set
-    }
-
-    /// Removes `key`'s copy at priority `old`; false if it is gone (taken
-    /// by a dequeuer — possibly so long ago that the bucket moved on).
-    fn remove_at(&self, key: u64, old: Priority) -> bool {
-        if old == INFINITE {
-            return self.infinite.remove(key);
-        }
-        self.bucket(old)
-            .enter(old)
-            .is_some_and(|set| set.remove(key))
+        &self.buckets[p as usize]
     }
 
     /// Records a finite insert at priority `p`: pulls the bound down if the
@@ -476,8 +199,8 @@ impl TwoLevelPq {
         }
         fence(Ordering::SeqCst);
         sched_point!("pq.raise.rescan");
-        for p in self.scan_start(seen, to - 1)..to {
-            if self.bucket(p).holds(p) {
+        for p in seen..to {
+            if !self.buckets[p as usize].is_empty() {
                 self.note_insert(p);
                 return;
             }
@@ -486,13 +209,6 @@ impl TwoLevelPq {
 
     fn scan_end(&self) -> u64 {
         self.upper.load(Ordering::Acquire).min(self.max_step)
-    }
-
-    /// First priority a scan ending at `end` visits: the lower bound,
-    /// clamped to the ring's span below `end` — by the window invariant
-    /// nothing older is live, and its bucket belongs to a newer priority.
-    fn scan_start(&self, lower: u64, end: u64) -> u64 {
-        lower.max((end + 1).saturating_sub(self.ring.len() as u64))
     }
 
     /// Shared body of [`PriorityQueue::dequeue_batch`] and
@@ -513,30 +229,26 @@ impl TwoLevelPq {
         let seen = self.lower.load(Ordering::Acquire);
         let end = self.scan_end();
         let mut first_live: Option<u64> = None;
-        let mut p = self.scan_start(seen, end);
+        let mut p = seen;
         while p <= end && taken < max {
             sched_point!("pq.dequeue.scan");
-            let bucket = self.bucket(p);
-            if bucket.holds(p) {
+            let set = &self.buckets[p as usize];
+            if !set.is_empty() {
                 if let Some(g) = guard {
                     g.fetch_min(p, Ordering::AcqRel);
                     sched_point!("pq.dequeue.guard_published");
                 }
-                // `None`: the bucket was handed to `p + ring` since the
-                // check above — priority `p` has no entries left.
-                if let Some(set) = bucket.enter(p) {
-                    sched_point!("pq.dequeue.entered");
-                    let got = set.take_any_with(max - taken, |k| out.push((k, p)));
-                    if got > 0 && first_live.is_none() {
-                        first_live = Some(p);
-                    }
-                    taken += got;
-                    // The bucket may still hold entries we could not take
-                    // this round; do not raise the bound past it.
-                    if !set.is_empty() {
-                        first_live = Some(first_live.unwrap_or(p).min(p));
-                        break;
-                    }
+                sched_point!("pq.dequeue.take");
+                let got = set.take_any_with(max - taken, |k| out.push((k, p)));
+                if got > 0 && first_live.is_none() {
+                    first_live = Some(p);
+                }
+                taken += got;
+                // The bucket may still hold entries we could not take
+                // this round; do not raise the bound past it.
+                if !set.is_empty() {
+                    first_live = Some(first_live.unwrap_or(p).min(p));
+                    break;
                 }
             }
             p += 1;
@@ -574,7 +286,7 @@ impl PriorityQueue for TwoLevelPq {
         // findable entry.
         sched_point!("pq.enqueue.len");
         self.len.fetch_add(1, Ordering::AcqRel);
-        self.insert_set(priority).insert(key);
+        self.bucket(priority).insert(key);
         sched_point!("pq.enqueue.inserted");
         self.note_insert(priority);
     }
@@ -587,9 +299,9 @@ impl PriorityQueue for TwoLevelPq {
         // can never miss the entry, then delete from the old bucket. A
         // dequeuer that grabbed the old copy will fail caller-side
         // validation.
-        self.insert_set(new).insert(key);
+        self.bucket(new).insert(key);
         self.note_insert(new);
-        if !self.remove_at(key, old) {
+        if !self.bucket(old).remove(key) {
             // A dequeuer already took the old copy (and decremented len
             // for it); our insert added a live copy, so account for it.
             self.len.fetch_add(1, Ordering::AcqRel);
@@ -612,8 +324,7 @@ impl PriorityQueue for TwoLevelPq {
         // bucket's counters are paid per run.
         for run in items.chunk_by(|a, b| a.1 == b.1) {
             let priority = run[0].1;
-            self.insert_set(priority)
-                .insert_run_by(run, |&(key, _)| key);
+            self.bucket(priority).insert_run_by(run, |&(key, _)| key);
             sched_point!("pq.enqueue_batch.inserted");
             min = min.min(priority);
         }
@@ -644,7 +355,7 @@ impl PriorityQueue for TwoLevelPq {
                 // (buckets are sets — the insert would not duplicate).
                 continue;
             }
-            self.insert_set(new).insert_run_by(run, |&(key, _, _)| key);
+            self.bucket(new).insert_run_by(run, |&(key, _, _)| key);
             sched_point!("pq.adjust_batch.inserted");
             min = min.min(new);
         }
@@ -654,7 +365,7 @@ impl PriorityQueue for TwoLevelPq {
                 continue;
             }
             sched_point!("pq.adjust_batch.remove");
-            if !self.remove_at(key, old) {
+            if !self.bucket(old).remove(key) {
                 // A dequeuer already took the old copy (and decremented
                 // len for it); our insert added a live copy.
                 self.len.fetch_add(1, Ordering::AcqRel);
@@ -679,10 +390,10 @@ impl PriorityQueue for TwoLevelPq {
     fn top_priority(&self) -> Priority {
         let seen = self.lower.load(Ordering::Acquire);
         let end = self.scan_end();
-        let mut p = self.scan_start(seen, end);
+        let mut p = seen;
         while p <= end {
             sched_point!("pq.top.scan");
-            if self.bucket(p).holds(p) {
+            if !self.buckets[p as usize].is_empty() {
                 self.raise_lower(seen, p);
                 return p;
             }
@@ -699,21 +410,9 @@ impl PriorityQueue for TwoLevelPq {
         // without raising the bound or disturbing entries.
         let seen = self.lower.load(Ordering::Acquire);
         let end = self.scan_end();
-        for p in self.scan_start(seen, end)..=end {
-            let bucket = self.bucket(p);
-            if bucket.tag() == p {
-                // Not a visit, so the bucket may be re-tagged mid-peek: a
-                // key is only `p`'s if the tag still says so afterwards.
-                if let Some(key) = bucket.set.peek_any() {
-                    if bucket.tag() == p {
-                        return Some((key, p));
-                    }
-                }
-            }
-        }
         // ∞ entries never block a step; callers peeking for stall
         // provenance treat "only ∞ left" as nothing to name.
-        None
+        (seen..=end).find_map(|p| Some((self.buckets[p as usize].peek_any()?, p)))
     }
 
     fn set_upper_bound(&self, upper: Priority) {
@@ -1072,150 +771,21 @@ mod tests {
     }
 
     #[test]
-    fn priorities_a_ring_apart_share_a_bucket() {
-        let pq = TwoLevelPq::with_window(1_000, 3);
-        assert_eq!(pq.ring.len(), 4, "window rounds up to a power of two");
-        assert!(std::ptr::eq(pq.bucket(2), pq.bucket(6)));
-        pq.enqueue(1, 2);
-        assert_eq!(pq.bucket(2).tag(), 2);
-        let mut out = Vec::new();
-        pq.dequeue_batch(8, &mut out);
-        // The window moves on; 6 is the first priority to reuse 2's bucket.
-        pq.set_upper_bound(6);
-        pq.enqueue(2, 6);
-        assert_eq!(pq.bucket(2).tag(), 6);
-        assert_eq!(pq.top_priority(), 6);
-        assert_eq!(pq.peek_top(), Some((2, 6)));
-        pq.dequeue_batch(8, &mut out);
-        assert_eq!(out, vec![(1, 2), (2, 6)]);
-        assert!(pq.is_empty());
-    }
-
-    #[test]
-    fn full_window_never_retags() {
-        // `new` is `with_window` with one bucket per step: every priority
-        // keeps the bucket it was born with.
-        let pq = TwoLevelPq::new(100);
-        assert_eq!(pq.ring.len(), 101, "one per step, not rounded up");
-        // So is any window whose power of two would cover every priority.
-        assert_eq!(TwoLevelPq::with_window(100, 65).ring.len(), 101);
-        assert_eq!(TwoLevelPq::with_window(100, 64).ring.len(), 64);
-        for p in 0..=100u64 {
-            pq.enqueue(p, p);
-            assert_eq!(pq.bucket(p).tag(), p);
-        }
-        assert_eq!(pq.top_priority(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "window invariant violated")]
-    fn insert_into_a_bucket_holding_another_live_priority_is_refused() {
-        let pq = TwoLevelPq::with_window(1_000, 4);
-        pq.enqueue(1, 2);
-        // 2 is still live, so 6 is outside the window: re-tagging would
-        // hand key 1 out labelled 6, or drop it.
-        pq.enqueue(2, 6);
-    }
-
-    #[test]
-    fn a_refused_insert_leaves_the_bucket_with_its_old_priority() {
-        // The refusing re-tagger puts the tag back before it panics, so the
-        // live entry stays reachable and a peer registrant is refused on the
-        // same grounds instead of waiting for a tag that never comes.
-        let pq = TwoLevelPq::with_window(1_000, 4);
-        pq.enqueue(1, 2);
-        for key in [2, 3] {
-            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pq.enqueue(key, 6);
-            }));
-            assert!(refused.is_err());
-            assert_eq!(pq.bucket(2).tag(), 2);
-        }
-        assert_eq!(pq.top_priority(), 2);
-        assert_eq!(pq.peek_top(), Some((1, 2)));
-    }
-
-    #[test]
     fn adjust_out_of_a_recycled_bucket_counts_the_new_copy() {
-        // A dequeuer took key 1 at priority 1 and the bucket has since been
-        // handed to priority 5. The registrant's adjust (it has not seen the
-        // claim yet) must neither find nor disturb anything there.
-        let pq = TwoLevelPq::with_window(100, 4);
+        // A dequeuer took key 1 at priority 1, and the drained bucket has
+        // since been refilled with key 9. The registrant's adjust (it has
+        // not seen the claim yet) must neither find nor disturb anything
+        // there, and must count the copy it inserted.
+        let pq = TwoLevelPq::new(100);
         pq.enqueue(1, 1);
         let mut out = Vec::new();
         pq.dequeue_batch(1, &mut out);
-        pq.set_upper_bound(6);
-        pq.enqueue(9, 5);
+        pq.enqueue(9, 1);
         pq.adjust(1, 1, 6);
         assert_eq!(pq.len(), 2);
         out.clear();
         pq.dequeue_batch(8, &mut out);
-        assert_eq!(out, vec![(9, 5), (1, 6)]);
-    }
-
-    /// One engine-shaped step on `pq`: register step `s`'s writes into
-    /// `[s + 1, s + L]` and ∞, reactivate the ∞ entries of three steps ago
-    /// at the horizon `s + L`, publish the bound, then flush (guarded) until
-    /// nothing at or below `s + 1` is left — the next step's wait condition.
-    /// A backlog spanning the whole window stays queued across steps.
-    fn engine_shaped_step(pq: &TwoLevelPq, s: u64, lookahead: u64) -> usize {
-        let key = |step: u64, j: u64| step * 64 + j;
-        let deferred = |j: &u64| j.is_multiple_of(3);
-        let items: Vec<(u64, Priority)> = (0..48)
-            .map(|j| {
-                let p = if deferred(&j) {
-                    INFINITE
-                } else {
-                    s + 1 + j % lookahead
-                };
-                (key(s, j), p)
-            })
-            .collect();
-        pq.enqueue_batch(&items);
-        if let Some(old) = s.checked_sub(3) {
-            let moves: Vec<(u64, Priority, Priority)> = (0..48)
-                .filter(deferred)
-                .map(|j| (key(old, j), INFINITE, s + lookahead))
-                .collect();
-            pq.adjust_batch(&moves);
-        }
-        pq.set_upper_bound(s + 1 + lookahead);
-        let guard = AtomicU64::new(INFINITE);
-        let mut out = Vec::new();
-        while pq.top_priority() <= s + 1 {
-            pq.dequeue_batch_guarded(8, &mut out, &guard);
-        }
-        assert!(out.iter().all(|&(_, p)| p > s && p <= s + lookahead));
-        out.len()
-    }
-
-    #[test]
-    fn resident_bytes_do_not_grow_with_the_step_count() {
-        let lookahead = 10;
-        let pq = TwoLevelPq::with_window(20_000, lookahead + 2);
-        let mut flushed = 0;
-        let mut at_100 = 0;
-        for s in 0..10_000 {
-            flushed += engine_shaped_step(&pq, s, lookahead);
-            if s + 1 == 100 {
-                at_100 = pq.resident_bytes();
-            }
-        }
-        assert_eq!(
-            pq.resident_bytes(),
-            at_100,
-            "10 000 steps hold what 100 did"
-        );
-        assert!(at_100 < 64 * 1024, "{at_100} bytes for a 16-bucket ring");
-        assert!(pq.len() > 100, "a backlog spans the window");
-        assert_eq!(flushed + pq.len(), 10_000 * 48, "nothing lost in 625 wraps");
-        // The same traffic through one bucket per step keeps a segment
-        // chain per visited priority.
-        let full = TwoLevelPq::new(20_000);
-        for s in 0..1_000 {
-            engine_shaped_step(&full, s, lookahead);
-        }
-        assert!(full.resident_bytes() > 10 * at_100);
+        assert_eq!(out, vec![(9, 1), (1, 6)]);
     }
 
     #[test]

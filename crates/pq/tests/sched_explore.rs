@@ -11,9 +11,7 @@
 #![cfg(feature = "sched")]
 
 use frugal_pq::{LockFreeSet, PriorityQueue, TwoLevelPq, INFINITE};
-use frugal_sched::{
-    explore, replay, spin_point, yield_point, ExploreConfig, Policy, SimBuilder, SimConfig,
-};
+use frugal_sched::{explore, replay, yield_point, ExploreConfig, Policy, SimBuilder, SimConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -233,134 +231,6 @@ fn guarded_dequeue_survives_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// Race: wrap re-tag. In a windowed queue priorities `p` and `p + ring`
-// share a bucket, and the first insert of `p + ring` re-tags it. A
-// dequeuer that entered the bucket for `p` and was suspended there must
-// not wake up among the entries of `p + ring`: it would hand them out
-// labelled `p`, the g-entry claim would reject them as stale, and the
-// update would never be flushed. Fix: the tag moves in one CAS over
-// `tag | visitors`, which fails while any dequeuer is inside.
-//
-// The scenario is the engine's step boundary in miniature: every trainer
-// leaves the barrier together and registers into the same fresh bucket, so
-// the registrants also race *each other* — one is elected to re-tag, the
-// rest wait on its tag and then insert under it.
-
-fn wrap_retag_scenario(buggy: bool) -> impl FnMut(&mut SimBuilder) {
-    move |sim: &mut SimBuilder| {
-        // Ring of 4: priorities 1 and 5 share bucket 1. The window starts
-        // at [1, 4] with one entry at priority 1.
-        let pq = Arc::new(TwoLevelPq::with_window(64, 4));
-        pq.set_bug_wrap_retag(buggy);
-        pq.set_upper_bound(4);
-        pq.enqueue(7, 1);
-        let flushed = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        // Two guarded dequeuers: one extracts key 7, the other may be
-        // suspended anywhere — in particular inside bucket 1, having seen
-        // it non-empty, with its guard already published.
-        for name in ["flusher-a", "flusher-b"] {
-            let pq = Arc::clone(&pq);
-            let flushed = Arc::clone(&flushed);
-            sim.thread(name, move || {
-                let guard = AtomicU64::new(INFINITE);
-                let mut out = Vec::new();
-                pq.dequeue_batch_guarded(4, &mut out, &guard);
-                flushed.lock().extend(out);
-            });
-        }
-        // Two registrants, released by the same step wait: once priority 1
-        // is flushed the window moves to [2, 5] and both insert at
-        // priority 5, which takes over bucket 1.
-        for (name, key) in [("registrant-a", 8u64), ("registrant-b", 9)] {
-            let pq = Arc::clone(&pq);
-            let flushed = Arc::clone(&flushed);
-            sim.thread(name, move || {
-                while !flushed.lock().contains(&(7, 1)) {
-                    spin_point("registrant.wait");
-                }
-                pq.set_upper_bound(5);
-                pq.enqueue(key, 5);
-            });
-        }
-        let pq = Arc::clone(&pq);
-        sim.check("every entry surfaces under its own priority", move || {
-            let mut all = flushed.lock().clone();
-            pq.dequeue_batch(8, &mut all);
-            all.sort_unstable();
-            assert_eq!(
-                all,
-                vec![(7, 1), (8, 5), (9, 5)],
-                "wrap re-tag lost or mislabeled an entry"
-            );
-        });
-    }
-}
-
-/// The wrap race is three ordering constraints deep (dequeuer suspended
-/// inside the bucket → the entry flushed by its peer → a registrant through
-/// its re-tag, all before the dequeuer moves again), which a uniform random
-/// walk over ~60 yield points rarely produces; PCT does. Every wait in the
-/// scenario — the registrants' step wait, the re-tagger at its fence, its
-/// peers at the `RETAGGING` tag — is a `spin_point`, so a waiter that
-/// outranks the thread it waits on steps aside instead of burning the
-/// budget, and a schedule that does run out of steps is a hand-off that
-/// never happened. (Measured over these 1024 seeds: unfenced, 47 schedules
-/// mislabel an entry; fenced, 55 have the re-tagger wait out a dequeuer and
-/// 149 a registrant wait out its peer's re-tag — 821 under the uniform
-/// walk — and the longest runs 54 of the 400 steps.)
-fn pct(seeds: std::ops::Range<u64>) -> ExploreConfig {
-    ExploreConfig {
-        seeds,
-        sim: SimConfig {
-            max_steps: 400,
-            policy: Policy::Pct {
-                depth: 4,
-                steps: 64,
-            },
-        },
-        announce_failure: false,
-    }
-}
-
-#[test]
-fn wrap_retag_race_is_found_and_replays() {
-    let cfg = pct(0..1024);
-    let outcome = explore(&cfg, wrap_retag_scenario(true));
-    let failure = outcome
-        .failure
-        .expect("an unfenced re-tag must be caught mislabeling an entry");
-    assert!(failure.failures[0]
-        .message
-        .contains("wrap re-tag lost or mislabeled an entry"));
-
-    eprintln!("wrap re-tag race: replay seed {}", failure.seed);
-    let replayed = replay(failure.seed, &cfg.sim, wrap_retag_scenario(true));
-    assert!(replayed.failed(), "seed {} must replay", failure.seed);
-    assert_eq!(replayed.trace, failure.trace);
-}
-
-#[test]
-fn fenced_wrap_retag_survives_sweep() {
-    // The schedules that find the race, and a uniform walk besides. No
-    // schedule may panic (a registrant tripping over its peer's re-tag would)
-    // and none may livelock (a waiter its re-tagger never releases would).
-    for cfg in [pct(0..1024), quiet(0..1024)] {
-        let outcome = explore(&cfg, wrap_retag_scenario(false));
-        assert!(
-            outcome.failure.is_none(),
-            "a fenced re-tag must never hand out p + ring labelled p: {:?}",
-            outcome.failure
-        );
-        assert_eq!(outcome.runs, 1024);
-        assert_eq!(
-            outcome.budget_exceeded_runs, 0,
-            "{:?}: a re-tag hand-off never completed",
-            cfg.sim.policy
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Batch registration (the sharded-registration engine path). Two hazards:
 //
 // * `enqueue_batch` defers the bound update to one `note_insert(min)` after
@@ -538,7 +408,7 @@ fn insert_run_scenario(buggy: bool) -> impl FnMut(&mut SimBuilder) {
 }
 
 /// ~90 yield points a schedule, the observer's drain included: PCT places
-/// its priority changes within `steps`, and with [`pct`]'s 64 the window
+/// its priority changes within `steps`, and at `steps: 64` the window
 /// between a slot CAS and its count is never hit in 1024 seeds.
 fn pct_run(seeds: std::ops::Range<u64>) -> ExploreConfig {
     ExploreConfig {

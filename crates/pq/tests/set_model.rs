@@ -1,14 +1,14 @@
 //! Model-based property tests: the lock-free set against a `HashSet` — with
 //! a twin set that takes every run of keys one key at a time — and the
 //! two-level PQ against a sorted reference, over random op sequences,
-//! including a windowed queue driven across many wraps of its bucket ring.
+//! including engine-shaped traffic under a moving upper bound.
 
 use frugal_pq::{LockFreeSet, PriorityQueue, TwoLevelPq, INFINITE};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lookahead of the windowed-queue model; its ring has 8 buckets.
+/// Lookahead of the engine-shaped model.
 const L: u64 = 5;
 
 /// The smallest finite priority in the model, or ∞.
@@ -115,17 +115,17 @@ proptest! {
     }
 
     #[test]
-    fn windowed_pq_matches_btreemap_model_across_wraps(
+    fn windowed_pq_matches_btreemap_model(
         steps in proptest::collection::vec(
             proptest::collection::vec((0u64..3, 0u64..24, 0u64..L + 1), 0..6),
             170..200,
         ),
     ) {
-        // Engine-shaped traffic over a ring of 8 buckets for ≥ 170 steps:
-        // more than 20 wraps. Step `s` enqueues into `[s + 1, s + L]` ∪ ∞
-        // and moves entries within that span, then everything due by
-        // `s + 1` is flushed — so the live span never exceeds the ring.
-        let pq = TwoLevelPq::with_window(10_000, L + 2);
+        // Engine-shaped traffic for ≥ 170 steps: step `s` enqueues into
+        // `[s + 1, s + L]` ∪ ∞ and moves entries within that span, then
+        // raises the upper bound to `s + 1 + L` and flushes everything due
+        // by `s + 1`, so the scan window `[lower, upper]` moves with it.
+        let pq = TwoLevelPq::new(200 + L + 1);
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut out = Vec::new();
         for (s, ops) in steps.iter().enumerate() {
@@ -173,7 +173,6 @@ proptest! {
         pq.dequeue_batch(usize::MAX, &mut out);
         out.sort_unstable();
         prop_assert_eq!(out, model.into_iter().collect::<Vec<_>>());
-        prop_assert!(pq.resident_bytes() < 16 * 1024, "8 buckets, recycled");
     }
 }
 
